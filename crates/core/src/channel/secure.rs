@@ -25,17 +25,25 @@ use crate::message::{Body, Payload, PayloadKind};
 use crate::outgoing::Outgoing;
 use crate::wire::Wire;
 
+/// Most ciphertexts one sender may have early shares parked for. A party
+/// runs ahead of another by the skew between its peers' message streams
+/// — a few rounds — and a round orders at most `n - t` full entries, so
+/// honest senders stay far below this; it only stops a Byzantine sender
+/// from parking shares for ciphertexts that will never be ordered. A
+/// share dropped here is not fatal: any `t` of the other parties' shares
+/// complete the party's own.
+const MAX_EARLY_KEYS_PER_SENDER: usize = 1024;
+
 /// State of one ordered ciphertext awaiting decryption.
 #[derive(Debug)]
 struct PendingDecryption {
     payload_meta: (PartyId, u64),
+    /// The validated ciphertext; `None` when validation failed (a
+    /// Byzantine sender ordered garbage) and the slot is skipped.
     ciphertext: Option<Ciphertext>,
     /// Verified shares by holder index.
     shares: BTreeMap<usize, DecryptionShare>,
     plaintext: Option<Vec<u8>>,
-    /// A ciphertext that failed validation is skipped (a Byzantine sender
-    /// ordered garbage).
-    skipped: bool,
 }
 
 /// A secure causal atomic broadcast channel endpoint.
@@ -46,8 +54,12 @@ pub struct SecureAtomicChannel {
     inner: AtomicChannel,
     /// Ordered ciphertexts in delivery order.
     pending: VecDeque<PendingDecryption>,
-    /// Early decryption shares for ciphertexts we have not ordered yet.
-    early_shares: BTreeMap<(PartyId, u64), Vec<DecryptionShare>>,
+    /// Early decryption shares, by sender, for ciphertexts we have not
+    /// ordered yet; unverified until their ciphertext is known.
+    early_shares: BTreeMap<(PartyId, u64), Vec<(PartyId, DecryptionShare)>>,
+    /// Per sender, the number of `early_shares` keys holding a share of
+    /// theirs (bounded by [`MAX_EARLY_KEYS_PER_SENDER`]).
+    early_keys: Vec<usize>,
     /// Ciphertext-ordered notifications not yet drained.
     ordered_events: VecDeque<(PartyId, u64, Vec<u8>)>,
     deliveries: VecDeque<Payload>,
@@ -61,6 +73,7 @@ impl SecureAtomicChannel {
         let inner = AtomicChannel::new(pid.child("ac"), ctx.clone(), config);
         SecureAtomicChannel {
             pid,
+            early_keys: vec![0; ctx.n()],
             ctx,
             inner,
             pending: VecDeque::new(),
@@ -172,7 +185,7 @@ impl SecureAtomicChannel {
         }
         if *msg_pid == self.pid {
             if let Body::ScShare { origin, seq, share } = body {
-                self.on_share(*origin, *seq, share);
+                self.on_share(from, (*origin, *seq), share);
             }
         } else if msg_pid.is_self_or_descendant_of(self.inner.pid()) {
             self.inner.handle(from, msg_pid, body, out);
@@ -180,27 +193,29 @@ impl SecureAtomicChannel {
         self.pump(out);
     }
 
-    fn on_share(&mut self, origin: PartyId, seq: u64, share: &DecryptionShare) {
-        // Find the pending slot; if the ciphertext is not ordered locally
-        // yet, park the share.
-        let slot = self
-            .pending
-            .iter_mut()
-            .find(|p| p.payload_meta == (origin, seq));
+    fn on_share(&mut self, from: PartyId, key: (PartyId, u64), share: &DecryptionShare) {
+        let slot = self.pending.iter_mut().find(|p| p.payload_meta == key);
         match slot {
-            Some(p) if !p.skipped && p.plaintext.is_none() => {
-                if let Some(ct) = &p.ciphertext {
+            Some(p) => {
+                // A skipped or already decrypted slot needs no shares.
+                if let (Some(ct), None) = (&p.ciphertext, &p.plaintext) {
                     if self.ctx.keys().common.enc.verify_share(ct, share) {
                         p.shares.insert(share.index, share.clone());
                     }
                 }
             }
-            Some(_) => {}
+            // Ordered and resolved here already: one of the `n - k`
+            // shares that arrive after the plaintext went out.
+            None if key.1 < self.inner.next_expected(key.0) => {}
+            // Not ordered locally yet: park the share.
             None => {
-                let parked = self.early_shares.entry((origin, seq)).or_default();
-                // lint:allow(quorum-arithmetic): buffer bound (2n parked shares), not a protocol threshold
-                if parked.len() < 2 * self.ctx.n() {
-                    parked.push(share.clone());
+                if self.early_keys[from.0] >= MAX_EARLY_KEYS_PER_SENDER {
+                    return;
+                }
+                let parked = self.early_shares.entry(key).or_default();
+                if parked.iter().all(|(sender, _)| *sender != from) {
+                    parked.push((from, share.clone()));
+                    self.early_keys[from.0] += 1;
                 }
             }
         }
@@ -213,64 +228,53 @@ impl SecureAtomicChannel {
             let meta = (payload.origin, payload.seq);
             self.ordered_events
                 .push_back((payload.origin, payload.seq, payload.data.clone()));
-            let ct = Ciphertext::from_bytes(&payload.data).ok().filter(|ct| {
-                // The label binds ciphertexts to this channel instance.
-                ct.label == self.pid.as_bytes() && self.ctx.keys().common.enc.verify_ciphertext(ct)
-            });
-            let mut pending = PendingDecryption {
+            let enc = &self.ctx.keys().common.enc;
+            // The ciphertext's one validity check at this party: releasing
+            // our share, checking peers' shares and combining all rely on
+            // it. The label binds ciphertexts to this channel instance.
+            let ct = Ciphertext::from_bytes(&payload.data)
+                .ok()
+                .filter(|ct| ct.label == self.pid.as_bytes() && enc.verify_ciphertext(ct));
+            let parked = self.early_shares.remove(&meta).unwrap_or_default();
+            for (sender, _) in &parked {
+                self.early_keys[sender.0] -= 1;
+            }
+            let mut shares = BTreeMap::new();
+            if let Some(ct) = &ct {
+                // Release our own decryption share.
+                let own = enc.decryption_share_prechecked(ct, &self.ctx.keys().enc_secret);
+                shares.insert(own.index, own.clone());
+                out.send_all(
+                    &self.pid,
+                    Body::ScShare {
+                        origin: meta.0,
+                        seq: meta.1,
+                        share: own,
+                    },
+                );
+                // Ingest parked shares, each verified here and only here.
+                let parked: Vec<DecryptionShare> = parked.into_iter().map(|(_, s)| s).collect();
+                let verdicts = enc.verify_shares(ct, &parked);
+                for (share, _) in parked.into_iter().zip(verdicts).filter(|(_, ok)| *ok) {
+                    shares.insert(share.index, share);
+                }
+            }
+            self.pending.push_back(PendingDecryption {
                 payload_meta: meta,
                 ciphertext: ct,
-                shares: BTreeMap::new(),
+                shares,
                 plaintext: None,
-                skipped: false,
-            };
-            match &pending.ciphertext {
-                Some(ct) => {
-                    // Release our own decryption share.
-                    if let Some(share) = self
-                        .ctx
-                        .keys()
-                        .common
-                        .enc
-                        .decryption_share(ct, &self.ctx.keys().enc_secret)
-                    {
-                        pending.shares.insert(share.index, share.clone());
-                        out.send_all(
-                            &self.pid,
-                            Body::ScShare {
-                                origin: meta.0,
-                                seq: meta.1,
-                                share,
-                            },
-                        );
-                    }
-                    // Ingest parked shares.
-                    if let Some(parked) = self.early_shares.remove(&meta) {
-                        for share in parked {
-                            if self.ctx.keys().common.enc.verify_share(ct, &share) {
-                                pending.shares.insert(share.index, share);
-                            }
-                        }
-                    }
-                }
-                None => pending.skipped = true,
-            }
-            self.pending.push_back(pending);
+            });
         }
 
-        // 2. Combine where possible.
+        // 2. Combine where possible. Every share in a slot was verified
+        // on the way in (or is our own), and so was the ciphertext.
         let k = self.ctx.keys().common.enc.threshold();
         for p in self.pending.iter_mut() {
-            if p.skipped || p.plaintext.is_some() {
-                continue;
-            }
-            if p.shares.len() >= k {
-                let ct = p
-                    .ciphertext
-                    .as_ref()
-                    .or_invariant("unskipped pending entry lost its ciphertext");
+            let Some(ct) = &p.ciphertext else { continue };
+            if p.plaintext.is_none() && p.shares.len() >= k {
                 let shares: Vec<DecryptionShare> = p.shares.values().cloned().collect();
-                if let Ok(plain) = self.ctx.keys().common.enc.combine(ct, &shares) {
+                if let Ok(plain) = self.ctx.keys().common.enc.combine_prechecked(ct, &shares) {
                     p.plaintext = Some(plain);
                 }
             }
@@ -278,7 +282,7 @@ impl SecureAtomicChannel {
 
         // 3. Deliver strictly in order.
         while let Some(front) = self.pending.front() {
-            if front.skipped {
+            if front.ciphertext.is_none() {
                 self.pending.pop_front();
             } else if front.plaintext.is_some() {
                 let p = self
@@ -317,7 +321,7 @@ impl StateSnapshot for SecureAtomicChannel {
                 .num("front_origin", front.payload_meta.0 .0 as u64)
                 .num("front_seq", front.payload_meta.1)
                 .num("front_shares", front.shares.len() as u64)
-                .flag("front_skipped", front.skipped);
+                .flag("front_skipped", front.ciphertext.is_none());
         }
         w.raw("inner", &self.inner.snapshot_json()).finish()
     }
@@ -472,6 +476,85 @@ mod tests {
         assert!(chans_b[1].take_delivery().is_none());
         // But the ordering event still happened (position consumed).
         assert!(chans_b[1].take_ordered_ciphertext().is_some());
+    }
+
+    #[test]
+    fn early_shares_empty_at_quiescence() {
+        // Of the n shares per ciphertext, n - k arrive after the plaintext
+        // went out and its slot was popped. They used to be parked under
+        // a key nothing would ever remove: memory grew with every request.
+        let ctxs = group(4, 1);
+        let mut chans = channels(&ctxs, "sc-quiet");
+        let mut rng = StdRng::seed_from_u64(105);
+        let mut outs = Vec::new();
+        for (i, chan) in chans.iter_mut().enumerate() {
+            let mut out = Outgoing::new();
+            for k in 0..50u32 {
+                chan.send(format!("request {i}/{k}").into_bytes(), &mut rng, &mut out);
+            }
+            outs.push((i, out));
+        }
+        pump_all(&mut chans, outs);
+        for (i, chan) in chans.iter_mut().enumerate() {
+            let mut delivered = 0;
+            while chan.take_delivery().is_some() {
+                delivered += 1;
+            }
+            assert_eq!(delivered, 200, "party {i}");
+            assert!(chan.early_shares.is_empty(), "party {i} still parks shares");
+            assert_eq!(chan.early_keys, vec![0; 4], "party {i}");
+            assert!(chan.pending.is_empty());
+        }
+    }
+
+    #[test]
+    fn parked_shares_bounded_per_sender() {
+        let ctxs = group(4, 1);
+        let mut chan = channels(&ctxs, "sc-flood").remove(0);
+        let mut rng = StdRng::seed_from_u64(106);
+        let ct = ctxs[3]
+            .keys()
+            .common
+            .enc
+            .encrypt(b"sc-flood", b"x", &mut rng);
+        let share = ctxs[3]
+            .keys()
+            .common
+            .enc
+            .decryption_share_prechecked(&ct, &ctxs[3].keys().enc_secret);
+        // Party 3 sends shares for ciphertexts that will never be ordered.
+        let flood = MAX_EARLY_KEYS_PER_SENDER as u64 + 500;
+        for seq in 0..flood {
+            let body = Body::ScShare {
+                origin: PartyId(1),
+                seq,
+                share: share.clone(),
+            };
+            // Twice: a repeat under the same key does not count again.
+            for _ in 0..2 {
+                chan.handle(
+                    PartyId(3),
+                    &ProtocolId::new("sc-flood"),
+                    &body,
+                    &mut Outgoing::new(),
+                );
+            }
+        }
+        assert_eq!(chan.early_shares.len(), MAX_EARLY_KEYS_PER_SENDER);
+        assert_eq!(chan.early_keys[3], MAX_EARLY_KEYS_PER_SENDER);
+        // Another sender's quota is its own.
+        let body = Body::ScShare {
+            origin: PartyId(1),
+            seq: flood,
+            share,
+        };
+        chan.handle(
+            PartyId(2),
+            &ProtocolId::new("sc-flood"),
+            &body,
+            &mut Outgoing::new(),
+        );
+        assert_eq!(chan.early_keys[2], 1);
     }
 
     #[test]

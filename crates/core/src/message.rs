@@ -12,7 +12,7 @@ use sintra_crypto::thenc::DecryptionShare;
 use sintra_crypto::thsig::{SigShare, ThresholdSignature};
 
 use crate::ids::{PartyId, ProtocolId};
-use crate::wire::{put_bytes, Reader, Wire, WireError};
+use crate::wire::{put_bytes, put_len, Reader, Wire, WireError};
 
 /// A main-vote value in binary Byzantine agreement: a bit or "abstain".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,16 +90,60 @@ pub struct Payload {
     pub data: Vec<u8>,
 }
 
-/// An atomic-channel batch entry: a payload signed (possibly by an
-/// adopting relay, not the origin) together with the round number.
+/// Most payloads one atomic-channel [`Entry`] may carry.
+///
+/// With empty payloads the byte budget never binds, so this is what
+/// bounds an entry's bookkeeping (17 header bytes per payload on the
+/// wire, one queue slot and one delivery each).
+pub const MAX_ENTRY_PAYLOADS: usize = 256;
+
+/// Byte budget of a multi-payload [`Entry`]: the sum of its payloads'
+/// data lengths. A single payload is exempt (it is bounded by the codec's
+/// length cap, as before entries were vectors), so the queue head always
+/// fits into the next entry.
+///
+/// Sized against the link layer: a proposal carries at most `n - t`
+/// entries and a message at most three proposals (an abstaining main-vote
+/// exhibits proofs for both bits next to its own), so a worst-case
+/// message is about 1 MiB at `n = 7` and 4.3 MiB at `n = 31` against the
+/// 16 MiB frame bound, and a round's dozen copies of a proposal per link
+/// stay far inside the 64 MiB retransmission bound.
+pub const MAX_ENTRY_BYTES: usize = 64 * 1024;
+
+/// An atomic-channel batch entry: an ordered vector of payloads signed
+/// (possibly by an adopting relay, not their origin) together with the
+/// round number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entry {
-    /// The payload being proposed for this round.
-    pub payload: Payload,
-    /// The party whose signature covers `(pid, round, payload)`.
+    /// The payloads being proposed for this round, in delivery order.
+    pub payloads: Vec<Payload>,
+    /// The party whose signature covers `(pid, round, payloads)`.
     pub signer: PartyId,
     /// That party's standard RSA signature.
     pub sig: RsaSignature,
+}
+
+impl Entry {
+    /// Whether the payload vector has a shape an honest party can have
+    /// cut: between one and [`MAX_ENTRY_PAYLOADS`] payloads, within
+    /// [`MAX_ENTRY_BYTES`] unless it is a single payload, and no
+    /// `(origin, seq)` twice. The decoder enforces this; handlers check
+    /// it again because in-process runtimes hand over entries that never
+    /// crossed the codec.
+    pub fn well_formed(&self) -> bool {
+        let count = self.payloads.len();
+        if count == 0 || count > MAX_ENTRY_PAYLOADS {
+            return false;
+        }
+        if count == 1 {
+            return true;
+        }
+        let bytes: usize = self.payloads.iter().map(|p| p.data.len()).sum();
+        let mut ids: Vec<(PartyId, u64)> =
+            self.payloads.iter().map(|p| (p.origin, p.seq)).collect();
+        ids.sort_unstable();
+        bytes <= MAX_ENTRY_BYTES && ids.windows(2).all(|pair| pair[0] != pair[1])
+    }
 }
 
 /// The body of a network message, covering every protocol in the stack.
@@ -336,13 +380,14 @@ pub fn coin_name(pid: &ProtocolId, round: u32) -> Vec<u8> {
     statement("ba-coin", pid, &[&round.to_be_bytes()])
 }
 
-/// Statement signed over an atomic-channel entry `(pid, round, payload)`.
-pub fn statement_entry(pid: &ProtocolId, round: u64, payload: &Payload) -> Vec<u8> {
-    statement(
-        "ac-entry",
-        pid,
-        &[&round.to_be_bytes(), &payload.to_bytes()],
-    )
+/// Statement signed over an atomic-channel entry `(pid, round, payloads)`.
+pub fn statement_entry(pid: &ProtocolId, round: u64, payloads: &[Payload]) -> Vec<u8> {
+    let mut encoded = Vec::new();
+    put_len(&mut encoded, payloads.len());
+    for payload in payloads {
+        payload.encode(&mut encoded);
+    }
+    statement("ac-entry", pid, &[&round.to_be_bytes(), &encoded])
 }
 
 /// Statement signed by an optimistic-channel acknowledgement.
@@ -536,16 +581,31 @@ impl Wire for Payload {
 
 impl Wire for Entry {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.payload.encode(buf);
+        put_len(buf, self.payloads.len());
+        for payload in &self.payloads {
+            payload.encode(buf);
+        }
         self.signer.encode(buf);
         self.sig.encode(buf);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Entry {
-            payload: Payload::decode(r)?,
+        let len = r.u32()? as usize;
+        if len > MAX_ENTRY_PAYLOADS {
+            return Err(WireError::LengthOverflow);
+        }
+        let mut payloads = Vec::with_capacity(len);
+        for _ in 0..len {
+            payloads.push(Payload::decode(r)?);
+        }
+        let entry = Entry {
+            payloads,
             signer: PartyId::decode(r)?,
             sig: RsaSignature::decode(r)?,
-        })
+        };
+        if !entry.well_formed() {
+            return Err(WireError::MalformedEntry);
+        }
+        Ok(entry)
     }
 }
 
@@ -799,16 +859,63 @@ mod tests {
         roundtrip(Body::AcEntry {
             round: 12,
             entry: Entry {
-                payload: Payload {
-                    origin: PartyId(1),
-                    seq: 42,
-                    kind: PayloadKind::Close,
-                    data: vec![1, 2, 3],
-                },
+                payloads: vec![
+                    payload(1, 42, PayloadKind::App, vec![1, 2, 3]),
+                    payload(1, 43, PayloadKind::Close, vec![]),
+                ],
                 signer: PartyId(3),
                 sig: RsaSignature(sintra_bigint::Ubig::from(5u64)),
             },
         });
+    }
+
+    fn payload(origin: usize, seq: u64, kind: PayloadKind, data: Vec<u8>) -> Payload {
+        Payload {
+            origin: PartyId(origin),
+            seq,
+            kind,
+            data,
+        }
+    }
+
+    fn entry_of(payloads: Vec<Payload>) -> Entry {
+        Entry {
+            payloads,
+            signer: PartyId(0),
+            sig: RsaSignature(sintra_bigint::Ubig::from(5u64)),
+        }
+    }
+
+    #[test]
+    fn malformed_entries_fail_to_decode() {
+        let app = |seq: u64, len: usize| payload(1, seq, PayloadKind::App, vec![7; len]);
+        let at_cap = entry_of((0..MAX_ENTRY_PAYLOADS as u64).map(|s| app(s, 1)).collect());
+        let at_budget = entry_of(vec![
+            app(0, MAX_ENTRY_BYTES / 2),
+            app(1, MAX_ENTRY_BYTES / 2),
+        ]);
+        // The head of a queue always fits, whatever its size.
+        let lone_giant = entry_of(vec![app(0, MAX_ENTRY_BYTES + 1)]);
+        for good in [at_cap, at_budget, lone_giant] {
+            assert!(good.well_formed());
+            assert_eq!(Entry::from_bytes(&good.to_bytes()).unwrap(), good);
+        }
+        let empty = entry_of(vec![]);
+        let over_cap = entry_of((0..=MAX_ENTRY_PAYLOADS as u64).map(|s| app(s, 1)).collect());
+        let over_budget = entry_of(vec![
+            app(0, MAX_ENTRY_BYTES / 2),
+            app(1, MAX_ENTRY_BYTES / 2 + 1),
+        ]);
+        let duplicate = entry_of(vec![app(4, 1), app(5, 1), app(4, 1)]);
+        for (bad, error) in [
+            (empty, WireError::MalformedEntry),
+            (over_cap, WireError::LengthOverflow),
+            (over_budget, WireError::MalformedEntry),
+            (duplicate, WireError::MalformedEntry),
+        ] {
+            assert!(!bad.well_formed());
+            assert_eq!(Entry::from_bytes(&bad.to_bytes()), Err(error));
+        }
     }
 
     #[test]
@@ -875,15 +982,29 @@ mod tests {
     #[test]
     fn entry_statement_binds_round() {
         let pid = ProtocolId::new("ch");
-        let payload = Payload {
-            origin: PartyId(0),
-            seq: 1,
-            kind: PayloadKind::App,
-            data: b"d".to_vec(),
-        };
+        let payloads = [payload(0, 1, PayloadKind::App, b"d".to_vec())];
         assert_ne!(
-            statement_entry(&pid, 1, &payload),
-            statement_entry(&pid, 2, &payload)
+            statement_entry(&pid, 1, &payloads),
+            statement_entry(&pid, 2, &payloads)
         );
+    }
+
+    #[test]
+    fn entry_statement_binds_the_whole_vector() {
+        let pid = ProtocolId::new("ch");
+        let c1 = payload(2, 1, PayloadKind::App, b"c1".to_vec());
+        let c2 = payload(2, 2, PayloadKind::App, b"c2".to_vec());
+        let full = statement_entry(&pid, 1, &[c1.clone(), c2.clone()]);
+        assert_ne!(
+            full,
+            statement_entry(&pid, 1, std::slice::from_ref(&c2)),
+            "suffix"
+        );
+        assert_ne!(
+            full,
+            statement_entry(&pid, 1, std::slice::from_ref(&c1)),
+            "prefix"
+        );
+        assert_ne!(full, statement_entry(&pid, 1, &[c2, c1]), "order");
     }
 }

@@ -310,7 +310,10 @@ impl PreVerifier {
                 if entry.signer != from {
                     return PreVerified::invalid("entry signer");
                 }
-                let statement = statement_entry(pid, *round, &entry.payload);
+                if !entry.well_formed() {
+                    return PreVerified::invalid("entry payload vector");
+                }
+                let statement = statement_entry(pid, *round, &entry.payloads);
                 let Some(key) = common.sig_publics.get(from.0) else {
                     return PreVerified::invalid("entry signer key");
                 };
@@ -503,10 +506,11 @@ mod tests {
             kind: PayloadKind::App,
             data: b"x".to_vec(),
         };
-        let statement = statement_entry(&pid, 0, &payload);
+        let payloads = vec![payload];
+        let statement = statement_entry(&pid, 0, &payloads);
         let sig = ctxs[1].keys().sig_key.sign(&statement);
         let entry = Entry {
-            payload,
+            payloads,
             signer: PartyId(1),
             sig: sig.clone(),
         };

@@ -31,6 +31,9 @@ pub enum WireError {
     BadDiscriminant(u8),
     /// Trailing bytes remained after a complete top-level decode.
     TrailingBytes,
+    /// An atomic-channel entry's payload vector was empty, over its byte
+    /// budget, or named an `(origin, seq)` twice.
+    MalformedEntry,
 }
 
 impl fmt::Display for WireError {
@@ -40,6 +43,7 @@ impl fmt::Display for WireError {
             WireError::LengthOverflow => write!(f, "length prefix exceeds limit"),
             WireError::BadDiscriminant(d) => write!(f, "unknown discriminant byte {d}"),
             WireError::TrailingBytes => write!(f, "trailing bytes after value"),
+            WireError::MalformedEntry => write!(f, "malformed entry payload vector"),
         }
     }
 }
@@ -193,7 +197,7 @@ impl Wire for u64 {
 /// `Wire` impls and diffs it against the committed golden; any schema
 /// change must bump this constant in the same commit, making wire breaks
 /// an explicit, reviewable event rather than a silent drift.
-pub const WIRE_FORMAT_VERSION: u32 = 1;
+pub const WIRE_FORMAT_VERSION: u32 = 2;
 
 /// Wire discriminants. Explicit and append-only: renumbering or reusing
 /// a tag byte is a wire-format break (`sintra-lint`'s `wire-stability`

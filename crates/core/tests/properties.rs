@@ -9,6 +9,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 use sintra_core::agreement::{BinaryAgreement, CandidateOrder, MultiValuedAgreement};
+use sintra_core::channel::{AtomicChannel, AtomicChannelConfig};
 use sintra_core::message::{
     payload_digest, statement_cb, statement_entry, statement_pre_vote, Body, Envelope, Payload,
     PayloadKind,
@@ -53,7 +54,7 @@ fn body_strategy() -> impl Strategy<Value = Body> {
             .prop_map(|(round, origin, seq, data, close)| Body::AcEntry {
                 round,
                 entry: sintra_core::message::Entry {
-                    payload: Payload {
+                    payloads: vec![Payload {
                         origin: PartyId(origin as usize),
                         seq,
                         kind: if close {
@@ -62,7 +63,7 @@ fn body_strategy() -> impl Strategy<Value = Body> {
                             PayloadKind::App
                         },
                         data,
-                    },
+                    }],
                     signer: PartyId(origin as usize),
                     sig: RsaSignature(sintra_bigint::Ubig::from(seq)),
                 },
@@ -146,8 +147,8 @@ proptest! {
             data: data.clone(),
         };
         prop_assert_ne!(
-            statement_entry(&pid, round, &mk(seq_a)),
-            statement_entry(&pid, round, &mk(seq_b))
+            statement_entry(&pid, round, &[mk(seq_a)]),
+            statement_entry(&pid, round, &[mk(seq_b)])
         );
     }
 
@@ -284,4 +285,113 @@ fn mvba_safe_under_shuffled_schedule() {
         .collect();
     assert!(decisions.windows(2).all(|w| w[0] == w[1]));
     assert!(proposals.contains(&decisions[0]));
+}
+
+/// Runs an atomic channel group in which party `p` issues `bursts[p]`
+/// back-to-back send bursts at random points of a randomly scheduled
+/// run, and returns every party's delivered `(origin, seq, data)` log.
+fn run_atomic_with_schedule(
+    n: usize,
+    fairness: usize,
+    bursts: &[Vec<usize>],
+    seed: u64,
+) -> Vec<Vec<(usize, u64, Vec<u8>)>> {
+    enum Action {
+        Deliver(PartyId, usize, ProtocolId, Body),
+        Burst(usize, usize),
+    }
+    let ctxs = group(n, (n - 1) / 3, seed);
+    let pid = ProtocolId::new(format!("ac-sched-{seed}"));
+    let config = AtomicChannelConfig {
+        fairness: Some(fairness),
+        ..AtomicChannelConfig::default()
+    };
+    let mut chans: Vec<AtomicChannel> = ctxs
+        .iter()
+        .map(|c| AtomicChannel::new(pid.clone(), c.clone(), config))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
+    let mut pool: Vec<Action> = Vec::new();
+    for (party, sizes) in bursts.iter().enumerate() {
+        pool.extend(sizes.iter().map(|&size| Action::Burst(party, size)));
+    }
+    let mut sent = vec![0u64; n];
+    let mut steps = 0;
+    while !pool.is_empty() {
+        steps += 1;
+        assert!(steps < 5_000_000, "no quiescence under schedule {seed}");
+        let idx = rng.gen_range(0..pool.len());
+        let mut out = Outgoing::new();
+        let at = match pool.swap_remove(idx) {
+            Action::Deliver(from, to, mpid, body) => {
+                chans[to].handle(from, &mpid, &body, &mut out);
+                to
+            }
+            Action::Burst(party, size) => {
+                for _ in 0..size {
+                    let data = format!("{party}:{}", sent[party]).into_bytes();
+                    chans[party].send(data, &mut out);
+                    sent[party] += 1;
+                }
+                party
+            }
+        };
+        for (recipient, env) in out.drain() {
+            let targets: Vec<usize> = match recipient {
+                Recipient::All => (0..n).collect(),
+                Recipient::One(p) => vec![p.0],
+            };
+            for to in targets {
+                pool.push(Action::Deliver(
+                    PartyId(at),
+                    to,
+                    env.pid.clone(),
+                    env.body.clone(),
+                ));
+            }
+        }
+    }
+    chans
+        .iter_mut()
+        .map(|chan| {
+            std::iter::from_fn(|| chan.take_delivery())
+                .map(|p| (p.origin.0, p.seq, p.data))
+                .collect()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    #[test]
+    fn atomic_channel_orders_random_bursts(
+        big in any::<bool>(),
+        wide_batch in any::<bool>(),
+        bursts in prop::collection::vec(prop::collection::vec(1usize..6, 0..3), 7..=7),
+        seed in any::<u64>(),
+    ) {
+        let (n, t) = if big { (7, 2) } else { (4, 1) };
+        // f = t + 1 (batch n - t) or f = n - t (batch t + 1, the paper's).
+        let fairness = if wide_batch { t + 1 } else { n - t };
+        let bursts = &bursts[..n];
+        let logs = run_atomic_with_schedule(n, fairness, bursts, seed);
+        // Agreement and total order.
+        for (p, log) in logs.iter().enumerate().skip(1) {
+            prop_assert_eq!(log, &logs[0], "party {} disagrees", p);
+        }
+        // Exactly once, per-origin FIFO, nothing lost, bytes intact.
+        for (origin, sizes) in bursts.iter().enumerate() {
+            let got: Vec<(u64, Vec<u8>)> = logs[0]
+                .iter()
+                .filter(|(o, _, _)| *o == origin)
+                .map(|(_, seq, data)| (*seq, data.clone()))
+                .collect();
+            let sent = sizes.iter().sum::<usize>() as u64;
+            let expected: Vec<(u64, Vec<u8>)> = (0..sent)
+                .map(|s| (s, format!("{origin}:{s}").into_bytes()))
+                .collect();
+            prop_assert_eq!(got, expected, "origin {}", origin);
+        }
+    }
 }

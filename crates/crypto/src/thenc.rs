@@ -224,9 +224,19 @@ impl EncScheme {
         ct: &Ciphertext,
         secret: &EncSecretShare,
     ) -> Option<DecryptionShare> {
-        if !self.verify_ciphertext(ct) {
-            return None;
-        }
+        self.verify_ciphertext(ct)
+            .then(|| self.decryption_share_prechecked(ct, secret))
+    }
+
+    /// [`EncScheme::decryption_share`] for a caller that has already run
+    /// [`EncScheme::verify_ciphertext`] on `ct` and seen it pass.
+    /// Releasing a share for an unchecked ciphertext breaks CCA2
+    /// security.
+    pub fn decryption_share_prechecked(
+        &self,
+        ct: &Ciphertext,
+        secret: &EncSecretShare,
+    ) -> DecryptionShare {
         let value = self.group.pow(&ct.u, &secret.key);
         let stmt = DleqStatement {
             g: self.group.generator(),
@@ -235,11 +245,11 @@ impl EncScheme {
             v: &value,
         };
         let proof = dleq::prove_deterministic(&self.group, SHARE_DOMAIN, &stmt, &secret.key);
-        Some(DecryptionShare {
+        DecryptionShare {
             index: secret.index,
             value,
             proof,
-        })
+        }
     }
 
     /// Verifies a peer's decryption share against a ciphertext.
@@ -302,6 +312,33 @@ impl EncScheme {
         if !self.verify_ciphertext(ct) {
             return Err(CryptoError::InvalidCiphertext);
         }
+        let used = self.combining_set(shares)?;
+        for (share, valid) in used.iter().zip(self.verify_shares(ct, used)) {
+            if !valid {
+                return Err(CryptoError::InvalidShare { index: share.index });
+            }
+        }
+        Ok(self.recover(ct, used))
+    }
+
+    /// [`EncScheme::combine`] for a caller that has already verified `ct`
+    /// ([`EncScheme::verify_ciphertext`]) and every share it passes
+    /// ([`EncScheme::verify_share`] / [`EncScheme::verify_shares`], or
+    /// produced it itself). Unverified input yields garbage plaintext.
+    ///
+    /// # Errors
+    ///
+    /// Fails on too few shares, an out-of-range or duplicate index.
+    pub fn combine_prechecked(
+        &self,
+        ct: &Ciphertext,
+        shares: &[DecryptionShare],
+    ) -> Result<Vec<u8>> {
+        Ok(self.recover(ct, self.combining_set(shares)?))
+    }
+
+    /// The first `k` shares, provided they name `k` distinct holders.
+    fn combining_set<'a>(&self, shares: &'a [DecryptionShare]) -> Result<&'a [DecryptionShare]> {
         if shares.len() < self.public.k {
             return Err(CryptoError::NotEnoughShares {
                 needed: self.public.k,
@@ -319,11 +356,12 @@ impl EncScheme {
             }
             seen[share.index] = true;
         }
-        for (share, valid) in used.iter().zip(self.verify_shares(ct, used)) {
-            if !valid {
-                return Err(CryptoError::InvalidShare { index: share.index });
-            }
-        }
+        Ok(used)
+    }
+
+    /// Lagrange-interpolates `h^r` from verified shares of distinct
+    /// holders and opens the payload.
+    fn recover(&self, ct: &Ciphertext, used: &[DecryptionShare]) -> Vec<u8> {
         let points: Vec<u64> = used.iter().map(|s| s.index as u64 + 1).collect();
         let lambdas = lagrange_at_zero(&points, self.group.order());
         let pairs: Vec<(&Ubig, &Ubig)> = used
@@ -332,7 +370,7 @@ impl EncScheme {
             .map(|(share, lambda)| (&share.value, lambda))
             .collect();
         let shared = self.group.multi_pow(&pairs);
-        Ok(chacha::open(&shared.to_be_bytes(), &ct.data))
+        chacha::open(&shared.to_be_bytes(), &ct.data)
     }
 }
 
@@ -408,6 +446,37 @@ mod tests {
         let mut relabeled = ct.clone();
         relabeled.label = b"other".to_vec();
         assert!(!scheme.verify_ciphertext(&relabeled));
+    }
+
+    #[test]
+    fn prechecked_paths_match_checked_ones() {
+        let (scheme, secrets, mut rng) = setup(4, 2);
+        let ct = scheme.encrypt(b"l", b"same bytes either way", &mut rng);
+        assert!(scheme.verify_ciphertext(&ct));
+        let shares: Vec<DecryptionShare> = secrets
+            .iter()
+            .take(2)
+            .map(|s| scheme.decryption_share_prechecked(&ct, s))
+            .collect();
+        for (share, secret) in shares.iter().zip(&secrets) {
+            assert_eq!(Some(share), scheme.decryption_share(&ct, secret).as_ref());
+        }
+        assert_eq!(scheme.verify_shares(&ct, &shares), vec![true; 2]);
+        assert_eq!(
+            scheme.combine_prechecked(&ct, &shares).unwrap(),
+            scheme.combine(&ct, &shares).unwrap()
+        );
+        // The structural checks stay: interpolating over a repeated
+        // holder would be garbage, not an error.
+        let twice = vec![shares[0].clone(), shares[0].clone()];
+        assert!(matches!(
+            scheme.combine_prechecked(&ct, &twice),
+            Err(CryptoError::DuplicateShare { index: 0 })
+        ));
+        assert!(matches!(
+            scheme.combine_prechecked(&ct, &shares[..1]),
+            Err(CryptoError::NotEnoughShares { needed: 2, got: 1 })
+        ));
     }
 
     #[test]

@@ -141,8 +141,8 @@ pub const OBLIGATIONS: &[Obligation] = &[
     Obligation {
         variant: "ScShare",
         discharge: Discharge::Deferred {
-            verifiers: &["verify_share"],
-            reason: "early shares are parked in a 2n-bounded quarantine until their ciphertext is ordered, then verified",
+            verifiers: &["verify_share", "verify_shares"],
+            reason: "early shares are parked (one per sender per ciphertext, a capped number of ciphertexts per sender) until their ciphertext is ordered, then batch-verified",
         },
         preverify: false,
     },

@@ -6,8 +6,15 @@
 //! actor with at most `t` of them; the actors here implement the classic
 //! attack patterns the test suite exercises.
 
-use sintra_core::message::{Body, Envelope};
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+use sintra_core::message::{
+    statement_entry, Body, Entry, Envelope, Payload, PayloadKind, MAX_ENTRY_BYTES,
+    MAX_ENTRY_PAYLOADS,
+};
 use sintra_core::{PartyId, ProtocolId, Recipient};
+use sintra_crypto::dealer::PartyKeys;
 
 use super::runner::VirtualTime;
 
@@ -125,6 +132,111 @@ impl ByzantineActor for Reflector {
     }
 }
 
+/// How an [`EntryRelay`] rewrites an honest entry's payload vector
+/// before signing it as its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mangle {
+    /// Drops the first payload: `[c2]` of an honest `[c1, c2]`.
+    Suffix,
+    /// Prepends the first payload the relay ever saw, long delivered.
+    Stale,
+    /// Repeats the first payload at the end: one `(origin, seq)` twice.
+    Duplicate,
+    /// Signs an empty vector.
+    Empty,
+    /// One payload more than an entry may carry.
+    OverCount,
+    /// Two payloads that together exceed the byte budget.
+    OverBytes,
+}
+
+/// An atomic-channel member that answers the first honest entry it sees
+/// in each round with a *validly signed* entry of its own whose payload
+/// vector is a mangled copy. Signatures cannot stop it — it is a group
+/// member — so honest parties must reject the malformed shapes and
+/// deliver the well-formed ones (suffix, stale prefix) without breaking
+/// per-origin order or exactly-once.
+#[derive(Debug)]
+pub struct EntryRelay {
+    keys: Arc<PartyKeys>,
+    mangle: Mangle,
+    answered: BTreeSet<u64>,
+    first_seen: Option<Payload>,
+}
+
+impl EntryRelay {
+    /// A relay signing with `keys` (the replaced party's own).
+    pub fn new(keys: Arc<PartyKeys>, mangle: Mangle) -> Self {
+        EntryRelay {
+            keys,
+            mangle,
+            answered: BTreeSet::new(),
+            first_seen: None,
+        }
+    }
+
+    fn mangled(&mut self, payloads: &[Payload]) -> Option<Vec<Payload>> {
+        let first = payloads.first()?;
+        let stale = self.first_seen.get_or_insert_with(|| first.clone()).clone();
+        let own = |seq: u64, len: usize| Payload {
+            origin: PartyId(self.keys.index),
+            seq: 1_000 + seq,
+            kind: PayloadKind::App,
+            data: vec![0xBD; len],
+        };
+        Some(match self.mangle {
+            Mangle::Suffix if payloads.len() < 2 => return None,
+            Mangle::Suffix => payloads[1..].to_vec(),
+            Mangle::Stale if stale == *first => return None,
+            Mangle::Stale => std::iter::once(stale)
+                .chain(payloads.iter().cloned())
+                .collect(),
+            Mangle::Duplicate => payloads.iter().chain([first]).cloned().collect(),
+            Mangle::Empty => Vec::new(),
+            Mangle::OverCount => (0..=MAX_ENTRY_PAYLOADS as u64).map(|s| own(s, 1)).collect(),
+            Mangle::OverBytes => vec![own(0, MAX_ENTRY_BYTES / 2), own(1, MAX_ENTRY_BYTES / 2 + 1)],
+        })
+    }
+}
+
+impl ByzantineActor for EntryRelay {
+    fn on_message(
+        &mut self,
+        from: PartyId,
+        env: &Envelope,
+        _clock: VirtualTime,
+    ) -> Vec<(Recipient, Envelope)> {
+        let Body::AcEntry { round, entry } = &env.body else {
+            return Vec::new();
+        };
+        if from.0 == self.keys.index || self.answered.contains(round) {
+            return Vec::new();
+        }
+        let Some(payloads) = self.mangled(&entry.payloads) else {
+            return Vec::new();
+        };
+        self.answered.insert(*round);
+        let statement = statement_entry(&env.pid, *round, &payloads);
+        let entry = Entry {
+            payloads,
+            signer: PartyId(self.keys.index),
+            sig: self.keys.sig_key.sign(&statement),
+        };
+        let body = Body::AcEntry {
+            round: *round,
+            entry,
+        };
+        vec![(
+            Recipient::All,
+            Envelope {
+                pid: env.pid.clone(),
+                send_seq: 0,
+                body,
+            },
+        )]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,5 +283,68 @@ mod tests {
         let out = r.on_message(PartyId(2), &env, 5);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].1, env);
+    }
+
+    #[test]
+    fn entry_relay_signs_what_it_mangles() {
+        use rand::SeedableRng;
+        use sintra_crypto::dealer::{deal, DealerConfig};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let keys: Vec<Arc<PartyKeys>> = deal(&DealerConfig::small(4, 1), &mut rng)
+            .unwrap()
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+        let pid = ProtocolId::new("ac");
+        let payload = |seq: u64| Payload {
+            origin: PartyId(2),
+            seq,
+            kind: PayloadKind::App,
+            data: vec![seq as u8],
+        };
+        let honest = |round: u64, payloads: Vec<Payload>| Envelope {
+            pid: pid.clone(),
+            send_seq: 0,
+            body: Body::AcEntry {
+                round,
+                entry: Entry {
+                    sig: keys[2]
+                        .sig_key
+                        .sign(&statement_entry(&pid, round, &payloads)),
+                    payloads,
+                    signer: PartyId(2),
+                },
+            },
+        };
+        let mut relay = EntryRelay::new(keys[0].clone(), Mangle::Suffix);
+        // Nothing to cut from a one-payload entry.
+        assert!(relay
+            .on_message(PartyId(2), &honest(0, vec![payload(0)]), 0)
+            .is_empty());
+        let out = relay.on_message(PartyId(2), &honest(1, vec![payload(1), payload(2)]), 0);
+        let Body::AcEntry { round: 1, entry } = &out[0].1.body else {
+            panic!("expected a round-1 entry");
+        };
+        assert_eq!(entry.payloads, vec![payload(2)]);
+        assert_eq!(entry.signer, PartyId(0));
+        let statement = statement_entry(&pid, 1, &entry.payloads);
+        assert!(keys[0].common.sig_publics[0].verify(&statement, &entry.sig));
+        // One entry per round, like an honest party.
+        assert!(relay
+            .on_message(PartyId(3), &honest(1, vec![payload(1), payload(2)]), 0)
+            .is_empty());
+        for mangle in [
+            Mangle::Empty,
+            Mangle::OverCount,
+            Mangle::OverBytes,
+            Mangle::Duplicate,
+        ] {
+            let mut relay = EntryRelay::new(keys[0].clone(), mangle);
+            let out = relay.on_message(PartyId(2), &honest(0, vec![payload(0), payload(1)]), 0);
+            let Body::AcEntry { entry, .. } = &out[0].1.body else {
+                panic!("expected an entry");
+            };
+            assert!(!entry.well_formed(), "{mangle:?}");
+        }
     }
 }

@@ -589,6 +589,58 @@ mod tests {
         }
     }
 
+    /// Requests queued behind a party's first share its next entry, so
+    /// some round orders more than the `t + 1` payloads one-payload
+    /// entries allowed — seen through the `atomic:batch` event, which
+    /// carries the number of payloads its round delivered.
+    #[test]
+    fn queued_requests_share_a_round_over_sockets() {
+        let registry = Arc::new(MetricsRegistry::new());
+        registry.set_trace_capture(true);
+        let (group, mut handles) =
+            TcpGroup::spawn_with(keys(4, 1), TcpConfig::default(), Some(registry.clone())).unwrap();
+        let pid = ProtocolId::new("tcp-batch");
+        for h in &handles {
+            h.create_atomic_channel(pid.clone(), AtomicChannelConfig::default());
+        }
+        for (i, h) in handles.iter().enumerate() {
+            for m in 0..4 {
+                h.send(&pid, format!("s{i}-m{m}").into_bytes());
+            }
+        }
+        for h in handles.iter_mut() {
+            for _ in 0..16 {
+                h.receive(&pid).unwrap();
+            }
+        }
+        group.shutdown();
+        let batches: Vec<sintra_telemetry::TraceEvent> = registry
+            .take_traces()
+            .into_iter()
+            .filter(|ev| ev.party == 0 && ev.family == "atomic" && ev.phase == "batch")
+            .collect();
+        let rounds: Vec<u64> = batches.iter().map(|ev| ev.round).collect();
+        assert_eq!(
+            rounds,
+            (0..rounds.len() as u64).collect::<Vec<_>>(),
+            "one event per round"
+        );
+        assert_eq!(batches.iter().map(|ev| ev.bytes).sum::<u64>(), 16);
+        assert!(
+            batches.iter().any(|ev| ev.bytes > 2),
+            "no round delivered more than t + 1 = 2 payloads: {:?}",
+            batches.iter().map(|ev| ev.bytes).collect::<Vec<_>>()
+        );
+        let sizes = registry
+            .histogram("tcp-batch", "batch_size")
+            .expect("fed from the event");
+        assert_eq!(
+            sizes.sum,
+            4 * 16,
+            "payloads per round, at each of 4 parties"
+        );
+    }
+
     #[test]
     fn reconnect_after_severed_sockets() {
         let (group, mut handles) = TcpGroup::spawn(keys(4, 1)).unwrap();

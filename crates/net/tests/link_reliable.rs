@@ -152,6 +152,91 @@ fn queue_bound_backpressure_recovers_after_acks() {
     tx.seal_data(&[100]).expect("queue drained");
 }
 
+/// The largest messages the atomic channel can produce at n = 7: a
+/// proposal of `n - t = 5` entries, each with the most payloads and the
+/// full byte budget, carried once in a consistent-broadcast final and —
+/// the worst case — three times in an abstaining main-vote (both
+/// justifications' proofs plus the vote's own). Each must encode, seal,
+/// open and decode, far below the frame bound.
+#[test]
+fn worst_case_proposal_crosses_the_link() {
+    use sintra_bigint::Ubig;
+    use sintra_core::message::{
+        Body, Entry, Envelope, MainVote, MainVoteJust, Payload, PayloadKind, PreVoteJust,
+        MAX_ENTRY_BYTES, MAX_ENTRY_PAYLOADS,
+    };
+    use sintra_core::wire::Wire;
+    use sintra_core::ProtocolId;
+    use sintra_crypto::rsa::RsaSignature;
+    use sintra_crypto::thsig::{SigShare, SigShareBody, ThresholdSignature};
+    use sintra_net::link::MAX_FRAME_LEN;
+
+    let (n, t) = (7usize, 2usize);
+    let sig = || RsaSignature(Ubig::from_be_bytes(&[0xFF; 128])); // 1024 bits
+    let each = MAX_ENTRY_BYTES / MAX_ENTRY_PAYLOADS;
+    let entries: Vec<Entry> = (0..n - t)
+        .map(|signer| Entry {
+            payloads: (0..MAX_ENTRY_PAYLOADS as u64)
+                .map(|seq| Payload {
+                    origin: PartyId(signer),
+                    seq: u64::MAX - seq,
+                    kind: PayloadKind::App,
+                    data: vec![signer as u8; each],
+                })
+                .collect(),
+            signer: PartyId(signer),
+            sig: sig(),
+        })
+        .collect();
+    assert!(entries.iter().all(Entry::well_formed));
+    // The channel's batch container: a count, then the entries.
+    let mut proposal = (entries.len() as u32).to_be_bytes().to_vec();
+    for entry in &entries {
+        entry.encode(&mut proposal);
+    }
+    assert!(proposal.len() > (n - t) * MAX_ENTRY_BYTES);
+
+    let quorum_sig = || ThresholdSignature::Multi((0..n - t).map(|i| (i, sig())).collect());
+    let carried_once = Body::CbFinal {
+        payload: proposal.clone(),
+        sig: quorum_sig(),
+    };
+    let carried_thrice = Body::BaMainVote {
+        round: 2,
+        vote: MainVote::Abstain,
+        just: MainVoteJust::Abstain {
+            just0: Box::new(PreVoteJust::Hard(quorum_sig())),
+            just1: Box::new(PreVoteJust::Hard(quorum_sig())),
+            proof0: Some(proposal.clone()),
+            proof1: Some(proposal.clone()),
+        },
+        share: SigShare {
+            index: 0,
+            body: SigShareBody::Multi { sig: sig() },
+        },
+        proof: Some(proposal),
+    };
+    let (mut tx, mut rx) = link_pair(16);
+    for body in [carried_once, carried_thrice] {
+        let env = Envelope {
+            pid: ProtocolId::new("channel/vba/18446744073709551615/ba/6"),
+            send_seq: u64::MAX,
+            body,
+        };
+        let bytes = env.to_bytes();
+        let frame = tx.seal_data(&bytes).expect("fits a frame");
+        assert!(
+            frame.len() < MAX_FRAME_LEN / 8,
+            "{} bytes is not far below the {MAX_FRAME_LEN}-byte frame bound",
+            frame.len()
+        );
+        let Ok(LinkEvent::Deliver(opened)) = rx.on_frame(&frame) else {
+            panic!("in-order frame not delivered");
+        };
+        assert_eq!(Envelope::from_bytes(&opened).unwrap(), env);
+    }
+}
+
 #[test]
 fn frame_buffer_reassembles_arbitrary_chunking() {
     let (mut tx, mut rx) = link_pair(4096);

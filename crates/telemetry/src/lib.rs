@@ -47,7 +47,7 @@ pub use histogram::{Histogram, HistogramSnapshot, BUCKETS, SUB_BUCKETS};
 pub use json::{parse_json, JsonError, JsonValue};
 pub use recorder::{FanoutRecorder, NoopRecorder, Recorder};
 pub use registry::{MetricsRegistry, MetricsSnapshot};
-pub use report::{report_columns, ProtocolRow, RunReport, DELIVERY_LATENCY};
+pub use report::{report_columns, ProtocolRow, RunReport, BATCH_SIZE, DELIVERY_LATENCY};
 pub use stream::{segment_file_name, TraceStream, TraceStreamConfig, TRACE_SCHEMA};
 pub use trace::{json_escape, TraceEvent};
 

@@ -10,6 +10,10 @@ use crate::{HistogramSnapshot, MetricsSnapshot, CRYPTO_WORK_MILLI};
 /// (microseconds from client send to local channel delivery).
 pub const DELIVERY_LATENCY: &str = "delivery_latency_us";
 
+/// Histogram name runtimes feed from the atomic channel's `batch` trace
+/// event: the number of payloads each decided round delivered.
+pub const BATCH_SIZE: &str = "batch_size";
+
 /// Counter names the report treats as first-class columns; everything
 /// else a scope accumulated shows up in the row's `extra` map (per
 /// message-kind counts, for instance).
@@ -49,6 +53,11 @@ pub struct ProtocolRow {
     /// End-to-end delivery latency distribution in microseconds
     /// ([`DELIVERY_LATENCY`]), when the runtime recorded one.
     pub latency: Option<HistogramSnapshot>,
+    /// Atomic-channel rounds decided, summed over parties
+    /// ([`BATCH_SIZE`] observations).
+    pub decided_rounds: u64,
+    /// Payloads those rounds delivered, summed over parties.
+    pub ordered_payloads: u64,
 }
 
 impl ProtocolRow {
@@ -56,6 +65,12 @@ impl ProtocolRow {
     /// modexp).
     pub fn crypto_work(&self) -> f64 {
         self.crypto_work_milli as f64 / CRYPTO_WORK_MILLI
+    }
+
+    /// Mean number of payloads (requests) one decided atomic-channel
+    /// round delivered, when the scope decided any.
+    pub fn payloads_per_round(&self) -> Option<f64> {
+        (self.decided_rounds > 0).then(|| self.ordered_payloads as f64 / self.decided_rounds as f64)
     }
 
     fn add(&mut self, other: &ProtocolRow) {
@@ -66,6 +81,8 @@ impl ProtocolRow {
         self.rounds += other.rounds;
         self.deliveries += other.deliveries;
         self.crypto_work_milli += other.crypto_work_milli;
+        self.decided_rounds += other.decided_rounds;
+        self.ordered_payloads += other.ordered_payloads;
         for (k, v) in &other.extra {
             *self.extra.entry(k.clone()).or_insert(0) += v;
         }
@@ -132,6 +149,14 @@ impl RunReport {
                     rows.get_mut(scope).expect("just inserted").latency = Some(h.clone());
                 }
             }
+            if let Some(h) = hists.get(BATCH_SIZE) {
+                if !h.is_empty() {
+                    row_for(&mut rows, scope);
+                    let row = rows.get_mut(scope).expect("just inserted");
+                    row.decided_rounds = h.count;
+                    row.ordered_payloads = h.sum;
+                }
+            }
         }
         RunReport {
             label: label.into(),
@@ -191,6 +216,9 @@ impl RunReport {
                 let _ = write!(out, "{}:{}", json_string(name), value);
             }
             out.push('}');
+            if let Some(per_round) = row.payloads_per_round() {
+                let _ = write!(out, ",\"payloads_per_round\":{per_round:.2}");
+            }
             if let Some(lat) = &row.latency {
                 let _ = write!(
                     out,
@@ -223,6 +251,7 @@ impl RunReport {
             "bytes",
             "rounds",
             "deliv",
+            "req/rnd",
             "crypto",
             "p50µs",
             "p95µs",
@@ -232,7 +261,7 @@ impl RunReport {
             Some(lat) => lat.quantile(q).to_string(),
             None => "-".to_string(),
         };
-        let mut table: Vec<[String; 11]> = Vec::with_capacity(self.rows.len() + 2);
+        let mut table: Vec<[String; 12]> = Vec::with_capacity(self.rows.len() + 2);
         table.push(header.map(str::to_string));
         for row in self.rows.iter().chain(std::iter::once(&self.totals())) {
             table.push([
@@ -243,13 +272,15 @@ impl RunReport {
                 row.bytes_sent.to_string(),
                 row.rounds.to_string(),
                 row.deliveries.to_string(),
+                row.payloads_per_round()
+                    .map_or_else(|| "-".to_string(), |v| format!("{v:.2}")),
                 format!("{:.3}", row.crypto_work()),
                 lat_cell(row, 0.5),
                 lat_cell(row, 0.95),
                 lat_cell(row, 1.0),
             ]);
         }
-        let mut widths = [0usize; 11];
+        let mut widths = [0usize; 12];
         for line in &table {
             for (w, cell) in widths.iter_mut().zip(line.iter()) {
                 // Char count, not byte length: the header has a µ.
@@ -376,6 +407,38 @@ mod tests {
         assert!(rc_line.trim_end().ends_with('-'));
         // Totals row folds the single distribution in unchanged.
         assert_eq!(report.totals().latency.as_ref().unwrap().count, 4);
+    }
+
+    #[test]
+    fn payloads_per_round_comes_from_the_batch_histogram() {
+        let r = MetricsRegistry::new();
+        r.counter_add("atomic", "msgs_sent", 4);
+        r.counter_add("rc", "msgs_sent", 1);
+        // Four parties saw the same three rounds deliver 1, 4 and 3.
+        for _ in 0..4 {
+            for delivered in [1u64, 4, 3] {
+                r.observe("atomic", BATCH_SIZE, delivered);
+            }
+        }
+        let report = RunReport::from_snapshot("batches", 4, 9000, &r.snapshot());
+        let atomic = report.row("atomic").expect("row");
+        assert_eq!((atomic.decided_rounds, atomic.ordered_payloads), (12, 32));
+        assert!((atomic.payloads_per_round().unwrap() - 8.0 / 3.0).abs() < 1e-9);
+        assert_eq!(report.row("rc").unwrap().payloads_per_round(), None);
+        assert!(report.to_json().contains("\"payloads_per_round\":2.67"));
+        let table = report.to_table();
+        assert!(table.lines().nth(1).unwrap().contains("req/rnd"));
+        let cell = |line: &str| line.split_whitespace().nth(7).map(str::to_string);
+        let line = |name: &str| {
+            table
+                .lines()
+                .find(|l| l.starts_with(name))
+                .unwrap()
+                .to_string()
+        };
+        assert_eq!(cell(&line("atomic")).as_deref(), Some("2.67"));
+        assert_eq!(cell(&line("rc")).as_deref(), Some("-"));
+        assert_eq!(cell(&line("total")).as_deref(), Some("2.67"));
     }
 
     #[test]

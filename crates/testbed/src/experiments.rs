@@ -45,6 +45,18 @@ impl ChannelKind {
     }
 }
 
+/// The atomic-channel configuration of the paper's experiments: the
+/// 2002 prototype signed one payload per entry, and every figure's
+/// bands (two deliveries per round at `t + 1 = 2`) follow from that.
+/// These workloads enqueue every message at time zero, so without the
+/// pin a sender's second entry would carry its whole backlog.
+pub fn paper_channel_config() -> AtomicChannelConfig {
+    AtomicChannelConfig {
+        max_entry_payloads: 1,
+        ..AtomicChannelConfig::default()
+    }
+}
+
 /// One delivery observed at the measuring party.
 #[derive(Debug, Clone)]
 pub struct DeliveryPoint {
@@ -110,8 +122,8 @@ fn run_channel_inner(
         let pid = pid.clone();
         let node = sim.node_mut(p);
         match kind {
-            ChannelKind::Atomic => node.create_atomic_channel(pid, AtomicChannelConfig::default()),
-            ChannelKind::Secure => node.create_secure_channel(pid, AtomicChannelConfig::default()),
+            ChannelKind::Atomic => node.create_atomic_channel(pid, paper_channel_config()),
+            ChannelKind::Secure => node.create_secure_channel(pid, paper_channel_config()),
             // Window 1 models the Java prototype's sequential sender
             // thread, which is what the paper's Table 1 latencies reflect.
             ChannelKind::Reliable => node.create_reliable_channel_windowed(pid, 1),

@@ -339,6 +339,9 @@ pub struct RoundProfile {
     pub round: u64,
     /// Party whose decide this chain explains.
     pub party: u64,
+    /// Requests the round ordered: the payloads an `atomic:batch` decide
+    /// delivered (`None` for a VBA decide, which orders one value).
+    pub requests: Option<u64>,
     /// Window start: the same party's previous decide (or chain origin).
     pub start_us: u64,
     /// The decide stamp.
@@ -597,6 +600,7 @@ pub fn analyze(trace: &MergedTrace) -> Analysis {
             family: ev.family.clone(),
             round: decide_round(ev),
             party: ev.party,
+            requests: (ev.family == "atomic").then_some(ev.bytes),
             start_us: start,
             end_us: ev.time_us,
             segments,
@@ -619,8 +623,8 @@ pub fn render_ledger(analysis: &Analysis) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{:<12} {:<7} {:>5} {:>3} {:>10} {:>9} {:>6}",
-        "protocol", "family", "round", "p", "end µs", "wall µs", "cov%"
+        "{:<12} {:<7} {:>5} {:>3} {:>4} {:>10} {:>9} {:>6}",
+        "protocol", "family", "round", "p", "reqs", "end µs", "wall µs", "cov%"
     );
     for bucket in BUCKETS {
         let _ = write!(out, " {:>11}", bucket);
@@ -629,11 +633,14 @@ pub fn render_ledger(analysis: &Analysis) -> String {
     for profile in analysis.critical_rounds() {
         let _ = write!(
             out,
-            "{:<12} {:<7} {:>5} {:>3} {:>10} {:>9} {:>6.1}",
+            "{:<12} {:<7} {:>5} {:>3} {:>4} {:>10} {:>9} {:>6.1}",
             profile.protocol,
             profile.family,
             profile.round,
             profile.party,
+            profile
+                .requests
+                .map_or_else(|| "-".to_string(), |r| r.to_string()),
             profile.end_us,
             profile.wall_us(),
             profile.coverage() * 100.0,
@@ -876,7 +883,10 @@ mod tests {
             ev(1, 300, "rb", "ready", 1, Some((0, 5))),
             ev(1, 300, "net", "send", 9, Some((0, 5))),
             ev(0, 400, "net", "recv", 9, Some((1, 9))),
-            ev(0, 480, "atomic", "batch", 1, Some((1, 9))),
+            StreamEvent {
+                bytes: 3, // the round delivered three requests
+                ..ev(0, 480, "atomic", "batch", 1, Some((1, 9)))
+            },
         ]
     }
 
@@ -914,8 +924,10 @@ mod tests {
             profile.coverage()
         );
         assert_eq!(analysis.min_coverage(), profile.coverage());
+        assert_eq!(profile.requests, Some(3));
         let ledger = render_ledger(&analysis);
         assert!(ledger.contains("atomic"), "{ledger}");
+        assert!(ledger.lines().next().unwrap().contains("reqs"), "{ledger}");
         let histogram = render_histogram(&analysis);
         assert!(histogram.contains("rb-quorum"), "{histogram}");
         let chrome = chrome_critical(&trace, &analysis);

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use common::{delivered_data, group_keys, lan_sim, wan_sim};
 use sintra::protocols::channel::AtomicChannelConfig;
-use sintra::runtime::sim::byzantine::{ByzantineActor, Reflector, Silent};
+use sintra::runtime::sim::byzantine::{ByzantineActor, EntryRelay, Mangle, Reflector, Silent};
 use sintra::runtime::sim::{Fault, LinkDecision};
 use sintra::runtime::tcp::{TcpConfig, TcpGroup};
 use sintra::runtime::{ObservabilityConfig, PartyHandle};
@@ -164,12 +164,12 @@ impl ByzantineActor for EntryForger {
             .map(|origin| {
                 // Forged signature bytes: must be rejected by everyone.
                 let entry = Entry {
-                    payload: Payload {
+                    payloads: vec![Payload {
                         origin: PartyId(origin),
                         seq: 0,
                         kind: PayloadKind::App,
                         data: b"forged".to_vec(),
-                    },
+                    }],
                     signer: PartyId(origin),
                     sig: sintra::crypto::rsa::RsaSignature(Ubig::from(12345u64)),
                 };
@@ -211,6 +211,63 @@ fn forged_entries_never_delivered() {
             vec![b"legit".to_vec()],
             "party {p}: forgeries blocked"
         );
+    }
+}
+
+/// Party 0 is a group member with a valid signing key that answers
+/// honest entries with mangled copies under its own signature: the
+/// suffix `[c2]` of `[c1, c2]`, a long-delivered payload in front, one
+/// `(origin, seq)` twice, an empty vector, one over the count cap, one
+/// over the byte budget. Whatever it signs, honest parties deliver every
+/// origin's payloads in send order, each once, and agree.
+#[test]
+fn mangled_entries_of_a_signing_member_break_nothing() {
+    for (i, mangle) in [
+        Mangle::Suffix,
+        Mangle::Stale,
+        Mangle::Duplicate,
+        Mangle::Empty,
+        Mangle::OverCount,
+        Mangle::OverBytes,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let seed = 2350 + i as u64;
+        let pid = ProtocolId::new("f-relay");
+        let mut sim = lan_sim(4, 1, seed);
+        open_atomic(&mut sim, &pid, &[0]);
+        let keys = group_keys(4, 1, seed);
+        sim.set_byzantine(0, Box::new(EntryRelay::new(keys[0].clone(), mangle)));
+        for p in 1..4usize {
+            let spid = pid.clone();
+            sim.schedule(0, p, move |node, out| {
+                for k in 0..4 {
+                    node.channel_send(&spid, format!("c{p}-{k}").into_bytes(), out);
+                }
+            });
+        }
+        sim.run();
+        let reference = common::delivered_payloads(&sim, 1, &pid);
+        assert_eq!(reference.len(), 12, "{mangle:?}: all delivered, each once");
+        for origin in 1..4usize {
+            let seen: Vec<(u64, Vec<u8>)> = reference
+                .iter()
+                .filter(|p| p.origin == PartyId(origin))
+                .map(|p| (p.seq, p.data.clone()))
+                .collect();
+            let expected: Vec<(u64, Vec<u8>)> = (0..4)
+                .map(|k| (k, format!("c{origin}-{k}").into_bytes()))
+                .collect();
+            assert_eq!(seen, expected, "{mangle:?}: origin {origin} in send order");
+        }
+        for p in 2..4 {
+            assert_eq!(
+                common::delivered_payloads(&sim, p, &pid),
+                reference,
+                "{mangle:?}: party {p} agrees"
+            );
+        }
     }
 }
 
