@@ -12,6 +12,9 @@
 //! * **requests per entry**: the paper's one payload per signed entry
 //!   against this implementation's default (an entry carries what its
 //!   signer has queued). Every other section pins the paper's protocol.
+//! * **request size**: bytes and messages on the wire per 16 KiB request
+//!   against per 64-byte request — what ordering references instead of
+//!   payloads leaves of the byte amplification.
 //!
 //! Run with: `cargo bench -p sintra-bench --bench ablations`
 
@@ -243,4 +246,57 @@ fn main() {
     }
     println!("# an agreement orders every request its chosen parties had queued, not one each:");
     println!("# the round's messages and public-key work are shared by all of them.");
+
+    // --- Request size -------------------------------------------------------
+    // Four senders, one request each per wave, the next wave once the last
+    // is delivered everywhere (the shape of the bulk benchmark workload),
+    // default configuration.
+    println!(
+        "\n## request-size ablation (LAN, n=4 t=1, 4 senders x 1 outstanding, default config)"
+    );
+    println!(
+        "{:>14} {:>16} {:>14} {:>10}",
+        "request bytes", "bytes/request", "amplification", "msgs/req"
+    );
+    let waves = (count / 4).max(1);
+    for len in [64usize, 16 * 1024] {
+        let (bytes, msgs) = bytes_per_request(len, waves);
+        println!(
+            "{len:>14} {bytes:>16.0} {:>13.1}x {msgs:>10.1}",
+            bytes / len as f64
+        );
+    }
+    println!("# proposals name entries by (signer, digest, signature): a request's bytes cross");
+    println!("# each link once per round it is offered in, whatever the agreement then costs.");
+}
+
+/// Wire bytes and messages per delivered request: `waves` waves of four
+/// concurrent `len`-byte requests on the LAN testbed.
+fn bytes_per_request(len: usize, waves: usize) -> (f64, f64) {
+    let testbed = build(Setup::Lan, 1024, SigFlavor::Multi, 11);
+    let pid = ProtocolId::new("ablate");
+    let mut sim = Simulation::new(testbed.keys, testbed.config);
+    for p in 0..sim.n() {
+        sim.node_mut(p)
+            .create_atomic_channel(pid.clone(), AtomicChannelConfig::default());
+    }
+    for wave in 0..waves as u64 {
+        for sender in 0..4usize {
+            let spid = pid.clone();
+            // Ten virtual seconds apart: every wave finds the channel idle.
+            sim.schedule(wave * 10_000_000, sender, move |node, out| {
+                let mut data = format!("w{wave}s{sender}").into_bytes();
+                data.resize(len, b'.');
+                node.channel_send(&spid, data, out);
+            });
+        }
+    }
+    sim.run();
+    let delivered = sim.channel_deliveries(0, &pid).len();
+    assert_eq!(delivered, 4 * waves, "every request delivered");
+    let stats = sim.stats();
+    (
+        stats.bytes as f64 / delivered as f64,
+        stats.messages as f64 / delivered as f64,
+    )
 }

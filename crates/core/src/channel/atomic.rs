@@ -17,6 +17,15 @@
 //!    expected from `origin` — the paper's practical weakening of
 //!    integrity, which also gives per-origin FIFO by construction.
 //!
+//! A signature covers `(pid, round, digest of the payload vector)`, and a
+//! proposal names each of its entries by [`EntryRef`] — signer, digest,
+//! signature — so the validity predicate needs no payload bytes and the
+//! bytes cross each link once, in step 1. Availability comes from
+//! holding back: a party lets the consistent-broadcast echo for a
+//! proposal happen only once it *holds* every entry the proposal names,
+//! so a closing message certifies that `t + 1` honest parties hold all of
+//! its payloads, and `ac-fetch` pulls what a party lacks from them.
+//!
 //! Nothing waits for an entry to fill: a lone request is cut into a
 //! one-payload entry the moment it is sent, so one agreement orders
 //! whatever the chosen parties had queued when the round began.
@@ -39,11 +48,20 @@ use crate::ids::{PartyId, ProtocolId};
 use crate::invariant::OrInvariant;
 use crate::invariant_unwrap;
 use crate::message::{
-    statement_entry, Body, Entry, Payload, PayloadKind, MAX_ENTRY_BYTES, MAX_ENTRY_PAYLOADS,
+    statement_entry, Body, Entry, EntryRef, Payload, PayloadKind, MAX_ENTRY_BYTES,
+    MAX_ENTRY_PAYLOADS,
 };
 use crate::outgoing::Outgoing;
 use crate::validator::ArrayValidator;
 use crate::wire::Wire;
+
+/// How many finished rounds' decided batches a party keeps to answer
+/// `ac-fetch` from parties that decide those rounds later. With the
+/// 16 KiB requests and two-entry batches of the bulk benchmark that is
+/// 512 KiB. A party further behind than this that also misses an entry
+/// its (Byzantine) signer withheld needs state transfer — the same class
+/// of bound as the link's retransmission window.
+pub const FETCH_RETAIN_ROUNDS: usize = 16;
 
 /// Configuration of an atomic channel.
 #[derive(Debug, Clone, Copy)]
@@ -71,6 +89,66 @@ impl Default for AtomicChannelConfig {
     }
 }
 
+/// A proposal's `cb-send`, held back until this party holds every entry
+/// the proposal names.
+#[derive(Debug)]
+struct ParkedProposal {
+    msg_pid: ProtocolId,
+    body: Body,
+    refs: Vec<EntryRef>,
+}
+
+/// What a party holds for one round.
+#[derive(Debug, Default)]
+struct RoundState {
+    /// Valid entries as their signers broadcast them, in arrival order
+    /// (the paper: "the protocol considers the messages in the order in
+    /// which they arrive in the current round"), at most one per signer.
+    arrived: Vec<Entry>,
+    /// Entries a proposal named that the signer's own broadcast did not
+    /// bring, pulled with `ac-fetch`: at most `batch_size` per proposer.
+    fetched: Vec<Entry>,
+    /// Held-back proposals, at most one per proposer.
+    parked: BTreeMap<PartyId, ParkedProposal>,
+    /// Parties whose (valid) proposal has been seen, held back or not;
+    /// anything further a party sends as its proposal is dropped.
+    proposers: BTreeSet<PartyId>,
+}
+
+impl RoundState {
+    fn find(&self, signer: PartyId, digest: &[u8; 32]) -> Option<&Entry> {
+        self.arrived
+            .iter()
+            .chain(&self.fetched)
+            .find(|e| e.is_named(signer, digest))
+    }
+
+    /// The references among `refs` whose entries are not held.
+    fn missing<'a>(&'a self, refs: &'a [EntryRef]) -> impl Iterator<Item = &'a EntryRef> {
+        refs.iter()
+            .filter(|r| self.find(r.signer, &r.digest).is_none())
+    }
+
+    fn holds_all(&self, refs: &[EntryRef]) -> bool {
+        self.missing(refs).next().is_none()
+    }
+}
+
+/// Hold-backs and the traffic of the pull path since the counts were
+/// last taken.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FetchCounts {
+    /// Proposals held back because an entry they name was not held yet
+    /// (most are released by the entry's own arrival, without a fetch).
+    pub parked: u64,
+    /// `ac-fetch` requests sent.
+    pub sent: u64,
+    /// Requests answered with the entry.
+    pub served: u64,
+    /// Requests ignored: entry not held, or already served to that party.
+    pub ignored: u64,
+}
+
 /// An atomic broadcast channel endpoint at one party.
 #[derive(Debug)]
 pub struct AtomicChannel {
@@ -88,15 +166,26 @@ pub struct AtomicChannel {
     next_deliver: Vec<u64>,
     /// Application deliveries not yet drained by the runtime.
     deliveries: VecDeque<Payload>,
-    /// Valid entries by round, in arrival order (the paper: "the protocol
-    /// considers the messages in the order in which they arrive in the
-    /// current round"), at most one per signer.
-    entries: BTreeMap<u64, Vec<Entry>>,
+    /// Entries and held-back proposals by round, current and future.
+    rounds: BTreeMap<u64, RoundState>,
     /// Whether we broadcast our own entry for the current round.
     sent_entry: bool,
     /// Whether we proposed a batch for the current round.
     proposed: bool,
     vbas: BTreeMap<u64, MultiValuedAgreement>,
+    /// The current round's decided batch while some of its entries are
+    /// still being fetched; the round's agreement is over by then.
+    decided: Option<Vec<EntryRef>>,
+    /// Entries of the current round asked for and not yet held, by
+    /// `(signer, digest)`, with the parties already asked. A fetched
+    /// entry is accepted only if it is named here.
+    wanted: BTreeMap<(PartyId, [u8; 32]), BTreeSet<PartyId>>,
+    /// Decided batches of the last [`FETCH_RETAIN_ROUNDS`] rounds.
+    retained: VecDeque<(u64, Vec<Entry>)>,
+    /// `(round, requester, signer, digest)` already answered, for the
+    /// rounds still held: one reply each, however often it is asked.
+    served: BTreeSet<(u64, PartyId, PartyId, [u8; 32])>,
+    fetch_counts: FetchCounts,
     close_requested: bool,
     /// Origins whose termination requests have been delivered.
     close_origins: BTreeSet<PartyId>,
@@ -104,28 +193,22 @@ pub struct AtomicChannel {
     closed_taken: bool,
 }
 
-/// Wire container for a batch of entries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Batch(Vec<Entry>);
-
-impl Wire for Batch {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&(self.0.len() as u32).to_be_bytes());
-        for e in &self.0 {
-            e.encode(buf);
-        }
+/// The validity predicate on a proposal: exactly `batch_size` references
+/// by distinct signers, each passing `signed` (the signer's signature
+/// over `(pid, round, digest)`). Returns the decoded references.
+fn checked_refs(
+    bytes: &[u8],
+    batch_size: usize,
+    mut signed: impl FnMut(&EntryRef) -> bool,
+) -> Option<Vec<EntryRef>> {
+    let refs = Vec::<EntryRef>::from_bytes(bytes).ok()?;
+    if refs.len() != batch_size {
+        return None;
     }
-    fn decode(r: &mut crate::wire::Reader<'_>) -> Result<Self, crate::wire::WireError> {
-        let len = r.u32()? as usize;
-        if len > 4096 {
-            return Err(crate::wire::WireError::LengthOverflow);
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(Entry::decode(r)?);
-        }
-        Ok(Batch(out))
-    }
+    let mut signers = BTreeSet::new();
+    refs.iter()
+        .all(|r| signers.insert(r.signer) && signed(r))
+        .then_some(refs)
 }
 
 /// The delivery rule: whether `payload` is its origin's next in sequence
@@ -144,7 +227,7 @@ fn take_if_next(payload: &Payload, next: &mut [u64]) -> bool {
 /// How many of `entry`'s payloads `next` lets through, advancing it.
 fn count_deliverable(entry: &Entry, next: &mut [u64]) -> usize {
     entry
-        .payloads
+        .payloads()
         .iter()
         .filter(|p| take_if_next(p, next))
         .count()
@@ -179,10 +262,15 @@ impl AtomicChannel {
             queue: VecDeque::new(),
             next_seq: 0,
             deliveries: VecDeque::new(),
-            entries: BTreeMap::new(),
+            rounds: BTreeMap::new(),
             sent_entry: false,
             proposed: false,
             vbas: BTreeMap::new(),
+            decided: None,
+            wanted: BTreeMap::new(),
+            retained: VecDeque::new(),
+            served: BTreeSet::new(),
+            fetch_counts: FetchCounts::default(),
             close_requested: false,
             close_origins: BTreeSet::new(),
             closed: false,
@@ -272,6 +360,11 @@ impl AtomicChannel {
         self.queue.len()
     }
 
+    /// The pull path's traffic since the last call.
+    pub fn take_fetch_counts(&mut self) -> FetchCounts {
+        std::mem::take(&mut self.fetch_counts)
+    }
+
     /// The sequence number delivered next from `origin`: every payload of
     /// `origin` below it has been delivered, none at or above it.
     pub(crate) fn next_expected(&self, origin: PartyId) -> u64 {
@@ -289,24 +382,11 @@ impl AtomicChannel {
         let batch_size = self.batch_size;
         let keys: Vec<_> = self.ctx.keys().common.sig_publics.clone();
         ArrayValidator::new(move |bytes| {
-            // Decoding already rejects entries that are not well formed.
-            let Ok(batch) = Batch::from_bytes(bytes) else {
-                return false;
-            };
-            if batch.0.len() != batch_size {
-                return false;
-            }
-            let mut signers = BTreeSet::new();
-            for entry in &batch.0 {
-                if entry.signer.0 >= keys.len() || !signers.insert(entry.signer) {
-                    return false;
-                }
-                let statement = statement_entry(&pid, round, &entry.payloads);
-                if !keys[entry.signer.0].verify(&statement, &entry.sig) {
-                    return false;
-                }
-            }
-            true
+            checked_refs(bytes, batch_size, |r| {
+                keys.get(r.signer.0)
+                    .is_some_and(|key| key.verify(&statement_entry(&pid, round, &r.digest), &r.sig))
+            })
+            .is_some()
         })
     }
 
@@ -329,58 +409,259 @@ impl AtomicChannel {
     /// Processes a protocol message addressed to this channel or one of
     /// its agreement children.
     pub fn handle(&mut self, from: PartyId, msg_pid: &ProtocolId, body: &Body, out: &mut Outgoing) {
-        if self.closed || !self.ctx.is_valid_party(from) {
+        if !self.ctx.is_valid_party(from) {
+            return;
+        }
+        // A terminated endpoint still answers fetches: a party that is
+        // deciding the last round may lack one of its payloads.
+        if let Body::AcFetch {
+            round,
+            signer,
+            digest,
+        } = body
+        {
+            if *msg_pid == self.pid {
+                self.on_fetch(from, *round, *signer, digest, out);
+            }
+            return;
+        }
+        if self.closed {
             return;
         }
         if *msg_pid == self.pid {
-            if let Body::AcEntry { round, entry } = body {
-                self.on_entry(from, *round, entry);
+            match body {
+                Body::AcEntry { round, entry } => self.on_entry(from, *round, entry, out),
+                Body::AcFetched { round, entry } => self.on_fetched(*round, entry, out),
+                _ => {}
             }
-        } else if let Some(round) = Self::parse_vba_child(&self.pid, msg_pid) {
-            // Ignore stale rounds entirely.
-            if round >= self.round {
-                let vba = self.vba_instance(round);
-                vba.handle(from, msg_pid, body, out);
+        } else if let Some((round, proposer)) = Self::parse_vba_child(&self.pid, msg_pid) {
+            // Stale rounds are ignored entirely, and so is the current
+            // round's agreement once it has decided.
+            let live = round > self.round || (round == self.round && self.decided.is_none());
+            if live && self.admit(from, round, proposer, msg_pid, body) {
+                self.vba_instance(round).handle(from, msg_pid, body, out);
             }
         }
         self.try_advance(out);
     }
 
-    fn parse_vba_child(parent: &ProtocolId, msg_pid: &ProtocolId) -> Option<u64> {
+    /// The round of the agreement instance `msg_pid` lies under and, for
+    /// a message to one of its proposal broadcasts, the proposer.
+    fn parse_vba_child(
+        parent: &ProtocolId,
+        msg_pid: &ProtocolId,
+    ) -> Option<(u64, Option<PartyId>)> {
         let rest = msg_pid.as_str().strip_prefix(parent.as_str())?;
         let rest = rest.strip_prefix("/vba/")?;
-        match rest.find('/') {
-            Some(idx) => rest[..idx].parse().ok(),
-            None => rest.parse().ok(),
+        let (round, child) = rest.split_once('/').unwrap_or((rest, ""));
+        let proposer = child
+            .strip_prefix("bc/")
+            .and_then(|index| index.split('/').next())
+            .and_then(|index| index.parse().ok())
+            .map(PartyId);
+        Some((round.parse().ok()?, proposer))
+    }
+
+    /// Whether a message for round `round`'s agreement goes on to it now.
+    /// Everything does but a proposal's `cb-send`: an invalid proposal is
+    /// dropped (nobody should sign one), and one naming an entry this
+    /// party does not hold is parked until it does — the echo it triggers
+    /// is this party's word that it holds every payload. Votes, finals and
+    /// binary agreement pass untouched: a party may vote for and decide a
+    /// proposal it never echoed. (What a parked proposal lacks is asked
+    /// for in [`Self::try_advance`], not here.)
+    fn admit(
+        &mut self,
+        from: PartyId,
+        round: u64,
+        proposer: Option<PartyId>,
+        msg_pid: &ProtocolId,
+        body: &Body,
+    ) -> bool {
+        let (Body::CbSend(bytes), Some(proposer)) = (body, proposer) else {
+            return true;
+        };
+        let state = self.rounds.get(&round);
+        if from != proposer || state.is_some_and(|s| s.proposers.contains(&proposer)) {
+            return false;
+        }
+        // A reference to a held entry under the held signature needs no
+        // second check; anything else is verified before it may occupy
+        // the proposer's parking slot.
+        let signed = |r: &EntryRef| {
+            state
+                .and_then(|s| s.find(r.signer, &r.digest))
+                .is_some_and(|held| *held.sig() == r.sig)
+                || self.ctx.verify_party_sig_cached(
+                    r.signer,
+                    &statement_entry(&self.pid, round, &r.digest),
+                    &r.sig,
+                )
+        };
+        let Some(refs) = checked_refs(bytes, self.batch_size, signed) else {
+            return false;
+        };
+        let complete = state.is_some_and(|s| s.holds_all(&refs));
+        let state = self.rounds.entry(round).or_default();
+        state.proposers.insert(proposer);
+        if complete {
+            return true;
+        }
+        self.fetch_counts.parked += 1;
+        state.parked.insert(
+            proposer,
+            ParkedProposal {
+                msg_pid: msg_pid.clone(),
+                body: body.clone(),
+                refs,
+            },
+        );
+        false
+    }
+
+    /// Asks each of `holders` not asked before for the current round's
+    /// entry `wanted`.
+    fn request(
+        &mut self,
+        wanted: &EntryRef,
+        holders: impl IntoIterator<Item = PartyId>,
+        out: &mut Outgoing,
+    ) {
+        let asked = self
+            .wanted
+            .entry((wanted.signer, wanted.digest))
+            .or_default();
+        let mut sent = 0;
+        for holder in holders {
+            if holder != self.ctx.me() && asked.insert(holder) {
+                sent += 1;
+                out.send_to(
+                    holder,
+                    &self.pid,
+                    Body::AcFetch {
+                        round: self.round,
+                        signer: wanted.signer,
+                        digest: wanted.digest,
+                    },
+                );
+            }
+        }
+        if sent > 0 {
+            self.fetch_counts.sent += sent;
+            out.trace_with(|| {
+                TraceEvent::new(self.ctx.me().0, self.pid.as_str(), "atomic")
+                    .phase("fetch")
+                    .round(self.round)
+                    .bytes(sent)
+            });
         }
     }
 
-    fn on_entry(&mut self, from: PartyId, round: u64, entry: &Entry) {
+    /// Answers a fetch from the round's entries or a retained batch, once
+    /// per requester and entry; anything else is ignored.
+    fn on_fetch(
+        &mut self,
+        from: PartyId,
+        round: u64,
+        signer: PartyId,
+        digest: &[u8; 32],
+        out: &mut Outgoing,
+    ) {
+        let held = self
+            .rounds
+            .get(&round)
+            .and_then(|state| state.find(signer, digest))
+            .or_else(|| {
+                let (_, batch) = self.retained.iter().find(|(r, _)| *r == round)?;
+                batch.iter().find(|e| e.is_named(signer, digest))
+            });
+        match held {
+            Some(entry) if !self.served.contains(&(round, from, signer, *digest)) => {
+                let entry = entry.clone();
+                self.served.insert((round, from, signer, *digest));
+                self.fetch_counts.served += 1;
+                out.send_to(from, &self.pid, Body::AcFetched { round, entry });
+            }
+            _ => self.fetch_counts.ignored += 1,
+        }
+    }
+
+    /// The acceptance test every entry passes before it is stored,
+    /// broadcast or fetched: an honest shape, and the signer's signature
+    /// over `(pid, round, digest)`.
+    fn acceptable(&self, round: u64, entry: &Entry) -> bool {
+        entry.well_formed()
+            && self.ctx.verify_party_sig_cached(
+                entry.signer(),
+                &statement_entry(&self.pid, round, entry.digest()),
+                entry.sig(),
+            )
+    }
+
+    fn on_entry(&mut self, from: PartyId, round: u64, entry: &Entry, out: &mut Outgoing) {
         // Entries are broadcast by their signer.
-        if entry.signer != from || round < self.round || !entry.well_formed() {
+        if entry.signer() != from || round < self.round {
             return;
         }
         if self
-            .entries
+            .rounds
             .get(&round)
-            .is_some_and(|es| es.iter().any(|e| e.signer == from))
+            .is_some_and(|state| state.arrived.iter().any(|e| e.signer() == from))
         {
             return;
         }
         // An entry that can add nothing is not worth a signature check.
-        if !entry.payloads.iter().any(|p| self.is_undelivered(p)) {
+        if !entry.payloads().iter().any(|p| self.is_undelivered(p)) {
             return;
         }
-        let statement = statement_entry(&self.pid, round, &entry.payloads);
-        if !self
-            .ctx
-            .verify_party_sig_cached(from, &statement, &entry.sig)
-        {
+        if !self.acceptable(round, entry) {
             return;
         }
         // The round slot is only created once the signature checked out,
         // so forged entries cannot grow the per-round map.
-        self.entries.entry(round).or_default().push(entry.clone());
+        let state = self.rounds.entry(round).or_default();
+        state.arrived.push(entry.clone());
+        self.entry_stored(round, entry, out);
+    }
+
+    fn on_fetched(&mut self, round: u64, entry: &Entry, out: &mut Outgoing) {
+        // Only what this party asked for, in the round it asked in.
+        let solicited =
+            round == self.round && self.wanted.contains_key(&(entry.signer(), *entry.digest()));
+        if !solicited || !self.acceptable(round, entry) {
+            return;
+        }
+        let state = self.rounds.entry(round).or_default();
+        state.fetched.push(entry.clone());
+        self.entry_stored(round, entry, out);
+    }
+
+    /// After `entry` joined round `round`'s store: it is no longer
+    /// wanted, and the proposals that waited for it go on to the
+    /// agreement.
+    fn entry_stored(&mut self, round: u64, entry: &Entry, out: &mut Outgoing) {
+        if round == self.round {
+            self.wanted.remove(&(entry.signer(), *entry.digest()));
+        }
+        let Some(state) = self.rounds.get(&round) else {
+            return;
+        };
+        let complete: Vec<PartyId> = state
+            .parked
+            .iter()
+            .filter(|(_, parked)| state.holds_all(&parked.refs))
+            .map(|(proposer, _)| *proposer)
+            .collect();
+        for proposer in complete {
+            let parked = self
+                .rounds
+                .get_mut(&round)
+                .and_then(|state| state.parked.remove(&proposer));
+            if let Some(parked) = parked {
+                self.vba_instance(round)
+                    .handle(proposer, &parked.msg_pid, &parked.body, out);
+            }
+        }
     }
 
     /// The payloads of this party's entry for the current round: the
@@ -407,16 +688,20 @@ impl AtomicChannel {
         if !own.is_empty() {
             return Some(own);
         }
-        self.entries.get(&self.round)?.iter().find_map(|entry| {
-            let adopted: Vec<Payload> = entry
-                .payloads
-                .iter()
-                .filter(|p| self.is_undelivered(p))
-                .take(self.max_entry_payloads)
-                .cloned()
-                .collect();
-            (!adopted.is_empty()).then_some(adopted)
-        })
+        self.rounds
+            .get(&self.round)?
+            .arrived
+            .iter()
+            .find_map(|entry| {
+                let adopted: Vec<Payload> = entry
+                    .payloads()
+                    .iter()
+                    .filter(|p| self.is_undelivered(p))
+                    .take(self.max_entry_payloads)
+                    .cloned()
+                    .collect();
+                (!adopted.is_empty()).then_some(adopted)
+            })
     }
 
     /// Picks the proposal's `batch_size` entries: greedily the entry that
@@ -425,8 +710,9 @@ impl AtomicChannel {
     /// "distinct payloads in arrival order, padded with duplicates".
     /// Any `batch_size` validly signed entries are a valid batch, so the
     /// choice affects only how much a round delivers — and a party passed
-    /// over in one round holds the largest entry in the next.
-    fn select_batch(&self, all: &[Entry]) -> Vec<Entry> {
+    /// over in one round holds the largest entry in the next. The
+    /// proposal names the picked entries, all of which this party holds.
+    fn select_batch(&self, all: &[Entry]) -> Vec<EntryRef> {
         let mut covered = self.next_deliver.clone();
         let mut picked: Vec<usize> = Vec::with_capacity(self.batch_size);
         for _ in 0..self.batch_size {
@@ -444,27 +730,90 @@ impl AtomicChannel {
             count_deliverable(&all[i], &mut covered);
             picked.push(i);
         }
-        picked.into_iter().map(|i| all[i].clone()).collect()
+        picked.into_iter().map(|i| all[i].to_ref()).collect()
     }
 
     /// Delivers a decided batch — entries by signer index, payloads in
-    /// vector order — and returns how many payloads it delivered.
+    /// vector order — and returns how many payloads it delivered. The
+    /// batch itself is retained for parties that decide the round later.
     fn deliver_batch(&mut self, mut batch: Vec<Entry>) -> usize {
-        batch.sort_by_key(|e| e.signer);
+        batch.sort_by_key(Entry::signer);
         let mut delivered = 0;
-        for payload in batch.into_iter().flat_map(|entry| entry.payloads) {
-            if !take_if_next(&payload, &mut self.next_deliver) {
+        for payload in batch.iter().flat_map(Entry::payloads) {
+            if !take_if_next(payload, &mut self.next_deliver) {
                 continue;
             }
             delivered += 1;
             match payload.kind {
-                PayloadKind::App => self.deliveries.push_back(payload),
+                PayloadKind::App => self.deliveries.push_back(payload.clone()),
                 PayloadKind::Close => {
                     self.close_origins.insert(payload.origin);
                 }
             }
         }
+        self.retained.push_back((self.round, batch));
+        if self.retained.len() > FETCH_RETAIN_ROUNDS {
+            self.retained.pop_front();
+        }
+        let oldest = self
+            .retained
+            .front()
+            .map_or(self.round, |(round, _)| *round);
+        self.served.retain(|(round, ..)| *round >= oldest);
         delivered
+    }
+
+    /// Asks the proposers of the current round's held-back proposals for
+    /// the entries those name — they must hold what they propose. Not
+    /// before the own proposal is out and those of n - t parties are in,
+    /// both sure to happen in a round that still needs this party's echo:
+    /// until then a proposal has usually just overtaken an entry that is
+    /// about to arrive on another link; after that the entry is late or
+    /// withheld.
+    fn fetch_for_parked(&mut self, out: &mut Outgoing) {
+        let Some(state) = self.rounds.get(&self.round) else {
+            return;
+        };
+        if !self.proposed || state.proposers.len() < self.ctx.n_minus_t() {
+            return;
+        }
+        let asks: Vec<(PartyId, EntryRef)> = state
+            .parked
+            .iter()
+            .flat_map(|(proposer, parked)| {
+                let missing = state.missing(&parked.refs);
+                missing.map(|wanted| (*proposer, wanted.clone()))
+            })
+            .collect();
+        for (proposer, wanted) in asks {
+            self.request(&wanted, [proposer], out);
+        }
+    }
+
+    /// The entries of the current round's decided batch, taken out of the
+    /// round's store — once all of them are held. One still missing is
+    /// asked of everybody: the proposal's closing message says t + 1
+    /// honest parties hold it.
+    fn take_decided_batch(&mut self, out: &mut Outgoing) -> Option<Vec<Entry>> {
+        let refs = self.decided.as_ref()?;
+        let missing: Vec<EntryRef> = match self.rounds.get(&self.round) {
+            Some(state) => state.missing(refs).cloned().collect(),
+            None => refs.clone(),
+        };
+        if !missing.is_empty() {
+            for wanted in &missing {
+                self.request(wanted, self.ctx.parties(), out);
+            }
+            return None;
+        }
+        let refs = self.decided.take()?;
+        let state = self.rounds.remove(&self.round).unwrap_or_default();
+        let mut pool: Vec<Entry> = state.arrived.into_iter().chain(state.fetched).collect();
+        let batch = refs.iter().filter_map(|r| {
+            let at = pool.iter().position(|e| e.is_named(r.signer, &r.digest))?;
+            Some(pool.swap_remove(at))
+        });
+        Some(batch.collect())
     }
 
     /// Drives the round state machine.
@@ -475,49 +824,69 @@ impl AtomicChannel {
             }
             let round = self.round;
 
-            // Step 1: broadcast our signed entry for this round.
-            if !self.sent_entry {
-                if let Some(payloads) = self.cut_entry() {
-                    let statement = statement_entry(&self.pid, round, &payloads);
-                    let sig = self.ctx.keys().sig_key.sign(&statement);
-                    let entry = Entry {
-                        payloads,
-                        signer: self.ctx.me(),
-                        sig,
-                    };
-                    self.sent_entry = true;
-                    self.entries.entry(round).or_default().push(entry.clone());
-                    out.send_all(&self.pid, Body::AcEntry { round, entry });
+            if self.decided.is_none() {
+                // Step 1: broadcast our signed entry for this round.
+                if !self.sent_entry {
+                    if let Some(payloads) = self.cut_entry() {
+                        let entry = Entry::sign(
+                            &self.pid,
+                            round,
+                            payloads,
+                            self.ctx.me(),
+                            &self.ctx.keys().sig_key,
+                        );
+                        self.sent_entry = true;
+                        let state = self.rounds.entry(round).or_default();
+                        state.arrived.push(entry.clone());
+                        out.send_all(&self.pid, Body::AcEntry { round, entry });
+                    }
                 }
+
+                // Step 2: propose a batch. We wait for n - t entries
+                // rather than the bare batch size: every honest party
+                // contributes an entry each active round (sending its own
+                // payloads or adopting some), so this cannot deadlock, and
+                // the extra entries give the selection something to
+                // choose from.
+                let have = self.rounds.get(&round).map_or(0, |s| s.arrived.len());
+                if have >= self.ctx.n_minus_t().max(self.batch_size) && !self.proposed {
+                    self.proposed = true;
+                    let state = invariant_unwrap!(
+                        self.rounds.get(&round),
+                        "entry set for round {round} missing at proposal"
+                    );
+                    let bytes = self.select_batch(&state.arrived).to_bytes();
+                    let vba = self.vba_instance(round);
+                    vba.propose(bytes, out);
+                }
+
+                // Step 3: pull what held-back proposals name.
+                self.fetch_for_parked(out);
+
+                // Step 4: take the agreed batch. The agreement instance is
+                // done with, and so is whatever it held back.
+                let Some(bytes) = self
+                    .vbas
+                    .get_mut(&round)
+                    .and_then(MultiValuedAgreement::take_decision)
+                else {
+                    return;
+                };
+                let refs = Vec::<EntryRef>::from_bytes(&bytes)
+                    .or_invariant("externally validated batch failed to decode");
+                self.vbas.remove(&round);
+                if let Some(state) = self.rounds.get_mut(&round) {
+                    state.parked.clear();
+                }
+                self.wanted.clear();
+                self.decided = Some(refs);
             }
 
-            // Step 2: propose a batch. We wait for n - t entries rather
-            // than the bare batch size: every honest party contributes an
-            // entry each active round (sending its own payloads or
-            // adopting some), so this cannot deadlock, and the extra
-            // entries give the selection something to choose from.
-            let have = self.entries.get(&round).map_or(0, Vec::len);
-            if have >= self.ctx.n_minus_t().max(self.batch_size) && !self.proposed {
-                self.proposed = true;
-                let all = invariant_unwrap!(
-                    self.entries.get(&round),
-                    "entry set for round {round} missing at proposal"
-                );
-                let bytes = Batch(self.select_batch(all)).to_bytes();
-                let vba = self.vba_instance(round);
-                vba.propose(bytes, out);
-            }
-
-            // Step 3: deliver the agreed batch.
-            let Some(vba) = self.vbas.get_mut(&round) else {
+            // Step 5: deliver it, once every entry it names is held.
+            let Some(batch) = self.take_decided_batch(out) else {
                 return;
             };
-            let Some(decided) = vba.take_decision() else {
-                return;
-            };
-            let batch = Batch::from_bytes(&decided)
-                .or_invariant("externally validated batch failed to decode");
-            let delivered = self.deliver_batch(batch.0) as u64;
+            let delivered = self.deliver_batch(batch) as u64;
             // One event per decided round; it carries the number of
             // payloads the round delivered.
             out.trace_with(|| {
@@ -526,9 +895,6 @@ impl AtomicChannel {
                     .round(round)
                     .bytes(delivered)
             });
-            // Clean up the finished round.
-            self.vbas.remove(&round);
-            self.entries.remove(&round);
 
             if self.close_origins.len() > self.ctx.fault_budget() {
                 self.closed = true;
@@ -537,6 +903,7 @@ impl AtomicChannel {
             self.round += 1;
             self.sent_entry = false;
             self.proposed = false;
+            self.wanted.clear();
             out.trace_with(|| {
                 TraceEvent::new(self.ctx.me().0, self.pid.as_str(), "atomic")
                     .phase("round")
@@ -551,14 +918,29 @@ impl StateSnapshot for AtomicChannel {
         if self.closed {
             return false;
         }
+        // Held-back proposals live in `rounds`; a decided batch that
+        // awaits payloads is in `decided`.
         !self.queue.is_empty()
             || self.close_requested
-            || !self.entries.is_empty()
+            || !self.rounds.is_empty()
             || !self.vbas.is_empty()
+            || self.decided.is_some()
     }
 
     fn snapshot_json(&self) -> String {
-        let current_entries = self.entries.get(&self.round).map_or(0, Vec::len);
+        let current_entries = self
+            .rounds
+            .get(&self.round)
+            .map_or(0, |state| state.arrived.len());
+        let parked: usize = self.rounds.values().map(|state| state.parked.len()).sum();
+        let awaiting: Vec<String> = self
+            .wanted
+            .keys()
+            .map(|(signer, digest)| {
+                let prefix: String = digest[..4].iter().map(|b| format!("{b:02x}")).collect();
+                format!("{{\"signer\":{},\"digest\":\"{prefix}\"}}", signer.0)
+            })
+            .collect();
         let mut w = SnapshotWriter::new(self.pid.as_str(), "atomic")
             .num("round", self.round)
             .num("queue_depth", self.queue.len() as u64)
@@ -571,6 +953,10 @@ impl StateSnapshot for AtomicChannel {
             .num("batch_size", self.batch_size as u64)
             .flag("entry_sent", self.sent_entry)
             .flag("batch_proposed", self.proposed)
+            .flag("batch_decided", self.decided.is_some())
+            .num("parked_proposals", parked as u64)
+            .raw("awaiting_payloads", &format!("[{}]", awaiting.join(",")))
+            .num("retained_rounds", self.retained.len() as u64)
             .flag("close_requested", self.close_requested)
             .num("close_origins", self.close_origins.len() as u64)
             .flag("closed", self.closed);
@@ -612,35 +998,57 @@ mod tests {
             .collect()
     }
 
-    /// Delivers all queued messages FIFO until quiescence.
-    fn pump(channels: &mut [AtomicChannel], outs: Vec<(usize, Outgoing)>) {
-        let n = channels.len();
-        let mut queue: std::collections::VecDeque<(PartyId, usize, ProtocolId, Body)> =
-            std::collections::VecDeque::new();
-        let push = |queue: &mut std::collections::VecDeque<_>, from: usize, mut out: Outgoing| {
+    /// A message in flight: sender, recipient, instance, body.
+    type Msg = (usize, usize, ProtocolId, Body);
+
+    /// A FIFO network the drills can reach into: they pop messages
+    /// themselves to drop, hold back or answer them on a Byzantine
+    /// party's behalf, and hand the rest to [`Net::deliver`].
+    struct Net {
+        n: usize,
+        queue: VecDeque<Msg>,
+    }
+
+    impl Net {
+        fn new(n: usize, outs: Vec<(usize, Outgoing)>) -> Self {
+            let mut net = Net {
+                n,
+                queue: VecDeque::new(),
+            };
+            for (from, out) in outs {
+                net.push(from, out);
+            }
+            net
+        }
+
+        fn push(&mut self, from: usize, mut out: Outgoing) {
             for (recipient, env) in out.drain() {
-                match recipient {
-                    Recipient::All => {
-                        for to in 0..n {
-                            queue.push_back((PartyId(from), to, env.pid.clone(), env.body.clone()));
-                        }
-                    }
-                    Recipient::One(p) => {
-                        queue.push_back((PartyId(from), p.0, env.pid, env.body));
-                    }
+                let targets: Vec<usize> = match recipient {
+                    Recipient::All => (0..self.n).collect(),
+                    Recipient::One(p) => vec![p.0],
+                };
+                for to in targets {
+                    self.queue
+                        .push_back((from, to, env.pid.clone(), env.body.clone()));
                 }
             }
-        };
-        for (from, out) in outs {
-            push(&mut queue, from, out);
         }
+
+        fn deliver(&mut self, channels: &mut [AtomicChannel], (from, to, pid, body): Msg) {
+            let mut out = Outgoing::new();
+            channels[to].handle(PartyId(from), &pid, &body, &mut out);
+            self.push(to, out);
+        }
+    }
+
+    /// Delivers all queued messages FIFO until quiescence.
+    fn pump(channels: &mut [AtomicChannel], outs: Vec<(usize, Outgoing)>) {
+        let mut net = Net::new(channels.len(), outs);
         let mut steps = 0usize;
-        while let Some((from, to, pid, body)) = queue.pop_front() {
+        while let Some(msg) = net.queue.pop_front() {
             steps += 1;
             assert!(steps < 5_000_000, "atomic channel did not quiesce");
-            let mut out = Outgoing::new();
-            channels[to].handle(from, &pid, &body, &mut out);
-            push(&mut queue, to, out);
+            net.deliver(channels, msg);
         }
     }
 
@@ -772,21 +1180,25 @@ mod tests {
             data: b"evil".to_vec(),
         };
         // Signature by the wrong party.
-        let payloads = vec![payload];
-        let statement = statement_entry(&ProtocolId::new("ac-forge"), 0, &payloads);
-        let sig = ctxs[3].keys().sig_key.sign(&statement);
-        let entry = Entry {
-            payloads,
-            signer: PartyId(2),
-            sig,
-        };
+        let by_three = Entry::sign(
+            &ProtocolId::new("ac-forge"),
+            0,
+            vec![payload],
+            PartyId(3),
+            &ctxs[3].keys().sig_key,
+        );
+        let entry = Entry::new(
+            by_three.payloads().to_vec(),
+            PartyId(2),
+            by_three.sig().clone(),
+        );
         chan.handle(
             PartyId(2),
             &ProtocolId::new("ac-forge"),
             &Body::AcEntry { round: 0, entry },
             &mut Outgoing::new(),
         );
-        assert!(chan.entries.get(&0).is_none_or(|m| m.is_empty()));
+        assert!(chan.rounds.is_empty());
     }
 
     fn app(origin: usize, seq: u64, data: &[u8]) -> Payload {
@@ -806,12 +1218,21 @@ mod tests {
         signer: usize,
         payloads: Vec<Payload>,
     ) -> Entry {
-        let statement = statement_entry(&ProtocolId::new(tag), round, &payloads);
-        Entry {
+        Entry::sign(
+            &ProtocolId::new(tag),
+            round,
             payloads,
-            signer: PartyId(signer),
-            sig: ctxs[signer].keys().sig_key.sign(&statement),
-        }
+            PartyId(signer),
+            &ctxs[signer].keys().sig_key,
+        )
+    }
+
+    /// A proposal's `cb-send` as `proposer` would broadcast it in `round`.
+    fn proposal(tag: &str, round: u64, proposer: usize, refs: &[EntryRef]) -> (ProtocolId, Body) {
+        (
+            ProtocolId::new(format!("{tag}/vba/{round}/bc/{proposer}")),
+            Body::CbSend(refs.to_vec().to_bytes()),
+        )
     }
 
     fn drain(chan: &mut AtomicChannel) -> Vec<(usize, u64)> {
@@ -835,7 +1256,7 @@ mod tests {
             .drain()
             .into_iter()
             .map(|(_, env)| match env.body {
-                Body::AcEntry { entry, .. } => entry.payloads.len(),
+                Body::AcEntry { entry, .. } => entry.payloads().len(),
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
@@ -929,7 +1350,7 @@ mod tests {
             2,
             vec![app(2, 0, b"a"), app(2, 1, b"b")],
         );
-        idle.on_entry(PartyId(2), 0, &wide);
+        idle.on_entry(PartyId(2), 0, &wide, &mut Outgoing::new());
         assert_eq!(idle.cut_entry(), Some(vec![app(2, 0, b"a")]));
     }
 
@@ -952,12 +1373,12 @@ mod tests {
             2,
             vec![app(2, 0, b"e"), app(2, 1, b"f")],
         );
-        let signers = |batch: Vec<Entry>| batch.iter().map(|e| e.signer.0).collect::<Vec<_>>();
+        let signers = |batch: Vec<EntryRef>| batch.iter().map(|r| r.signer.0).collect::<Vec<_>>();
         let arrival = [one.clone(), three.clone(), two.clone()];
         assert_eq!(signers(chan.select_batch(&arrival)), vec![1, 2]);
         // Ties go by arrival order; an adopter's copy adds nothing once
         // the original is in and is only picked to fill the batch.
-        let copy = signed(&ctxs, "ac-select", 0, 3, three.payloads.clone());
+        let copy = signed(&ctxs, "ac-select", 0, 3, three.payloads().to_vec());
         assert_eq!(
             signers(chan.select_batch(&[copy.clone(), three.clone(), one.clone()])),
             vec![3, 0]
@@ -1018,43 +1439,29 @@ mod tests {
             }
             outs.push((origin, out));
         }
-        let n = chans.len();
-        let mut queue: VecDeque<(usize, usize, ProtocolId, Body)> = VecDeque::new();
+        let mut net = Net::new(chans.len(), outs);
         let mut relayed = BTreeSet::new();
-        let mut push = |queue: &mut VecDeque<_>, from: usize, mut out: Outgoing| {
-            for (recipient, env) in out.drain() {
-                if let Body::AcEntry { round, entry } = &env.body {
-                    if entry.payloads.len() > 1 && relayed.insert(*round) {
-                        let suffix = signed(&ctxs, tag, *round, 0, entry.payloads[1..].to_vec());
-                        for to in 1..n {
-                            let body = Body::AcEntry {
-                                round: *round,
-                                entry: suffix.clone(),
-                            };
-                            // Ahead of the honest entry it was cut from.
-                            queue.push_front((0, to, env.pid.clone(), body));
-                        }
-                    }
-                }
-                let targets: Vec<usize> = match recipient {
-                    Recipient::All => (0..n).collect(),
-                    Recipient::One(p) => vec![p.0],
-                };
-                for to in targets {
-                    queue.push_back((from, to, env.pid.clone(), env.body.clone()));
+        while let Some(msg) = net.queue.pop_front() {
+            if msg.1 != 0 {
+                net.deliver(&mut chans, msg);
+                continue;
+            }
+            // The Byzantine party runs no honest code; it cuts the first
+            // multi-payload entry it sees in each round.
+            if let Body::AcEntry { round, entry } = &msg.3 {
+                if entry.payloads().len() > 1 && relayed.insert(*round) {
+                    let suffix = signed(&ctxs, tag, *round, 0, entry.payloads()[1..].to_vec());
+                    let mut out = Outgoing::new();
+                    out.send_all(
+                        &msg.2,
+                        Body::AcEntry {
+                            round: *round,
+                            entry: suffix,
+                        },
+                    );
+                    net.push(0, out);
                 }
             }
-        };
-        for (from, out) in outs {
-            push(&mut queue, from, out);
-        }
-        while let Some((from, to, pid, body)) = queue.pop_front() {
-            if to == 0 {
-                continue; // the Byzantine party runs no honest code
-            }
-            let mut out = Outgoing::new();
-            chans[to].handle(PartyId(from), &pid, &body, &mut out);
-            push(&mut queue, to, out);
         }
         assert!(relayed.len() >= 2, "the relay found entries to cut");
         let reference = drain(&mut chans[1]);
@@ -1097,31 +1504,19 @@ mod tests {
             ),
         ];
         let verifier = crate::preverify::PreVerifier::new(ctxs[0].clone());
-        let validator = chan.batch_validator(0);
-        let good = signed(&ctxs, tag, 0, 1, vec![app(1, 0, b"ok")]);
-        assert!(validator.is_valid(
-            &Batch(vec![
-                good.clone(),
-                signed(&ctxs, tag, 0, 3, vec![app(3, 0, b"ok")])
-            ])
-            .to_bytes()
-        ));
         for (what, payloads) in cases {
             // Validly signed by a (Byzantine) group member, for the
             // current and for a future round.
             for round in [0u64, 7] {
                 let entry = signed(&ctxs, tag, round, 2, payloads.clone());
-                let body = Body::AcEntry {
-                    round,
-                    entry: entry.clone(),
-                };
+                let body = Body::AcEntry { round, entry };
                 chan.handle(
                     PartyId(2),
                     &ProtocolId::new(tag),
                     &body,
                     &mut Outgoing::new(),
                 );
-                assert!(chan.entries.is_empty(), "{what}: no per-round state");
+                assert!(chan.rounds.is_empty(), "{what}: no per-round state");
                 assert!(chan.vbas.is_empty(), "{what}");
                 if what == "only delivered payloads" {
                     continue; // stateless stages cannot know what is delivered
@@ -1142,24 +1537,51 @@ mod tests {
                     crate::message::Envelope::from_bytes(&env.to_bytes()).is_err(),
                     "{what}: decode"
                 );
-                if round == 0 {
-                    let batch = Batch(vec![good.clone(), entry]);
-                    assert!(!validator.is_valid(&batch.to_bytes()), "{what}: validator");
-                }
             }
         }
         // A forged signature on a well-formed entry for a far-future
         // round leaves no slot behind either (the PR-10 ordering).
-        let mut forged = signed(&ctxs, tag, 99, 2, vec![app(2, 3, b"next")]);
-        forged.sig = ctxs[3].keys().sig_key.sign(b"something else");
-        chan.on_entry(PartyId(2), 99, &forged);
-        assert!(chan.entries.is_empty());
+        let honest = signed(&ctxs, tag, 99, 3, vec![app(2, 3, b"next")]);
+        let forged = Entry::new(honest.payloads().to_vec(), PartyId(2), honest.sig().clone());
+        chan.on_entry(PartyId(2), 99, &forged, &mut Outgoing::new());
+        assert!(chan.rounds.is_empty());
         // A partly delivered vector is accepted; only its fresh tail counts.
         let mixed = signed(&ctxs, tag, 0, 2, vec![app(2, 2, b"old"), app(2, 3, b"new")]);
-        chan.on_entry(PartyId(2), 0, &mixed);
-        assert_eq!(chan.entries[&0].len(), 1);
+        chan.on_entry(PartyId(2), 0, &mixed, &mut Outgoing::new());
+        assert_eq!(chan.rounds[&0].arrived.len(), 1);
         assert_eq!(chan.deliver_batch(vec![mixed]), 1);
         assert_eq!(drain(&mut chan), vec![(2, 3)]);
+    }
+
+    #[test]
+    fn validator_checks_count_signers_and_signatures_not_payloads() {
+        let ctxs = group(4, 1);
+        let tag = "ac-valid";
+        let chan = channels(&ctxs, tag).remove(0);
+        let validator = chan.batch_validator(0);
+        let one = signed(&ctxs, tag, 0, 1, vec![app(1, 0, b"a")]).to_ref();
+        let two = signed(&ctxs, tag, 0, 2, vec![app(2, 0, b"b")]).to_ref();
+        let three = signed(&ctxs, tag, 0, 3, vec![app(3, 0, b"c")]).to_ref();
+        let valid = |refs: &[EntryRef]| validator.is_valid(&refs.to_vec().to_bytes());
+        assert!(valid(&[one.clone(), two.clone()]));
+        assert!(!valid(std::slice::from_ref(&one)), "too few");
+        assert!(!valid(&[one.clone(), two.clone(), three]), "too many");
+        assert!(!valid(&[one.clone(), one.clone()]), "one signer twice");
+        let other_round = signed(&ctxs, tag, 1, 2, vec![app(2, 0, b"b")]).to_ref();
+        assert!(!valid(&[one.clone(), other_round]), "signed for round 1");
+        let stolen = EntryRef {
+            signer: PartyId(3),
+            ..two.clone()
+        };
+        assert!(!valid(&[one.clone(), stolen]), "another party's signature");
+        let far = EntryRef {
+            signer: PartyId(9),
+            ..two.clone()
+        };
+        assert!(!valid(&[one.clone(), far]), "no such party");
+        let mut bytes = vec![one, two].to_bytes();
+        bytes.push(0);
+        assert!(!validator.is_valid(&bytes), "trailing bytes");
     }
 
     #[test]
@@ -1178,6 +1600,492 @@ mod tests {
         assert!(chans[0]
             .snapshot_json()
             .contains("\"batch_proposed\":false"));
+    }
+
+    // --- propose by reference: hold-back and fetch ---------------------------
+
+    /// Each of `senders` queues one payload; returns what they broadcast.
+    fn one_payload_each(chans: &mut [AtomicChannel], senders: &[usize]) -> Vec<(usize, Outgoing)> {
+        senders
+            .iter()
+            .map(|&p| {
+                let mut out = Outgoing::new();
+                chans[p].send(format!("from-{p}").into_bytes(), &mut out);
+                (p, out)
+            })
+            .collect()
+    }
+
+    fn drain_data(chan: &mut AtomicChannel) -> Vec<(usize, u64, Vec<u8>)> {
+        std::iter::from_fn(|| chan.take_delivery())
+            .map(|p| (p.origin.0, p.seq, p.data))
+            .collect()
+    }
+
+    fn parked_total(chan: &AtomicChannel) -> usize {
+        chan.rounds.values().map(|state| state.parked.len()).sum()
+    }
+
+    #[test]
+    fn proposal_naming_an_entry_nobody_holds_is_never_echoed_or_decided() {
+        // Party 0 is Byzantine. It signs an entry it shows to nobody and
+        // proposes it next to an honest one — a valid proposal by its
+        // signatures. No honest party holds the entry, so none echoes,
+        // the broadcast never closes and the proposal cannot be decided.
+        // A malformed entry fares the same: nobody can ever hold it.
+        let ctxs = group(4, 1);
+        let tag = "ac-ghost";
+        let mut chans = channels(&ctxs, tag);
+        let outs = one_payload_each(&mut chans, &[1, 2, 3]);
+        let mut net = Net::new(4, outs);
+        let ghost = signed(&ctxs, tag, 0, 0, vec![app(0, 0, b"ghost")]);
+        let twice = signed(&ctxs, tag, 0, 0, vec![app(0, 0, b"x"), app(0, 0, b"x")]);
+        assert!(!twice.well_formed());
+        let mut proposed = false;
+        let mut echoes_to_the_ghost = 0;
+        let mut fetches_to_the_proposer = 0;
+        let mut most_parked = 0;
+        while let Some(msg) = net.queue.pop_front() {
+            if msg.1 != 0 {
+                net.deliver(&mut chans, msg);
+                most_parked = most_parked.max(chans[1..].iter().map(parked_total).max().unwrap());
+                continue;
+            }
+            match &msg.3 {
+                Body::AcEntry { entry, .. } if !proposed => {
+                    proposed = true;
+                    // Two proposals from the same proposer, one per ghost.
+                    for unheld in [&ghost, &twice] {
+                        let (pid, body) = proposal(tag, 0, 0, &[unheld.to_ref(), entry.to_ref()]);
+                        let mut out = Outgoing::new();
+                        out.send_all(&pid, body);
+                        net.push(0, out);
+                    }
+                }
+                Body::CbEcho(_) if msg.2.as_str().ends_with("/vba/0/bc/0") => {
+                    echoes_to_the_ghost += 1;
+                }
+                Body::AcFetch { signer, digest, .. } => {
+                    assert_eq!((*signer, digest), (PartyId(0), ghost.digest()));
+                    fetches_to_the_proposer += 1;
+                }
+                _ => {}
+            }
+        }
+        assert!(proposed);
+        assert_eq!(
+            echoes_to_the_ghost, 0,
+            "nobody vouches for payloads it lacks"
+        );
+        assert_eq!(
+            fetches_to_the_proposer, 3,
+            "each honest party asked it, once"
+        );
+        assert_eq!(most_parked, 1, "one held-back message per proposer");
+        let reference = drain_data(&mut chans[1]);
+        assert_eq!(reference.len(), 3, "the honest requests went through");
+        assert!(reference.iter().all(|(origin, ..)| *origin != 0));
+        for chan in &mut chans[2..] {
+            assert_eq!(drain_data(chan), reference);
+        }
+        for chan in &mut chans[1..] {
+            let counts = chan.take_fetch_counts();
+            assert!(counts.parked >= 1 && counts.sent == 1, "{counts:?}");
+            assert_eq!(chan.round(), 2, "three one-payload entries, two a round");
+            assert_eq!(parked_total(chan), 0, "dropped with the round");
+            assert!(chan.wanted.is_empty());
+            assert!(!chan.has_pending_work());
+        }
+    }
+
+    #[test]
+    fn entry_shown_to_one_proposer_only_is_fetched_from_it() {
+        // Byzantine signer 0 sends entry E1 to party 1 alone and a
+        // different E2 to parties 2 and 3, then falls silent — so every
+        // broadcast needs all three honest echoes. Party 1 proposes E1;
+        // the others hold E2 in party 0's slot, fetch E1 from party 1,
+        // echo, and party 1's broadcast closes. Whichever batch wins,
+        // all three deliver the same bytes.
+        let ctxs = group(4, 1);
+        let tag = "ac-split";
+        let mut chans = channels(&ctxs, tag);
+        let outs = one_payload_each(&mut chans, &[1, 2, 3]);
+        let mut net = Net::new(4, outs);
+        let e1 = signed(
+            &ctxs,
+            tag,
+            0,
+            0,
+            vec![app(0, 0, b"one-a"), app(0, 1, b"one-b")],
+        );
+        let e2 = signed(&ctxs, tag, 0, 0, vec![app(0, 0, b"two")]);
+        // Ahead of everything else, so E1 is what party 1 sees first and
+        // — adding two payloads — picks first.
+        for (to, entry) in [(1, &e1), (2, &e2), (3, &e2)] {
+            let body = Body::AcEntry {
+                round: 0,
+                entry: entry.clone(),
+            };
+            net.queue.push_front((0, to, ProtocolId::new(tag), body));
+        }
+        let mut finals_of_party_one = 0;
+        while let Some(msg) = net.queue.pop_front() {
+            if msg.1 == 0 {
+                continue;
+            }
+            if matches!(msg.3, Body::CbFinal { .. }) && msg.2.as_str().ends_with("/vba/0/bc/1") {
+                finals_of_party_one += 1;
+            }
+            net.deliver(&mut chans, msg);
+        }
+        assert_eq!(finals_of_party_one, 3, "its broadcast closed");
+        let counts: Vec<FetchCounts> = chans.iter_mut().map(|c| c.take_fetch_counts()).collect();
+        assert_eq!(counts[1].served, 2, "parties 2 and 3 pulled E1 from it");
+        assert_eq!((counts[2].sent, counts[3].sent), (1, 1));
+        assert_eq!(counts[1].sent, 2, "and it asked both of them for E2");
+        let reference = drain_data(&mut chans[1]);
+        assert!(reference.len() >= 3, "{reference:?}");
+        let from_zero: Vec<&[u8]> = reference
+            .iter()
+            .filter(|(origin, ..)| *origin == 0)
+            .map(|(_, _, data)| data.as_slice())
+            .collect();
+        assert!(
+            from_zero.is_empty()
+                || from_zero == [b"one-a" as &[u8], b"one-b"]
+                || from_zero == [b"two"],
+            "{from_zero:?}"
+        );
+        for chan in &mut chans[2..] {
+            assert_eq!(drain_data(chan), reference, "same bytes everywhere");
+        }
+    }
+
+    #[test]
+    fn deciding_a_batch_never_proposed_to_us_fetches_from_everyone() {
+        // The scheduler keeps from party 3: party 0's entry, and every
+        // proposal (`cb-send`), its own included. Finals, votes and the
+        // binary agreement arrive, so it decides a batch holding party 0's
+        // entry on the strength of a closing message alone, asks everyone
+        // for the payloads, and delivers what the others deliver.
+        let ctxs = group(4, 1);
+        let tag = "ac-late";
+        let mut chans = channels(&ctxs, tag);
+        let outs = one_payload_each(&mut chans, &[0, 1, 2, 3]);
+        let mut net = Net::new(4, outs);
+        let mut held_back = Vec::new();
+        let mut asked = 0;
+        while let Some(msg) = net.queue.pop_front() {
+            let keep = match &msg.3 {
+                Body::AcEntry { round: 0, .. } => (msg.0, msg.1) == (0, 3),
+                Body::CbSend(_) => msg.0 == 3 || msg.1 == 3,
+                _ => false,
+            };
+            if keep {
+                held_back.push(msg);
+                continue;
+            }
+            if msg.0 == 3 && matches!(msg.3, Body::AcFetch { .. }) {
+                if asked == 0 {
+                    let snapshot = chans[3].snapshot_json();
+                    assert!(chans[3].has_pending_work());
+                    assert!(snapshot.contains("\"batch_decided\":true"), "{snapshot}");
+                    assert!(
+                        snapshot.contains("\"awaiting_payloads\":[{\"signer\":0,"),
+                        "{snapshot}"
+                    );
+                    assert!(drain_data(&mut chans[3]).is_empty());
+                    assert_eq!(chans[3].round(), 0);
+                }
+                asked += 1;
+            }
+            net.deliver(&mut chans, msg);
+        }
+        assert_eq!(asked, 3, "one request to each other party");
+        let served: u64 = chans.iter_mut().map(|c| c.take_fetch_counts().served).sum();
+        assert_eq!(served, 3, "every holder answered");
+        assert_eq!(chans[3].rounds.len(), 0, "extra replies left nothing");
+        // What was kept back is stale by now.
+        for msg in held_back {
+            net.deliver(&mut chans, msg);
+        }
+        while let Some(msg) = net.queue.pop_front() {
+            net.deliver(&mut chans, msg);
+        }
+        let reference = drain_data(&mut chans[0]);
+        assert_eq!(reference.len(), 4);
+        for chan in &mut chans[1..] {
+            assert_eq!(drain_data(chan), reference);
+        }
+    }
+
+    #[test]
+    fn fetch_replies_nobody_asked_for_change_no_state() {
+        let ctxs = group(4, 1);
+        let tag = "ac-replies";
+        let me = ProtocolId::new(tag);
+        let mut chan = channels(&ctxs, tag).remove(1);
+        // Entries of parties 2 and 3 arrive; it adopts, holds n - t and
+        // proposes. With its own proposal back from the network and two
+        // more seen, it asks for what those lack.
+        let held = signed(&ctxs, tag, 0, 2, vec![app(2, 0, b"held")]);
+        let mut own = Outgoing::new();
+        let too = signed(&ctxs, tag, 0, 3, vec![app(3, 0, b"too")]);
+        for (signer, entry) in [(2, held.clone()), (3, too)] {
+            let body = Body::AcEntry { round: 0, entry };
+            chan.handle(PartyId(signer), &me, &body, &mut own);
+        }
+        for (_, env) in own.drain() {
+            if matches!(env.body, Body::CbSend(_)) {
+                chan.handle(PartyId(1), &env.pid, &env.body, &mut Outgoing::new());
+            }
+        }
+        assert!(chan.proposed);
+        // Proposer 0 names a well-formed entry it never broadcast;
+        // proposer 3 one that is validly signed and malformed.
+        let wanted = signed(&ctxs, tag, 0, 0, vec![app(0, 0, b"wanted")]);
+        let twice = signed(&ctxs, tag, 0, 3, vec![app(3, 0, b"x"), app(3, 0, b"x")]);
+        let mut out = Outgoing::new();
+        for (proposer, unheld) in [(0, &wanted), (3, &twice)] {
+            let (pid, body) = proposal(tag, 0, proposer, &[unheld.to_ref(), held.to_ref()]);
+            chan.handle(PartyId(proposer), &pid, &body, &mut out);
+        }
+        let asked: Vec<(Recipient, Body)> = out
+            .drain()
+            .into_iter()
+            .map(|(to, env)| (to, env.body))
+            .filter(|(_, body)| matches!(body, Body::AcFetch { .. }))
+            .collect();
+        assert_eq!(asked.len(), 2);
+        assert!(matches!(
+            &asked[0],
+            (Recipient::One(PartyId(0)), Body::AcFetch { round: 0, signer: PartyId(0), digest }) if digest == wanted.digest()
+        ));
+        assert_eq!(parked_total(&chan), 2);
+        let before = chan.snapshot_json();
+
+        let other_payloads = signed(&ctxs, tag, 0, 0, vec![app(0, 0, b"other")]);
+        let by_another = signed(&ctxs, tag, 0, 3, wanted.payloads().to_vec());
+        let badly_signed = Entry::new(
+            wanted.payloads().to_vec(),
+            PartyId(0),
+            by_another.sig().clone(),
+        );
+        assert_eq!(badly_signed.digest(), wanted.digest());
+        let replies = [
+            (
+                "unsolicited",
+                0,
+                signed(&ctxs, tag, 0, 2, vec![app(2, 1, b"more")]),
+            ),
+            ("already held", 0, held.clone()),
+            ("wrong digest", 0, other_payloads),
+            ("wrong signer", 0, by_another),
+            ("badly signed", 0, badly_signed),
+            ("malformed", 0, twice.clone()),
+            ("wrong round", 1, wanted.clone()),
+            (
+                "wrong round, signed for it",
+                1,
+                signed(&ctxs, tag, 1, 0, wanted.payloads().to_vec()),
+            ),
+        ];
+        for (what, round, entry) in replies {
+            let mut out = Outgoing::new();
+            chan.handle(PartyId(3), &me, &Body::AcFetched { round, entry }, &mut out);
+            assert!(out.is_empty(), "{what}");
+            assert_eq!(chan.snapshot_json(), before, "{what}");
+            assert!(chan.rounds[&0].fetched.is_empty(), "{what}");
+            assert_eq!(chan.rounds.len(), 1, "{what}");
+        }
+        // The entry asked for, from whoever has it: stored beside the
+        // broadcast slots, and the proposal that waited for it goes on.
+        let mut out = Outgoing::new();
+        let reply = Body::AcFetched {
+            round: 0,
+            entry: wanted.clone(),
+        };
+        chan.handle(PartyId(2), &me, &reply, &mut out);
+        assert_eq!(chan.rounds[&0].fetched, vec![wanted]);
+        assert_eq!(parked_total(&chan), 1, "the malformed one stays unheld");
+        let sent: Vec<(Recipient, &'static str)> = out
+            .drain()
+            .into_iter()
+            .map(|(to, env)| (to, env.body.kind()))
+            .collect();
+        assert_eq!(sent, vec![(Recipient::One(PartyId(0)), "cb-echo")]);
+        // Asked and answered: a second copy is unsolicited.
+        chan.handle(PartyId(0), &me, &reply, &mut out);
+        assert_eq!(chan.rounds[&0].fetched.len(), 1);
+    }
+
+    /// Party 0 sends `rounds` requests one after the other, each ordered
+    /// by a round of its own.
+    fn run_rounds(chans: &mut [AtomicChannel], rounds: u64) {
+        for i in 0..rounds {
+            let mut out = Outgoing::new();
+            chans[0].send(i.to_be_bytes().to_vec(), &mut out);
+            pump(chans, vec![(0, out)]);
+            assert!(chans
+                .iter()
+                .all(|c| c.retained.len() <= FETCH_RETAIN_ROUNDS));
+        }
+        assert!(chans.iter().all(|c| c.round() == rounds));
+    }
+
+    #[test]
+    fn fetch_flood_gets_one_reply_per_requester_and_entry() {
+        let ctxs = group(4, 1);
+        let tag = "ac-flood";
+        let me = ProtocolId::new(tag);
+        let mut chans = channels(&ctxs, tag);
+        run_rounds(&mut chans, 3);
+        // Round 3 is under way at party 1: it holds party 0's entry.
+        let mut out = Outgoing::new();
+        chans[0].send(b"current".to_vec(), &mut out);
+        let Some((_, env)) = out.drain().pop() else {
+            panic!("an entry")
+        };
+        chans[1].handle(PartyId(0), &env.pid, &env.body, &mut Outgoing::new());
+        let current = chans[1].rounds[&3].arrived[0].clone();
+        let holder = &mut chans[1];
+        holder.take_fetch_counts();
+        let fetch = |round: u64, entry: &Entry| Body::AcFetch {
+            round,
+            signer: entry.signer(),
+            digest: *entry.digest(),
+        };
+        let mut asks = Vec::new();
+        for (round, batch) in holder.retained.iter() {
+            for entry in batch {
+                asks.push((*round, entry.clone()));
+            }
+        }
+        assert_eq!(asks.len(), 3 * holder.batch_size());
+        asks.push((3, current.clone()));
+        let mut replies = Vec::new();
+        for _ in 0..25 {
+            for requester in [2, 3] {
+                for (round, entry) in &asks {
+                    let mut out = Outgoing::new();
+                    holder.handle(PartyId(requester), &me, &fetch(*round, entry), &mut out);
+                    for (to, env) in out.drain() {
+                        let Body::AcFetched { round, entry } = env.body else {
+                            panic!("a reply")
+                        };
+                        assert_eq!(to, Recipient::One(PartyId(requester)));
+                        replies.push((requester, round, entry));
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            replies.len(),
+            2 * asks.len(),
+            "one each, however often asked"
+        );
+        for requester in [2, 3] {
+            for (round, entry) in &asks {
+                assert!(replies.contains(&(requester, *round, entry.clone())));
+            }
+        }
+        // Nothing for what it does not hold: another round's number on a
+        // held digest, a digest it never saw, a round yet to come.
+        let mut out = Outgoing::new();
+        holder.handle(PartyId(2), &me, &fetch(2, &current), &mut out);
+        holder.handle(PartyId(2), &me, &fetch(3, &asks[0].1), &mut out);
+        let unseen = signed(&ctxs, tag, 3, 3, vec![app(3, 0, b"unseen")]);
+        holder.handle(PartyId(2), &me, &fetch(3, &unseen), &mut out);
+        holder.handle(PartyId(2), &me, &fetch(900, &current), &mut out);
+        holder.handle(PartyId(9), &me, &fetch(3, &current), &mut out);
+        assert!(out.is_empty());
+        let counts = holder.take_fetch_counts();
+        assert_eq!(counts.served, 2 * asks.len() as u64);
+        assert_eq!(counts.ignored, 24 * 2 * asks.len() as u64 + 4);
+        assert_eq!(counts.sent, 0);
+    }
+
+    #[test]
+    fn retention_never_exceeds_the_constant() {
+        let ctxs = group(4, 1);
+        let tag = "ac-retain";
+        let me = ProtocolId::new(tag);
+        let mut chans = channels(&ctxs, tag);
+        let extra = 3;
+        let mut first_batch = Vec::new();
+        for round in 0..FETCH_RETAIN_ROUNDS as u64 + extra {
+            if round == 1 {
+                first_batch = chans[2].retained[0].1.clone();
+                // Served while retained; the record of it goes when the
+                // round does.
+                let ask = Body::AcFetch {
+                    round: 0,
+                    signer: first_batch[0].signer(),
+                    digest: *first_batch[0].digest(),
+                };
+                let mut out = Outgoing::new();
+                chans[2].handle(PartyId(3), &me, &ask, &mut out);
+                assert_eq!(out.len(), 1);
+                assert_eq!(chans[2].served.len(), 1);
+            }
+            let mut out = Outgoing::new();
+            chans[0].send(round.to_be_bytes().to_vec(), &mut out);
+            pump(&mut chans, vec![(0, out)]);
+            for chan in &chans {
+                assert!(chan.retained.len() <= FETCH_RETAIN_ROUNDS);
+                assert_eq!(
+                    chan.retained.len() as u64,
+                    (round + 1).min(FETCH_RETAIN_ROUNDS as u64)
+                );
+                assert!(chan.rounds.is_empty() && chan.wanted.is_empty());
+            }
+        }
+        let chan = &mut chans[2];
+        let kept: Vec<u64> = chan.retained.iter().map(|(round, _)| *round).collect();
+        let expected: Vec<u64> = (extra..FETCH_RETAIN_ROUNDS as u64 + extra).collect();
+        assert_eq!(kept, expected, "the latest rounds, oldest dropped first");
+        assert!(chan
+            .snapshot_json()
+            .contains(&format!("\"retained_rounds\":{FETCH_RETAIN_ROUNDS}")));
+        assert!(chan.served.is_empty());
+        // Round 0 fell out of the window: nothing for it any more.
+        chan.take_fetch_counts();
+        let mut out = Outgoing::new();
+        for entry in &first_batch {
+            let ask = Body::AcFetch {
+                round: 0,
+                signer: entry.signer(),
+                digest: *entry.digest(),
+            };
+            chan.handle(PartyId(1), &me, &ask, &mut out);
+        }
+        assert!(out.is_empty());
+        assert_eq!(chan.take_fetch_counts().ignored, first_batch.len() as u64);
+    }
+
+    #[test]
+    fn a_closed_endpoint_still_answers_fetches() {
+        let ctxs = group(4, 1);
+        let tag = "ac-closed";
+        let mut chans = channels(&ctxs, tag);
+        let outs = (0..4)
+            .map(|p| {
+                let mut out = Outgoing::new();
+                chans[p].close(&mut out);
+                (p, out)
+            })
+            .collect();
+        pump(&mut chans, outs);
+        assert!(chans[1].is_closed());
+        let last = chans[1].retained.back().expect("the closing round").clone();
+        let ask = Body::AcFetch {
+            round: last.0,
+            signer: last.1[0].signer(),
+            digest: *last.1[0].digest(),
+        };
+        let mut out = Outgoing::new();
+        chans[1].handle(PartyId(2), &ProtocolId::new(tag), &ask, &mut out);
+        assert_eq!(out.len(), 1);
     }
 
     #[test]

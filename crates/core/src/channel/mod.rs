@@ -31,7 +31,7 @@ mod multiplex;
 mod optimistic;
 mod secure;
 
-pub use atomic::{AtomicChannel, AtomicChannelConfig};
+pub use atomic::{AtomicChannel, AtomicChannelConfig, FetchCounts, FETCH_RETAIN_ROUNDS};
 pub use multiplex::{ConsistentChannel, ReliableChannel};
 pub use optimistic::{EpochState, OptimisticChannel, OptimisticChannelConfig, PreparedEntry};
 pub use secure::SecureAtomicChannel;

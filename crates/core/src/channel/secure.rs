@@ -17,7 +17,7 @@ use rand::Rng;
 use sintra_crypto::thenc::{Ciphertext, DecryptionShare};
 use sintra_telemetry::{SnapshotWriter, StateSnapshot};
 
-use crate::channel::atomic::{AtomicChannel, AtomicChannelConfig};
+use crate::channel::atomic::{AtomicChannel, AtomicChannelConfig, FetchCounts};
 use crate::config::GroupContext;
 use crate::ids::{PartyId, ProtocolId};
 use crate::invariant::OrInvariant;
@@ -159,6 +159,11 @@ impl SecureAtomicChannel {
     /// payload's position is fixed but its content still encrypted.
     pub fn take_ordered_ciphertext(&mut self) -> Option<(PartyId, u64, Vec<u8>)> {
         self.ordered_events.pop_front()
+    }
+
+    /// The ordering channel's `ac-fetch` traffic since the last call.
+    pub fn take_fetch_counts(&mut self) -> FetchCounts {
+        self.inner.take_fetch_counts()
     }
 
     /// Whether the channel has terminated (inner channel closed and all

@@ -7,7 +7,7 @@
 
 use sintra_crypto::coin::CoinShare;
 use sintra_crypto::hash::Sha256;
-use sintra_crypto::rsa::RsaSignature;
+use sintra_crypto::rsa::{RsaPrivateKey, RsaSignature};
 use sintra_crypto::thenc::DecryptionShare;
 use sintra_crypto::thsig::{SigShare, ThresholdSignature};
 
@@ -102,28 +102,103 @@ pub const MAX_ENTRY_PAYLOADS: usize = 256;
 /// length cap, as before entries were vectors), so the queue head always
 /// fits into the next entry.
 ///
-/// Sized against the link layer: a proposal carries at most `n - t`
-/// entries and a message at most three proposals (an abstaining main-vote
-/// exhibits proofs for both bits next to its own), so a worst-case
-/// message is about 1 MiB at `n = 7` and 4.3 MiB at `n = 31` against the
-/// 16 MiB frame bound, and a round's dozen copies of a proposal per link
-/// stay far inside the 64 MiB retransmission bound.
+/// An entry's payload bytes cross each link once, in the `ac-entry`
+/// broadcast (or the `ac-fetched` reply that stands in for it); proposals
+/// name entries by [`EntryRef`], so this budget — not a multiple of it —
+/// is the largest message the channel produces, far inside the link's
+/// 16 MiB frame bound.
 pub const MAX_ENTRY_BYTES: usize = 64 * 1024;
 
 /// An atomic-channel batch entry: an ordered vector of payloads signed
 /// (possibly by an adopting relay, not their origin) together with the
 /// round number.
+///
+/// The signature covers `(pid, round, digest)` where `digest` is the
+/// SHA-256 of the payload vector's wire encoding. The digest is computed
+/// once, when the entry is built or decoded, and kept beside the payloads
+/// (never on the wire); the fields are private so it cannot go stale.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entry {
-    /// The payloads being proposed for this round, in delivery order.
-    pub payloads: Vec<Payload>,
-    /// The party whose signature covers `(pid, round, payloads)`.
-    pub signer: PartyId,
-    /// That party's standard RSA signature.
-    pub sig: RsaSignature,
+    payloads: Vec<Payload>,
+    signer: PartyId,
+    sig: RsaSignature,
+    digest: [u8; 32],
+}
+
+/// SHA-256 of a payload vector as [`Entry::encode`] writes it.
+fn payloads_digest(payloads: &[Payload]) -> [u8; 32] {
+    let mut encoded = Vec::new();
+    put_len(&mut encoded, payloads.len());
+    for payload in payloads {
+        payload.encode(&mut encoded);
+    }
+    Sha256::digest(&encoded)
 }
 
 impl Entry {
+    /// An entry over `payloads` carrying `signer`'s claimed signature.
+    pub fn new(payloads: Vec<Payload>, signer: PartyId, sig: RsaSignature) -> Self {
+        Entry {
+            digest: payloads_digest(&payloads),
+            payloads,
+            signer,
+            sig,
+        }
+    }
+
+    /// Cuts `payloads` into `signer`'s entry for `round` of channel
+    /// `pid`, signed with `key`.
+    pub fn sign(
+        pid: &ProtocolId,
+        round: u64,
+        payloads: Vec<Payload>,
+        signer: PartyId,
+        key: &RsaPrivateKey,
+    ) -> Self {
+        let digest = payloads_digest(&payloads);
+        Entry {
+            sig: key.sign(&statement_entry(pid, round, &digest)),
+            payloads,
+            signer,
+            digest,
+        }
+    }
+
+    /// The payloads being proposed for this round, in delivery order.
+    pub fn payloads(&self) -> &[Payload] {
+        &self.payloads
+    }
+
+    /// The party whose signature covers `(pid, round, digest)`.
+    pub fn signer(&self) -> PartyId {
+        self.signer
+    }
+
+    /// That party's standard RSA signature.
+    pub fn sig(&self) -> &RsaSignature {
+        &self.sig
+    }
+
+    /// SHA-256 of the payload vector's wire encoding.
+    pub fn digest(&self) -> &[u8; 32] {
+        &self.digest
+    }
+
+    /// Whether this is the entry a proposal or a fetch names by
+    /// `(signer, digest)`.
+    pub fn is_named(&self, signer: PartyId, digest: &[u8; 32]) -> bool {
+        self.signer == signer && self.digest == *digest
+    }
+
+    /// The reference a proposal carries in this entry's place.
+    pub fn to_ref(&self) -> EntryRef {
+        EntryRef {
+            signer: self.signer,
+            digest: self.digest,
+            sig: self.sig.clone(),
+        }
+    }
+
     /// Whether the payload vector has a shape an honest party can have
     /// cut: between one and [`MAX_ENTRY_PAYLOADS`] payloads, within
     /// [`MAX_ENTRY_BYTES`] unless it is a single payload, and no
@@ -144,6 +219,20 @@ impl Entry {
         ids.sort_unstable();
         bytes <= MAX_ENTRY_BYTES && ids.windows(2).all(|pair| pair[0] != pair[1])
     }
+}
+
+/// What an atomic-channel proposal carries per entry: who signed it, the
+/// digest of its payload vector and the signature over
+/// `(pid, round, digest)` — enough to check external validity without the
+/// payload bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EntryRef {
+    /// The party that signed the entry.
+    pub signer: PartyId,
+    /// SHA-256 of the entry's encoded payload vector.
+    pub digest: [u8; 32],
+    /// The signer's signature over `(pid, round, digest)`.
+    pub sig: RsaSignature,
 }
 
 /// The body of a network message, covering every protocol in the stack.
@@ -229,6 +318,23 @@ pub enum Body {
         /// The signed entry.
         entry: Entry,
     },
+    /// Atomic channel: asks a holder for the entry that a proposal names
+    /// by `(signer, digest)` and the requester lacks.
+    AcFetch {
+        /// Channel round number.
+        round: u64,
+        /// Signer of the wanted entry.
+        signer: PartyId,
+        /// Digest of the wanted entry's payload vector.
+        digest: [u8; 32],
+    },
+    /// Atomic channel: a holder's answer to an [`Body::AcFetch`].
+    AcFetched {
+        /// Channel round number.
+        round: u64,
+        /// The entry asked for, under its signer's signature.
+        entry: Entry,
+    },
     /// Secure causal atomic channel: a decryption share for an ordered
     /// ciphertext.
     ScShare {
@@ -291,6 +397,8 @@ impl Body {
             Body::BaDecide { .. } => "ba-decide",
             Body::VbaVote { .. } => "vba-vote",
             Body::AcEntry { .. } => "ac-entry",
+            Body::AcFetch { .. } => "ac-fetch",
+            Body::AcFetched { .. } => "ac-fetched",
             Body::ScShare { .. } => "sc-share",
             Body::OptSubmit { .. } => "opt-submit",
             Body::OptAck { .. } => "opt-ack",
@@ -309,7 +417,7 @@ impl Body {
             | Body::BaCoinShare { .. }
             | Body::BaDecide { .. } => "abba",
             Body::VbaVote { .. } => "vba",
-            Body::AcEntry { .. } => "atomic",
+            Body::AcEntry { .. } | Body::AcFetch { .. } | Body::AcFetched { .. } => "atomic",
             Body::ScShare { .. } => "secure",
             Body::OptSubmit { .. }
             | Body::OptAck { .. }
@@ -380,14 +488,11 @@ pub fn coin_name(pid: &ProtocolId, round: u32) -> Vec<u8> {
     statement("ba-coin", pid, &[&round.to_be_bytes()])
 }
 
-/// Statement signed over an atomic-channel entry `(pid, round, payloads)`.
-pub fn statement_entry(pid: &ProtocolId, round: u64, payloads: &[Payload]) -> Vec<u8> {
-    let mut encoded = Vec::new();
-    put_len(&mut encoded, payloads.len());
-    for payload in payloads {
-        payload.encode(&mut encoded);
-    }
-    statement("ac-entry", pid, &[&round.to_be_bytes(), &encoded])
+/// Statement signed over an atomic-channel entry: `(pid, round, digest)`
+/// with `digest` the SHA-256 of the encoded payload vector
+/// ([`Entry::digest`]).
+pub fn statement_entry(pid: &ProtocolId, round: u64, digest: &[u8; 32]) -> Vec<u8> {
+    statement("ac-entry", pid, &[&round.to_be_bytes(), digest])
 }
 
 /// Statement signed by an optimistic-channel acknowledgement.
@@ -434,6 +539,8 @@ const TAG_OPT_SUBMIT: u8 = 13;
 const TAG_OPT_ACK: u8 = 14;
 const TAG_OPT_COMPLAIN: u8 = 15;
 const TAG_OPT_STATE: u8 = 16;
+const TAG_AC_FETCH: u8 = 17;
+const TAG_AC_FETCHED: u8 = 18;
 
 const TAG_PREVOTE_INITIAL: u8 = 0;
 const TAG_PREVOTE_HARD: u8 = 1;
@@ -589,6 +696,7 @@ impl Wire for Entry {
         self.sig.encode(buf);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let vector = r.rest();
         let len = r.u32()? as usize;
         if len > MAX_ENTRY_PAYLOADS {
             return Err(WireError::LengthOverflow);
@@ -597,15 +705,34 @@ impl Wire for Entry {
         for _ in 0..len {
             payloads.push(Payload::decode(r)?);
         }
+        // The digest is taken over the bytes as received: what the signer
+        // encoded, with no second encoding on this side.
+        let digest = Sha256::digest(&vector[..vector.len() - r.remaining()]);
         let entry = Entry {
             payloads,
             signer: PartyId::decode(r)?,
             sig: RsaSignature::decode(r)?,
+            digest,
         };
         if !entry.well_formed() {
             return Err(WireError::MalformedEntry);
         }
         Ok(entry)
+    }
+}
+
+impl Wire for EntryRef {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.signer.encode(buf);
+        self.digest.encode(buf);
+        self.sig.encode(buf);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(EntryRef {
+            signer: PartyId::decode(r)?,
+            digest: <[u8; 32]>::decode(r)?,
+            sig: RsaSignature::decode(r)?,
+        })
     }
 }
 
@@ -697,6 +824,21 @@ impl Wire for Body {
                 round.encode(buf);
                 entry.encode(buf);
             }
+            Body::AcFetch {
+                round,
+                signer,
+                digest,
+            } => {
+                buf.push(TAG_AC_FETCH);
+                round.encode(buf);
+                signer.encode(buf);
+                digest.encode(buf);
+            }
+            Body::AcFetched { round, entry } => {
+                buf.push(TAG_AC_FETCHED);
+                round.encode(buf);
+                entry.encode(buf);
+            }
             Body::ScShare { origin, seq, share } => {
                 buf.push(TAG_SC_SHARE);
                 origin.encode(buf);
@@ -773,6 +915,15 @@ impl Wire for Body {
                 closing: Option::<Vec<u8>>::decode(r)?,
             },
             TAG_AC_ENTRY => Body::AcEntry {
+                round: r.u64()?,
+                entry: Entry::decode(r)?,
+            },
+            TAG_AC_FETCH => Body::AcFetch {
+                round: r.u64()?,
+                signer: PartyId::decode(r)?,
+                digest: <[u8; 32]>::decode(r)?,
+            },
+            TAG_AC_FETCHED => Body::AcFetched {
                 round: r.u64()?,
                 entry: Entry::decode(r)?,
             },
@@ -856,17 +1007,47 @@ mod tests {
             yes: true,
             closing: Some(b"closing".to_vec()),
         });
-        roundtrip(Body::AcEntry {
+        let entry = Entry::new(
+            vec![
+                payload(1, 42, PayloadKind::App, vec![1, 2, 3]),
+                payload(1, 43, PayloadKind::Close, vec![]),
+            ],
+            PartyId(3),
+            RsaSignature(sintra_bigint::Ubig::from(5u64)),
+        );
+        roundtrip(Body::AcFetch {
             round: 12,
-            entry: Entry {
-                payloads: vec![
-                    payload(1, 42, PayloadKind::App, vec![1, 2, 3]),
-                    payload(1, 43, PayloadKind::Close, vec![]),
-                ],
-                signer: PartyId(3),
-                sig: RsaSignature(sintra_bigint::Ubig::from(5u64)),
-            },
+            signer: entry.signer(),
+            digest: *entry.digest(),
         });
+        roundtrip(Body::AcFetched {
+            round: 12,
+            entry: entry.clone(),
+        });
+        roundtrip(Body::AcEntry { round: 12, entry });
+    }
+
+    #[test]
+    fn entry_digest_is_of_the_bytes_on_the_wire() {
+        let entry = entry_of(vec![
+            payload(2, 7, PayloadKind::App, vec![9; 40]),
+            payload(0, 0, PayloadKind::Close, vec![]),
+        ]);
+        let bytes = entry.to_bytes();
+        // Everything before the signer and signature is the payload vector.
+        let mut tail = Vec::new();
+        entry.signer().encode(&mut tail);
+        entry.sig().encode(&mut tail);
+        let vector = &bytes[..bytes.len() - tail.len()];
+        assert_eq!(*entry.digest(), Sha256::digest(vector));
+        // Decoding computes the same digest (derived equality covers it).
+        assert_eq!(Entry::from_bytes(&bytes).unwrap(), entry);
+        assert_eq!(
+            Vec::<EntryRef>::from_bytes(&vec![entry.to_ref(); 3].to_bytes()).unwrap(),
+            vec![entry.to_ref(); 3]
+        );
+        let other = entry_of(vec![payload(2, 7, PayloadKind::App, vec![9; 41])]);
+        assert_ne!(entry.digest(), other.digest());
     }
 
     fn payload(origin: usize, seq: u64, kind: PayloadKind, data: Vec<u8>) -> Payload {
@@ -879,11 +1060,11 @@ mod tests {
     }
 
     fn entry_of(payloads: Vec<Payload>) -> Entry {
-        Entry {
+        Entry::new(
             payloads,
-            signer: PartyId(0),
-            sig: RsaSignature(sintra_bigint::Ubig::from(5u64)),
-        }
+            PartyId(0),
+            RsaSignature(sintra_bigint::Ubig::from(5u64)),
+        )
     }
 
     #[test]
@@ -982,10 +1163,10 @@ mod tests {
     #[test]
     fn entry_statement_binds_round() {
         let pid = ProtocolId::new("ch");
-        let payloads = [payload(0, 1, PayloadKind::App, b"d".to_vec())];
+        let entry = entry_of(vec![payload(0, 1, PayloadKind::App, b"d".to_vec())]);
         assert_ne!(
-            statement_entry(&pid, 1, &payloads),
-            statement_entry(&pid, 2, &payloads)
+            statement_entry(&pid, 1, entry.digest()),
+            statement_entry(&pid, 2, entry.digest())
         );
     }
 
@@ -994,17 +1175,11 @@ mod tests {
         let pid = ProtocolId::new("ch");
         let c1 = payload(2, 1, PayloadKind::App, b"c1".to_vec());
         let c2 = payload(2, 2, PayloadKind::App, b"c2".to_vec());
-        let full = statement_entry(&pid, 1, &[c1.clone(), c2.clone()]);
-        assert_ne!(
-            full,
-            statement_entry(&pid, 1, std::slice::from_ref(&c2)),
-            "suffix"
-        );
-        assert_ne!(
-            full,
-            statement_entry(&pid, 1, std::slice::from_ref(&c1)),
-            "prefix"
-        );
-        assert_ne!(full, statement_entry(&pid, 1, &[c2, c1]), "order");
+        let statement =
+            |payloads: Vec<Payload>| statement_entry(&pid, 1, entry_of(payloads).digest());
+        let full = statement(vec![c1.clone(), c2.clone()]);
+        assert_ne!(full, statement(vec![c2.clone()]), "suffix");
+        assert_ne!(full, statement(vec![c1.clone()]), "prefix");
+        assert_ne!(full, statement(vec![c2, c1]), "order");
     }
 }

@@ -18,7 +18,7 @@ use sintra_telemetry::{root_scope, NoopRecorder, Recorder, StateSnapshot, CRYPTO
 use crate::agreement::{BinaryAgreement, CandidateOrder, MultiValuedAgreement};
 use crate::broadcast::{ReliableBroadcast, VerifiableConsistentBroadcast};
 use crate::channel::{
-    AtomicChannel, AtomicChannelConfig, ConsistentChannel, OptimisticChannel,
+    AtomicChannel, AtomicChannelConfig, ConsistentChannel, FetchCounts, OptimisticChannel,
     OptimisticChannelConfig, ReliableChannel, SecureAtomicChannel,
 };
 use crate::config::GroupContext;
@@ -53,6 +53,24 @@ impl fmt::Debug for RecorderSlot {
         f.debug_struct("Recorder")
             .field("enabled", &self.0.enabled())
             .finish()
+    }
+}
+
+/// Adds an atomic channel's hold-backs and `ac-fetch` traffic to its
+/// scope's counters (`proposals_parked`, `fetch_sent`, `fetch_served`,
+/// `fetch_ignored`; all stay absent on a run in which every entry arrived
+/// before the proposals naming it).
+fn record_fetches(recorder: &Arc<dyn Recorder>, pid: &ProtocolId, counts: FetchCounts) {
+    let scope = root_scope(pid.as_str());
+    for (name, count) in [
+        ("proposals_parked", counts.parked),
+        ("fetch_sent", counts.sent),
+        ("fetch_served", counts.served),
+        ("fetch_ignored", counts.ignored),
+    ] {
+        if count > 0 {
+            recorder.counter_add(scope, name, count);
+        }
     }
 }
 
@@ -478,6 +496,7 @@ impl Node {
                     if c.take_closed() {
                         self.events.push(Event::ChannelClosed { pid: pid.clone() });
                     }
+                    record_fetches(&self.recorder.0, pid, c.take_fetch_counts());
                 }
                 Instance::Secure(c) => {
                     while let Some((origin, seq, ciphertext)) = c.take_ordered_ciphertext() {
@@ -497,6 +516,7 @@ impl Node {
                     if c.take_closed() {
                         self.events.push(Event::ChannelClosed { pid: pid.clone() });
                     }
+                    record_fetches(&self.recorder.0, pid, c.take_fetch_counts());
                 }
                 Instance::Optimistic(c) => {
                     while let Some(payload) = c.take_delivery() {

@@ -306,19 +306,22 @@ impl PreVerifier {
                     PreVerified::invalid("cb-final signature")
                 }
             }
-            Body::AcEntry { round, entry } => {
-                if entry.signer != from {
+            Body::AcEntry { round, entry } | Body::AcFetched { round, entry } => {
+                // A broadcast entry comes from its signer; a fetched one
+                // from any holder, under the signer's signature all the
+                // same (whether it was asked for is the handler's call).
+                if matches!(envelope.body, Body::AcEntry { .. }) && entry.signer() != from {
                     return PreVerified::invalid("entry signer");
                 }
                 if !entry.well_formed() {
                     return PreVerified::invalid("entry payload vector");
                 }
-                let statement = statement_entry(pid, *round, &entry.payloads);
-                let Some(key) = common.sig_publics.get(from.0) else {
+                let statement = statement_entry(pid, *round, entry.digest());
+                let Some(key) = common.sig_publics.get(entry.signer().0) else {
                     return PreVerified::invalid("entry signer key");
                 };
-                if key.verify(&statement, &entry.sig) {
-                    PreVerified::valid(rsa_token(&statement, &entry.sig))
+                if key.verify(&statement, entry.sig()) {
+                    PreVerified::valid(rsa_token(&statement, entry.sig()))
                 } else {
                     PreVerified::invalid("entry signature")
                 }
@@ -506,21 +509,39 @@ mod tests {
             kind: PayloadKind::App,
             data: b"x".to_vec(),
         };
-        let payloads = vec![payload];
-        let statement = statement_entry(&pid, 0, &payloads);
-        let sig = ctxs[1].keys().sig_key.sign(&statement);
-        let entry = Entry {
-            payloads,
-            signer: PartyId(1),
-            sig: sig.clone(),
-        };
+        let entry = Entry::sign(&pid, 0, vec![payload], PartyId(1), &ctxs[1].keys().sig_key);
+        let statement = statement_entry(&pid, 0, entry.digest());
+        let sig = entry.sig().clone();
         let verifier = PreVerifier::new(ctxs[0].clone());
         let result = verifier.pre_verify(
             PartyId(1),
-            &envelope(&pid, Body::AcEntry { round: 0, entry }),
+            &envelope(
+                &pid,
+                Body::AcEntry {
+                    round: 0,
+                    entry: entry.clone(),
+                },
+            ),
         );
         assert_eq!(result.verdict, PreVerdict::Valid);
         let token = result.token.unwrap();
+        // A holder's fetch reply carries the same entry under the same
+        // signature, whoever sends it; relayed as a broadcast it is not
+        // the sender's to send.
+        let fetched = envelope(
+            &pid,
+            Body::AcFetched {
+                round: 0,
+                entry: entry.clone(),
+            },
+        );
+        let relayed = verifier.pre_verify(PartyId(3), &fetched);
+        assert_eq!(relayed.token, Some(token));
+        let stolen = verifier.pre_verify(
+            PartyId(3),
+            &envelope(&pid, Body::AcEntry { round: 0, entry }),
+        );
+        assert!(matches!(stolen.verdict, PreVerdict::Invalid(_)));
         ctxs[0].note_preverified([token]);
         assert_eq!(ctxs[0].preverified_len(), 1);
         // First consult hits the cache; the second falls back to a real

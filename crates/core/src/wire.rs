@@ -84,6 +84,13 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    /// The bytes not yet consumed, without consuming them: a decoder that
+    /// hashes what it reads takes this first and cuts it at what
+    /// [`Reader::remaining`] says afterwards.
+    pub fn rest(&self) -> &'a [u8] {
+        self.data
+    }
+
     /// Takes every byte not yet consumed (cannot fail).
     pub fn take_rest(&mut self) -> &'a [u8] {
         let rest = self.data;
@@ -197,7 +204,7 @@ impl Wire for u64 {
 /// `Wire` impls and diffs it against the committed golden; any schema
 /// change must bump this constant in the same commit, making wire breaks
 /// an explicit, reviewable event rather than a silent drift.
-pub const WIRE_FORMAT_VERSION: u32 = 2;
+pub const WIRE_FORMAT_VERSION: u32 = 3;
 
 /// Wire discriminants. Explicit and append-only: renumbering or reusing
 /// a tag byte is a wire-format break (`sintra-lint`'s `wire-stability`
@@ -315,6 +322,7 @@ impl Wire for [u8; 32] {
 
 // --- crypto types ---------------------------------------------------------
 
+use crate::message::EntryRef;
 use sintra_crypto::coin::CoinShare;
 use sintra_crypto::dleq::DleqProof;
 use sintra_crypto::rsa::RsaSignature;
@@ -404,7 +412,7 @@ impl Wire for SigShare {
     }
 }
 
-impl_wire_vec!(CoinShare, SigShare, DecryptionShare, Ubig);
+impl_wire_vec!(CoinShare, SigShare, DecryptionShare, Ubig, EntryRef);
 
 impl Wire for ThresholdSignature {
     fn encode(&self, buf: &mut Vec<u8>) {

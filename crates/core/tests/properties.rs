@@ -11,8 +11,8 @@ use std::sync::Arc;
 use sintra_core::agreement::{BinaryAgreement, CandidateOrder, MultiValuedAgreement};
 use sintra_core::channel::{AtomicChannel, AtomicChannelConfig};
 use sintra_core::message::{
-    payload_digest, statement_cb, statement_entry, statement_pre_vote, Body, Envelope, Payload,
-    PayloadKind,
+    payload_digest, statement_cb, statement_entry, statement_pre_vote, Body, Entry, EntryRef,
+    Envelope, Payload, PayloadKind,
 };
 use sintra_core::validator::ArrayValidator;
 use sintra_core::wire::Wire;
@@ -49,12 +49,12 @@ fn body_strategy() -> impl Strategy<Value = Body> {
             any::<u32>(),
             any::<u64>(),
             bytes,
-            any::<bool>()
+            any::<bool>(),
+            0u8..3
         )
-            .prop_map(|(round, origin, seq, data, close)| Body::AcEntry {
-                round,
-                entry: sintra_core::message::Entry {
-                    payloads: vec![Payload {
+            .prop_map(|(round, origin, seq, data, close, shape)| {
+                let entry = Entry::new(
+                    vec![Payload {
                         origin: PartyId(origin as usize),
                         seq,
                         kind: if close {
@@ -64,9 +64,18 @@ fn body_strategy() -> impl Strategy<Value = Body> {
                         },
                         data,
                     }],
-                    signer: PartyId(origin as usize),
-                    sig: RsaSignature(sintra_bigint::Ubig::from(seq)),
-                },
+                    PartyId(origin as usize),
+                    RsaSignature(sintra_bigint::Ubig::from(seq)),
+                );
+                match shape {
+                    0 => Body::AcEntry { round, entry },
+                    1 => Body::AcFetched { round, entry },
+                    _ => Body::AcFetch {
+                        round,
+                        signer: entry.signer(),
+                        digest: *entry.digest(),
+                    },
+                }
             }),
     ]
 }
@@ -91,6 +100,8 @@ proptest! {
         let _ = Envelope::from_bytes(&data);
         let _ = Body::from_bytes(&data);
         let _ = Payload::from_bytes(&data);
+        let _ = Entry::from_bytes(&data);
+        let _ = Vec::<EntryRef>::from_bytes(&data);
     }
 
     #[test]
@@ -140,15 +151,22 @@ proptest! {
     ) {
         prop_assume!(seq_a != seq_b);
         let pid = ProtocolId::new("ch");
-        let mk = |seq| Payload {
-            origin: PartyId(0),
-            seq,
-            kind: PayloadKind::App,
-            data: data.clone(),
+        let digest = |seq| {
+            let payload = Payload {
+                origin: PartyId(0),
+                seq,
+                kind: PayloadKind::App,
+                data: data.clone(),
+            };
+            *Entry::new(vec![payload], PartyId(0), RsaSignature(0u64.into())).digest()
         };
         prop_assert_ne!(
-            statement_entry(&pid, round, &[mk(seq_a)]),
-            statement_entry(&pid, round, &[mk(seq_b)])
+            statement_entry(&pid, round, &digest(seq_a)),
+            statement_entry(&pid, round, &digest(seq_b))
+        );
+        prop_assert_ne!(
+            statement_entry(&pid, round, &digest(seq_a)),
+            statement_entry(&pid, round.wrapping_add(1), &digest(seq_a))
         );
     }
 
@@ -287,13 +305,26 @@ fn mvba_safe_under_shuffled_schedule() {
     assert!(proposals.contains(&decisions[0]));
 }
 
+/// The `index`-th request of `party`, `len` bytes long (or as long as its
+/// label, if that is longer).
+fn request(party: usize, index: u64, len: usize) -> Vec<u8> {
+    let mut data = format!("{party}:{index}").into_bytes();
+    data.resize(len.max(data.len()), b'.');
+    data
+}
+
 /// Runs an atomic channel group in which party `p` issues `bursts[p]`
-/// back-to-back send bursts at random points of a randomly scheduled
-/// run, and returns every party's delivered `(origin, seq, data)` log.
+/// back-to-back send bursts of `len`-byte requests at random points of a
+/// randomly scheduled run, and returns every party's delivered
+/// `(origin, seq, data)` log. With `proposals_first` the scheduler
+/// delivers a pending `cb-send` before anything else, so proposals
+/// overtake the entries they name whenever they can.
 fn run_atomic_with_schedule(
     n: usize,
     fairness: usize,
     bursts: &[Vec<usize>],
+    len: usize,
+    proposals_first: bool,
     seed: u64,
 ) -> Vec<Vec<(usize, u64, Vec<u8>)>> {
     enum Action {
@@ -320,7 +351,18 @@ fn run_atomic_with_schedule(
     while !pool.is_empty() {
         steps += 1;
         assert!(steps < 5_000_000, "no quiescence under schedule {seed}");
-        let idx = rng.gen_range(0..pool.len());
+        let proposals: Vec<usize> = pool
+            .iter()
+            .enumerate()
+            .filter(|(_, action)| {
+                proposals_first && matches!(action, Action::Deliver(.., Body::CbSend(_)))
+            })
+            .map(|(idx, _)| idx)
+            .collect();
+        let idx = match proposals.as_slice() {
+            [] => rng.gen_range(0..pool.len()),
+            some => some[rng.gen_range(0..some.len())],
+        };
         let mut out = Outgoing::new();
         let at = match pool.swap_remove(idx) {
             Action::Deliver(from, to, mpid, body) => {
@@ -329,8 +371,7 @@ fn run_atomic_with_schedule(
             }
             Action::Burst(party, size) => {
                 for _ in 0..size {
-                    let data = format!("{party}:{}", sent[party]).into_bytes();
-                    chans[party].send(data, &mut out);
+                    chans[party].send(request(party, sent[party], len), &mut out);
                     sent[party] += 1;
                 }
                 party
@@ -362,12 +403,14 @@ fn run_atomic_with_schedule(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn atomic_channel_orders_random_bursts(
         big in any::<bool>(),
         wide_batch in any::<bool>(),
+        bulk in any::<bool>(),
+        proposals_first in any::<bool>(),
         bursts in prop::collection::vec(prop::collection::vec(1usize..6, 0..3), 7..=7),
         seed in any::<u64>(),
     ) {
@@ -375,7 +418,9 @@ proptest! {
         // f = t + 1 (batch n - t) or f = n - t (batch t + 1, the paper's).
         let fairness = if wide_batch { t + 1 } else { n - t };
         let bursts = &bursts[..n];
-        let logs = run_atomic_with_schedule(n, fairness, bursts, seed);
+        // 16 KiB requests: a burst of five overflows an entry's byte budget.
+        let len = if bulk { 16 * 1024 } else { 0 };
+        let logs = run_atomic_with_schedule(n, fairness, bursts, len, proposals_first, seed);
         // Agreement and total order.
         for (p, log) in logs.iter().enumerate().skip(1) {
             prop_assert_eq!(log, &logs[0], "party {} disagrees", p);
@@ -388,9 +433,8 @@ proptest! {
                 .map(|(_, seq, data)| (*seq, data.clone()))
                 .collect();
             let sent = sizes.iter().sum::<usize>() as u64;
-            let expected: Vec<(u64, Vec<u8>)> = (0..sent)
-                .map(|s| (s, format!("{origin}:{s}").into_bytes()))
-                .collect();
+            let expected: Vec<(u64, Vec<u8>)> =
+                (0..sent).map(|s| (s, request(origin, s, len))).collect();
             prop_assert_eq!(got, expected, "origin {}", origin);
         }
     }

@@ -139,6 +139,18 @@ pub const OBLIGATIONS: &[Obligation] = &[
         preverify: true,
     },
     Obligation {
+        variant: "AcFetch",
+        discharge: Discharge::Exempt(
+            "unsigned request for an entry by (round, signer, digest): answered only from entries already held and verified, one reply per requester and entry, rounds bounded by FETCH_RETAIN_ROUNDS",
+        ),
+        preverify: false,
+    },
+    Obligation {
+        variant: "AcFetched",
+        discharge: Discharge::Strict(&["verify_party_sig_cached"]),
+        preverify: true,
+    },
+    Obligation {
         variant: "ScShare",
         discharge: Discharge::Deferred {
             verifiers: &["verify_share", "verify_shares"],

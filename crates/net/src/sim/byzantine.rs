@@ -10,8 +10,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use sintra_core::message::{
-    statement_entry, Body, Entry, Envelope, Payload, PayloadKind, MAX_ENTRY_BYTES,
-    MAX_ENTRY_PAYLOADS,
+    Body, Entry, Envelope, Payload, PayloadKind, MAX_ENTRY_BYTES, MAX_ENTRY_PAYLOADS,
 };
 use sintra_core::{PartyId, ProtocolId, Recipient};
 use sintra_crypto::dealer::PartyKeys;
@@ -212,16 +211,17 @@ impl ByzantineActor for EntryRelay {
         if from.0 == self.keys.index || self.answered.contains(round) {
             return Vec::new();
         }
-        let Some(payloads) = self.mangled(&entry.payloads) else {
+        let Some(payloads) = self.mangled(entry.payloads()) else {
             return Vec::new();
         };
         self.answered.insert(*round);
-        let statement = statement_entry(&env.pid, *round, &payloads);
-        let entry = Entry {
+        let entry = Entry::sign(
+            &env.pid,
+            *round,
             payloads,
-            signer: PartyId(self.keys.index),
-            sig: self.keys.sig_key.sign(&statement),
-        };
+            PartyId(self.keys.index),
+            &self.keys.sig_key,
+        );
         let body = Body::AcEntry {
             round: *round,
             entry,
@@ -234,6 +234,79 @@ impl ByzantineActor for EntryRelay {
                 body,
             },
         )]
+    }
+}
+
+/// An atomic-channel member that shows its entries to a quorum only: in
+/// every round it signs payloads of its own and sends the entry to
+/// `⌈(n+t+1)/2⌉` parties — itself and the lowest-numbered others — and
+/// never to the rest. It takes no other part in the protocol and answers
+/// no fetch, so the parties left out must pull the payload from the
+/// honest parties that hold it: from a proposer before they echo, from
+/// anybody once a batch naming it is decided.
+#[derive(Debug)]
+pub struct EntryWithhold {
+    keys: Arc<PartyKeys>,
+    answered: BTreeSet<u64>,
+}
+
+impl EntryWithhold {
+    /// A withholder signing with `keys` (the replaced party's own).
+    pub fn new(keys: Arc<PartyKeys>) -> Self {
+        EntryWithhold {
+            keys,
+            answered: BTreeSet::new(),
+        }
+    }
+}
+
+impl ByzantineActor for EntryWithhold {
+    fn on_message(
+        &mut self,
+        _from: PartyId,
+        env: &Envelope,
+        _clock: VirtualTime,
+    ) -> Vec<(Recipient, Envelope)> {
+        let Body::AcEntry { round, .. } = &env.body else {
+            return Vec::new();
+        };
+        if !self.answered.insert(*round) {
+            return Vec::new();
+        }
+        let me = self.keys.index;
+        // The consistent-broadcast echo quorum, itself counted in.
+        let others = self.keys.common.thsig_broadcast.threshold() - 1;
+        // Eight more of its own payloads every round, behind all the
+        // earlier ones: whatever part of them has been delivered by now,
+        // the rest makes this the entry a proposer gains most from.
+        let count = (8 * self.answered.len()).min(MAX_ENTRY_PAYLOADS);
+        let own = (0..count as u64)
+            .map(|seq| Payload {
+                origin: PartyId(me),
+                seq,
+                kind: PayloadKind::App,
+                data: format!("withheld-{seq}").into_bytes(),
+            })
+            .collect();
+        let entry = Entry::sign(&env.pid, *round, own, PartyId(me), &self.keys.sig_key);
+        (0..self.keys.n())
+            .filter(|p| *p != me)
+            .take(others)
+            .map(|p| {
+                let body = Body::AcEntry {
+                    round: *round,
+                    entry: entry.clone(),
+                };
+                (
+                    Recipient::One(PartyId(p)),
+                    Envelope {
+                        pid: env.pid.clone(),
+                        send_seq: 0,
+                        body,
+                    },
+                )
+            })
+            .collect()
     }
 }
 
@@ -288,6 +361,7 @@ mod tests {
     #[test]
     fn entry_relay_signs_what_it_mangles() {
         use rand::SeedableRng;
+        use sintra_core::message::statement_entry;
         use sintra_crypto::dealer::{deal, DealerConfig};
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let keys: Vec<Arc<PartyKeys>> = deal(&DealerConfig::small(4, 1), &mut rng)
@@ -307,13 +381,7 @@ mod tests {
             send_seq: 0,
             body: Body::AcEntry {
                 round,
-                entry: Entry {
-                    sig: keys[2]
-                        .sig_key
-                        .sign(&statement_entry(&pid, round, &payloads)),
-                    payloads,
-                    signer: PartyId(2),
-                },
+                entry: Entry::sign(&pid, round, payloads, PartyId(2), &keys[2].sig_key),
             },
         };
         let mut relay = EntryRelay::new(keys[0].clone(), Mangle::Suffix);
@@ -325,10 +393,11 @@ mod tests {
         let Body::AcEntry { round: 1, entry } = &out[0].1.body else {
             panic!("expected a round-1 entry");
         };
-        assert_eq!(entry.payloads, vec![payload(2)]);
-        assert_eq!(entry.signer, PartyId(0));
-        let statement = statement_entry(&pid, 1, &entry.payloads);
-        assert!(keys[0].common.sig_publics[0].verify(&statement, &entry.sig));
+        assert_eq!(entry.payloads(), [payload(2)]);
+        assert_eq!(entry.signer(), PartyId(0));
+        // It signs what honest parties check: the digest of its vector.
+        let statement = statement_entry(&pid, 1, entry.digest());
+        assert!(keys[0].common.sig_publics[0].verify(&statement, entry.sig()));
         // One entry per round, like an honest party.
         assert!(relay
             .on_message(PartyId(3), &honest(1, vec![payload(1), payload(2)]), 0)
@@ -346,5 +415,17 @@ mod tests {
             };
             assert!(!entry.well_formed(), "{mangle:?}");
         }
+        // The withholder: one entry a round, to a quorum of the others.
+        let mut withhold = EntryWithhold::new(keys[3].clone());
+        let out = withhold.on_message(PartyId(2), &honest(0, vec![payload(0)]), 0);
+        let to: Vec<Recipient> = out.iter().map(|(to, _)| *to).collect();
+        assert_eq!(
+            to,
+            [0, 1].map(|p| Recipient::One(PartyId(p))),
+            "itself and two others: the quorum of 3 at n = 4"
+        );
+        assert!(withhold
+            .on_message(PartyId(1), &honest(0, vec![payload(0)]), 0)
+            .is_empty());
     }
 }

@@ -152,17 +152,19 @@ fn queue_bound_backpressure_recovers_after_acks() {
     tx.seal_data(&[100]).expect("queue drained");
 }
 
-/// The largest messages the atomic channel can produce at n = 7: a
-/// proposal of `n - t = 5` entries, each with the most payloads and the
-/// full byte budget, carried once in a consistent-broadcast final and —
-/// the worst case — three times in an abstaining main-vote (both
-/// justifications' proofs plus the vote's own). Each must encode, seal,
-/// open and decode, far below the frame bound.
+/// The largest messages the atomic channel can produce. Payload bytes
+/// travel in `ac-entry` and in the `ac-fetched` reply that stands in for
+/// it: an entry with the most payloads and the full byte budget, or a
+/// lone payload of any size (1 MiB here). A proposal only names entries,
+/// so even the widest one (`n - t = 5` references at n = 7) carried three
+/// times in an abstaining main-vote — both justifications' proofs plus
+/// the vote's own — stays a few kilobytes. Each must encode, seal, open
+/// and decode.
 #[test]
 fn worst_case_proposal_crosses_the_link() {
     use sintra_bigint::Ubig;
     use sintra_core::message::{
-        Body, Entry, Envelope, MainVote, MainVoteJust, Payload, PayloadKind, PreVoteJust,
+        Body, Entry, EntryRef, Envelope, MainVote, MainVoteJust, Payload, PayloadKind, PreVoteJust,
         MAX_ENTRY_BYTES, MAX_ENTRY_PAYLOADS,
     };
     use sintra_core::wire::Wire;
@@ -173,34 +175,26 @@ fn worst_case_proposal_crosses_the_link() {
 
     let (n, t) = (7usize, 2usize);
     let sig = || RsaSignature(Ubig::from_be_bytes(&[0xFF; 128])); // 1024 bits
-    let each = MAX_ENTRY_BYTES / MAX_ENTRY_PAYLOADS;
-    let entries: Vec<Entry> = (0..n - t)
-        .map(|signer| Entry {
-            payloads: (0..MAX_ENTRY_PAYLOADS as u64)
-                .map(|seq| Payload {
-                    origin: PartyId(signer),
-                    seq: u64::MAX - seq,
-                    kind: PayloadKind::App,
-                    data: vec![signer as u8; each],
-                })
-                .collect(),
-            signer: PartyId(signer),
-            sig: sig(),
-        })
-        .collect();
-    assert!(entries.iter().all(Entry::well_formed));
-    // The channel's batch container: a count, then the entries.
-    let mut proposal = (entries.len() as u32).to_be_bytes().to_vec();
-    for entry in &entries {
-        entry.encode(&mut proposal);
-    }
-    assert!(proposal.len() > (n - t) * MAX_ENTRY_BYTES);
-
-    let quorum_sig = || ThresholdSignature::Multi((0..n - t).map(|i| (i, sig())).collect());
-    let carried_once = Body::CbFinal {
-        payload: proposal.clone(),
-        sig: quorum_sig(),
+    let entry = |signer: usize, count: usize, each: usize| {
+        let payloads = (0..count as u64)
+            .map(|seq| Payload {
+                origin: PartyId(signer),
+                seq: u64::MAX - seq,
+                kind: PayloadKind::App,
+                data: vec![signer as u8; each],
+            })
+            .collect();
+        Entry::new(payloads, PartyId(signer), sig())
     };
+    let full = entry(6, MAX_ENTRY_PAYLOADS, MAX_ENTRY_BYTES / MAX_ENTRY_PAYLOADS);
+    let lone_giant = entry(6, 1, 1 << 20);
+    assert!(full.well_formed() && lone_giant.well_formed());
+
+    let proposal = (0..n - t)
+        .map(|signer| entry(signer, 1, 1).to_ref())
+        .collect::<Vec<EntryRef>>()
+        .to_bytes();
+    let quorum_sig = || ThresholdSignature::Multi((0..n - t).map(|i| (i, sig())).collect());
     let carried_thrice = Body::BaMainVote {
         round: 2,
         vote: MainVote::Abstain,
@@ -216,8 +210,22 @@ fn worst_case_proposal_crosses_the_link() {
         },
         proof: Some(proposal),
     };
+    let round = u64::MAX;
     let (mut tx, mut rx) = link_pair(16);
-    for body in [carried_once, carried_thrice] {
+    for (body, at_most) in [
+        (
+            Body::AcEntry { round, entry: full },
+            MAX_ENTRY_BYTES + 8 * 1024,
+        ),
+        (
+            Body::AcFetched {
+                round,
+                entry: lone_giant,
+            },
+            MAX_FRAME_LEN / 8,
+        ),
+        (carried_thrice, 5 * 1024),
+    ] {
         let env = Envelope {
             pid: ProtocolId::new("channel/vba/18446744073709551615/ba/6"),
             send_seq: u64::MAX,
@@ -226,8 +234,9 @@ fn worst_case_proposal_crosses_the_link() {
         let bytes = env.to_bytes();
         let frame = tx.seal_data(&bytes).expect("fits a frame");
         assert!(
-            frame.len() < MAX_FRAME_LEN / 8,
-            "{} bytes is not far below the {MAX_FRAME_LEN}-byte frame bound",
+            frame.len() < at_most,
+            "{}: a frame of {} bytes, expected under {at_most}",
+            env.body.kind(),
             frame.len()
         );
         let Ok(LinkEvent::Deliver(opened)) = rx.on_frame(&frame) else {

@@ -102,19 +102,42 @@ pub fn waiting_on(instance: &JsonValue) -> Option<String> {
             }
             let queue = num(instance, "queue_depth");
             let round = num(instance, "round");
-            if queue == 0 && !flag(instance, "close_requested") && num(instance, "entries") == 0 {
+            let awaiting = instance
+                .get("awaiting_payloads")
+                .and_then(JsonValue::as_array)
+                .unwrap_or(&[]);
+            let parked = num(instance, "parked_proposals");
+            if queue == 0
+                && !flag(instance, "close_requested")
+                && num(instance, "entries") == 0
+                && awaiting.is_empty()
+                && parked == 0
+            {
                 return None;
             }
             let mut line = format!("round {round}: {queue} queued payload(s)");
             let entries = num(instance, "entries");
             let entry_quorum = num(instance, "entry_quorum");
-            if !flag(instance, "batch_proposed") && entry_quorum > 0 {
+            if flag(instance, "batch_decided") {
+                let _ = write!(line, ", batch decided");
+            } else if !flag(instance, "batch_proposed") && entry_quorum > 0 {
                 let _ = write!(
                     line,
                     ", waiting for round entries ({entries}/{entry_quorum})"
                 );
             } else if entries > 0 {
                 let _ = write!(line, ", {entries} entry broadcast(s) seen");
+            }
+            if parked > 0 {
+                let _ = write!(line, ", {parked} proposal(s) held back");
+            }
+            for entry in awaiting {
+                let _ = write!(
+                    line,
+                    ", waiting for payload of entry (signer {}, digest {}…)",
+                    num(entry, "signer"),
+                    text(entry, "digest"),
+                );
             }
             if let Some(vba) = instance.get("vba") {
                 if let Some(inner) = waiting_on(vba) {
@@ -293,6 +316,32 @@ mod tests {
         let line = waiting_on(&parse_json(&atomic).unwrap()).expect("stuck");
         assert!(line.contains("4 queued"), "{line}");
         assert!(line.contains("collecting-main-votes (1/3)"), "{line}");
+    }
+
+    #[test]
+    fn atomic_names_the_entry_whose_payload_it_lacks() {
+        let atomic = SnapshotWriter::new("ac", "atomic")
+            .num("round", 7)
+            .num("entries", 0)
+            .num("entry_quorum", 3)
+            .flag("batch_decided", true)
+            .num("parked_proposals", 1)
+            .raw(
+                "awaiting_payloads",
+                "[{\"signer\":2,\"digest\":\"0badc0de\"}]",
+            )
+            .finish();
+        let line = waiting_on(&parse_json(&atomic).unwrap()).expect("stuck");
+        assert!(line.contains("round 7"), "{line}");
+        assert!(
+            line.contains("batch decided, 1 proposal(s) held back"),
+            "{line}"
+        );
+        assert!(
+            line.contains("waiting for payload of entry (signer 2, digest 0badc0de…)"),
+            "{line}"
+        );
+        assert!(!line.contains("waiting for round entries"), "{line}");
     }
 
     #[test]

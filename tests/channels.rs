@@ -92,6 +92,55 @@ fn atomic_close_with_quorum_of_requests() {
     }
 }
 
+/// Ten waves of four concurrent `len`-byte requests, one per party, on a
+/// LAN simulation; returns the run's totals.
+fn atomic_waves(len: usize) -> sintra::telemetry::ProtocolRow {
+    use sintra::telemetry::{MetricsRegistry, Recorder, RunReport};
+    let pid = ProtocolId::new("at-bytes");
+    let mut sim = lan_sim(4, 1, 1250);
+    let registry = std::sync::Arc::new(MetricsRegistry::new());
+    sim.set_recorder(registry.clone() as std::sync::Arc<dyn Recorder>);
+    open_atomic(&mut sim, &pid);
+    for wave in 0..10u64 {
+        for p in 0..4usize {
+            let spid = pid.clone();
+            sim.schedule(wave * 2_000_000, p, move |node, out| {
+                let mut data = format!("w{wave}p{p}").into_bytes();
+                data.resize(len, b'.');
+                node.channel_send(&spid, data, out);
+            });
+        }
+    }
+    let end_us = sim.run();
+    for p in 0..4 {
+        assert_eq!(delivered_data(&sim, p, &pid).len(), 40, "party {p}");
+    }
+    RunReport::from_snapshot("at-bytes", 4, end_us, &registry.snapshot()).totals()
+}
+
+/// Payload bytes cross each link once: what the group puts on the wire
+/// per request is a small multiple of the request's size (each of the
+/// four entries of a round goes to four parties and two requests are
+/// ordered, so eight copies, plus the agreement's own few hundred bytes
+/// per message) — not the hundred copies it took when every proposal,
+/// final and vote carried the payloads again. And size changes nothing
+/// else: the same messages and rounds as with 64-byte requests.
+#[test]
+fn atomic_bytes_on_the_wire_follow_the_payload_once() {
+    let len = 16 * 1024;
+    let bulk = atomic_waves(len);
+    let per_request = bulk.bytes_sent / 40;
+    assert!(
+        per_request <= 12 * len as u64,
+        "{per_request} bytes on the wire per {len}-byte request"
+    );
+    let small = atomic_waves(64);
+    assert_eq!(bulk.msgs_sent, small.msgs_sent, "messages");
+    assert_eq!(bulk.rounds, small.rounds, "rounds");
+    assert_eq!(bulk.decided_rounds, small.decided_rounds, "decided rounds");
+    assert_eq!(bulk.extra, small.extra, "per-kind counts");
+}
+
 #[test]
 fn reliable_and_consistent_channels_fifo() {
     for kind in ["reliable", "consistent"] {

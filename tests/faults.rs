@@ -9,7 +9,9 @@ use std::time::Duration;
 
 use common::{delivered_data, group_keys, lan_sim, wan_sim};
 use sintra::protocols::channel::AtomicChannelConfig;
-use sintra::runtime::sim::byzantine::{ByzantineActor, EntryRelay, Mangle, Reflector, Silent};
+use sintra::runtime::sim::byzantine::{
+    ByzantineActor, EntryRelay, EntryWithhold, Mangle, Reflector, Silent,
+};
 use sintra::runtime::sim::{Fault, LinkDecision};
 use sintra::runtime::tcp::{TcpConfig, TcpGroup};
 use sintra::runtime::{ObservabilityConfig, PartyHandle};
@@ -163,16 +165,16 @@ impl ByzantineActor for EntryForger {
         (0..self.n)
             .map(|origin| {
                 // Forged signature bytes: must be rejected by everyone.
-                let entry = Entry {
-                    payloads: vec![Payload {
+                let entry = Entry::new(
+                    vec![Payload {
                         origin: PartyId(origin),
                         seq: 0,
                         kind: PayloadKind::App,
                         data: b"forged".to_vec(),
                     }],
-                    signer: PartyId(origin),
-                    sig: sintra::crypto::rsa::RsaSignature(Ubig::from(12345u64)),
-                };
+                    PartyId(origin),
+                    sintra::crypto::rsa::RsaSignature(Ubig::from(12345u64)),
+                );
                 (
                     Recipient::All,
                     Envelope {
@@ -268,6 +270,73 @@ fn mangled_entries_of_a_signing_member_break_nothing() {
                 "{mangle:?}: party {p} agrees"
             );
         }
+    }
+}
+
+/// The last party shows each of its (validly signed) entries to an echo
+/// quorum only and then plays dead. Proposals that name such an entry
+/// reach parties that never saw it; they pull it — from the proposer to
+/// echo, from everybody once it is decided — and every honest party
+/// delivers every honest request, in one order, whatever the withholder
+/// got in.
+#[test]
+fn entries_withheld_from_part_of_the_group_are_fetched() {
+    use sintra::telemetry::{MetricsRegistry, Recorder};
+    for (n, t, seed) in [(4usize, 1usize, 2360u64), (7, 2, 2361), (4, 1, 2362)] {
+        let pid = ProtocolId::new("f-withhold");
+        let byzantine = n - 1;
+        // Jitter on the third run: proposals overtake entries as well.
+        let mut sim = if seed == 2362 {
+            wan_sim(n, t, seed)
+        } else {
+            lan_sim(n, t, seed)
+        };
+        let registry = std::sync::Arc::new(MetricsRegistry::new());
+        sim.set_recorder(registry.clone() as std::sync::Arc<dyn Recorder>);
+        open_atomic(&mut sim, &pid, &[byzantine]);
+        let keys = group_keys(n, t, seed);
+        sim.set_byzantine(
+            byzantine,
+            Box::new(EntryWithhold::new(keys[byzantine].clone())),
+        );
+        let per_party = 4;
+        for p in 0..byzantine {
+            let spid = pid.clone();
+            sim.schedule(0, p, move |node, out| {
+                for k in 0..per_party {
+                    node.channel_send(&spid, format!("h{p}-{k}").into_bytes(), out);
+                }
+            });
+        }
+        sim.run();
+        let reference = common::delivered_payloads(&sim, 0, &pid);
+        for origin in 0..byzantine {
+            let seen: Vec<Vec<u8>> = reference
+                .iter()
+                .filter(|p| p.origin == PartyId(origin))
+                .map(|p| p.data.clone())
+                .collect();
+            let expected: Vec<Vec<u8>> = (0..per_party)
+                .map(|k| format!("h{origin}-{k}").into_bytes())
+                .collect();
+            assert_eq!(
+                seen, expected,
+                "n={n}: origin {origin} complete and in order"
+            );
+        }
+        for p in 1..byzantine {
+            assert_eq!(
+                common::delivered_payloads(&sim, p, &pid),
+                reference,
+                "n={n}: party {p} agrees"
+            );
+        }
+        let snapshot = registry.snapshot();
+        let served = snapshot.counter("f-withhold", "fetch_served");
+        assert!(
+            snapshot.counter("f-withhold", "fetch_sent") >= served && served > 0,
+            "n={n}: the parties left out pulled what they lacked ({served} served)"
+        );
     }
 }
 
