@@ -11,9 +11,9 @@
 //! `trace-smoke` job asserts streaming/off ≤ 1.10 from the committed
 //! `BENCH_trace.json`.
 //!
-//! Keys are 512-bit Shoup RSA (as in the pipeline bench) so the loop
-//! carries a realistic verification load; the trace cost must stay in
-//! the noise next to it, which is exactly the always-on claim.
+//! Keys are 512-bit Shoup RSA so the loop carries a realistic
+//! verification load; the trace cost must stay in the noise next to it,
+//! which is exactly the always-on claim.
 //!
 //! Run with: `cargo bench -p sintra-bench --bench trace_overhead`
 //! Environment: `SINTRA_BENCH_QUICK`, `SINTRA_BENCH_JSON` (see
@@ -53,9 +53,8 @@ fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// One throughput batch, same shape as the pipeline bench: every party
-/// sends `per_party` payloads on every channel and drains all
-/// deliveries.
+/// One throughput batch: every party sends `per_party` payloads on every
+/// channel and drains all deliveries.
 fn batch(handles: &mut [TcpHandle], channels: &[ProtocolId], per_party: usize) {
     let n = handles.len();
     std::thread::scope(|scope| {

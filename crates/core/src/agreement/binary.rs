@@ -360,7 +360,10 @@ impl BinaryAgreement {
         let statement = statement_pre_vote(&self.pid, round, value);
         if !self
             .ctx
-            .verify_share_cached(&self.ctx.keys().common.thsig_agreement, &statement, share)
+            .keys()
+            .common
+            .thsig_agreement
+            .verify_share(&statement, share)
         {
             return;
         }
@@ -424,7 +427,10 @@ impl BinaryAgreement {
         let statement = statement_main_vote(&self.pid, round, vote);
         if !self
             .ctx
-            .verify_share_cached(&self.ctx.keys().common.thsig_agreement, &statement, share)
+            .keys()
+            .common
+            .thsig_agreement
+            .verify_share(&statement, share)
         {
             return;
         }
@@ -469,29 +475,8 @@ impl BinaryAgreement {
             .into_values()
             .collect();
         let name = coin_name(&self.pid, round);
-        // Shares the verify stage already checked skip straight in; the
-        // rest go through one batched verification.
-        let mut unverified: Vec<CoinShare> = Vec::new();
-        for share in pending {
-            if self
-                .ctx
-                .consume_preverified(&crate::preverify::coin_token(&name, &share))
-            {
-                state.coin_shares.entry(share.index).or_insert(share);
-            } else {
-                unverified.push(share);
-            }
-        }
-        if unverified.is_empty() {
-            return;
-        }
-        let verdicts = self
-            .ctx
-            .keys()
-            .common
-            .coin
-            .verify_shares(&name, &unverified);
-        for (share, valid) in unverified.into_iter().zip(verdicts) {
+        let verdicts = self.ctx.keys().common.coin.verify_shares(&name, &pending);
+        for (share, valid) in pending.into_iter().zip(verdicts) {
             if valid {
                 state.coin_shares.entry(share.index).or_insert(share);
             }
@@ -510,11 +495,7 @@ impl BinaryAgreement {
             return;
         }
         let statement = statement_main_vote(&self.pid, round, MainVote::Value(value));
-        if !self.ctx.verify_threshold_cached(
-            &self.ctx.keys().common.thsig_agreement,
-            &statement,
-            sig,
-        ) {
+        if !self.ctx.verify_agreement_sig(&statement, sig) {
             return;
         }
         self.note_proof(value, proof);
@@ -1031,6 +1012,94 @@ mod tests {
             &mut Outgoing::new(),
         );
         assert!(inst.decision().is_none());
+    }
+
+    #[test]
+    fn pre_vote_share_verdicts() {
+        let ctxs = group(4, 1);
+        let pid = ProtocolId::new("ba-share");
+        let mut inst = BinaryAgreement::new(pid.clone(), ctxs[0].clone());
+        inst.propose(true, Vec::new(), &mut Outgoing::new());
+        let share = ctxs[1]
+            .keys()
+            .thsig_agreement
+            .sign_share(&statement_pre_vote(&pid, 1, true));
+        let pre_vote = |value: bool| Body::BaPreVote {
+            round: 1,
+            value,
+            just: PreVoteJust::Initial,
+            share: share.clone(),
+            proof: None,
+        };
+        let recorded = |inst: &BinaryAgreement, from: usize| {
+            inst.rounds
+                .get(&1)
+                .is_some_and(|r| r.pre_votes.contains_key(&PartyId(from)))
+        };
+        // Party 1's share under party 2's name: index mismatch.
+        inst.handle(PartyId(2), &pre_vote(true), &mut Outgoing::new());
+        assert!(!recorded(&inst, 2));
+        // The share transplanted onto the other value's statement.
+        inst.handle(PartyId(1), &pre_vote(false), &mut Outgoing::new());
+        assert!(!recorded(&inst, 1));
+        inst.handle(PartyId(1), &pre_vote(true), &mut Outgoing::new());
+        assert!(recorded(&inst, 1));
+    }
+
+    #[test]
+    fn decide_statement_binds_main_vote() {
+        let ctxs = group(4, 1);
+        let pid = ProtocolId::new("ba-bind");
+        let statement = statement_main_vote(&pid, 2, MainVote::Value(true));
+        let shares: Vec<SigShare> = ctxs
+            .iter()
+            .map(|c| c.keys().thsig_agreement.sign_share(&statement))
+            .collect();
+        let sig = ctxs[0]
+            .keys()
+            .common
+            .thsig_agreement
+            .assemble_preverified(&statement, &shares)
+            .unwrap();
+        let decide = |value: bool| Body::BaDecide {
+            round: 2,
+            value,
+            sig: sig.clone(),
+            proof: None,
+        };
+        let mut inst = BinaryAgreement::new(pid, ctxs[0].clone());
+        inst.propose(false, Vec::new(), &mut Outgoing::new());
+        inst.handle(PartyId(2), &decide(false), &mut Outgoing::new());
+        assert_eq!(inst.decision(), None, "signature is over the other value");
+        inst.handle(PartyId(2), &decide(true), &mut Outgoing::new());
+        assert_eq!(inst.decision(), Some(true));
+    }
+
+    #[test]
+    fn coin_shares_batch_with_blame() {
+        let ctxs = group(4, 1);
+        let pid = ProtocolId::new("ba-coin");
+        let release = |i: usize, round: u32| {
+            let keys = ctxs[i].keys();
+            keys.common
+                .coin
+                .release_share(&coin_name(&pid, round), &keys.coin_secret)
+        };
+        let mut inst = BinaryAgreement::new(pid.clone(), ctxs[0].clone());
+        // n - t shares for round 3's coin, party 3's released for another
+        // round's: the batch check fails, the per-share fallback blames it.
+        let shares = [release(1, 3), release(2, 3), release(3, 4)];
+        for (i, share) in shares.iter().enumerate() {
+            inst.on_coin_share(PartyId(i + 1), 3, share);
+        }
+        assert_eq!(inst.rounds[&3].pending_coin.len(), 3, "queued unchecked");
+        inst.flush_pending_coin(3);
+        let state = &inst.rounds[&3];
+        assert!(state.pending_coin.is_empty());
+        let kept: Vec<usize> = state.coin_shares.keys().copied().collect();
+        assert_eq!(kept, vec![shares[0].index, shares[1].index]);
+        let kept: Vec<CoinShare> = state.coin_shares.values().cloned().collect();
+        assert!(inst.coin_value_from_shares(3, &kept).is_some());
     }
 
     #[test]

@@ -160,11 +160,7 @@ impl ConsistentBroadcast {
                     return;
                 }
                 let statement = statement_cb(&self.pid, payload);
-                if self.ctx.verify_threshold_cached(
-                    &self.ctx.keys().common.thsig_broadcast,
-                    &statement,
-                    sig,
-                ) {
+                if self.ctx.verify_broadcast_sig(&statement, sig) {
                     self.delivered = Some((payload.clone(), sig.clone()));
                     out.trace_with(|| {
                         TraceEvent::new(self.ctx.me().0, self.pid.as_str(), "vcb")

@@ -492,7 +492,7 @@ impl AtomicChannel {
             state
                 .and_then(|s| s.find(r.signer, &r.digest))
                 .is_some_and(|held| *held.sig() == r.sig)
-                || self.ctx.verify_party_sig_cached(
+                || self.ctx.verify_party_sig(
                     r.signer,
                     &statement_entry(&self.pid, round, &r.digest),
                     &r.sig,
@@ -591,7 +591,7 @@ impl AtomicChannel {
     /// over `(pid, round, digest)`.
     fn acceptable(&self, round: u64, entry: &Entry) -> bool {
         entry.well_formed()
-            && self.ctx.verify_party_sig_cached(
+            && self.ctx.verify_party_sig(
                 entry.signer(),
                 &statement_entry(&self.pid, round, entry.digest()),
                 entry.sig(),
@@ -1503,7 +1503,6 @@ mod tests {
                 vec![app(2, 1, b"a"), app(2, 2, b"b")],
             ),
         ];
-        let verifier = crate::preverify::PreVerifier::new(ctxs[0].clone());
         for (what, payloads) in cases {
             // Validly signed by a (Byzantine) group member, for the
             // current and for a future round.
@@ -1519,20 +1518,13 @@ mod tests {
                 assert!(chan.rounds.is_empty(), "{what}: no per-round state");
                 assert!(chan.vbas.is_empty(), "{what}");
                 if what == "only delivered payloads" {
-                    continue; // stateless stages cannot know what is delivered
+                    continue; // the decoder cannot know what is delivered
                 }
                 let env = crate::message::Envelope {
                     pid: ProtocolId::new(tag),
                     send_seq: 0,
                     body,
                 };
-                assert!(
-                    matches!(
-                        verifier.pre_verify(PartyId(2), &env).verdict,
-                        crate::preverify::PreVerdict::Invalid(_)
-                    ),
-                    "{what}: preverify"
-                );
                 assert!(
                     crate::message::Envelope::from_bytes(&env.to_bytes()).is_err(),
                     "{what}: decode"

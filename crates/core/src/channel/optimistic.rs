@@ -597,7 +597,7 @@ impl OptimisticChannel {
             return;
         }
         let statement = statement_opt_ack(&self.pid, phase, epoch, seq, digest);
-        if !self.ctx.verify_party_sig_cached(from, &statement, sig) {
+        if !self.ctx.verify_party_sig(from, &statement, sig) {
             return;
         }
         self.progress += 1;

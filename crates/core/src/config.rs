@@ -1,35 +1,27 @@
 //! Per-party protocol context: group parameters and key material.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use sintra_crypto::dealer::PartyKeys;
 use sintra_crypto::rsa::RsaSignature;
-use sintra_crypto::thsig::{SigShare, ThresholdSigPublic, ThresholdSignature};
+use sintra_crypto::thsig::ThresholdSignature;
 
 use crate::ids::PartyId;
-use crate::preverify::{rsa_token, share_token, threshold_token, PreToken, TokenCache};
 
 /// Everything a protocol instance needs to know about its environment:
-/// the group size, resilience, this party's identity and key material —
-/// plus the party's pre-verification receipt cache (see
-/// [`crate::preverify`]).
+/// the group size, resilience, this party's identity and key material.
 ///
 /// Cheaply cloneable (`Arc` inside); every instance hosted by a party
-/// shares one context, so receipts deposited by the runtime are visible
-/// at every instance's verify sites.
+/// shares one context.
 #[derive(Debug, Clone)]
 pub struct GroupContext {
     keys: Arc<PartyKeys>,
-    preverified: Arc<Mutex<TokenCache>>,
 }
 
 impl GroupContext {
     /// Wraps dealt key material.
     pub fn new(keys: Arc<PartyKeys>) -> Self {
-        GroupContext {
-            keys,
-            preverified: Arc::new(Mutex::new(TokenCache::default())),
-        }
+        GroupContext { keys }
     }
 
     /// This party's identity.
@@ -112,67 +104,26 @@ impl GroupContext {
         id.0 < self.n()
     }
 
-    // --- pre-verification receipt cache ---------------------------------
-    //
-    // The runtime deposits tokens for checks the off-thread verify stage
-    // already performed; handlers consume them at their verify sites via
-    // the `*_cached` helpers below, falling back to the real check on a
-    // miss. See `crate::preverify` for the soundness argument.
-
-    /// Deposits receipts for checks performed by the verify stage.
-    pub fn note_preverified<I: IntoIterator<Item = PreToken>>(&self, tokens: I) {
-        let mut cache = self.preverified.lock().unwrap();
-        for token in tokens {
-            cache.insert(token);
-        }
+    /// Verifies an assembled threshold signature under the agreement
+    /// key (binary-agreement decisions).
+    pub fn verify_agreement_sig(&self, statement: &[u8], sig: &ThresholdSignature) -> bool {
+        self.keys.common.thsig_agreement.verify(statement, sig)
     }
 
-    /// Consumes a receipt, reporting whether the check already ran.
-    pub fn consume_preverified(&self, token: &PreToken) -> bool {
-        self.preverified.lock().unwrap().consume(token)
+    /// Verifies an assembled threshold signature under the broadcast
+    /// key (consistent-broadcast finals).
+    pub fn verify_broadcast_sig(&self, statement: &[u8], sig: &ThresholdSignature) -> bool {
+        self.keys.common.thsig_broadcast.verify(statement, sig)
     }
 
-    /// Number of outstanding (deposited, unconsumed) receipts.
-    pub fn preverified_len(&self) -> usize {
-        self.preverified.lock().unwrap().len()
-    }
-
-    /// [`ThresholdSigPublic::verify_share`] with receipt short-circuit.
-    pub fn verify_share_cached(
-        &self,
-        public: &ThresholdSigPublic,
-        statement: &[u8],
-        share: &SigShare,
-    ) -> bool {
-        self.consume_preverified(&share_token(statement, share))
-            || public.verify_share(statement, share)
-    }
-
-    /// [`ThresholdSigPublic::verify`] with receipt short-circuit.
-    pub fn verify_threshold_cached(
-        &self,
-        public: &ThresholdSigPublic,
-        statement: &[u8],
-        sig: &ThresholdSignature,
-    ) -> bool {
-        self.consume_preverified(&threshold_token(statement, sig)) || public.verify(statement, sig)
-    }
-
-    /// Verifies `signer`'s standard RSA signature over `statement`, with
-    /// receipt short-circuit.
-    pub fn verify_party_sig_cached(
-        &self,
-        signer: PartyId,
-        statement: &[u8],
-        sig: &RsaSignature,
-    ) -> bool {
-        self.consume_preverified(&rsa_token(statement, sig))
-            || self
-                .keys
-                .common
-                .sig_publics
-                .get(signer.0)
-                .is_some_and(|key| key.verify(statement, sig))
+    /// Verifies `signer`'s standard RSA signature over `statement`; an
+    /// unknown signer verifies nothing.
+    pub fn verify_party_sig(&self, signer: PartyId, statement: &[u8], sig: &RsaSignature) -> bool {
+        self.keys
+            .common
+            .sig_publics
+            .get(signer.0)
+            .is_some_and(|key| key.verify(statement, sig))
     }
 }
 

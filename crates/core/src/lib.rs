@@ -39,7 +39,6 @@ pub mod invariant;
 pub mod message;
 pub mod node;
 mod outgoing;
-pub mod preverify;
 pub mod validator;
 pub mod wire;
 

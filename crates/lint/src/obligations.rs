@@ -2,18 +2,18 @@
 //!
 //! Every wire body a replica acts on must be cryptographically checked
 //! before the handler mutates protocol state — the paper's intrusion
-//! tolerance rests on it. Since the staged pipeline split verification
-//! into a pre-verify stage plus `verify_*_cached` helpers, that
-//! obligation spans files: the body is declared in `message.rs`, the
-//! stateless check lives in `preverify.rs`, and the discharge site is one
-//! of nine handler state machines. This module records the obligation per
-//! message type and checks, over the [`WorkspaceIr`]:
+//! tolerance rests on it. An envelope has one way in (`Node::handle_envelope`
+//! to the instance's handler), and each handler first tests its own state
+//! for whether the message can still matter, then verifies, then mutates.
+//! The obligation still spans files: the body is declared in `message.rs`,
+//! the handler arm is in one of nine state machines, and the check or the
+//! first mutation may sit several calls away in another. This module
+//! records the obligation per message type and checks, over the
+//! [`WorkspaceIr`]:
 //!
 //! 1. **registry completeness** — every `Body` variant has a table entry,
 //!    so adding a wire body without deciding its verifier is a finding;
-//! 2. **pre-verify coverage** — every `preverify: true` variant still has
-//!    a match arm in the verify stage;
-//! 3. **discharge order** — every handler arm reachable from envelope
+//! 2. **discharge order** — every handler arm reachable from envelope
 //!    dispatch discharges its obligation before the first protocol-state
 //!    mutation (linearized over the arm's transitive callees, so a
 //!    mutation hidden two calls deep in another file is still seen).
@@ -57,8 +57,6 @@ pub struct Obligation {
     pub variant: &'static str,
     /// How handlers must discharge it.
     pub discharge: Discharge,
-    /// Whether the stateless verify stage (`preverify.rs`) must cover it.
-    pub preverify: bool,
 }
 
 /// The per-message-type verification obligations. Every `Body` variant
@@ -69,61 +67,51 @@ pub const OBLIGATIONS: &[Obligation] = &[
         discharge: Discharge::Exempt(
             "unsigned Bracha send: integrity comes from the echo/ready quorums over its digest",
         ),
-        preverify: false,
     },
     Obligation {
         variant: "RbEcho",
         discharge: Discharge::Exempt(
             "unsigned echo vote: 2t+1 echo intersection provides integrity, there is no signature to check",
         ),
-        preverify: false,
     },
     Obligation {
         variant: "RbReady",
         discharge: Discharge::Exempt(
             "unsigned ready vote over a digest: amplification is quorum-gated, not signature-gated",
         ),
-        preverify: false,
     },
     Obligation {
         variant: "CbSend",
         discharge: Discharge::Exempt(
             "sender-identity-gated payload: the receiver signs what it echoes, the send itself is unsigned",
         ),
-        preverify: false,
     },
     Obligation {
         variant: "CbEcho",
         discharge: Discharge::Strict(&["verify_share"]),
-        preverify: false,
     },
     Obligation {
         variant: "CbFinal",
-        discharge: Discharge::Strict(&["verify_threshold_cached"]),
-        preverify: true,
+        discharge: Discharge::Strict(&["verify_broadcast_sig"]),
     },
     Obligation {
         variant: "BaPreVote",
-        discharge: Discharge::Strict(&["verify_share_cached"]),
-        preverify: true,
+        discharge: Discharge::Strict(&["verify_share"]),
     },
     Obligation {
         variant: "BaMainVote",
-        discharge: Discharge::Strict(&["verify_share_cached"]),
-        preverify: true,
+        discharge: Discharge::Strict(&["verify_share"]),
     },
     Obligation {
         variant: "BaCoinShare",
         discharge: Discharge::Deferred {
-            verifiers: &["verify_share", "verify_shares", "consume_preverified"],
+            verifiers: &["verify_share", "verify_shares"],
             reason: "shares are parked per-sender (bounded by n per round) and batch-verified at quorum",
         },
-        preverify: true,
     },
     Obligation {
         variant: "BaDecide",
-        discharge: Discharge::Strict(&["verify_threshold_cached"]),
-        preverify: true,
+        discharge: Discharge::Strict(&["verify_agreement_sig"]),
     },
     Obligation {
         variant: "VbaVote",
@@ -131,24 +119,20 @@ pub const OBLIGATIONS: &[Obligation] = &[
             verifiers: &["validate_closing_bytes"],
             reason: "yes-votes carry a closing certificate validated on unpark; no-votes are bare quorum-counted bits",
         },
-        preverify: false,
     },
     Obligation {
         variant: "AcEntry",
-        discharge: Discharge::Strict(&["verify_party_sig_cached"]),
-        preverify: true,
+        discharge: Discharge::Strict(&["verify_party_sig"]),
     },
     Obligation {
         variant: "AcFetch",
         discharge: Discharge::Exempt(
             "unsigned request for an entry by (round, signer, digest): answered only from entries already held and verified, one reply per requester and entry, rounds bounded by FETCH_RETAIN_ROUNDS",
         ),
-        preverify: false,
     },
     Obligation {
         variant: "AcFetched",
-        discharge: Discharge::Strict(&["verify_party_sig_cached"]),
-        preverify: true,
+        discharge: Discharge::Strict(&["verify_party_sig"]),
     },
     Obligation {
         variant: "ScShare",
@@ -156,31 +140,26 @@ pub const OBLIGATIONS: &[Obligation] = &[
             verifiers: &["verify_share", "verify_shares"],
             reason: "early shares are parked (one per sender per ciphertext, a capped number of ciphertexts per sender) until their ciphertext is ordered, then batch-verified",
         },
-        preverify: false,
     },
     Obligation {
         variant: "OptSubmit",
         discharge: Discharge::Exempt(
             "unsigned client submission: delivery is gated downstream by a quorum of signed acks",
         ),
-        preverify: false,
     },
     Obligation {
         variant: "OptAck",
-        discharge: Discharge::Strict(&["verify_party_sig_cached"]),
-        preverify: true,
+        discharge: Discharge::Strict(&["verify_party_sig"]),
     },
     Obligation {
         variant: "OptComplain",
         discharge: Discharge::Exempt(
             "unsigned liveness complaint: epoch change requires t+1 distinct complainers",
         ),
-        preverify: false,
     },
     Obligation {
         variant: "OptState",
         discharge: Discharge::Strict(&["validate_state"]),
-        preverify: false,
     },
 ];
 
@@ -239,7 +218,6 @@ fn in_handler_scope(path: &str) -> bool {
         && !path.ends_with("message.rs")
         && !path.contains("/link/")
         && !path.contains("/sim/")
-        && !rules::in_verify_stage(path)
 }
 
 /// One event in an arm's linearized execution.
@@ -573,57 +551,7 @@ pub fn check(ir: &WorkspaceIr) -> Vec<CrossFinding> {
         }
     }
 
-    // 2. Pre-verify coverage: the stateless stage must keep its arms.
-    if let Some((mfi, e)) = body_enum {
-        for file in ir.files.iter() {
-            if !rules::in_verify_stage(&file.path) {
-                continue;
-            }
-            let anchor = file
-                .fns
-                .iter()
-                .find(|f| f.name.starts_with("pre_verify"))
-                .map(|f| f.line)
-                .unwrap_or(1);
-            for ob in OBLIGATIONS {
-                if !ob.preverify || !e.variants.iter().any(|v| v.name == ob.variant) {
-                    continue;
-                }
-                let covered = file.lexed.tokens.windows(4).any(|w| {
-                    !w[0].in_test
-                        && w[0].is_ident("Body")
-                        && w[1].is_punct(':')
-                        && w[2].is_punct(':')
-                        && w[3].is_ident(ob.variant)
-                });
-                if !covered {
-                    let vline = e
-                        .variants
-                        .iter()
-                        .find(|v| v.name == ob.variant)
-                        .map(|v| v.line)
-                        .unwrap_or(1);
-                    out.push(CrossFinding {
-                        rule: rules::VERIFY_MUTATE,
-                        path: file.path.clone(),
-                        line: anchor,
-                        message: format!(
-                            "verify stage no longer covers `Body::{}`: the obligation table marks \
-                             it pre-verified, so PreVerifier must keep a match arm for it",
-                            ob.variant
-                        ),
-                        related: vec![RawRelated {
-                            path: ir.files[mfi].path.clone(),
-                            line: vline,
-                            note: "wire body declared here".to_string(),
-                        }],
-                    });
-                }
-            }
-        }
-    }
-
-    // 3. Discharge order per handler arm.
+    // 2. Discharge order per handler arm.
     let reachable = ir.reachable_from_dispatch();
     for arm in collect_arms(ir) {
         let Some(ob) = obligation_for(&arm.variant) else {

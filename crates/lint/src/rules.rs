@@ -6,15 +6,14 @@
 //!
 //! * [`DETERMINISM`] — replicated state machines must behave identically
 //!   on every replica, so randomly-seeded containers and ambient
-//!   time/entropy sources are banned from `crates/core` and from the
-//!   staged pipeline's verify-stage (`preverify`) modules in any crate.
+//!   time/entropy sources are banned from `crates/core`.
 //! * [`QUORUM`] — Byzantine threshold arithmetic (`n - t`, `t + 1`,
 //!   `2t + 1`, ...) must go through the named helpers on `GroupContext`
 //!   so every bound has exactly one definition and one proof obligation.
-//! * [`PANIC_POLICY`] — protocol, link, and pipeline-worker code must not
-//!   limp past a violated invariant with a bare `unwrap`/`expect`/
-//!   `panic!`; failures route through the `invariant*` macros, which the
-//!   server loop catches to write a flight-recorder dump before unwinding.
+//! * [`PANIC_POLICY`] — protocol and link code must not limp past a
+//!   violated invariant with a bare `unwrap`/`expect`/`panic!`; failures
+//!   route through the `invariant*` macros, which the server loop catches
+//!   to write a flight-recorder dump before unwinding.
 //! * [`WIRE_STABILITY`] — wire discriminants must be named constants
 //!   (append-only, greppable) and length prefixes must be checked, never
 //!   silently truncated with `as`.
@@ -87,26 +86,6 @@ fn in_core(path: &str) -> bool {
 
 fn in_net(path: &str) -> bool {
     path.contains("crates/net/src/")
-}
-
-/// The staged pipeline's stateless verify stage: `preverify` modules in any
-/// crate. The stage is replayed and compared across replicas (a worker's
-/// verdict must be a pure function of the envelope bytes and key material),
-/// so the determinism bans — including the wall-clock ban — follow the
-/// module wherever it lives, not just under `crates/core`.
-pub(crate) fn in_verify_stage(path: &str) -> bool {
-    path.ends_with("preverify.rs") || path.contains("/preverify/")
-}
-
-/// Crypto-worker pipeline modules (`pipeline.rs` or a `pipeline/` dir) in
-/// any crate. A worker thread that dies on a bare `unwrap` silently wedges
-/// the admission reorder buffer — the server loop waits forever for an
-/// admission sequence number that will never be re-injected — so the
-/// panic policy follows pipeline code out of `crates/net` too. Note the
-/// determinism rules deliberately do *not* extend here: the worker loop's
-/// `Instant` metering never influences a verdict.
-fn in_pipeline(path: &str) -> bool {
-    path.ends_with("pipeline.rs") || path.contains("/pipeline/")
 }
 
 fn in_wire_scope(path: &str) -> bool {
@@ -182,8 +161,8 @@ pub fn run_rules(path: &str, lexed: &Lexed) -> Vec<RawFinding> {
         let i_ = i as isize;
         let name = tok.text.as_str();
 
-        // --- determinism (crates/core + verify-stage modules) --------------
-        if in_core(path) || in_verify_stage(path) {
+        // --- determinism (crates/core only) -------------------------------
+        if in_core(path) {
             if let Some((_, why)) = NONDETERMINISTIC_IDENTS.iter().find(|(id, _)| *id == name) {
                 out.push(RawFinding {
                     rule: DETERMINISM,
@@ -228,8 +207,8 @@ pub fn run_rules(path: &str, lexed: &Lexed) -> Vec<RawFinding> {
             }
         }
 
-        // --- panic-policy (crates/core + crates/net + pipeline modules) ----
-        if in_core(path) || in_net(path) || in_pipeline(path) {
+        // --- panic-policy (crates/core + crates/net) -----------------------
+        if in_core(path) || in_net(path) {
             let called = punct_at(i_ - 1, '.') && punct_at(i_ + 1, '(');
             if name == "unwrap" && called {
                 // `.lock().unwrap()` is sanctioned: a poisoned mutex means a

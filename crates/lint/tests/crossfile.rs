@@ -225,28 +225,35 @@ fn obligation_table_matches_body_registry_exactly() {
 
 #[test]
 fn mutation_dropping_a_verifier_call_fails_the_lint() {
-    // Acceptance drill: delete (rename) the `verify_party_sig_cached`
-    // call in the atomic channel and the lint must go red.
+    // Acceptance drill: delete (rename) the verifier call at one handler
+    // site and the lint must go red — for the entry signature and for
+    // the two assembled threshold signatures, whose `GroupContext`
+    // helpers exist so that this identifier is theirs alone.
     let root = workspace_root();
-    let mut files = collect_workspace_files(&root).expect("walking workspace");
-    let atomic = files
-        .iter_mut()
-        .find(|(p, _)| p.ends_with("channel/atomic.rs"))
-        .expect("atomic.rs in workspace");
-    assert!(atomic.1.contains("verify_party_sig_cached"));
-    atomic.1 = atomic
-        .1
-        .replace("verify_party_sig_cached", "skip_party_sig_check");
-    let findings = analyze_sources(&files, None);
-    assert!(
-        findings.iter().any(|f| {
-            f.rule == rules::VERIFY_MUTATE
-                && f.path.ends_with("channel/atomic.rs")
-                && f.suppressed.is_none()
-                && f.message.contains("AcEntry")
-        }),
-        "dropping the verifier went unnoticed: {findings:#?}"
-    );
+    let pristine = collect_workspace_files(&root).expect("walking workspace");
+    for (site, verifier, variant) in [
+        ("channel/atomic.rs", "verify_party_sig", "AcEntry"),
+        ("agreement/binary.rs", "verify_agreement_sig", "BaDecide"),
+        ("broadcast/consistent.rs", "verify_broadcast_sig", "CbFinal"),
+    ] {
+        let mut files = pristine.clone();
+        let handler = files
+            .iter_mut()
+            .find(|(p, _)| p.ends_with(site))
+            .unwrap_or_else(|| panic!("{site} in workspace"));
+        assert!(handler.1.contains(verifier), "{site} calls {verifier}");
+        handler.1 = handler.1.replace(verifier, "skip_the_check");
+        let findings = analyze_sources(&files, None);
+        assert!(
+            findings.iter().any(|f| {
+                f.rule == rules::VERIFY_MUTATE
+                    && f.path.ends_with(site)
+                    && f.suppressed.is_none()
+                    && f.message.contains(variant)
+            }),
+            "dropping {verifier} in {site} went unnoticed: {findings:#?}"
+        );
+    }
 }
 
 #[test]

@@ -15,7 +15,7 @@ impl Channel {
     }
 
     fn on_entry(&mut self, from: PartyId, round: u64, entry: &Entry) {
-        if !self.verify_party_sig_cached(from, entry) {
+        if !self.verify_party_sig(from, entry) {
             return;
         }
         self.entries.entry(round).or_default().push(entry.clone());

@@ -33,7 +33,6 @@
 pub mod link;
 pub mod metrics;
 pub mod observe;
-pub mod pipeline;
 pub mod server;
 pub mod sim;
 pub mod tcp;
@@ -41,7 +40,6 @@ pub mod threaded;
 
 pub use metrics::MetricsConfig;
 pub use observe::ObservabilityConfig;
-pub use pipeline::PipelineConfig;
 pub use server::{ServerHandle, Transport};
 
 use sintra_core::agreement::CandidateOrder;

@@ -9,7 +9,7 @@
 //! blocking `send`/`receive`/`close`/`close_wait` API mirrors the Java
 //! `Channel` interface of the paper (§3.4).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,7 +19,6 @@ use sintra_core::agreement::CandidateOrder;
 use sintra_core::channel::{AtomicChannelConfig, OptimisticChannelConfig};
 use sintra_core::message::{Envelope, Payload, PayloadKind};
 use sintra_core::node::Node;
-use sintra_core::preverify::{PreVerdict, PreVerified};
 use sintra_core::validator::{ArrayValidator, BinaryValidator};
 use sintra_core::{Event, GroupContext, Outgoing, PartyId, ProtocolId, Recipient};
 use sintra_crypto::dealer::PartyKeys;
@@ -28,7 +27,6 @@ use sintra_telemetry::{
 };
 
 use crate::observe::{write_dump, ObservabilityConfig};
-use crate::pipeline::{VerifyPool, PIPELINE_SCOPE};
 use sintra_core::invariant::OrInvariant;
 
 /// How a party's sealed envelopes reach its peers, and how inbound
@@ -83,27 +81,8 @@ pub(crate) enum Command {
     Shutdown,
 }
 
-/// An envelope coming back from the verify pool, tagged with the
-/// admission sequence the loop stamped when it was offloaded.
-pub(crate) struct VerifiedEnvelope {
-    /// Admission stamp; the loop dispatches strictly in this order.
-    pub admit_seq: u64,
-    /// Authenticated origin.
-    pub from: PartyId,
-    /// The decoded envelope.
-    pub env: Envelope,
-    /// Wire size of the frame it arrived in (for the recv trace).
-    pub wire_len: u64,
-    /// When the loop admitted the envelope (stamped at `submit`); the
-    /// recv trace reports `admit_at → dispatch` as the verify-queue
-    /// wait, so the profiler can separate queueing from crypto+compute.
-    pub admit_at: Instant,
-    /// The verify stage's verdict plus the receipt to deposit.
-    pub result: PreVerified,
-}
-
-/// One item in a server's inbox: bytes from the network, a verified
-/// envelope re-injected by the worker pool, or an application command.
+/// One item in a server's inbox: bytes from the network or an
+/// application command.
 pub(crate) enum Input {
     /// A transport item from `from`; `data` is transport-defined (a
     /// sealed frame for the threaded runtime, an already-authenticated
@@ -114,9 +93,6 @@ pub(crate) enum Input {
         /// Transport-defined bytes, resolved by [`Transport::open`].
         data: Vec<u8>,
     },
-    /// A pre-verified envelope from the worker pool. Boxed so the
-    /// common `Net`/`Cmd` items stay small on the inbox channel.
-    Verified(Box<VerifiedEnvelope>),
     /// An application command from the [`ServerHandle`].
     Cmd(Command),
 }
@@ -134,7 +110,7 @@ pub struct ServerHandle {
     event_rx: Receiver<Event>,
     /// Deliveries already pulled from the event stream but not yet
     /// claimed by `receive` (per channel).
-    stash: HashMap<ProtocolId, Vec<Payload>>,
+    stash: HashMap<ProtocolId, VecDeque<Payload>>,
     closed: std::collections::HashSet<ProtocolId>,
 }
 
@@ -298,7 +274,7 @@ impl ServerHandle {
                     return Some(payload);
                 }
                 Event::ChannelDelivered { pid: epid, payload } => {
-                    self.stash.entry(epid).or_default().push(payload);
+                    self.stash.entry(epid).or_default().push_back(payload);
                 }
                 Event::ChannelClosed { pid: epid } => {
                     self.closed.insert(epid);
@@ -319,7 +295,7 @@ impl ServerHandle {
                     proof,
                 } if epid == *pid => return Some((value, proof)),
                 Event::ChannelDelivered { pid: epid, payload } => {
-                    self.stash.entry(epid).or_default().push(payload);
+                    self.stash.entry(epid).or_default().push_back(payload);
                 }
                 Event::ChannelClosed { pid: epid } => {
                     self.closed.insert(epid);
@@ -335,7 +311,7 @@ impl ServerHandle {
             match self.event_rx.recv().ok()? {
                 Event::MultiDecided { pid: epid, value } if epid == *pid => return Some(value),
                 Event::ChannelDelivered { pid: epid, payload } => {
-                    self.stash.entry(epid).or_default().push(payload);
+                    self.stash.entry(epid).or_default().push_back(payload);
                 }
                 Event::ChannelClosed { pid: epid } => {
                     self.closed.insert(epid);
@@ -348,10 +324,8 @@ impl ServerHandle {
     /// Blocks until the next payload is delivered on `pid`. Returns
     /// `None` if the channel closed (or the server shut down) first.
     pub fn receive(&mut self, pid: &ProtocolId) -> Option<Payload> {
-        if let Some(stash) = self.stash.get_mut(pid) {
-            if !stash.is_empty() {
-                return Some(stash.remove(0));
-            }
+        if let Some(payload) = self.stash.get_mut(pid).and_then(VecDeque::pop_front) {
+            return Some(payload);
         }
         if self.closed.contains(pid) {
             return None;
@@ -363,7 +337,7 @@ impl ServerHandle {
                     if epid == *pid {
                         return Some(payload);
                     }
-                    self.stash.entry(epid).or_default().push(payload);
+                    self.stash.entry(epid).or_default().push_back(payload);
                 }
                 Event::ChannelClosed { pid: epid } => {
                     self.closed.insert(epid.clone());
@@ -379,13 +353,7 @@ impl ServerHandle {
     /// Non-blocking receive.
     pub fn try_receive(&mut self, pid: &ProtocolId) -> Option<Payload> {
         self.drain_events();
-        self.stash.get_mut(pid).and_then(|s| {
-            if s.is_empty() {
-                None
-            } else {
-                Some(s.remove(0))
-            }
-        })
+        self.stash.get_mut(pid).and_then(VecDeque::pop_front)
     }
 
     /// Whether a `receive` on `pid` would return immediately.
@@ -407,7 +375,7 @@ impl ServerHandle {
         while !self.closed.contains(pid) {
             match self.event_rx.recv_timeout(Duration::from_secs(30)) {
                 Ok(Event::ChannelDelivered { pid: epid, payload }) => {
-                    self.stash.entry(epid).or_default().push(payload);
+                    self.stash.entry(epid).or_default().push_back(payload);
                 }
                 Ok(Event::ChannelClosed { pid: epid }) => {
                     self.closed.insert(epid);
@@ -416,14 +384,14 @@ impl ServerHandle {
                 Err(_) => break,
             }
         }
-        self.stash.remove(pid).unwrap_or_default()
+        self.stash.remove(pid).map(Vec::from).unwrap_or_default()
     }
 
     fn drain_events(&mut self) {
         while let Ok(event) = self.event_rx.try_recv() {
             match event {
                 Event::ChannelDelivered { pid, payload } => {
-                    self.stash.entry(pid).or_default().push(payload);
+                    self.stash.entry(pid).or_default().push_back(payload);
                 }
                 Event::ChannelClosed { pid } => {
                     self.closed.insert(pid);
@@ -444,240 +412,253 @@ pub(crate) struct ServerOpts {
     /// anchor, so trace stamps from different server threads are directly
     /// comparable (and causal arrows in exported traces point forward).
     pub run_start: Instant,
-    /// Staged-verification worker pool. `None` verifies inline. The loop
-    /// owns the pool, so returning from the loop joins the workers.
-    pub pipeline: Option<VerifyPool>,
     /// Streaming trace sink. The loop owns it, so returning from the
     /// loop (any shutdown path) drains the buffered tail to disk before
     /// the runtime can join this thread — flush-on-shutdown ordering.
     pub trace_stream: Option<TraceStream>,
 }
 
-/// Drains one step's outgoing messages/traces into the transport.
-///
-/// Every envelope is stamped with this party's next `send_seq` before
-/// transmission — one number per envelope, shared by all fan-out copies —
-/// so receivers can attribute the work a message triggers back to the
-/// exact send. When tracing, a synthetic `net`/`send` event records the
-/// stamp (and inherits the cause of the step that produced the message).
-#[allow(clippy::too_many_arguments)]
-fn flush<T: Transport>(
+/// Pending timers: (deadline, pid, token), earliest first.
+type Timers = std::collections::BinaryHeap<std::cmp::Reverse<(Instant, ProtocolId, u64)>>;
+
+/// What every step of one party's loop needs besides the node, the
+/// transport and the step's own [`Outgoing`]: where telemetry goes, the
+/// application's event stream and the send-sequence counter.
+struct LoopState {
     me: usize,
-    out: &mut Outgoing,
-    transport: &mut T,
-    recorder: &Option<Arc<dyn Recorder>>,
-    flight: &Option<FlightRecorder>,
-    stream: &Option<TraceStream>,
+    recorder: Option<Arc<dyn Recorder>>,
+    observability: Option<ObservabilityConfig>,
+    flight: Option<FlightRecorder>,
+    trace_stream: Option<TraceStream>,
     run_start: Instant,
-    next_send_seq: &mut u64,
+    /// Whether steps collect trace events at all.
     tracing: bool,
-) {
-    // Wall-clock trace stamps: microseconds since the group spawned.
-    // Events the loop pre-stamped (the dispatch-start `net:recv`) keep
-    // their earlier stamp, so a dispatch's recv and its produced events
-    // bracket the actual compute interval instead of collapsing onto
-    // one flush instant.
-    let now_us = run_start.elapsed().as_micros() as u64;
-    let flush_start = recorder
-        .as_ref()
-        .is_some_and(|r| r.enabled())
-        .then(Instant::now);
-    let cause = out.cause();
-    for mut ev in out.drain_traces() {
-        if ev.time_us == 0 {
-            ev.time_us = now_us;
-        }
-        if let Some(stream) = stream {
-            stream.record(ev.clone());
-        }
-        if let Some(rec) = recorder {
-            let scope = root_scope(&ev.protocol);
-            match ev.phase {
-                "round" | "epoch" => rec.counter_add(scope, "rounds", 1),
-                "batch" => rec.observe(scope, "batch_size", ev.bytes),
-                _ => {}
-            }
-            if rec.enabled() {
-                if let Some(flight) = flight {
-                    flight.record(ev.clone());
-                }
-                rec.trace(ev);
-                continue;
-            }
-        }
-        if let Some(flight) = flight {
-            flight.record(ev);
-        }
-    }
-    for (recipient, mut env) in out.drain() {
-        env.send_seq = *next_send_seq;
-        *next_send_seq += 1;
-        let targets: Vec<usize> = match recipient {
-            Recipient::All => (0..transport.parties()).collect(),
-            Recipient::One(p) => vec![p.0],
-        };
-        let mut wire_total = 0u64;
-        for to in targets {
-            let wire_bytes = transport.transmit(PartyId(to), &env);
-            wire_total += wire_bytes;
-            if let Some(rec) = recorder {
-                let scope = root_scope(env.pid.as_str());
-                rec.counter_add(scope, "msgs_sent", 1);
-                rec.counter_add(scope, "bytes_sent", wire_bytes);
-            }
-        }
-        if tracing {
-            let mut ev = TraceEvent::new(me, env.pid.as_str(), "net")
-                .phase("send")
-                .round(env.send_seq)
-                .bytes(wire_total);
-            ev.time_us = now_us;
-            ev.cause = cause;
-            if let Some(stream) = stream {
-                stream.record(ev.clone());
-            }
-            if let Some(flight) = flight {
-                flight.record(ev.clone());
-            }
-            if let Some(rec) = recorder {
-                if rec.enabled() {
-                    rec.trace(ev);
-                }
-            }
-        }
-    }
-    // Wall time spent sealing and queueing outbound frames — part of
-    // the loop's phase breakdown in scrapes.
-    if let (Some(rec), Some(start)) = (recorder, flush_start) {
-        rec.counter_add("server", "flush_us", start.elapsed().as_micros() as u64);
-    }
+    /// Whether the loop's phase counters are recorded.
+    metered: bool,
+    next_send_seq: u64,
+    event_tx: Sender<Event>,
+    /// Per-channel FIFO of own send instants, matched against own
+    /// deliveries for end-to-end latency.
+    send_times: HashMap<String, VecDeque<Instant>>,
 }
 
-/// Forwards harvested node events to the application, recording
-/// end-to-end delivery latency for payloads this party sent itself
-/// (channels deliver each sender's payloads in order, so FIFO pairing of
-/// send instants against own deliveries is exact).
-fn forward_events(
-    node: &mut Node,
-    event_tx: &Sender<Event>,
-    recorder: &Option<Arc<dyn Recorder>>,
-    send_times: &mut HashMap<String, VecDeque<Instant>>,
-    me: usize,
-) {
-    for event in node.take_events() {
-        if let Some(rec) = recorder {
-            if let Event::ChannelDelivered { pid, payload } = &event {
-                if payload.origin.0 == me && payload.kind == PayloadKind::App {
-                    if let Some(sent_at) = send_times
-                        .get_mut(pid.as_str())
-                        .and_then(|queue| queue.pop_front())
-                    {
-                        rec.observe(
-                            root_scope(pid.as_str()),
-                            DELIVERY_LATENCY,
-                            sent_at.elapsed().as_micros() as u64,
-                        );
+impl LoopState {
+    /// Drains one step's outgoing messages/traces into the transport.
+    ///
+    /// Every envelope is stamped with this party's next `send_seq` before
+    /// transmission — one number per envelope, shared by all fan-out copies —
+    /// so receivers can attribute the work a message triggers back to the
+    /// exact send. When tracing, a synthetic `net`/`send` event records the
+    /// stamp (and inherits the cause of the step that produced the message).
+    fn flush<T: Transport>(&mut self, out: &mut Outgoing, transport: &mut T) {
+        // Wall-clock trace stamps: microseconds since the group spawned.
+        // Events the loop pre-stamped (the dispatch-start `net:recv`) keep
+        // their earlier stamp, so a dispatch's recv and its produced events
+        // bracket the actual compute interval instead of collapsing onto
+        // one flush instant.
+        let now_us = self.run_start.elapsed().as_micros() as u64;
+        let flush_start = self.metered.then(Instant::now);
+        let cause = out.cause();
+        for mut ev in out.drain_traces() {
+            if ev.time_us == 0 {
+                ev.time_us = now_us;
+            }
+            if let Some(stream) = &self.trace_stream {
+                stream.record(ev.clone());
+            }
+            if let Some(rec) = &self.recorder {
+                let scope = root_scope(&ev.protocol);
+                match ev.phase {
+                    "round" | "epoch" => rec.counter_add(scope, "rounds", 1),
+                    "batch" => rec.observe(scope, "batch_size", ev.bytes),
+                    _ => {}
+                }
+                if rec.enabled() {
+                    if let Some(flight) = &self.flight {
+                        flight.record(ev.clone());
+                    }
+                    rec.trace(ev);
+                    continue;
+                }
+            }
+            if let Some(flight) = &self.flight {
+                flight.record(ev);
+            }
+        }
+        for (recipient, mut env) in out.drain() {
+            env.send_seq = self.next_send_seq;
+            self.next_send_seq += 1;
+            let targets: Vec<usize> = match recipient {
+                Recipient::All => (0..transport.parties()).collect(),
+                Recipient::One(p) => vec![p.0],
+            };
+            let mut wire_total = 0u64;
+            for to in targets {
+                let wire_bytes = transport.transmit(PartyId(to), &env);
+                wire_total += wire_bytes;
+                if let Some(rec) = &self.recorder {
+                    let scope = root_scope(env.pid.as_str());
+                    rec.counter_add(scope, "msgs_sent", 1);
+                    rec.counter_add(scope, "bytes_sent", wire_bytes);
+                }
+            }
+            if self.tracing {
+                let mut ev = TraceEvent::new(self.me, env.pid.as_str(), "net")
+                    .phase("send")
+                    .round(env.send_seq)
+                    .bytes(wire_total);
+                ev.time_us = now_us;
+                ev.cause = cause;
+                if let Some(stream) = &self.trace_stream {
+                    stream.record(ev.clone());
+                }
+                if let Some(flight) = &self.flight {
+                    flight.record(ev.clone());
+                }
+                if let Some(rec) = &self.recorder {
+                    if rec.enabled() {
+                        rec.trace(ev);
                     }
                 }
             }
         }
-        let _ = event_tx.send(event);
+        // Wall time spent sealing and queueing outbound frames — part of
+        // the loop's phase breakdown in scrapes.
+        if let (Some(rec), Some(start)) = (&self.recorder, flush_start) {
+            rec.counter_add("server", "flush_us", start.elapsed().as_micros() as u64);
+        }
     }
-}
 
-/// Runs `dispatch` against the node; with observability on, a panic
-/// inside it (a protocol invariant violation) first writes an
-/// `invariant` dump and then resumes unwinding.
-#[allow(clippy::too_many_arguments)]
-fn guarded_dispatch<T: Transport>(
-    node: &mut Node,
-    out: &mut Outgoing,
-    transport: &T,
-    observability: &Option<ObservabilityConfig>,
-    flight: &Option<FlightRecorder>,
-    me: usize,
-    run_start: Instant,
-    dispatch: impl FnOnce(&mut Node, &mut Outgoing),
-) {
-    let Some(obs) = observability else {
-        dispatch(node, out);
-        return;
-    };
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dispatch(node, out)));
-    if let Err(panic) = result {
-        let (events, dropped) = flight
+    /// Forwards harvested node events to the application, recording
+    /// end-to-end delivery latency for payloads this party sent itself
+    /// (channels deliver each sender's payloads in order, so FIFO pairing of
+    /// send instants against own deliveries is exact).
+    fn forward_events(&mut self, node: &mut Node) {
+        for event in node.take_events() {
+            if let Some(rec) = &self.recorder {
+                if let Event::ChannelDelivered { pid, payload } = &event {
+                    if payload.origin.0 == self.me && payload.kind == PayloadKind::App {
+                        if let Some(sent_at) = self
+                            .send_times
+                            .get_mut(pid.as_str())
+                            .and_then(|queue| queue.pop_front())
+                        {
+                            rec.observe(
+                                root_scope(pid.as_str()),
+                                DELIVERY_LATENCY,
+                                sent_at.elapsed().as_micros() as u64,
+                            );
+                        }
+                    }
+                }
+            }
+            let _ = self.event_tx.send(event);
+        }
+    }
+
+    /// The end of every step, timer or input alike: re-arm the timers the
+    /// step asked for, put its messages on the wire, hand its events to
+    /// the application.
+    fn finish_step<T: Transport>(
+        &mut self,
+        out: &mut Outgoing,
+        node: &mut Node,
+        transport: &mut T,
+        timers: &mut Timers,
+    ) {
+        for t in out.drain_timers() {
+            timers.push(std::cmp::Reverse((
+                Instant::now() + Duration::from_millis(t.delay_ms),
+                t.pid,
+                t.token,
+            )));
+        }
+        self.flush(out, transport);
+        self.forward_events(node);
+    }
+
+    /// Writes the server's live state (instance snapshots, link state,
+    /// flight-recorder tail) under `reason`; nothing without observability.
+    fn dump<T: Transport>(&self, reason: &str, node: &Node, transport: &T) {
+        let Some(obs) = &self.observability else {
+            return;
+        };
+        let (events, dropped) = self
+            .flight
             .as_ref()
             .map(|flight| flight.drain())
             .unwrap_or_default();
         write_dump(
             obs,
-            me,
-            "invariant",
-            run_start.elapsed().as_micros() as u64,
+            self.me,
+            reason,
+            self.run_start.elapsed().as_micros() as u64,
             obs.quiet.as_micros() as u64,
             &node.snapshot_instances(),
             &transport.link_snapshots(),
             &events,
             dropped,
         );
-        std::panic::resume_unwind(panic);
     }
-}
 
-/// Dispatches one authenticated envelope into the node: recv trace,
-/// cause attribution, guarded `handle_envelope`, phase metering. Shared
-/// by the inline path and the pipeline's in-order re-injection path
-/// (which passes the verify-queue wait as `wait_us`).
-#[allow(clippy::too_many_arguments)]
-fn dispatch_net<T: Transport>(
-    me: usize,
-    from: PartyId,
-    env: &Envelope,
-    wire_len: u64,
-    wait_us: u64,
-    node: &mut Node,
-    out: &mut Outgoing,
-    transport: &T,
-    recorder: &Option<Arc<dyn Recorder>>,
-    observability: &Option<ObservabilityConfig>,
-    flight: &Option<FlightRecorder>,
-    run_start: Instant,
-    tracing: bool,
-    metered: bool,
-) {
-    if let Some(rec) = recorder {
-        rec.counter_add(root_scope(env.pid.as_str()), "msgs_delivered", 1);
+    /// Runs `dispatch` against the node; with observability on, a panic
+    /// inside it (a protocol invariant violation) first writes an
+    /// `invariant` dump and then resumes unwinding.
+    fn guarded_dispatch<T: Transport>(
+        &self,
+        node: &mut Node,
+        out: &mut Outgoing,
+        transport: &T,
+        dispatch: impl FnOnce(&mut Node, &mut Outgoing),
+    ) {
+        if self.observability.is_none() {
+            dispatch(node, out);
+            return;
+        }
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dispatch(node, out)));
+        if let Err(panic) = result {
+            self.dump("invariant", node, transport);
+            std::panic::resume_unwind(panic);
+        }
     }
-    // Everything this step emits — messages and trace events alike —
-    // descends from this exact transmission.
-    out.set_cause(Some((from.0, env.send_seq)));
-    if tracing {
-        // Pre-stamped at dispatch start (flush leaves nonzero stamps
-        // alone): with the produced events stamped at flush time, the
-        // recv/produced pair brackets this dispatch's compute interval.
-        let mut ev = TraceEvent::new(me, env.pid.as_str(), "net")
-            .phase("recv")
-            .round(env.send_seq)
-            .bytes(wire_len)
-            .waited(wait_us);
-        ev.time_us = run_start.elapsed().as_micros() as u64;
-        out.trace(ev);
-    }
-    let dispatch_start = metered.then(Instant::now);
-    guarded_dispatch(
-        node,
-        out,
-        transport,
-        observability,
-        flight,
-        me,
-        run_start,
-        |node, out| node.handle_envelope(from, env, out),
-    );
-    if let (Some(rec), Some(start)) = (recorder, dispatch_start) {
-        let us = start.elapsed().as_micros() as u64;
-        rec.counter_add(root_scope(env.pid.as_str()), "dispatch_us", us);
-        rec.counter_add("server", "net_dispatch_us", us);
+
+    /// Dispatches one authenticated envelope into the node: recv trace,
+    /// cause attribution, guarded `handle_envelope`, phase metering.
+    fn dispatch_net<T: Transport>(
+        &self,
+        from: PartyId,
+        env: &Envelope,
+        wire_len: u64,
+        node: &mut Node,
+        out: &mut Outgoing,
+        transport: &T,
+    ) {
+        if let Some(rec) = &self.recorder {
+            rec.counter_add(root_scope(env.pid.as_str()), "msgs_delivered", 1);
+        }
+        // Everything this step emits — messages and trace events alike —
+        // descends from this exact transmission.
+        out.set_cause(Some((from.0, env.send_seq)));
+        if self.tracing {
+            // Pre-stamped at dispatch start (flush leaves nonzero stamps
+            // alone): with the produced events stamped at flush time, the
+            // recv/produced pair brackets this dispatch's compute interval.
+            let mut ev = TraceEvent::new(self.me, env.pid.as_str(), "net")
+                .phase("recv")
+                .round(env.send_seq)
+                .bytes(wire_len);
+            ev.time_us = self.run_start.elapsed().as_micros() as u64;
+            out.trace(ev);
+        }
+        let dispatch_start = self.metered.then(Instant::now);
+        self.guarded_dispatch(node, out, transport, |node, out| {
+            node.handle_envelope(from, env, out)
+        });
+        if let (Some(rec), Some(start)) = (&self.recorder, dispatch_start) {
+            let us = start.elapsed().as_micros() as u64;
+            rec.counter_add(root_scope(env.pid.as_str()), "dispatch_us", us);
+            rec.counter_add("server", "net_dispatch_us", us);
+        }
     }
 }
 
@@ -695,46 +676,39 @@ pub(crate) fn server_loop<T: Transport>(
         recorder,
         observability,
         run_start,
-        pipeline,
         trace_stream,
     } = opts;
     let ctx = GroupContext::new(keys);
     let mut node = Node::new(ctx, me as u64 ^ 0x7EAD_ED01);
     if let Some(rec) = &recorder {
         node.set_recorder(rec.clone());
-    }
-    let tracing = recorder.as_ref().is_some_and(|r| r.enabled()) || observability.is_some();
-    let metered = recorder.as_ref().is_some_and(|r| r.enabled());
-    if let Some(rec) = &recorder {
         // Publish the stalled gauge at 0 up front so the series exists
         // in the first scrape, before any stall has happened.
         rec.gauge_set("server", "stalled", 0);
     }
-    let flight = observability
-        .as_ref()
-        .map(|obs| FlightRecorder::new(obs.ring_capacity));
-    let mut next_send_seq: u64 = 1;
-    // Per-channel FIFO of own send instants, matched against own
-    // deliveries for end-to-end latency.
-    let mut send_times: HashMap<String, VecDeque<Instant>> = HashMap::new();
+    let metered = recorder.as_ref().is_some_and(|r| r.enabled());
+    let mut state = LoopState {
+        me,
+        tracing: metered || observability.is_some(),
+        metered,
+        flight: observability
+            .as_ref()
+            .map(|obs| FlightRecorder::new(obs.ring_capacity)),
+        recorder,
+        observability,
+        trace_stream,
+        run_start,
+        next_send_seq: 1,
+        event_tx,
+        send_times: HashMap::new(),
+    };
     // Stall detection: quiet time is measured from the last *network or
     // application* input. Timer expiries deliberately do not reset it —
     // a channel re-arming its complaint timer while starved of messages
     // is exactly the situation worth dumping.
     let mut last_input = Instant::now();
     let mut stall_dumped = false;
-    // Staged verification: every admitted network envelope gets the next
-    // admission stamp; verified results re-enter through the reorder
-    // buffer and dispatch strictly in stamp order (a superset of the
-    // per-sender FIFO the links guarantee). `next_admit - next_dispatch`
-    // is the queued-but-unverified backlog — it counts as pending work
-    // for the stall detector.
-    let mut next_admit: u64 = 0;
-    let mut next_dispatch: u64 = 0;
-    let mut reorder: BTreeMap<u64, VerifiedEnvelope> = BTreeMap::new();
-    // Pending timers: (deadline, pid, token), earliest first.
-    let mut timers: std::collections::BinaryHeap<std::cmp::Reverse<(Instant, ProtocolId, u64)>> =
-        std::collections::BinaryHeap::new();
+    let mut timers = Timers::new();
     loop {
         // Fire due timers before blocking.
         let now = Instant::now();
@@ -745,42 +719,17 @@ pub(crate) fn server_loop<T: Transport>(
             let std::cmp::Reverse((_, pid, token)) =
                 timers.pop().or_invariant("timer heap drained after peek");
             let mut out = Outgoing::new();
-            out.set_tracing(tracing);
-            let dispatch_start = metered.then(Instant::now);
-            guarded_dispatch(
-                &mut node,
-                &mut out,
-                &transport,
-                &observability,
-                &flight,
-                me,
-                run_start,
-                |node, out| node.handle_timer(&pid, token, out),
-            );
-            if let (Some(rec), Some(start)) = (&recorder, dispatch_start) {
+            out.set_tracing(state.tracing);
+            let dispatch_start = state.metered.then(Instant::now);
+            state.guarded_dispatch(&mut node, &mut out, &transport, |node, out| {
+                node.handle_timer(&pid, token, out)
+            });
+            if let (Some(rec), Some(start)) = (&state.recorder, dispatch_start) {
                 let us = start.elapsed().as_micros() as u64;
                 rec.counter_add(root_scope(pid.as_str()), "dispatch_us", us);
                 rec.counter_add("server", "timer_dispatch_us", us);
             }
-            for t in out.drain_timers() {
-                timers.push(std::cmp::Reverse((
-                    Instant::now() + Duration::from_millis(t.delay_ms),
-                    t.pid,
-                    t.token,
-                )));
-            }
-            flush(
-                me,
-                &mut out,
-                &mut transport,
-                &recorder,
-                &flight,
-                &trace_stream,
-                run_start,
-                &mut next_send_seq,
-                tracing,
-            );
-            forward_events(&mut node, &event_tx, &recorder, &mut send_times, me);
+            state.finish_step(&mut out, &mut node, &mut transport, &mut timers);
         }
         // Block for the next input — but never past the next timer
         // deadline, and never past the stall-check cadence when the
@@ -788,40 +737,17 @@ pub(crate) fn server_loop<T: Transport>(
         let timer_wait = timers.peek().map(|std::cmp::Reverse((deadline, _, _))| {
             deadline.saturating_duration_since(Instant::now())
         });
-        let input = if let Some(obs) = &observability {
+        let input = if let Some(obs) = &state.observability {
             let check = obs.effective_check_interval();
             let wait = timer_wait.map_or(check, |w| w.min(check));
             match inbox.recv_timeout(wait) {
                 Ok(input) => input,
                 Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    // Queued-but-unverified envelopes are pending work:
-                    // either the node is waiting on them (so idling here
-                    // is a stall worth dumping) or the pool itself has
-                    // wedged. A deep-but-flowing verify queue never gets
-                    // here falsely, because every re-injected result
-                    // resets `last_input` like any other input.
-                    let pipeline_backlog = next_admit != next_dispatch;
-                    if !stall_dumped
-                        && last_input.elapsed() >= obs.quiet
-                        && (node.has_pending_work() || pipeline_backlog)
+                    if !stall_dumped && last_input.elapsed() >= obs.quiet && node.has_pending_work()
                     {
-                        let (events, dropped) = flight
-                            .as_ref()
-                            .map(|flight| flight.drain())
-                            .unwrap_or_default();
-                        write_dump(
-                            obs,
-                            me,
-                            "stall",
-                            run_start.elapsed().as_micros() as u64,
-                            obs.quiet.as_micros() as u64,
-                            &node.snapshot_instances(),
-                            &transport.link_snapshots(),
-                            &events,
-                            dropped,
-                        );
+                        state.dump("stall", &node, &transport);
                         stall_dumped = true;
-                        if let Some(rec) = &recorder {
+                        if let Some(rec) = &state.recorder {
                             rec.gauge_set("server", "stalled", 1);
                         }
                     }
@@ -846,113 +772,37 @@ pub(crate) fn server_loop<T: Transport>(
         if stall_dumped {
             // Progress after a declared stall: flip the gauge back so
             // scrapes see the recovery, not just the incident.
-            if let Some(rec) = &recorder {
+            if let Some(rec) = &state.recorder {
                 rec.gauge_set("server", "stalled", 0);
             }
         }
         stall_dumped = false;
-        if let Some(rec) = &recorder {
-            if metered {
-                rec.gauge_set("server", "inbox_depth", inbox.len() as u64);
-                if let Some(pool) = &pipeline {
-                    rec.gauge_set(PIPELINE_SCOPE, "verify_queue_depth", pool.depth());
-                }
-            }
+        if let (Some(rec), true) = (&state.recorder, state.metered) {
+            rec.gauge_set("server", "inbox_depth", inbox.len() as u64);
         }
         let mut out = Outgoing::new();
-        out.set_tracing(tracing);
+        out.set_tracing(state.tracing);
         match input {
             Input::Net { from, data } => {
-                // Opening stays on the loop thread: the threaded
-                // transport's open is stateful (MAC check plus duplicate
-                // suppression against the cumulative receive counter).
                 let Some(env) = transport.open(from, &data) else {
                     // An unauthenticated frame carries no trustworthy
                     // protocol id; account it against the link itself.
-                    if let Some(rec) = &recorder {
+                    if let Some(rec) = &state.recorder {
                         rec.counter_add("link", "msgs_dropped", 1);
                     }
                     continue;
                 };
-                if let Some(pool) = &pipeline {
-                    // Staged path: stamp with the admission sequence and
-                    // hand the decoded envelope to the worker pool. The
-                    // verified result re-enters as `Input::Verified` and
-                    // dispatches in admission order below.
-                    let admit_seq = next_admit;
-                    next_admit += 1;
-                    pool.submit(admit_seq, from, env, data.len() as u64);
-                } else {
-                    dispatch_net(
-                        me,
-                        from,
-                        &env,
-                        data.len() as u64,
-                        0,
-                        &mut node,
-                        &mut out,
-                        &transport,
-                        &recorder,
-                        &observability,
-                        &flight,
-                        run_start,
-                        tracing,
-                        metered,
-                    );
-                }
-            }
-            Input::Verified(verified) => {
-                if let Some(pool) = &pipeline {
-                    pool.complete_one();
-                }
-                reorder.insert(verified.admit_seq, *verified);
-                // Dispatch every envelope that is now contiguous with the
-                // admission frontier; later arrivals wait in the reorder
-                // buffer so delivery order matches inline verification.
-                while let Some(v) = reorder.remove(&next_dispatch) {
-                    next_dispatch += 1;
-                    if let PreVerdict::Invalid(_) = v.result.verdict {
-                        // Byzantine-invalid: blame the sender, never
-                        // silently drop.
-                        if let Some(rec) = &recorder {
-                            rec.counter_add(&format!("from-p{}", v.from.0), "verify_rejected", 1);
-                        }
-                        if tracing {
-                            out.trace(
-                                TraceEvent::new(me, v.env.pid.as_str(), "net")
-                                    .phase("verify-reject")
-                                    .round(v.env.send_seq)
-                                    .caused_by(v.from.0, v.env.send_seq),
-                            );
-                        }
-                        continue;
-                    }
-                    if let Some(token) = v.result.token {
-                        // Deposit the pre-verification token right before
-                        // dispatch; the handler's own verify site consumes
-                        // it and skips the redundant crypto.
-                        node.context().note_preverified([token]);
-                    }
-                    dispatch_net(
-                        me,
-                        v.from,
-                        &v.env,
-                        v.wire_len,
-                        v.admit_at.elapsed().as_micros() as u64,
-                        &mut node,
-                        &mut out,
-                        &transport,
-                        &recorder,
-                        &observability,
-                        &flight,
-                        run_start,
-                        tracing,
-                        metered,
-                    );
-                }
+                state.dispatch_net(
+                    from,
+                    &env,
+                    data.len() as u64,
+                    &mut node,
+                    &mut out,
+                    &transport,
+                );
             }
             Input::Cmd(cmd) => {
-                let cmd_start = metered.then(Instant::now);
+                let cmd_start = state.metered.then(Instant::now);
                 match cmd {
                     Command::CreateAtomic(pid, config) => node.create_atomic_channel(pid, config),
                     Command::CreateSecure(pid, config) => node.create_secure_channel(pid, config),
@@ -974,8 +824,9 @@ pub(crate) fn server_loop<T: Transport>(
                         node.create_multi_valued(pid, validator, order)
                     }
                     Command::Send(pid, data) => {
-                        if recorder.as_ref().is_some_and(|r| r.enabled()) {
-                            send_times
+                        if state.metered {
+                            state
+                                .send_times
                                 .entry(pid.as_str().to_string())
                                 .or_default()
                                 .push_back(Instant::now());
@@ -993,28 +844,10 @@ pub(crate) fn server_loop<T: Transport>(
                     }
                     Command::ProposeMulti(pid, value) => node.propose_multi(&pid, value, &mut out),
                     Command::Close(pid) => node.channel_close(&pid, &mut out),
-                    Command::DumpState(reason) => {
-                        if let Some(obs) = &observability {
-                            let (events, dropped) = flight
-                                .as_ref()
-                                .map(|flight| flight.drain())
-                                .unwrap_or_default();
-                            write_dump(
-                                obs,
-                                me,
-                                &reason,
-                                run_start.elapsed().as_micros() as u64,
-                                obs.quiet.as_micros() as u64,
-                                &node.snapshot_instances(),
-                                &transport.link_snapshots(),
-                                &events,
-                                dropped,
-                            );
-                        }
-                    }
+                    Command::DumpState(reason) => state.dump(&reason, &node, &transport),
                     Command::Shutdown => return,
                 }
-                if let (Some(rec), Some(start)) = (&recorder, cmd_start) {
+                if let (Some(rec), Some(start)) = (&state.recorder, cmd_start) {
                     rec.counter_add(
                         "server",
                         "cmd_dispatch_us",
@@ -1023,24 +856,52 @@ pub(crate) fn server_loop<T: Transport>(
                 }
             }
         }
-        for t in out.drain_timers() {
-            timers.push(std::cmp::Reverse((
-                Instant::now() + Duration::from_millis(t.delay_ms),
-                t.pid,
-                t.token,
-            )));
+        state.finish_step(&mut out, &mut node, &mut transport, &mut timers);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crossbeam::channel::unbounded;
+
+    #[test]
+    fn stashed_deliveries_come_back_in_order() {
+        let (cmd_tx, _cmd_rx) = unbounded();
+        let (event_tx, event_rx) = unbounded();
+        let mut handle = ServerHandle::new(PartyId(0), cmd_tx, event_rx);
+        let pid = ProtocolId::new("stash");
+        let count = 2_000u64;
+        for seq in 0..count {
+            let payload = Payload {
+                origin: PartyId(1),
+                seq,
+                kind: PayloadKind::App,
+                data: Vec::new(),
+            };
+            event_tx
+                .send(Event::ChannelDelivered {
+                    pid: pid.clone(),
+                    payload,
+                })
+                .unwrap();
         }
-        flush(
-            me,
-            &mut out,
-            &mut transport,
-            &recorder,
-            &flight,
-            &trace_stream,
-            run_start,
-            &mut next_send_seq,
-            tracing,
-        );
-        forward_events(&mut node, &event_tx, &recorder, &mut send_times, me);
+        // The first `try_receive` moves every pending delivery into the
+        // stash; from then on both calls are served from it.
+        for seq in 0..count - 3 {
+            let got = if seq % 2 == 0 {
+                handle.try_receive(&pid)
+            } else {
+                handle.receive(&pid)
+            };
+            assert_eq!(got.map(|p| p.seq), Some(seq));
+        }
+        // What is left when the channel closes comes back as a `Vec`.
+        event_tx
+            .send(Event::ChannelClosed { pid: pid.clone() })
+            .unwrap();
+        let rest: Vec<u64> = handle.close_wait(&pid).iter().map(|p| p.seq).collect();
+        assert_eq!(rest, vec![count - 3, count - 2, count - 1]);
+        assert!(handle.try_receive(&pid).is_none());
     }
 }

@@ -17,7 +17,6 @@ use sintra_telemetry::{FanoutRecorder, MetricsRegistry, Recorder};
 use crate::link::{LinkConfig, LinkError, LinkKey, ReliableLink};
 use crate::metrics::{GaugeSampler, MetricsServer};
 use crate::observe::ObservabilityConfig;
-use crate::pipeline::{PipelineConfig, VerifyPool};
 use crate::server::{server_loop, Command, Input, ServerHandle, ServerOpts, Transport};
 use crate::tcp::conn::{
     accept_supervisor, dial_supervisor, listener_loop, poll_loop, writer_loop, BackoffConfig,
@@ -39,9 +38,6 @@ pub struct TcpConfig {
     /// Flight-recorder and stall-detector settings; `None` disables both
     /// (no per-event overhead beyond one branch).
     pub observability: Option<ObservabilityConfig>,
-    /// Staged-verification pipeline settings; zero workers (the default)
-    /// keeps envelope verification inline on the server loop.
-    pub pipeline: PipelineConfig,
 }
 
 impl Default for TcpConfig {
@@ -51,7 +47,6 @@ impl Default for TcpConfig {
             link: LinkConfig::default(),
             handshake_timeout: Duration::from_secs(2),
             observability: None,
-            pipeline: PipelineConfig::default(),
         }
     }
 }
@@ -337,22 +332,10 @@ impl TcpGroup {
                 self_tx: inbox_tx.clone(),
             };
             let keys = Arc::clone(keys);
-            // The pool gets its own GroupContext: workers only need key
-            // material (verification is stateless); receipts are
-            // deposited loop-side into the node's own context.
-            let pool = config.pipeline.is_enabled().then(|| {
-                VerifyPool::spawn(
-                    sintra_core::GroupContext::new(Arc::clone(&keys)),
-                    &config.pipeline,
-                    inbox_tx.clone(),
-                    party_recorder.clone(),
-                )
-            });
             let opts = ServerOpts {
                 recorder: party_recorder.clone(),
                 observability: config.observability.clone(),
                 run_start,
-                pipeline: pool,
                 trace_stream: crate::observe::spawn_trace_stream(i, config.observability.as_ref()),
             };
             let inbox_rx = inboxes[i].1.clone();
@@ -506,8 +489,9 @@ mod tests {
             .collect()
     }
 
-    fn total_order_roundtrip(config: TcpConfig) {
-        let (group, mut handles) = TcpGroup::spawn_with(keys(4, 1), config, None).unwrap();
+    #[test]
+    fn atomic_channel_over_sockets_inline() {
+        let (group, mut handles) = TcpGroup::spawn(keys(4, 1)).unwrap();
         let pid = ProtocolId::new("tcp-smoke");
         for h in &handles {
             h.create_atomic_channel(pid.clone(), AtomicChannelConfig::default());
@@ -526,67 +510,46 @@ mod tests {
         group.shutdown();
     }
 
+    /// The per-sender FIFO property over real sockets: one total order
+    /// everywhere, each sender's messages in send order within it.
     #[test]
-    fn atomic_channel_over_sockets_inline() {
-        total_order_roundtrip(TcpConfig::default());
-    }
-
-    #[test]
-    fn atomic_channel_over_sockets_staged() {
-        let config = TcpConfig {
-            pipeline: PipelineConfig::with_workers(2),
-            ..TcpConfig::default()
-        };
-        total_order_roundtrip(config);
-    }
-
-    /// The per-sender FIFO property over real sockets, for every worker
-    /// count (0 = the inline baseline): one total order everywhere, each
-    /// sender's messages in send order within it.
-    #[test]
-    fn staged_pipeline_preserves_per_sender_fifo_over_sockets() {
-        for workers in [0usize, 1, 2, 8] {
-            let config = TcpConfig {
-                pipeline: PipelineConfig::with_workers(workers),
-                ..TcpConfig::default()
-            };
-            let (group, mut handles) = TcpGroup::spawn_with(keys(4, 1), config, None).unwrap();
-            let pid = ProtocolId::new("tcp-staged-fifo");
-            for h in &handles {
-                h.create_atomic_channel(pid.clone(), AtomicChannelConfig::default());
-            }
-            let per_sender = 4usize;
-            for m in 0..per_sender {
-                for (i, h) in handles.iter().enumerate() {
-                    h.send(&pid, format!("s{i}-m{m}").into_bytes());
-                }
-            }
-            let total = handles.len() * per_sender;
-            let mut sequences = Vec::new();
-            for h in handles.iter_mut() {
-                let seq: Vec<Vec<u8>> = (0..total).map(|_| h.receive(&pid).unwrap().data).collect();
-                sequences.push(seq);
-            }
-            for s in &sequences[1..] {
-                assert_eq!(s, &sequences[0], "total order, workers={workers}");
-            }
-            for i in 0..handles.len() {
-                let prefix = format!("s{i}-");
-                let mine: Vec<&Vec<u8>> = sequences[0]
-                    .iter()
-                    .filter(|d| d.starts_with(prefix.as_bytes()))
-                    .collect();
-                assert_eq!(mine.len(), per_sender, "workers={workers} sender={i}");
-                for (m, got) in mine.iter().enumerate() {
-                    assert_eq!(
-                        **got,
-                        format!("s{i}-m{m}").into_bytes(),
-                        "per-sender FIFO, workers={workers} sender={i}"
-                    );
-                }
-            }
-            group.shutdown();
+    fn per_sender_fifo_over_sockets() {
+        let (group, mut handles) = TcpGroup::spawn(keys(4, 1)).unwrap();
+        let pid = ProtocolId::new("tcp-fifo");
+        for h in &handles {
+            h.create_atomic_channel(pid.clone(), AtomicChannelConfig::default());
         }
+        let per_sender = 4usize;
+        for m in 0..per_sender {
+            for (i, h) in handles.iter().enumerate() {
+                h.send(&pid, format!("s{i}-m{m}").into_bytes());
+            }
+        }
+        let total = handles.len() * per_sender;
+        let mut sequences = Vec::new();
+        for h in handles.iter_mut() {
+            let seq: Vec<Vec<u8>> = (0..total).map(|_| h.receive(&pid).unwrap().data).collect();
+            sequences.push(seq);
+        }
+        for s in &sequences[1..] {
+            assert_eq!(s, &sequences[0], "total order");
+        }
+        for i in 0..handles.len() {
+            let prefix = format!("s{i}-");
+            let mine: Vec<&Vec<u8>> = sequences[0]
+                .iter()
+                .filter(|d| d.starts_with(prefix.as_bytes()))
+                .collect();
+            assert_eq!(mine.len(), per_sender, "sender={i}");
+            for (m, got) in mine.iter().enumerate() {
+                assert_eq!(
+                    **got,
+                    format!("s{i}-m{m}").into_bytes(),
+                    "per-sender FIFO, sender={i}"
+                );
+            }
+        }
+        group.shutdown();
     }
 
     /// Requests queued behind a party's first share its next entry, so

@@ -25,11 +25,9 @@ use sintra_telemetry::{FanoutRecorder, MetricsRegistry, Recorder, SnapshotWriter
 use crate::link::{FrameKind, LinkKey};
 use crate::metrics::MetricsServer;
 use crate::observe::ObservabilityConfig;
-use crate::pipeline::{PipelineConfig, VerifyPool};
 use crate::server::{server_loop, Command, Input, ServerOpts, Transport};
 use crate::Runtime;
 use sintra_core::invariant::OrInvariant;
-use sintra_core::GroupContext;
 
 pub use crate::server::ServerHandle;
 
@@ -141,25 +139,6 @@ impl ThreadedGroup {
         recorder: Option<Arc<dyn Recorder>>,
         observability: Option<ObservabilityConfig>,
     ) -> (ThreadedGroup, Vec<ServerHandle>) {
-        Self::spawn_staged(
-            party_keys,
-            recorder,
-            observability,
-            PipelineConfig::default(),
-        )
-    }
-
-    /// Like [`ThreadedGroup::spawn_observable`], with the staged
-    /// verification pipeline configured: when `pipeline` enables worker
-    /// threads, each server offloads envelope crypto to its own
-    /// [`VerifyPool`](crate::pipeline) and dispatches results in
-    /// admission order.
-    pub fn spawn_staged(
-        party_keys: Vec<Arc<PartyKeys>>,
-        recorder: Option<Arc<dyn Recorder>>,
-        observability: Option<ObservabilityConfig>,
-        pipeline: PipelineConfig,
-    ) -> (ThreadedGroup, Vec<ServerHandle>) {
         let n = party_keys.len();
         // One shared time zero for the whole group: trace stamps from
         // different party threads must be comparable.
@@ -217,23 +196,11 @@ impl ThreadedGroup {
                     .collect(),
             };
             let keys = Arc::clone(keys);
-            // The pool gets its own GroupContext: workers only need key
-            // material (verification is stateless); receipts are
-            // deposited loop-side into the node's own context.
-            let pool = pipeline.is_enabled().then(|| {
-                VerifyPool::spawn(
-                    GroupContext::new(Arc::clone(&keys)),
-                    &pipeline,
-                    inboxes[i].0.clone(),
-                    party_recorder.clone(),
-                )
-            });
             let trace_stream = crate::observe::spawn_trace_stream(i, observability.as_ref());
             let opts = ServerOpts {
                 recorder: party_recorder,
                 observability: observability.clone(),
                 run_start,
-                pipeline: pool,
                 trace_stream,
             };
             let thread = std::thread::Builder::new()
@@ -450,55 +417,47 @@ mod tests {
         group.shutdown();
     }
 
-    /// End-to-end per-sender FIFO through the staged pipeline: for every
-    /// worker count (0 = the inline baseline), concurrent senders'
-    /// messages must arrive in one identical total order at every party,
-    /// and each sender's messages must appear in send order within it.
+    /// End-to-end per-sender FIFO: concurrent senders' messages must
+    /// arrive in one identical total order at every party, and each
+    /// sender's messages must appear in send order within it.
     #[test]
-    fn staged_pipeline_preserves_per_sender_fifo() {
-        for workers in [0usize, 1, 2, 8] {
-            let (group, mut handles) = ThreadedGroup::spawn_staged(
-                keys(4, 1),
-                None,
-                None,
-                PipelineConfig::with_workers(workers),
-            );
-            let pid = ProtocolId::new("staged-fifo");
-            for h in &handles {
-                h.create_atomic_channel(pid.clone(), AtomicChannelConfig::default());
-            }
-            let per_sender = 5usize;
-            for m in 0..per_sender {
-                for (i, h) in handles.iter().enumerate() {
-                    h.send(&pid, format!("s{i}-m{m}").into_bytes());
-                }
-            }
-            let total = handles.len() * per_sender;
-            let mut sequences = Vec::new();
-            for h in handles.iter_mut() {
-                let seq: Vec<Vec<u8>> = (0..total).map(|_| h.receive(&pid).unwrap().data).collect();
-                sequences.push(seq);
-            }
-            for s in &sequences[1..] {
-                assert_eq!(s, &sequences[0], "total order, workers={workers}");
-            }
-            for i in 0..handles.len() {
-                let prefix = format!("s{i}-");
-                let mine: Vec<&Vec<u8>> = sequences[0]
-                    .iter()
-                    .filter(|d| d.starts_with(prefix.as_bytes()))
-                    .collect();
-                assert_eq!(mine.len(), per_sender, "workers={workers} sender={i}");
-                for (m, got) in mine.iter().enumerate() {
-                    assert_eq!(
-                        **got,
-                        format!("s{i}-m{m}").into_bytes(),
-                        "per-sender FIFO, workers={workers} sender={i}"
-                    );
-                }
-            }
-            group.shutdown();
+    fn per_sender_fifo_over_threads() {
+        let (group, mut handles) = ThreadedGroup::spawn(keys(4, 1));
+        let pid = ProtocolId::new("threaded-fifo");
+        for h in &handles {
+            h.create_atomic_channel(pid.clone(), AtomicChannelConfig::default());
         }
+        let per_sender = 5usize;
+        for m in 0..per_sender {
+            for (i, h) in handles.iter().enumerate() {
+                h.send(&pid, format!("s{i}-m{m}").into_bytes());
+            }
+        }
+        let total = handles.len() * per_sender;
+        let mut sequences = Vec::new();
+        for h in handles.iter_mut() {
+            let seq: Vec<Vec<u8>> = (0..total).map(|_| h.receive(&pid).unwrap().data).collect();
+            sequences.push(seq);
+        }
+        for s in &sequences[1..] {
+            assert_eq!(s, &sequences[0], "total order");
+        }
+        for i in 0..handles.len() {
+            let prefix = format!("s{i}-");
+            let mine: Vec<&Vec<u8>> = sequences[0]
+                .iter()
+                .filter(|d| d.starts_with(prefix.as_bytes()))
+                .collect();
+            assert_eq!(mine.len(), per_sender, "sender={i}");
+            for (m, got) in mine.iter().enumerate() {
+                assert_eq!(
+                    **got,
+                    format!("s{i}-m{m}").into_bytes(),
+                    "per-sender FIFO, sender={i}"
+                );
+            }
+        }
+        group.shutdown();
     }
 
     #[test]

@@ -32,9 +32,9 @@ pub struct TraceEvent {
     /// (client sends, timer expiries) have none.
     pub cause: Option<(usize, u64)>,
     /// Microseconds the event's trigger spent queued before processing
-    /// began — for a `net:recv` event, the verify-queue wait between
-    /// admission and dispatch under the staged pipeline. Zero (and
-    /// omitted from JSON) when nothing waited.
+    /// began. Always 0 (and omitted from JSON): no runtime queues an
+    /// envelope between admission and dispatch any more. Reserved until
+    /// the benchmark drops `prof.verify-wait_share`, which reads it.
     pub wait_us: u64,
 }
 

@@ -90,7 +90,7 @@ fn fmt_opt_ms(v: Option<f64>) -> String {
 /// Renders one refresh of the table.
 fn render(samples: &[(SocketAddr, Option<Sample>, Option<Sample>)]) {
     println!(
-        "{:>5}  {:>8}  {:>9}  {:>7}  {:>8}  {:>8}  {:>6}  {:>9}  {:>5}  {:>6}  {:>8}  {:>7}",
+        "{:>5}  {:>8}  {:>9}  {:>7}  {:>8}  {:>8}  {:>6}  {:>9}  {:>8}  {:>7}",
         "party",
         "msgs/s",
         "bytes/s",
@@ -99,8 +99,6 @@ fn render(samples: &[(SocketAddr, Option<Sample>, Option<Sample>)]) {
         "p95 ms",
         "busy%",
         "crypto",
-        "vq",
-        "vbusy%",
         "rtxq B",
         "stalled"
     );
@@ -115,7 +113,7 @@ fn render(samples: &[(SocketAddr, Option<Sample>, Option<Sample>)]) {
             .first()
             .cloned()
             .unwrap_or_else(|| "?".to_string());
-        let (msgs, bytes, dlv, busy, crypto, vbusy) = match prev {
+        let (msgs, bytes, dlv, busy, crypto) = match prev {
             Some(prev) => {
                 let msgs = family_rate(prev, next, "sintra_msgs_sent_total");
                 let bytes = family_rate(prev, next, "sintra_bytes_sent_total");
@@ -127,16 +125,12 @@ fn render(samples: &[(SocketAddr, Option<Sample>, Option<Sample>)]) {
                     + family_rate(prev, next, "sintra_cmd_dispatch_us_total")
                     + family_rate(prev, next, "sintra_flush_us_total");
                 let crypto = family_rate(prev, next, "sintra_crypto_work_milli_total");
-                // Crypto-worker wall time across the pool, same scale as
-                // the loop's busy% (can exceed 100 with several workers).
-                let vbusy_us = family_rate(prev, next, "sintra_verify_busy_us_total");
                 (
                     fmt_rate(msgs),
                     fmt_rate(bytes),
                     fmt_rate(dlv),
                     format!("{:.1}", busy_us / 10_000.0),
                     format!("{crypto:.0}ms/s"),
-                    format!("{:.1}", vbusy_us / 10_000.0),
                 )
             }
             None => (
@@ -145,13 +139,8 @@ fn render(samples: &[(SocketAddr, Option<Sample>, Option<Sample>)]) {
                 "-".to_string(),
                 "-".to_string(),
                 "-".to_string(),
-                "-".to_string(),
             ),
         };
-        let vq = next
-            .exposition
-            .value("sintra_verify_queue_depth", &[])
-            .map_or_else(|| "-".to_string(), |v| format!("{v:.0}"));
         let rtxq = next
             .exposition
             .value("sintra_retransmit_queue_bytes", &[])
@@ -162,7 +151,7 @@ fn render(samples: &[(SocketAddr, Option<Sample>, Option<Sample>)]) {
             None => "-",
         };
         println!(
-            "{party:>5}  {msgs:>8}  {bytes:>9}  {dlv:>7}  {:>8}  {:>8}  {busy:>6}  {crypto:>9}  {vq:>5}  {vbusy:>6}  {rtxq:>8}  {stalled:>7}",
+            "{party:>5}  {msgs:>8}  {bytes:>9}  {dlv:>7}  {:>8}  {:>8}  {busy:>6}  {crypto:>9}  {rtxq:>8}  {stalled:>7}",
             fmt_opt_ms(latency_ms(next, 0.5)),
             fmt_opt_ms(latency_ms(next, 0.95)),
         );
@@ -233,9 +222,6 @@ mod demo {
                 .collect();
             let config = TcpConfig {
                 observability: Some(ObservabilityConfig::with_metrics()),
-                // Staged verification on, so the vq/vbusy% columns carry
-                // live data in the demo.
-                pipeline: sintra_net::PipelineConfig::with_workers(2),
                 ..TcpConfig::default()
             };
             let (group, handles) =

@@ -136,8 +136,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
-    // Same property over real loopback-TCP sockets: framing, link
-    // retransmission, and the verify pipeline must not break the chain.
+    // Same property over real loopback-TCP sockets: framing and link
+    // retransmission must not break the chain.
     #[test]
     fn tcp_traces_are_causally_closed(
         seed in 1u64..1_000,
