@@ -5,11 +5,39 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use sintra_bigint::{Montgomery, UbigRandom};
 use sintra_crypto::coin::CoinScheme;
 use sintra_crypto::hash::Sha256;
 use sintra_crypto::thenc::EncScheme;
 use sintra_crypto::thsig::{deal_kits, SigFlavor};
 use sintra_crypto::{fixtures, hmac::HmacKey};
+
+/// The bottom layer: one Montgomery multiplication and squaring at the
+/// group modulus, and exponentiations at the exponent lengths the stack
+/// uses — 17 bits (RSA verification), 160 (group exponents), 512 at a
+/// 512-bit modulus (one CRT half of a signature), 1024 (Shoup shares,
+/// hashing into the group).
+fn bench_bigint(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(5);
+    let group = fixtures::schnorr_group(1024).expect("fixture");
+    let p = group.modulus();
+    let ctx = Montgomery::new(p);
+    let a = ctx.to_mont(&rng.gen_ubig_below(p));
+    let b = ctx.to_mont(&rng.gen_ubig_below(p));
+    let mut g = c.benchmark_group("bigint");
+    g.bench_function("mont-mul/1024", |bench| bench.iter(|| ctx.mont_mul(&a, &b)));
+    g.bench_function("mont-sqr/1024", |bench| bench.iter(|| ctx.mont_sqr(&a)));
+    let half = fixtures::schnorr_group(512).expect("fixture");
+    for (modulus, exp_bits) in [(p, 17), (p, 160), (half.modulus(), 512), (p, 1024)] {
+        let base = rng.gen_ubig_below(modulus);
+        let exp = rng.gen_ubig_bits(exp_bits).with_bit(exp_bits - 1, true);
+        let id = format!("{}x{exp_bits}", modulus.bit_length());
+        g.bench_with_input(BenchmarkId::new("modexp", id), &exp, |bench, exp| {
+            bench.iter(|| base.mod_pow(exp, modulus))
+        });
+    }
+    g.finish();
+}
 
 fn bench_hash(c: &mut Criterion) {
     let data = vec![0xABu8; 4096];
@@ -189,6 +217,7 @@ fn bench_thenc(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_bigint,
     bench_hash,
     bench_rsa,
     bench_coin,

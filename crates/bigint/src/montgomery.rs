@@ -1,12 +1,33 @@
 //! Montgomery-form modular arithmetic for odd moduli.
+//!
+//! Everything here bottoms out in one limb-level kernel that works on
+//! *residues*: values `< n` held in exactly `k` limbs (`k` = limbs of the
+//! modulus), in buffers the caller owns. Three operations make it up —
+//! `mul_into` (multiply and reduce fused into one pass), `sqr` (each
+//! off-diagonal product once) and `reduce` — and the exponentiation loops
+//! ([`Montgomery::pow`], [`Montgomery::multi_pow_mont`],
+//! [`FixedBase::pow_mont`]) run on a few scratch buffers allocated once
+//! per call. The `Ubig`-level methods are thin wrappers that bring their
+//! operands into that shape first.
+
+use std::borrow::Cow;
+use std::cmp::Ordering;
 
 use crate::{DoubleLimb, Limb, Ubig};
 
 /// A reusable Montgomery reduction context for a fixed odd modulus.
 ///
 /// Constructing the context performs the one-time setup (computing `-n^-1
-/// mod 2^64` and `R^2 mod n`); afterwards [`Montgomery::pow`] and
-/// [`Montgomery::mul`] avoid all trial division.
+/// mod 2^64`, `R mod n` and `R^2 mod n`); afterwards [`Montgomery::pow`]
+/// and [`Montgomery::mul`] avoid all trial division.
+///
+/// # Operand contract
+///
+/// Inside, every value is a residue: `< n`, exactly as many limbs as `n`.
+/// The methods taking `Ubig`s accept *any* value and reduce it modulo `n`
+/// on entry (a comparison when it is already reduced), so a caller cannot
+/// obtain a wrong residue by passing an operand `>= n` or one with fewer
+/// limbs than the modulus.
 ///
 /// ```
 /// use sintra_bigint::{Montgomery, Ubig};
@@ -21,9 +42,182 @@ pub struct Montgomery {
     n: Ubig,
     /// `-n^{-1} mod 2^64`
     n_prime: Limb,
-    /// `R^2 mod n` where `R = 2^(64 * limbs)`
-    r2: Ubig,
-    limbs: usize,
+    /// `R mod n` where `R = 2^(64 * limbs)`: the residue of `1` in
+    /// Montgomery form.
+    r1: Vec<Limb>,
+    /// `R^2 mod n`
+    r2: Vec<Limb>,
+}
+
+/// The limbs of `v < 2^(64 * k)`, zero-extended to exactly `k`.
+fn fixed_width(v: Ubig, k: usize) -> Vec<Limb> {
+    let mut limbs = v.limbs;
+    limbs.resize(k, 0);
+    limbs
+}
+
+/// The last step of a reduction: `acc` (with `top` as its limb `k`) is
+/// below `2n`; brings it below `n`.
+fn reduce_once(acc: &mut [Limb], top: Limb, n: &[Limb]) {
+    if top == 0 && Ubig::cmp_magnitude(acc, n) == Ordering::Less {
+        return;
+    }
+    // The borrow out of limb `k - 1` cancels `top`.
+    let mut borrow = false;
+    for (x, &y) in acc.iter_mut().zip(n) {
+        let (d, b1) = x.overflowing_sub(y);
+        let (d, b2) = d.overflowing_sub(borrow as Limb);
+        *x = d;
+        borrow = b1 | b2;
+    }
+}
+
+/// `wide = a * a`: the `k(k-1)/2` off-diagonal products once, doubled,
+/// plus the `k` diagonal squares. `wide` has twice the limbs of `a`.
+#[inline(always)]
+fn square_wide(wide: &mut [Limb], a: &[Limb]) {
+    let k = a.len();
+    let wide = &mut wide[..2 * k];
+    wide.fill(0);
+    for (i, &ai) in a.iter().enumerate() {
+        let mut carry: DoubleLimb = 0;
+        for (w, &aj) in wide[2 * i + 1..i + k].iter_mut().zip(&a[i + 1..]) {
+            let t = *w as DoubleLimb + ai as DoubleLimb * aj as DoubleLimb + carry;
+            *w = t as Limb;
+            carry = t >> 64;
+        }
+        // Rows `< i` reach limb `i + k - 1` at most, so this limb is fresh.
+        wide[i + k] = carry as Limb;
+    }
+    let mut shifted_out: Limb = 0;
+    let mut carry: DoubleLimb = 0;
+    for (pair, &ai) in wide.chunks_exact_mut(2).zip(a) {
+        let diag = ai as DoubleLimb * ai as DoubleLimb;
+        let lo = (pair[0] << 1) | shifted_out;
+        let hi = (pair[1] << 1) | (pair[0] >> 63);
+        shifted_out = pair[1] >> 63;
+        let t = lo as DoubleLimb + (diag as Limb) as DoubleLimb + carry;
+        pair[0] = t as Limb;
+        let t = hi as DoubleLimb + (diag >> 64) + (t >> 64);
+        pair[1] = t as Limb;
+        carry = t >> 64;
+    }
+    debug_assert!(shifted_out == 0 && carry == 0);
+}
+
+/// `out = a * b * R^-1 mod n` for residues `a`, `b` (`n_prime` is
+/// `-n^-1 mod 2^64`): multiplication and Montgomery reduction
+/// interleaved limb by limb, so the accumulator never grows past `k + 1`
+/// limbs and memory is swept once per limb of `b`. Two carry chains (one
+/// per product) keep every intermediate inside a `u128`.
+#[inline(always)]
+fn mul_reduce(n: &[Limb], n_prime: Limb, out: &mut [Limb], a: &[Limb], b: &[Limb]) {
+    let k = n.len();
+    // Equal, known lengths let the inner loop run without bounds checks.
+    let (out, a, b) = (&mut out[..k], &a[..k], &b[..k]);
+    out.fill(0);
+    // Limb `k` of the accumulator; it stays below `2n`, so 0 or 1.
+    let mut top: Limb = 0;
+    for &bi in b {
+        let x = out[0] as DoubleLimb + a[0] as DoubleLimb * bi as DoubleLimb;
+        let m = (x as Limb).wrapping_mul(n_prime);
+        let y = (x as Limb) as DoubleLimb + m as DoubleLimb * n[0] as DoubleLimb;
+        let (mut carry_ab, mut carry_mn) = (x >> 64, y >> 64);
+        for j in 1..k {
+            let x = out[j] as DoubleLimb + a[j] as DoubleLimb * bi as DoubleLimb + carry_ab;
+            carry_ab = x >> 64;
+            let y = (x as Limb) as DoubleLimb + m as DoubleLimb * n[j] as DoubleLimb + carry_mn;
+            carry_mn = y >> 64;
+            out[j - 1] = y as Limb;
+        }
+        let t = top as DoubleLimb + carry_ab + carry_mn;
+        out[k - 1] = t as Limb;
+        top = (t >> 64) as Limb;
+    }
+    reduce_once(out, top, n);
+}
+
+/// `out = wide * R^-1 mod n` for a `2k`-limb `wide < n * R` (which it
+/// consumes as scratch).
+#[inline(always)]
+fn reduce_wide(n: &[Limb], n_prime: Limb, out: &mut [Limb], wide: &mut [Limb]) {
+    let k = n.len();
+    let (out, wide) = (&mut out[..k], &mut wide[..2 * k]);
+    // The carry out of limb `i + k`, owed to limb `i + k + 1`.
+    let mut top: Limb = 0;
+    for i in 0..k {
+        let m = wide[i].wrapping_mul(n_prime);
+        let mut carry: DoubleLimb = 0;
+        for (w, &nj) in wide[i..i + k].iter_mut().zip(n) {
+            let t = *w as DoubleLimb + m as DoubleLimb * nj as DoubleLimb + carry;
+            *w = t as Limb;
+            carry = t >> 64;
+        }
+        let t = wide[i + k] as DoubleLimb + carry + top as DoubleLimb;
+        wide[i + k] = t as Limb;
+        top = (t >> 64) as Limb;
+    }
+    out.copy_from_slice(&wide[k..]);
+    reduce_once(out, top, n);
+}
+
+/// Runs a kernel body with the modulus re-sliced to a literal length at
+/// the two widths the stack lives at — 8 limbs (the CRT halves of a
+/// 1024-bit RSA key) and 16 (the group and RSA moduli) — so the optimiser
+/// unrolls that copy of the body; every other width runs the same body
+/// with the length read at run time.
+macro_rules! at_width {
+    ($n:expr, |$m:ident| $body:expr) => {
+        match $n.len() {
+            8 => {
+                let $m = &$n[..8];
+                $body
+            }
+            16 => {
+                let $m = &$n[..16];
+                $body
+            }
+            _ => {
+                let $m = $n;
+                $body
+            }
+        }
+    };
+}
+
+/// Bits `lo .. lo + width` of `exp` (`width <= 8`); bits beyond its
+/// length read as zero.
+fn bits_at(exp: &Ubig, lo: u32, width: u32) -> usize {
+    let limbs = exp.limbs();
+    let (index, shift) = ((lo / 64) as usize, lo % 64);
+    let mut v = limbs.get(index).map_or(0, |l| l >> shift);
+    if shift + width > 64 {
+        v |= limbs.get(index + 1).map_or(0, |l| l << (64 - shift));
+    }
+    (v & ((1 << width) - 1)) as usize
+}
+
+/// The sliding window whose top is the set bit `top - 1` of `exp`: at
+/// most `width` bits, trimmed to end in a set bit. Returns the index of
+/// its lowest bit and its (odd) value.
+fn window_below(exp: &Ubig, top: u32, width: u32) -> (u32, usize) {
+    let lo = top.saturating_sub(width);
+    let chunk = bits_at(exp, lo, top - lo);
+    let trim = chunk.trailing_zeros();
+    (lo + trim, chunk >> trim)
+}
+
+/// Sliding-window width for an exponent of `bits` bits. A `w`-bit window
+/// costs `2^(w-1)` operations for its table of odd powers and then one
+/// multiplication per `w + 1` exponent bits on average, so short
+/// exponents (the RSA public exponent) take none, the 160-bit group
+/// exponents four bits and the CRT and Shoup exponents five.
+fn window_bits(bits: u32) -> u32 {
+    match bits {
+        0..=32 => 1,
+        33..=240 => 4,
+        _ => 5,
+    }
 }
 
 impl Montgomery {
@@ -44,14 +238,13 @@ impl Montgomery {
         }
         debug_assert_eq!(n0.wrapping_mul(inv), 1);
         let n_prime = inv.wrapping_neg();
-        // R^2 mod n, computed by shifting.
-        let r = &Ubig::one() << (64 * limbs as u32);
+        let r = &(&Ubig::one() << (64 * limbs as u32)) % n;
         let r2 = &(&r * &r) % n;
         Montgomery {
             n: n.clone(),
             n_prime,
-            r2,
-            limbs,
+            r1: fixed_width(r, limbs),
+            r2: fixed_width(r2, limbs),
         }
     }
 
@@ -60,61 +253,110 @@ impl Montgomery {
         &self.n
     }
 
-    /// Montgomery reduction: computes `t * R^-1 mod n` for `t < n*R`.
-    fn redc(&self, t: &Ubig) -> Ubig {
-        let k = self.limbs;
-        let mut a: Vec<Limb> = t.limbs().to_vec();
-        a.resize(2 * k + 1, 0);
-        for i in 0..k {
-            let m = a[i].wrapping_mul(self.n_prime);
-            // a += m * n << (64*i)
-            let mut carry: DoubleLimb = 0;
-            for (j, &nl) in self.n.limbs().iter().enumerate() {
-                let t = (a[i + j] as DoubleLimb) + (m as DoubleLimb) * (nl as DoubleLimb) + carry;
-                a[i + j] = t as Limb;
-                carry = t >> 64;
-            }
-            let mut idx = i + k;
-            while carry != 0 {
-                let t = (a[idx] as DoubleLimb) + carry;
-                a[idx] = t as Limb;
-                carry = t >> 64;
-                idx += 1;
-            }
+    /// Limbs per residue.
+    fn limbs(&self) -> usize {
+        self.n.limbs().len()
+    }
+
+    /// `out = a * b * R^-1 mod n` for residues `a`, `b`; `out` is a third
+    /// buffer.
+    fn mul_into(&self, out: &mut [Limb], a: &[Limb], b: &[Limb]) {
+        at_width!(self.n.limbs(), |n| mul_reduce(n, self.n_prime, out, a, b))
+    }
+
+    /// `out = wide * R^-1 mod n` for a `2k`-limb `wide < n * R` (which it
+    /// consumes as scratch).
+    fn reduce(&self, out: &mut [Limb], wide: &mut [Limb]) {
+        at_width!(self.n.limbs(), |n| reduce_wide(n, self.n_prime, out, wide))
+    }
+
+    /// `a = a * a * R^-1 mod n` in place, through the `2k`-limb scratch
+    /// `wide`: `k(k+1)/2 + k²` limb products where `mul_into` spends
+    /// `2k²`.
+    fn sqr(&self, a: &mut [Limb], wide: &mut [Limb]) {
+        at_width!(self.n.limbs(), |n| {
+            square_wide(wide, &a[..n.len()]);
+            reduce_wide(n, self.n_prime, a, wide)
+        })
+    }
+
+    /// Completes a table of `k`-limb residues whose first entry is set:
+    /// every further entry is the one before it times `step`.
+    fn fill_powers(&self, table: &mut [Limb], step: &[Limb]) {
+        let k = self.limbs();
+        for i in 1..table.len() / k {
+            let (done, rest) = table.split_at_mut(i * k);
+            self.mul_into(&mut rest[..k], &done[(i - 1) * k..], step);
         }
-        let result = Ubig::from_limbs(a[k..].to_vec());
-        if result >= self.n {
-            &result - &self.n
-        } else {
-            result
+    }
+
+    /// `a mod n` in exactly `k` limbs; borrowed when `a` already has that
+    /// shape.
+    fn residue<'a>(&self, a: &'a Ubig) -> Cow<'a, [Limb]> {
+        let k = self.limbs();
+        if a.limbs().len() == k && *a < self.n {
+            return Cow::Borrowed(a.limbs());
         }
+        Cow::Owned(fixed_width(a % &self.n, k))
+    }
+
+    /// `a` in Montgomery form, as a residue.
+    fn enter_mont(&self, a: &Ubig) -> Vec<Limb> {
+        let mut out = vec![0; self.limbs()];
+        self.mul_into(&mut out, &self.residue(a), &self.r2);
+        out
+    }
+
+    /// Takes the residue `a` out of Montgomery form.
+    fn leave_mont(&self, a: &[Limb]) -> Ubig {
+        let k = self.limbs();
+        let mut wide = vec![0; 2 * k];
+        wide[..k].copy_from_slice(a);
+        let mut out = vec![0; k];
+        self.reduce(&mut out, &mut wide);
+        Ubig::from_limbs(out)
     }
 
     /// Converts into Montgomery form (`a * R mod n`).
     pub fn to_mont(&self, a: &Ubig) -> Ubig {
-        self.redc(&(&(a % &self.n) * &self.r2))
+        Ubig::from_limbs(self.enter_mont(a))
     }
 
-    /// Converts out of Montgomery form.
+    /// Converts out of Montgomery form (`a * R^-1 mod n`); `a` is reduced
+    /// modulo `n` first if it is not a residue.
     pub fn from_mont(&self, a: &Ubig) -> Ubig {
-        self.redc(a)
+        self.leave_mont(&self.residue(a))
     }
 
-    /// Modular multiplication of two values in Montgomery form.
+    /// Modular multiplication of two values in Montgomery form
+    /// (`a * b * R^-1 mod n`); an operand that is not a residue is
+    /// reduced modulo `n` first.
     pub fn mont_mul(&self, a: &Ubig, b: &Ubig) -> Ubig {
-        self.redc(&(a * b))
+        let mut out = vec![0; self.limbs()];
+        self.mul_into(&mut out, &self.residue(a), &self.residue(b));
+        Ubig::from_limbs(out)
     }
 
-    /// Plain modular multiplication `a * b mod n` (converts in and out).
+    /// Modular squaring of a value in Montgomery form: the result of
+    /// `mont_mul(a, a)`, by the dedicated squaring the exponentiation
+    /// loops use.
+    pub fn mont_sqr(&self, a: &Ubig) -> Ubig {
+        let mut out = self.residue(a).into_owned();
+        self.sqr(&mut out, &mut vec![0; 2 * self.limbs()]);
+        Ubig::from_limbs(out)
+    }
+
+    /// Plain modular multiplication `a * b mod n`.
     pub fn mul(&self, a: &Ubig, b: &Ubig) -> Ubig {
-        let am = self.to_mont(a);
-        let bm = self.to_mont(b);
-        self.from_mont(&self.mont_mul(&am, &bm))
+        // (a R) * b * R^-1 = a b: one operand in Montgomery form is enough.
+        let mut out = vec![0; self.limbs()];
+        self.mul_into(&mut out, &self.enter_mont(a), &self.residue(b));
+        Ubig::from_limbs(out)
     }
 
     /// `1` in Montgomery form (`R mod n`).
     pub fn one_mont(&self) -> Ubig {
-        self.to_mont(&Ubig::one())
+        Ubig::from_limbs(self.r1.clone())
     }
 
     /// Simultaneous multi-exponentiation: `∏ bᵢ^eᵢ mod n` for the given
@@ -134,91 +376,91 @@ impl Montgomery {
     /// form, so callers can fold further Montgomery-form factors (e.g.
     /// fixed-base table outputs) into the product before converting out.
     pub fn multi_pow_mont(&self, pairs: &[(&Ubig, &Ubig)]) -> Ubig {
-        // Per-base tables of b^1..b^15 in Montgomery form.
-        let mut active: Vec<(&Ubig, Vec<Ubig>)> = Vec::with_capacity(pairs.len());
-        let mut max_bits = 0u32;
-        for (base, exp) in pairs {
-            if exp.is_zero() {
-                continue;
-            }
-            let base_m = self.to_mont(base);
-            let mut table = Vec::with_capacity(15);
-            table.push(base_m.clone());
-            for i in 1..15 {
-                let prev: &Ubig = &table[i - 1];
-                table.push(self.mont_mul(prev, &base_m));
-            }
-            max_bits = max_bits.max(exp.bit_length());
-            active.push((exp, table));
+        let k = self.limbs();
+        let active: Vec<(&Ubig, &Ubig)> = pairs
+            .iter()
+            .filter(|(_, exp)| !exp.is_zero())
+            .copied()
+            .collect();
+        // Per-base tables of b^1..b^15 in Montgomery form, 15 residues each.
+        let mut tables = vec![0; active.len() * 15 * k];
+        for ((base, _), table) in active.iter().zip(tables.chunks_exact_mut(15 * k)) {
+            let base = self.enter_mont(base);
+            table[..k].copy_from_slice(&base);
+            self.fill_powers(table, &base);
         }
-        let mut acc = self.one_mont();
-        if active.is_empty() {
-            return acc;
-        }
-        let windows = max_bits.div_ceil(4);
+        let max_bits = active
+            .iter()
+            .map(|(_, exp)| exp.bit_length())
+            .max()
+            .unwrap_or(0);
+        let mut acc = self.r1.clone();
+        let mut tmp = vec![0; k];
+        let mut wide = vec![0; 2 * k];
         let mut started = false;
-        for w in (0..windows).rev() {
+        for w in (0..max_bits.div_ceil(4)).rev() {
             if started {
                 for _ in 0..4 {
-                    acc = self.mont_mul(&acc, &acc);
+                    self.sqr(&mut acc, &mut wide);
                 }
             }
-            for (exp, table) in &active {
-                let mut nibble = 0usize;
-                for b in 0..4 {
-                    if exp.bit(w * 4 + b) {
-                        nibble |= 1 << b;
-                    }
-                }
+            for ((_, exp), table) in active.iter().zip(tables.chunks_exact(15 * k)) {
+                let nibble = bits_at(exp, w * 4, 4);
                 if nibble != 0 {
-                    acc = self.mont_mul(&acc, &table[nibble - 1]);
+                    self.mul_into(&mut tmp, &acc, &table[(nibble - 1) * k..nibble * k]);
+                    std::mem::swap(&mut acc, &mut tmp);
                     started = true;
                 }
             }
         }
-        acc
+        Ubig::from_limbs(acc)
     }
 
-    /// Modular exponentiation `base^exp mod n` with a 4-bit fixed window.
+    /// Modular exponentiation `base^exp mod n`: left-to-right sliding
+    /// window over a table of odd powers, the width chosen from the
+    /// exponent's length (`window_bits`; below 33 bits this is
+    /// plain square-and-multiply).
     pub fn pow(&self, base: &Ubig, exp: &Ubig) -> Ubig {
         if exp.is_zero() {
-            return &Ubig::one() % &self.n;
+            return Ubig::one();
         }
-        let one_m = self.to_mont(&Ubig::one());
-        let base_m = self.to_mont(base);
-        // Precompute base^0..base^15 in Montgomery form.
-        let mut table = Vec::with_capacity(16);
-        table.push(one_m.clone());
-        for i in 1..16 {
-            let prev: &Ubig = &table[i - 1];
-            table.push(self.mont_mul(prev, &base_m));
+        let k = self.limbs();
+        let width = window_bits(exp.bit_length());
+        let mut acc = self.enter_mont(base);
+        let mut tmp = vec![0; k];
+        let mut wide = vec![0; 2 * k];
+        // base^1, base^3, …, base^(2^width − 1) in Montgomery form.
+        let mut table = vec![0; k << (width - 1)];
+        table[..k].copy_from_slice(&acc);
+        if width > 1 {
+            self.sqr(&mut acc, &mut wide);
+            self.fill_powers(&mut table, &acc);
         }
-        let bits = exp.bit_length();
-        let windows = bits.div_ceil(4);
-        let mut acc = one_m;
-        for w in (0..windows).rev() {
-            for _ in 0..4 {
-                acc = self.mont_mul(&acc, &acc);
+        // Exponent bits at and above `next` are folded into `acc`.
+        let (mut next, odd) = window_below(exp, exp.bit_length(), width);
+        acc.copy_from_slice(&table[(odd >> 1) * k..][..k]);
+        while next > 0 {
+            if !exp.bit(next - 1) {
+                self.sqr(&mut acc, &mut wide);
+                next -= 1;
+                continue;
             }
-            let mut nibble = 0u32;
-            for b in 0..4 {
-                let idx = w * 4 + (3 - b);
-                if idx < bits && exp.bit(idx) {
-                    nibble |= 1 << (3 - b);
-                }
+            let (lo, odd) = window_below(exp, next, width);
+            for _ in lo..next {
+                self.sqr(&mut acc, &mut wide);
             }
-            if nibble != 0 {
-                acc = self.mont_mul(&acc, &table[nibble as usize]);
-            }
+            self.mul_into(&mut tmp, &acc, &table[(odd >> 1) * k..][..k]);
+            std::mem::swap(&mut acc, &mut tmp);
+            next = lo;
         }
-        self.from_mont(&acc)
+        self.leave_mont(&acc)
     }
 }
 
 /// A fixed-base exponentiation table: per-window precomputed powers of one
 /// base for exponents up to a declared bit length.
 ///
-/// For window width 4, entry `table[j][v-1]` holds `base^(v · 16^j)` in
+/// For window width 4, entry `(j, v)` holds `base^(v · 16^j)` in
 /// Montgomery form (`v ∈ 1..=15`). An exponentiation then needs **no
 /// squarings** — only one multiplication per non-zero nibble of the
 /// exponent — which cuts a `e`-bit exponentiation from ~`1.25·e`
@@ -228,8 +470,10 @@ impl Montgomery {
 /// per-coin bases).
 #[derive(Debug, Clone)]
 pub struct FixedBase {
-    /// `table[j][v-1] = base^(v · 16^j)` in Montgomery form.
-    table: Vec<Vec<Ubig>>,
+    /// Residue `(j * 15 + v - 1)` is `base^(v · 16^j)` in Montgomery
+    /// form; `limbs` limbs each.
+    table: Vec<Limb>,
+    limbs: usize,
     /// Largest exponent bit length the table covers.
     max_bits: u32,
 }
@@ -238,22 +482,21 @@ impl FixedBase {
     /// Precomputes the table for `base` covering exponents of up to
     /// `max_exp_bits` bits.
     pub fn new(ctx: &Montgomery, base: &Ubig, max_exp_bits: u32) -> Self {
+        let k = ctx.limbs();
         let windows = max_exp_bits.div_ceil(4).max(1);
-        let mut table = Vec::with_capacity(windows as usize);
+        let mut table = vec![0; windows as usize * 15 * k];
         // `cur` walks through base^(16^j).
-        let mut cur = ctx.to_mont(base);
-        for _ in 0..windows {
-            let mut row = Vec::with_capacity(15);
-            row.push(cur.clone());
-            for i in 1..15 {
-                let prev: &Ubig = &row[i - 1];
-                row.push(ctx.mont_mul(prev, &cur));
-            }
-            cur = ctx.mont_mul(&row[14], &cur);
-            table.push(row);
+        let mut cur = ctx.enter_mont(base);
+        let mut next = vec![0; k];
+        for row in table.chunks_exact_mut(15 * k) {
+            row[..k].copy_from_slice(&cur);
+            ctx.fill_powers(row, &cur);
+            ctx.mul_into(&mut next, &row[14 * k..], &cur);
+            std::mem::swap(&mut cur, &mut next);
         }
         FixedBase {
             table,
+            limbs: k,
             max_bits: windows * 4,
         }
     }
@@ -270,7 +513,7 @@ impl FixedBase {
 
     /// Number of precomputed table entries (memory-accounting hook).
     pub fn entries(&self) -> usize {
-        self.table.len() * 15
+        self.table.len() / self.limbs
     }
 
     /// `base^exp mod n`.
@@ -291,19 +534,17 @@ impl FixedBase {
             exp.bit_length(),
             self.max_bits
         );
-        let mut acc = ctx.one_mont();
-        for (j, row) in self.table.iter().enumerate() {
-            let mut nibble = 0usize;
-            for b in 0..4 {
-                if exp.bit(j as u32 * 4 + b) {
-                    nibble |= 1 << b;
-                }
-            }
+        let k = self.limbs;
+        let mut acc = ctx.r1.clone();
+        let mut tmp = vec![0; k];
+        for (j, row) in self.table.chunks_exact(15 * k).enumerate() {
+            let nibble = bits_at(exp, j as u32 * 4, 4);
             if nibble != 0 {
-                acc = ctx.mont_mul(&acc, &row[nibble - 1]);
+                ctx.mul_into(&mut tmp, &acc, &row[(nibble - 1) * k..nibble * k]);
+                std::mem::swap(&mut acc, &mut tmp);
             }
         }
-        acc
+        Ubig::from_limbs(acc)
     }
 }
 
@@ -319,6 +560,38 @@ mod tests {
             let a = Ubig::from_hex(hex).unwrap();
             assert_eq!(ctx.from_mont(&ctx.to_mont(&a)), &a % &n, "value {hex}");
         }
+    }
+
+    #[test]
+    fn operands_outside_the_residue_range_are_reduced() {
+        // Two limbs, so `R = 2^128`.
+        let n = Ubig::from_hex("f000000000000001f").unwrap();
+        let ctx = Montgomery::new(&n);
+        let r_inv = (&Ubig::one() << 128).mod_inverse(&n).unwrap();
+        let b = Ubig::from_hex("123456789abcdef01").unwrap();
+        let operands = [
+            &n - &Ubig::one(),              // the largest residue
+            n.clone(),                      // == n
+            &(&n << 3) + &Ubig::from(5u64), // >= n, same limb count
+            Ubig::from_hex("ffffffffffffffffffffffffffffffffffffff").unwrap(), // more limbs than n
+            &(&n << 128) + &Ubig::from(7u64), // above n * R
+            Ubig::from(9u64),               // top limb zero: shorter than k
+            Ubig::zero(),
+        ];
+        for a in &operands {
+            let want = a.mod_mul(&b, &n).mod_mul(&r_inv, &n);
+            assert_eq!(ctx.mont_mul(a, &b), want, "mont_mul({a:?}, b)");
+            assert_eq!(ctx.mont_mul(&b, a), want, "mont_mul(b, {a:?})");
+            assert_eq!(ctx.mont_sqr(a), a.mod_mul(a, &n).mod_mul(&r_inv, &n));
+            assert_eq!(ctx.from_mont(a), a.mod_mul(&r_inv, &n), "from_mont({a:?})");
+            assert_eq!(
+                ctx.from_mont(&ctx.to_mont(a)),
+                a % &n,
+                "round trip of {a:?}"
+            );
+            assert_eq!(ctx.mul(a, &b), a.mod_mul(&b, &n), "mul({a:?}, b)");
+        }
+        assert_eq!(ctx.from_mont(&ctx.one_mont()), Ubig::one());
     }
 
     #[test]

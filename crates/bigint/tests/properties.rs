@@ -221,6 +221,155 @@ proptest! {
     }
 }
 
+// Differential checks of the Montgomery kernel against arithmetic by
+// division: at the two widths it unrolls (8 limbs: CRT halves; 16: the
+// group and RSA moduli), at widths that run the same body with a run-time
+// length (17 and 33: odd, not a power of two; 32: Fig. 6's 2048-bit keys)
+// and at the degenerate ones (1, 2).
+
+const KERNEL_LIMBS: [usize; 7] = [1, 2, 8, 16, 17, 32, 33];
+
+/// An odd modulus of exactly `limbs` limbs.
+fn kernel_modulus(rng: &mut StdRng, limbs: usize) -> Ubig {
+    let bits = 64 * limbs as u32;
+    rng.gen_ubig_bits(bits)
+        .with_bit(bits - 1, true)
+        .with_bit(0, true)
+}
+
+/// Operands at the edges of the residue range and inside it.
+fn kernel_operands(rng: &mut StdRng, n: &Ubig, limbs: usize) -> Vec<Ubig> {
+    let r = &Ubig::one() << (64 * limbs as u32);
+    vec![
+        Ubig::zero(),
+        Ubig::one(),
+        Ubig::two(),
+        n - &Ubig::one(),
+        &r % n,
+        &rng.gen_ubig_bits(64) % n,
+        rng.gen_ubig_below(n),
+        rng.gen_ubig_below(n),
+    ]
+}
+
+/// `base^exp mod n` one bit at a time, every step reduced by division.
+fn bitwise_pow(base: &Ubig, exp: &Ubig, n: &Ubig) -> Ubig {
+    let mut acc = &Ubig::one() % n;
+    for i in (0..exp.bit_length()).rev() {
+        acc = acc.mod_mul(&acc, n);
+        if exp.bit(i) {
+            acc = acc.mod_mul(base, n);
+        }
+    }
+    acc
+}
+
+#[test]
+fn kernel_multiply_and_square_match_division() {
+    let mut rng = StdRng::seed_from_u64(0x6d6f6e74);
+    for limbs in KERNEL_LIMBS {
+        let n = kernel_modulus(&mut rng, limbs);
+        let ctx = Montgomery::new(&n);
+        let operands = kernel_operands(&mut rng, &n, limbs);
+        for a in &operands {
+            let am = ctx.to_mont(a);
+            assert_eq!(ctx.from_mont(&am), *a, "{limbs} limbs: round trip");
+            for b in &operands {
+                let want = a.mod_mul(b, &n);
+                assert_eq!(ctx.mul(a, b), want, "{limbs} limbs: mul");
+                let product = ctx.mont_mul(&am, &ctx.to_mont(b));
+                assert_eq!(ctx.from_mont(&product), want, "{limbs} limbs: mont_mul");
+            }
+            let square = ctx.mont_sqr(&am);
+            assert_eq!(square, ctx.mont_mul(&am, &am), "{limbs} limbs: sqr vs mul");
+            // Equal values in distinct allocations take the same answer.
+            let copy = Ubig::from_be_bytes(&am.to_be_bytes());
+            assert_eq!(
+                square,
+                ctx.mont_mul(&am, &copy),
+                "{limbs} limbs: sqr vs copy"
+            );
+            assert_eq!(
+                ctx.from_mont(&square),
+                a.mod_mul(a, &n),
+                "{limbs} limbs: sqr"
+            );
+        }
+    }
+}
+
+#[test]
+fn kernel_window_paths_match_bitwise_ladder() {
+    let mut rng = StdRng::seed_from_u64(0x77696e64);
+    for limbs in KERNEL_LIMBS {
+        let n = kernel_modulus(&mut rng, limbs);
+        let ctx = Montgomery::new(&n);
+        let bases = [rng.gen_ubig_below(&n), &n - &Ubig::one(), Ubig::two()];
+        // Lengths on both sides of every window-width boundary.
+        for bits in [0u32, 1, 17, 31, 32, 33, 160, 240, 241, 512, 1023, 1024] {
+            let mut exponents = vec![Ubig::zero()];
+            if bits > 0 {
+                let top = &Ubig::one() << (bits - 1);
+                let dense = rng.gen_ubig_bits(bits).with_bit(bits - 1, true);
+                // Long zero runs: only the ends set, and a set bit every
+                // 67 positions (windows that straddle limb boundaries).
+                let mut sparse = top.with_bit(0, true);
+                for i in (0..bits).step_by(67) {
+                    sparse = sparse.with_bit(i, true);
+                }
+                let ones = &(&top << 1) - &Ubig::one();
+                exponents = vec![dense, top.with_bit(0, true), top, sparse, ones];
+            }
+            for exp in &exponents {
+                for base in &bases {
+                    assert_eq!(
+                        ctx.pow(base, exp),
+                        bitwise_pow(base, exp, &n),
+                        "{limbs} limbs, {bits}-bit exponent {exp:?}"
+                    );
+                }
+            }
+        }
+        let e = Ubig::from(65_537u64);
+        assert_eq!(ctx.pow(&bases[0], &e), bitwise_pow(&bases[0], &e, &n));
+    }
+}
+
+#[test]
+fn kernel_multi_pow_and_fixed_base_match_pow() {
+    let mut rng = StdRng::seed_from_u64(0x7461626c);
+    for limbs in KERNEL_LIMBS {
+        let n = kernel_modulus(&mut rng, limbs);
+        let ctx = Montgomery::new(&n);
+        let operands = kernel_operands(&mut rng, &n, limbs);
+        let exps: Vec<Ubig> = [160u32, 64, 0, 1, 17, 160, 33, 5]
+            .iter()
+            .map(|&bits| rng.gen_ubig_bits(bits))
+            .collect();
+        let pairs: Vec<(&Ubig, &Ubig)> = operands.iter().zip(&exps).collect();
+        let mut want = Ubig::one();
+        for (base, exp) in &pairs {
+            want = want.mod_mul(&ctx.pow(base, exp), &n);
+        }
+        assert_eq!(ctx.multi_pow(&pairs), want, "{limbs} limbs: multi_pow");
+        assert_eq!(
+            ctx.from_mont(&ctx.multi_pow_mont(&pairs)),
+            want,
+            "{limbs} limbs: multi_pow_mont"
+        );
+        for base in &operands {
+            let table = FixedBase::new(&ctx, base, 160);
+            for exp in &exps {
+                assert_eq!(
+                    table.pow(&ctx, exp),
+                    ctx.pow(base, exp),
+                    "{limbs} limbs: fixed base, {exp:?}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn fermat_on_generated_prime() {
     let mut rng = StdRng::seed_from_u64(99);

@@ -14,9 +14,11 @@
 //! * `SINTRA_BENCH_QUICK=1` — fewer samples and a shorter calibration
 //!   target, trading precision for wall-clock time;
 //! * `SINTRA_BENCH_JSON=<path>` — additionally write all results as a
-//!   JSON array of `{id, median_ns, min_ns, max_ns}` objects when the
-//!   benchmark binary finishes (the [`criterion_main!`] macro calls
-//!   [`finalize`]).
+//!   JSON array when the benchmark binary finishes (the
+//!   [`criterion_main!`] macro calls [`finalize`]): first one
+//!   `{"id": "host", nproc, cpu, rustc}` record naming the machine the
+//!   numbers came from, then one `{id, median_ns, min_ns, max_ns}`
+//!   object per benchmark.
 
 #![forbid(unsafe_code)]
 
@@ -122,6 +124,46 @@ fn run_one(id: &str, sample_count: usize, f: &mut dyn FnMut(&mut Bencher)) {
     });
 }
 
+/// Escapes a string for a JSON string literal.
+fn json_escape(s: &str) -> String {
+    s.chars()
+        .flat_map(|c| match c {
+            '"' => vec!['\\', '"'],
+            '\\' => vec!['\\', '\\'],
+            c if c.is_control() => vec![' '],
+            c => vec![c],
+        })
+        .collect()
+}
+
+/// The leading record of a JSON report: core count, CPU model and
+/// compiler of the host, so that two reports are only compared when they
+/// name the same machine.
+fn host_record() -> String {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let rustc = std::process::Command::new("rustc")
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
+    format!(
+        "{{\"id\": \"host\", \"nproc\": {nproc}, \"cpu\": \"{}\", \"rustc\": \"{}\"}}",
+        json_escape(&cpu),
+        json_escape(&rustc)
+    )
+}
+
 /// Writes collected results as JSON to `SINTRA_BENCH_JSON` (if set).
 /// Called automatically by [`criterion_main!`]; idempotent (the result
 /// buffer is drained).
@@ -133,25 +175,18 @@ pub fn finalize() {
     if results.is_empty() {
         return;
     }
-    let mut json = String::from("[\n");
-    for (i, r) in results.iter().enumerate() {
-        let sep = if i + 1 == results.len() { "" } else { "," };
+    let mut json = format!("[\n  {}", host_record());
+    for r in &results {
         // Benchmark ids are code-controlled; escape the JSON specials anyway.
-        let id: String =
-            r.id.chars()
-                .flat_map(|c| match c {
-                    '"' => vec!['\\', '"'],
-                    '\\' => vec!['\\', '\\'],
-                    c if c.is_control() => vec![' '],
-                    c => vec![c],
-                })
-                .collect();
         json.push_str(&format!(
-            "  {{\"id\": \"{id}\", \"median_ns\": {:.1}, \"min_ns\": {:.1}, \"max_ns\": {:.1}}}{sep}\n",
-            r.median_ns, r.min_ns, r.max_ns
+            ",\n  {{\"id\": \"{}\", \"median_ns\": {:.1}, \"min_ns\": {:.1}, \"max_ns\": {:.1}}}",
+            json_escape(&r.id),
+            r.median_ns,
+            r.min_ns,
+            r.max_ns
         ));
     }
-    json.push_str("]\n");
+    json.push_str("\n]\n");
     if let Err(e) = std::fs::write(&path, json) {
         eprintln!("failed to write {}: {e}", path.to_string_lossy());
     }
@@ -317,6 +352,17 @@ mod tests {
             .expect("result recorded");
         assert!(r.min_ns <= r.median_ns && r.median_ns <= r.max_ns);
         assert!(r.median_ns > 0.0);
+    }
+
+    #[test]
+    fn host_record_is_one_json_object() {
+        let record = host_record();
+        assert!(record.starts_with("{\"id\": \"host\", \"nproc\": "));
+        assert!(record.ends_with("\"}"));
+        for key in ["\"cpu\": \"", "\"rustc\": \""] {
+            assert!(record.contains(key), "{record}");
+        }
+        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c ");
     }
 
     #[test]
