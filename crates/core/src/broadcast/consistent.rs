@@ -20,7 +20,7 @@ use crate::config::GroupContext;
 use crate::ids::{PartyId, ProtocolId};
 use crate::message::{statement_cb, Body};
 use crate::outgoing::Outgoing;
-use crate::wire::{put_bytes, Reader, Wire};
+use crate::wire::{wire_struct, Wire};
 
 /// A consistent broadcast instance.
 #[derive(Debug)]
@@ -227,18 +227,7 @@ pub struct ClosingMessage {
     pub sig: ThresholdSignature,
 }
 
-impl Wire for ClosingMessage {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_bytes(buf, &self.payload);
-        self.sig.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, crate::wire::WireError> {
-        Ok(ClosingMessage {
-            payload: r.bytes()?.to_vec(),
-            sig: ThresholdSignature::decode(r)?,
-        })
-    }
-}
+wire_struct!(ClosingMessage { payload: Vec<u8>, sig: ThresholdSignature });
 
 impl VerifiableConsistentBroadcast {
     /// Creates an instance for `sender`'s broadcast under `pid`.

@@ -17,5 +17,5 @@
 mod consistent;
 mod reliable;
 
-pub use consistent::{ConsistentBroadcast, VerifiableConsistentBroadcast};
+pub use consistent::{ClosingMessage, ConsistentBroadcast, VerifiableConsistentBroadcast};
 pub use reliable::ReliableBroadcast;

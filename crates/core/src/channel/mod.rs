@@ -33,5 +33,6 @@ mod secure;
 
 pub use atomic::{AtomicChannel, AtomicChannelConfig, FetchCounts, FETCH_RETAIN_ROUNDS};
 pub use multiplex::{ConsistentChannel, ReliableChannel};
+pub(crate) use optimistic::RecoverySet;
 pub use optimistic::{EpochState, OptimisticChannel, OptimisticChannelConfig, PreparedEntry};
 pub use secure::SecureAtomicChannel;

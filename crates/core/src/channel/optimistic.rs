@@ -40,7 +40,7 @@ use crate::message::{
 };
 use crate::outgoing::Outgoing;
 use crate::validator::ArrayValidator;
-use crate::wire::{Reader, Wire, WireError};
+use crate::wire::{impl_wire_vec, put_seq, wire_struct, Wire};
 
 /// Configuration of an optimistic channel.
 #[derive(Debug, Clone, Copy)]
@@ -71,33 +71,14 @@ pub struct PreparedEntry {
     /// The ordered payload.
     pub payload: Payload,
     /// `(signer, signature)` pairs over the phase-1 ack statement.
-    pub cert: Vec<(u32, RsaSignature)>,
+    pub cert: Vec<(usize, RsaSignature)>,
 }
 
-impl Wire for PreparedEntry {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.seq.encode(buf);
-        self.payload.encode(buf);
-        buf.extend_from_slice(&(self.cert.len() as u32).to_be_bytes());
-        for (idx, sig) in &self.cert {
-            idx.encode(buf);
-            sig.encode(buf);
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let seq = r.u64()?;
-        let payload = Payload::decode(r)?;
-        let len = r.u32()? as usize;
-        if len > 1024 {
-            return Err(WireError::LengthOverflow);
-        }
-        let mut cert = Vec::with_capacity(len);
-        for _ in 0..len {
-            cert.push((r.u32()?, RsaSignature::decode(r)?));
-        }
-        Ok(PreparedEntry { seq, payload, cert })
-    }
-}
+wire_struct!(PreparedEntry {
+    seq: u64,
+    payload: Payload,
+    cert: Vec<(usize, RsaSignature)> [max 1024],
+});
 
 /// A party's signed view of an epoch at recovery time: every entry it has
 /// *prepared*, with certificates.
@@ -116,67 +97,25 @@ pub struct EpochState {
 impl EpochState {
     fn entries_digest(entries: &[PreparedEntry]) -> [u8; 32] {
         let mut buf = Vec::new();
-        buf.extend_from_slice(&(entries.len() as u32).to_be_bytes());
-        for e in entries {
-            e.encode(&mut buf);
-        }
+        put_seq(&mut buf, entries);
         payload_digest(&buf)
     }
 }
 
-impl Wire for EpochState {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.epoch.encode(buf);
-        self.sender.encode(buf);
-        buf.extend_from_slice(&(self.entries.len() as u32).to_be_bytes());
-        for e in &self.entries {
-            e.encode(buf);
-        }
-        self.sig.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let epoch = r.u64()?;
-        let sender = PartyId::decode(r)?;
-        let len = r.u32()? as usize;
-        if len > 65_536 {
-            return Err(WireError::LengthOverflow);
-        }
-        let mut entries = Vec::with_capacity(len.min(1024));
-        for _ in 0..len {
-            entries.push(PreparedEntry::decode(r)?);
-        }
-        Ok(EpochState {
-            epoch,
-            sender,
-            entries,
-            sig: RsaSignature::decode(r)?,
-        })
-    }
-}
+wire_struct!(EpochState {
+    epoch: u64,
+    sender: PartyId,
+    entries: Vec<PreparedEntry> [max 65_536],
+    sig: RsaSignature,
+});
 
 /// The recovery agreement's subject: `n - t` signed epoch states.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct RecoverySet(Vec<EpochState>);
+pub(crate) struct RecoverySet(Vec<EpochState>);
 
-impl Wire for RecoverySet {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&(self.0.len() as u32).to_be_bytes());
-        for s in &self.0 {
-            s.encode(buf);
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = r.u32()? as usize;
-        if len > 1024 {
-            return Err(WireError::LengthOverflow);
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(EpochState::decode(r)?);
-        }
-        Ok(RecoverySet(out))
-    }
-}
+wire_struct!(RecoverySet { 0: Vec<EpochState> [max 1024] });
+
+impl_wire_vec!(PreparedEntry, EpochState);
 
 /// Checks one epoch state: author signature plus every entry's prepared
 /// certificate.
@@ -196,8 +135,7 @@ fn validate_state(pid: &ProtocolId, ctx: &GroupContext, epoch: u64, state: &Epoc
         let statement = statement_opt_ack(pid, 1, epoch, entry.seq, &d);
         let mut seen = BTreeSet::new();
         let mut valid = 0usize;
-        for (idx, sig) in &entry.cert {
-            let idx = *idx as usize;
+        for &(idx, ref sig) in &entry.cert {
             if idx >= ctx.n() || !seen.insert(idx) {
                 return false;
             }
@@ -619,10 +557,10 @@ impl OptimisticChannel {
         // Phase 1 -> prepared.
         if !self.prepared.contains_key(&seq) {
             if let Some(slot) = self.slots.get(&seq) {
-                let cert: Vec<(u32, RsaSignature)> = slot.acks[0]
+                let cert: Vec<(usize, RsaSignature)> = slot.acks[0]
                     .iter()
                     .filter(|(_, (d, _))| *d == order_digest)
-                    .map(|(idx, (_, sig))| (*idx as u32, sig.clone()))
+                    .map(|(idx, (_, sig))| (*idx, sig.clone()))
                     .collect();
                 if cert.len() >= quorum {
                     self.prepared.insert(

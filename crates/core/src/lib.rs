@@ -39,6 +39,7 @@ pub mod invariant;
 pub mod message;
 pub mod node;
 mod outgoing;
+pub mod schema;
 pub mod validator;
 pub mod wire;
 

@@ -12,7 +12,10 @@ use sintra_crypto::thenc::DecryptionShare;
 use sintra_crypto::thsig::{SigShare, ThresholdSignature};
 
 use crate::ids::{PartyId, ProtocolId};
-use crate::wire::{put_bytes, put_len, Reader, Wire, WireError};
+use crate::wire::{
+    impl_wire_vec, put_bytes, put_seq, wire_enum, wire_struct, Field, Layout, Reader, Shape,
+    Variant, Wire, WireError,
+};
 
 /// A main-vote value in binary Byzantine agreement: a bit or "abstain".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,10 +131,7 @@ pub struct Entry {
 /// SHA-256 of a payload vector as [`Entry::encode`] writes it.
 fn payloads_digest(payloads: &[Payload]) -> [u8; 32] {
     let mut encoded = Vec::new();
-    put_len(&mut encoded, payloads.len());
-    for payload in payloads {
-        payload.encode(&mut encoded);
-    }
+    put_seq(&mut encoded, payloads);
     Sha256::digest(&encoded)
 }
 
@@ -515,12 +515,12 @@ pub fn statement_opt_state(pid: &ProtocolId, epoch: u64, entries_digest: &[u8; 3
     statement("opt-state", pid, &[&epoch.to_be_bytes(), entries_digest])
 }
 
-// --- wire impls ------------------------------------------------------------
+// --- wire layouts ----------------------------------------------------------
 //
 // Wire discriminants. Explicit and append-only: renumbering or reusing a
 // tag byte is a wire-format break, so `sintra-lint`'s `wire-stability`
-// rule bans raw tag literals in encode/decode — every tag lives here,
-// under a name.
+// rule bans raw tag literals in a codec — every tag lives here, under a
+// name, and the declarations below refer to it by that name.
 
 const TAG_RB_SEND: u8 = 0;
 const TAG_RB_ECHO: u8 = 1;
@@ -567,16 +567,47 @@ fn main_vote_code(vote: MainVote) -> u8 {
     }
 }
 
-impl Wire for PartyId {
+wire_struct!(PartyId { 0: usize });
+
+/// By hand for the UTF-8 check: the one place a length-prefixed string is
+/// decoded.
+impl Wire for ProtocolId {
+    const LAYOUT: Layout = Layout::atom("ProtocolId", "u32 length, then UTF-8 bytes");
     fn encode(&self, buf: &mut Vec<u8>) {
-        (self.0 as u32).encode(buf);
+        put_bytes(buf, self.as_bytes());
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PartyId(r.u32()? as usize))
+        std::str::from_utf8(r.bytes()?)
+            .map(ProtocolId::new)
+            .map_err(|_| WireError::InvalidUtf8)
     }
 }
 
 impl Wire for MainVote {
+    const LAYOUT: Layout = Layout {
+        name: "MainVote",
+        by_hand: Some("its three codes are shared with the signed main-vote statement"),
+        shape: Shape::Enum(&[
+            Variant {
+                name: "Value(false)",
+                tag_name: "CODE_MAIN_VOTE_ZERO",
+                tag: CODE_MAIN_VOTE_ZERO,
+                fields: &[],
+            },
+            Variant {
+                name: "Value(true)",
+                tag_name: "CODE_MAIN_VOTE_ONE",
+                tag: CODE_MAIN_VOTE_ONE,
+                fields: &[],
+            },
+            Variant {
+                name: "Abstain",
+                tag_name: "CODE_MAIN_VOTE_ABSTAIN",
+                tag: CODE_MAIN_VOTE_ABSTAIN,
+                fields: &[],
+            },
+        ]),
+    };
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.push(main_vote_code(*self));
     }
@@ -590,121 +621,54 @@ impl Wire for MainVote {
     }
 }
 
-impl Wire for PreVoteJust {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            PreVoteJust::Initial => buf.push(TAG_PREVOTE_INITIAL),
-            PreVoteJust::Hard(sig) => {
-                buf.push(TAG_PREVOTE_HARD);
-                sig.encode(buf);
-            }
-            PreVoteJust::Soft { sig, coin_shares } => {
-                buf.push(TAG_PREVOTE_SOFT);
-                sig.encode(buf);
-                coin_shares.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            TAG_PREVOTE_INITIAL => Ok(PreVoteJust::Initial),
-            TAG_PREVOTE_HARD => Ok(PreVoteJust::Hard(ThresholdSignature::decode(r)?)),
-            TAG_PREVOTE_SOFT => Ok(PreVoteJust::Soft {
-                sig: ThresholdSignature::decode(r)?,
-                coin_shares: Vec::<CoinShare>::decode(r)?,
-            }),
-            d => Err(WireError::BadDiscriminant(d)),
-        }
-    }
-}
+wire_enum!(PreVoteJust {
+    TAG_PREVOTE_INITIAL => Initial,
+    TAG_PREVOTE_HARD => Hard(sig: ThresholdSignature),
+    TAG_PREVOTE_SOFT => Soft { sig: ThresholdSignature, coin_shares: Vec<CoinShare> },
+});
 
-impl Wire for MainVoteJust {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            MainVoteJust::Value(sig) => {
-                buf.push(TAG_MAINVOTE_VALUE);
-                sig.encode(buf);
-            }
-            MainVoteJust::Abstain {
-                just0,
-                just1,
-                proof0,
-                proof1,
-            } => {
-                buf.push(TAG_MAINVOTE_ABSTAIN);
-                just0.encode(buf);
-                just1.encode(buf);
-                proof0.encode(buf);
-                proof1.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            TAG_MAINVOTE_VALUE => Ok(MainVoteJust::Value(ThresholdSignature::decode(r)?)),
-            TAG_MAINVOTE_ABSTAIN => Ok(MainVoteJust::Abstain {
-                just0: Box::<PreVoteJust>::decode(r)?,
-                just1: Box::<PreVoteJust>::decode(r)?,
-                proof0: Option::<Vec<u8>>::decode(r)?,
-                proof1: Option::<Vec<u8>>::decode(r)?,
-            }),
-            d => Err(WireError::BadDiscriminant(d)),
-        }
-    }
-}
+wire_enum!(MainVoteJust {
+    TAG_MAINVOTE_VALUE => Value(sig: ThresholdSignature),
+    TAG_MAINVOTE_ABSTAIN => Abstain {
+        just0: Box<PreVoteJust>,
+        just1: Box<PreVoteJust>,
+        proof0: Option<Vec<u8>>,
+        proof1: Option<Vec<u8>>,
+    },
+});
 
-impl Wire for PayloadKind {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(match self {
-            PayloadKind::App => TAG_PAYLOAD_APP,
-            PayloadKind::Close => TAG_PAYLOAD_CLOSE,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            TAG_PAYLOAD_APP => Ok(PayloadKind::App),
-            TAG_PAYLOAD_CLOSE => Ok(PayloadKind::Close),
-            d => Err(WireError::BadDiscriminant(d)),
-        }
-    }
-}
+wire_enum!(PayloadKind {
+    TAG_PAYLOAD_APP => App,
+    TAG_PAYLOAD_CLOSE => Close,
+});
 
-impl Wire for Payload {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.origin.encode(buf);
-        self.seq.encode(buf);
-        self.kind.encode(buf);
-        self.data.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Payload {
-            origin: PartyId::decode(r)?,
-            seq: r.u64()?,
-            kind: PayloadKind::decode(r)?,
-            data: Vec::<u8>::decode(r)?,
-        })
-    }
-}
+wire_struct!(Payload { origin: PartyId, seq: u64, kind: PayloadKind, data: Vec<u8> });
 
 impl Wire for Entry {
+    const LAYOUT: Layout = Layout {
+        name: "Entry",
+        by_hand: Some(
+            "the digest is taken over the payload vector's bytes as received, and a vector \
+             that fails well_formed() is MalformedEntry",
+        ),
+        shape: Shape::Struct(&[
+            Field::new(
+                "payloads",
+                &<Vec<Payload>>::LAYOUT,
+                Some(MAX_ENTRY_PAYLOADS),
+            ),
+            Field::new("signer", &PartyId::LAYOUT, None),
+            Field::new("sig", &RsaSignature::LAYOUT, None),
+        ]),
+    };
     fn encode(&self, buf: &mut Vec<u8>) {
-        put_len(buf, self.payloads.len());
-        for payload in &self.payloads {
-            payload.encode(buf);
-        }
+        put_seq(buf, &self.payloads);
         self.signer.encode(buf);
         self.sig.encode(buf);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let vector = r.rest();
-        let len = r.u32()? as usize;
-        if len > MAX_ENTRY_PAYLOADS {
-            return Err(WireError::LengthOverflow);
-        }
-        let mut payloads = Vec::with_capacity(len);
-        for _ in 0..len {
-            payloads.push(Payload::decode(r)?);
-        }
+        let payloads = r.seq(MAX_ENTRY_PAYLOADS)?;
         // The digest is taken over the bytes as received: what the signer
         // encoded, with no second encoding on this side.
         let digest = Sha256::digest(&vector[..vector.len() - r.remaining()]);
@@ -721,254 +685,64 @@ impl Wire for Entry {
     }
 }
 
-impl Wire for EntryRef {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.signer.encode(buf);
-        self.digest.encode(buf);
-        self.sig.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(EntryRef {
-            signer: PartyId::decode(r)?,
-            digest: <[u8; 32]>::decode(r)?,
-            sig: RsaSignature::decode(r)?,
-        })
-    }
-}
+wire_struct!(EntryRef {
+    signer: PartyId,
+    digest: [u8; 32],
+    sig: RsaSignature
+});
 
-impl Wire for Body {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Body::RbSend(p) => {
-                buf.push(TAG_RB_SEND);
-                p.encode(buf);
-            }
-            Body::RbEcho(p) => {
-                buf.push(TAG_RB_ECHO);
-                p.encode(buf);
-            }
-            Body::RbReady(d) => {
-                buf.push(TAG_RB_READY);
-                d.encode(buf);
-            }
-            Body::CbSend(p) => {
-                buf.push(TAG_CB_SEND);
-                p.encode(buf);
-            }
-            Body::CbEcho(s) => {
-                buf.push(TAG_CB_ECHO);
-                s.encode(buf);
-            }
-            Body::CbFinal { payload, sig } => {
-                buf.push(TAG_CB_FINAL);
-                payload.encode(buf);
-                sig.encode(buf);
-            }
-            Body::BaPreVote {
-                round,
-                value,
-                just,
-                share,
-                proof,
-            } => {
-                buf.push(TAG_BA_PRE_VOTE);
-                round.encode(buf);
-                value.encode(buf);
-                just.encode(buf);
-                share.encode(buf);
-                proof.encode(buf);
-            }
-            Body::BaMainVote {
-                round,
-                vote,
-                just,
-                share,
-                proof,
-            } => {
-                buf.push(TAG_BA_MAIN_VOTE);
-                round.encode(buf);
-                vote.encode(buf);
-                just.encode(buf);
-                share.encode(buf);
-                proof.encode(buf);
-            }
-            Body::BaCoinShare { round, share } => {
-                buf.push(TAG_BA_COIN_SHARE);
-                round.encode(buf);
-                share.encode(buf);
-            }
-            Body::BaDecide {
-                round,
-                value,
-                sig,
-                proof,
-            } => {
-                buf.push(TAG_BA_DECIDE);
-                round.encode(buf);
-                value.encode(buf);
-                sig.encode(buf);
-                proof.encode(buf);
-            }
-            Body::VbaVote {
-                iteration,
-                yes,
-                closing,
-            } => {
-                buf.push(TAG_VBA_VOTE);
-                iteration.encode(buf);
-                yes.encode(buf);
-                closing.encode(buf);
-            }
-            Body::AcEntry { round, entry } => {
-                buf.push(TAG_AC_ENTRY);
-                round.encode(buf);
-                entry.encode(buf);
-            }
-            Body::AcFetch {
-                round,
-                signer,
-                digest,
-            } => {
-                buf.push(TAG_AC_FETCH);
-                round.encode(buf);
-                signer.encode(buf);
-                digest.encode(buf);
-            }
-            Body::AcFetched { round, entry } => {
-                buf.push(TAG_AC_FETCHED);
-                round.encode(buf);
-                entry.encode(buf);
-            }
-            Body::ScShare { origin, seq, share } => {
-                buf.push(TAG_SC_SHARE);
-                origin.encode(buf);
-                seq.encode(buf);
-                share.encode(buf);
-            }
-            Body::OptSubmit { payload } => {
-                buf.push(TAG_OPT_SUBMIT);
-                payload.encode(buf);
-            }
-            Body::OptAck {
-                phase,
-                epoch,
-                seq,
-                digest,
-                sig,
-            } => {
-                buf.push(TAG_OPT_ACK);
-                buf.push(*phase);
-                epoch.encode(buf);
-                seq.encode(buf);
-                digest.encode(buf);
-                sig.encode(buf);
-            }
-            Body::OptComplain { epoch } => {
-                buf.push(TAG_OPT_COMPLAIN);
-                epoch.encode(buf);
-            }
-            Body::OptState { epoch, state } => {
-                buf.push(TAG_OPT_STATE);
-                epoch.encode(buf);
-                state.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.u8()? {
-            TAG_RB_SEND => Body::RbSend(Vec::<u8>::decode(r)?),
-            TAG_RB_ECHO => Body::RbEcho(Vec::<u8>::decode(r)?),
-            TAG_RB_READY => Body::RbReady(<[u8; 32]>::decode(r)?),
-            TAG_CB_SEND => Body::CbSend(Vec::<u8>::decode(r)?),
-            TAG_CB_ECHO => Body::CbEcho(SigShare::decode(r)?),
-            TAG_CB_FINAL => Body::CbFinal {
-                payload: Vec::<u8>::decode(r)?,
-                sig: ThresholdSignature::decode(r)?,
-            },
-            TAG_BA_PRE_VOTE => Body::BaPreVote {
-                round: r.u32()?,
-                value: bool::decode(r)?,
-                just: PreVoteJust::decode(r)?,
-                share: SigShare::decode(r)?,
-                proof: Option::<Vec<u8>>::decode(r)?,
-            },
-            TAG_BA_MAIN_VOTE => Body::BaMainVote {
-                round: r.u32()?,
-                vote: MainVote::decode(r)?,
-                just: MainVoteJust::decode(r)?,
-                share: SigShare::decode(r)?,
-                proof: Option::<Vec<u8>>::decode(r)?,
-            },
-            TAG_BA_COIN_SHARE => Body::BaCoinShare {
-                round: r.u32()?,
-                share: CoinShare::decode(r)?,
-            },
-            TAG_BA_DECIDE => Body::BaDecide {
-                round: r.u32()?,
-                value: bool::decode(r)?,
-                sig: ThresholdSignature::decode(r)?,
-                proof: Option::<Vec<u8>>::decode(r)?,
-            },
-            TAG_VBA_VOTE => Body::VbaVote {
-                iteration: r.u32()?,
-                yes: bool::decode(r)?,
-                closing: Option::<Vec<u8>>::decode(r)?,
-            },
-            TAG_AC_ENTRY => Body::AcEntry {
-                round: r.u64()?,
-                entry: Entry::decode(r)?,
-            },
-            TAG_AC_FETCH => Body::AcFetch {
-                round: r.u64()?,
-                signer: PartyId::decode(r)?,
-                digest: <[u8; 32]>::decode(r)?,
-            },
-            TAG_AC_FETCHED => Body::AcFetched {
-                round: r.u64()?,
-                entry: Entry::decode(r)?,
-            },
-            TAG_SC_SHARE => Body::ScShare {
-                origin: PartyId::decode(r)?,
-                seq: r.u64()?,
-                share: DecryptionShare::decode(r)?,
-            },
-            TAG_OPT_SUBMIT => Body::OptSubmit {
-                payload: Payload::decode(r)?,
-            },
-            TAG_OPT_ACK => Body::OptAck {
-                phase: r.u8()?,
-                epoch: r.u64()?,
-                seq: r.u64()?,
-                digest: <[u8; 32]>::decode(r)?,
-                sig: RsaSignature::decode(r)?,
-            },
-            TAG_OPT_COMPLAIN => Body::OptComplain { epoch: r.u64()? },
-            TAG_OPT_STATE => Body::OptState {
-                epoch: r.u64()?,
-                state: Vec::<u8>::decode(r)?,
-            },
-            d => return Err(WireError::BadDiscriminant(d)),
-        })
-    }
-}
+wire_enum!(Body {
+    TAG_RB_SEND => RbSend(payload: Vec<u8>),
+    TAG_RB_ECHO => RbEcho(payload: Vec<u8>),
+    TAG_RB_READY => RbReady(digest: [u8; 32]),
+    TAG_CB_SEND => CbSend(payload: Vec<u8>),
+    TAG_CB_ECHO => CbEcho(share: SigShare),
+    TAG_CB_FINAL => CbFinal { payload: Vec<u8>, sig: ThresholdSignature },
+    TAG_BA_PRE_VOTE => BaPreVote {
+        round: u32,
+        value: bool,
+        just: PreVoteJust,
+        share: SigShare,
+        proof: Option<Vec<u8>>,
+    },
+    TAG_BA_MAIN_VOTE => BaMainVote {
+        round: u32,
+        vote: MainVote,
+        just: MainVoteJust,
+        share: SigShare,
+        proof: Option<Vec<u8>>,
+    },
+    TAG_BA_COIN_SHARE => BaCoinShare { round: u32, share: CoinShare },
+    TAG_BA_DECIDE => BaDecide {
+        round: u32,
+        value: bool,
+        sig: ThresholdSignature,
+        proof: Option<Vec<u8>>,
+    },
+    TAG_VBA_VOTE => VbaVote { iteration: u32, yes: bool, closing: Option<Vec<u8>> },
+    TAG_AC_ENTRY => AcEntry { round: u64, entry: Entry },
+    TAG_AC_FETCH => AcFetch { round: u64, signer: PartyId, digest: [u8; 32] },
+    TAG_AC_FETCHED => AcFetched { round: u64, entry: Entry },
+    TAG_SC_SHARE => ScShare { origin: PartyId, seq: u64, share: DecryptionShare },
+    TAG_OPT_SUBMIT => OptSubmit { payload: Payload },
+    TAG_OPT_ACK => OptAck {
+        phase: u8,
+        epoch: u64,
+        seq: u64,
+        digest: [u8; 32],
+        sig: RsaSignature,
+    },
+    TAG_OPT_COMPLAIN => OptComplain { epoch: u64 },
+    TAG_OPT_STATE => OptState { epoch: u64, state: Vec<u8> },
+});
 
-impl Wire for Envelope {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_bytes(buf, self.pid.as_bytes());
-        buf.extend_from_slice(&self.send_seq.to_be_bytes());
-        self.body.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let pid_bytes = r.bytes()?.to_vec();
-        let pid_str = String::from_utf8(pid_bytes).map_err(|_| WireError::BadDiscriminant(0xFE))?;
-        let send_seq = r.u64()?;
-        Ok(Envelope {
-            pid: ProtocolId::new(pid_str),
-            send_seq,
-            body: Body::decode(r)?,
-        })
-    }
-}
+wire_struct!(Envelope {
+    pid: ProtocolId,
+    send_seq: u64,
+    body: Body
+});
+
+impl_wire_vec!(Payload, EntryRef);
 
 #[cfg(test)]
 mod tests {

@@ -3,6 +3,11 @@
 //! exactly this input class from Byzantine peers (a mostly-well-formed
 //! message with targeted corruption), and must never panic — every
 //! mutation either decodes cleanly to some value or returns an error.
+//! The envelopes come from the known-answer corpus, so the edits land in
+//! every decoder: nested enums, boxed justifications, pair vectors and
+//! the entry's `MalformedEntry` path.
+
+mod corpus;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -76,18 +81,19 @@ proptest! {
 
     #[test]
     fn mutated_envelopes_never_panic(
-        tag in any::<u8>(),
-        data in prop::collection::vec(any::<u8>(), 0..96),
+        pick in any::<usize>(),
         seed in any::<u64>(),
         edits in 1usize..8,
     ) {
-        let valid = sample_envelope(tag, data).to_bytes();
-        // Sanity: the unmutated encoding round-trips.
-        prop_assert!(Envelope::from_bytes(&valid).is_ok());
-        let corrupt = mutate(&valid, seed, edits);
+        let cases = corpus::corpus();
+        let case = &cases[pick % cases.len()];
+        // Sanity: the unmutated encoding decodes.
+        prop_assert!((case.decodes)(&case.bytes), "{}", case.name);
+        let corrupt = mutate(&case.bytes, seed, edits);
         // Decoding must terminate without panicking; the result value
         // (if any) is irrelevant here — authenticity is the MAC layer's
         // job, robustness is this layer's.
+        let _ = (case.decodes)(&corrupt);
         let _ = Envelope::from_bytes(&corrupt);
         let _ = Body::from_bytes(&corrupt);
     }

@@ -2,7 +2,7 @@
 //!
 //! [`crate::parse`] lifts each file's token stream into a [`FileIr`]:
 //! functions with body token ranges and outgoing call edges, enums with
-//! their variants, integer constants, and `impl` context. A
+//! their variants, and `impl` context. A
 //! [`WorkspaceIr`] glues the per-file IRs together and answers the two
 //! cross-file questions the v2 rules ask: *which functions are reachable
 //! from envelope dispatch* and *where is `enum Body` declared*.
@@ -76,17 +76,6 @@ pub struct EnumItem {
     pub variants: Vec<Variant>,
 }
 
-/// An integer constant (`const NAME: u8 = 7;`).
-#[derive(Debug, Clone)]
-pub struct ConstItem {
-    /// Constant name.
-    pub name: String,
-    /// Parsed value when the initializer is a literal integer.
-    pub value: Option<u64>,
-    /// 1-based source line.
-    pub line: u32,
-}
-
 /// The item-level IR of one file.
 #[derive(Debug)]
 pub struct FileIr {
@@ -98,8 +87,6 @@ pub struct FileIr {
     pub fns: Vec<FnItem>,
     /// Enums in source order.
     pub enums: Vec<EnumItem>,
-    /// Integer constants in source order.
-    pub consts: Vec<ConstItem>,
 }
 
 /// A function id: `(file index, fn index)` within a [`WorkspaceIr`].
@@ -151,15 +138,6 @@ impl WorkspaceIr {
             }
         }
         None
-    }
-
-    /// The constant value of `name`, searching every file.
-    pub fn const_value(&self, name: &str) -> Option<u64> {
-        self.files
-            .iter()
-            .flat_map(|f| f.consts.iter())
-            .find(|c| c.name == name)
-            .and_then(|c| c.value)
     }
 
     /// Function ids reachable from envelope dispatch, via name-resolved

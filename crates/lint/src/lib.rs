@@ -5,7 +5,9 @@
 //! must be deterministic, that `n`/`t` threshold arithmetic must have one
 //! definition, that a violated invariant must dump evidence before dying,
 //! and that wire bytes are frozen forever. This crate checks those
-//! obligations at the token level, with no dependencies (the build
+//! obligations — six rule families: `determinism`, `quorum-arithmetic`,
+//! `panic-policy`, `wire-stability`, `unsafe-budget` and the cross-file
+//! `verify-before-mutate` — at the token level, with no dependencies (the build
 //! environment has no crates.io access, and the checker for a
 //! supply-chain-sensitive codebase should itself have no supply chain).
 //!
@@ -23,7 +25,6 @@ pub mod lexer;
 pub mod obligations;
 pub mod parse;
 pub mod rules;
-pub mod schema;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -185,18 +186,14 @@ pub fn analyze_source(path: &str, src: &str) -> Vec<Finding> {
 }
 
 /// Analyzes a set of files together: every per-file rule plus the
-/// cross-file rule families (`verify-before-mutate`, `wire-schema`) that
-/// need the whole workspace IR.
-///
-/// `golden` is the committed `WIRE_SCHEMA.json` text, when drift against
-/// it should be checked (pass `None` in fixture tests that exercise only
-/// the extraction itself).
+/// cross-file rule family (`verify-before-mutate`) that needs the whole
+/// workspace IR.
 ///
 /// Cross-file findings carry [`Related`] evidence locations; suppression
 /// applies at the finding's *primary* location — a `lint:allow` on the
 /// handler match arm suppresses a verify-before-mutate finding even when
 /// the mutation evidence lives in another file.
-pub fn analyze_sources(files: &[(String, String)], golden: Option<&str>) -> Vec<Finding> {
+pub fn analyze_sources(files: &[(String, String)]) -> Vec<Finding> {
     let normed: Vec<(String, String)> = files
         .iter()
         .map(|(p, s)| (p.replace('\\', "/"), s.clone()))
@@ -248,13 +245,7 @@ pub fn analyze_sources(files: &[(String, String)], golden: Option<&str>) -> Vec<
         coverage.insert(file.path.clone(), covered);
     }
 
-    let mut cross = obligations::check(&workspace);
-    let (schema_json, schema_findings) = schema::extract(&workspace);
-    cross.extend(schema_findings);
-    if let Some(golden) = golden {
-        cross.extend(schema::golden_findings(&workspace, &schema_json, golden));
-    }
-    for c in cross {
+    for c in obligations::check(&workspace) {
         let suppressed = coverage.get(&c.path).and_then(|cov| {
             cov.iter()
                 .find(|(r, l, _)| *r == c.rule && *l == c.line)
@@ -282,17 +273,6 @@ pub fn analyze_sources(files: &[(String, String)], golden: Option<&str>) -> Vec<
         (&a.path, a.line, a.rule, &a.message).cmp(&(&b.path, b.line, b.rule, &b.message))
     });
     out
-}
-
-/// Extracts the wire schema from a set of files (no findings, no golden
-/// comparison) — the `--write-wire-schema` path.
-pub fn extract_wire_schema(files: &[(String, String)]) -> String {
-    let normed: Vec<(String, String)> = files
-        .iter()
-        .map(|(p, s)| (p.replace('\\', "/"), s.clone()))
-        .collect();
-    let workspace = ir::WorkspaceIr::build(&normed);
-    schema::extract(&workspace).0
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -339,8 +319,7 @@ pub fn collect_workspace_files(root: &Path) -> std::io::Result<Vec<(String, Stri
 }
 
 /// Analyzes every `crates/*/src/**/*.rs` file under a workspace root,
-/// including the cross-file rules and the `WIRE_SCHEMA.json` golden diff
-/// (a missing golden reads as empty and therefore as drift).
+/// including the cross-file rule.
 ///
 /// Files are visited in sorted path order so output (and the JSON report)
 /// is deterministic — the analyzer holds itself to the rule it enforces.
@@ -349,9 +328,7 @@ pub fn collect_workspace_files(root: &Path) -> std::io::Result<Vec<(String, Stri
 ///
 /// Returns any I/O error encountered while walking or reading.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let files = collect_workspace_files(root)?;
-    let golden = std::fs::read_to_string(root.join("WIRE_SCHEMA.json")).unwrap_or_default();
-    Ok(analyze_sources(&files, Some(&golden)))
+    Ok(analyze_sources(&collect_workspace_files(root)?))
 }
 
 /// Parses a baseline file: a JSON array of finding-key strings.

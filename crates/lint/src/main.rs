@@ -3,13 +3,11 @@
 //! ```text
 //! cargo run -p sintra-lint [-- --root DIR --format human|json --out FILE
 //!                             --baseline FILE --write-baseline
-//!                             --changed-only [--base REF]
-//!                             --write-wire-schema]
+//!                             --changed-only [--base REF]]
 //! ```
 //!
-//! Exit codes: `0` clean (or baseline/schema written), `1` open findings,
-//! `2` usage or I/O error — including a refused schema write when the
-//! wire format changed without a `WIRE_FORMAT_VERSION` bump.
+//! Exit codes: `0` clean (or baseline written), `1` open findings, `2`
+//! usage or I/O error.
 
 #![forbid(unsafe_code)]
 
@@ -18,59 +16,15 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use sintra_lint::{
-    analyze_workspace, collect_workspace_files, extract_wire_schema, parse_baseline,
-    render_baseline, render_human, render_json, schema, status_of, Finding, Status,
+    analyze_workspace, parse_baseline, render_baseline, render_human, render_json, status_of,
+    Finding, Status,
 };
 
-const USAGE: &str = "usage: sintra-lint [--root DIR] [--format human|json] [--out FILE] [--baseline FILE] [--write-baseline] [--changed-only [--base REF]] [--write-wire-schema]";
+const USAGE: &str = "usage: sintra-lint [--root DIR] [--format human|json] [--out FILE] [--baseline FILE] [--write-baseline] [--changed-only [--base REF]]";
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("sintra-lint: {msg}");
     ExitCode::from(2)
-}
-
-/// The schema with its `wire_format_version` line removed, so two schemas
-/// can be compared for *structural* drift independent of the version bump.
-fn schema_body(schema: &str) -> String {
-    schema
-        .lines()
-        .filter(|l| !l.contains("\"wire_format_version\""))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-/// Regenerates `WIRE_SCHEMA.json`, refusing (exit 2) when the schema body
-/// changed but `WIRE_FORMAT_VERSION` did not: a wire-format break must be
-/// an explicit, versioned event.
-fn write_wire_schema(root: &Path) -> ExitCode {
-    let files = match collect_workspace_files(root) {
-        Ok(f) => f,
-        Err(e) => return fail(&format!("walking workspace: {e}")),
-    };
-    let schema = extract_wire_schema(&files);
-    if schema.is_empty() {
-        return fail("workspace defines no Wire impls; nothing to extract");
-    }
-    let golden_path = root.join("WIRE_SCHEMA.json");
-    let old = std::fs::read_to_string(&golden_path).unwrap_or_default();
-    if !old.is_empty()
-        && schema_body(&old) != schema_body(&schema)
-        && schema::schema_version(&old) == schema::schema_version(&schema)
-    {
-        return fail(
-            "wire schema changed but WIRE_FORMAT_VERSION did not: bump the const in \
-             crates/core/src/wire.rs in the same commit, then rerun --write-wire-schema",
-        );
-    }
-    if let Err(e) = std::fs::write(&golden_path, &schema) {
-        return fail(&format!("writing {}: {e}", golden_path.display()));
-    }
-    if old == schema {
-        println!("sintra-lint: {} is up to date", golden_path.display());
-    } else {
-        println!("sintra-lint: wrote {}", golden_path.display());
-    }
-    ExitCode::SUCCESS
 }
 
 /// Workspace-relative paths changed against `base`, per
@@ -110,7 +64,6 @@ fn main() -> ExitCode {
     let mut write_baseline = false;
     let mut changed_only = false;
     let mut base = "HEAD".to_string();
-    let mut write_schema = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -137,7 +90,6 @@ fn main() -> ExitCode {
                 Some(v) => base = v,
                 None => return fail(USAGE),
             },
-            "--write-wire-schema" => write_schema = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -151,10 +103,6 @@ fn main() -> ExitCode {
             "`{}` has no crates/ directory; pass --root <workspace root>",
             root.display()
         ));
-    }
-
-    if write_schema {
-        return write_wire_schema(&root);
     }
 
     let mut findings = match analyze_workspace(&root) {

@@ -2,13 +2,13 @@
 //!
 //! This is not a Rust parser; it is the smallest recognizer that recovers
 //! the item structure the cross-file rules need — `fn` items with body
-//! token ranges and call edges, `impl`/`trait` context, `enum` variants,
-//! and integer `const`s. Anything it does not understand it steps over:
+//! token ranges and call edges, `impl`/`trait` context and `enum`
+//! variants. Anything it does not understand it steps over:
 //! like the lexer, malformed input degrades to missing items, never a
 //! panic. The one structural assumption is that braces balance, which
 //! `rustc` has already enforced for any committed file.
 
-use crate::ir::{Call, ConstItem, EnumItem, FileIr, FnItem, Variant};
+use crate::ir::{Call, EnumItem, FileIr, FnItem, Variant};
 use crate::lexer::{lex, Token};
 
 /// Keywords that look like calls when followed by `(`.
@@ -22,7 +22,6 @@ pub fn parse_file(path: &str, src: &str) -> FileIr {
     let lexed = lex(src);
     let mut fns = Vec::new();
     let mut enums = Vec::new();
-    let mut consts = Vec::new();
     {
         let toks = &lexed.tokens;
         let n = toks.len();
@@ -94,13 +93,6 @@ pub fn parse_file(path: &str, src: &str) -> FileIr {
                 }
                 continue;
             }
-            if t.is_ident("const") {
-                if let Some(c) = parse_const(toks, i) {
-                    consts.push(c);
-                }
-                i += 1;
-                continue;
-            }
             i += 1;
         }
     }
@@ -109,7 +101,6 @@ pub fn parse_file(path: &str, src: &str) -> FileIr {
         lexed,
         fns,
         enums,
-        consts,
     }
 }
 
@@ -369,56 +360,6 @@ fn parse_enum(toks: &[Token], at: usize) -> Option<(EnumItem, usize)> {
     ))
 }
 
-/// Parses `const NAME: Ty = <int literal>;` starting at `const`.
-fn parse_const(toks: &[Token], at: usize) -> Option<ConstItem> {
-    let name_tok = toks.get(at + 1)?;
-    if name_tok.kind != crate::lexer::TokenKind::Ident || name_tok.is_ident("fn") {
-        return None;
-    }
-    // Find `=` before the terminating `;`.
-    let mut i = at + 2;
-    let mut eq: Option<usize> = None;
-    while i < toks.len() && !toks[i].is_punct(';') && !toks[i].is_punct('{') {
-        if toks[i].is_punct('=') {
-            eq = Some(i);
-            break;
-        }
-        i += 1;
-    }
-    let value = eq.and_then(|e| {
-        let v = toks.get(e + 1)?;
-        if v.kind != crate::lexer::TokenKind::Num
-            || !toks.get(e + 2).is_some_and(|t| t.is_punct(';'))
-        {
-            return None;
-        }
-        parse_int(&v.text)
-    });
-    Some(ConstItem {
-        name: name_tok.text.clone(),
-        value,
-        line: name_tok.line,
-    })
-}
-
-/// Parses a decimal / hex / binary integer literal with `_` separators
-/// and an optional type suffix.
-fn parse_int(text: &str) -> Option<u64> {
-    let t = text.replace('_', "");
-    let (digits, radix) = if let Some(h) = t.strip_prefix("0x") {
-        (h.to_string(), 16)
-    } else if let Some(b) = t.strip_prefix("0b") {
-        (b.to_string(), 2)
-    } else {
-        (t, 10)
-    };
-    // Strip a `u8`/`u32`/`usize`-style suffix.
-    let end = digits
-        .find(|c: char| !c.is_digit(radix))
-        .unwrap_or(digits.len());
-    u64::from_str_radix(&digits[..end], radix).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,9 +428,6 @@ mod tests {
             macro_rules! impl_vec { ($t:ty) => { fn bogus() {} }; }
         ";
         let ir = parse_file("x.rs", src);
-        assert_eq!(ir.consts.len(), 2);
-        assert_eq!(ir.consts[0].value, Some(3));
-        assert_eq!(ir.consts[1].value, Some(16));
         let e = &ir.enums[0];
         assert_eq!(e.name, "Body");
         let vs: Vec<&str> = e.variants.iter().map(|v| v.name.as_str()).collect();

@@ -1,23 +1,20 @@
-//! Cross-file rule tests: multi-file fixtures for `verify-before-mutate`
-//! and `wire-schema`, the golden byte-identity check, the obligation
-//! table ↔ `Body` registry equality check, and the two mutation drills
-//! from the acceptance checklist (drop a verifier call / reorder an
-//! encoded field — the lint must fail either way).
+//! Cross-file rule tests: multi-file fixtures for `verify-before-mutate`,
+//! the obligation table ↔ `Body` registry equality check, and the
+//! mutation drill from the acceptance checklist (drop a verifier call —
+//! the lint must fail).
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use sintra_lint::{
-    analyze_sources, collect_workspace_files, extract_wire_schema, ir, obligations, render_json,
-    rules, schema, Finding,
+    analyze_sources, collect_workspace_files, ir, obligations, render_json, rules, Finding,
 };
 
 /// Virtual paths that place the fixtures in the rules' scopes.
 const MSG: &str = "crates/core/src/message.rs";
 const HANDLER: &str = "crates/core/src/channel/fixture.rs";
 const HANDLER2: &str = "crates/core/src/channel/handlers.rs";
-const WIRE: &str = "crates/core/src/wire.rs";
 
 fn fixture(dir: &str, which: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -37,10 +34,6 @@ fn vb_files(which: &str) -> Vec<(String, String)> {
     ]
 }
 
-fn wire_files(which: &str) -> Vec<(String, String)> {
-    vec![(WIRE.to_string(), fixture("wire-schema", which))]
-}
-
 fn open<'a>(findings: &'a [Finding], rule: &str) -> Vec<&'a Finding> {
     findings
         .iter()
@@ -54,7 +47,7 @@ fn workspace_root() -> PathBuf {
 
 #[test]
 fn verify_before_mutate_trigger_fires() {
-    let findings = analyze_sources(&vb_files("trigger.rs"), None);
+    let findings = analyze_sources(&vb_files("trigger.rs"));
     let open = open(&findings, rules::VERIFY_MUTATE);
     assert_eq!(
         open.len(),
@@ -76,7 +69,7 @@ fn verify_before_mutate_trigger_fires() {
 
 #[test]
 fn verify_before_mutate_pass_is_silent() {
-    let findings = analyze_sources(&vb_files("pass.rs"), None);
+    let findings = analyze_sources(&vb_files("pass.rs"));
     assert!(
         findings.is_empty(),
         "pass fixture produced findings: {findings:#?}"
@@ -93,7 +86,7 @@ fn cross_file_finding_is_suppressed_at_handler_and_cites_both_files() {
         HANDLER2.to_string(),
         fixture("verify-before-mutate", "suppressed-handlers.rs"),
     ));
-    let findings = analyze_sources(&files, None);
+    let findings = analyze_sources(&files);
     let f = findings
         .iter()
         .find(|f| f.rule == rules::VERIFY_MUTATE)
@@ -114,92 +107,6 @@ fn cross_file_finding_is_suppressed_at_handler_and_cites_both_files() {
     assert!(
         findings.iter().all(|f| f.suppressed.is_some()),
         "unsuppressed noise: {findings:#?}"
-    );
-}
-
-#[test]
-fn wire_schema_trigger_fires() {
-    let findings = analyze_sources(&wire_files("trigger.rs"), None);
-    let open = open(&findings, rules::WIRE_SCHEMA);
-    assert!(!open.is_empty(), "swapped fields went unnoticed");
-    assert!(
-        open.iter().all(|f| f.path == WIRE),
-        "finding anchored off the impl: {open:#?}"
-    );
-}
-
-#[test]
-fn wire_schema_pass_is_silent_and_matches_its_own_golden() {
-    let files = wire_files("pass.rs");
-    let schema_json = extract_wire_schema(&files);
-    assert!(schema_json.contains("\"Ping\""), "extraction came up empty");
-    let findings = analyze_sources(&files, Some(&schema_json));
-    assert!(
-        findings.is_empty(),
-        "pass fixture produced findings: {findings:#?}"
-    );
-}
-
-#[test]
-fn wire_schema_suppression_covers_the_encode_anchor() {
-    let findings = analyze_sources(&wire_files("suppressed.rs"), None);
-    let hits: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == rules::WIRE_SCHEMA)
-        .collect();
-    assert!(!hits.is_empty(), "suppressed fixture should still find");
-    for f in hits {
-        assert!(
-            f.suppressed.is_some(),
-            "asymmetry escaped the lint:allow: {f:?}"
-        );
-    }
-}
-
-#[test]
-fn golden_drift_and_missing_version_bump_are_findings() {
-    let files = wire_files("pass.rs");
-    let schema_json = extract_wire_schema(&files);
-
-    // Any difference from the committed golden is drift.
-    let drift = analyze_sources(&files, Some(""));
-    assert!(
-        drift
-            .iter()
-            .any(|f| f.rule == rules::WIRE_SCHEMA && f.path == "WIRE_SCHEMA.json"),
-        "drift against an empty golden went unnoticed: {drift:#?}"
-    );
-
-    // A body change with an unchanged wire_format_version is a second,
-    // sharper finding: the bump gate.
-    let stale = schema_json.replace("\"enc=seq\"", "\"enc=old_seq\"");
-    assert_ne!(stale, schema_json, "mutation failed to apply");
-    let findings = analyze_sources(&files, Some(&stale));
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.rule == rules::WIRE_SCHEMA && f.message.contains("WIRE_FORMAT_VERSION bump")),
-        "version-bump gate silent: {findings:#?}"
-    );
-    assert_eq!(
-        schema::schema_version(&schema_json),
-        Some(1),
-        "fixture schema must carry version 1"
-    );
-}
-
-#[test]
-fn committed_wire_schema_golden_is_byte_identical() {
-    let root = workspace_root();
-    let files = collect_workspace_files(&root).expect("walking workspace");
-    let schema_json = extract_wire_schema(&files);
-    let golden = fs::read_to_string(root.join("WIRE_SCHEMA.json"))
-        .expect("WIRE_SCHEMA.json golden must be committed");
-    assert_eq!(
-        schema_json, golden,
-        "WIRE_SCHEMA.json is stale: regenerate with \
-         `cargo run -p sintra-lint -- --write-wire-schema` (and bump \
-         WIRE_FORMAT_VERSION if the wire format changed)"
     );
 }
 
@@ -243,7 +150,7 @@ fn mutation_dropping_a_verifier_call_fails_the_lint() {
             .unwrap_or_else(|| panic!("{site} in workspace"));
         assert!(handler.1.contains(verifier), "{site} calls {verifier}");
         handler.1 = handler.1.replace(verifier, "skip_the_check");
-        let findings = analyze_sources(&files, None);
+        let findings = analyze_sources(&files);
         assert!(
             findings.iter().any(|f| {
                 f.rule == rules::VERIFY_MUTATE
@@ -254,33 +161,4 @@ fn mutation_dropping_a_verifier_call_fails_the_lint() {
             "dropping {verifier} in {site} went unnoticed: {findings:#?}"
         );
     }
-}
-
-#[test]
-fn mutation_reordering_an_encoded_field_fails_the_lint() {
-    // Acceptance drill: swap two encoded fields of one Body variant and
-    // the lint must go red.
-    let root = workspace_root();
-    let mut files = collect_workspace_files(&root).expect("walking workspace");
-    let msg = files
-        .iter_mut()
-        .find(|(p, _)| p.ends_with("core/src/message.rs"))
-        .expect("message.rs in workspace");
-    let orig = "buf.push(TAG_BA_COIN_SHARE);\n                round.encode(buf);\n                share.encode(buf);";
-    let swapped = "buf.push(TAG_BA_COIN_SHARE);\n                share.encode(buf);\n                round.encode(buf);";
-    assert!(
-        msg.1.contains(orig),
-        "BaCoinShare encode arm changed shape; update this mutation"
-    );
-    msg.1 = msg.1.replace(orig, swapped);
-    let findings = analyze_sources(&files, None);
-    assert!(
-        findings.iter().any(|f| {
-            f.rule == rules::WIRE_SCHEMA
-                && f.path.ends_with("core/src/message.rs")
-                && f.suppressed.is_none()
-                && f.message.contains("BaCoinShare")
-        }),
-        "field reorder went unnoticed: {findings:#?}"
-    );
 }

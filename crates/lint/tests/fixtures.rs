@@ -76,12 +76,14 @@ fn suppressed_fixtures_are_fully_covered() {
 
 #[test]
 fn wire_fixture_also_fires_under_link_paths() {
-    // The wire-stability scope covers wire.rs, message.rs and the link
-    // layer; spot-check the path scoping beyond the canonical CASES entry.
+    // The wire-stability scope is every file that holds a codec — the
+    // trigger fixture has an `impl Wire for`, so its path does not matter
+    // — plus the link layer, which frames bytes without the trait.
     let src = fixture(rules::WIRE_STABILITY, "trigger.rs");
     for vpath in [
         "crates/core/src/message.rs",
-        "crates/net/src/link/fixture.rs",
+        "crates/core/src/channel/optimistic.rs",
+        "crates/telemetry/src/report.rs",
     ] {
         let findings = analyze_source(vpath, &src);
         assert!(
@@ -89,8 +91,25 @@ fn wire_fixture_also_fires_under_link_paths() {
             "wire-stability silent under {vpath}"
         );
     }
-    // Out of scope, the same text is clean.
-    let elsewhere = analyze_source("crates/telemetry/src/report.rs", &src);
+    let framing = "fn put(buf: &mut Vec<u8>, d: &[u8]) { buf.push(7); let n = d.len() as u32; }";
+    let link = analyze_source("crates/net/src/link/fixture.rs", framing);
+    assert!(
+        link.iter().any(|f| f.rule == rules::WIRE_STABILITY),
+        "wire-stability silent under the link layer"
+    );
+    for declaration in [
+        "wire_struct!(Ping { seq: u64 });",
+        "wire_enum!(K { TAG_A => A });",
+    ] {
+        let codec = format!("{declaration}\n{framing}");
+        let declared = analyze_source("crates/core/src/channel/fixture.rs", &codec);
+        assert!(
+            declared.iter().any(|f| f.rule == rules::WIRE_STABILITY),
+            "wire-stability silent beside `{declaration}`"
+        );
+    }
+    // Out of scope — no codec, not the link layer — the same text is clean.
+    let elsewhere = analyze_source("crates/telemetry/src/report.rs", framing);
     assert!(
         !elsewhere.iter().any(|f| f.rule == rules::WIRE_STABILITY),
         "wire-stability fired outside its scope"

@@ -23,3 +23,10 @@ mod tests {
         assert_eq!(n, 1);
     }
 }
+
+// A declaration names its tags; a tuple struct names its fields by index.
+wire_enum!(Kind {
+    TAG_DATA => Data { payload: Vec<u8> },
+});
+wire_struct!(Id { 0: usize });
+wire_struct!(Batch { items: Vec<Id> [max 1024] });

@@ -91,8 +91,8 @@ fn bare_panics_in_link_code_fail() {
 #[test]
 fn raw_wire_tags_fail() {
     for snippet in [
-        "fn encode(&self, buf: &mut Vec<u8>) { buf.push(17); }",
-        "fn len(&self, d: &[u8]) -> u32 { d.len() as u32 }",
+        "impl Wire for X { fn encode(&self, buf: &mut Vec<u8>) { buf.push(17); } }",
+        "wire_struct!(X { d: Vec<u8> }); fn len(d: &[u8]) -> u32 { d.len() as u32 }",
     ] {
         let findings = analyze_source("crates/core/src/wire.rs", snippet);
         assert!(
@@ -102,4 +102,32 @@ fn raw_wire_tags_fail() {
             "wire regression went undetected: {snippet}"
         );
     }
+}
+
+#[test]
+fn reintroducing_an_unchecked_length_prefix_in_optimistic_fails() {
+    // `optimistic.rs` holds codecs but is not called `wire.rs`: four
+    // `len() as u32` prefixes sat there unreported while the rule's scope
+    // was a file-name test.
+    let path = "crates/core/src/channel/optimistic.rs";
+    let src = std::fs::read_to_string(repo_root().join(path)).expect("read optimistic.rs");
+    let clean = analyze_source(path, &src);
+    assert!(clean.iter().all(|f| f.suppressed.is_some()), "{clean:#?}");
+
+    let checked = "put_seq(&mut buf, entries);";
+    assert!(
+        src.contains(checked),
+        "entries_digest changed shape; update this mutation"
+    );
+    let mutated = src.replace(
+        checked,
+        "buf.extend_from_slice(&(self.cert.len() as u32).to_be_bytes());",
+    );
+    let findings = analyze_source(path, &mutated);
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.rule == rules::WIRE_STABILITY && f.suppressed.is_none()),
+        "unchecked length prefix went undetected"
+    );
 }
