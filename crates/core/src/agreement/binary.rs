@@ -29,6 +29,7 @@ use sintra_crypto::coin::CoinShare;
 use sintra_crypto::thsig::{SigShare, ThresholdSignature};
 use sintra_telemetry::{SnapshotWriter, StateSnapshot, TraceEvent};
 
+use crate::checked::{Checked, Thsig, Unchecked};
 use crate::config::GroupContext;
 use crate::ids::{PartyId, ProtocolId};
 use crate::invariant::OrInvariant;
@@ -53,29 +54,56 @@ enum Stage {
     Done,
 }
 
+/// A pre-vote justification whose signature and coin shares this party
+/// has checked or assembled: what it keeps as abstain evidence and sends
+/// with its own pre-votes.
+#[derive(Debug, Clone)]
+enum Justified {
+    Initial,
+    Hard(Checked<ThresholdSignature>),
+    Soft {
+        sig: Checked<ThresholdSignature>,
+        coin_shares: Vec<Checked<CoinShare>>,
+    },
+}
+
+impl From<Justified> for PreVoteJust {
+    fn from(just: Justified) -> Self {
+        match just {
+            Justified::Initial => PreVoteJust::Initial,
+            Justified::Hard(sig) => PreVoteJust::Hard(sig.forget()),
+            Justified::Soft { sig, coin_shares } => PreVoteJust::Soft {
+                sig: sig.forget(),
+                coin_shares: coin_shares.into_iter().map(Checked::forget).collect(),
+            },
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct RoundState {
     /// Accepted pre-votes: party -> (value, signature share).
-    pre_votes: BTreeMap<PartyId, (bool, SigShare)>,
+    pre_votes: BTreeMap<PartyId, (bool, Checked<SigShare>)>,
     /// First accepted pre-vote justification (+ proof) per bit, used as
     /// abstain evidence.
-    pre_just: [Option<(PreVoteJust, Option<Vec<u8>>)>; 2],
+    pre_just: [Option<(Justified, Option<Vec<u8>>)>; 2],
     /// Whether the pre-vote quorum has already been evaluated.
     pre_evaluated: bool,
     /// Accepted main-votes: party -> (vote, share).
-    main_votes: BTreeMap<PartyId, (MainVote, SigShare)>,
+    main_votes: BTreeMap<PartyId, (MainVote, Checked<SigShare>)>,
     /// First accepted value main-vote justification: the threshold
     /// signature on `pre(pid, round, b)`, reusable as the hard pre-vote
     /// justification for the next round.
-    value_just: Option<(bool, ThresholdSignature)>,
+    value_just: Option<(bool, Checked<ThresholdSignature>)>,
     main_evaluated: bool,
     /// Verified coin shares by holder index.
-    coin_shares: BTreeMap<usize, CoinShare>,
-    /// Received but not yet verified coin shares, keyed by *sender* so a
-    /// forged share cannot displace an honest party's. Verification is
-    /// deferred and batched: one combined DLEQ check replaces per-share
-    /// checks once enough shares are queued to flip the coin.
-    pending_coin: BTreeMap<PartyId, CoinShare>,
+    coin_shares: BTreeMap<usize, Checked<CoinShare>>,
+    /// The quarantine: received but not yet verified coin shares, keyed
+    /// by *sender* so a forged share cannot displace an honest party's
+    /// (bounded by `n` per round). Verification is deferred and batched:
+    /// one combined DLEQ check replaces per-share checks once enough
+    /// shares are queued to flip the coin.
+    pending_coin: BTreeMap<PartyId, Unchecked<CoinShare>>,
 }
 
 /// A binary Byzantine agreement instance.
@@ -93,7 +121,7 @@ pub struct BinaryAgreement {
     round: u32,
     stage: Stage,
     preference: bool,
-    next_just: PreVoteJust,
+    next_just: Justified,
     rounds: BTreeMap<u32, RoundState>,
     /// Cached external validation data per bit.
     proofs: [Option<Vec<u8>>; 2],
@@ -113,7 +141,7 @@ impl BinaryAgreement {
             round: 0,
             stage: Stage::Idle,
             preference: false,
-            next_just: PreVoteJust::Initial,
+            next_just: Justified::Initial,
             rounds: BTreeMap::new(),
             proofs: [None, None],
             decided: None,
@@ -165,7 +193,7 @@ impl BinaryAgreement {
             self.proofs[value as usize] = Some(proof);
         }
         self.preference = value;
-        self.next_just = PreVoteJust::Initial;
+        self.next_just = Justified::Initial;
         self.round = 1;
         self.send_pre_vote(out);
     }
@@ -208,7 +236,7 @@ impl BinaryAgreement {
                 .round(self.round as u64)
         });
         let statement = statement_pre_vote(&self.pid, self.round, self.preference);
-        let share = self.ctx.keys().thsig_agreement.sign_share(&statement);
+        let share = self.ctx.sign_share(Thsig::Agreement, &statement);
         let proof = if self.validated {
             self.proofs[self.preference as usize].clone()
         } else {
@@ -219,8 +247,8 @@ impl BinaryAgreement {
             Body::BaPreVote {
                 round: self.round,
                 value: self.preference,
-                just: self.next_just.clone(),
-                share,
+                just: self.next_just.clone().into(),
+                share: share.forget(),
                 proof,
             },
         );
@@ -260,8 +288,10 @@ impl BinaryAgreement {
         self.try_advance(out);
     }
 
-    /// Caches externally validated proof data for a bit.
-    fn note_proof(&mut self, value: bool, proof: Option<&[u8]>) {
+    /// Caches externally validated proof data for a bit, on behalf of a
+    /// message whose share or signature checked out: an unverified sender
+    /// must not seed the proof cache.
+    fn note_proof<W>(&mut self, _checked: &Checked<W>, value: bool, proof: Option<&[u8]>) {
         if !self.validated || self.proofs[value as usize].is_some() {
             return;
         }
@@ -272,67 +302,59 @@ impl BinaryAgreement {
         }
     }
 
-    /// Checks a pre-vote justification for `(round, value)`. `proof` is
-    /// the external validation data accompanying the message.
+    /// Checks a pre-vote justification for `(round, value)`, yielding it
+    /// with what it carried checked. `proof` is the external validation
+    /// data accompanying the message.
     fn pre_vote_justified(
         &self,
         round: u32,
         value: bool,
         just: &PreVoteJust,
         proof: Option<&[u8]>,
-    ) -> bool {
+    ) -> Option<Justified> {
         match just {
             PreVoteJust::Initial => {
-                if round != 1 {
-                    return false;
-                }
-                if !self.validated {
-                    return true;
-                }
-                // Either the message carries a valid proof or we know one.
-                proof
-                    .map(|p| self.validator.is_valid(value, p))
-                    .unwrap_or(false)
-                    || self.proofs[value as usize].is_some()
+                // Validated: either the message carries a valid proof or
+                // we know one.
+                let justified = round == 1
+                    && (!self.validated
+                        || proof.is_some_and(|p| self.validator.is_valid(value, p))
+                        || self.proofs[value as usize].is_some());
+                justified.then_some(Justified::Initial)
             }
             PreVoteJust::Hard(sig) => {
-                round > 1
-                    && self
-                        .ctx
-                        .keys()
-                        .common
-                        .thsig_agreement
-                        .verify(&statement_pre_vote(&self.pid, round - 1, value), sig)
+                if round <= 1 {
+                    return None;
+                }
+                let statement = statement_pre_vote(&self.pid, round - 1, value);
+                let sig = self.ctx.check_sig(Thsig::Agreement, &statement, sig)?;
+                Some(Justified::Hard(sig))
             }
             PreVoteJust::Soft { sig, coin_shares } => {
                 if round <= 1 {
-                    return false;
+                    return None;
                 }
-                let abstain_ok = self.ctx.keys().common.thsig_agreement.verify(
-                    &statement_main_vote(&self.pid, round - 1, MainVote::Abstain),
-                    sig,
-                );
-                if !abstain_ok {
-                    return false;
-                }
-                match self.coin_value_from_shares(round - 1, coin_shares) {
-                    Some(coin) => coin == value,
-                    None => false,
-                }
+                let statement = statement_main_vote(&self.pid, round - 1, MainVote::Abstain);
+                let sig = self.ctx.check_sig(Thsig::Agreement, &statement, sig)?;
+                let (coin, coin_shares) = self.coin_value_from_shares(round - 1, coin_shares)?;
+                (coin == value).then_some(Justified::Soft { sig, coin_shares })
             }
         }
     }
 
-    /// The round's coin value as proven by `shares` (or the bias for a
-    /// biased round 1, where no shares are needed).
-    fn coin_value_from_shares(&self, round: u32, shares: &[CoinShare]) -> Option<bool> {
+    /// The round's coin value as proven by `shares`, with the shares that
+    /// prove it (or the bias for a biased round 1, where none are needed).
+    fn coin_value_from_shares(
+        &self,
+        round: u32,
+        shares: &[Unchecked<CoinShare>],
+    ) -> Option<(bool, Vec<Checked<CoinShare>>)> {
         if round == 1 {
             if let Some(b) = self.bias {
-                return Some(b);
+                return Some((b, Vec::new()));
             }
         }
-        let name = coin_name(&self.pid, round);
-        self.ctx.keys().common.coin.assemble_bit(&name, shares).ok()
+        self.ctx.open_coin(&coin_name(&self.pid, round), shares)
     }
 
     fn on_pre_vote(
@@ -341,7 +363,7 @@ impl BinaryAgreement {
         round: u32,
         value: bool,
         just: &PreVoteJust,
-        share: &SigShare,
+        share: &Unchecked<SigShare>,
         proof: Option<&[u8]>,
     ) {
         if round == 0 || share.index != from.0 {
@@ -354,38 +376,36 @@ impl BinaryAgreement {
         {
             return;
         }
-        if !self.pre_vote_justified(round, value, just, proof) {
+        let Some(just) = self.pre_vote_justified(round, value, just, proof) else {
             return;
-        }
+        };
         let statement = statement_pre_vote(&self.pid, round, value);
-        if !self
-            .ctx
-            .keys()
-            .common
-            .thsig_agreement
-            .verify_share(&statement, share)
-        {
+        let Some(share) = self.ctx.check_share(Thsig::Agreement, &statement, share) else {
             return;
-        }
-        // Only cache the carried proof once the whole message checked out:
-        // an unverified sender must not seed the proof cache.
-        self.note_proof(value, proof);
+        };
+        self.note_proof(&share, value, proof);
         let state = self.rounds.entry(round).or_default();
-        state.pre_votes.insert(from, (value, share.clone()));
+        state.pre_votes.insert(from, (value, share));
         if state.pre_just[value as usize].is_none() {
-            state.pre_just[value as usize] = Some((just.clone(), proof.map(<[u8]>::to_vec)));
+            state.pre_just[value as usize] = Some((just, proof.map(<[u8]>::to_vec)));
         }
     }
 
-    /// Checks a main-vote justification.
-    fn main_vote_justified(&self, round: u32, vote: MainVote, just: &MainVoteJust) -> bool {
+    /// Checks a main-vote justification: `None` if it does not hold,
+    /// otherwise the checked signature on the round's pre-vote statement
+    /// that a value vote carried.
+    fn main_vote_justified(
+        &self,
+        round: u32,
+        vote: MainVote,
+        just: &MainVoteJust,
+    ) -> Option<Option<Checked<ThresholdSignature>>> {
         match (vote, just) {
-            (MainVote::Value(b), MainVoteJust::Value(sig)) => self
-                .ctx
-                .keys()
-                .common
-                .thsig_agreement
-                .verify(&statement_pre_vote(&self.pid, round, b), sig),
+            (MainVote::Value(b), MainVoteJust::Value(sig)) => {
+                let statement = statement_pre_vote(&self.pid, round, b);
+                let sig = self.ctx.check_sig(Thsig::Agreement, &statement, sig)?;
+                Some(Some(sig))
+            }
             (
                 MainVote::Abstain,
                 MainVoteJust::Abstain {
@@ -395,10 +415,11 @@ impl BinaryAgreement {
                     proof1,
                 },
             ) => {
-                self.pre_vote_justified(round, false, just0, proof0.as_deref())
-                    && self.pre_vote_justified(round, true, just1, proof1.as_deref())
+                self.pre_vote_justified(round, false, just0, proof0.as_deref())?;
+                self.pre_vote_justified(round, true, just1, proof1.as_deref())?;
+                Some(None)
             }
-            _ => false,
+            _ => None,
         }
     }
 
@@ -408,7 +429,7 @@ impl BinaryAgreement {
         round: u32,
         vote: MainVote,
         just: &MainVoteJust,
-        share: &SigShare,
+        share: &Unchecked<SigShare>,
         proof: Option<&[u8]>,
     ) {
         if round == 0 || share.index != from.0 {
@@ -421,34 +442,26 @@ impl BinaryAgreement {
         {
             return;
         }
-        if !self.main_vote_justified(round, vote, just) {
+        let Some(value_sig) = self.main_vote_justified(round, vote, just) else {
             return;
-        }
+        };
         let statement = statement_main_vote(&self.pid, round, vote);
-        if !self
-            .ctx
-            .keys()
-            .common
-            .thsig_agreement
-            .verify_share(&statement, share)
-        {
+        let Some(share) = self.ctx.check_share(Thsig::Agreement, &statement, share) else {
             return;
-        }
-        // Only cache the carried proof once the whole message checked out:
-        // an unverified sender must not seed the proof cache.
+        };
         if let MainVote::Value(b) = vote {
-            self.note_proof(b, proof);
+            self.note_proof(&share, b, proof);
         }
         let state = self.rounds.entry(round).or_default();
-        state.main_votes.insert(from, (vote, share.clone()));
+        state.main_votes.insert(from, (vote, share));
         if state.value_just.is_none() {
-            if let (MainVote::Value(b), MainVoteJust::Value(sig)) = (vote, just) {
-                state.value_just = Some((b, sig.clone()));
+            if let (MainVote::Value(b), Some(sig)) = (vote, value_sig) {
+                state.value_just = Some((b, sig));
             }
         }
     }
 
-    fn on_coin_share(&mut self, from: PartyId, round: u32, share: &CoinShare) {
+    fn on_coin_share(&mut self, from: PartyId, round: u32, share: &Unchecked<CoinShare>) {
         if round == 0 || share.index >= self.ctx.keys().common.coin.public_key().n {
             return;
         }
@@ -471,15 +484,10 @@ impl BinaryAgreement {
         if state.pending_coin.is_empty() {
             return;
         }
-        let pending: Vec<CoinShare> = std::mem::take(&mut state.pending_coin)
-            .into_values()
-            .collect();
+        let pending = std::mem::take(&mut state.pending_coin).into_values();
         let name = coin_name(&self.pid, round);
-        let verdicts = self.ctx.keys().common.coin.verify_shares(&name, &pending);
-        for (share, valid) in pending.into_iter().zip(verdicts) {
-            if valid {
-                state.coin_shares.entry(share.index).or_insert(share);
-            }
+        for share in self.ctx.check_coin_shares(&name, pending) {
+            state.coin_shares.entry(share.index).or_insert(share);
         }
     }
 
@@ -487,7 +495,7 @@ impl BinaryAgreement {
         &mut self,
         round: u32,
         value: bool,
-        sig: &ThresholdSignature,
+        sig: &Unchecked<ThresholdSignature>,
         proof: Option<&[u8]>,
         out: &mut Outgoing,
     ) {
@@ -495,10 +503,10 @@ impl BinaryAgreement {
             return;
         }
         let statement = statement_main_vote(&self.pid, round, MainVote::Value(value));
-        if !self.ctx.verify_agreement_sig(&statement, sig) {
+        let Some(sig) = self.ctx.check_sig(Thsig::Agreement, &statement, sig) else {
             return;
-        }
-        self.note_proof(value, proof);
+        };
+        self.note_proof(&sig, value, proof);
         // In validated mode we must be able to hand the application the
         // validation data for the decision. An honest decider always
         // attaches it; a decide message without usable data (only possible
@@ -507,10 +515,16 @@ impl BinaryAgreement {
         if self.validated && self.proofs[value as usize].is_none() {
             return;
         }
-        self.finish(value, round, sig.clone(), out);
+        self.finish(value, round, sig, out);
     }
 
-    fn finish(&mut self, value: bool, round: u32, sig: ThresholdSignature, out: &mut Outgoing) {
+    fn finish(
+        &mut self,
+        value: bool,
+        round: u32,
+        sig: Checked<ThresholdSignature>,
+        out: &mut Outgoing,
+    ) {
         let proof = if self.validated {
             self.proofs[value as usize].clone()
         } else {
@@ -523,7 +537,7 @@ impl BinaryAgreement {
             Body::BaDecide {
                 round,
                 value,
-                sig,
+                sig: sig.forget(),
                 proof: proof.clone(),
             },
         );
@@ -553,32 +567,23 @@ impl BinaryAgreement {
                     }
                     state.pre_evaluated = true;
                     // Evaluate the first quorum of accepted pre-votes.
-                    let votes: Vec<(bool, SigShare)> = state.pre_votes.values().cloned().collect();
+                    let votes: Vec<(bool, Checked<SigShare>)> =
+                        state.pre_votes.values().cloned().collect();
                     let ones = votes.iter().filter(|(v, _)| *v).count();
                     let (vote, just, proof) = if ones >= quorum || ones == 0 {
                         let b = ones > 0;
-                        let shares: Vec<SigShare> = votes
-                            .iter()
-                            .filter(|(v, _)| *v == b)
-                            .map(|(_, s)| s.clone())
-                            .collect();
+                        let shares = votes.iter().filter(|(v, _)| *v == b).map(|(_, s)| s);
                         let statement = statement_pre_vote(&self.pid, round, b);
-                        match self
-                            .ctx
-                            .keys()
-                            .common
-                            .thsig_agreement
-                            .assemble_preverified(&statement, &shares)
-                        {
-                            Ok(sig) => (
+                        match self.ctx.assemble_sig(Thsig::Agreement, &statement, shares) {
+                            Some(sig) => (
                                 MainVote::Value(b),
-                                MainVoteJust::Value(sig),
+                                MainVoteJust::Value(sig.forget()),
                                 self.proofs[b as usize].clone(),
                             ),
                             // A share that verified individually but fails
                             // assembly indicates an internal inconsistency;
                             // abstaining keeps us safe and live.
-                            Err(_) => match self.abstain_just(round) {
+                            None => match self.abstain_just(round) {
                                 Some(j) => (MainVote::Abstain, j, None),
                                 None => return,
                             },
@@ -590,14 +595,14 @@ impl BinaryAgreement {
                         }
                     };
                     let statement = statement_main_vote(&self.pid, round, vote);
-                    let share = self.ctx.keys().thsig_agreement.sign_share(&statement);
+                    let share = self.ctx.sign_share(Thsig::Agreement, &statement);
                     out.send_all(
                         &self.pid,
                         Body::BaMainVote {
                             round,
                             vote,
                             just,
-                            share,
+                            share: share.forget(),
                             proof,
                         },
                     );
@@ -613,7 +618,7 @@ impl BinaryAgreement {
                         return;
                     }
                     state.main_evaluated = true;
-                    let votes: Vec<(MainVote, SigShare)> =
+                    let votes: Vec<(MainVote, Checked<SigShare>)> =
                         state.main_votes.values().cloned().collect();
                     let value_vote = votes.iter().find_map(|(v, _)| match v {
                         MainVote::Value(b) => Some(*b),
@@ -623,14 +628,10 @@ impl BinaryAgreement {
                         .is_some_and(|b| votes.iter().all(|(v, _)| *v == MainVote::Value(b)));
                     if let (true, Some(b)) = (unanimous, value_vote) {
                         // Decide: assemble the justification.
-                        let shares: Vec<SigShare> = votes.iter().map(|(_, s)| s.clone()).collect();
+                        let shares = votes.iter().map(|(_, s)| s);
                         let statement = statement_main_vote(&self.pid, round, MainVote::Value(b));
-                        if let Ok(sig) = self
-                            .ctx
-                            .keys()
-                            .common
-                            .thsig_agreement
-                            .assemble_preverified(&statement, &shares)
+                        if let Some(sig) =
+                            self.ctx.assemble_sig(Thsig::Agreement, &statement, shares)
                         {
                             self.finish(b, round, sig, out);
                             return;
@@ -641,18 +642,14 @@ impl BinaryAgreement {
                     let name = coin_name(&self.pid, round);
                     let skip_coin = round == 1 && self.bias.is_some();
                     if !skip_coin {
-                        let share = self
-                            .ctx
-                            .keys()
-                            .common
-                            .coin
-                            .release_share(&name, &self.ctx.keys().coin_secret);
+                        let share = self.ctx.release_coin_share(&name);
                         // Record our own share locally too.
                         self.rounds
                             .entry(round)
                             .or_default()
                             .coin_shares
                             .insert(share.index, share.clone());
+                        let share = share.forget();
                         out.send_all(&self.pid, Body::BaCoinShare { round, share });
                         out.trace_with(|| {
                             TraceEvent::new(self.ctx.me().0, self.pid.as_str(), "abba")
@@ -669,7 +666,7 @@ impl BinaryAgreement {
                         match sig {
                             Some(sig) => {
                                 self.preference = b;
-                                self.next_just = PreVoteJust::Hard(sig);
+                                self.next_just = Justified::Hard(sig);
                                 self.round += 1;
                                 self.send_pre_vote(out);
                             }
@@ -708,11 +705,10 @@ impl BinaryAgreement {
                         if state.coin_shares.len() < coin_k {
                             return;
                         }
-                        let shares: Vec<CoinShare> = state.coin_shares.values().cloned().collect();
-                        let name = coin_name(&self.pid, round);
-                        match self.ctx.keys().common.coin.assemble_bit(&name, &shares) {
-                            Ok(bit) => (bit, shares[..coin_k].to_vec()),
-                            Err(_) => return,
+                        let shares = state.coin_shares.values();
+                        match self.ctx.open_coin(&coin_name(&self.pid, round), shares) {
+                            Some(opened) => opened,
+                            None => return,
                         }
                     };
                     // Soft justification: threshold signature on the
@@ -720,19 +716,15 @@ impl BinaryAgreement {
                     let Some(state) = self.rounds.get(&round) else {
                         return;
                     };
-                    let abstain_shares: Vec<SigShare> = state
+                    let abstain_shares = state
                         .main_votes
                         .values()
                         .filter(|(v, _)| *v == MainVote::Abstain)
-                        .map(|(_, s)| s.clone())
-                        .collect();
+                        .map(|(_, s)| s);
                     let statement = statement_main_vote(&self.pid, round, MainVote::Abstain);
-                    let Ok(sig) = self
-                        .ctx
-                        .keys()
-                        .common
-                        .thsig_agreement
-                        .assemble_preverified(&statement, &abstain_shares)
+                    let Some(sig) =
+                        self.ctx
+                            .assemble_sig(Thsig::Agreement, &statement, abstain_shares)
                     else {
                         // Not all main-votes were abstain: we got here via
                         // the fallback path; wait for more abstain shares
@@ -740,7 +732,7 @@ impl BinaryAgreement {
                         return;
                     };
                     self.preference = coin;
-                    self.next_just = PreVoteJust::Soft {
+                    self.next_just = Justified::Soft {
                         sig,
                         coin_shares: shares_used,
                     };
@@ -754,26 +746,20 @@ impl BinaryAgreement {
     /// A threshold signature on `pre(pid, round, b)`: taken from an
     /// accepted value main-vote's justification, or assembled from our own
     /// accepted pre-vote shares if we hold a quorum for `b`.
-    fn hard_justification(&self, round: u32, b: bool) -> Option<ThresholdSignature> {
+    fn hard_justification(&self, round: u32, b: bool) -> Option<Checked<ThresholdSignature>> {
         let state = self.rounds.get(&round)?;
         if let Some((jb, sig)) = &state.value_just {
             if *jb == b {
                 return Some(sig.clone());
             }
         }
-        let shares: Vec<SigShare> = state
+        let shares = state
             .pre_votes
             .values()
             .filter(|(v, _)| *v == b)
-            .map(|(_, s)| s.clone())
-            .collect();
+            .map(|(_, s)| s);
         let statement = statement_pre_vote(&self.pid, round, b);
-        self.ctx
-            .keys()
-            .common
-            .thsig_agreement
-            .assemble_preverified(&statement, &shares)
-            .ok()
+        self.ctx.assemble_sig(Thsig::Agreement, &statement, shares)
     }
 
     /// Abstain justification: justified pre-votes for both bits of `round`.
@@ -782,8 +768,8 @@ impl BinaryAgreement {
         let (just0, proof0) = state.pre_just[0].clone()?;
         let (just1, proof1) = state.pre_just[1].clone()?;
         Some(MainVoteJust::Abstain {
-            just0: Box::new(just0),
-            just1: Box::new(just1),
+            just0: Box::new(just0.into()),
+            just1: Box::new(just1.into()),
             proof0,
             proof1,
         })
@@ -1006,7 +992,7 @@ mod tests {
             &Body::BaDecide {
                 round: 1,
                 value: true,
-                sig: ThresholdSignature::Multi(vec![]),
+                sig: ThresholdSignature::Multi(vec![]).into(),
                 proof: None,
             },
             &mut Outgoing::new(),
@@ -1021,9 +1007,8 @@ mod tests {
         let mut inst = BinaryAgreement::new(pid.clone(), ctxs[0].clone());
         inst.propose(true, Vec::new(), &mut Outgoing::new());
         let share = ctxs[1]
-            .keys()
-            .thsig_agreement
-            .sign_share(&statement_pre_vote(&pid, 1, true));
+            .sign_share(Thsig::Agreement, &statement_pre_vote(&pid, 1, true))
+            .forget();
         let pre_vote = |value: bool| Body::BaPreVote {
             round: 1,
             value,
@@ -1051,16 +1036,14 @@ mod tests {
         let ctxs = group(4, 1);
         let pid = ProtocolId::new("ba-bind");
         let statement = statement_main_vote(&pid, 2, MainVote::Value(true));
-        let shares: Vec<SigShare> = ctxs
+        let shares: Vec<Checked<SigShare>> = ctxs
             .iter()
-            .map(|c| c.keys().thsig_agreement.sign_share(&statement))
+            .map(|c| c.sign_share(Thsig::Agreement, &statement))
             .collect();
         let sig = ctxs[0]
-            .keys()
-            .common
-            .thsig_agreement
-            .assemble_preverified(&statement, &shares)
-            .unwrap();
+            .assemble_sig(Thsig::Agreement, &statement, &shares)
+            .unwrap()
+            .forget();
         let decide = |value: bool| Body::BaDecide {
             round: 2,
             value,
@@ -1079,12 +1062,8 @@ mod tests {
     fn coin_shares_batch_with_blame() {
         let ctxs = group(4, 1);
         let pid = ProtocolId::new("ba-coin");
-        let release = |i: usize, round: u32| {
-            let keys = ctxs[i].keys();
-            keys.common
-                .coin
-                .release_share(&coin_name(&pid, round), &keys.coin_secret)
-        };
+        let release =
+            |i: usize, round: u32| ctxs[i].release_coin_share(&coin_name(&pid, round)).forget();
         let mut inst = BinaryAgreement::new(pid.clone(), ctxs[0].clone());
         // n - t shares for round 3's coin, party 3's released for another
         // round's: the batch check fails, the per-share fallback blames it.
@@ -1098,7 +1077,8 @@ mod tests {
         assert!(state.pending_coin.is_empty());
         let kept: Vec<usize> = state.coin_shares.keys().copied().collect();
         assert_eq!(kept, vec![shares[0].index, shares[1].index]);
-        let kept: Vec<CoinShare> = state.coin_shares.values().cloned().collect();
+        let kept: Vec<_> = state.coin_shares.values().cloned().collect();
+        let kept: Vec<_> = kept.into_iter().map(Checked::forget).collect();
         assert!(inst.coin_value_from_shares(3, &kept).is_some());
     }
 

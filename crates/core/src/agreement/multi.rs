@@ -23,11 +23,13 @@
 
 use std::collections::BTreeMap;
 
+use sintra_crypto::coin::CoinShare;
 use sintra_crypto::hash::Sha256;
 use sintra_telemetry::{SnapshotWriter, StateSnapshot, TraceEvent};
 
 use crate::agreement::BinaryAgreement;
 use crate::broadcast::VerifiableConsistentBroadcast;
+use crate::checked::{Checked, Unchecked};
 use crate::config::GroupContext;
 use crate::ids::{PartyId, ProtocolId};
 use crate::invariant::OrInvariant;
@@ -95,8 +97,10 @@ pub struct MultiValuedAgreement {
     /// Whether this party has released its permutation-coin share.
     perm_coin_sent: bool,
     /// Verified permutation-coin shares by holder.
-    perm_shares: BTreeMap<usize, sintra_crypto::coin::CoinShare>,
-    /// Vote / agreement messages parked until the permutation is known.
+    perm_shares: BTreeMap<usize, Checked<CoinShare>>,
+    /// Vote / agreement messages parked until the permutation is known,
+    /// as they came: a yes-vote's closing is checked when the vote is
+    /// replayed and counted, a no-vote is a bare bit.
     deferred: Vec<(PartyId, ProtocolId, Body)>,
     decided: Option<Vec<u8>>,
     decision_taken: bool,
@@ -292,18 +296,18 @@ impl MultiValuedAgreement {
     }
 
     /// Ingests a permutation-coin share (CommonCoin order only).
-    fn on_perm_share(&mut self, share: &sintra_crypto::coin::CoinShare, out: &mut Outgoing) {
+    fn on_perm_share(&mut self, share: &Unchecked<CoinShare>, out: &mut Outgoing) {
         if self.order != CandidateOrder::CommonCoin || self.perm.is_some() {
             return;
         }
         let name = perm_coin_name(&self.pid);
-        let coin = &self.ctx.keys().common.coin;
-        if !coin.verify_share(&name, share) {
+        let Some(share) = self.ctx.check_coin_share(&name, share) else {
             return;
-        }
-        self.perm_shares.insert(share.index, share.clone());
+        };
+        self.perm_shares.insert(share.index, share);
+        let coin = &self.ctx.keys().common.coin;
         if self.perm_shares.len() >= coin.threshold() {
-            let shares: Vec<_> = self.perm_shares.values().cloned().collect();
+            let shares: Vec<CoinShare> = self.perm_shares.values().map(|s| (**s).clone()).collect();
             if let Ok(bytes) = coin.assemble(&name, &shares, 8) {
                 let seed = u64::from_be_bytes(
                     bytes[..8]
@@ -387,37 +391,42 @@ impl MultiValuedAgreement {
 
     fn on_vote(&mut self, from: PartyId, iteration: u32, yes: bool, closing: Option<&[u8]>) {
         let candidate = self.candidate(iteration);
-        let votes = self.votes.entry(iteration).or_default();
-        if votes.voted.contains_key(&from) {
+        let voted = |votes: &IterationVotes| votes.voted.contains_key(&from);
+        if self.votes.get(&iteration).is_some_and(voted) {
             return;
         }
-        if yes {
-            // A yes vote is proper only with a valid closing message.
+        // A yes vote is proper only with a valid closing message; the
+        // iteration's slot opens for a vote that counts.
+        let carried = if yes {
             let Some(closing) = closing else { return };
             let bc_pid = self.pid.child(format!("bc/{candidate}"));
-            let Some(msg) =
+            let Some((payload, _sig)) =
                 VerifiableConsistentBroadcast::validate_closing_bytes(&bc_pid, &self.ctx, closing)
             else {
                 return;
             };
-            votes.voted.insert(from, true);
-            votes.proper += 1;
-            if self.closings[candidate].is_none() {
-                // Adopt the proposal transported by the vote.
-                self.closings[candidate] = Some(closing.to_vec());
-                if self.proposals[candidate].is_none() {
-                    let valid = self.validator.is_valid(&msg.payload);
-                    if valid {
-                        self.valid_count += 1;
-                        self.proposals[candidate] = Some(Some(msg.payload));
-                    } else {
-                        self.proposals[candidate] = Some(None);
-                    }
+            Some((closing, payload))
+        } else {
+            None
+        };
+        let votes = self.votes.entry(iteration).or_default();
+        votes.voted.insert(from, yes);
+        votes.proper += 1;
+        let Some((closing, payload)) = carried else {
+            return;
+        };
+        if self.closings[candidate].is_none() {
+            // Adopt the proposal transported by the vote.
+            self.closings[candidate] = Some(closing.to_vec());
+            if self.proposals[candidate].is_none() {
+                let valid = self.validator.is_valid(&payload);
+                if valid {
+                    self.valid_count += 1;
+                    self.proposals[candidate] = Some(Some(payload));
+                } else {
+                    self.proposals[candidate] = Some(None);
                 }
             }
-        } else {
-            votes.voted.insert(from, false);
-            votes.proper += 1;
         }
     }
 
@@ -437,12 +446,7 @@ impl MultiValuedAgreement {
                 if !self.perm_coin_sent {
                     self.perm_coin_sent = true;
                     let name = perm_coin_name(&self.pid);
-                    let share = self
-                        .ctx
-                        .keys()
-                        .common
-                        .coin
-                        .release_share(&name, &self.ctx.keys().coin_secret);
+                    let share = self.ctx.release_coin_share(&name).forget();
                     out.send_all(
                         &self.pid,
                         Body::BaCoinShare {
@@ -450,7 +454,7 @@ impl MultiValuedAgreement {
                             share: share.clone(),
                         },
                     );
-                    self.on_perm_share(&share.clone(), out);
+                    self.on_perm_share(&share, out);
                 }
                 if self.perm.is_none() {
                     return;
@@ -527,11 +531,13 @@ impl MultiValuedAgreement {
                 if self.closings[candidate].is_none() {
                     if let Some(proof) = ba.decision_proof() {
                         let bc_pid = self.pid.child(format!("bc/{candidate}"));
-                        if let Some(msg) = VerifiableConsistentBroadcast::validate_closing_bytes(
-                            &bc_pid, &self.ctx, proof,
-                        ) {
+                        if let Some((payload, _sig)) =
+                            VerifiableConsistentBroadcast::validate_closing_bytes(
+                                &bc_pid, &self.ctx, proof,
+                            )
+                        {
                             self.closings[candidate] = Some(proof.to_vec());
-                            self.proposals[candidate] = Some(Some(msg.payload));
+                            self.proposals[candidate] = Some(Some(payload));
                         }
                     }
                 }

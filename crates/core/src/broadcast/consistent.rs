@@ -16,6 +16,7 @@
 use sintra_crypto::thsig::{SigShare, ThresholdSignature};
 use sintra_telemetry::{SnapshotWriter, StateSnapshot, TraceEvent};
 
+use crate::checked::{Checked, Thsig, Unchecked};
 use crate::config::GroupContext;
 use crate::ids::{PartyId, ProtocolId};
 use crate::message::{statement_cb, Body};
@@ -32,9 +33,9 @@ pub struct ConsistentBroadcast {
     echoed: bool,
     /// (sender only) payload being broadcast and collected shares.
     own_payload: Option<Vec<u8>>,
-    shares: Vec<SigShare>,
+    shares: Vec<Checked<SigShare>>,
     final_sent: bool,
-    delivered: Option<(Vec<u8>, ThresholdSignature)>,
+    delivered: Option<(Vec<u8>, Checked<ThresholdSignature>)>,
     delivery_taken: bool,
 }
 
@@ -102,7 +103,7 @@ impl ConsistentBroadcast {
 
     /// The threshold signature that closed this broadcast, if delivered.
     pub fn delivered_signature(&self) -> Option<&ThresholdSignature> {
-        self.delivered.as_ref().map(|(_, s)| s)
+        self.delivered.as_ref().map(|(_, s)| &**s)
     }
 
     /// Processes a protocol message from `from`.
@@ -117,8 +118,8 @@ impl ConsistentBroadcast {
                 }
                 self.echoed = true;
                 let statement = statement_cb(&self.pid, payload);
-                let share = self.ctx.keys().thsig_broadcast.sign_share(&statement);
-                out.send_to(self.sender, &self.pid, Body::CbEcho(share));
+                let share = self.ctx.sign_share(Thsig::Broadcast, &statement);
+                out.send_to(self.sender, &self.pid, Body::CbEcho(share.forget()));
             }
             Body::CbEcho(share) => {
                 // Only the sender collects shares.
@@ -132,13 +133,15 @@ impl ConsistentBroadcast {
                     return;
                 }
                 let statement = statement_cb(&self.pid, payload);
-                let public = &self.ctx.keys().common.thsig_broadcast;
-                if !public.verify_share(&statement, share) {
+                let Some(share) = self.ctx.check_share(Thsig::Broadcast, &statement, share) else {
                     return;
-                }
-                self.shares.push(share.clone());
-                if self.shares.len() >= public.threshold() {
-                    if let Ok(sig) = public.assemble_preverified(&statement, &self.shares) {
+                };
+                self.shares.push(share);
+                if self.shares.len() >= self.ctx.keys().common.thsig_broadcast.threshold() {
+                    let sig = self
+                        .ctx
+                        .assemble_sig(Thsig::Broadcast, &statement, &self.shares);
+                    if let Some(sig) = sig {
                         self.final_sent = true;
                         out.trace_with(|| {
                             TraceEvent::new(self.ctx.me().0, self.pid.as_str(), "vcb")
@@ -149,7 +152,7 @@ impl ConsistentBroadcast {
                             &self.pid,
                             Body::CbFinal {
                                 payload: payload.clone(),
-                                sig,
+                                sig: sig.forget(),
                             },
                         );
                     }
@@ -160,8 +163,8 @@ impl ConsistentBroadcast {
                     return;
                 }
                 let statement = statement_cb(&self.pid, payload);
-                if self.ctx.verify_broadcast_sig(&statement, sig) {
-                    self.delivered = Some((payload.clone(), sig.clone()));
+                if let Some(sig) = self.ctx.check_sig(Thsig::Broadcast, &statement, sig) {
+                    self.delivered = Some((payload.clone(), sig));
                     out.trace_with(|| {
                         TraceEvent::new(self.ctx.me().0, self.pid.as_str(), "vcb")
                             .phase("deliver")
@@ -224,10 +227,10 @@ pub struct ClosingMessage {
     /// The payload.
     pub payload: Vec<u8>,
     /// The instance-binding threshold signature.
-    pub sig: ThresholdSignature,
+    pub sig: Unchecked<ThresholdSignature>,
 }
 
-wire_struct!(ClosingMessage { payload: Vec<u8>, sig: ThresholdSignature });
+wire_struct!(ClosingMessage { payload: Vec<u8>, sig: Unchecked<ThresholdSignature> });
 
 impl VerifiableConsistentBroadcast {
     /// Creates an instance for `sender`'s broadcast under `pid`.
@@ -278,7 +281,7 @@ impl VerifiableConsistentBroadcast {
         Some(
             ClosingMessage {
                 payload: payload.clone(),
-                sig: sig.clone(),
+                sig: sig.clone().forget(),
             }
             .to_bytes(),
         )
@@ -290,12 +293,9 @@ impl VerifiableConsistentBroadcast {
         if self.inner.delivered.is_some() {
             return true;
         }
-        let Some(msg) = Self::validate_closing_bytes(self.inner.pid(), &self.inner.ctx, closing)
-        else {
-            return false;
-        };
-        self.inner.delivered = Some((msg.payload, msg.sig));
-        true
+        let checked = Self::validate_closing_bytes(self.inner.pid(), &self.inner.ctx, closing);
+        self.inner.delivered = checked;
+        self.inner.delivered.is_some()
     }
 
     /// Extracts the payload from a closing message without validation.
@@ -304,25 +304,17 @@ impl VerifiableConsistentBroadcast {
     }
 
     /// Statically checks a closing message for instance `pid` against the
-    /// group's broadcast threshold key, returning the parsed message if
-    /// valid.
+    /// group's broadcast threshold key, returning its payload and checked
+    /// signature if valid.
     pub fn validate_closing_bytes(
         pid: &ProtocolId,
         ctx: &GroupContext,
         closing: &[u8],
-    ) -> Option<ClosingMessage> {
+    ) -> Option<(Vec<u8>, Checked<ThresholdSignature>)> {
         let msg = ClosingMessage::from_bytes(closing).ok()?;
         let statement = statement_cb(pid, &msg.payload);
-        if ctx
-            .keys()
-            .common
-            .thsig_broadcast
-            .verify(&statement, &msg.sig)
-        {
-            Some(msg)
-        } else {
-            None
-        }
+        let sig = ctx.check_sig(Thsig::Broadcast, &statement, &msg.sig)?;
+        Some((msg.payload, sig))
     }
 
     /// Boolean form of [`Self::validate_closing_bytes`], mirroring the
@@ -413,7 +405,7 @@ mod tests {
             PartyId(0),
             &Body::CbFinal {
                 payload: b"fake".to_vec(),
-                sig: ThresholdSignature::Multi(vec![]),
+                sig: ThresholdSignature::Multi(vec![]).into(),
             },
             &mut out,
         );
@@ -445,7 +437,7 @@ mod tests {
             PartyId(0),
             &Body::CbFinal {
                 payload: b"m".to_vec(),
-                sig,
+                sig: sig.into(),
             },
             &mut Outgoing::new(),
         );
@@ -510,7 +502,7 @@ mod tests {
         sender.send(b"m".to_vec(), &mut out);
         // Party 2's share claimed to be from party 3: must be dropped.
         let statement = statement_cb(&pid, b"m");
-        let share = ctxs[2].keys().thsig_broadcast.sign_share(&statement);
+        let share = ctxs[2].sign_share(Thsig::Broadcast, &statement).forget();
         sender.handle(PartyId(3), &Body::CbEcho(share), &mut Outgoing::new());
         assert!(sender.shares.is_empty());
     }

@@ -43,13 +43,13 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use sintra_telemetry::{SnapshotWriter, StateSnapshot, TraceEvent};
 
 use crate::agreement::{CandidateOrder, MultiValuedAgreement};
+use crate::checked::{Checked, Unchecked};
 use crate::config::GroupContext;
 use crate::ids::{PartyId, ProtocolId};
 use crate::invariant::OrInvariant;
 use crate::invariant_unwrap;
 use crate::message::{
-    statement_entry, Body, Entry, EntryRef, Payload, PayloadKind, MAX_ENTRY_BYTES,
-    MAX_ENTRY_PAYLOADS,
+    Body, Entry, EntryRef, Payload, PayloadKind, MAX_ENTRY_BYTES, MAX_ENTRY_PAYLOADS,
 };
 use crate::outgoing::Outgoing;
 use crate::validator::ArrayValidator;
@@ -89,13 +89,22 @@ impl Default for AtomicChannelConfig {
     }
 }
 
+/// What names an entry in a proposal, a fetch and a decided batch: its
+/// signer and the digest of its payload vector.
+type EntryName = (PartyId, [u8; 32]);
+
+fn names(refs: &[Checked<EntryRef>]) -> impl Iterator<Item = EntryName> + '_ {
+    refs.iter().map(|r| (r.signer, r.digest))
+}
+
 /// A proposal's `cb-send`, held back until this party holds every entry
-/// the proposal names.
+/// the proposal names. The send itself is unsigned bytes; the references
+/// in it were checked before it took the proposer's slot.
 #[derive(Debug)]
 struct ParkedProposal {
     msg_pid: ProtocolId,
     body: Body,
-    refs: Vec<EntryRef>,
+    refs: Vec<Checked<EntryRef>>,
 }
 
 /// What a party holds for one round.
@@ -104,10 +113,10 @@ struct RoundState {
     /// Valid entries as their signers broadcast them, in arrival order
     /// (the paper: "the protocol considers the messages in the order in
     /// which they arrive in the current round"), at most one per signer.
-    arrived: Vec<Entry>,
+    arrived: Vec<Checked<Entry>>,
     /// Entries a proposal named that the signer's own broadcast did not
     /// bring, pulled with `ac-fetch`: at most `batch_size` per proposer.
-    fetched: Vec<Entry>,
+    fetched: Vec<Checked<Entry>>,
     /// Held-back proposals, at most one per proposer.
     parked: BTreeMap<PartyId, ParkedProposal>,
     /// Parties whose (valid) proposal has been seen, held back or not;
@@ -116,21 +125,24 @@ struct RoundState {
 }
 
 impl RoundState {
-    fn find(&self, signer: PartyId, digest: &[u8; 32]) -> Option<&Entry> {
+    fn find(&self, signer: PartyId, digest: &[u8; 32]) -> Option<&Checked<Entry>> {
         self.arrived
             .iter()
             .chain(&self.fetched)
             .find(|e| e.is_named(signer, digest))
     }
 
-    /// The references among `refs` whose entries are not held.
-    fn missing<'a>(&'a self, refs: &'a [EntryRef]) -> impl Iterator<Item = &'a EntryRef> {
-        refs.iter()
-            .filter(|r| self.find(r.signer, &r.digest).is_none())
+    /// The entries among `named` that are not held.
+    fn missing<'a>(
+        &'a self,
+        named: impl IntoIterator<Item = EntryName> + 'a,
+    ) -> impl Iterator<Item = EntryName> + 'a {
+        let unheld = move |(signer, digest): &EntryName| self.find(*signer, digest).is_none();
+        named.into_iter().filter(unheld)
     }
 
-    fn holds_all(&self, refs: &[EntryRef]) -> bool {
-        self.missing(refs).next().is_none()
+    fn holds_all(&self, named: impl IntoIterator<Item = EntryName>) -> bool {
+        self.missing(named).next().is_none()
     }
 }
 
@@ -173,15 +185,16 @@ pub struct AtomicChannel {
     /// Whether we proposed a batch for the current round.
     proposed: bool,
     vbas: BTreeMap<u64, MultiValuedAgreement>,
-    /// The current round's decided batch while some of its entries are
-    /// still being fetched; the round's agreement is over by then.
-    decided: Option<Vec<EntryRef>>,
+    /// The current round's decided batch, by name, while some of its
+    /// entries are still being fetched; the round's agreement is over by
+    /// then, and the signatures it checked are of no further use.
+    decided: Option<Vec<EntryName>>,
     /// Entries of the current round asked for and not yet held, by
     /// `(signer, digest)`, with the parties already asked. A fetched
     /// entry is accepted only if it is named here.
-    wanted: BTreeMap<(PartyId, [u8; 32]), BTreeSet<PartyId>>,
+    wanted: BTreeMap<EntryName, BTreeSet<PartyId>>,
     /// Decided batches of the last [`FETCH_RETAIN_ROUNDS`] rounds.
-    retained: VecDeque<(u64, Vec<Entry>)>,
+    retained: VecDeque<(u64, Vec<Checked<Entry>>)>,
     /// `(round, requester, signer, digest)` already answered, for the
     /// rounds still held: one reply each, however often it is asked.
     served: BTreeSet<(u64, PartyId, PartyId, [u8; 32])>,
@@ -194,21 +207,22 @@ pub struct AtomicChannel {
 }
 
 /// The validity predicate on a proposal: exactly `batch_size` references
-/// by distinct signers, each passing `signed` (the signer's signature
-/// over `(pid, round, digest)`). Returns the decoded references.
+/// by distinct signers, each passing `check` (the signer's signature
+/// over `(pid, round, digest)`). Returns the references as checked.
 fn checked_refs(
     bytes: &[u8],
     batch_size: usize,
-    mut signed: impl FnMut(&EntryRef) -> bool,
-) -> Option<Vec<EntryRef>> {
-    let refs = Vec::<EntryRef>::from_bytes(bytes).ok()?;
+    mut check: impl FnMut(&Unchecked<EntryRef>) -> Option<Checked<EntryRef>>,
+) -> Option<Vec<Checked<EntryRef>>> {
+    let refs = Vec::<Unchecked<EntryRef>>::from_bytes(bytes).ok()?;
     if refs.len() != batch_size {
         return None;
     }
     let mut signers = BTreeSet::new();
-    refs.iter()
-        .all(|r| signers.insert(r.signer) && signed(r))
-        .then_some(refs)
+    let checked = refs
+        .iter()
+        .map(|r| signers.insert(r.signer).then(|| check(r)).flatten());
+    checked.collect()
 }
 
 /// The delivery rule: whether `payload` is its origin's next in sequence
@@ -380,13 +394,9 @@ impl AtomicChannel {
     fn batch_validator(&self, round: u64) -> ArrayValidator {
         let pid = self.pid.clone();
         let batch_size = self.batch_size;
-        let keys: Vec<_> = self.ctx.keys().common.sig_publics.clone();
+        let ctx = self.ctx.clone();
         ArrayValidator::new(move |bytes| {
-            checked_refs(bytes, batch_size, |r| {
-                keys.get(r.signer.0)
-                    .is_some_and(|key| key.verify(&statement_entry(&pid, round, &r.digest), &r.sig))
-            })
-            .is_some()
+            checked_refs(bytes, batch_size, |r| ctx.check_entry_ref(&pid, round, r)).is_some()
         })
     }
 
@@ -488,26 +498,27 @@ impl AtomicChannel {
         // A reference to a held entry under the held signature needs no
         // second check; anything else is verified before it may occupy
         // the proposer's parking slot.
-        let signed = |r: &EntryRef| {
-            state
-                .and_then(|s| s.find(r.signer, &r.digest))
-                .is_some_and(|held| *held.sig() == r.sig)
-                || self.ctx.verify_party_sig(
-                    r.signer,
-                    &statement_entry(&self.pid, round, &r.digest),
-                    &r.sig,
-                )
+        let check = |r: &Unchecked<EntryRef>| {
+            let held = state.and_then(|s| s.find(r.signer, &r.digest));
+            held.and_then(|held| held.vouches_for(r))
+                .or_else(|| self.ctx.check_entry_ref(&self.pid, round, r))
         };
-        let Some(refs) = checked_refs(bytes, self.batch_size, signed) else {
+        let Some(refs) = checked_refs(bytes, self.batch_size, check) else {
             return false;
         };
-        let complete = state.is_some_and(|s| s.holds_all(&refs));
-        let state = self.rounds.entry(round).or_default();
+        // A proposal of no entries is no proposal.
+        let Some(witness) = refs.first() else {
+            return false;
+        };
+        let complete = state.is_some_and(|s| s.holds_all(names(&refs)));
+        if !complete {
+            self.fetch_counts.parked += 1;
+        }
+        let state = self.slot(round, witness);
         state.proposers.insert(proposer);
         if complete {
             return true;
         }
-        self.fetch_counts.parked += 1;
         state.parked.insert(
             proposer,
             ParkedProposal {
@@ -519,18 +530,23 @@ impl AtomicChannel {
         false
     }
 
+    /// Round `round`'s slot, opened on behalf of an entry or a proposal
+    /// signed for that round that checked out — so that a forged one
+    /// cannot grow the per-round map.
+    fn slot<T>(&mut self, round: u64, _checked: &Checked<T>) -> &mut RoundState {
+        self.rounds.entry(round).or_default()
+    }
+
     /// Asks each of `holders` not asked before for the current round's
     /// entry `wanted`.
     fn request(
         &mut self,
-        wanted: &EntryRef,
+        wanted: EntryName,
         holders: impl IntoIterator<Item = PartyId>,
         out: &mut Outgoing,
     ) {
-        let asked = self
-            .wanted
-            .entry((wanted.signer, wanted.digest))
-            .or_default();
+        let (signer, digest) = wanted;
+        let asked = self.wanted.entry(wanted).or_default();
         let mut sent = 0;
         for holder in holders {
             if holder != self.ctx.me() && asked.insert(holder) {
@@ -540,8 +556,8 @@ impl AtomicChannel {
                     &self.pid,
                     Body::AcFetch {
                         round: self.round,
-                        signer: wanted.signer,
-                        digest: wanted.digest,
+                        signer,
+                        digest,
                     },
                 );
             }
@@ -577,7 +593,7 @@ impl AtomicChannel {
             });
         match held {
             Some(entry) if !self.served.contains(&(round, from, signer, *digest)) => {
-                let entry = entry.clone();
+                let entry = entry.clone().forget();
                 self.served.insert((round, from, signer, *digest));
                 self.fetch_counts.served += 1;
                 out.send_to(from, &self.pid, Body::AcFetched { round, entry });
@@ -589,16 +605,20 @@ impl AtomicChannel {
     /// The acceptance test every entry passes before it is stored,
     /// broadcast or fetched: an honest shape, and the signer's signature
     /// over `(pid, round, digest)`.
-    fn acceptable(&self, round: u64, entry: &Entry) -> bool {
-        entry.well_formed()
-            && self.ctx.verify_party_sig(
-                entry.signer(),
-                &statement_entry(&self.pid, round, entry.digest()),
-                entry.sig(),
-            )
+    fn acceptable(&self, round: u64, entry: &Unchecked<Entry>) -> Option<Checked<Entry>> {
+        if !entry.well_formed() {
+            return None;
+        }
+        self.ctx.check_entry(&self.pid, round, entry)
     }
 
-    fn on_entry(&mut self, from: PartyId, round: u64, entry: &Entry, out: &mut Outgoing) {
+    fn on_entry(
+        &mut self,
+        from: PartyId,
+        round: u64,
+        entry: &Unchecked<Entry>,
+        out: &mut Outgoing,
+    ) {
         // Entries are broadcast by their signer.
         if entry.signer() != from || round < self.round {
             return;
@@ -614,32 +634,33 @@ impl AtomicChannel {
         if !entry.payloads().iter().any(|p| self.is_undelivered(p)) {
             return;
         }
-        if !self.acceptable(round, entry) {
+        let Some(entry) = self.acceptable(round, entry) else {
             return;
-        }
-        // The round slot is only created once the signature checked out,
-        // so forged entries cannot grow the per-round map.
-        let state = self.rounds.entry(round).or_default();
+        };
+        let state = self.slot(round, &entry);
         state.arrived.push(entry.clone());
-        self.entry_stored(round, entry, out);
+        self.entry_stored(round, &entry, out);
     }
 
-    fn on_fetched(&mut self, round: u64, entry: &Entry, out: &mut Outgoing) {
+    fn on_fetched(&mut self, round: u64, entry: &Unchecked<Entry>, out: &mut Outgoing) {
         // Only what this party asked for, in the round it asked in.
         let solicited =
             round == self.round && self.wanted.contains_key(&(entry.signer(), *entry.digest()));
-        if !solicited || !self.acceptable(round, entry) {
+        if !solicited {
             return;
         }
-        let state = self.rounds.entry(round).or_default();
+        let Some(entry) = self.acceptable(round, entry) else {
+            return;
+        };
+        let state = self.slot(round, &entry);
         state.fetched.push(entry.clone());
-        self.entry_stored(round, entry, out);
+        self.entry_stored(round, &entry, out);
     }
 
     /// After `entry` joined round `round`'s store: it is no longer
     /// wanted, and the proposals that waited for it go on to the
     /// agreement.
-    fn entry_stored(&mut self, round: u64, entry: &Entry, out: &mut Outgoing) {
+    fn entry_stored(&mut self, round: u64, entry: &Checked<Entry>, out: &mut Outgoing) {
         if round == self.round {
             self.wanted.remove(&(entry.signer(), *entry.digest()));
         }
@@ -649,7 +670,7 @@ impl AtomicChannel {
         let complete: Vec<PartyId> = state
             .parked
             .iter()
-            .filter(|(_, parked)| state.holds_all(&parked.refs))
+            .filter(|(_, parked)| state.holds_all(names(&parked.refs)))
             .map(|(proposer, _)| *proposer)
             .collect();
         for proposer in complete {
@@ -712,7 +733,7 @@ impl AtomicChannel {
     /// choice affects only how much a round delivers — and a party passed
     /// over in one round holds the largest entry in the next. The
     /// proposal names the picked entries, all of which this party holds.
-    fn select_batch(&self, all: &[Entry]) -> Vec<EntryRef> {
+    fn select_batch(&self, all: &[Checked<Entry>]) -> Vec<Unchecked<EntryRef>> {
         let mut covered = self.next_deliver.clone();
         let mut picked: Vec<usize> = Vec::with_capacity(self.batch_size);
         for _ in 0..self.batch_size {
@@ -730,16 +751,16 @@ impl AtomicChannel {
             count_deliverable(&all[i], &mut covered);
             picked.push(i);
         }
-        picked.into_iter().map(|i| all[i].to_ref()).collect()
+        picked.into_iter().map(|i| all[i].to_ref().into()).collect()
     }
 
     /// Delivers a decided batch — entries by signer index, payloads in
     /// vector order — and returns how many payloads it delivered. The
     /// batch itself is retained for parties that decide the round later.
-    fn deliver_batch(&mut self, mut batch: Vec<Entry>) -> usize {
-        batch.sort_by_key(Entry::signer);
+    fn deliver_batch(&mut self, mut batch: Vec<Checked<Entry>>) -> usize {
+        batch.sort_by_key(|entry| entry.signer());
         let mut delivered = 0;
-        for payload in batch.iter().flat_map(Entry::payloads) {
+        for payload in batch.iter().flat_map(|entry| entry.payloads()) {
             if !take_if_next(payload, &mut self.next_deliver) {
                 continue;
             }
@@ -777,16 +798,16 @@ impl AtomicChannel {
         if !self.proposed || state.proposers.len() < self.ctx.n_minus_t() {
             return;
         }
-        let asks: Vec<(PartyId, EntryRef)> = state
+        let asks: Vec<(PartyId, EntryName)> = state
             .parked
             .iter()
             .flat_map(|(proposer, parked)| {
-                let missing = state.missing(&parked.refs);
-                missing.map(|wanted| (*proposer, wanted.clone()))
+                let missing = state.missing(names(&parked.refs));
+                missing.map(|wanted| (*proposer, wanted))
             })
             .collect();
         for (proposer, wanted) in asks {
-            self.request(&wanted, [proposer], out);
+            self.request(wanted, [proposer], out);
         }
     }
 
@@ -794,23 +815,23 @@ impl AtomicChannel {
     /// round's store — once all of them are held. One still missing is
     /// asked of everybody: the proposal's closing message says t + 1
     /// honest parties hold it.
-    fn take_decided_batch(&mut self, out: &mut Outgoing) -> Option<Vec<Entry>> {
-        let refs = self.decided.as_ref()?;
-        let missing: Vec<EntryRef> = match self.rounds.get(&self.round) {
-            Some(state) => state.missing(refs).cloned().collect(),
-            None => refs.clone(),
+    fn take_decided_batch(&mut self, out: &mut Outgoing) -> Option<Vec<Checked<Entry>>> {
+        let named = self.decided.as_ref()?;
+        let missing: Vec<EntryName> = match self.rounds.get(&self.round) {
+            Some(state) => state.missing(named.iter().copied()).collect(),
+            None => named.clone(),
         };
         if !missing.is_empty() {
-            for wanted in &missing {
+            for wanted in missing {
                 self.request(wanted, self.ctx.parties(), out);
             }
             return None;
         }
-        let refs = self.decided.take()?;
+        let named = self.decided.take()?;
         let state = self.rounds.remove(&self.round).unwrap_or_default();
-        let mut pool: Vec<Entry> = state.arrived.into_iter().chain(state.fetched).collect();
-        let batch = refs.iter().filter_map(|r| {
-            let at = pool.iter().position(|e| e.is_named(r.signer, &r.digest))?;
+        let mut pool: Vec<_> = state.arrived.into_iter().chain(state.fetched).collect();
+        let batch = named.iter().filter_map(|(signer, digest)| {
+            let at = pool.iter().position(|e| e.is_named(*signer, digest))?;
             Some(pool.swap_remove(at))
         });
         Some(batch.collect())
@@ -828,16 +849,10 @@ impl AtomicChannel {
                 // Step 1: broadcast our signed entry for this round.
                 if !self.sent_entry {
                     if let Some(payloads) = self.cut_entry() {
-                        let entry = Entry::sign(
-                            &self.pid,
-                            round,
-                            payloads,
-                            self.ctx.me(),
-                            &self.ctx.keys().sig_key,
-                        );
+                        let entry = self.ctx.sign_entry(&self.pid, round, payloads);
                         self.sent_entry = true;
-                        let state = self.rounds.entry(round).or_default();
-                        state.arrived.push(entry.clone());
+                        self.slot(round, &entry).arrived.push(entry.clone());
+                        let entry = entry.forget();
                         out.send_all(&self.pid, Body::AcEntry { round, entry });
                     }
                 }
@@ -872,14 +887,14 @@ impl AtomicChannel {
                 else {
                     return;
                 };
-                let refs = Vec::<EntryRef>::from_bytes(&bytes)
+                let refs = Vec::<Unchecked<EntryRef>>::from_bytes(&bytes)
                     .or_invariant("externally validated batch failed to decode");
                 self.vbas.remove(&round);
                 if let Some(state) = self.rounds.get_mut(&round) {
                     state.parked.clear();
                 }
                 self.wanted.clear();
-                self.decided = Some(refs);
+                self.decided = Some(refs.iter().map(|r| (r.signer, r.digest)).collect());
             }
 
             // Step 5: deliver it, once every entry it names is held.
@@ -1195,7 +1210,10 @@ mod tests {
         chan.handle(
             PartyId(2),
             &ProtocolId::new("ac-forge"),
-            &Body::AcEntry { round: 0, entry },
+            &Body::AcEntry {
+                round: 0,
+                entry: entry.into(),
+            },
             &mut Outgoing::new(),
         );
         assert!(chan.rounds.is_empty());
@@ -1217,21 +1235,21 @@ mod tests {
         round: u64,
         signer: usize,
         payloads: Vec<Payload>,
-    ) -> Entry {
-        Entry::sign(
-            &ProtocolId::new(tag),
-            round,
-            payloads,
-            PartyId(signer),
-            &ctxs[signer].keys().sig_key,
-        )
+    ) -> Checked<Entry> {
+        ctxs[signer].sign_entry(&ProtocolId::new(tag), round, payloads)
+    }
+
+    /// References as a proposal carries them.
+    fn encoded(refs: &[EntryRef]) -> Vec<u8> {
+        let refs: Vec<Unchecked<EntryRef>> = refs.iter().cloned().map(Into::into).collect();
+        refs.to_bytes()
     }
 
     /// A proposal's `cb-send` as `proposer` would broadcast it in `round`.
     fn proposal(tag: &str, round: u64, proposer: usize, refs: &[EntryRef]) -> (ProtocolId, Body) {
         (
             ProtocolId::new(format!("{tag}/vba/{round}/bc/{proposer}")),
-            Body::CbSend(refs.to_vec().to_bytes()),
+            Body::CbSend(encoded(refs)),
         )
     }
 
@@ -1350,7 +1368,7 @@ mod tests {
             2,
             vec![app(2, 0, b"a"), app(2, 1, b"b")],
         );
-        idle.on_entry(PartyId(2), 0, &wide, &mut Outgoing::new());
+        idle.on_entry(PartyId(2), 0, &wide.forget(), &mut Outgoing::new());
         assert_eq!(idle.cut_entry(), Some(vec![app(2, 0, b"a")]));
     }
 
@@ -1373,7 +1391,9 @@ mod tests {
             2,
             vec![app(2, 0, b"e"), app(2, 1, b"f")],
         );
-        let signers = |batch: Vec<EntryRef>| batch.iter().map(|r| r.signer.0).collect::<Vec<_>>();
+        let signers = |batch: Vec<Unchecked<EntryRef>>| -> Vec<usize> {
+            batch.iter().map(|r| r.signer.0).collect()
+        };
         let arrival = [one.clone(), three.clone(), two.clone()];
         assert_eq!(signers(chan.select_batch(&arrival)), vec![1, 2]);
         // Ties go by arrival order; an adopter's copy adds nothing once
@@ -1456,7 +1476,7 @@ mod tests {
                         &msg.2,
                         Body::AcEntry {
                             round: *round,
-                            entry: suffix,
+                            entry: suffix.forget(),
                         },
                     );
                     net.push(0, out);
@@ -1507,7 +1527,7 @@ mod tests {
             // Validly signed by a (Byzantine) group member, for the
             // current and for a future round.
             for round in [0u64, 7] {
-                let entry = signed(&ctxs, tag, round, 2, payloads.clone());
+                let entry = signed(&ctxs, tag, round, 2, payloads.clone()).forget();
                 let body = Body::AcEntry { round, entry };
                 chan.handle(
                     PartyId(2),
@@ -1535,11 +1555,11 @@ mod tests {
         // round leaves no slot behind either (the PR-10 ordering).
         let honest = signed(&ctxs, tag, 99, 3, vec![app(2, 3, b"next")]);
         let forged = Entry::new(honest.payloads().to_vec(), PartyId(2), honest.sig().clone());
-        chan.on_entry(PartyId(2), 99, &forged, &mut Outgoing::new());
+        chan.on_entry(PartyId(2), 99, &forged.into(), &mut Outgoing::new());
         assert!(chan.rounds.is_empty());
         // A partly delivered vector is accepted; only its fresh tail counts.
         let mixed = signed(&ctxs, tag, 0, 2, vec![app(2, 2, b"old"), app(2, 3, b"new")]);
-        chan.on_entry(PartyId(2), 0, &mixed, &mut Outgoing::new());
+        chan.on_entry(PartyId(2), 0, &mixed.clone().forget(), &mut Outgoing::new());
         assert_eq!(chan.rounds[&0].arrived.len(), 1);
         assert_eq!(chan.deliver_batch(vec![mixed]), 1);
         assert_eq!(drain(&mut chan), vec![(2, 3)]);
@@ -1554,7 +1574,7 @@ mod tests {
         let one = signed(&ctxs, tag, 0, 1, vec![app(1, 0, b"a")]).to_ref();
         let two = signed(&ctxs, tag, 0, 2, vec![app(2, 0, b"b")]).to_ref();
         let three = signed(&ctxs, tag, 0, 3, vec![app(3, 0, b"c")]).to_ref();
-        let valid = |refs: &[EntryRef]| validator.is_valid(&refs.to_vec().to_bytes());
+        let valid = |refs: &[EntryRef]| validator.is_valid(&encoded(refs));
         assert!(valid(&[one.clone(), two.clone()]));
         assert!(!valid(std::slice::from_ref(&one)), "too few");
         assert!(!valid(&[one.clone(), two.clone(), three]), "too many");
@@ -1571,7 +1591,7 @@ mod tests {
             ..two.clone()
         };
         assert!(!valid(&[one.clone(), far]), "no such party");
-        let mut bytes = vec![one, two].to_bytes();
+        let mut bytes = encoded(&[one, two]);
         bytes.push(0);
         assert!(!validator.is_valid(&bytes), "trailing bytes");
     }
@@ -1716,7 +1736,7 @@ mod tests {
         for (to, entry) in [(1, &e1), (2, &e2), (3, &e2)] {
             let body = Body::AcEntry {
                 round: 0,
-                entry: entry.clone(),
+                entry: entry.clone().forget(),
             };
             net.queue.push_front((0, to, ProtocolId::new(tag), body));
         }
@@ -1824,6 +1844,7 @@ mod tests {
         let mut own = Outgoing::new();
         let too = signed(&ctxs, tag, 0, 3, vec![app(3, 0, b"too")]);
         for (signer, entry) in [(2, held.clone()), (3, too)] {
+            let entry = entry.forget();
             let body = Body::AcEntry { round: 0, entry };
             chan.handle(PartyId(signer), &me, &body, &mut own);
         }
@@ -1858,28 +1879,29 @@ mod tests {
 
         let other_payloads = signed(&ctxs, tag, 0, 0, vec![app(0, 0, b"other")]);
         let by_another = signed(&ctxs, tag, 0, 3, wanted.payloads().to_vec());
-        let badly_signed = Entry::new(
+        let badly_signed: Unchecked<Entry> = Entry::new(
             wanted.payloads().to_vec(),
             PartyId(0),
             by_another.sig().clone(),
-        );
+        )
+        .into();
         assert_eq!(badly_signed.digest(), wanted.digest());
         let replies = [
             (
                 "unsolicited",
                 0,
-                signed(&ctxs, tag, 0, 2, vec![app(2, 1, b"more")]),
+                signed(&ctxs, tag, 0, 2, vec![app(2, 1, b"more")]).forget(),
             ),
-            ("already held", 0, held.clone()),
-            ("wrong digest", 0, other_payloads),
-            ("wrong signer", 0, by_another),
+            ("already held", 0, held.clone().forget()),
+            ("wrong digest", 0, other_payloads.forget()),
+            ("wrong signer", 0, by_another.forget()),
             ("badly signed", 0, badly_signed),
-            ("malformed", 0, twice.clone()),
-            ("wrong round", 1, wanted.clone()),
+            ("malformed", 0, twice.clone().forget()),
+            ("wrong round", 1, wanted.clone().forget()),
             (
                 "wrong round, signed for it",
                 1,
-                signed(&ctxs, tag, 1, 0, wanted.payloads().to_vec()),
+                signed(&ctxs, tag, 1, 0, wanted.payloads().to_vec()).forget(),
             ),
         ];
         for (what, round, entry) in replies {
@@ -1895,7 +1917,7 @@ mod tests {
         let mut out = Outgoing::new();
         let reply = Body::AcFetched {
             round: 0,
-            entry: wanted.clone(),
+            entry: wanted.clone().forget(),
         };
         chan.handle(PartyId(2), &me, &reply, &mut out);
         assert_eq!(chan.rounds[&0].fetched, vec![wanted]);
@@ -1978,7 +2000,7 @@ mod tests {
         );
         for requester in [2, 3] {
             for (round, entry) in &asks {
-                assert!(replies.contains(&(requester, *round, entry.clone())));
+                assert!(replies.contains(&(requester, *round, entry.clone().forget())));
             }
         }
         // Nothing for what it does not hold: another round's number on a

@@ -32,6 +32,7 @@ use sintra_telemetry::{SnapshotWriter, StateSnapshot, TraceEvent};
 
 use crate::agreement::{CandidateOrder, MultiValuedAgreement};
 use crate::broadcast::ReliableBroadcast;
+use crate::checked::{Checked, Unchecked};
 use crate::config::GroupContext;
 use crate::ids::{PartyId, ProtocolId};
 use crate::invariant::OrInvariant;
@@ -64,34 +65,65 @@ impl Default for OptimisticChannelConfig {
 
 /// A payload with its leader-assigned slot and the prepared certificate
 /// (`n - t` phase-1 acknowledgement signatures) proving the assignment.
+/// On the wire its signatures are unchecked; what a party keeps is the
+/// same with `S = Checked<RsaSignature>`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PreparedEntry {
+pub struct PreparedEntry<S = Unchecked<RsaSignature>> {
     /// Leader-assigned sequence number within the epoch.
     pub seq: u64,
     /// The ordered payload.
     pub payload: Payload,
     /// `(signer, signature)` pairs over the phase-1 ack statement.
-    pub cert: Vec<(usize, RsaSignature)>,
+    pub cert: Vec<(usize, S)>,
+}
+
+impl PreparedEntry<Checked<RsaSignature>> {
+    fn forget(self) -> PreparedEntry {
+        PreparedEntry {
+            seq: self.seq,
+            payload: self.payload,
+            cert: self
+                .cert
+                .into_iter()
+                .map(|(i, sig)| (i, sig.forget()))
+                .collect(),
+        }
+    }
 }
 
 wire_struct!(PreparedEntry {
     seq: u64,
     payload: Payload,
-    cert: Vec<(usize, RsaSignature)> [max 1024],
+    cert: Vec<(usize, Unchecked<RsaSignature>)> [max 1024],
 });
 
 /// A party's signed view of an epoch at recovery time: every entry it has
 /// *prepared*, with certificates.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EpochState {
+pub struct EpochState<S = Unchecked<RsaSignature>> {
     /// The epoch this state describes.
     pub epoch: u64,
     /// The state's author.
     pub sender: PartyId,
     /// Prepared entries, ascending by sequence number.
-    pub entries: Vec<PreparedEntry>,
+    pub entries: Vec<PreparedEntry<S>>,
     /// Author's signature over the state statement.
-    pub sig: RsaSignature,
+    pub sig: S,
+}
+
+impl EpochState<Checked<RsaSignature>> {
+    fn forget(self) -> EpochState {
+        EpochState {
+            epoch: self.epoch,
+            sender: self.sender,
+            entries: self
+                .entries
+                .into_iter()
+                .map(PreparedEntry::forget)
+                .collect(),
+            sig: self.sig.forget(),
+        }
+    }
 }
 
 impl EpochState {
@@ -106,7 +138,7 @@ wire_struct!(EpochState {
     epoch: u64,
     sender: PartyId,
     entries: Vec<PreparedEntry> [max 65_536],
-    sig: RsaSignature,
+    sig: Unchecked<RsaSignature>,
 });
 
 /// The recovery agreement's subject: `n - t` signed epoch states.
@@ -115,47 +147,60 @@ pub(crate) struct RecoverySet(Vec<EpochState>);
 
 wire_struct!(RecoverySet { 0: Vec<EpochState> [max 1024] });
 
-impl_wire_vec!(PreparedEntry, EpochState);
+impl_wire_vec!(PreparedEntry, EpochState, (usize, Unchecked<RsaSignature>));
 
-/// Checks one epoch state: author signature plus every entry's prepared
-/// certificate.
-fn validate_state(pid: &ProtocolId, ctx: &GroupContext, epoch: u64, state: &EpochState) -> bool {
-    if state.epoch != epoch || !ctx.is_valid_party(state.sender) {
-        return false;
+/// Checks one epoch state — author signature plus every entry's prepared
+/// certificate — and yields it as checked.
+fn validate_state(
+    pid: &ProtocolId,
+    ctx: &GroupContext,
+    epoch: u64,
+    state: &EpochState,
+) -> Option<EpochState<Checked<RsaSignature>>> {
+    if state.epoch != epoch {
+        return None;
     }
-    let keys = &ctx.keys().common.sig_publics;
     let digest = EpochState::entries_digest(&state.entries);
     let statement = statement_opt_state(pid, epoch, &digest);
-    if !keys[state.sender.0].verify(&statement, &state.sig) {
-        return false;
-    }
+    let sig = ctx.check_party_sig(state.sender, &statement, &state.sig)?;
+    let mut entries = Vec::with_capacity(state.entries.len());
     for entry in &state.entries {
         let payload_bytes = entry.payload.to_bytes();
         let d = payload_digest(&payload_bytes);
         let statement = statement_opt_ack(pid, 1, epoch, entry.seq, &d);
         let mut seen = BTreeSet::new();
-        let mut valid = 0usize;
-        for &(idx, ref sig) in &entry.cert {
-            if idx >= ctx.n() || !seen.insert(idx) {
-                return false;
+        let mut cert = Vec::with_capacity(entry.cert.len());
+        for (idx, sig) in &entry.cert {
+            if !seen.insert(*idx) {
+                return None;
             }
-            if !keys[idx].verify(&statement, sig) {
-                return false;
-            }
-            valid += 1;
+            cert.push((*idx, ctx.check_party_sig(PartyId(*idx), &statement, sig)?));
         }
-        if valid < ctx.n_minus_t() {
-            return false;
+        if cert.len() < ctx.n_minus_t() {
+            return None;
         }
+        entries.push(PreparedEntry {
+            seq: entry.seq,
+            payload: entry.payload.clone(),
+            cert,
+        });
     }
-    true
+    Some(EpochState {
+        epoch,
+        sender: state.sender,
+        entries,
+        sig,
+    })
 }
+
+/// One phase's acknowledgements of a slot: signer -> (digest, signature).
+type Acks = BTreeMap<usize, ([u8; 32], Checked<RsaSignature>)>;
 
 /// Per-sequence fast-path bookkeeping.
 #[derive(Debug, Default)]
 struct SlotAcks {
-    /// signer -> (digest, signature), per phase (index 0 = phase 1).
-    acks: [BTreeMap<usize, ([u8; 32], RsaSignature)>; 2],
+    /// Per phase (index 0 = phase 1).
+    acks: [Acks; 2],
     ack_sent: [bool; 2],
 }
 
@@ -187,7 +232,7 @@ pub struct OptimisticChannel {
     /// Reliable-broadcast-delivered orders by slot.
     orders: BTreeMap<u64, Payload>,
     slots: BTreeMap<u64, SlotAcks>,
-    prepared: BTreeMap<u64, PreparedEntry>,
+    prepared: BTreeMap<u64, PreparedEntry<Checked<RsaSignature>>>,
     committed: BTreeMap<u64, Payload>,
     next_deliver: u64,
     // --- complaints & recovery ---
@@ -195,7 +240,7 @@ pub struct OptimisticChannel {
     complainers: BTreeSet<PartyId>,
     in_recovery: bool,
     state_sent: bool,
-    states: BTreeMap<PartyId, EpochState>,
+    states: BTreeMap<PartyId, EpochState<Checked<RsaSignature>>>,
     recovery: Option<MultiValuedAgreement>,
     recovery_proposed: bool,
     // --- timer ---
@@ -507,7 +552,7 @@ impl OptimisticChannel {
         }
         slot.ack_sent[(phase - 1) as usize] = true;
         let statement = statement_opt_ack(&self.pid, phase, self.epoch, seq, &digest);
-        let sig = self.ctx.keys().sig_key.sign(&statement);
+        let sig = self.ctx.keys().sig_key.sign(&statement).into();
         out.send_all(
             &self.pid,
             Body::OptAck {
@@ -528,21 +573,21 @@ impl OptimisticChannel {
         epoch: u64,
         seq: u64,
         digest: &[u8; 32],
-        sig: &RsaSignature,
+        sig: &Unchecked<RsaSignature>,
         out: &mut Outgoing,
     ) {
         if epoch != self.epoch || self.in_recovery || !(1..=2).contains(&phase) {
             return;
         }
         let statement = statement_opt_ack(&self.pid, phase, epoch, seq, digest);
-        if !self.ctx.verify_party_sig(from, &statement, sig) {
+        let Some(sig) = self.ctx.check_party_sig(from, &statement, sig) else {
             return;
-        }
+        };
         self.progress += 1;
         let slot = self.slots.entry(seq).or_default();
         slot.acks[(phase - 1) as usize]
             .entry(from.0)
-            .or_insert((*digest, sig.clone()));
+            .or_insert((*digest, sig));
         self.check_slot(seq, out);
     }
 
@@ -557,7 +602,7 @@ impl OptimisticChannel {
         // Phase 1 -> prepared.
         if !self.prepared.contains_key(&seq) {
             if let Some(slot) = self.slots.get(&seq) {
-                let cert: Vec<(usize, RsaSignature)> = slot.acks[0]
+                let cert: Vec<(usize, Checked<RsaSignature>)> = slot.acks[0]
                     .iter()
                     .filter(|(_, (d, _))| *d == order_digest)
                     .map(|(idx, (_, sig))| (*idx, sig.clone()))
@@ -629,10 +674,11 @@ impl OptimisticChannel {
         self.in_recovery = true;
         if !self.state_sent {
             self.state_sent = true;
-            let entries: Vec<PreparedEntry> = self.prepared.values().cloned().collect();
+            let prepared = self.prepared.values().cloned();
+            let entries: Vec<PreparedEntry> = prepared.map(PreparedEntry::forget).collect();
             let digest = EpochState::entries_digest(&entries);
             let statement = statement_opt_state(&self.pid, self.epoch, &digest);
-            let sig = self.ctx.keys().sig_key.sign(&statement);
+            let sig = self.ctx.keys().sig_key.sign(&statement).into();
             let state = EpochState {
                 epoch: self.epoch,
                 sender: self.ctx.me(),
@@ -657,9 +703,12 @@ impl OptimisticChannel {
         let Ok(state) = EpochState::from_bytes(bytes) else {
             return;
         };
-        if state.sender != from || !validate_state(&self.pid, &self.ctx, epoch, &state) {
+        if state.sender != from {
             return;
         }
+        let Some(state) = validate_state(&self.pid, &self.ctx, epoch, &state) else {
+            return;
+        };
         self.states.insert(from, state);
         // A valid state is an implicit complaint: its author is already
         // recovering.
@@ -685,9 +734,9 @@ impl OptimisticChannel {
                 return false;
             }
             let mut senders = BTreeSet::new();
-            set.0
-                .iter()
-                .all(|s| senders.insert(s.sender) && validate_state(&vpid, &vctx, epoch, s))
+            set.0.iter().all(|s| {
+                senders.insert(s.sender) && validate_state(&vpid, &vctx, epoch, s).is_some()
+            })
         });
         self.recovery = Some(MultiValuedAgreement::new(
             rec_pid,
@@ -703,7 +752,8 @@ impl OptimisticChannel {
         }
         self.recovery_proposed = true;
         self.ensure_recovery_instance();
-        let mut states: Vec<EpochState> = self.states.values().cloned().collect();
+        let states = self.states.values().cloned();
+        let mut states: Vec<EpochState> = states.map(EpochState::forget).collect();
         states.sort_by_key(|s| s.sender);
         states.truncate(self.ctx.n_minus_t());
         let set = RecoverySet(states);
@@ -1037,7 +1087,7 @@ mod tests {
             epoch: 0,
             sender: PartyId(2),
             entries: vec![],
-            sig: RsaSignature(sintra_bigint::Ubig::from(7u64)),
+            sig: RsaSignature(sintra_bigint::Ubig::from(7u64)).into(),
         };
         let mut out = Outgoing::new();
         chan.handle(
@@ -1062,16 +1112,16 @@ mod tests {
                 kind: PayloadKind::App,
                 data: b"x".to_vec(),
             },
-            cert: vec![(0, RsaSignature(sintra_bigint::Ubig::from(9u64)))],
+            cert: vec![(0, RsaSignature(sintra_bigint::Ubig::from(9u64)).into())],
         };
-        let decoded = PreparedEntry::from_bytes(&entry.to_bytes()).unwrap();
+        let decoded = <PreparedEntry>::from_bytes(&entry.to_bytes()).unwrap();
         assert_eq!(decoded, entry);
         let state = EpochState {
             epoch: 2,
             sender: PartyId(3),
             entries: vec![entry],
-            sig: RsaSignature(sintra_bigint::Ubig::from(11u64)),
+            sig: RsaSignature(sintra_bigint::Ubig::from(11u64)).into(),
         };
-        assert_eq!(EpochState::from_bytes(&state.to_bytes()).unwrap(), state);
+        assert_eq!(<EpochState>::from_bytes(&state.to_bytes()).unwrap(), state);
     }
 }

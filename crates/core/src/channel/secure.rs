@@ -18,6 +18,7 @@ use sintra_crypto::thenc::{Ciphertext, DecryptionShare};
 use sintra_telemetry::{SnapshotWriter, StateSnapshot};
 
 use crate::channel::atomic::{AtomicChannel, AtomicChannelConfig, FetchCounts};
+use crate::checked::{Checked, Unchecked};
 use crate::config::GroupContext;
 use crate::ids::{PartyId, ProtocolId};
 use crate::invariant::OrInvariant;
@@ -34,6 +35,9 @@ use crate::wire::Wire;
 /// complete the party's own.
 const MAX_EARLY_KEYS_PER_SENDER: usize = 1024;
 
+/// A decryption share that arrived ahead of its ciphertext, by sender.
+type EarlyShare = (PartyId, Unchecked<DecryptionShare>);
+
 /// State of one ordered ciphertext awaiting decryption.
 #[derive(Debug)]
 struct PendingDecryption {
@@ -42,7 +46,7 @@ struct PendingDecryption {
     /// Byzantine sender ordered garbage) and the slot is skipped.
     ciphertext: Option<Ciphertext>,
     /// Verified shares by holder index.
-    shares: BTreeMap<usize, DecryptionShare>,
+    shares: BTreeMap<usize, Checked<DecryptionShare>>,
     plaintext: Option<Vec<u8>>,
 }
 
@@ -54,9 +58,12 @@ pub struct SecureAtomicChannel {
     inner: AtomicChannel,
     /// Ordered ciphertexts in delivery order.
     pending: VecDeque<PendingDecryption>,
-    /// Early decryption shares, by sender, for ciphertexts we have not
-    /// ordered yet; unverified until their ciphertext is known.
-    early_shares: BTreeMap<(PartyId, u64), Vec<(PartyId, DecryptionShare)>>,
+    /// The quarantine: early decryption shares, by sender, for
+    /// ciphertexts we have not ordered yet (one per sender per
+    /// ciphertext, a capped number of ciphertexts per sender). They stay
+    /// unchecked until their ciphertext is ordered, then go through one
+    /// batched check.
+    early_shares: BTreeMap<(PartyId, u64), Vec<EarlyShare>>,
     /// Per sender, the number of `early_shares` keys holding a share of
     /// theirs (bounded by [`MAX_EARLY_KEYS_PER_SENDER`]).
     early_keys: Vec<usize>,
@@ -198,14 +205,14 @@ impl SecureAtomicChannel {
         self.pump(out);
     }
 
-    fn on_share(&mut self, from: PartyId, key: (PartyId, u64), share: &DecryptionShare) {
+    fn on_share(&mut self, from: PartyId, key: (PartyId, u64), share: &Unchecked<DecryptionShare>) {
         let slot = self.pending.iter_mut().find(|p| p.payload_meta == key);
         match slot {
             Some(p) => {
                 // A skipped or already decrypted slot needs no shares.
                 if let (Some(ct), None) = (&p.ciphertext, &p.plaintext) {
-                    if self.ctx.keys().common.enc.verify_share(ct, share) {
-                        p.shares.insert(share.index, share.clone());
+                    if let Some(share) = self.ctx.check_dec_share(ct, share) {
+                        p.shares.insert(share.index, share);
                     }
                 }
             }
@@ -247,20 +254,19 @@ impl SecureAtomicChannel {
             let mut shares = BTreeMap::new();
             if let Some(ct) = &ct {
                 // Release our own decryption share.
-                let own = enc.decryption_share_prechecked(ct, &self.ctx.keys().enc_secret);
+                let own = self.ctx.release_dec_share(ct);
                 shares.insert(own.index, own.clone());
                 out.send_all(
                     &self.pid,
                     Body::ScShare {
                         origin: meta.0,
                         seq: meta.1,
-                        share: own,
+                        share: own.forget(),
                     },
                 );
                 // Ingest parked shares, each verified here and only here.
-                let parked: Vec<DecryptionShare> = parked.into_iter().map(|(_, s)| s).collect();
-                let verdicts = enc.verify_shares(ct, &parked);
-                for (share, _) in parked.into_iter().zip(verdicts).filter(|(_, ok)| *ok) {
+                let parked = parked.into_iter().map(|(_, share)| share);
+                for share in self.ctx.check_dec_shares(ct, parked) {
                     shares.insert(share.index, share);
                 }
             }
@@ -278,10 +284,7 @@ impl SecureAtomicChannel {
         for p in self.pending.iter_mut() {
             let Some(ct) = &p.ciphertext else { continue };
             if p.plaintext.is_none() && p.shares.len() >= k {
-                let shares: Vec<DecryptionShare> = p.shares.values().cloned().collect();
-                if let Ok(plain) = self.ctx.keys().common.enc.combine_prechecked(ct, &shares) {
-                    p.plaintext = Some(plain);
-                }
+                p.plaintext = self.ctx.combine_dec_shares(ct, p.shares.values());
             }
         }
 
@@ -522,11 +525,7 @@ mod tests {
             .common
             .enc
             .encrypt(b"sc-flood", b"x", &mut rng);
-        let share = ctxs[3]
-            .keys()
-            .common
-            .enc
-            .decryption_share_prechecked(&ct, &ctxs[3].keys().enc_secret);
+        let share = ctxs[3].release_dec_share(&ct).forget();
         // Party 3 sends shares for ciphertexts that will never be ordered.
         let flood = MAX_EARLY_KEYS_PER_SENDER as u64 + 500;
         for seq in 0..flood {

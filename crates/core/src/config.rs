@@ -3,8 +3,6 @@
 use std::sync::Arc;
 
 use sintra_crypto::dealer::PartyKeys;
-use sintra_crypto::rsa::RsaSignature;
-use sintra_crypto::thsig::ThresholdSignature;
 
 use crate::ids::PartyId;
 
@@ -102,28 +100,6 @@ impl GroupContext {
     /// Whether `id` is a valid party index in this group.
     pub fn is_valid_party(&self, id: PartyId) -> bool {
         id.0 < self.n()
-    }
-
-    /// Verifies an assembled threshold signature under the agreement
-    /// key (binary-agreement decisions).
-    pub fn verify_agreement_sig(&self, statement: &[u8], sig: &ThresholdSignature) -> bool {
-        self.keys.common.thsig_agreement.verify(statement, sig)
-    }
-
-    /// Verifies an assembled threshold signature under the broadcast
-    /// key (consistent-broadcast finals).
-    pub fn verify_broadcast_sig(&self, statement: &[u8], sig: &ThresholdSignature) -> bool {
-        self.keys.common.thsig_broadcast.verify(statement, sig)
-    }
-
-    /// Verifies `signer`'s standard RSA signature over `statement`; an
-    /// unknown signer verifies nothing.
-    pub fn verify_party_sig(&self, signer: PartyId, statement: &[u8], sig: &RsaSignature) -> bool {
-        self.keys
-            .common
-            .sig_publics
-            .get(signer.0)
-            .is_some_and(|key| key.verify(statement, sig))
     }
 }
 

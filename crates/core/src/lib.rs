@@ -23,6 +23,11 @@
 //! * [`node`]: a per-party container that hosts protocol instances and
 //!   routes messages between them.
 //!
+//! Every protocol acts on a signature, share or signed entry only after
+//! checking it, and [`checked`] makes that a type: the decoder yields
+//! `Unchecked<T>`, state stores `Checked<T>`, and only a check turns one
+//! into the other.
+//!
 //! All protocols tolerate `t < n/3` Byzantine parties and never rely on
 //! timing: progress requires only that messages between honest parties are
 //! eventually delivered.
@@ -33,6 +38,7 @@
 pub mod agreement;
 pub mod broadcast;
 pub mod channel;
+pub mod checked;
 mod config;
 mod ids;
 pub mod invariant;

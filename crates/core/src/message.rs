@@ -11,6 +11,7 @@ use sintra_crypto::rsa::{RsaPrivateKey, RsaSignature};
 use sintra_crypto::thenc::DecryptionShare;
 use sintra_crypto::thsig::{SigShare, ThresholdSignature};
 
+use crate::checked::Unchecked;
 use crate::ids::{PartyId, ProtocolId};
 use crate::wire::{
     impl_wire_vec, put_bytes, put_seq, wire_enum, wire_struct, Field, Layout, Reader, Shape,
@@ -36,16 +37,16 @@ pub enum PreVoteJust {
     Initial,
     /// Round `r > 1` pre-vote for `b`, justified by a threshold signature
     /// on the round-`r-1` pre-vote statement for `b`.
-    Hard(ThresholdSignature),
+    Hard(Unchecked<ThresholdSignature>),
     /// Round `r > 1` pre-vote for the round-`r-1` coin value, justified by
     /// a threshold signature on the abstain main-vote statement plus the
     /// coin shares that open the coin (self-contained verification).
     Soft {
         /// Threshold signature over `main(pid, r-1, abstain)`.
-        sig: ThresholdSignature,
+        sig: Unchecked<ThresholdSignature>,
         /// Enough shares to open the round-`r-1` coin (empty when the
         /// round is biased and the coin value is fixed).
-        coin_shares: Vec<CoinShare>,
+        coin_shares: Vec<Unchecked<CoinShare>>,
     },
 }
 
@@ -54,7 +55,7 @@ pub enum PreVoteJust {
 pub enum MainVoteJust {
     /// Main-vote for a bit `b`: threshold signature on the round's
     /// pre-vote statement for `b`.
-    Value(ThresholdSignature),
+    Value(Unchecked<ThresholdSignature>),
     /// Abstain: exhibits justified pre-votes for *both* bits.
     Abstain {
         /// Justification for a pre-vote of 0.
@@ -221,6 +222,14 @@ impl Entry {
     }
 }
 
+/// Whether `entry` is the one `reference` names, under the signature it
+/// carries.
+impl PartialEq<EntryRef> for Entry {
+    fn eq(&self, reference: &EntryRef) -> bool {
+        self.is_named(reference.signer, &reference.digest) && self.sig == reference.sig
+    }
+}
+
 /// What an atomic-channel proposal carries per entry: who signed it, the
 /// digest of its payload vector and the signature over
 /// `(pid, round, digest)` — enough to check external validity without the
@@ -236,27 +245,38 @@ pub struct EntryRef {
 }
 
 /// The body of a network message, covering every protocol in the stack.
+///
+/// A variant either carries something to check — declared
+/// [`Unchecked`], so its handler cannot store it before a `check_*` of
+/// [`GroupContext`](crate::GroupContext) returned it — or says here why
+/// it carries nothing of the kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(clippy::large_enum_variant)]
 pub enum Body {
     /// Bracha reliable broadcast: initial payload from the sender.
+    /// Unsigned: integrity comes from the echo/ready quorums over its
+    /// digest.
     RbSend(Vec<u8>),
-    /// Bracha: echo of the payload.
+    /// Bracha: echo of the payload. An unsigned vote: the intersection of
+    /// `2t + 1` echoes provides integrity, there is no signature to check.
     RbEcho(Vec<u8>),
-    /// Bracha: ready for the payload digest.
+    /// Bracha: ready for the payload digest. An unsigned vote:
+    /// amplification is quorum-gated, not signature-gated.
     RbReady([u8; 32]),
-    /// Consistent broadcast: payload from the sender.
+    /// Consistent broadcast: payload from the sender. Gated by the
+    /// sender's identity: the receiver signs what it echoes, the send
+    /// itself is unsigned.
     CbSend(Vec<u8>),
     /// Consistent broadcast: receiver's signature share over the payload,
     /// echoed back to the sender.
-    CbEcho(SigShare),
+    CbEcho(Unchecked<SigShare>),
     /// Consistent broadcast: sender's final message with the assembled
     /// threshold signature.
     CbFinal {
         /// The payload.
         payload: Vec<u8>,
         /// Threshold signature binding payload to this instance.
-        sig: ThresholdSignature,
+        sig: Unchecked<ThresholdSignature>,
     },
     /// Binary agreement pre-vote.
     BaPreVote {
@@ -267,7 +287,7 @@ pub enum Body {
         /// Justification.
         just: PreVoteJust,
         /// Signature share over `pre(pid, round, value)`.
-        share: SigShare,
+        share: Unchecked<SigShare>,
         /// External validation data for `value` (validated agreement).
         proof: Option<Vec<u8>>,
     },
@@ -280,7 +300,7 @@ pub enum Body {
         /// Justification.
         just: MainVoteJust,
         /// Signature share over `main(pid, round, vote)`.
-        share: SigShare,
+        share: Unchecked<SigShare>,
         /// External validation data for a value vote.
         proof: Option<Vec<u8>>,
     },
@@ -289,7 +309,7 @@ pub enum Body {
         /// Round number.
         round: u32,
         /// The coin share.
-        share: CoinShare,
+        share: Unchecked<CoinShare>,
     },
     /// Binary agreement decision announcement with its justification.
     BaDecide {
@@ -298,11 +318,15 @@ pub enum Body {
         /// Decided bit.
         value: bool,
         /// Threshold signature over `main(pid, round, value)`.
-        sig: ThresholdSignature,
+        sig: Unchecked<ThresholdSignature>,
         /// External validation data for the decided value.
         proof: Option<Vec<u8>>,
     },
-    /// Multi-valued agreement candidate vote (paper §2.4 step 2a).
+    /// Multi-valued agreement candidate vote (paper §2.4 step 2a). A
+    /// no-vote is a bare bit counted towards a quorum; a yes-vote's
+    /// closing is opaque bytes here and is checked as a
+    /// [`ClosingMessage`](crate::broadcast::ClosingMessage) when the
+    /// vote is counted.
     VbaVote {
         /// Loop iteration this vote belongs to.
         iteration: u32,
@@ -316,10 +340,12 @@ pub enum Body {
         /// Channel round number.
         round: u64,
         /// The signed entry.
-        entry: Entry,
+        entry: Unchecked<Entry>,
     },
     /// Atomic channel: asks a holder for the entry that a proposal names
-    /// by `(signer, digest)` and the requester lacks.
+    /// by `(signer, digest)` and the requester lacks. Unsigned: answered
+    /// only from entries already held and checked, one reply per
+    /// requester and entry, rounds bounded by `FETCH_RETAIN_ROUNDS`.
     AcFetch {
         /// Channel round number.
         round: u64,
@@ -333,7 +359,7 @@ pub enum Body {
         /// Channel round number.
         round: u64,
         /// The entry asked for, under its signer's signature.
-        entry: Entry,
+        entry: Unchecked<Entry>,
     },
     /// Secure causal atomic channel: a decryption share for an ordered
     /// ciphertext.
@@ -343,9 +369,10 @@ pub enum Body {
         /// Origin sequence number of the ciphertext payload.
         seq: u64,
         /// This party's decryption share.
-        share: DecryptionShare,
+        share: Unchecked<DecryptionShare>,
     },
     /// Optimistic channel: a payload submitted to the epoch leader.
+    /// Unsigned: delivery is gated downstream by a quorum of signed acks.
     OptSubmit {
         /// The payload to sequence.
         payload: Payload,
@@ -362,10 +389,11 @@ pub enum Body {
         /// Digest of the ordered payload's encoding.
         digest: [u8; 32],
         /// Signature over the ack statement.
-        sig: RsaSignature,
+        sig: Unchecked<RsaSignature>,
     },
     /// Optimistic channel: a complaint against the epoch leader (liveness
-    /// suspicion; `t + 1` complaints trigger recovery).
+    /// suspicion). Unsigned: an epoch change requires `t + 1` distinct
+    /// complainers.
     OptComplain {
         /// The epoch being complained about.
         epoch: u64,
@@ -587,6 +615,7 @@ impl Wire for MainVote {
     const LAYOUT: Layout = Layout {
         name: "MainVote",
         by_hand: Some("its three codes are shared with the signed main-vote statement"),
+        unchecked: false,
         shape: Shape::Enum(&[
             Variant {
                 name: "Value(false)",
@@ -623,12 +652,15 @@ impl Wire for MainVote {
 
 wire_enum!(PreVoteJust {
     TAG_PREVOTE_INITIAL => Initial,
-    TAG_PREVOTE_HARD => Hard(sig: ThresholdSignature),
-    TAG_PREVOTE_SOFT => Soft { sig: ThresholdSignature, coin_shares: Vec<CoinShare> },
+    TAG_PREVOTE_HARD => Hard(sig: Unchecked<ThresholdSignature>),
+    TAG_PREVOTE_SOFT => Soft {
+        sig: Unchecked<ThresholdSignature>,
+        coin_shares: Vec<Unchecked<CoinShare>>,
+    },
 });
 
 wire_enum!(MainVoteJust {
-    TAG_MAINVOTE_VALUE => Value(sig: ThresholdSignature),
+    TAG_MAINVOTE_VALUE => Value(sig: Unchecked<ThresholdSignature>),
     TAG_MAINVOTE_ABSTAIN => Abstain {
         just0: Box<PreVoteJust>,
         just1: Box<PreVoteJust>,
@@ -651,6 +683,7 @@ impl Wire for Entry {
             "the digest is taken over the payload vector's bytes as received, and a vector \
              that fails well_formed() is MalformedEntry",
         ),
+        unchecked: false,
         shape: Shape::Struct(&[
             Field::new(
                 "payloads",
@@ -696,41 +729,41 @@ wire_enum!(Body {
     TAG_RB_ECHO => RbEcho(payload: Vec<u8>),
     TAG_RB_READY => RbReady(digest: [u8; 32]),
     TAG_CB_SEND => CbSend(payload: Vec<u8>),
-    TAG_CB_ECHO => CbEcho(share: SigShare),
-    TAG_CB_FINAL => CbFinal { payload: Vec<u8>, sig: ThresholdSignature },
+    TAG_CB_ECHO => CbEcho(share: Unchecked<SigShare>),
+    TAG_CB_FINAL => CbFinal { payload: Vec<u8>, sig: Unchecked<ThresholdSignature> },
     TAG_BA_PRE_VOTE => BaPreVote {
         round: u32,
         value: bool,
         just: PreVoteJust,
-        share: SigShare,
+        share: Unchecked<SigShare>,
         proof: Option<Vec<u8>>,
     },
     TAG_BA_MAIN_VOTE => BaMainVote {
         round: u32,
         vote: MainVote,
         just: MainVoteJust,
-        share: SigShare,
+        share: Unchecked<SigShare>,
         proof: Option<Vec<u8>>,
     },
-    TAG_BA_COIN_SHARE => BaCoinShare { round: u32, share: CoinShare },
+    TAG_BA_COIN_SHARE => BaCoinShare { round: u32, share: Unchecked<CoinShare> },
     TAG_BA_DECIDE => BaDecide {
         round: u32,
         value: bool,
-        sig: ThresholdSignature,
+        sig: Unchecked<ThresholdSignature>,
         proof: Option<Vec<u8>>,
     },
     TAG_VBA_VOTE => VbaVote { iteration: u32, yes: bool, closing: Option<Vec<u8>> },
-    TAG_AC_ENTRY => AcEntry { round: u64, entry: Entry },
+    TAG_AC_ENTRY => AcEntry { round: u64, entry: Unchecked<Entry> },
     TAG_AC_FETCH => AcFetch { round: u64, signer: PartyId, digest: [u8; 32] },
-    TAG_AC_FETCHED => AcFetched { round: u64, entry: Entry },
-    TAG_SC_SHARE => ScShare { origin: PartyId, seq: u64, share: DecryptionShare },
+    TAG_AC_FETCHED => AcFetched { round: u64, entry: Unchecked<Entry> },
+    TAG_SC_SHARE => ScShare { origin: PartyId, seq: u64, share: Unchecked<DecryptionShare> },
     TAG_OPT_SUBMIT => OptSubmit { payload: Payload },
     TAG_OPT_ACK => OptAck {
         phase: u8,
         epoch: u64,
         seq: u64,
         digest: [u8; 32],
-        sig: RsaSignature,
+        sig: Unchecked<RsaSignature>,
     },
     TAG_OPT_COMPLAIN => OptComplain { epoch: u64 },
     TAG_OPT_STATE => OptState { epoch: u64, state: Vec<u8> },
@@ -742,7 +775,7 @@ wire_struct!(Envelope {
     body: Body
 });
 
-impl_wire_vec!(Payload, EntryRef);
+impl_wire_vec!(Payload);
 
 #[cfg(test)]
 mod tests {
@@ -774,7 +807,8 @@ mod tests {
                     commit_u: sintra_bigint::Ubig::from(3u64),
                     response: sintra_bigint::Ubig::from(2u64),
                 },
-            },
+            }
+            .into(),
         });
         roundtrip(Body::VbaVote {
             iteration: 3,
@@ -796,9 +830,12 @@ mod tests {
         });
         roundtrip(Body::AcFetched {
             round: 12,
-            entry: entry.clone(),
+            entry: entry.clone().into(),
         });
-        roundtrip(Body::AcEntry { round: 12, entry });
+        roundtrip(Body::AcEntry {
+            round: 12,
+            entry: entry.into(),
+        });
     }
 
     #[test]
@@ -816,10 +853,11 @@ mod tests {
         assert_eq!(*entry.digest(), Sha256::digest(vector));
         // Decoding computes the same digest (derived equality covers it).
         assert_eq!(Entry::from_bytes(&bytes).unwrap(), entry);
-        assert_eq!(
-            Vec::<EntryRef>::from_bytes(&vec![entry.to_ref(); 3].to_bytes()).unwrap(),
-            vec![entry.to_ref(); 3]
-        );
+        let refs = vec![Unchecked::from(entry.to_ref()); 3];
+        assert_eq!(Vec::from_bytes(&refs.to_bytes()).as_ref(), Ok(&refs));
+        assert!(entry == entry.to_ref());
+        let other_sig = RsaSignature(sintra_bigint::Ubig::from(6u64));
+        assert!(Entry::new(entry.payloads().to_vec(), PartyId(0), other_sig) != entry.to_ref());
         let other = entry_of(vec![payload(2, 7, PayloadKind::App, vec![9; 41])]);
         assert_ne!(entry.digest(), other.digest());
     }
@@ -875,8 +913,9 @@ mod tests {
 
     #[test]
     fn prevote_just_roundtrips() {
-        let sig =
-            ThresholdSignature::Multi(vec![(1, RsaSignature(sintra_bigint::Ubig::from(3u64)))]);
+        let sig: Unchecked<_> =
+            ThresholdSignature::Multi(vec![(1, RsaSignature(sintra_bigint::Ubig::from(3u64)))])
+                .into();
         roundtrip(Body::BaPreVote {
             round: 2,
             value: true,
@@ -886,7 +925,8 @@ mod tests {
                 body: sintra_crypto::thsig::SigShareBody::Multi {
                     sig: RsaSignature(sintra_bigint::Ubig::from(8u64)),
                 },
-            },
+            }
+            .into(),
             proof: None,
         });
         roundtrip(Body::BaMainVote {
@@ -906,7 +946,8 @@ mod tests {
                 body: sintra_crypto::thsig::SigShareBody::Multi {
                     sig: RsaSignature(sintra_bigint::Ubig::from(8u64)),
                 },
-            },
+            }
+            .into(),
             proof: None,
         });
     }

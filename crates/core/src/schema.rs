@@ -11,6 +11,7 @@ use sintra_crypto::thenc::Ciphertext;
 
 use crate::broadcast::ClosingMessage;
 use crate::channel::{EpochState, RecoverySet};
+use crate::checked::Unchecked;
 use crate::message::{EntryRef, Envelope, Payload};
 use crate::wire::{Field, Layout, Shape, Wire, WIRE_FORMAT_VERSION};
 
@@ -19,10 +20,10 @@ use crate::wire::{Field, Layout, Shape, Wire, WIRE_FORMAT_VERSION};
 pub const ROOTS: &[&Layout] = &[
     &Envelope::LAYOUT,
     &ClosingMessage::LAYOUT,
-    &<Vec<EntryRef>>::LAYOUT,
+    &<Vec<Unchecked<EntryRef>>>::LAYOUT,
     &Ciphertext::LAYOUT,
     &Payload::LAYOUT,
-    &EpochState::LAYOUT,
+    &<EpochState>::LAYOUT,
     &RecoverySet::LAYOUT,
 ];
 
@@ -36,22 +37,11 @@ fn type_name(layout: &Layout) -> String {
 }
 
 fn collect(layout: &'static Layout, seen: &mut BTreeMap<&'static str, &'static Layout>) {
-    let children: Vec<&'static Layout> = match layout.shape {
-        Shape::Atom(_) => Vec::new(),
-        Shape::Wrap(_, inner) => vec![inner],
-        Shape::Pair(a, b) => vec![a, b],
-        Shape::Struct(fields) => fields.iter().map(|f| f.ty).collect(),
-        Shape::Enum(variants) => variants
-            .iter()
-            .flat_map(|v| v.fields)
-            .map(|f| f.ty)
-            .collect(),
-    };
     // A wrapper is entered once, under its constructor, but each use
     // wraps a type of its own.
     let wrapper = matches!(layout.shape, Shape::Wrap(..) | Shape::Pair(..));
     if seen.insert(layout.name, layout).is_none() || wrapper {
-        for child in children {
+        for child in layout.children() {
             collect(child, seen);
         }
     }

@@ -11,6 +11,7 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::checked::Unchecked;
 use crate::invariant::OrInvariant;
 
 use sintra_bigint::Ubig;
@@ -150,6 +151,10 @@ pub struct Layout {
     /// Why a struct's or enum's codec is written by hand; `None` when it
     /// is expanded from a `wire_struct!` / `wire_enum!` declaration.
     pub by_hand: Option<&'static str>,
+    /// Whether the value is declared [`Unchecked`]. That adds no bytes
+    /// and is not in the schema; `tests/wire_schema.rs` walks from the
+    /// roots and fails on a signature-bearing type declared without it.
+    pub unchecked: bool,
     /// The bytes.
     pub shape: Shape,
 }
@@ -207,6 +212,7 @@ impl Layout {
         Layout {
             name,
             by_hand: None,
+            unchecked: false,
             shape: Shape::Atom(bytes),
         }
     }
@@ -216,7 +222,28 @@ impl Layout {
         Layout {
             name,
             by_hand: None,
+            unchecked: false,
             shape: Shape::Wrap(bytes, inner),
+        }
+    }
+
+    /// A vector of non-byte elements.
+    pub const fn vec_of(item: &'static Layout) -> Self {
+        let bytes = "u32 count (at most MAX_LEN, or the field's max), then the items";
+        Layout::wrap("Vec", bytes, item)
+    }
+
+    /// The layouts this one is made of, in wire order.
+    pub fn children(&self) -> Vec<&'static Layout> {
+        match self.shape {
+            Shape::Atom(_) => Vec::new(),
+            Shape::Wrap(_, inner) => vec![inner],
+            Shape::Pair(a, b) => vec![a, b],
+            Shape::Struct(fields) => fields.iter().map(|f| f.ty).collect(),
+            Shape::Enum(variants) => {
+                let fields = variants.iter().flat_map(|v| v.fields);
+                fields.map(|f| f.ty).collect()
+            }
         }
     }
 }
@@ -294,6 +321,7 @@ macro_rules! wire_struct {
                 const LAYOUT: Layout = Layout {
                     name: stringify!($name),
                     by_hand: None,
+                    unchecked: false,
                     shape: Shape::Struct(&[$(Field::new(
                         stringify!($field),
                         &<$ty as Wire>::LAYOUT,
@@ -335,6 +363,7 @@ macro_rules! wire_enum {
                 const LAYOUT: Layout = Layout {
                     name: stringify!($name),
                     by_hand: None,
+                    unchecked: false,
                     shape: Shape::Enum(&[$(Variant {
                         name: stringify!($variant),
                         tag_name: stringify!($tag),
@@ -492,10 +521,26 @@ impl<T: Wire> Wire for Box<T> {
     }
 }
 
+/// `T`'s own bytes and `T`'s own place in the schema: what the decoder
+/// adds is that nobody has checked the value.
+impl<T: Wire> Wire for Unchecked<T> {
+    const LAYOUT: Layout = Layout {
+        unchecked: true,
+        ..T::LAYOUT
+    };
+    fn encode(&self, buf: &mut Vec<u8>) {
+        (**self).encode(buf);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(T::decode(r)?.into())
+    }
+}
+
 impl<A: Wire, B: Wire> Wire for (A, B) {
     const LAYOUT: Layout = Layout {
         name: "pair",
         by_hand: None,
+        unchecked: false,
         shape: Shape::Pair(&A::LAYOUT, &B::LAYOUT),
     };
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -511,11 +556,8 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 macro_rules! impl_wire_vec {
     ($($t:ty),*) => {$(
         impl $crate::wire::Wire for Vec<$t> {
-            const LAYOUT: $crate::wire::Layout = $crate::wire::Layout::wrap(
-                "Vec",
-                "u32 count (at most MAX_LEN, or the field's max), then the items",
-                &<$t as $crate::wire::Wire>::LAYOUT,
-            );
+            const LAYOUT: $crate::wire::Layout =
+                $crate::wire::Layout::vec_of(&<$t as $crate::wire::Wire>::LAYOUT);
             fn encode(&self, buf: &mut Vec<u8>) {
                 $crate::wire::put_seq(buf, self);
             }
@@ -528,6 +570,16 @@ macro_rules! impl_wire_vec {
     )*};
 }
 pub(crate) use impl_wire_vec;
+
+impl<T: Wire> Wire for Vec<Unchecked<T>> {
+    const LAYOUT: Layout = Layout::vec_of(&<Unchecked<T>>::LAYOUT);
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_seq(buf, self);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.seq(MAX_LEN)
+    }
+}
 
 impl Wire for Ubig {
     const LAYOUT: Layout = Layout::atom("Ubig", "u32 length, then the big-endian magnitude");
@@ -591,7 +643,7 @@ wire_struct!(DecryptionShare {
     proof: DleqProof
 });
 
-impl_wire_vec!(CoinShare, Ubig, (usize, RsaSignature));
+impl_wire_vec!(Ubig, (usize, RsaSignature));
 
 #[cfg(test)]
 mod tests {

@@ -9,6 +9,7 @@ use std::fmt::Debug;
 use sintra_bigint::Ubig;
 use sintra_core::broadcast::ClosingMessage;
 use sintra_core::channel::{EpochState, PreparedEntry};
+use sintra_core::checked::Unchecked;
 use sintra_core::message::{
     Body, Entry, EntryRef, Envelope, MainVote, MainVoteJust, Payload, PayloadKind, PreVoteJust,
 };
@@ -61,14 +62,17 @@ fn dleq(v: u64) -> DleqProof {
     }
 }
 
-fn multi_share(index: usize) -> SigShare {
+// What a message carries to be checked, as the decoder yields it.
+
+fn multi_share(index: usize) -> Unchecked<SigShare> {
     SigShare {
         index,
         body: SigShareBody::Multi { sig: rsa(0x51) },
     }
+    .into()
 }
 
-fn shoup_share(index: usize) -> SigShare {
+fn shoup_share(index: usize) -> Unchecked<SigShare> {
     SigShare {
         index,
         body: SigShareBody::ShoupRsa {
@@ -79,22 +83,24 @@ fn shoup_share(index: usize) -> SigShare {
             },
         },
     }
+    .into()
 }
 
-fn multi_sig() -> ThresholdSignature {
-    ThresholdSignature::Multi(vec![(0, rsa(0xa0)), (3, rsa(0xa3))])
+fn multi_sig() -> Unchecked<ThresholdSignature> {
+    ThresholdSignature::Multi(vec![(0, rsa(0xa0)), (3, rsa(0xa3))]).into()
 }
 
-fn shoup_sig() -> ThresholdSignature {
-    ThresholdSignature::ShoupRsa(big(0x5a5a_5a5a_5a5a_5a5a))
+fn shoup_sig() -> Unchecked<ThresholdSignature> {
+    ThresholdSignature::ShoupRsa(big(0x5a5a_5a5a_5a5a_5a5a)).into()
 }
 
-fn coin_share(index: usize) -> CoinShare {
+fn coin_share(index: usize) -> Unchecked<CoinShare> {
     CoinShare {
         index,
         value: big(0xc01),
         proof: dleq(0x10),
     }
+    .into()
 }
 
 fn payload(origin: usize, seq: u64, kind: PayloadKind, data: &[u8]) -> Payload {
@@ -106,7 +112,7 @@ fn payload(origin: usize, seq: u64, kind: PayloadKind, data: &[u8]) -> Payload {
     }
 }
 
-fn entry() -> Entry {
+fn entry() -> Unchecked<Entry> {
     Entry::new(
         vec![
             payload(1, 42, PayloadKind::App, b"request"),
@@ -115,6 +121,7 @@ fn entry() -> Entry {
         PartyId(3),
         rsa(0xe7),
     )
+    .into()
 }
 
 fn epoch_state() -> EpochState {
@@ -124,9 +131,13 @@ fn epoch_state() -> EpochState {
         entries: vec![PreparedEntry {
             seq: 9,
             payload: payload(0, 5, PayloadKind::App, b"ordered"),
-            cert: vec![(0, rsa(0xc0)), (1, rsa(0xc1)), (2, rsa(0xc2))],
+            cert: vec![
+                (0, rsa(0xc0).into()),
+                (1, rsa(0xc1).into()),
+                (2, rsa(0xc2).into()),
+            ],
         }],
-        sig: rsa(0x57a7e),
+        sig: rsa(0x57a7e).into(),
     }
 }
 
@@ -285,7 +296,8 @@ pub fn corpus() -> Vec<Case> {
                     index: 3,
                     value: big(0xdec),
                     proof: dleq(0x20),
-                },
+                }
+                .into(),
             },
         ),
         (
@@ -301,7 +313,7 @@ pub fn corpus() -> Vec<Case> {
                 epoch: 4,
                 seq: 9,
                 digest: [0x22; 32],
-                sig: rsa(0xac),
+                sig: rsa(0xac).into(),
             },
         ),
         ("opt-complain", Body::OptComplain { epoch: 4 }),
@@ -347,11 +359,11 @@ pub fn corpus() -> Vec<Case> {
     cases.push(case(
         "proposal (entry references)",
         vec![
-            reference.clone(),
-            EntryRef {
+            Unchecked::from(reference.clone()),
+            Unchecked::from(EntryRef {
                 signer: PartyId(0),
                 ..reference
-            },
+            }),
         ],
     ));
     cases.push(case("epoch state (one certified entry)", epoch_state()));

@@ -8,25 +8,40 @@
 //! dispatch (DESIGN.md §11): a stateless stage would pay for the signature
 //! of every one of these. Whoever puts a check ahead of these filters sees
 //! its cost here.
+//!
+//! The second table is the other half, the one a type cannot carry: a
+//! message that passes every state filter but whose signature, share or
+//! closing does not verify costs exactly its check and changes nothing —
+//! no field, flag or counter of the instance, and nothing sent. (That the
+//! check comes before the store is `Checked<T>`'s to say; that a failed
+//! check leaves no trace is said here.)
 
 use std::collections::VecDeque;
 use std::fmt::Debug;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sintra_core::agreement::BinaryAgreement;
-use sintra_core::broadcast::ConsistentBroadcast;
-use sintra_core::channel::{AtomicChannel, AtomicChannelConfig};
+use sintra_core::agreement::{BinaryAgreement, CandidateOrder, MultiValuedAgreement};
+use sintra_core::broadcast::{ClosingMessage, ConsistentBroadcast};
+use sintra_core::channel::{
+    AtomicChannel, AtomicChannelConfig, EpochState, OptimisticChannel, SecureAtomicChannel,
+};
+use sintra_core::checked::{Checked, Thsig, Unchecked};
 use sintra_core::message::{
-    statement_cb, statement_entry, statement_main_vote, statement_pre_vote, Body, Entry, MainVote,
+    coin_name, payload_digest, statement_cb, statement_main_vote, statement_opt_ack,
+    statement_opt_state, statement_pre_vote, Body, Entry, EntryRef, Envelope, MainVote,
     MainVoteJust, Payload, PayloadKind, PreVoteJust,
 };
+use sintra_core::validator::{ArrayValidator, BinaryValidator};
+use sintra_core::wire::Wire;
 use sintra_core::{GroupContext, Outgoing, PartyId, ProtocolId, Recipient};
 use sintra_crypto::cost::CostScope;
 use sintra_crypto::dealer::{deal, DealerConfig};
+use sintra_crypto::thenc::Ciphertext;
 use sintra_crypto::thsig::{SigShare, ThresholdSignature};
+use sintra_telemetry::StateSnapshot;
 
 fn group() -> Vec<GroupContext> {
     let mut rng = StdRng::seed_from_u64(20);
@@ -44,6 +59,10 @@ struct Offer {
     /// Whether the instance sent anything or differs in any field.
     changed: bool,
 }
+
+/// The tables take turns: every group dealt from the fixtures shares one
+/// Schnorr group's table cache, and `{inst:?}` prints it.
+static ONE_TABLE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn offer<S: Debug>(inst: &mut S, deliver: impl FnOnce(&mut S, &mut Outgoing)) -> Offer {
     let before = format!("{inst:?}");
@@ -73,24 +92,20 @@ fn priced(check: impl FnOnce() -> bool) -> f64 {
     scope.elapsed()
 }
 
-/// The agreement key's signature of the whole group on `statement`.
-fn agreement_sig(ctxs: &[GroupContext], statement: &[u8]) -> ThresholdSignature {
-    let shares: Vec<SigShare> = ctxs
-        .iter()
-        .map(|c| c.keys().thsig_agreement.sign_share(statement))
-        .collect();
+/// The whole group's threshold signature on `statement` under `key`.
+fn group_sig(ctxs: &[GroupContext], key: Thsig, statement: &[u8]) -> Unchecked<ThresholdSignature> {
+    let shares: Vec<Checked<SigShare>> =
+        ctxs.iter().map(|c| c.sign_share(key, statement)).collect();
     ctxs[0]
-        .keys()
-        .common
-        .thsig_agreement
-        .assemble_preverified(statement, &shares)
+        .assemble_sig(key, statement, &shares)
         .unwrap()
+        .forget()
 }
 
 fn decide_after_decision(ctxs: &[GroupContext]) -> Row {
     let pid = ProtocolId::new("ba-decided");
     let statement = statement_main_vote(&pid, 1, MainVote::Value(true));
-    let sig = agreement_sig(ctxs, &statement);
+    let sig = group_sig(ctxs, Thsig::Agreement, &statement);
     let decide = Body::BaDecide {
         round: 1,
         value: true,
@@ -104,7 +119,11 @@ fn decide_after_decision(ctxs: &[GroupContext]) -> Row {
     assert_eq!(inst.decision(), Some(true));
     Row {
         what: "ba-decide after the instance decided",
-        check_work: priced(|| ctxs[0].verify_agreement_sig(&statement, &sig)),
+        check_work: priced(|| {
+            ctxs[0]
+                .check_sig(Thsig::Agreement, &statement, &sig)
+                .is_some()
+        }),
         late: offer(&mut inst, |i, out| i.handle(PartyId(2), &decide, out)),
     }
 }
@@ -114,7 +133,7 @@ fn second_pre_vote(ctxs: &[GroupContext]) -> Row {
     // Party 1 pre-votes 1, then (equivocating, under a good share) 0.
     let pre_vote = |value: bool| {
         let statement = statement_pre_vote(&pid, 1, value);
-        let share = ctxs[1].keys().thsig_agreement.sign_share(&statement);
+        let share = ctxs[1].sign_share(Thsig::Agreement, &statement).forget();
         let body = Body::BaPreVote {
             round: 1,
             value,
@@ -130,10 +149,13 @@ fn second_pre_vote(ctxs: &[GroupContext]) -> Row {
     let first = offer(&mut inst, |i, out| i.handle(PartyId(1), &first, out));
     assert!(first.changed && first.work > 0.0);
     let (statement, share, second) = pre_vote(false);
-    let public = &ctxs[0].keys().common.thsig_agreement;
     Row {
         what: "second ba-pre-vote from the same sender",
-        check_work: priced(|| public.verify_share(&statement, &share)),
+        check_work: priced(|| {
+            ctxs[0]
+                .check_share(Thsig::Agreement, &statement, &share)
+                .is_some()
+        }),
         late: offer(&mut inst, |i, out| i.handle(PartyId(1), &second, out)),
     }
 }
@@ -144,9 +166,9 @@ fn second_main_vote(ctxs: &[GroupContext]) -> Row {
     // pre-vote statement for `b` and the sender's share on the vote.
     let main_vote = |b: bool| {
         let just_statement = statement_pre_vote(&pid, 1, b);
-        let just = agreement_sig(ctxs, &just_statement);
+        let just = group_sig(ctxs, Thsig::Agreement, &just_statement);
         let statement = statement_main_vote(&pid, 1, MainVote::Value(b));
-        let share = ctxs[1].keys().thsig_agreement.sign_share(&statement);
+        let share = ctxs[1].sign_share(Thsig::Agreement, &statement).forget();
         let body = Body::BaMainVote {
             round: 1,
             vote: MainVote::Value(b),
@@ -162,12 +184,16 @@ fn second_main_vote(ctxs: &[GroupContext]) -> Row {
     let first = offer(&mut inst, |i, out| i.handle(PartyId(1), &first, out));
     assert!(first.changed && first.work > 0.0);
     let (just_statement, just, statement, share, second) = main_vote(false);
-    let public = &ctxs[0].keys().common.thsig_agreement;
+    let checks = &ctxs[0];
     Row {
         what: "second ba-main-vote from the same sender",
         check_work: priced(|| {
-            ctxs[0].verify_agreement_sig(&just_statement, &just)
-                && public.verify_share(&statement, &share)
+            checks
+                .check_sig(Thsig::Agreement, &just_statement, &just)
+                .is_some()
+                && checks
+                    .check_share(Thsig::Agreement, &statement, &share)
+                    .is_some()
         }),
         late: offer(&mut inst, |i, out| i.handle(PartyId(1), &second, out)),
     }
@@ -176,16 +202,7 @@ fn second_main_vote(ctxs: &[GroupContext]) -> Row {
 fn final_after_delivery(ctxs: &[GroupContext]) -> Row {
     let pid = ProtocolId::new("cb-delivered");
     let statement = statement_cb(&pid, b"payload");
-    let shares: Vec<SigShare> = ctxs
-        .iter()
-        .map(|c| c.keys().thsig_broadcast.sign_share(&statement))
-        .collect();
-    let sig = ctxs[0]
-        .keys()
-        .common
-        .thsig_broadcast
-        .assemble_preverified(&statement, &shares)
-        .unwrap();
+    let sig = group_sig(ctxs, Thsig::Broadcast, &statement);
     let fin = Body::CbFinal {
         payload: b"payload".to_vec(),
         sig: sig.clone(),
@@ -196,8 +213,39 @@ fn final_after_delivery(ctxs: &[GroupContext]) -> Row {
     assert_eq!(inst.delivered(), Some(&b"payload"[..]));
     Row {
         what: "cb-final after delivery",
-        check_work: priced(|| ctxs[0].verify_broadcast_sig(&statement, &sig)),
+        check_work: priced(|| {
+            ctxs[0]
+                .check_sig(Thsig::Broadcast, &statement, &sig)
+                .is_some()
+        }),
         late: offer(&mut inst, |i, out| i.handle(PartyId(1), &fin, out)),
+    }
+}
+
+/// Runs a group to quiescence in FIFO order from what party `at` sent
+/// into `out`, without the messages that `lost` names by recipient.
+fn run<C>(
+    chans: &mut [C],
+    mut at: usize,
+    mut out: Outgoing,
+    handle: impl Fn(&mut C, PartyId, &Envelope, &mut Outgoing),
+    lost: impl Fn(usize, &Body) -> bool,
+) {
+    let mut queue = VecDeque::new();
+    loop {
+        for (recipient, env) in out.drain() {
+            let targets = match recipient {
+                Recipient::All => 0..chans.len(),
+                Recipient::One(p) => p.0..p.0 + 1,
+            };
+            let kept = targets.filter(|to| !lost(*to, &env.body));
+            queue.extend(kept.map(|to| (at, to, env.clone())));
+        }
+        let Some((from, to, env)) = queue.pop_front() else {
+            break;
+        };
+        at = to;
+        handle(&mut chans[to], PartyId(from), &env, &mut out);
     }
 }
 
@@ -208,24 +256,12 @@ fn channel_after_one_round(ctxs: &[GroupContext], pid: &ProtocolId) -> AtomicCha
         .iter()
         .map(|c| AtomicChannel::new(pid.clone(), c.clone(), AtomicChannelConfig::default()))
         .collect();
-    let mut queue = VecDeque::new();
     let mut out = Outgoing::new();
     chans[1].send(b"first".to_vec(), &mut out);
-    let mut at = 1;
-    loop {
-        for (recipient, env) in out.drain() {
-            let targets = match recipient {
-                Recipient::All => 0..ctxs.len(),
-                Recipient::One(p) => p.0..p.0 + 1,
-            };
-            queue.extend(targets.map(|to| (at, to, env.clone())));
-        }
-        let Some((from, to, env)) = queue.pop_front() else {
-            break;
-        };
-        at = to;
-        chans[to].handle(PartyId(from), &env.pid, &env.body, &mut out);
-    }
+    let handle = |chan: &mut AtomicChannel, from, env: &Envelope, out: &mut Outgoing| {
+        chan.handle(from, &env.pid, &env.body, out)
+    };
+    run(&mut chans, 1, out, handle, |_, _| false);
     let mut chan = chans.swap_remove(0);
     assert_eq!(chan.round(), 1);
     let delivered = chan.take_delivery().map(|p| (p.origin.0, p.seq));
@@ -257,11 +293,8 @@ fn late_entries(ctxs: &[GroupContext]) -> [Row; 3] {
             kind: PayloadKind::App,
             data: b"request".to_vec(),
         };
-        let key = &ctxs[signer].keys().sig_key;
-        let entry = Entry::sign(&pid, round, vec![payload], PartyId(signer), key);
-        let statement = statement_entry(&pid, round, entry.digest());
-        let check_work =
-            priced(|| ctxs[0].verify_party_sig(entry.signer(), &statement, entry.sig()));
+        let entry = ctxs[signer].sign_entry(&pid, round, vec![payload]).forget();
+        let check_work = priced(|| ctxs[0].check_entry(&pid, round, &entry).is_some());
         let body = if fetched {
             Body::AcFetched { round, entry }
         } else {
@@ -280,6 +313,7 @@ fn late_entries(ctxs: &[GroupContext]) -> [Row; 3] {
 
 #[test]
 fn late_messages_are_dropped_before_any_signature_check() {
+    let _turn = ONE_TABLE_AT_A_TIME.lock();
     let ctxs = group();
     let mut table = vec![
         decide_after_decision(&ctxs),
@@ -292,5 +326,441 @@ fn late_messages_are_dropped_before_any_signature_check() {
         assert!(row.check_work > 0.0, "{}: the check is not free", row.what);
         assert_eq!(row.late.work, 0.0, "{}: work before the filter", row.what);
         assert!(!row.late.changed, "{}: state changed", row.what);
+    }
+}
+
+/// One row of the second table: a message that passes every state filter
+/// of a live instance and carries something that does not verify.
+struct Forged {
+    what: &'static str,
+    /// What the checks the handler owes the message cost, measured by
+    /// running them — the last of them fails.
+    check_work: f64,
+    offered: Offer,
+}
+
+fn refused(check: impl FnOnce() -> bool) -> f64 {
+    let scope = CostScope::enter();
+    assert!(!check(), "the message must not verify");
+    scope.elapsed()
+}
+
+fn forged_echo(ctxs: &[GroupContext]) -> Forged {
+    let pid = ProtocolId::new("cb-forged-echo");
+    let mut inst = ConsistentBroadcast::new(pid.clone(), ctxs[0].clone(), PartyId(0));
+    inst.send(b"payload".to_vec(), &mut Outgoing::new());
+    let statement = statement_cb(&pid, b"payload");
+    let elsewhere = statement_cb(&ProtocolId::new("cb-elsewhere"), b"payload");
+    let share = ctxs[1].sign_share(Thsig::Broadcast, &elsewhere).forget();
+    let echo = Body::CbEcho(share.clone());
+    Forged {
+        what: "cb-echo with a share on another instance's statement",
+        offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &echo, out)),
+        check_work: refused(|| {
+            ctxs[0]
+                .check_share(Thsig::Broadcast, &statement, &share)
+                .is_some()
+        }),
+    }
+}
+
+fn forged_final(ctxs: &[GroupContext]) -> Forged {
+    let pid = ProtocolId::new("cb-forged-final");
+    let mut inst = ConsistentBroadcast::new(pid.clone(), ctxs[2].clone(), PartyId(1));
+    let statement = statement_cb(&pid, b"payload");
+    let elsewhere = statement_cb(&ProtocolId::new("cb-elsewhere"), b"payload");
+    let sig = group_sig(ctxs, Thsig::Broadcast, &elsewhere);
+    let fin = Body::CbFinal {
+        payload: b"payload".to_vec(),
+        sig: sig.clone(),
+    };
+    Forged {
+        what: "cb-final with another instance's signature",
+        offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &fin, out)),
+        check_work: refused(|| {
+            ctxs[2]
+                .check_sig(Thsig::Broadcast, &statement, &sig)
+                .is_some()
+        }),
+    }
+}
+
+/// A validated agreement at party 0 that proposed 1 and holds validation
+/// data for 1 only; the predicate is free, so a row's work is signatures.
+fn validated(ctxs: &[GroupContext], pid: &ProtocolId) -> BinaryAgreement {
+    let validator = BinaryValidator::new(|_, proof| proof == b"ok");
+    let mut inst = BinaryAgreement::new(pid.clone(), ctxs[0].clone()).with_validator(validator);
+    inst.propose(true, b"ok".to_vec(), &mut Outgoing::new());
+    inst
+}
+
+fn forged_pre_vote(ctxs: &[GroupContext]) -> Forged {
+    let pid = ProtocolId::new("ba-forged-pre");
+    let mut inst = validated(ctxs, &pid);
+    // A justified pre-vote for 0, with data for 0 the instance lacks,
+    // under party 1's share on the pre-vote for 1.
+    let statement = statement_pre_vote(&pid, 1, false);
+    let transplanted = statement_pre_vote(&pid, 1, true);
+    let share = ctxs[1].sign_share(Thsig::Agreement, &transplanted).forget();
+    let pre_vote = Body::BaPreVote {
+        round: 1,
+        value: false,
+        just: PreVoteJust::Initial,
+        share: share.clone(),
+        proof: Some(b"ok".to_vec()),
+    };
+    Forged {
+        what: "ba-pre-vote with a share on the other value's statement",
+        offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &pre_vote, out)),
+        check_work: refused(|| {
+            ctxs[0]
+                .check_share(Thsig::Agreement, &statement, &share)
+                .is_some()
+        }),
+    }
+}
+
+fn forged_main_vote(ctxs: &[GroupContext]) -> Forged {
+    let pid = ProtocolId::new("ba-forged-main");
+    let mut inst = validated(ctxs, &pid);
+    // Justified by the group's signature on the pre-vote for 0, and again
+    // with data for 0; the share is on the main-vote for 1.
+    let just_statement = statement_pre_vote(&pid, 1, false);
+    let just = group_sig(ctxs, Thsig::Agreement, &just_statement);
+    let statement = statement_main_vote(&pid, 1, MainVote::Value(false));
+    let transplanted = statement_main_vote(&pid, 1, MainVote::Value(true));
+    let share = ctxs[1].sign_share(Thsig::Agreement, &transplanted).forget();
+    let main_vote = Body::BaMainVote {
+        round: 1,
+        vote: MainVote::Value(false),
+        just: MainVoteJust::Value(just.clone()),
+        share: share.clone(),
+        proof: Some(b"ok".to_vec()),
+    };
+    let checks = &ctxs[0];
+    Forged {
+        what: "ba-main-vote with a share on the other value's statement",
+        offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &main_vote, out)),
+        check_work: refused(|| {
+            checks
+                .check_sig(Thsig::Agreement, &just_statement, &just)
+                .is_some()
+                && checks
+                    .check_share(Thsig::Agreement, &statement, &share)
+                    .is_some()
+        }),
+    }
+}
+
+fn forged_decide(ctxs: &[GroupContext]) -> Forged {
+    let pid = ProtocolId::new("ba-forged-decide");
+    let mut inst = validated(ctxs, &pid);
+    let statement = statement_main_vote(&pid, 1, MainVote::Value(false));
+    let other_value = statement_main_vote(&pid, 1, MainVote::Value(true));
+    let sig = group_sig(ctxs, Thsig::Agreement, &other_value);
+    let decide = Body::BaDecide {
+        round: 1,
+        value: false,
+        sig: sig.clone(),
+        proof: Some(b"ok".to_vec()),
+    };
+    Forged {
+        what: "ba-decide with the signature on the other value",
+        offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &decide, out)),
+        check_work: refused(|| {
+            ctxs[0]
+                .check_sig(Thsig::Agreement, &statement, &sig)
+                .is_some()
+        }),
+    }
+}
+
+fn forged_coin_share(ctxs: &[GroupContext]) -> Forged {
+    let pid = ProtocolId::new("ba-forged-coin");
+    let mut inst = BinaryAgreement::new(pid.clone(), ctxs[0].clone());
+    let share_on = |from: usize, statement: Vec<u8>| {
+        ctxs[from].sign_share(Thsig::Agreement, &statement).forget()
+    };
+    let pre_vote = |from: usize, value: bool| Body::BaPreVote {
+        round: 1,
+        value,
+        just: PreVoteJust::Initial,
+        share: share_on(from, statement_pre_vote(&pid, 1, value)),
+        proof: None,
+    };
+    let abstain = |from: usize| Body::BaMainVote {
+        round: 1,
+        vote: MainVote::Abstain,
+        just: MainVoteJust::Abstain {
+            just0: Box::new(PreVoteJust::Initial),
+            just1: Box::new(PreVoteJust::Initial),
+            proof0: None,
+            proof1: None,
+        },
+        share: share_on(from, statement_main_vote(&pid, 1, MainVote::Abstain)),
+        proof: None,
+    };
+    // Pre-votes 1 (its own), 1 and 0, then three abstentions: nothing to
+    // decide or adopt, so it releases its coin share and waits for one
+    // more. Its own broadcasts come back as the network brings them.
+    let mut out = Outgoing::new();
+    inst.propose(true, Vec::new(), &mut out);
+    let mut script = VecDeque::from([
+        (1, pre_vote(1, true)),
+        (2, pre_vote(2, false)),
+        (1, abstain(1)),
+        (2, abstain(2)),
+    ]);
+    loop {
+        for (_, env) in out.drain().into_iter().rev() {
+            script.push_front((0, env.body));
+        }
+        let Some((from, body)) = script.pop_front() else {
+            break;
+        };
+        inst.handle(PartyId(from), &body, &mut out);
+    }
+    assert!(inst.snapshot_json().contains("collecting-coin"));
+    // Party 1's share of the next round's coin: parked for free, and
+    // with it the threshold is in sight, so the quarantine is flushed.
+    let share = ctxs[1].release_coin_share(&coin_name(&pid, 2)).forget();
+    let coin_share = Body::BaCoinShare {
+        round: 1,
+        share: share.clone(),
+    };
+    let name = coin_name(&pid, 1);
+    Forged {
+        what: "ba-coin-share of another round's coin, flushed",
+        offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &coin_share, out)),
+        check_work: refused(|| !ctxs[0].check_coin_shares(&name, [share]).is_empty()),
+    }
+}
+
+fn app(origin: usize, data: &[u8]) -> Vec<Payload> {
+    vec![Payload {
+        origin: PartyId(origin),
+        seq: 0,
+        kind: PayloadKind::App,
+        data: data.to_vec(),
+    }]
+}
+
+fn forged_entry(ctxs: &[GroupContext]) -> Forged {
+    let pid = ProtocolId::new("ac-forged-entry");
+    let mut chan = AtomicChannel::new(pid.clone(), ctxs[0].clone(), Default::default());
+    // Party 2's own entry, signed for round 5 and sent for round 0.
+    let entry = ctxs[2].sign_entry(&pid, 5, app(2, b"request")).forget();
+    let body = Body::AcEntry {
+        round: 0,
+        entry: entry.clone(),
+    };
+    Forged {
+        what: "ac-entry signed for another round",
+        offered: offer(&mut chan, |c, out| c.handle(PartyId(2), &pid, &body, out)),
+        check_work: refused(|| ctxs[0].check_entry(&pid, 0, &entry).is_some()),
+    }
+}
+
+fn forged_fetched(ctxs: &[GroupContext]) -> Forged {
+    let pid = ProtocolId::new("ac-forged-fetched");
+    let mut chan = AtomicChannel::new(pid.clone(), ctxs[1].clone(), Default::default());
+    // Entries of parties 2 and 3 arrive; party 1 adopts, holds n - t and
+    // proposes. With its own proposal back from the network and two more
+    // seen that name an entry of party 0 nobody broadcast, it asks.
+    let held = ctxs[2].sign_entry(&pid, 0, app(2, b"held"));
+    let too = ctxs[3].sign_entry(&pid, 0, app(3, b"too"));
+    let mut own = Outgoing::new();
+    for (signer, entry) in [(2, held.clone()), (3, too)] {
+        let entry = entry.forget();
+        chan.handle(
+            PartyId(signer),
+            &pid,
+            &Body::AcEntry { round: 0, entry },
+            &mut own,
+        );
+    }
+    for (_, env) in own.drain() {
+        if matches!(env.body, Body::CbSend(_)) {
+            chan.handle(PartyId(1), &env.pid, &env.body, &mut Outgoing::new());
+        }
+    }
+    let wanted = ctxs[0].sign_entry(&pid, 0, app(0, b"wanted"));
+    let refs: Vec<Unchecked<EntryRef>> = vec![wanted.to_ref().into(), held.to_ref().into()];
+    let mut out = Outgoing::new();
+    for proposer in [0, 3] {
+        let proposal = Body::CbSend(refs.to_bytes());
+        let bc = pid.child(format!("vba/0/bc/{proposer}"));
+        chan.handle(PartyId(proposer), &bc, &proposal, &mut out);
+    }
+    let asked = |(_, env): &(Recipient, Envelope)| matches!(env.body, Body::AcFetch { .. });
+    assert!(out.drain().iter().any(asked), "it asks for the entry");
+    // The reply names the wanted entry — party 0's, the wanted digest —
+    // under party 3's signature.
+    let by_another = ctxs[3].sign_entry(&pid, 0, wanted.payloads().to_vec());
+    let payloads = wanted.payloads().to_vec();
+    let entry: Unchecked<Entry> = Entry::new(payloads, PartyId(0), by_another.sig().clone()).into();
+    let body = Body::AcFetched {
+        round: 0,
+        entry: entry.clone(),
+    };
+    Forged {
+        what: "ac-fetched that was asked for, under another party's signature",
+        offered: offer(&mut chan, |c, out| c.handle(PartyId(3), &pid, &body, out)),
+        check_work: refused(|| ctxs[1].check_entry(&pid, 0, &entry).is_some()),
+    }
+}
+
+fn forged_dec_share(ctxs: &[GroupContext]) -> Forged {
+    let pid = ProtocolId::new("sc-forged");
+    let mut chans: Vec<SecureAtomicChannel> = ctxs
+        .iter()
+        .map(|c| SecureAtomicChannel::new(pid.clone(), c.clone(), Default::default()))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(9);
+    let mut out = Outgoing::new();
+    chans[1].send(b"secret".to_vec(), &mut rng, &mut out);
+    // No decryption share reaches party 0: it orders the ciphertext,
+    // releases its own share and waits for one more.
+    let handle = |chan: &mut SecureAtomicChannel, from, env: &Envelope, out: &mut Outgoing| {
+        chan.handle(from, &env.pid, &env.body, out)
+    };
+    let lost = |to: usize, body: &Body| to == 0 && matches!(body, Body::ScShare { .. });
+    run(&mut chans, 1, out, handle, lost);
+    let mut chan = chans.swap_remove(0);
+    let (origin, seq, ordered) = chan.take_ordered_ciphertext().expect("ordered");
+    assert!(!chan.can_receive(), "still encrypted");
+    let ct = Ciphertext::from_bytes(&ordered).unwrap();
+    // Party 1's share for another ciphertext of this channel.
+    let enc = &ctxs[1].keys().common.enc;
+    let other = enc.encrypt(pid.as_bytes(), b"other", &mut rng);
+    let share = ctxs[1].release_dec_share(&other).forget();
+    let body = Body::ScShare {
+        origin,
+        seq,
+        share: share.clone(),
+    };
+    Forged {
+        what: "sc-share for another ciphertext, its slot present",
+        offered: offer(&mut chan, |c, out| c.handle(PartyId(1), &pid, &body, out)),
+        check_work: refused(|| ctxs[0].check_dec_share(&ct, &share).is_some()),
+    }
+}
+
+fn forged_ack(ctxs: &[GroupContext]) -> Forged {
+    let pid = ProtocolId::new("opt-forged-ack");
+    let mut chan = OptimisticChannel::new(pid.clone(), ctxs[1].clone(), Default::default());
+    let digest = [7; 32];
+    let statement = statement_opt_ack(&pid, 1, 0, 0, &digest);
+    let other_slot = statement_opt_ack(&pid, 1, 0, 1, &digest);
+    let sig: Unchecked<_> = ctxs[2].keys().sig_key.sign(&other_slot).into();
+    let ack = Body::OptAck {
+        phase: 1,
+        epoch: 0,
+        seq: 0,
+        digest,
+        sig: sig.clone(),
+    };
+    Forged {
+        what: "opt-ack signed for another slot",
+        offered: offer(&mut chan, |c, out| c.handle(PartyId(2), &pid, &ack, out)),
+        check_work: refused(|| {
+            ctxs[1]
+                .check_party_sig(PartyId(2), &statement, &sig)
+                .is_some()
+        }),
+    }
+}
+
+fn forged_state(ctxs: &[GroupContext]) -> Forged {
+    let pid = ProtocolId::new("opt-forged-state");
+    let mut chan = OptimisticChannel::new(pid.clone(), ctxs[1].clone(), Default::default());
+    // Signed over the digest of no entries: the encoding of an empty
+    // sequence is its count.
+    let no_entries = payload_digest(&0u32.to_bytes());
+    let statement = statement_opt_state(&pid, 0, &no_entries);
+    let other_epoch = statement_opt_state(&pid, 1, &no_entries);
+    let sig: Unchecked<_> = ctxs[2].keys().sig_key.sign(&other_epoch).into();
+    let state = EpochState {
+        epoch: 0,
+        sender: PartyId(2),
+        entries: Vec::new(),
+        sig: sig.clone(),
+    };
+    let body = Body::OptState {
+        epoch: 0,
+        state: state.to_bytes(),
+    };
+    Forged {
+        what: "opt-state signed for another epoch",
+        offered: offer(&mut chan, |c, out| c.handle(PartyId(2), &pid, &body, out)),
+        check_work: refused(|| {
+            ctxs[1]
+                .check_party_sig(PartyId(2), &statement, &sig)
+                .is_some()
+        }),
+    }
+}
+
+fn forged_closing(ctxs: &[GroupContext]) -> Forged {
+    let pid = ProtocolId::new("vba-forged-closing");
+    let validator = ArrayValidator::always();
+    let mut inst = MultiValuedAgreement::new(
+        pid.clone(),
+        ctxs[0].clone(),
+        validator,
+        CandidateOrder::Fixed,
+    );
+    // Iteration 0 examines party 0's broadcast; the closing is of
+    // another agreement's.
+    let statement = statement_cb(&pid.child("bc/0"), b"candidate");
+    let elsewhere = statement_cb(&ProtocolId::new("vba-elsewhere/bc/0"), b"candidate");
+    let sig = group_sig(ctxs, Thsig::Broadcast, &elsewhere);
+    let closing = ClosingMessage {
+        payload: b"candidate".to_vec(),
+        sig: sig.clone(),
+    };
+    let vote = Body::VbaVote {
+        iteration: 0,
+        yes: true,
+        closing: Some(closing.to_bytes()),
+    };
+    Forged {
+        what: "vba-vote whose closing is of another instance",
+        offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &pid, &vote, out)),
+        check_work: refused(|| {
+            ctxs[0]
+                .check_sig(Thsig::Broadcast, &statement, &sig)
+                .is_some()
+        }),
+    }
+}
+
+#[test]
+fn forged_messages_cost_their_check_and_change_nothing() {
+    let _turn = ONE_TABLE_AT_A_TIME.lock();
+    let ctxs = group();
+    let table = [
+        forged_echo(&ctxs),
+        forged_final(&ctxs),
+        forged_pre_vote(&ctxs),
+        forged_main_vote(&ctxs),
+        forged_decide(&ctxs),
+        forged_coin_share(&ctxs),
+        forged_entry(&ctxs),
+        forged_fetched(&ctxs),
+        forged_dec_share(&ctxs),
+        forged_ack(&ctxs),
+        forged_state(&ctxs),
+        forged_closing(&ctxs),
+    ];
+    for row in table {
+        let (spent, owed) = (row.offered.work, row.check_work);
+        assert!(owed > 0.0, "{}: the check is not free", row.what);
+        assert!(
+            (spent - owed).abs() < 1e-9,
+            "{}: {spent} work units for checks worth {owed}",
+            row.what
+        );
+        assert!(!row.offered.changed, "{}: state changed", row.what);
     }
 }

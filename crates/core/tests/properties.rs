@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use sintra_core::agreement::{BinaryAgreement, CandidateOrder, MultiValuedAgreement};
 use sintra_core::channel::{AtomicChannel, AtomicChannelConfig};
+use sintra_core::checked::Unchecked;
 use sintra_core::message::{
     payload_digest, statement_cb, statement_entry, statement_pre_vote, Body, Entry, EntryRef,
     Envelope, Payload, PayloadKind,
@@ -68,8 +69,14 @@ fn body_strategy() -> impl Strategy<Value = Body> {
                     RsaSignature(sintra_bigint::Ubig::from(seq)),
                 );
                 match shape {
-                    0 => Body::AcEntry { round, entry },
-                    1 => Body::AcFetched { round, entry },
+                    0 => Body::AcEntry {
+                        round,
+                        entry: entry.into(),
+                    },
+                    1 => Body::AcFetched {
+                        round,
+                        entry: entry.into(),
+                    },
                     _ => Body::AcFetch {
                         round,
                         signer: entry.signer(),
@@ -101,7 +108,7 @@ proptest! {
         let _ = Body::from_bytes(&data);
         let _ = Payload::from_bytes(&data);
         let _ = Entry::from_bytes(&data);
-        let _ = Vec::<EntryRef>::from_bytes(&data);
+        let _ = Vec::<Unchecked<EntryRef>>::from_bytes(&data);
     }
 
     #[test]

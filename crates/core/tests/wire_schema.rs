@@ -1,12 +1,16 @@
 //! The golden gate: `WIRE_SCHEMA.json` is what the declared layouts
 //! render to, a changed layout needs a version bump, and the schema is
 //! closed — every codec written by hand is on a short list, with the
-//! reason a declaration cannot say it in the golden itself.
+//! reason a declaration cannot say it in the golden itself. And what a
+//! message carries to be checked is declared `Unchecked`, so that no
+//! handler can store it before a check returned it.
 
 use std::collections::BTreeSet;
 
-use sintra_core::schema::{layouts, regenerate, render};
-use sintra_core::wire::Shape;
+use sintra_core::checked::Unchecked;
+use sintra_core::schema::{layouts, regenerate, render, ROOTS};
+use sintra_core::wire::{Field, Layout, Shape, Wire};
+use sintra_crypto::thsig::SigShare;
 
 const GOLDEN: &str = include_str!("../../../WIRE_SCHEMA.json");
 
@@ -77,4 +81,60 @@ fn schema_is_closed_and_tags_are_unique() {
     ];
     assert_eq!(atoms, BTreeSet::from(expected_atoms));
     assert_eq!(by_hand, BTreeSet::from(["Entry", "MainVote"]));
+}
+
+/// The types a handler must check before acting on them.
+const SIGNED: [&str; 7] = [
+    "SigShare",
+    "ThresholdSignature",
+    "RsaSignature",
+    "CoinShare",
+    "DecryptionShare",
+    "Entry",
+    "EntryRef",
+];
+
+/// Where under `layout` a signed type is declared bare. An `Unchecked`
+/// value is unchecked as a whole: the signature inside an entry or a
+/// share is a part of it, not a declaration of its own.
+fn bare_signed(layout: &Layout, path: &str, found: &mut Vec<String>) {
+    if layout.unchecked {
+        return;
+    }
+    let path = format!("{path}/{}", layout.name);
+    if SIGNED.contains(&layout.name) {
+        found.push(path);
+        return;
+    }
+    for child in layout.children() {
+        bare_signed(child, &path, found);
+    }
+}
+
+#[test]
+fn every_signed_wire_field_is_declared_unchecked() {
+    let mut found = Vec::new();
+    for root in ROOTS {
+        bare_signed(root, "", &mut found);
+    }
+    assert_eq!(
+        found,
+        Vec::<String>::new(),
+        "declared bare: write the field as `Unchecked<_>`, and the handler \
+         cannot store it until a `check_*` of `GroupContext` returns it"
+    );
+    // The walk does see a bare declaration: a new body with a share
+    // written as `SigShare`, and the same written as it should be.
+    static BARE: [Field; 1] = [Field::new("share", &SigShare::LAYOUT, None)];
+    static DECLARED: [Field; 1] = [Field::new("share", &<Unchecked<SigShare>>::LAYOUT, None)];
+    let body = |fields| Layout {
+        name: "NewBody",
+        by_hand: None,
+        unchecked: false,
+        shape: Shape::Struct(fields),
+    };
+    bare_signed(&body(&BARE), "", &mut found);
+    assert_eq!(found, ["/NewBody/SigShare"]);
+    bare_signed(&body(&DECLARED), "", &mut found);
+    assert_eq!(found.len(), 1);
 }

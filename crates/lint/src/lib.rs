@@ -5,11 +5,13 @@
 //! must be deterministic, that `n`/`t` threshold arithmetic must have one
 //! definition, that a violated invariant must dump evidence before dying,
 //! and that wire bytes are frozen forever. This crate checks those
-//! obligations — six rule families: `determinism`, `quorum-arithmetic`,
-//! `panic-policy`, `wire-stability`, `unsafe-budget` and the cross-file
-//! `verify-before-mutate` — at the token level, with no dependencies (the build
-//! environment has no crates.io access, and the checker for a
-//! supply-chain-sensitive codebase should itself have no supply chain).
+//! obligations — five rule families: `determinism`, `quorum-arithmetic`,
+//! `panic-policy`, `wire-stability` and `unsafe-budget` — at the token
+//! level, one file at a time, with no dependencies (the build environment
+//! has no crates.io access, and the checker for a supply-chain-sensitive
+//! codebase should itself have no supply chain). What a type can say is
+//! left to the types: that a replica checks a signature before it acts on
+//! it is `sintra_core::checked`, not a rule here.
 //!
 //! Findings can be suppressed per line with
 //! `// lint:allow(<rule>): <reason>` — the reason is mandatory, and a
@@ -20,29 +22,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ir;
 pub mod lexer;
-pub mod obligations;
-pub mod parse;
 pub mod rules;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use lexer::Comment;
 use rules::RawFinding;
-
-/// A supporting evidence location cited by a cross-file finding.
-#[derive(Debug, Clone)]
-pub struct Related {
-    /// Workspace-relative path with forward slashes.
-    pub path: String,
-    /// 1-based line number.
-    pub line: u32,
-    /// What this location shows.
-    pub note: String,
-}
 
 /// One rule violation in one file.
 #[derive(Debug, Clone)]
@@ -58,9 +46,6 @@ pub struct Finding {
     pub message: String,
     /// `Some(reason)` when a `lint:allow` directive covers this finding.
     pub suppressed: Option<String>,
-    /// Evidence in other locations (cross-file rules only). Suppression
-    /// applies at the primary `path:line`, never at a related site.
-    pub related: Vec<Related>,
 }
 
 impl Finding {
@@ -169,7 +154,6 @@ pub fn analyze_source(path: &str, src: &str) -> Vec<Finding> {
                 line: f.line,
                 message: f.message,
                 suppressed,
-                related: Vec::new(),
             }
         })
         .collect();
@@ -179,100 +163,16 @@ pub fn analyze_source(path: &str, src: &str) -> Vec<Finding> {
         line: f.line,
         message: f.message,
         suppressed: None,
-        related: Vec::new(),
     }));
     out.sort_by(|a, b| (a.line, a.rule, &a.message).cmp(&(b.line, b.rule, &b.message)));
     out
 }
 
-/// Analyzes a set of files together: every per-file rule plus the
-/// cross-file rule family (`verify-before-mutate`) that needs the whole
-/// workspace IR.
-///
-/// Cross-file findings carry [`Related`] evidence locations; suppression
-/// applies at the finding's *primary* location — a `lint:allow` on the
-/// handler match arm suppresses a verify-before-mutate finding even when
-/// the mutation evidence lives in another file.
+/// Analyzes a set of `(workspace-relative path, source)` files, each on
+/// its own, in the order given.
 pub fn analyze_sources(files: &[(String, String)]) -> Vec<Finding> {
-    let normed: Vec<(String, String)> = files
-        .iter()
-        .map(|(p, s)| (p.replace('\\', "/"), s.clone()))
-        .collect();
-    let workspace = ir::WorkspaceIr::build(&normed);
-
-    let mut out = Vec::new();
-    // path → directive coverage (rule, line, reason), for cross findings.
-    let mut coverage: BTreeMap<String, Vec<(&'static str, u32, String)>> = BTreeMap::new();
-    for file in &workspace.files {
-        let (directives, malformed) = parse_directives(&file.lexed.comments);
-        let mut covered: Vec<(&'static str, u32, String)> = Vec::new();
-        for d in &directives {
-            covered.push((d.rule, d.line, d.reason.clone()));
-            if let Some(next) = file
-                .lexed
-                .tokens
-                .iter()
-                .map(|t| t.line)
-                .find(|l| *l > d.line)
-            {
-                covered.push((d.rule, next, d.reason.clone()));
-            }
-        }
-        for f in rules::run_rules(&file.path, &file.lexed) {
-            let suppressed = covered
-                .iter()
-                .find(|(r, l, _)| *r == f.rule && *l == f.line)
-                .map(|(_, _, reason)| reason.clone());
-            out.push(Finding {
-                rule: f.rule,
-                path: file.path.clone(),
-                line: f.line,
-                message: f.message,
-                suppressed,
-                related: Vec::new(),
-            });
-        }
-        for f in malformed {
-            out.push(Finding {
-                rule: f.rule,
-                path: file.path.clone(),
-                line: f.line,
-                message: f.message,
-                suppressed: None,
-                related: Vec::new(),
-            });
-        }
-        coverage.insert(file.path.clone(), covered);
-    }
-
-    for c in obligations::check(&workspace) {
-        let suppressed = coverage.get(&c.path).and_then(|cov| {
-            cov.iter()
-                .find(|(r, l, _)| *r == c.rule && *l == c.line)
-                .map(|(_, _, reason)| reason.clone())
-        });
-        out.push(Finding {
-            rule: c.rule,
-            path: c.path,
-            line: c.line,
-            message: c.message,
-            suppressed,
-            related: c
-                .related
-                .into_iter()
-                .map(|r| Related {
-                    path: r.path,
-                    line: r.line,
-                    note: r.note,
-                })
-                .collect(),
-        });
-    }
-
-    out.sort_by(|a, b| {
-        (&a.path, a.line, a.rule, &a.message).cmp(&(&b.path, b.line, b.rule, &b.message))
-    });
-    out
+    let per_file = files.iter().map(|(path, src)| analyze_source(path, src));
+    per_file.flatten().collect()
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -318,8 +218,7 @@ pub fn collect_workspace_files(root: &Path) -> std::io::Result<Vec<(String, Stri
     Ok(out)
 }
 
-/// Analyzes every `crates/*/src/**/*.rs` file under a workspace root,
-/// including the cross-file rule.
+/// Analyzes every `crates/*/src/**/*.rs` file under a workspace root.
 ///
 /// Files are visited in sorted path order so output (and the JSON report)
 /// is deterministic — the analyzer holds itself to the rule it enforces.
@@ -437,12 +336,8 @@ pub fn status_of(f: &Finding, baseline: &BTreeSet<String>) -> Status {
     }
 }
 
-/// Renders the `sintra-lint-v2` JSON report.
-///
-/// v2 extends v1 with a `related` array per finding: the evidence
-/// locations of cross-file rules (e.g. the mutation site and the wire
-/// body declaration behind a `verify-before-mutate` hit). Findings from
-/// per-file rules carry an empty array.
+/// Renders the `sintra-lint-v3` JSON report: v2 without the `related`
+/// arrays, which only the cross-file rule filled.
 pub fn render_json(findings: &[Finding], baseline: &BTreeSet<String>) -> String {
     let mut open = 0usize;
     let mut suppressed = 0usize;
@@ -479,23 +374,10 @@ pub fn render_json(findings: &[Finding], baseline: &BTreeSet<String>) -> String 
         if let Some(reason) = &f.suppressed {
             let _ = write!(body, ", \"reason\": \"{}\"", json_escape(reason));
         }
-        let related: Vec<String> = f
-            .related
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"path\": \"{}\", \"line\": {}, \"note\": \"{}\"}}",
-                    json_escape(&r.path),
-                    r.line,
-                    json_escape(&r.note)
-                )
-            })
-            .collect();
-        let _ = write!(body, ", \"related\": [{}]", related.join(", "));
         body.push('}');
     }
     format!(
-        "{{\n  \"format\": \"sintra-lint-v2\",\n  \"rules\": [{}],\n  \"summary\": {{\"total\": {}, \"open\": {}, \"suppressed\": {}, \"baselined\": {}}},\n  \"findings\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"format\": \"sintra-lint-v3\",\n  \"rules\": [{}],\n  \"summary\": {{\"total\": {}, \"open\": {}, \"suppressed\": {}, \"baselined\": {}}},\n  \"findings\": [\n{}\n  ]\n}}\n",
         rules::RULES
             .iter()
             .map(|r| format!("\"{r}\""))
@@ -610,9 +492,8 @@ mod tests {
     fn json_report_is_tagged_and_escaped() {
         let findings = analyze_source(CORE, "use std::collections::HashMap;\n");
         let json = render_json(&findings, &BTreeSet::new());
-        assert!(json.contains("\"format\": \"sintra-lint-v2\""));
+        assert!(json.contains("\"format\": \"sintra-lint-v3\""));
         assert!(json.contains("\"open\": 1"));
         assert!(json.contains("`HashMap`"));
-        assert!(json.contains("\"related\": []"));
     }
 }

@@ -17,7 +17,7 @@ use std::process::ExitCode;
 
 use sintra_lint::{
     analyze_workspace, parse_baseline, render_baseline, render_human, render_json, status_of,
-    Finding, Status,
+    Status,
 };
 
 const USAGE: &str = "usage: sintra-lint [--root DIR] [--format human|json] [--out FILE] [--baseline FILE] [--write-baseline] [--changed-only [--base REF]]";
@@ -48,12 +48,6 @@ fn changed_paths(root: &Path, base: &str) -> Result<BTreeSet<String>, String> {
         .map(|l| l.trim().replace('\\', "/"))
         .filter(|l| !l.is_empty())
         .collect())
-}
-
-/// Whether a finding touches any changed path, at its primary location or
-/// any related (cross-file evidence) location.
-fn touches_changed(f: &Finding, changed: &BTreeSet<String>) -> bool {
-    changed.contains(&f.path) || f.related.iter().any(|r| changed.contains(&r.path))
 }
 
 fn main() -> ExitCode {
@@ -111,13 +105,11 @@ fn main() -> ExitCode {
     };
 
     if changed_only {
-        // Analysis always runs over the whole workspace (the cross-file
-        // rules need global context); only the report is narrowed.
         let changed = match changed_paths(&root, &base) {
             Ok(c) => c,
             Err(e) => return fail(&e),
         };
-        findings.retain(|f| touches_changed(f, &changed));
+        findings.retain(|f| changed.contains(&f.path));
     }
 
     let baseline_path = baseline_file.unwrap_or_else(|| root.join("crates/lint/baseline.json"));

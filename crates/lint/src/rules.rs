@@ -35,9 +35,6 @@ pub const PANIC_POLICY: &str = "panic-policy";
 pub const WIRE_STABILITY: &str = "wire-stability";
 /// Rule name: `unsafe` only via the per-crate allowlist.
 pub const UNSAFE_BUDGET: &str = "unsafe-budget";
-/// Rule name: handlers must discharge the message's verification
-/// obligation before the first protocol-state mutation (cross-file).
-pub const VERIFY_MUTATE: &str = "verify-before-mutate";
 /// Pseudo-rule for malformed `lint:allow` directives (cannot be suppressed).
 pub const LINT_DIRECTIVE: &str = "lint-directive";
 
@@ -48,7 +45,6 @@ pub const RULES: &[&str] = &[
     PANIC_POLICY,
     WIRE_STABILITY,
     UNSAFE_BUDGET,
-    VERIFY_MUTATE,
 ];
 
 /// Crate-path prefixes permitted to contain `unsafe` code. Deliberately
@@ -64,18 +60,6 @@ pub struct RawFinding {
     pub line: u32,
     /// Human-readable description, stable across runs (baseline key).
     pub message: String,
-}
-
-/// A supporting evidence location for a cross-file finding, before
-/// suppression processing.
-#[derive(Debug, Clone)]
-pub struct RawRelated {
-    /// Workspace-relative path of the evidence.
-    pub path: String,
-    /// 1-based line.
-    pub line: u32,
-    /// What this location shows (e.g. "first mutation here").
-    pub note: String,
 }
 
 fn in_core(path: &str) -> bool {

@@ -224,7 +224,7 @@ impl ByzantineActor for EntryRelay {
         );
         let body = Body::AcEntry {
             round: *round,
-            entry,
+            entry: entry.into(),
         };
         vec![(
             Recipient::All,
@@ -295,7 +295,7 @@ impl ByzantineActor for EntryWithhold {
             .map(|p| {
                 let body = Body::AcEntry {
                     round: *round,
-                    entry: entry.clone(),
+                    entry: entry.clone().into(),
                 };
                 (
                     Recipient::One(PartyId(p)),
@@ -381,7 +381,7 @@ mod tests {
             send_seq: 0,
             body: Body::AcEntry {
                 round,
-                entry: Entry::sign(&pid, round, payloads, PartyId(2), &keys[2].sig_key),
+                entry: Entry::sign(&pid, round, payloads, PartyId(2), &keys[2].sig_key).into(),
             },
         };
         let mut relay = EntryRelay::new(keys[0].clone(), Mangle::Suffix);

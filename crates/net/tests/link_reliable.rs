@@ -163,6 +163,7 @@ fn queue_bound_backpressure_recovers_after_acks() {
 #[test]
 fn worst_case_proposal_crosses_the_link() {
     use sintra_bigint::Ubig;
+    use sintra_core::checked::Unchecked;
     use sintra_core::message::{
         Body, Entry, EntryRef, Envelope, MainVote, MainVoteJust, Payload, PayloadKind, PreVoteJust,
         MAX_ENTRY_BYTES, MAX_ENTRY_PAYLOADS,
@@ -191,36 +192,40 @@ fn worst_case_proposal_crosses_the_link() {
     assert!(full.well_formed() && lone_giant.well_formed());
 
     let proposal = (0..n - t)
-        .map(|signer| entry(signer, 1, 1).to_ref())
-        .collect::<Vec<EntryRef>>()
+        .map(|signer| entry(signer, 1, 1).to_ref().into())
+        .collect::<Vec<Unchecked<EntryRef>>>()
         .to_bytes();
     let quorum_sig = || ThresholdSignature::Multi((0..n - t).map(|i| (i, sig())).collect());
     let carried_thrice = Body::BaMainVote {
         round: 2,
         vote: MainVote::Abstain,
         just: MainVoteJust::Abstain {
-            just0: Box::new(PreVoteJust::Hard(quorum_sig())),
-            just1: Box::new(PreVoteJust::Hard(quorum_sig())),
+            just0: Box::new(PreVoteJust::Hard(quorum_sig().into())),
+            just1: Box::new(PreVoteJust::Hard(quorum_sig().into())),
             proof0: Some(proposal.clone()),
             proof1: Some(proposal.clone()),
         },
         share: SigShare {
             index: 0,
             body: SigShareBody::Multi { sig: sig() },
-        },
+        }
+        .into(),
         proof: Some(proposal),
     };
     let round = u64::MAX;
     let (mut tx, mut rx) = link_pair(16);
     for (body, at_most) in [
         (
-            Body::AcEntry { round, entry: full },
+            Body::AcEntry {
+                round,
+                entry: full.into(),
+            },
             MAX_ENTRY_BYTES + 8 * 1024,
         ),
         (
             Body::AcFetched {
                 round,
-                entry: lone_giant,
+                entry: lone_giant.into(),
             },
             MAX_FRAME_LEN / 8,
         ),

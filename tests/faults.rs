@@ -180,7 +180,10 @@ impl ByzantineActor for EntryForger {
                     Envelope {
                         pid: self.pid.clone(),
                         send_seq: 0,
-                        body: Body::AcEntry { round: 0, entry },
+                        body: Body::AcEntry {
+                            round: 0,
+                            entry: entry.into(),
+                        },
                     },
                 )
             })
