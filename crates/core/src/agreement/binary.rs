@@ -67,6 +67,23 @@ enum Justified {
     },
 }
 
+impl Justified {
+    /// The threshold signature the justification rests on.
+    fn sig(&self) -> Option<&Checked<ThresholdSignature>> {
+        match self {
+            Justified::Initial => None,
+            Justified::Hard(sig) | Justified::Soft { sig, .. } => Some(sig),
+        }
+    }
+}
+
+/// The external validity predicate as a call sees it: the instance's own
+/// validator, or its owner's with the owner's state in view.
+type Valid<'a> = &'a dyn Fn(bool, &[u8]) -> bool;
+
+/// Validation data that has just passed the validator for its bit.
+struct ValidProof<'a>(&'a [u8]);
+
 impl From<Justified> for PreVoteJust {
     fn from(just: Justified) -> Self {
         match just {
@@ -84,8 +101,11 @@ impl From<Justified> for PreVoteJust {
 struct RoundState {
     /// Accepted pre-votes: party -> (value, signature share).
     pre_votes: BTreeMap<PartyId, (bool, Checked<SigShare>)>,
-    /// First accepted pre-vote justification (+ proof) per bit, used as
-    /// abstain evidence.
+    /// This party's own vote shares of the round, as it sent them: what
+    /// comes back from its broadcasts.
+    sent: Vec<Checked<SigShare>>,
+    /// First accepted pre-vote justification per bit, with the
+    /// validation data this party holds for the bit: abstain evidence.
     pre_just: [Option<(Justified, Option<Vec<u8>>)>; 2],
     /// Whether the pre-vote quorum has already been evaluated.
     pre_evaluated: bool,
@@ -179,6 +199,16 @@ impl BinaryAgreement {
     ///
     /// Panics if called twice, or if the proposal fails validation.
     pub fn propose(&mut self, value: bool, proof: Vec<u8>, out: &mut Outgoing) {
+        let validator = self.validator.clone();
+        let valid = |value: bool, proof: &[u8]| validator.is_valid(value, proof);
+        self.propose_with(&valid, value, proof, out);
+    }
+
+    /// [`Self::propose`] with `valid` standing in for the instance's
+    /// validator during this call: the same predicate, evaluated by an
+    /// owner that can compare validation data with what it already holds
+    /// before it verifies anything.
+    pub fn propose_with(&mut self, valid: Valid, value: bool, proof: Vec<u8>, out: &mut Outgoing) {
         if self.stage == Stage::Done {
             // A valid decide message arrived before we proposed (possible
             // after partitions): the decision stands, our proposal is moot.
@@ -186,7 +216,7 @@ impl BinaryAgreement {
         }
         assert_eq!(self.stage, Stage::Idle, "propose may be executed once");
         assert!(
-            !self.validated || self.validator.is_valid(value, &proof),
+            !self.validated || valid(value, &proof),
             "own proposal must satisfy the validator"
         );
         if self.validated {
@@ -237,6 +267,8 @@ impl BinaryAgreement {
         });
         let statement = statement_pre_vote(&self.pid, self.round, self.preference);
         let share = self.ctx.sign_share(Thsig::Agreement, &statement);
+        let state = self.rounds.entry(self.round).or_default();
+        state.sent.push(share.clone());
         let proof = if self.validated {
             self.proofs[self.preference as usize].clone()
         } else {
@@ -258,6 +290,14 @@ impl BinaryAgreement {
 
     /// Processes a protocol message from `from`.
     pub fn handle(&mut self, from: PartyId, body: &Body, out: &mut Outgoing) {
+        let validator = self.validator.clone();
+        let valid = |value: bool, proof: &[u8]| validator.is_valid(value, proof);
+        self.handle_with(&valid, from, body, out);
+    }
+
+    /// [`Self::handle`] with `valid` standing in for the instance's
+    /// validator during this call (see [`Self::propose_with`]).
+    pub fn handle_with(&mut self, valid: Valid, from: PartyId, body: &Body, out: &mut Outgoing) {
         if self.stage == Stage::Done || !self.ctx.is_valid_party(from) {
             return;
         }
@@ -268,76 +308,118 @@ impl BinaryAgreement {
                 just,
                 share,
                 proof,
-            } => self.on_pre_vote(from, *round, *value, just, share, proof.as_deref()),
+            } => self.on_pre_vote(valid, from, *round, *value, just, share, proof.as_deref()),
             Body::BaMainVote {
                 round,
                 vote,
                 just,
                 share,
                 proof,
-            } => self.on_main_vote(from, *round, *vote, just, share, proof.as_deref()),
+            } => self.on_main_vote(valid, from, *round, *vote, just, share, proof.as_deref()),
             Body::BaCoinShare { round, share } => self.on_coin_share(from, *round, share),
             Body::BaDecide {
                 round,
                 value,
                 sig,
                 proof,
-            } => self.on_decide(*round, *value, sig, proof.as_deref(), out),
+            } => self.on_decide(valid, *round, *value, sig, proof.as_deref(), out),
             _ => return,
         }
         self.try_advance(out);
     }
 
+    /// `proof` if this party holds no validation data for `value` yet and
+    /// the validator accepts it; what it holds is not evaluated again.
+    fn fresh_proof<'p>(
+        &self,
+        valid: Valid,
+        value: bool,
+        proof: Option<&'p [u8]>,
+    ) -> Option<ValidProof<'p>> {
+        if !self.validated || self.proofs[value as usize].is_some() {
+            return None;
+        }
+        proof.filter(|p| valid(value, p)).map(ValidProof)
+    }
+
     /// Caches externally validated proof data for a bit, on behalf of a
     /// message whose share or signature checked out: an unverified sender
     /// must not seed the proof cache.
-    fn note_proof<W>(&mut self, _checked: &Checked<W>, value: bool, proof: Option<&[u8]>) {
-        if !self.validated || self.proofs[value as usize].is_some() {
-            return;
-        }
-        if let Some(p) = proof {
-            if self.validator.is_valid(value, p) {
-                self.proofs[value as usize] = Some(p.to_vec());
-            }
+    fn note_proof<W>(&mut self, _checked: &Checked<W>, value: bool, proof: Option<ValidProof>) {
+        let held = &mut self.proofs[value as usize];
+        if let (None, Some(ValidProof(proof))) = (&held, proof) {
+            *held = Some(proof.to_vec());
         }
     }
 
-    /// Checks a pre-vote justification for `(round, value)`, yielding it
-    /// with what it carried checked. `proof` is the external validation
-    /// data accompanying the message.
-    fn pre_vote_justified(
+    /// A threshold signature on a vote statement of `round`, checked but
+    /// for what this party holds: compared whole with the justifications
+    /// it accepted or assembled for that round's votes, then component by
+    /// component with that round's vote shares. What each of those stands
+    /// under is compared with `statement`, so all of them are offered.
+    fn check_round_sig(
         &self,
+        round: u32,
+        statement: &[u8],
+        sig: &Unchecked<ThresholdSignature>,
+    ) -> Option<Checked<ThresholdSignature>> {
+        let state = self.rounds.get(&round);
+        let next = self.rounds.get(&(round + 1));
+        let adopted = state.and_then(|s| s.value_just.as_ref());
+        let carried = next.into_iter().flat_map(|s| s.pre_just.iter().flatten());
+        let sigs = adopted
+            .map(|(_, sig)| sig)
+            .into_iter()
+            .chain(carried.filter_map(|(just, _)| just.sig()))
+            .chain(self.next_just.sig());
+        let shares = state.into_iter().flat_map(|s| {
+            let pre = s.pre_votes.values().map(|(_, share)| share);
+            pre.chain(s.main_votes.values().map(|(_, share)| share))
+        });
+        self.ctx
+            .check_sig_holding(Thsig::Agreement, statement, sig, sigs, shares)
+    }
+
+    /// Checks a pre-vote justification for `(round, value)`, yielding it
+    /// with what it carried checked, and the accompanying external
+    /// validation data `proof` if the justification rested on it.
+    fn pre_vote_justified<'p>(
+        &self,
+        valid: Valid,
         round: u32,
         value: bool,
         just: &PreVoteJust,
-        proof: Option<&[u8]>,
-    ) -> Option<Justified> {
+        proof: Option<&'p [u8]>,
+    ) -> Option<(Justified, Option<ValidProof<'p>>)> {
         match just {
             PreVoteJust::Initial => {
-                // Validated: either the message carries a valid proof or
-                // we know one.
-                let justified = round == 1
-                    && (!self.validated
-                        || proof.is_some_and(|p| self.validator.is_valid(value, p))
-                        || self.proofs[value as usize].is_some());
-                justified.then_some(Justified::Initial)
+                if round != 1 {
+                    return None;
+                }
+                // Validated: either we know a valid proof, or the message
+                // carries one.
+                if !self.validated || self.proofs[value as usize].is_some() {
+                    return Some((Justified::Initial, None));
+                }
+                let fresh = self.fresh_proof(valid, value, proof)?;
+                Some((Justified::Initial, Some(fresh)))
             }
             PreVoteJust::Hard(sig) => {
                 if round <= 1 {
                     return None;
                 }
                 let statement = statement_pre_vote(&self.pid, round - 1, value);
-                let sig = self.ctx.check_sig(Thsig::Agreement, &statement, sig)?;
-                Some(Justified::Hard(sig))
+                let sig = self.check_round_sig(round - 1, &statement, sig)?;
+                Some((Justified::Hard(sig), None))
             }
             PreVoteJust::Soft { sig, coin_shares } => {
                 if round <= 1 {
                     return None;
                 }
                 let statement = statement_main_vote(&self.pid, round - 1, MainVote::Abstain);
-                let sig = self.ctx.check_sig(Thsig::Agreement, &statement, sig)?;
+                let sig = self.check_round_sig(round - 1, &statement, sig)?;
                 let (coin, coin_shares) = self.coin_value_from_shares(round - 1, coin_shares)?;
-                (coin == value).then_some(Justified::Soft { sig, coin_shares })
+                (coin == value).then_some((Justified::Soft { sig, coin_shares }, None))
             }
         }
     }
@@ -357,8 +439,16 @@ impl BinaryAgreement {
         self.ctx.open_coin(&coin_name(&self.pid, round), shares)
     }
 
+    /// This party's own share of `round`, which a share coming back from
+    /// its broadcast equals.
+    fn sent(&self, round: u32) -> impl Iterator<Item = &Checked<SigShare>> {
+        self.rounds.get(&round).into_iter().flat_map(|s| &s.sent)
+    }
+
+    #[allow(clippy::too_many_arguments)]
     fn on_pre_vote(
         &mut self,
+        valid: Valid,
         from: PartyId,
         round: u32,
         value: bool,
@@ -376,18 +466,26 @@ impl BinaryAgreement {
         {
             return;
         }
-        let Some(just) = self.pre_vote_justified(round, value, just, proof) else {
+        let Some((just, fresh)) = self.pre_vote_justified(valid, round, value, just, proof) else {
             return;
         };
         let statement = statement_pre_vote(&self.pid, round, value);
-        let Some(share) = self.ctx.check_share(Thsig::Agreement, &statement, share) else {
+        let Some(share) =
+            self.ctx
+                .check_share_holding(Thsig::Agreement, &statement, share, self.sent(round))
+        else {
             return;
         };
-        self.note_proof(&share, value, proof);
+        let fresh = fresh.or_else(|| self.fresh_proof(valid, value, proof));
+        self.note_proof(&share, value, fresh);
+        // Abstain evidence carries the data this party validated, not
+        // what the first pre-voter sent along: an `Initial` pre-vote is
+        // accepted on the held data whatever it carried.
+        let held = self.proofs[value as usize].clone();
         let state = self.rounds.entry(round).or_default();
         state.pre_votes.insert(from, (value, share));
         if state.pre_just[value as usize].is_none() {
-            state.pre_just[value as usize] = Some((just, proof.map(<[u8]>::to_vec)));
+            state.pre_just[value as usize] = Some((just, held));
         }
     }
 
@@ -396,6 +494,7 @@ impl BinaryAgreement {
     /// that a value vote carried.
     fn main_vote_justified(
         &self,
+        valid: Valid,
         round: u32,
         vote: MainVote,
         just: &MainVoteJust,
@@ -403,7 +502,7 @@ impl BinaryAgreement {
         match (vote, just) {
             (MainVote::Value(b), MainVoteJust::Value(sig)) => {
                 let statement = statement_pre_vote(&self.pid, round, b);
-                let sig = self.ctx.check_sig(Thsig::Agreement, &statement, sig)?;
+                let sig = self.check_round_sig(round, &statement, sig)?;
                 Some(Some(sig))
             }
             (
@@ -415,16 +514,18 @@ impl BinaryAgreement {
                     proof1,
                 },
             ) => {
-                self.pre_vote_justified(round, false, just0, proof0.as_deref())?;
-                self.pre_vote_justified(round, true, just1, proof1.as_deref())?;
+                self.pre_vote_justified(valid, round, false, just0, proof0.as_deref())?;
+                self.pre_vote_justified(valid, round, true, just1, proof1.as_deref())?;
                 Some(None)
             }
             _ => None,
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn on_main_vote(
         &mut self,
+        valid: Valid,
         from: PartyId,
         round: u32,
         vote: MainVote,
@@ -442,15 +543,19 @@ impl BinaryAgreement {
         {
             return;
         }
-        let Some(value_sig) = self.main_vote_justified(round, vote, just) else {
+        let Some(value_sig) = self.main_vote_justified(valid, round, vote, just) else {
             return;
         };
         let statement = statement_main_vote(&self.pid, round, vote);
-        let Some(share) = self.ctx.check_share(Thsig::Agreement, &statement, share) else {
+        let Some(share) =
+            self.ctx
+                .check_share_holding(Thsig::Agreement, &statement, share, self.sent(round))
+        else {
             return;
         };
         if let MainVote::Value(b) = vote {
-            self.note_proof(&share, b, proof);
+            let fresh = self.fresh_proof(valid, b, proof);
+            self.note_proof(&share, b, fresh);
         }
         let state = self.rounds.entry(round).or_default();
         state.main_votes.insert(from, (vote, share));
@@ -493,6 +598,7 @@ impl BinaryAgreement {
 
     fn on_decide(
         &mut self,
+        valid: Valid,
         round: u32,
         value: bool,
         sig: &Unchecked<ThresholdSignature>,
@@ -503,10 +609,11 @@ impl BinaryAgreement {
             return;
         }
         let statement = statement_main_vote(&self.pid, round, MainVote::Value(value));
-        let Some(sig) = self.ctx.check_sig(Thsig::Agreement, &statement, sig) else {
+        let Some(sig) = self.check_round_sig(round, &statement, sig) else {
             return;
         };
-        self.note_proof(&sig, value, proof);
+        let fresh = self.fresh_proof(valid, value, proof);
+        self.note_proof(&sig, value, fresh);
         // In validated mode we must be able to hand the application the
         // validation data for the decision. An honest decider always
         // attaches it; a decide message without usable data (only possible
@@ -596,6 +703,11 @@ impl BinaryAgreement {
                     };
                     let statement = statement_main_vote(&self.pid, round, vote);
                     let share = self.ctx.sign_share(Thsig::Agreement, &statement);
+                    self.rounds
+                        .entry(round)
+                        .or_default()
+                        .sent
+                        .push(share.clone());
                     out.send_all(
                         &self.pid,
                         Body::BaMainVote {
@@ -1056,6 +1168,53 @@ mod tests {
         assert_eq!(inst.decision(), None, "signature is over the other value");
         inst.handle(PartyId(2), &decide(true), &mut Outgoing::new());
         assert_eq!(inst.decision(), Some(true));
+    }
+
+    #[test]
+    fn abstain_evidence_is_the_validated_proof_not_the_carried_one() {
+        let ctxs = group(4, 1);
+        let pid = ProtocolId::new("ba-evidence");
+        let validator = BinaryValidator::new(|value, proof| {
+            proof == if value { &b"one"[..] } else { &b"zero"[..] }
+        });
+        let instance = |at: usize| {
+            BinaryAgreement::new(pid.clone(), ctxs[at].clone()).with_validator(validator.clone())
+        };
+        let pre_vote = |from: usize, value: bool, proof: &[u8]| Body::BaPreVote {
+            round: 1,
+            value,
+            just: PreVoteJust::Initial,
+            share: ctxs[from]
+                .sign_share(Thsig::Agreement, &statement_pre_vote(&pid, 1, value))
+                .forget(),
+            proof: Some(proof.to_vec()),
+        };
+        // Party 0 proposes 1 and so holds valid data for it. The first
+        // pre-vote for 1 it accepts is a Byzantine party's, validly
+        // shared and carrying garbage: it is accepted on the held data.
+        let mut inst = instance(0);
+        let mut out = Outgoing::new();
+        inst.propose(true, b"one".to_vec(), &mut out);
+        let (_, own) = out.drain().remove(0);
+        inst.handle(PartyId(1), &pre_vote(1, true, b"garbage"), &mut out);
+        inst.handle(PartyId(2), &pre_vote(2, false, b"zero"), &mut out);
+        inst.handle(PartyId(0), &own.body, &mut out);
+        // Pre-votes for both bits: it abstains, exhibiting one of each.
+        let (_, abstain) = out.drain().remove(0);
+        let Body::BaMainVote {
+            vote: MainVote::Abstain,
+            just: MainVoteJust::Abstain { proof0, proof1, .. },
+            ..
+        } = &abstain.body
+        else {
+            panic!("expected an abstaining main-vote, got {:?}", abstain.body);
+        };
+        assert_eq!(proof0.as_deref(), Some(&b"zero"[..]));
+        assert_eq!(proof1.as_deref(), Some(&b"one"[..]), "not the garbage");
+        // A party that knows no data for either bit accepts the vote.
+        let mut fresh = instance(3);
+        fresh.handle(PartyId(0), &abstain.body, &mut Outgoing::new());
+        assert!(fresh.rounds[&1].main_votes.contains_key(&PartyId(0)));
     }
 
     #[test]

@@ -106,6 +106,10 @@ pub struct MultiValuedAgreement {
     decision_taken: bool,
 }
 
+/// The external validity predicate as a call sees it: the instance's own
+/// validator, or its owner's with the owner's state in view.
+type Valid<'a> = &'a dyn Fn(&[u8]) -> bool;
+
 /// The coin identifying this instance's candidate permutation.
 fn perm_coin_name(pid: &ProtocolId) -> Vec<u8> {
     let mut name = b"vba-perm".to_vec();
@@ -204,15 +208,21 @@ impl MultiValuedAgreement {
     ///
     /// Panics if called twice or if the value fails the validator.
     pub fn propose(&mut self, value: Vec<u8>, out: &mut Outgoing) {
+        let validator = self.validator.clone();
+        self.propose_with(&|value| validator.is_valid(value), value, out);
+    }
+
+    /// [`Self::propose`] with `valid` standing in for the instance's
+    /// validator during this call: the same predicate, evaluated by an
+    /// owner that can compare a value with what it already holds before
+    /// it verifies anything.
+    pub fn propose_with(&mut self, valid: Valid, value: Vec<u8>, out: &mut Outgoing) {
         assert!(!self.proposed, "propose may be executed once");
-        assert!(
-            self.validator.is_valid(&value),
-            "own proposal must satisfy the validator"
-        );
+        assert!(valid(&value), "own proposal must satisfy the validator");
         self.proposed = true;
         let me = self.ctx.me();
         self.broadcasts[me.0].send(value, out);
-        self.try_advance(out);
+        self.try_advance(valid, out);
     }
 
     /// Whether a decision is available (and not yet taken).
@@ -240,6 +250,20 @@ impl MultiValuedAgreement {
     /// Processes a protocol message addressed to this instance or one of
     /// its children (`msg_pid` is the envelope's full pid).
     pub fn handle(&mut self, from: PartyId, msg_pid: &ProtocolId, body: &Body, out: &mut Outgoing) {
+        let validator = self.validator.clone();
+        self.handle_with(&|value| validator.is_valid(value), from, msg_pid, body, out);
+    }
+
+    /// [`Self::handle`] with `valid` standing in for the instance's
+    /// validator during this call (see [`Self::propose_with`]).
+    pub fn handle_with(
+        &mut self,
+        valid: Valid,
+        from: PartyId,
+        msg_pid: &ProtocolId,
+        body: &Body,
+        out: &mut Outgoing,
+    ) {
         if self.decided.is_some() || !self.ctx.is_valid_party(from) {
             return;
         }
@@ -255,48 +279,41 @@ impl MultiValuedAgreement {
                         // permutation coin opens; park them.
                         self.deferred.push((from, msg_pid.clone(), body.clone()));
                     } else {
-                        self.on_vote(from, *iteration, *yes, closing.as_deref());
+                        self.on_vote(valid, from, *iteration, *yes, closing.as_deref());
                     }
                 }
                 Body::BaCoinShare { round: 0, share } => {
                     // Round 0 is reserved for the permutation coin.
-                    self.on_perm_share(share, out);
+                    self.on_perm_share(valid, share, out);
                 }
                 _ => {}
             }
-        } else {
-            // Route to the child whose pid prefix matches.
-            for bc in &mut self.broadcasts {
-                if msg_pid.is_self_or_descendant_of(bc.pid()) {
-                    bc.handle(from, body, out);
-                    self.harvest_broadcasts();
-                    self.try_advance(out);
-                    return;
-                }
-            }
+        } else if let Some(bc) = self
+            .broadcasts
+            .iter_mut()
+            .find(|bc| msg_pid.is_self_or_descendant_of(bc.pid()))
+        {
+            bc.handle(from, body, out);
+        } else if let Some(iteration) = Self::parse_ba_child(&self.pid, msg_pid) {
             // Binary agreement children: pid = {pid}/ba/{iter}.
-            if Self::parse_ba_child(&self.pid, msg_pid).is_some() {
-                if self.perm.is_none() {
-                    // The agreement's validator depends on the candidate,
-                    // which depends on the permutation.
-                    self.deferred.push((from, msg_pid.clone(), body.clone()));
-                    self.try_advance(out);
-                    return;
-                }
-                let iter = Self::parse_ba_child(&self.pid, msg_pid)
-                    .or_invariant("ba child pid unparseable after routing check");
-                let ba = self.ba_instance(iter);
-                ba.handle(from, body, out);
-                self.try_advance(out);
-                return;
+            if self.perm.is_none() {
+                // The agreement's validator depends on the candidate,
+                // which depends on the permutation.
+                self.deferred.push((from, msg_pid.clone(), body.clone()));
+            } else {
+                self.with_ba(iteration, |ba, valid| {
+                    ba.handle_with(valid, from, body, out)
+                });
             }
+            self.try_advance(valid, out);
+            return;
         }
-        self.harvest_broadcasts();
-        self.try_advance(out);
+        self.harvest_broadcasts(valid);
+        self.try_advance(valid, out);
     }
 
     /// Ingests a permutation-coin share (CommonCoin order only).
-    fn on_perm_share(&mut self, share: &Unchecked<CoinShare>, out: &mut Outgoing) {
+    fn on_perm_share(&mut self, valid: Valid, share: &Unchecked<CoinShare>, out: &mut Outgoing) {
         if self.order != CandidateOrder::CommonCoin || self.perm.is_some() {
             return;
         }
@@ -315,16 +332,16 @@ impl MultiValuedAgreement {
                         .or_invariant("coin value shorter than 8 bytes"),
                 );
                 self.perm = Some(seeded_permutation(self.ctx.n(), seed));
-                self.replay_deferred(out);
+                self.replay_deferred(valid, out);
             }
         }
     }
 
     /// Replays messages parked while the permutation was unknown.
-    fn replay_deferred(&mut self, out: &mut Outgoing) {
+    fn replay_deferred(&mut self, valid: Valid, out: &mut Outgoing) {
         let parked = std::mem::take(&mut self.deferred);
         for (from, msg_pid, body) in parked {
-            self.handle(from, &msg_pid, &body, out);
+            self.handle_with(valid, from, &msg_pid, &body, out);
         }
     }
 
@@ -348,35 +365,40 @@ impl MultiValuedAgreement {
         perm[iteration as usize % perm.len()]
     }
 
-    fn ba_instance(&mut self, iteration: u32) -> &mut BinaryAgreement {
-        let pid = self.pid.child(format!("ba/{iteration}"));
-        let ctx = self.ctx.clone();
+    /// Runs `f` on `iteration`'s binary agreement, made on its first use,
+    /// with the validity of its validation data as this party sees it
+    /// now: 1 is backed by a closing message of the candidate's broadcast
+    /// — the very bytes held for the candidate, or bytes that check out.
+    fn with_ba<R>(
+        &mut self,
+        iteration: u32,
+        f: impl FnOnce(&mut BinaryAgreement, &dyn Fn(bool, &[u8]) -> bool) -> R,
+    ) -> R {
         let candidate = self.candidate(iteration);
-        let bc_pid = self.pid.child(format!("bc/{candidate}"));
-        let vctx = self.ctx.clone();
-        self.bas.entry(iteration).or_insert_with(|| {
+        let bc = &self.broadcasts[candidate];
+        let ba = self.bas.entry(iteration).or_insert_with(|| {
+            let (bc_pid, ctx) = (bc.pid().clone(), self.ctx.clone());
             let validator = BinaryValidator::new(move |value, proof| {
-                if value {
-                    VerifiableConsistentBroadcast::is_valid_closing(&bc_pid, &vctx, proof)
-                } else {
-                    true
-                }
+                !value || VerifiableConsistentBroadcast::is_valid_closing(&bc_pid, &ctx, proof)
             });
-            BinaryAgreement::new(pid, ctx)
+            BinaryAgreement::new(self.pid.child(format!("ba/{iteration}")), self.ctx.clone())
                 .with_validator(validator)
                 .with_bias(true)
+        });
+        let held = self.closings[candidate].as_deref();
+        f(ba, &|value, proof| {
+            !value || held == Some(proof) || bc.check_closing(proof).is_some()
         })
     }
 
     /// Collects newly delivered proposals from the broadcast children.
-    fn harvest_broadcasts(&mut self) {
+    fn harvest_broadcasts(&mut self, valid: Valid) {
         for i in 0..self.broadcasts.len() {
             if self.proposals[i].is_some() {
                 continue;
             }
             if let Some(payload) = self.broadcasts[i].delivered().map(<[u8]>::to_vec) {
-                let valid = self.validator.is_valid(&payload);
-                if valid {
+                if valid(&payload) {
                     self.valid_count += 1;
                     if self.closings[i].is_none() {
                         self.closings[i] = self.broadcasts[i].closing();
@@ -389,38 +411,46 @@ impl MultiValuedAgreement {
         }
     }
 
-    fn on_vote(&mut self, from: PartyId, iteration: u32, yes: bool, closing: Option<&[u8]>) {
+    fn on_vote(
+        &mut self,
+        valid: Valid,
+        from: PartyId,
+        iteration: u32,
+        yes: bool,
+        closing: Option<&[u8]>,
+    ) {
         let candidate = self.candidate(iteration);
         let voted = |votes: &IterationVotes| votes.voted.contains_key(&from);
         if self.votes.get(&iteration).is_some_and(voted) {
             return;
         }
         // A yes vote is proper only with a valid closing message; the
-        // iteration's slot opens for a vote that counts.
-        let carried = if yes {
-            let Some(closing) = closing else { return };
-            let bc_pid = self.pid.child(format!("bc/{candidate}"));
-            let Some((payload, _sig)) =
-                VerifiableConsistentBroadcast::validate_closing_bytes(&bc_pid, &self.ctx, closing)
-            else {
-                return;
-            };
-            Some((closing, payload))
-        } else {
-            None
+        // iteration's slot opens for a vote that counts. The closing this
+        // party holds for the candidate has been checked, so the same
+        // bytes again count as they are; any other closing is checked
+        // and, with none held, adopted with the proposal it transports.
+        let adopted = match closing {
+            _ if !yes => None,
+            None => return,
+            Some(closing) if self.closings[candidate].as_deref() == Some(closing) => None,
+            Some(closing) => {
+                let Some((payload, _sig)) = self.broadcasts[candidate].check_closing(closing)
+                else {
+                    return;
+                };
+                Some((closing, payload))
+            }
         };
         let votes = self.votes.entry(iteration).or_default();
         votes.voted.insert(from, yes);
         votes.proper += 1;
-        let Some((closing, payload)) = carried else {
+        let Some((closing, payload)) = adopted else {
             return;
         };
         if self.closings[candidate].is_none() {
-            // Adopt the proposal transported by the vote.
             self.closings[candidate] = Some(closing.to_vec());
             if self.proposals[candidate].is_none() {
-                let valid = self.validator.is_valid(&payload);
-                if valid {
+                if valid(&payload) {
                     self.valid_count += 1;
                     self.proposals[candidate] = Some(Some(payload));
                 } else {
@@ -431,7 +461,7 @@ impl MultiValuedAgreement {
     }
 
     /// Drives the candidate loop.
-    fn try_advance(&mut self, out: &mut Outgoing) {
+    fn try_advance(&mut self, valid: Valid, out: &mut Outgoing) {
         if self.decided.is_some() || !self.proposed {
             return;
         }
@@ -454,7 +484,7 @@ impl MultiValuedAgreement {
                             share: share.clone(),
                         },
                     );
-                    self.on_perm_share(&share, out);
+                    self.on_perm_share(valid, &share, out);
                 }
                 if self.perm.is_none() {
                     return;
@@ -516,8 +546,9 @@ impl MultiValuedAgreement {
                 } else {
                     Vec::new()
                 };
-                let ba = self.ba_instance(iteration);
-                ba.propose(have, proof, out);
+                self.with_ba(iteration, |ba, valid| {
+                    ba.propose_with(valid, have, proof, out)
+                });
             }
 
             // Step 2d: act on the decision.
@@ -530,11 +561,8 @@ impl MultiValuedAgreement {
                 // we never received the broadcast.
                 if self.closings[candidate].is_none() {
                     if let Some(proof) = ba.decision_proof() {
-                        let bc_pid = self.pid.child(format!("bc/{candidate}"));
                         if let Some((payload, _sig)) =
-                            VerifiableConsistentBroadcast::validate_closing_bytes(
-                                &bc_pid, &self.ctx, proof,
-                            )
+                            self.broadcasts[candidate].check_closing(proof)
                         {
                             self.closings[candidate] = Some(proof.to_vec());
                             self.proposals[candidate] = Some(Some(payload));

@@ -30,11 +30,13 @@ pub struct ConsistentBroadcast {
     ctx: GroupContext,
     sender: PartyId,
     sent: bool,
-    echoed: bool,
+    /// This party's echo share, once it has answered the sender.
+    echo: Option<Checked<SigShare>>,
     /// (sender only) payload being broadcast and collected shares.
     own_payload: Option<Vec<u8>>,
     shares: Vec<Checked<SigShare>>,
-    final_sent: bool,
+    /// (sender only) the signature it assembled and sent in its final.
+    assembled: Option<Checked<ThresholdSignature>>,
     delivered: Option<(Vec<u8>, Checked<ThresholdSignature>)>,
     delivery_taken: bool,
 }
@@ -47,10 +49,10 @@ impl ConsistentBroadcast {
             ctx,
             sender,
             sent: false,
-            echoed: false,
+            echo: None,
             own_payload: None,
             shares: Vec::new(),
-            final_sent: false,
+            assembled: None,
             delivered: None,
             delivery_taken: false,
         }
@@ -113,27 +115,31 @@ impl ConsistentBroadcast {
         }
         match body {
             Body::CbSend(payload) => {
-                if from != self.sender || self.echoed {
+                if from != self.sender || self.echo.is_some() {
                     return;
                 }
-                self.echoed = true;
                 let statement = statement_cb(&self.pid, payload);
                 let share = self.ctx.sign_share(Thsig::Broadcast, &statement);
-                out.send_to(self.sender, &self.pid, Body::CbEcho(share.forget()));
+                out.send_to(self.sender, &self.pid, Body::CbEcho(share.clone().forget()));
+                self.echo = Some(share);
             }
             Body::CbEcho(share) => {
                 // Only the sender collects shares.
                 let Some(payload) = &self.own_payload else {
                     return;
                 };
-                if self.final_sent || share.index != from.0 {
+                if self.assembled.is_some() || share.index != from.0 {
                     return;
                 }
                 if self.shares.iter().any(|s| s.index == share.index) {
                     return;
                 }
                 let statement = statement_cb(&self.pid, payload);
-                let Some(share) = self.ctx.check_share(Thsig::Broadcast, &statement, share) else {
+                // The sender's own echo comes back as it signed it.
+                let Some(share) =
+                    self.ctx
+                        .check_share_holding(Thsig::Broadcast, &statement, share, &self.echo)
+                else {
                     return;
                 };
                 self.shares.push(share);
@@ -142,7 +148,6 @@ impl ConsistentBroadcast {
                         .ctx
                         .assemble_sig(Thsig::Broadcast, &statement, &self.shares);
                     if let Some(sig) = sig {
-                        self.final_sent = true;
                         out.trace_with(|| {
                             TraceEvent::new(self.ctx.me().0, self.pid.as_str(), "vcb")
                                 .phase("final")
@@ -152,9 +157,10 @@ impl ConsistentBroadcast {
                             &self.pid,
                             Body::CbFinal {
                                 payload: payload.clone(),
-                                sig: sig.forget(),
+                                sig: sig.clone().forget(),
                             },
                         );
+                        self.assembled = Some(sig);
                     }
                 }
             }
@@ -162,8 +168,7 @@ impl ConsistentBroadcast {
                 if self.delivered.is_some() {
                     return;
                 }
-                let statement = statement_cb(&self.pid, payload);
-                if let Some(sig) = self.ctx.check_sig(Thsig::Broadcast, &statement, sig) {
+                if let Some(sig) = self.check_final(payload, sig) {
                     self.delivered = Some((payload.clone(), sig));
                     out.trace_with(|| {
                         TraceEvent::new(self.ctx.me().0, self.pid.as_str(), "vcb")
@@ -175,11 +180,29 @@ impl ConsistentBroadcast {
             _ => {}
         }
     }
+
+    /// The signature that closes this broadcast with `payload`, checked
+    /// but for what this party holds: compared whole with the signature
+    /// it assembled (its own final come back) or delivered with, then
+    /// component by component with its own echo share and the shares it
+    /// collected.
+    fn check_final(
+        &self,
+        payload: &[u8],
+        sig: &Unchecked<ThresholdSignature>,
+    ) -> Option<Checked<ThresholdSignature>> {
+        let statement = statement_cb(&self.pid, payload);
+        let delivered = self.delivered.as_ref().map(|(_, sig)| sig);
+        let sigs = self.assembled.iter().chain(delivered);
+        let shares = self.shares.iter().chain(&self.echo);
+        self.ctx
+            .check_sig_holding(Thsig::Broadcast, &statement, sig, sigs, shares)
+    }
 }
 
 impl StateSnapshot for ConsistentBroadcast {
     fn has_pending_work(&self) -> bool {
-        let started = self.sent || self.echoed || !self.shares.is_empty();
+        let started = self.sent || self.echo.is_some() || !self.shares.is_empty();
         started && self.delivered.is_none()
     }
 
@@ -187,13 +210,13 @@ impl StateSnapshot for ConsistentBroadcast {
         SnapshotWriter::new(self.pid.as_str(), "vcb")
             .num("sender", self.sender.0 as u64)
             .flag("sent", self.sent)
-            .flag("echoed", self.echoed)
+            .flag("echoed", self.echo.is_some())
             .num("shares", self.shares.len() as u64)
             .num(
                 "share_threshold",
                 self.ctx.keys().common.thsig_broadcast.threshold() as u64,
             )
-            .flag("final_sent", self.final_sent)
+            .flag("final_sent", self.assembled.is_some())
             .flag("delivered", self.delivered.is_some())
             .finish()
     }
@@ -293,9 +316,17 @@ impl VerifiableConsistentBroadcast {
         if self.inner.delivered.is_some() {
             return true;
         }
-        let checked = Self::validate_closing_bytes(self.inner.pid(), &self.inner.ctx, closing);
-        self.inner.delivered = checked;
+        self.inner.delivered = self.check_closing(closing);
         self.inner.delivered.is_some()
+    }
+
+    /// Checks a closing message for this instance, returning its payload
+    /// and checked signature if valid. What of its signature equals what
+    /// the instance holds is not verified again.
+    pub fn check_closing(&self, closing: &[u8]) -> Option<(Vec<u8>, Checked<ThresholdSignature>)> {
+        let msg = ClosingMessage::from_bytes(closing).ok()?;
+        let sig = self.inner.check_final(&msg.payload, &msg.sig)?;
+        Some((msg.payload, sig))
     }
 
     /// Extracts the payload from a closing message without validation.

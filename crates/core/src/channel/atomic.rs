@@ -225,6 +225,33 @@ fn checked_refs(
     checked.collect()
 }
 
+/// A proposal's reference for round `round` of channel `pid`, checked —
+/// unless it names an entry held in `state` under the very signature the
+/// entry was stored with, which is not verified twice.
+fn check_ref(
+    ctx: &GroupContext,
+    pid: &ProtocolId,
+    round: u64,
+    state: Option<&RoundState>,
+    r: &Unchecked<EntryRef>,
+) -> Option<Checked<EntryRef>> {
+    let held = state.and_then(|s| s.find(r.signer, &r.digest));
+    ctx.check_entry_ref_holding(pid, round, r, held)
+}
+
+/// The external validity predicate of round `round`'s agreement, as a
+/// party holding `state` evaluates it.
+fn valid_batch(
+    ctx: &GroupContext,
+    pid: &ProtocolId,
+    batch_size: usize,
+    round: u64,
+    state: Option<&RoundState>,
+    bytes: &[u8],
+) -> bool {
+    checked_refs(bytes, batch_size, |r| check_ref(ctx, pid, round, state, r)).is_some()
+}
+
 /// The delivery rule: whether `payload` is its origin's next in sequence
 /// under the per-origin watermark `next`, which then moves past it. The
 /// proposer runs it on a copy to see how much an entry would add.
@@ -391,29 +418,27 @@ impl AtomicChannel {
             .is_some_and(|next| payload.seq >= *next)
     }
 
-    fn batch_validator(&self, round: u64) -> ArrayValidator {
-        let pid = self.pid.clone();
+    /// Runs `f` on round `round`'s agreement, made on its first use, with
+    /// the validity of a proposal as this party sees it now: the
+    /// references it holds the entries of need no second check.
+    fn with_vba<R>(
+        &mut self,
+        round: u64,
+        f: impl FnOnce(&mut MultiValuedAgreement, &dyn Fn(&[u8]) -> bool) -> R,
+    ) -> R {
         let batch_size = self.batch_size;
-        let ctx = self.ctx.clone();
-        ArrayValidator::new(move |bytes| {
-            checked_refs(bytes, batch_size, |r| ctx.check_entry_ref(&pid, round, r)).is_some()
+        let vba = self.vbas.entry(round).or_insert_with(|| {
+            let (ctx, pid) = (self.ctx.clone(), self.pid.clone());
+            let vba_pid = pid.child(format!("vba/{round}"));
+            let validator = ArrayValidator::new(move |bytes| {
+                valid_batch(&ctx, &pid, batch_size, round, None, bytes)
+            });
+            MultiValuedAgreement::new(vba_pid, self.ctx.clone(), validator, self.order)
+        });
+        let state = self.rounds.get(&round);
+        f(vba, &|bytes| {
+            valid_batch(&self.ctx, &self.pid, batch_size, round, state, bytes)
         })
-    }
-
-    fn vba_instance(&mut self, round: u64) -> &mut MultiValuedAgreement {
-        if !self.vbas.contains_key(&round) {
-            let vba = MultiValuedAgreement::new(
-                self.pid.child(format!("vba/{round}")),
-                self.ctx.clone(),
-                self.batch_validator(round),
-                self.order,
-            );
-            self.vbas.insert(round, vba);
-        }
-        invariant_unwrap!(
-            self.vbas.get_mut(&round),
-            "vba for round {round} missing after insert"
-        )
     }
 
     /// Processes a protocol message addressed to this channel or one of
@@ -449,7 +474,9 @@ impl AtomicChannel {
             // round's agreement once it has decided.
             let live = round > self.round || (round == self.round && self.decided.is_none());
             if live && self.admit(from, round, proposer, msg_pid, body) {
-                self.vba_instance(round).handle(from, msg_pid, body, out);
+                self.with_vba(round, |vba, valid| {
+                    vba.handle_with(valid, from, msg_pid, body, out)
+                });
             }
         }
         self.try_advance(out);
@@ -495,14 +522,9 @@ impl AtomicChannel {
         if from != proposer || state.is_some_and(|s| s.proposers.contains(&proposer)) {
             return false;
         }
-        // A reference to a held entry under the held signature needs no
-        // second check; anything else is verified before it may occupy
-        // the proposer's parking slot.
-        let check = |r: &Unchecked<EntryRef>| {
-            let held = state.and_then(|s| s.find(r.signer, &r.digest));
-            held.and_then(|held| held.vouches_for(r))
-                .or_else(|| self.ctx.check_entry_ref(&self.pid, round, r))
-        };
+        // Every reference is checked before the proposal may occupy the
+        // proposer's parking slot.
+        let check = |r: &Unchecked<EntryRef>| check_ref(&self.ctx, &self.pid, round, state, r);
         let Some(refs) = checked_refs(bytes, self.batch_size, check) else {
             return false;
         };
@@ -679,8 +701,9 @@ impl AtomicChannel {
                 .get_mut(&round)
                 .and_then(|state| state.parked.remove(&proposer));
             if let Some(parked) = parked {
-                self.vba_instance(round)
-                    .handle(proposer, &parked.msg_pid, &parked.body, out);
+                self.with_vba(round, |vba, valid| {
+                    vba.handle_with(valid, proposer, &parked.msg_pid, &parked.body, out)
+                });
             }
         }
     }
@@ -871,8 +894,7 @@ impl AtomicChannel {
                         "entry set for round {round} missing at proposal"
                     );
                     let bytes = self.select_batch(&state.arrived).to_bytes();
-                    let vba = self.vba_instance(round);
-                    vba.propose(bytes, out);
+                    self.with_vba(round, |vba, valid| vba.propose_with(valid, bytes, out));
                 }
 
                 // Step 3: pull what held-back proposals name.
@@ -1570,11 +1592,12 @@ mod tests {
         let ctxs = group(4, 1);
         let tag = "ac-valid";
         let chan = channels(&ctxs, tag).remove(0);
-        let validator = chan.batch_validator(0);
+        let is_valid =
+            |bytes: &[u8]| valid_batch(&chan.ctx, &chan.pid, chan.batch_size, 0, None, bytes);
         let one = signed(&ctxs, tag, 0, 1, vec![app(1, 0, b"a")]).to_ref();
         let two = signed(&ctxs, tag, 0, 2, vec![app(2, 0, b"b")]).to_ref();
         let three = signed(&ctxs, tag, 0, 3, vec![app(3, 0, b"c")]).to_ref();
-        let valid = |refs: &[EntryRef]| validator.is_valid(&encoded(refs));
+        let valid = |refs: &[EntryRef]| is_valid(&encoded(refs));
         assert!(valid(&[one.clone(), two.clone()]));
         assert!(!valid(std::slice::from_ref(&one)), "too few");
         assert!(!valid(&[one.clone(), two.clone(), three]), "too many");
@@ -1593,7 +1616,7 @@ mod tests {
         assert!(!valid(&[one.clone(), far]), "no such party");
         let mut bytes = encoded(&[one, two]);
         bytes.push(0);
-        assert!(!validator.is_valid(&bytes), "trailing bytes");
+        assert!(!is_valid(&bytes), "trailing bytes");
     }
 
     #[test]

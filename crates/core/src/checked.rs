@@ -4,14 +4,21 @@
 //! as an [`Unchecked<T>`]: anyone may build one and read it — a handler's
 //! free filters look at `share.index` or `entry.signer()` — but no
 //! protocol state accepts one. State holds [`Checked<T>`], and the only
-//! code that can build a `Checked` is in this file. There are three ways:
+//! code that can build a `Checked` is in this file. A `Checked` value
+//! remembers what it was checked under — the key and the digest of the
+//! signed statement — and there are three ways to one:
 //!
 //! 1. a check that returned true on that very value — the `check_*`
 //!    methods of [`GroupContext`];
 //! 2. this party produced the value itself — `sign_*`, `release_*`,
 //!    `assemble_sig`;
-//! 3. the value equals one already checked under the same statement —
-//!    [`Checked::vouches_for`].
+//! 3. the value equals one the handler holds that was checked or produced
+//!    under the same key and statement — the `check_*_holding` methods,
+//!    which compare before they exponentiate. A multi-signature is
+//!    compared whole and then component by component with held shares;
+//!    whatever equals nothing held gets the full check of (1), never a
+//!    refusal. Verify a signature once: a party does not pay again for a
+//!    share, closing or justification it already holds.
 //!
 //! A quarantine (coin shares parked until a quorum is in, decryption
 //! shares ahead of their ciphertext) is an `Unchecked<T>` in a bounded
@@ -30,6 +37,10 @@
 //! There is no constructor:
 //! ```compile_fail
 //! let forged = sintra_core::checked::Checked::new(7u8);
+//! ```
+//! no way to write one down, its fields being private:
+//! ```compile_fail
+//! let forged = sintra_core::checked::Checked { value: 7u8, under: todo!() };
 //! ```
 //! no conversion:
 //! ```compile_fail
@@ -50,9 +61,10 @@
 use std::ops::Deref;
 
 use sintra_crypto::coin::CoinShare;
+use sintra_crypto::hash::Sha256;
 use sintra_crypto::rsa::RsaSignature;
 use sintra_crypto::thenc::{Ciphertext, DecryptionShare};
-use sintra_crypto::thsig::{SigShare, ThresholdSigPublic, ThresholdSignature};
+use sintra_crypto::thsig::{SigShare, SigShareBody, ThresholdSigPublic, ThresholdSignature};
 
 use crate::config::GroupContext;
 use crate::ids::{PartyId, ProtocolId};
@@ -62,9 +74,46 @@ use crate::message::{statement_entry, Entry, EntryRef, Payload};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Unchecked<T>(T);
 
-/// A value that was checked, produced here, or equals one that was.
+/// A value that was checked, produced here, or equals one that was, with
+/// what it stands under.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Checked<T>(T);
+pub struct Checked<T> {
+    value: T,
+    under: Under,
+}
+
+/// What a value was checked under: the digest of the key's domain and the
+/// signed statement (a coin's name, a ciphertext's `u`). Two values stand
+/// under the same statement exactly if these are equal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Under([u8; 32]);
+
+impl Under {
+    // One domain per key family; a party's signature key is picked by
+    // the signer the value names.
+    const BROADCAST: u8 = b'B';
+    const AGREEMENT: u8 = b'A';
+    const PARTY: u8 = b'P';
+    const COIN: u8 = b'C';
+    const DECRYPTION: u8 = b'D';
+
+    fn new(domain: u8, statement: &[u8]) -> Self {
+        let mut hasher = Sha256::new();
+        hasher.update(&[domain]);
+        hasher.update(statement);
+        Under(hasher.finalize())
+    }
+
+    fn entry(pid: &ProtocolId, round: u64, digest: &[u8; 32]) -> (Vec<u8>, Self) {
+        let statement = statement_entry(pid, round, digest);
+        let under = Under::new(Under::PARTY, &statement);
+        (statement, under)
+    }
+
+    fn ciphertext(ct: &Ciphertext) -> Self {
+        Under::new(Under::DECRYPTION, &ct.u.to_be_bytes())
+    }
+}
 
 impl<T> From<T> for Unchecked<T> {
     fn from(value: T) -> Self {
@@ -80,33 +129,41 @@ impl<T> Deref for Unchecked<T> {
 }
 
 impl<T: Clone> Unchecked<T> {
-    /// This value as checked, given the verdict of a check of it.
-    fn checked_if(&self, verified: bool) -> Option<Checked<T>> {
-        verified.then(|| Checked(self.0.clone()))
+    /// This value as checked under `under`, given the verdict of a check
+    /// of it.
+    fn checked_if(&self, verified: bool, under: Under) -> Option<Checked<T>> {
+        verified.then(|| self.stands(under))
+    }
+
+    fn stands(&self, under: Under) -> Checked<T> {
+        let value = self.0.clone();
+        Checked { value, under }
+    }
+
+    /// This value as checked under `under`, if one of `held` equals it
+    /// and stands under that very statement.
+    fn vouched<'a, H: PartialEq<T> + 'a>(
+        &self,
+        under: Under,
+        held: impl IntoIterator<Item = &'a Checked<H>>,
+    ) -> Option<Checked<T>> {
+        let mut held = held.into_iter();
+        let equal = held.any(|held| held.under == under && held.value == self.0);
+        equal.then(|| self.stands(under))
     }
 }
 
 impl<T> Deref for Checked<T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.0
+        &self.value
     }
 }
 
 impl<T> Checked<T> {
     /// Forgets the check, for putting the value into a message.
     pub fn forget(self) -> Unchecked<T> {
-        Unchecked(self.0)
-    }
-
-    /// `other` as checked, if it equals this value. The caller vouches
-    /// that both stand under the same statement: a held entry and a
-    /// reference to it in the same channel and round.
-    pub fn vouches_for<U: Clone>(&self, other: &Unchecked<U>) -> Option<Checked<U>>
-    where
-        T: PartialEq<U>,
-    {
-        (self.0 == other.0).then(|| Checked(other.0.clone()))
+        Unchecked(self.value)
     }
 }
 
@@ -121,12 +178,13 @@ fn bare<'a, T: Clone + 'a, W: Deref<Target = T> + 'a>(
 /// verdict per member.
 fn drained<T>(
     quarantine: impl IntoIterator<Item = Unchecked<T>>,
+    under: Under,
     check: impl FnOnce(&[T]) -> Vec<bool>,
 ) -> Vec<Checked<T>> {
     let items: Vec<T> = quarantine.into_iter().map(|item| item.0).collect();
     let verdicts = check(&items);
     let kept = items.into_iter().zip(verdicts).filter(|(_, ok)| *ok);
-    kept.map(|(item, _)| Checked(item)).collect()
+    kept.map(|(value, _)| Checked { value, under }).collect()
 }
 
 /// Which of the group's two threshold-signature keys.
@@ -136,6 +194,16 @@ pub enum Thsig {
     Broadcast,
     /// The `n - t` quorum's (binary-agreement votes and decisions).
     Agreement,
+}
+
+impl Thsig {
+    fn under(self, statement: &[u8]) -> Under {
+        let domain = match self {
+            Thsig::Broadcast => Under::BROADCAST,
+            Thsig::Agreement => Under::AGREEMENT,
+        };
+        Under::new(domain, statement)
+    }
 }
 
 impl GroupContext {
@@ -148,10 +216,12 @@ impl GroupContext {
 
     /// This party's share of the threshold signature on `statement`.
     pub fn sign_share(&self, key: Thsig, statement: &[u8]) -> Checked<SigShare> {
-        Checked(match key {
+        let value = match key {
             Thsig::Broadcast => self.keys().thsig_broadcast.sign_share(statement),
             Thsig::Agreement => self.keys().thsig_agreement.sign_share(statement),
-        })
+        };
+        let under = key.under(statement);
+        Checked { value, under }
     }
 
     /// A peer's signature share, if it verifies over `statement`.
@@ -161,21 +231,40 @@ impl GroupContext {
         statement: &[u8],
         share: &Unchecked<SigShare>,
     ) -> Option<Checked<SigShare>> {
-        share.checked_if(self.thsig(key).verify_share(statement, share))
+        self.check_share_holding(key, statement, share, None)
+    }
+
+    /// [`Self::check_share`] by a handler that holds `held`: a share equal
+    /// to one of those under this key and statement is not verified again.
+    pub fn check_share_holding<'a>(
+        &self,
+        key: Thsig,
+        statement: &[u8],
+        share: &Unchecked<SigShare>,
+        held: impl IntoIterator<Item = &'a Checked<SigShare>>,
+    ) -> Option<Checked<SigShare>> {
+        let under = key.under(statement);
+        let vouched = share.vouched(under, held);
+        vouched.or_else(|| share.checked_if(self.thsig(key).verify_share(statement, share), under))
     }
 
     /// The threshold signature on `statement` from shares that are each
-    /// checked or this party's own.
+    /// checked under that very statement or this party's own for it;
+    /// none is verified again.
     pub fn assemble_sig<'a>(
         &self,
         key: Thsig,
         statement: &[u8],
         shares: impl IntoIterator<Item = &'a Checked<SigShare>>,
     ) -> Option<Checked<ThresholdSignature>> {
-        let sig = self
-            .thsig(key)
-            .assemble_preverified(statement, &bare(shares));
-        sig.ok().map(Checked)
+        let under = key.under(statement);
+        let bare = |share: &Checked<SigShare>| (share.under == under).then(|| share.value.clone());
+        let bare: Vec<SigShare> = shares.into_iter().map(bare).collect::<Option<_>>()?;
+        let value = self.thsig(key).assemble_preverified(statement, &bare);
+        Some(Checked {
+            value: value.ok()?,
+            under,
+        })
     }
 
     /// An assembled threshold signature, if it verifies over `statement`.
@@ -185,7 +274,41 @@ impl GroupContext {
         statement: &[u8],
         sig: &Unchecked<ThresholdSignature>,
     ) -> Option<Checked<ThresholdSignature>> {
-        sig.checked_if(self.thsig(key).verify(statement, sig))
+        self.check_sig_holding(key, statement, sig, None, None)
+    }
+
+    /// [`Self::check_sig`] by a handler that holds `held_sigs` and
+    /// `held_shares`, whatever they stand under. A signature equal to a
+    /// held one under this key and statement is not verified at all (a
+    /// Shoup signature is unique, so that is its whole route); of a
+    /// multi-signature that is not, each component equal to a held share
+    /// of its signer under this key and statement is spared and the rest
+    /// are verified, behind the checks of the quorum's shape.
+    pub fn check_sig_holding<'a, S>(
+        &self,
+        key: Thsig,
+        statement: &[u8],
+        sig: &Unchecked<ThresholdSignature>,
+        held_sigs: impl IntoIterator<Item = &'a Checked<ThresholdSignature>>,
+        held_shares: S,
+    ) -> Option<Checked<ThresholdSignature>>
+    where
+        S: IntoIterator<Item = &'a Checked<SigShare>>,
+        S::IntoIter: Clone,
+    {
+        let under = key.under(statement);
+        if let Some(vouched) = sig.vouched(under, held_sigs) {
+            return Some(vouched);
+        }
+        let held_shares = held_shares.into_iter();
+        let held = |index: usize, component: &RsaSignature| {
+            held_shares.clone().any(|held| {
+                let same = matches!(&held.body, SigShareBody::Multi { sig } if sig == component);
+                held.under == under && held.index == index && same
+            })
+        };
+        let verified = self.thsig(key).verify_beyond(statement, sig, held);
+        sig.checked_if(verified, under)
     }
 
     fn party_signed(&self, signer: PartyId, statement: &[u8], sig: &RsaSignature) -> bool {
@@ -201,7 +324,8 @@ impl GroupContext {
         statement: &[u8],
         sig: &Unchecked<RsaSignature>,
     ) -> Option<Checked<RsaSignature>> {
-        sig.checked_if(self.party_signed(signer, statement, sig))
+        let under = Under::new(Under::PARTY, statement);
+        sig.checked_if(self.party_signed(signer, statement, sig), under)
     }
 
     /// This party's entry over `payloads` for `round` of channel `pid`.
@@ -212,7 +336,9 @@ impl GroupContext {
         payloads: Vec<Payload>,
     ) -> Checked<Entry> {
         let key = &self.keys().sig_key;
-        Checked(Entry::sign(pid, round, payloads, self.me(), key))
+        let value = Entry::sign(pid, round, payloads, self.me(), key);
+        let (_, under) = Under::entry(pid, round, value.digest());
+        Checked { value, under }
     }
 
     /// An entry, if its signer's signature verifies over
@@ -223,8 +349,9 @@ impl GroupContext {
         round: u64,
         entry: &Unchecked<Entry>,
     ) -> Option<Checked<Entry>> {
-        let statement = statement_entry(pid, round, entry.digest());
-        entry.checked_if(self.party_signed(entry.signer(), &statement, entry.sig()))
+        let (statement, under) = Under::entry(pid, round, entry.digest());
+        let signed = self.party_signed(entry.signer(), &statement, entry.sig());
+        entry.checked_if(signed, under)
     }
 
     /// An entry reference, if its signer's signature verifies over
@@ -235,14 +362,33 @@ impl GroupContext {
         round: u64,
         entry: &Unchecked<EntryRef>,
     ) -> Option<Checked<EntryRef>> {
-        let statement = statement_entry(pid, round, &entry.digest);
-        entry.checked_if(self.party_signed(entry.signer, &statement, &entry.sig))
+        self.check_entry_ref_holding(pid, round, entry, None)
+    }
+
+    /// [`Self::check_entry_ref`] by a handler that holds the entries
+    /// `held`: a reference to one of them for this channel and round,
+    /// under the signature it is held with, is not verified again.
+    pub fn check_entry_ref_holding<'a>(
+        &self,
+        pid: &ProtocolId,
+        round: u64,
+        entry: &Unchecked<EntryRef>,
+        held: impl IntoIterator<Item = &'a Checked<Entry>>,
+    ) -> Option<Checked<EntryRef>> {
+        let (statement, under) = Under::entry(pid, round, &entry.digest);
+        let vouched = entry.vouched(under, held);
+        vouched.or_else(|| {
+            let signed = self.party_signed(entry.signer, &statement, &entry.sig);
+            entry.checked_if(signed, under)
+        })
     }
 
     /// This party's share of the coin `name`.
     pub fn release_coin_share(&self, name: &[u8]) -> Checked<CoinShare> {
         let coin = &self.keys().common.coin;
-        Checked(coin.release_share(name, &self.keys().coin_secret))
+        let value = coin.release_share(name, &self.keys().coin_secret);
+        let under = Under::new(Under::COIN, name);
+        Checked { value, under }
     }
 
     /// A peer's share of the coin `name`, if its proof verifies.
@@ -251,7 +397,8 @@ impl GroupContext {
         name: &[u8],
         share: &Unchecked<CoinShare>,
     ) -> Option<Checked<CoinShare>> {
-        share.checked_if(self.keys().common.coin.verify_share(name, share))
+        let verified = self.keys().common.coin.verify_share(name, share);
+        share.checked_if(verified, Under::new(Under::COIN, name))
     }
 
     /// Drains a quarantine of shares of the coin `name` with one batched
@@ -262,7 +409,8 @@ impl GroupContext {
         shares: impl IntoIterator<Item = Unchecked<CoinShare>>,
     ) -> Vec<Checked<CoinShare>> {
         let coin = &self.keys().common.coin;
-        drained(shares, |shares| coin.verify_shares(name, shares))
+        let under = Under::new(Under::COIN, name);
+        drained(shares, under, |shares| coin.verify_shares(name, shares))
     }
 
     /// The bit of the coin `name` as `shares` open it, with the
@@ -277,14 +425,18 @@ impl GroupContext {
         let mut shares = bare(shares);
         let bit = coin.assemble_bit(name, &shares).ok()?;
         shares.truncate(coin.threshold());
-        Some((bit, shares.into_iter().map(Checked).collect()))
+        let under = Under::new(Under::COIN, name);
+        let used = shares.into_iter().map(|value| Checked { value, under });
+        Some((bit, used.collect()))
     }
 
     /// This party's decryption share for `ct`, which has passed
     /// `verify_ciphertext`.
     pub fn release_dec_share(&self, ct: &Ciphertext) -> Checked<DecryptionShare> {
         let enc = &self.keys().common.enc;
-        Checked(enc.decryption_share_prechecked(ct, &self.keys().enc_secret))
+        let value = enc.decryption_share_prechecked(ct, &self.keys().enc_secret);
+        let under = Under::ciphertext(ct);
+        Checked { value, under }
     }
 
     /// A peer's decryption share for `ct`, if its proof verifies.
@@ -293,7 +445,8 @@ impl GroupContext {
         ct: &Ciphertext,
         share: &Unchecked<DecryptionShare>,
     ) -> Option<Checked<DecryptionShare>> {
-        share.checked_if(self.keys().common.enc.verify_share(ct, share))
+        let verified = self.keys().common.enc.verify_share(ct, share);
+        share.checked_if(verified, Under::ciphertext(ct))
     }
 
     /// Drains a quarantine of decryption shares for `ct` with one batched
@@ -304,7 +457,9 @@ impl GroupContext {
         shares: impl IntoIterator<Item = Unchecked<DecryptionShare>>,
     ) -> Vec<Checked<DecryptionShare>> {
         let enc = &self.keys().common.enc;
-        drained(shares, |shares| enc.verify_shares(ct, shares))
+        drained(shares, Under::ciphertext(ct), |shares| {
+            enc.verify_shares(ct, shares)
+        })
     }
 
     /// The plaintext of `ct`, which has passed `verify_ciphertext`, from

@@ -15,6 +15,12 @@
 //! no field, flag or counter of the instance, and nothing sent. (That the
 //! check comes before the store is `Checked<T>`'s to say; that a failed
 //! check leaves no trace is said here.)
+//!
+//! The third table is what a party does not pay twice: a closing, a
+//! proof, a justification, a final or a reference equal to what the
+//! instance already holds under the same statement costs nothing and is
+//! counted as it always was; whatever of a message is new costs exactly
+//! itself; and equality under *another* statement vouches for nothing.
 
 use std::collections::VecDeque;
 use std::fmt::Debug;
@@ -24,7 +30,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sintra_core::agreement::{BinaryAgreement, CandidateOrder, MultiValuedAgreement};
-use sintra_core::broadcast::{ClosingMessage, ConsistentBroadcast};
+use sintra_core::broadcast::{ClosingMessage, ConsistentBroadcast, VerifiableConsistentBroadcast};
 use sintra_core::channel::{
     AtomicChannel, AtomicChannelConfig, EpochState, OptimisticChannel, SecureAtomicChannel,
 };
@@ -40,7 +46,7 @@ use sintra_core::{GroupContext, Outgoing, PartyId, ProtocolId, Recipient};
 use sintra_crypto::cost::CostScope;
 use sintra_crypto::dealer::{deal, DealerConfig};
 use sintra_crypto::thenc::Ciphertext;
-use sintra_crypto::thsig::{SigShare, ThresholdSignature};
+use sintra_crypto::thsig::{SigShare, SigShareBody, ThresholdSignature};
 use sintra_telemetry::StateSnapshot;
 
 fn group() -> Vec<GroupContext> {
@@ -762,5 +768,489 @@ fn forged_messages_cost_their_check_and_change_nothing() {
             row.what
         );
         assert!(!row.offered.changed, "{}: state changed", row.what);
+    }
+}
+
+/// One row of the third table: a message of which the instance holds
+/// some part, checked or produced by itself under the same statement.
+struct Held {
+    what: &'static str,
+    /// What checking the parts it does *not* hold costs, measured by
+    /// checking them; 0 when it holds everything.
+    owed: f64,
+    offered: Offer,
+    /// Whether the message is valid, and so has to count.
+    counts: bool,
+}
+
+/// A multi-signature of exactly these shares, in this order.
+fn multi_sig(shares: &[&Checked<SigShare>]) -> Unchecked<ThresholdSignature> {
+    let component = |share: &&Checked<SigShare>| match &share.body {
+        SigShareBody::Multi { sig } => (share.index, sig.clone()),
+        SigShareBody::ShoupRsa { .. } => unreachable!("the fixtures deal multi-signatures"),
+    };
+    ThresholdSignature::Multi(shares.iter().map(component).collect()).into()
+}
+
+/// Party 0's agreement that proposed 1 and has accepted the pre-votes
+/// for 1 of itself and parties 1 and 2 — so it has sent its main-vote —
+/// with every party's share on that pre-vote statement.
+fn holding_pre_votes(
+    ctxs: &[GroupContext],
+    pid: &ProtocolId,
+) -> (BinaryAgreement, Vec<Checked<SigShare>>) {
+    let statement = statement_pre_vote(pid, 1, true);
+    let shares: Vec<Checked<SigShare>> = ctxs
+        .iter()
+        .map(|c| c.sign_share(Thsig::Agreement, &statement))
+        .collect();
+    let mut inst = BinaryAgreement::new(pid.clone(), ctxs[0].clone());
+    let mut out = Outgoing::new();
+    inst.propose(true, Vec::new(), &mut out);
+    let (_, own) = out.drain().remove(0);
+    inst.handle(PartyId(0), &own.body, &mut out);
+    for from in [1, 2] {
+        let pre_vote = Body::BaPreVote {
+            round: 1,
+            value: true,
+            just: PreVoteJust::Initial,
+            share: shares[from].clone().forget(),
+            proof: None,
+        };
+        inst.handle(PartyId(from), &pre_vote, &mut out);
+    }
+    assert!(inst.snapshot_json().contains("collecting-main-votes"));
+    (inst, shares)
+}
+
+/// Party `from`'s main-vote for `vote` in round 1 under `just`, with the
+/// statement its share is on.
+fn main_vote_from(
+    ctxs: &[GroupContext],
+    pid: &ProtocolId,
+    from: usize,
+    vote: bool,
+    just: Unchecked<ThresholdSignature>,
+) -> (Vec<u8>, Unchecked<SigShare>, Body) {
+    let statement = statement_main_vote(pid, 1, MainVote::Value(vote));
+    let share = ctxs[from].sign_share(Thsig::Agreement, &statement).forget();
+    let body = Body::BaMainVote {
+        round: 1,
+        vote: MainVote::Value(vote),
+        just: MainVoteJust::Value(just),
+        share: share.clone(),
+        proof: None,
+    };
+    (statement, share, body)
+}
+
+/// Main-votes for 1 from party 1 whose justification is, by `pick`, made
+/// of pre-vote shares the instance holds and of others.
+fn justified_main_votes(ctxs: &[GroupContext]) -> Vec<Held> {
+    let check = &ctxs[0];
+    let pre = |pid: &ProtocolId| statement_pre_vote(pid, 1, true);
+    let mut rows = Vec::new();
+
+    // (a) every component is a pre-vote share it holds: only the
+    // sender's own share on the main-vote is new.
+    let pid = ProtocolId::new("ba-held-just");
+    let (mut inst, shares) = holding_pre_votes(ctxs, &pid);
+    let just = multi_sig(&[&shares[0], &shares[1], &shares[2]]);
+    let (statement, share, body) = main_vote_from(ctxs, &pid, 1, true, just);
+    rows.push(Held {
+        what: "ba-main-vote justified by three held pre-vote shares",
+        owed: priced(|| {
+            check
+                .check_share(Thsig::Agreement, &statement, &share)
+                .is_some()
+        }),
+        offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &body, out)),
+        counts: true,
+    });
+
+    // (b) party 3's pre-vote has not arrived: its component costs one
+    // share check.
+    let pid = ProtocolId::new("ba-one-new");
+    let (mut inst, shares) = holding_pre_votes(ctxs, &pid);
+    let just = multi_sig(&[&shares[1], &shares[3], &shares[2]]);
+    let (statement, share, body) = main_vote_from(ctxs, &pid, 1, true, just);
+    let new = shares[3].clone().forget();
+    rows.push(Held {
+        what: "ba-main-vote justified by two held shares and one new one",
+        owed: priced(|| {
+            let new = check.check_share(Thsig::Agreement, &pre(&pid), &new);
+            let own = check.check_share(Thsig::Agreement, &statement, &share);
+            new.is_some() && own.is_some()
+        }),
+        offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &body, out)),
+        counts: true,
+    });
+
+    // (c) two held components and party 3's share on the other bit's
+    // statement: refused for the price of that one.
+    let pid = ProtocolId::new("ba-one-bad");
+    let (mut inst, shares) = holding_pre_votes(ctxs, &pid);
+    let other_bit = statement_pre_vote(&pid, 1, false);
+    let bad = ctxs[3].sign_share(Thsig::Agreement, &other_bit);
+    let just = multi_sig(&[&shares[1], &shares[2], &bad]);
+    let (_, _, body) = main_vote_from(ctxs, &pid, 1, true, just);
+    let bad = bad.forget();
+    rows.push(Held {
+        what: "ba-main-vote justified by two held shares and a forged one",
+        owed: refused(|| {
+            check
+                .check_share(Thsig::Agreement, &pre(&pid), &bad)
+                .is_some()
+        }),
+        offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &body, out)),
+        counts: false,
+    });
+
+    // (e) the shape of a quorum is not for sale: held components twice,
+    // or too few of them, are refused before anything is compared.
+    let pid = ProtocolId::new("ba-misshapen");
+    let (mut inst, shares) = holding_pre_votes(ctxs, &pid);
+    for (what, just) in [
+        (
+            "ba-main-vote justified by a held share twice",
+            multi_sig(&[&shares[1], &shares[1], &shares[2]]),
+        ),
+        (
+            "ba-main-vote justified by k - 1 held shares",
+            multi_sig(&[&shares[1], &shares[2]]),
+        ),
+    ] {
+        let (_, _, body) = main_vote_from(ctxs, &pid, 1, true, just);
+        rows.push(Held {
+            what,
+            owed: 0.0,
+            offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &body, out)),
+            counts: false,
+        });
+    }
+    rows
+}
+
+/// A decision whose signature is made of two main-vote shares the
+/// instance holds and one it does not.
+fn decide_with_one_new_share(ctxs: &[GroupContext]) -> Held {
+    let pid = ProtocolId::new("ba-held-decide");
+    let (mut inst, pre_shares) = holding_pre_votes(ctxs, &pid);
+    let just = multi_sig(&[&pre_shares[0], &pre_shares[1], &pre_shares[2]]);
+    let statement = statement_main_vote(&pid, 1, MainVote::Value(true));
+    let shares: Vec<Checked<SigShare>> = ctxs
+        .iter()
+        .map(|c| c.sign_share(Thsig::Agreement, &statement))
+        .collect();
+    // Its own main-vote is in the first network's hands; party 1's has
+    // arrived.
+    let (_, _, body) = main_vote_from(ctxs, &pid, 1, true, just);
+    inst.handle(PartyId(1), &body, &mut Outgoing::new());
+    let decide = Body::BaDecide {
+        round: 1,
+        value: true,
+        sig: multi_sig(&[&shares[1], &shares[2], &shares[3]]),
+        proof: None,
+    };
+    let new = [shares[2].clone().forget(), shares[3].clone().forget()];
+    let check = &ctxs[0];
+    let owed = priced(|| {
+        let checked = |share| check.check_share(Thsig::Agreement, &statement, share);
+        new.iter().all(|share| checked(share).is_some())
+    });
+    let offered = offer(&mut inst, |i, out| i.handle(PartyId(2), &decide, out));
+    assert_eq!(inst.decision(), Some(true));
+    Held {
+        what: "ba-decide signed by one held main-vote share and two new ones",
+        owed,
+        offered,
+        counts: true,
+    }
+}
+
+/// (d) Equality under another statement vouches for nothing: the
+/// signature is made of shares the instance holds, and is offered for
+/// the other bit, for another round, to another instance.
+fn held_under_another_statement(ctxs: &[GroupContext]) -> Vec<Held> {
+    let check = &ctxs[0];
+    let mut rows = Vec::new();
+
+    let pid = ProtocolId::new("ba-other-bit");
+    let (mut inst, shares) = holding_pre_votes(ctxs, &pid);
+    let just = multi_sig(&[&shares[0], &shares[1], &shares[2]]);
+    let (_, _, body) = main_vote_from(ctxs, &pid, 3, false, just.clone());
+    let claimed = statement_pre_vote(&pid, 1, false);
+    rows.push(Held {
+        what: "ba-main-vote for 0 justified by the held shares for 1",
+        owed: refused(|| check.check_sig(Thsig::Agreement, &claimed, &just).is_some()),
+        offered: offer(&mut inst, |i, out| i.handle(PartyId(3), &body, out)),
+        counts: false,
+    });
+
+    // A round-3 pre-vote hard-justified by "round 2's" signature, which
+    // is round 1's.
+    let pid = ProtocolId::new("ba-other-round");
+    let (mut inst, shares) = holding_pre_votes(ctxs, &pid);
+    let just = multi_sig(&[&shares[0], &shares[1], &shares[2]]);
+    let statement = statement_pre_vote(&pid, 3, true);
+    let pre_vote = Body::BaPreVote {
+        round: 3,
+        value: true,
+        just: PreVoteJust::Hard(just.clone()),
+        share: ctxs[3].sign_share(Thsig::Agreement, &statement).forget(),
+        proof: None,
+    };
+    let claimed = statement_pre_vote(&pid, 2, true);
+    rows.push(Held {
+        what: "ba-pre-vote of round 3 justified by round 1's held shares",
+        owed: refused(|| check.check_sig(Thsig::Agreement, &claimed, &just).is_some()),
+        offered: offer(&mut inst, |i, out| i.handle(PartyId(3), &pre_vote, out)),
+        counts: false,
+    });
+
+    // A sender that has assembled its own final is offered the final of
+    // another instance's broadcast of the same payload.
+    let pid = ProtocolId::new("cb-other-pid");
+    let (mut inst, _) = sender_with_final(ctxs, &pid);
+    let elsewhere = statement_cb(&ProtocolId::new("cb-elsewhere"), b"payload");
+    let sig = group_sig(ctxs, Thsig::Broadcast, &elsewhere);
+    let fin = Body::CbFinal {
+        payload: b"payload".to_vec(),
+        sig: sig.clone(),
+    };
+    let claimed = statement_cb(&pid, b"payload");
+    rows.push(Held {
+        what: "cb-final of another instance at a sender holding its own",
+        owed: refused(|| check.check_sig(Thsig::Broadcast, &claimed, &sig).is_some()),
+        offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &fin, out)),
+        counts: false,
+    });
+    rows
+}
+
+/// Party 0 as the sender of a broadcast of `b"payload"`, with its own
+/// echo and those of parties 1 and 2 in: the final it has just sent.
+fn sender_with_final(ctxs: &[GroupContext], pid: &ProtocolId) -> (ConsistentBroadcast, Body) {
+    let mut inst = ConsistentBroadcast::new(pid.clone(), ctxs[0].clone(), PartyId(0));
+    let mut out = Outgoing::new();
+    inst.send(b"payload".to_vec(), &mut out);
+    let (_, send) = out.drain().remove(0);
+    inst.handle(PartyId(0), &send.body, &mut out);
+    let (_, own_echo) = out.drain().remove(0);
+    // Its own echo comes back: the share it signed a moment ago.
+    let own = offer(&mut inst, |i, out| {
+        i.handle(PartyId(0), &own_echo.body, out)
+    });
+    assert!(
+        own.changed && own.work.abs() < 1e-9,
+        "own echo: {}",
+        own.work
+    );
+    let statement = statement_cb(pid, b"payload");
+    for from in [1, 2] {
+        let share = ctxs[from].sign_share(Thsig::Broadcast, &statement).forget();
+        inst.handle(PartyId(from), &Body::CbEcho(share), &mut out);
+    }
+    let (_, fin) = out.drain().remove(0);
+    assert!(matches!(fin.body, Body::CbFinal { .. }));
+    (inst, fin.body)
+}
+
+fn own_final(ctxs: &[GroupContext]) -> Held {
+    let (mut inst, fin) = sender_with_final(ctxs, &ProtocolId::new("cb-own-final"));
+    let offered = offer(&mut inst, |i, out| i.handle(PartyId(0), &fin, out));
+    assert_eq!(inst.delivered(), Some(&b"payload"[..]));
+    Held {
+        what: "cb-final come back to the sender that assembled it",
+        owed: 0.0,
+        offered,
+        counts: true,
+    }
+}
+
+/// A final that another party assembled from this party's echo share and
+/// two it has never seen.
+fn final_with_own_echo(ctxs: &[GroupContext]) -> Held {
+    let pid = ProtocolId::new("cb-own-echo");
+    let mut inst = ConsistentBroadcast::new(pid.clone(), ctxs[0].clone(), PartyId(1));
+    let mut out = Outgoing::new();
+    inst.handle(PartyId(1), &Body::CbSend(b"payload".to_vec()), &mut out);
+    let (_, echo) = out.drain().remove(0);
+    assert!(matches!(echo.body, Body::CbEcho(_)), "it echoes the send");
+    let statement = statement_cb(&pid, b"payload");
+    let others: Vec<Checked<SigShare>> = [1, 2]
+        .iter()
+        .map(|&p: &usize| ctxs[p].sign_share(Thsig::Broadcast, &statement))
+        .collect();
+    let own = ctxs[0].sign_share(Thsig::Broadcast, &statement);
+    let fin = Body::CbFinal {
+        payload: b"payload".to_vec(),
+        sig: multi_sig(&[&others[0], &own, &others[1]]),
+    };
+    let check = &ctxs[0];
+    Held {
+        what: "cb-final holding this party's own echo share",
+        owed: priced(|| {
+            let checked = |share: &Checked<SigShare>| {
+                check.check_share(Thsig::Broadcast, &statement, &share.clone().forget())
+            };
+            others.iter().all(|share| checked(share).is_some())
+        }),
+        offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &fin, out)),
+        counts: true,
+    }
+}
+
+/// The closing message of party 0's broadcast under agreement `pid`.
+fn closing_of_candidate_0(ctxs: &[GroupContext], pid: &ProtocolId) -> ClosingMessage {
+    let statement = statement_cb(&pid.child("bc/0"), b"candidate");
+    ClosingMessage {
+        payload: b"candidate".to_vec(),
+        sig: group_sig(ctxs, Thsig::Broadcast, &statement),
+    }
+}
+
+/// Yes-votes for a candidate whose broadcast the instance has delivered:
+/// one with the closing it holds, one with another valid closing of the
+/// same broadcast (a different quorum's signature).
+fn votes_with_closings(ctxs: &[GroupContext]) -> [Held; 2] {
+    let pid = ProtocolId::new("vba-held-closing");
+    let validator = ArrayValidator::always();
+    let order = CandidateOrder::Fixed;
+    let mut inst = MultiValuedAgreement::new(pid.clone(), ctxs[0].clone(), validator, order);
+    let held = closing_of_candidate_0(ctxs, &pid);
+    let fin = Body::CbFinal {
+        payload: held.payload.clone(),
+        sig: held.sig.clone(),
+    };
+    inst.handle(PartyId(0), &pid.child("bc/0"), &fin, &mut Outgoing::new());
+    let vote = |closing: &ClosingMessage| Body::VbaVote {
+        iteration: 0,
+        yes: true,
+        closing: Some(closing.to_bytes()),
+    };
+    let same = vote(&held);
+    let same = offer(&mut inst, |i, out| i.handle(PartyId(1), &pid, &same, out));
+    assert!(format!("{inst:?}").contains("proper: 1"), "the vote counts");
+    // Parties 1, 2 and 3 signed this one; the held one is of 0, 1 and 2.
+    let statement = statement_cb(&pid.child("bc/0"), b"candidate");
+    let other = ClosingMessage {
+        payload: held.payload.clone(),
+        sig: group_sig(&ctxs[1..], Thsig::Broadcast, &statement),
+    };
+    assert_ne!(other, held);
+    let differs = vote(&other);
+    let differs = offer(&mut inst, |i, out| {
+        i.handle(PartyId(2), &pid, &differs, out)
+    });
+    assert!(
+        format!("{inst:?}").contains("proper: 2"),
+        "and so does this"
+    );
+    let full = priced(|| {
+        ctxs[0]
+            .check_sig(Thsig::Broadcast, &statement, &other.sig)
+            .is_some()
+    });
+    [
+        Held {
+            what: "vba-vote with the closing the instance holds",
+            owed: 0.0,
+            offered: same,
+            counts: true,
+        },
+        Held {
+            what: "vba-vote with another valid closing of the same broadcast",
+            owed: full,
+            offered: differs,
+            counts: true,
+        },
+    ]
+}
+
+/// A pre-vote for 1 carrying, as validation data, the closing message the
+/// instance proposed with — under a validator that checks closings.
+fn pre_vote_with_held_proof(ctxs: &[GroupContext]) -> Held {
+    let pid = ProtocolId::new("ba-held-proof");
+    let closing = closing_of_candidate_0(ctxs, &pid).to_bytes();
+    let (bc_pid, ctx) = (pid.child("bc/0"), ctxs[0].clone());
+    let validator = BinaryValidator::new(move |value, proof| {
+        !value || VerifiableConsistentBroadcast::is_valid_closing(&bc_pid, &ctx, proof)
+    });
+    let mut inst = BinaryAgreement::new(pid.clone(), ctxs[0].clone()).with_validator(validator);
+    inst.propose(true, closing.clone(), &mut Outgoing::new());
+    let statement = statement_pre_vote(&pid, 1, true);
+    let share = ctxs[1].sign_share(Thsig::Agreement, &statement).forget();
+    let pre_vote = Body::BaPreVote {
+        round: 1,
+        value: true,
+        just: PreVoteJust::Initial,
+        share: share.clone(),
+        proof: Some(closing),
+    };
+    Held {
+        what: "ba-pre-vote carrying validation data the instance holds",
+        owed: priced(|| {
+            ctxs[0]
+                .check_share(Thsig::Agreement, &statement, &share)
+                .is_some()
+        }),
+        offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &pre_vote, out)),
+        counts: true,
+    }
+}
+
+/// The final of a proposal that names two entries the channel holds: the
+/// final's signature is new, the entries' signatures are not.
+fn proposal_of_held_entries(ctxs: &[GroupContext]) -> Held {
+    let pid = ProtocolId::new("ac-held-refs");
+    let mut chan = AtomicChannel::new(pid.clone(), ctxs[0].clone(), Default::default());
+    let entries = [1, 2, 3].map(|signer| ctxs[signer].sign_entry(&pid, 0, app(signer, b"held")));
+    for entry in &entries {
+        let (signer, entry) = (entry.signer(), entry.clone().forget());
+        let body = Body::AcEntry { round: 0, entry };
+        chan.handle(signer, &pid, &body, &mut Outgoing::new());
+    }
+    let refs: Vec<Unchecked<EntryRef>> =
+        vec![entries[0].to_ref().into(), entries[2].to_ref().into()];
+    let bc = pid.child("vba/0/bc/2");
+    let statement = statement_cb(&bc, &refs.to_bytes());
+    let sig = group_sig(&ctxs[1..], Thsig::Broadcast, &statement);
+    let fin = Body::CbFinal {
+        payload: refs.to_bytes(),
+        sig: sig.clone(),
+    };
+    Held {
+        what: "cb-final of a proposal naming two held entries",
+        owed: priced(|| {
+            ctxs[0]
+                .check_sig(Thsig::Broadcast, &statement, &sig)
+                .is_some()
+        }),
+        offered: offer(&mut chan, |c, out| c.handle(PartyId(2), &bc, &fin, out)),
+        counts: true,
+    }
+}
+
+#[test]
+fn what_is_held_is_free_and_what_is_new_costs_itself() {
+    let _turn = ONE_TABLE_AT_A_TIME.lock();
+    let ctxs = group();
+    let mut table = justified_main_votes(&ctxs);
+    table.push(decide_with_one_new_share(&ctxs));
+    table.extend(held_under_another_statement(&ctxs));
+    table.push(own_final(&ctxs));
+    table.push(final_with_own_echo(&ctxs));
+    table.extend(votes_with_closings(&ctxs));
+    table.push(pre_vote_with_held_proof(&ctxs));
+    table.push(proposal_of_held_entries(&ctxs));
+    for row in table {
+        let (spent, owed) = (row.offered.work, row.owed);
+        assert!(
+            (spent - owed).abs() < 1e-9,
+            "{}: {spent} work units where {owed} are owed",
+            row.what
+        );
+        assert_eq!(row.offered.changed, row.counts, "{}: state", row.what);
     }
 }

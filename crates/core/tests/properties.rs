@@ -6,20 +6,23 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sintra_core::agreement::{BinaryAgreement, CandidateOrder, MultiValuedAgreement};
+use sintra_core::broadcast::ClosingMessage;
 use sintra_core::channel::{AtomicChannel, AtomicChannelConfig};
-use sintra_core::checked::Unchecked;
+use sintra_core::checked::{Thsig, Unchecked};
 use sintra_core::message::{
     payload_digest, statement_cb, statement_entry, statement_pre_vote, Body, Entry, EntryRef,
-    Envelope, Payload, PayloadKind,
+    Envelope, MainVote, MainVoteJust, Payload, PayloadKind,
 };
 use sintra_core::validator::ArrayValidator;
 use sintra_core::wire::Wire;
 use sintra_core::{GroupContext, Outgoing, PartyId, ProtocolId, Recipient};
 use sintra_crypto::dealer::{deal, DealerConfig};
 use sintra_crypto::rsa::RsaSignature;
+use sintra_crypto::thsig::{SigShare, SigShareBody, ThresholdSignature};
 
 fn group(n: usize, t: usize, seed: u64) -> Vec<GroupContext> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -320,18 +323,174 @@ fn request(party: usize, index: u64, len: usize) -> Vec<u8> {
     data
 }
 
+/// A group member that runs the honest protocol and shows the odd-numbered
+/// parties other signatures than the even-numbered ones — so that what an
+/// honest party receives is *almost* what it holds, which is where a
+/// party that compares before it verifies could be fooled:
+///
+/// * as a consistent-broadcast sender it closes its broadcast towards
+///   the odd parties with a different valid quorum of echo shares, so
+///   honest parties hold, and vote with, two distinct valid closing
+///   messages of one broadcast;
+/// * towards the odd parties its yes-votes' closings and its main-votes'
+///   justifications have one component replaced by a valid share of its
+///   own on another statement — the rest being shares they hold.
+struct TwoFaced {
+    ctx: GroupContext,
+    /// Echo shares it was sent, by broadcast instance.
+    echoes: BTreeMap<ProtocolId, Vec<SigShare>>,
+    /// Finals the odd parties are still owed, until a spare echo is in.
+    owed: BTreeMap<ProtocolId, OwedFinal>,
+}
+
+/// A final as sent to the even parties, and the odd ones waiting for it.
+struct OwedFinal {
+    payload: Vec<u8>,
+    components: Vec<(usize, RsaSignature)>,
+    odd: Vec<usize>,
+}
+
+impl TwoFaced {
+    fn component(share: &SigShare) -> Option<(usize, RsaSignature)> {
+        match &share.body {
+            SigShareBody::Multi { sig } => Some((share.index, sig.clone())),
+            SigShareBody::ShoupRsa { .. } => None,
+        }
+    }
+
+    /// `sig` with one component replaced by this party's valid share on
+    /// `elsewhere`, under its own index.
+    fn spoiled(
+        &self,
+        key: Thsig,
+        elsewhere: &[u8],
+        sig: &Unchecked<ThresholdSignature>,
+    ) -> Unchecked<ThresholdSignature> {
+        let ThresholdSignature::Multi(components) = &**sig else {
+            return sig.clone();
+        };
+        let own = Self::component(&self.ctx.sign_share(key, elsewhere)).expect("multi flavor");
+        let mut components = components.clone();
+        let at = components.iter().position(|(index, _)| *index == own.0);
+        components[at.unwrap_or(0)] = own;
+        ThresholdSignature::Multi(components).into()
+    }
+
+    /// Takes note of a message sent to this party; returns the finals it
+    /// can now send to the odd parties.
+    fn observe(&mut self, pid: &ProtocolId, body: &Body) -> Vec<(usize, Envelope)> {
+        let Body::CbEcho(share) = body else {
+            return Vec::new();
+        };
+        let shares = self.echoes.entry(pid.clone()).or_default();
+        if shares.iter().all(|s| s.index != share.index) {
+            shares.push((**share).clone());
+        }
+        self.other_quorum(pid)
+    }
+
+    /// The owed finals of broadcast `pid`, if an echo share is held that
+    /// the sent final does not use.
+    fn other_quorum(&mut self, pid: &ProtocolId) -> Vec<(usize, Envelope)> {
+        let Some(OwedFinal {
+            components: used, ..
+        }) = self.owed.get(pid)
+        else {
+            return Vec::new();
+        };
+        let spare = self.echoes.get(pid).and_then(|shares| {
+            let unused = |s: &&SigShare| used.iter().all(|(index, _)| *index != s.index);
+            shares.iter().find(unused).and_then(Self::component)
+        });
+        let Some(spare) = spare else {
+            return Vec::new();
+        };
+        let mut owed = self.owed.remove(pid).expect("looked up above");
+        owed.components[0] = spare;
+        let body = Body::CbFinal {
+            payload: owed.payload,
+            sig: ThresholdSignature::Multi(owed.components).into(),
+        };
+        let env = Envelope {
+            pid: pid.clone(),
+            send_seq: 0,
+            body,
+        };
+        owed.odd.into_iter().map(|to| (to, env.clone())).collect()
+    }
+
+    /// What party `to` gets in place of `env`, which this party's honest
+    /// self wants to send it; nothing if it has to wait.
+    fn rewrite(&mut self, to: usize, env: Envelope) -> Vec<(usize, Envelope)> {
+        if to.is_multiple_of(2) {
+            return vec![(to, env)];
+        }
+        let Envelope { pid, body, .. } = env;
+        let elsewhere = statement_cb(&pid, b"another statement");
+        let body = match body {
+            Body::CbFinal { payload, sig } => {
+                let ThresholdSignature::Multi(components) = &*sig else {
+                    unreachable!("multi flavor");
+                };
+                let owed = OwedFinal {
+                    payload,
+                    components: components.clone(),
+                    odd: Vec::new(),
+                };
+                self.owed.entry(pid.clone()).or_insert(owed).odd.push(to);
+                return self.other_quorum(&pid);
+            }
+            Body::VbaVote {
+                iteration,
+                yes: true,
+                closing: Some(closing),
+            } => {
+                let mut closing = ClosingMessage::from_bytes(&closing).expect("its own closing");
+                closing.sig = self.spoiled(Thsig::Broadcast, &elsewhere, &closing.sig);
+                Body::VbaVote {
+                    iteration,
+                    yes: true,
+                    closing: Some(closing.to_bytes()),
+                }
+            }
+            Body::BaMainVote {
+                round,
+                vote: vote @ MainVote::Value(_),
+                just: MainVoteJust::Value(sig),
+                share,
+                proof,
+            } => Body::BaMainVote {
+                round,
+                vote,
+                just: MainVoteJust::Value(self.spoiled(Thsig::Agreement, &elsewhere, &sig)),
+                share,
+                proof,
+            },
+            honest => honest,
+        };
+        let env = Envelope {
+            pid,
+            send_seq: 0,
+            body,
+        };
+        vec![(to, env)]
+    }
+}
+
 /// Runs an atomic channel group in which party `p` issues `bursts[p]`
 /// back-to-back send bursts of `len`-byte requests at random points of a
 /// randomly scheduled run, and returns every party's delivered
 /// `(origin, seq, data)` log. With `proposals_first` the scheduler
 /// delivers a pending `cb-send` before anything else, so proposals
-/// overtake the entries they name whenever they can.
+/// overtake the entries they name whenever they can. With `two_faced`
+/// the last party is a [`TwoFaced`] one.
 fn run_atomic_with_schedule(
     n: usize,
     fairness: usize,
     bursts: &[Vec<usize>],
     len: usize,
     proposals_first: bool,
+    two_faced: bool,
     seed: u64,
 ) -> Vec<Vec<(usize, u64, Vec<u8>)>> {
     enum Action {
@@ -348,6 +507,11 @@ fn run_atomic_with_schedule(
         .iter()
         .map(|c| AtomicChannel::new(pid.clone(), c.clone(), config))
         .collect();
+    let mut liar = two_faced.then(|| TwoFaced {
+        ctx: ctxs[n - 1].clone(),
+        echoes: BTreeMap::new(),
+        owed: BTreeMap::new(),
+    });
     let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
     let mut pool: Vec<Action> = Vec::new();
     for (party, sizes) in bursts.iter().enumerate() {
@@ -371,9 +535,13 @@ fn run_atomic_with_schedule(
             some => some[rng.gen_range(0..some.len())],
         };
         let mut out = Outgoing::new();
+        let mut sends: Vec<(usize, Envelope)> = Vec::new();
         let at = match pool.swap_remove(idx) {
-            Action::Deliver(from, to, mpid, body) => {
-                chans[to].handle(from, &mpid, &body, &mut out);
+            Action::Deliver(from, to, pid, body) => {
+                chans[to].handle(from, &pid, &body, &mut out);
+                if let (Some(liar), true) = (&mut liar, to == n - 1) {
+                    sends.extend(liar.observe(&pid, &body));
+                }
                 to
             }
             Action::Burst(party, size) => {
@@ -385,19 +553,21 @@ fn run_atomic_with_schedule(
             }
         };
         for (recipient, env) in out.drain() {
-            let targets: Vec<usize> = match recipient {
-                Recipient::All => (0..n).collect(),
-                Recipient::One(p) => vec![p.0],
+            let targets = match recipient {
+                Recipient::All => 0..n,
+                Recipient::One(p) => p.0..p.0 + 1,
             };
             for to in targets {
-                pool.push(Action::Deliver(
-                    PartyId(at),
-                    to,
-                    env.pid.clone(),
-                    env.body.clone(),
-                ));
+                match &mut liar {
+                    Some(liar) if at == n - 1 => sends.extend(liar.rewrite(to, env.clone())),
+                    _ => sends.push((to, env.clone())),
+                }
             }
         }
+        let deliveries = sends
+            .into_iter()
+            .map(|(to, env)| Action::Deliver(PartyId(at), to, env.pid, env.body));
+        pool.extend(deliveries);
     }
     chans
         .iter_mut()
@@ -427,7 +597,8 @@ proptest! {
         let bursts = &bursts[..n];
         // 16 KiB requests: a burst of five overflows an entry's byte budget.
         let len = if bulk { 16 * 1024 } else { 0 };
-        let logs = run_atomic_with_schedule(n, fairness, bursts, len, proposals_first, seed);
+        let logs =
+            run_atomic_with_schedule(n, fairness, bursts, len, proposals_first, false, seed);
         // Agreement and total order.
         for (p, log) in logs.iter().enumerate().skip(1) {
             prop_assert_eq!(log, &logs[0], "party {} disagrees", p);
@@ -443,6 +614,39 @@ proptest! {
             let expected: Vec<(u64, Vec<u8>)> =
                 (0..sent).map(|s| (s, request(origin, s, len))).collect();
             prop_assert_eq!(got, expected, "origin {}", origin);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    // A miss falls back to the check: with a member that shows half the
+    // group signatures that differ from the ones they hold in one valid
+    // or one invalid component, the honest parties agree on one order
+    // and deliver every honest request once, in order.
+    #[test]
+    fn atomic_channel_survives_a_two_faced_member(
+        big in any::<bool>(),
+        proposals_first in any::<bool>(),
+        bursts in prop::collection::vec(prop::collection::vec(1usize..4, 1..3), 7..=7),
+        seed in any::<u64>(),
+    ) {
+        let (n, t) = if big { (7, 2) } else { (4, 1) };
+        let bursts = &bursts[..n];
+        let logs = run_atomic_with_schedule(n, n - t, bursts, 0, proposals_first, true, seed);
+        let honest = &logs[..n - 1];
+        for (p, log) in honest.iter().enumerate().skip(1) {
+            prop_assert_eq!(log, &honest[0], "party {} disagrees", p);
+        }
+        for (origin, sizes) in bursts.iter().enumerate().take(n - 1) {
+            let got: Vec<u64> = honest[0]
+                .iter()
+                .filter(|(o, _, _)| *o == origin)
+                .map(|(_, seq, _)| *seq)
+                .collect();
+            let sent = sizes.iter().sum::<usize>() as u64;
+            prop_assert_eq!(got, (0..sent).collect::<Vec<u64>>(), "origin {}", origin);
         }
     }
 }

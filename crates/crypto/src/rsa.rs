@@ -147,11 +147,17 @@ impl RsaPrivateKey {
 /// `quorum` valid signatures from distinct signers, given all parties'
 /// public keys. This is the multi-signature check used when threshold
 /// signatures are configured as signature vectors.
+///
+/// `held(index, signature)` answers for a pair the caller has already
+/// verified over this very `message`: such a pair is not exponentiated
+/// again. The shape of the quorum — enough pairs, indices in range and
+/// distinct — is checked whatever is held.
 pub fn verify_distinct_quorum(
     keys: &[RsaPublicKey],
     message: &[u8],
     sigs: &[(usize, RsaSignature)],
     quorum: usize,
+    mut held: impl FnMut(usize, &RsaSignature) -> bool,
 ) -> Result<(), CryptoError> {
     if sigs.len() < quorum {
         return Err(CryptoError::NotEnoughShares {
@@ -159,8 +165,9 @@ pub fn verify_distinct_quorum(
             got: sigs.len(),
         });
     }
+    // The shape first: a malformed quorum costs nothing, whatever it holds.
     let mut seen = vec![false; keys.len()];
-    for (index, sig) in sigs {
+    for (index, _) in sigs {
         if *index >= keys.len() {
             return Err(CryptoError::InvalidShare { index: *index });
         }
@@ -168,7 +175,9 @@ pub fn verify_distinct_quorum(
             return Err(CryptoError::DuplicateShare { index: *index });
         }
         seen[*index] = true;
-        if !keys[*index].verify(message, sig) {
+    }
+    for (index, sig) in sigs {
+        if !held(*index, sig) && !keys[*index].verify(message, sig) {
             return Err(CryptoError::InvalidShare { index: *index });
         }
     }
@@ -244,21 +253,34 @@ mod tests {
             .map(|(i, k)| (i, k.sign(b"m")))
             .collect();
 
-        assert!(verify_distinct_quorum(&publics, b"m", &sigs, 3).is_ok());
+        let none = |_: usize, _: &RsaSignature| false;
+        assert!(verify_distinct_quorum(&publics, b"m", &sigs, 3, none).is_ok());
         assert!(matches!(
-            verify_distinct_quorum(&publics, b"m", &sigs[..1], 2),
+            verify_distinct_quorum(&publics, b"m", &sigs[..1], 2, none),
             Err(CryptoError::NotEnoughShares { .. })
         ));
         let dup = vec![sigs[0].clone(), sigs[0].clone()];
         assert!(matches!(
-            verify_distinct_quorum(&publics, b"m", &dup, 2),
+            verify_distinct_quorum(&publics, b"m", &dup, 2, none),
             Err(CryptoError::DuplicateShare { .. })
         ));
         let forged = vec![sigs[0].clone(), (1, sigs[2].1.clone())];
         assert!(matches!(
-            verify_distinct_quorum(&publics, b"m", &forged, 2),
+            verify_distinct_quorum(&publics, b"m", &forged, 2, none),
             Err(CryptoError::InvalidShare { index: 1 })
         ));
+        // A held pair is not exponentiated; the others still are, and a
+        // duplicate is refused for nothing even when every pair is held.
+        let all = |_: usize, _: &RsaSignature| true;
+        let scope = cost::CostScope::enter();
+        assert!(verify_distinct_quorum(&publics, b"m", &sigs, 3, |i, _| i != 1).is_ok());
+        let one = scope.elapsed();
+        let scope = cost::CostScope::enter();
+        assert!(publics[1].verify(b"m", &sigs[1].1));
+        assert!((scope.elapsed() - one).abs() < 1e-12);
+        let scope = cost::CostScope::enter();
+        assert!(verify_distinct_quorum(&publics, b"m", &dup, 2, all).is_err());
+        assert_eq!(scope.elapsed(), 0.0);
     }
 
     #[test]

@@ -432,10 +432,11 @@ impl ThresholdSigPublic {
         }
     }
 
-    /// Like [`Self::assemble`] but skips per-share proof verification for
-    /// shares the caller already verified on receipt (multi-signature
-    /// shares are still checked — their verification *is* the assembly
-    /// invariant and is cheap).
+    /// Like [`Self::assemble`] for shares the caller has each verified
+    /// over `message` on receipt, or signed itself: no share is verified
+    /// again, in either flavor. What the shares cannot have told their
+    /// verifier is still checked — that there are `k` of them, from
+    /// distinct parties of the group.
     pub fn assemble_preverified(
         &self,
         message: &[u8],
@@ -443,7 +444,7 @@ impl ThresholdSigPublic {
     ) -> Result<ThresholdSignature> {
         match self {
             ThresholdSigPublic::ShoupRsa(p) => p.assemble_preverified(message, shares),
-            multi @ ThresholdSigPublic::Multi { .. } => multi.assemble(message, shares),
+            ThresholdSigPublic::Multi { k, keys } => multi_assemble(*k, keys, shares, None),
         }
     }
 
@@ -456,47 +457,72 @@ impl ThresholdSigPublic {
         match self {
             ThresholdSigPublic::ShoupRsa(p) => p.assemble(message, shares),
             ThresholdSigPublic::Multi { k, keys } => {
-                if shares.len() < *k {
-                    return Err(CryptoError::NotEnoughShares {
-                        needed: *k,
-                        got: shares.len(),
-                    });
-                }
-                let mut out = Vec::with_capacity(*k);
-                let mut seen = vec![false; keys.len()];
-                for share in &shares[..*k] {
-                    if share.index >= keys.len() {
-                        return Err(CryptoError::InvalidShare { index: share.index });
-                    }
-                    if seen[share.index] {
-                        return Err(CryptoError::DuplicateShare { index: share.index });
-                    }
-                    seen[share.index] = true;
-                    let SigShareBody::Multi { sig } = &share.body else {
-                        return Err(CryptoError::InvalidShare { index: share.index });
-                    };
-                    if !keys[share.index].verify(message, sig) {
-                        return Err(CryptoError::InvalidShare { index: share.index });
-                    }
-                    out.push((share.index, sig.clone()));
-                }
-                Ok(ThresholdSignature::Multi(out))
+                multi_assemble(*k, keys, shares, Some(message))
             }
         }
     }
 
     /// Verifies an assembled threshold signature over `message`.
     pub fn verify(&self, message: &[u8], signature: &ThresholdSignature) -> bool {
+        self.verify_beyond(message, signature, |_, _| false)
+    }
+
+    /// Verifies an assembled threshold signature over `message`, sparing
+    /// the components `held(index, signature)` answers for: party
+    /// `index`'s signature on this very `message`, verified before. The
+    /// quorum's shape is checked whatever is held. A Shoup signature has
+    /// no components and is verified whole.
+    pub fn verify_beyond(
+        &self,
+        message: &[u8],
+        signature: &ThresholdSignature,
+        held: impl FnMut(usize, &RsaSignature) -> bool,
+    ) -> bool {
         match self {
             ThresholdSigPublic::ShoupRsa(p) => p.verify(message, signature),
             ThresholdSigPublic::Multi { k, keys } => {
                 let ThresholdSignature::Multi(sigs) = signature else {
                     return false;
                 };
-                rsa::verify_distinct_quorum(keys, message, sigs, *k).is_ok()
+                rsa::verify_distinct_quorum(keys, message, sigs, *k, held).is_ok()
             }
         }
     }
+}
+
+/// The first `k` of `shares` as a multi-signature: from distinct parties
+/// of the group, and each valid over `message` if one is given.
+fn multi_assemble(
+    k: usize,
+    keys: &[RsaPublicKey],
+    shares: &[SigShare],
+    message: Option<&[u8]>,
+) -> Result<ThresholdSignature> {
+    if shares.len() < k {
+        return Err(CryptoError::NotEnoughShares {
+            needed: k,
+            got: shares.len(),
+        });
+    }
+    let mut out = Vec::with_capacity(k);
+    let mut seen = vec![false; keys.len()];
+    for share in &shares[..k] {
+        if share.index >= keys.len() {
+            return Err(CryptoError::InvalidShare { index: share.index });
+        }
+        if seen[share.index] {
+            return Err(CryptoError::DuplicateShare { index: share.index });
+        }
+        seen[share.index] = true;
+        let SigShareBody::Multi { sig } = &share.body else {
+            return Err(CryptoError::InvalidShare { index: share.index });
+        };
+        if message.is_some_and(|message| !keys[share.index].verify(message, sig)) {
+            return Err(CryptoError::InvalidShare { index: share.index });
+        }
+        out.push((share.index, sig.clone()));
+    }
+    Ok(ThresholdSignature::Multi(out))
 }
 
 impl ThresholdSigKit {
@@ -700,6 +726,36 @@ mod tests {
             kits[0].public.assemble(msg, &[s0.clone(), s0]),
             Err(CryptoError::DuplicateShare { index: 0 })
         ));
+    }
+
+    #[test]
+    fn preverified_multi_assembly_checks_the_shape_and_nothing_else() {
+        let kits = multi_setup(4, 3);
+        let public = &kits[0].public;
+        let msg = b"m";
+        let shares: Vec<SigShare> = kits.iter().map(|k| k.sign_share(msg)).collect();
+        let scope = cost::CostScope::enter();
+        let sig = public.assemble_preverified(msg, &shares).unwrap();
+        assert!(matches!(
+            public.assemble_preverified(msg, &shares[..2]),
+            Err(CryptoError::NotEnoughShares { needed: 3, got: 2 })
+        ));
+        let twice = [shares[0].clone(), shares[0].clone(), shares[1].clone()];
+        assert!(matches!(
+            public.assemble_preverified(msg, &twice),
+            Err(CryptoError::DuplicateShare { index: 0 })
+        ));
+        assert_eq!(scope.elapsed(), 0.0, "no share is verified again");
+        assert_eq!(sig, public.assemble(msg, &shares).unwrap());
+        // Verification spares exactly the components it is told are held.
+        let ThresholdSignature::Multi(components) = &sig else {
+            panic!("multi flavor");
+        };
+        let scope = cost::CostScope::enter();
+        assert!(public.verify_beyond(msg, &sig, |index, s| *s == components[index].1));
+        assert_eq!(scope.elapsed(), 0.0);
+        assert!(!public.verify_beyond(b"other", &sig, |index, _| index != 2));
+        assert!(scope.elapsed() > 0.0);
     }
 
     #[test]

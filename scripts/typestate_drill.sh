@@ -56,15 +56,16 @@ def replace(old, new):
     src = src.replace(old, new)
 
 if name == "note_proof before the share check (on_pre_vote)":
-    move_up("        self.note_proof(&share, value, proof);\n",
+    move_up("        self.note_proof(&share, value, fresh);\n",
             "        let statement = statement_pre_vote(&self.pid, round, value);\n"
-            "        let Some(share) = self.ctx.check_share(")
+            "        let Some(share) =\n")
 elif name == "note_proof before the share check (on_main_vote)":
     move_up("        if let MainVote::Value(b) = vote {\n"
-            "            self.note_proof(&share, b, proof);\n"
+            "            let fresh = self.fresh_proof(valid, b, proof);\n"
+            "            self.note_proof(&share, b, fresh);\n"
             "        }\n",
             "        let statement = statement_main_vote(&self.pid, round, vote);\n"
-            "        let Some(share) = self.ctx.check_share(")
+            "        let Some(share) =\n")
 elif name == "round slot before acceptable (on_entry)":
     move_up("        let state = self.slot(round, &entry);\n"
             "        state.arrived.push(entry.clone());\n",
@@ -81,13 +82,13 @@ elif name == "AcEntry: check dropped":
             "        let state = self.slot(round, &entry);\n"
             "        state.arrived.push(")
 elif name == "BaDecide: check dropped":
-    replace("        let Some(sig) = self.ctx.check_sig(Thsig::Agreement, &statement, sig) else {\n"
+    replace("        let Some(sig) = self.check_round_sig(round, &statement, sig) else {\n"
             "            return;\n"
             "        };\n"
-            "        self.note_proof(&sig, value, proof);\n",
-            "        self.note_proof(&sig, value, proof);\n")
+            "        let fresh = self.fresh_proof(valid, value, proof);\n",
+            "        let fresh = self.fresh_proof(valid, value, proof);\n")
 elif name == "CbFinal: check dropped":
-    replace("if let Some(sig) = self.ctx.check_sig(Thsig::Broadcast, &statement, sig) {",
+    replace("if let Some(sig) = self.check_final(payload, sig) {",
             "if let Some(sig) = Some(sig.clone()) {")
 else:
     raise SystemExit("unknown mutation " + name)
