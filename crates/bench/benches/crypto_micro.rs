@@ -14,9 +14,9 @@ use sintra_crypto::{fixtures, hmac::HmacKey};
 
 /// The bottom layer: one Montgomery multiplication and squaring at the
 /// group modulus, and exponentiations at the exponent lengths the stack
-/// uses — 17 bits (RSA verification), 160 (group exponents), 512 at a
-/// 512-bit modulus (one CRT half of a signature), 1024 (Shoup shares,
-/// hashing into the group).
+/// uses — 17 bits (RSA verification), 160 (group exponents), 341 at a
+/// 341-bit prime of a 1024-bit RSA key (one of a signature's three CRT
+/// exponentiations), 1024 (Shoup shares, hashing into the group).
 fn bench_bigint(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     let group = fixtures::schnorr_group(1024).expect("fixture");
@@ -27,8 +27,9 @@ fn bench_bigint(c: &mut Criterion) {
     let mut g = c.benchmark_group("bigint");
     g.bench_function("mont-mul/1024", |bench| bench.iter(|| ctx.mont_mul(&a, &b)));
     g.bench_function("mont-sqr/1024", |bench| bench.iter(|| ctx.mont_sqr(&a)));
-    let half = fixtures::schnorr_group(512).expect("fixture");
-    for (modulus, exp_bits) in [(p, 17), (p, 160), (half.modulus(), 512), (p, 1024)] {
+    let key = fixtures::rsa_key(1024, 0).expect("fixture");
+    let prime = key.primes().next().expect("a prime");
+    for (modulus, exp_bits) in [(p, 17), (p, 160), (prime, 341), (p, 1024)] {
         let base = rng.gen_ubig_below(modulus);
         let exp = rng.gen_ubig_bits(exp_bits).with_bit(exp_bits - 1, true);
         let id = format!("{}x{exp_bits}", modulus.bit_length());

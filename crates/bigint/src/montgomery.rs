@@ -162,15 +162,15 @@ fn reduce_wide(n: &[Limb], n_prime: Limb, out: &mut [Limb], wide: &mut [Limb]) {
 }
 
 /// Runs a kernel body with the modulus re-sliced to a literal length at
-/// the two widths the stack lives at — 8 limbs (the CRT halves of a
-/// 1024-bit RSA key) and 16 (the group and RSA moduli) — so the optimiser
-/// unrolls that copy of the body; every other width runs the same body
-/// with the length read at run time.
+/// the two widths the stack lives at — 6 limbs (the 341- and 342-bit
+/// primes of a three-prime 1024-bit RSA key) and 16 (the group and RSA
+/// moduli) — so the optimiser unrolls that copy of the body; every other
+/// width runs the same body with the length read at run time.
 macro_rules! at_width {
     ($n:expr, |$m:ident| $body:expr) => {
         match $n.len() {
-            8 => {
-                let $m = &$n[..8];
+            6 => {
+                let $m = &$n[..6];
                 $body
             }
             16 => {

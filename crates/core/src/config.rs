@@ -1,5 +1,6 @@
 //! Per-party protocol context: group parameters and key material.
 
+use std::fmt;
 use std::sync::Arc;
 
 use sintra_crypto::dealer::PartyKeys;
@@ -10,10 +11,21 @@ use crate::ids::PartyId;
 /// the group size, resilience, this party's identity and key material.
 ///
 /// Cheaply cloneable (`Arc` inside); every instance hosted by a party
-/// shares one context.
-#[derive(Debug, Clone)]
+/// shares one context. Its `Debug` shows who the party is and nothing it
+/// was dealt: every instance prints its context.
+#[derive(Clone)]
 pub struct GroupContext {
     keys: Arc<PartyKeys>,
+}
+
+impl fmt::Debug for GroupContext {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("GroupContext")
+            .field("me", &self.me())
+            .field("n", &self.n())
+            .field("t", &self.t())
+            .finish()
+    }
 }
 
 impl GroupContext {
@@ -128,5 +140,17 @@ mod tests {
         assert_eq!(ctx.parties().count(), 4);
         assert!(ctx.is_valid_party(PartyId(3)));
         assert!(!ctx.is_valid_party(PartyId(4)));
+    }
+
+    #[test]
+    fn debug_shows_the_party_and_nothing_it_was_dealt() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let parties = deal(&DealerConfig::small(4, 1), &mut rng).unwrap();
+        let ctx = GroupContext::new(Arc::new(parties[2].clone()));
+        let shown = format!("{ctx:?}");
+        for prime in ctx.keys().sig_key.primes() {
+            assert!(!shown.contains(&format!("{prime:x}")), "{shown}");
+        }
+        assert_eq!(shown, "GroupContext { me: PartyId(2), n: 4, t: 1 }");
     }
 }

@@ -24,7 +24,7 @@
 
 use std::collections::VecDeque;
 use std::fmt::Debug;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,10 +65,6 @@ struct Offer {
     /// Whether the instance sent anything or differs in any field.
     changed: bool,
 }
-
-/// The tables take turns: every group dealt from the fixtures shares one
-/// Schnorr group's table cache, and `{inst:?}` prints it.
-static ONE_TABLE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn offer<S: Debug>(inst: &mut S, deliver: impl FnOnce(&mut S, &mut Outgoing)) -> Offer {
     let before = format!("{inst:?}");
@@ -319,7 +315,6 @@ fn late_entries(ctxs: &[GroupContext]) -> [Row; 3] {
 
 #[test]
 fn late_messages_are_dropped_before_any_signature_check() {
-    let _turn = ONE_TABLE_AT_A_TIME.lock();
     let ctxs = group();
     let mut table = vec![
         decide_after_decision(&ctxs),
@@ -743,7 +738,6 @@ fn forged_closing(ctxs: &[GroupContext]) -> Forged {
 
 #[test]
 fn forged_messages_cost_their_check_and_change_nothing() {
-    let _turn = ONE_TABLE_AT_A_TIME.lock();
     let ctxs = group();
     let table = [
         forged_echo(&ctxs),
@@ -1234,7 +1228,6 @@ fn proposal_of_held_entries(ctxs: &[GroupContext]) -> Held {
 
 #[test]
 fn what_is_held_is_free_and_what_is_new_costs_itself() {
-    let _turn = ONE_TABLE_AT_A_TIME.lock();
     let ctxs = group();
     let mut table = justified_main_votes(&ctxs);
     table.push(decide_with_one_new_share(&ctxs));

@@ -10,11 +10,27 @@
 //! constant in the same diff, where a reviewer sees it.
 //!
 //! The n = 4 multi-signature row is the `abc4_lone` round of
-//! `BENCHMARK.json` (128 messages, and at this commit the same 8.13 work
+//! `BENCHMARK.json` (128 messages, and at this commit the same 4.24 work
 //! units per payload as its traced pass). Before a party stopped
 //! re-verifying the shares, closings and justifications it already holds
 //! the four rows read 11.495236, 36.251827, 208.020303 and 590.723628
 //! work units, with the same message counts.
+//!
+//! Before the party keys became three-prime they read 8.131503,
+//! 22.826405, 177.423781 and 536.303032. Only the signing charge moved:
+//! party `i`'s signature went from `s_i` (two 512-bit CRT halves, 0.2485
+//! to 0.2498 units) to `s'_i` (three 341/342-bit primes, 0.1105 to 0.1111),
+//! and every party signs 7 times in an n = 4 multi-signature round (4 echo
+//! shares, its entry, a pre-vote and a main-vote share), 10 times at n = 7
+//! (7 echo shares), and once, its entry, with Shoup threshold signatures.
+//! So the multi-signature rows moved by exactly `7·Σ(s'_i − s_i)` and
+//! `10·Σ(s'_i − s_i)`, −3.886774 and −9.702092. The Shoup rows moved by
+//! `Σ(s'_i − s_i)`, −0.555253 and −0.970209, plus +0.033202 and −0.039061:
+//! a Shoup share's proof is charged by the lengths of its challenge and
+//! response, which hash the statement, and the statements name entries by
+//! their (new) signatures. One byte more in the request moves those rows
+//! by as much (+0.021 and −0.014 at the parent) and the multi-signature
+//! rows not at all.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -73,10 +89,10 @@ fn one_round(n: usize, t: usize, flavor: SigFlavor) -> (usize, f64) {
 
 /// `(n, t, flavor, messages, work units)`.
 const BUDGET: [(usize, usize, SigFlavor, usize, f64); 4] = [
-    (4, 1, SigFlavor::Multi, 128, 8.131503),
-    (7, 2, SigFlavor::Multi, 392, 22.826405),
-    (4, 1, SigFlavor::ShoupRsa, 128, 177.423781),
-    (7, 2, SigFlavor::ShoupRsa, 392, 536.303032),
+    (4, 1, SigFlavor::Multi, 128, 4.244729),
+    (7, 2, SigFlavor::Multi, 392, 13.124313),
+    (4, 1, SigFlavor::ShoupRsa, 128, 176.901730),
+    (7, 2, SigFlavor::ShoupRsa, 392, 535.293761),
 ];
 
 #[test]

@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 use sintra_bigint::Ubig;
 
 use crate::group::SchnorrGroup;
-use crate::rsa::{RsaPrivateKey, RsaPublicKey};
+use crate::rsa::{RsaPrivateKey, RsaPublicKey, PRIMES_PER_KEY};
 use crate::thsig::ShoupModulus;
 use crate::{CryptoError, Result};
 
@@ -25,6 +25,20 @@ mod data {
 fn ub(hex: &str) -> Ubig {
     Ubig::from_hex(hex).expect("fixture hex is valid")
 }
+
+/// Each RSA pool size with the modulus length of its 8 parties' keys.
+/// `gen_fixtures` draws a key's [`PRIMES_PER_KEY`] primes at about a third
+/// of that length and redraws them until the modulus is exactly as long
+/// as that party's two-prime modulus was: verifying is charged by the
+/// modulus length, so no verification charge moved with the primes.
+pub const RSA_MODULUS_BITS: [(u32, [u32; 8]); 6] = [
+    (128, [128, 128, 127, 127, 127, 128, 128, 127]),
+    (256, [255, 256, 255, 256, 255, 255, 255, 256]),
+    (384, [384, 383, 383, 384, 383, 384, 384, 384]),
+    (512, [512, 512, 511, 512, 512, 512, 512, 512]),
+    (768, [768, 767, 768, 767, 767, 768, 768, 768]),
+    (1024, [1023, 1023, 1023, 1024, 1023, 1023, 1023, 1024]),
+];
 
 /// Modulus sizes (bits) with an embedded Schnorr group.
 pub fn group_sizes() -> Vec<u32> {
@@ -87,8 +101,8 @@ pub fn shoup_modulus(bits: u32) -> Result<ShoupModulus> {
 }
 
 /// Builds party `index`'s RSA key of `bits`-bit modulus from the embedded
-/// prime pool (deterministic: the same `(bits, index)` always yields the
-/// same key).
+/// prime pool: [`PRIMES_PER_KEY`] primes each (deterministic: the same
+/// `(bits, index)` always yields the same key).
 ///
 /// # Errors
 ///
@@ -97,17 +111,16 @@ pub fn shoup_modulus(bits: u32) -> Result<ShoupModulus> {
 pub fn rsa_key(bits: u32, index: usize) -> Result<RsaPrivateKey> {
     for (b, pool) in data::RSA_PRIME_POOLS {
         if *b == bits {
-            if 2 * index + 1 >= pool.len() {
+            let Some(primes) = pool.get(PRIMES_PER_KEY * index..PRIMES_PER_KEY * (index + 1))
+            else {
                 return Err(CryptoError::UnsupportedParameters(
                     "RSA prime pool exhausted for this party index",
                 ));
-            }
-            let p = ub(pool[2 * index]);
-            let q = ub(pool[2 * index + 1]);
+            };
             let e = Ubig::from(crate::rsa::DEFAULT_PUBLIC_EXPONENT);
-            return RsaPrivateKey::from_primes(p, q, e).ok_or(CryptoError::MalformedInput(
-                "fixture primes incompatible with public exponent",
-            ));
+            return RsaPrivateKey::from_primes(primes.iter().map(|p| ub(p)).collect(), e).ok_or(
+                CryptoError::MalformedInput("fixture primes incompatible with public exponent"),
+            );
         }
     }
     Err(CryptoError::UnsupportedParameters(
@@ -182,10 +195,38 @@ mod tests {
         for bits in rsa_sizes() {
             let k0 = rsa_key(bits, 0).unwrap();
             let k1 = rsa_key(bits, 1).unwrap();
-            assert_ne!(k0.public().n, k1.public().n);
+            assert_ne!(k0.public().n(), k1.public().n());
             let sig = k0.sign(b"fixture test");
             assert!(k0.public().verify(b"fixture test", &sig));
             assert!(!k1.public().verify(b"fixture test", &sig));
+        }
+    }
+
+    #[test]
+    fn every_rsa_key_has_three_unshared_primes_and_its_committed_length() {
+        use sintra_bigint::UbigRandom;
+        let mut rng = StdRng::seed_from_u64(3);
+        let cfg = PrimeConfig::default();
+        assert_eq!(rsa_sizes(), RSA_MODULUS_BITS.map(|(bits, _)| bits));
+        for (bits, lengths) in RSA_MODULUS_BITS {
+            let mut seen: Vec<Ubig> = Vec::new();
+            for (index, length) in lengths.into_iter().enumerate() {
+                let key = rsa_key(bits, index).unwrap();
+                let primes: Vec<&Ubig> = key.primes().collect();
+                assert_eq!(primes.len(), 3, "{bits}-bit key {index}");
+                for p in primes {
+                    assert!(!seen.contains(p), "{bits}-bit key {index} shares a prime");
+                    assert!(is_prime(p, &cfg, &mut rng), "{bits}-bit key {index}");
+                    seen.push(p.clone());
+                }
+                assert_eq!(
+                    key.public().modulus_bits(),
+                    length,
+                    "{bits}-bit key {index}"
+                );
+                let x = rng.gen_ubig_below(key.public().n());
+                assert_eq!(key.crt_pow(&x), key.plain_pow(&x), "{bits}-bit key {index}");
+            }
         }
     }
 

@@ -4,35 +4,54 @@
 //! an RSA key pair (dealer-generated), used to sign atomic-broadcast
 //! payloads and as the building block of multi-signatures. Signing uses
 //! the Chinese Remainder Theorem, which the paper notes gives the
-//! multi-signature configuration its speed advantage.
+//! multi-signature configuration its speed advantage; a key here has
+//! three balanced primes (multi-prime RSA, RFC 8017 §3.2), so a signature
+//! is three exponentiations at a third of the modulus width instead of
+//! two at half. Verification is the same `(n, e)` either way.
+
+use std::fmt;
 
 use rand::Rng;
-use sintra_bigint::{prime, PrimeConfig, Ubig};
+use sintra_bigint::{prime, Montgomery, PrimeConfig, Ubig};
 
 use crate::{cost, hash, CryptoError};
 
 /// Default public exponent (prime, larger than any practical group size).
 pub const DEFAULT_PUBLIC_EXPONENT: u64 = 65_537;
 
-/// An RSA public key `(n, e)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Primes per generated or fixture key. Three 341-bit primes are the usual
+/// limit at 1024 bits: the number field sieve on `n` stays cheaper than
+/// the elliptic-curve method on one prime.
+pub const PRIMES_PER_KEY: usize = 3;
+
+/// An RSA public key `(n, e)`, with the Montgomery context of `n` built
+/// once. Two keys are equal when `n` and `e` are.
+#[derive(Clone)]
 pub struct RsaPublicKey {
-    /// The modulus `n = p·q`.
-    pub n: Ubig,
-    /// The public exponent.
-    pub e: Ubig,
+    n: Ubig,
+    e: Ubig,
+    mont: Montgomery,
 }
 
-/// An RSA private key with CRT precomputation.
-#[derive(Debug, Clone)]
+/// One prime of a private key with what CRT needs of it, built once.
+#[derive(Clone)]
+struct CrtPrime {
+    /// Montgomery context of the prime `p_i` (which it holds).
+    mont: Montgomery,
+    /// The CRT exponent `d mod (p_i − 1)`.
+    d: Ubig,
+    /// `p_0 ⋯ p_{i−1}`, one for the first prime.
+    below: Ubig,
+    /// Garner's coefficient `(p_0 ⋯ p_{i−1})⁻¹ mod p_i`.
+    coeff: Ubig,
+}
+
+/// An RSA private key with CRT precomputation over its primes.
+#[derive(Clone)]
 pub struct RsaPrivateKey {
     public: RsaPublicKey,
     d: Ubig,
-    p: Ubig,
-    q: Ubig,
-    d_p: Ubig,
-    d_q: Ubig,
-    q_inv: Ubig,
+    primes: Vec<CrtPrime>,
 }
 
 /// An RSA full-domain-hash signature.
@@ -46,13 +65,18 @@ pub fn fdh(message: &[u8], n: &Ubig) -> Ubig {
 }
 
 impl RsaPublicKey {
+    /// The modulus `n`.
+    pub fn n(&self) -> &Ubig {
+        &self.n
+    }
+
     /// Verifies `signature` over `message`.
     pub fn verify(&self, message: &[u8], signature: &RsaSignature) -> bool {
         if signature.0 >= self.n {
             return false;
         }
         let expected = fdh(message, &self.n);
-        cost::mod_pow(&signature.0, &self.e, &self.n) == expected
+        cost::mont_pow(&self.mont, &signature.0, &self.e) == expected
     }
 
     /// Modulus size in bits.
@@ -61,8 +85,35 @@ impl RsaPublicKey {
     }
 }
 
+impl PartialEq for RsaPublicKey {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.n, &self.e) == (&other.n, &other.e)
+    }
+}
+
+impl Eq for RsaPublicKey {}
+
+impl fmt::Debug for RsaPublicKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RsaPublicKey")
+            .field("n", &self.n)
+            .field("e", &self.e)
+            .finish()
+    }
+}
+
+/// Prints the public half only: the primes and exponents are secret.
+impl fmt::Debug for RsaPrivateKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RsaPrivateKey")
+            .field("public", &self.public)
+            .finish_non_exhaustive()
+    }
+}
+
 impl RsaPrivateKey {
-    /// Generates a fresh key with modulus of approximately `bits` bits.
+    /// Generates a fresh key of [`PRIMES_PER_KEY`] balanced primes whose
+    /// product has `bits` bits or slightly fewer.
     ///
     /// Expensive at large sizes; prefer [`crate::fixtures::rsa_key`] in
     /// tests and benchmarks.
@@ -74,35 +125,49 @@ impl RsaPrivateKey {
         assert!(bits >= 32, "modulus too small");
         let config = PrimeConfig::default();
         let e = Ubig::from(DEFAULT_PUBLIC_EXPONENT);
+        let parts = PRIMES_PER_KEY as u32;
         loop {
-            let p = prime::gen_prime(bits / 2, &config, rng);
-            let q = prime::gen_prime(bits - bits / 2, &config, rng);
-            if p == q {
-                continue;
-            }
-            if let Some(key) = Self::from_primes(p, q, e.clone()) {
+            let primes = (0..parts)
+                .map(|i| prime::gen_prime((bits + i) / parts, &config, rng))
+                .collect();
+            if let Some(key) = Self::from_primes(primes, e.clone()) {
                 return key;
             }
         }
     }
 
-    /// Assembles a key from two distinct primes and a public exponent.
-    /// Returns `None` if `e` is not invertible modulo `φ(n)`.
-    pub fn from_primes(p: Ubig, q: Ubig, e: Ubig) -> Option<Self> {
-        let n = &p * &q;
-        let phi = &(&p - &Ubig::one()) * &(&q - &Ubig::one());
+    /// Assembles a key from two or more distinct odd primes and a public
+    /// exponent. Returns `None` if there are fewer than two primes, a
+    /// prime repeats, or `e` is not invertible modulo `φ(n)`.
+    pub fn from_primes(primes: Vec<Ubig>, e: Ubig) -> Option<Self> {
+        if primes.len() < 2 {
+            return None;
+        }
+        let one = Ubig::one();
+        let n = primes.iter().fold(one.clone(), |n, p| &n * p);
+        let phi = primes.iter().fold(one.clone(), |phi, p| &phi * &(p - &one));
         let d = e.mod_inverse(&phi)?;
-        let d_p = &d % &(&p - &Ubig::one());
-        let d_q = &d % &(&q - &Ubig::one());
-        let q_inv = q.mod_inverse(&p)?;
+        let mut below = one;
+        let mut crt = Vec::with_capacity(primes.len());
+        for p in &primes {
+            // A repeated prime divides `below`, which then has no inverse.
+            let coeff = below.mod_inverse(p)?;
+            crt.push(CrtPrime {
+                mont: Montgomery::new(p),
+                d: &d % &(p - &Ubig::one()),
+                below: below.clone(),
+                coeff,
+            });
+            below = &below * p;
+        }
         Some(RsaPrivateKey {
-            public: RsaPublicKey { n, e },
+            public: RsaPublicKey {
+                mont: Montgomery::new(&n),
+                n,
+                e,
+            },
             d,
-            p,
-            q,
-            d_p,
-            d_q,
-            q_inv,
+            primes: crt,
         })
     }
 
@@ -111,10 +176,9 @@ impl RsaPrivateKey {
         &self.public
     }
 
-    /// The private exponent (needed by the trusted dealer when deriving
-    /// threshold sharings).
-    pub fn private_exponent(&self) -> &Ubig {
-        &self.d
+    /// The primes of the modulus, in the order CRT recombines them.
+    pub fn primes(&self) -> impl Iterator<Item = &Ubig> {
+        self.primes.iter().map(|p| p.mont.modulus())
     }
 
     /// Signs `message` (full-domain hash, CRT exponentiation).
@@ -123,23 +187,29 @@ impl RsaPrivateKey {
         RsaSignature(self.crt_pow(&x))
     }
 
-    /// Raw private-key operation `x^d mod n` via CRT.
+    /// Raw private-key operation `x^d mod n` via CRT: one exponentiation
+    /// modulo each prime, then Garner's recombination.
     ///
-    /// Metered as two half-size exponentiations, which is why the paper's
-    /// multi-signature configuration ("benefits from fast modular
-    /// exponentiation using Chinese remaindering") outpaces full-width
-    /// threshold-RSA exponentiation.
+    /// Metered as one exponentiation per prime at the prime's width, which
+    /// is why the paper's multi-signature configuration ("benefits from
+    /// fast modular exponentiation using Chinese remaindering") outpaces
+    /// full-width threshold-RSA exponentiation: with three primes a
+    /// signature is charged about 1/9 of a full-width one.
     pub fn crt_pow(&self, x: &Ubig) -> Ubig {
-        let m1 = cost::mod_pow(&(x % &self.p), &self.d_p, &self.p);
-        let m2 = cost::mod_pow(&(x % &self.q), &self.d_q, &self.q);
-        // h = q_inv * (m1 - m2) mod p ; result = m2 + h*q
-        let h = self.q_inv.mod_mul(&m1.mod_sub(&m2, &self.p), &self.p);
-        &m2 + &(&h * &self.q)
+        // `acc` is `x^d` modulo the primes folded in so far.
+        let mut acc = Ubig::zero();
+        for prime in &self.primes {
+            let p = prime.mont.modulus();
+            let m = cost::mont_pow(&prime.mont, x, &prime.d);
+            let h = prime.coeff.mod_mul(&m.mod_sub(&acc, p), p);
+            acc = &acc + &(&h * &prime.below);
+        }
+        acc
     }
 
     /// Decrypts/unsigns without CRT (reference implementation for tests).
     pub fn plain_pow(&self, x: &Ubig) -> Ubig {
-        cost::mod_pow(x, &self.d, &self.public.n)
+        cost::mont_pow(&self.public.mont, x, &self.d)
     }
 }
 
@@ -205,13 +275,33 @@ mod tests {
 
     #[test]
     fn crt_matches_plain_exponentiation() {
-        let key = test_key();
+        use sintra_bigint::UbigRandom;
         let mut rng = StdRng::seed_from_u64(32);
-        for _ in 0..5 {
-            use sintra_bigint::UbigRandom;
-            let x = rng.gen_ubig_below(&key.public().n);
-            assert_eq!(key.crt_pow(&x), key.plain_pow(&x));
+        let e = Ubig::from(DEFAULT_PUBLIC_EXPONENT);
+        let config = PrimeConfig::default();
+        for count in [2, 3] {
+            let primes = (0..count)
+                .map(|_| prime::gen_prime(256 / count as u32, &config, &mut rng))
+                .collect();
+            let key = RsaPrivateKey::from_primes(primes, e.clone()).expect("distinct primes");
+            assert_eq!(key.primes().count(), count);
+            for _ in 0..5 {
+                let x = rng.gen_ubig_below(key.public().n());
+                assert_eq!(key.crt_pow(&x), key.plain_pow(&x), "{count} primes");
+            }
         }
+    }
+
+    #[test]
+    fn from_primes_refuses_a_repeated_prime() {
+        let key = test_key();
+        let primes: Vec<Ubig> = key.primes().cloned().collect();
+        let e = Ubig::from(DEFAULT_PUBLIC_EXPONENT);
+        assert_eq!(primes.len(), PRIMES_PER_KEY);
+        let repeated = vec![primes[0].clone(), primes[1].clone(), primes[0].clone()];
+        assert!(RsaPrivateKey::from_primes(repeated, e.clone()).is_none());
+        assert!(RsaPrivateKey::from_primes(vec![primes[0].clone()], e.clone()).is_none());
+        assert!(RsaPrivateKey::from_primes(primes, e).is_some());
     }
 
     #[test]
@@ -224,10 +314,10 @@ mod tests {
     fn tampered_signature_rejected() {
         let key = test_key();
         let mut sig = key.sign(b"m");
-        sig.0 = sig.0.mod_add(&Ubig::one(), &key.public().n);
+        sig.0 = sig.0.mod_add(&Ubig::one(), key.public().n());
         assert!(!key.public().verify(b"m", &sig));
         // Out-of-range signatures rejected outright.
-        let oversized = RsaSignature(key.public().n.clone());
+        let oversized = RsaSignature(key.public().n().clone());
         assert!(!key.public().verify(b"m", &oversized));
     }
 
@@ -286,9 +376,9 @@ mod tests {
     #[test]
     fn fdh_depends_on_modulus() {
         let key = test_key();
-        let x = fdh(b"m", &key.public().n);
-        assert!(x < key.public().n);
-        let other = &key.public().n + &Ubig::from(4u64);
+        let x = fdh(b"m", key.public().n());
+        assert!(x < *key.public().n());
+        let other = key.public().n() + &Ubig::from(4u64);
         assert_ne!(fdh(b"m", &other), x);
     }
 }

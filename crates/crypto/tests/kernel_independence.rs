@@ -4,10 +4,12 @@
 //! The known answers below were recorded before `sintra-bigint`'s
 //! Montgomery kernel was rewritten; an exponentiation that is off by one
 //! carry fails here, on the committed fixtures, and not in a benchmark's
-//! correctness oracle. The charges are the cost model's formulas written
-//! out: how many multiplications an exponentiation really runs (window
-//! width, short-exponent path, squaring) must never reach the meter, or
-//! the simulator's virtual time and EXPERIMENTS.md would move with it.
+//! correctness oracle. (The party keys' answers were re-recorded when the
+//! keys became three-prime; the group and Shoup answers were not.) The
+//! charges are the cost model's formulas written out: how many
+//! multiplications an exponentiation really runs (window width,
+//! short-exponent path, squaring) must never reach the meter, or the
+//! simulator's virtual time and EXPERIMENTS.md would move with it.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -77,16 +79,16 @@ fn dealt(n: usize, t: usize) -> Vec<PartyKeys> {
     deal(&DealerConfig::new(n, t), &mut StdRng::seed_from_u64(2002)).expect("fixture sizes")
 }
 
-/// One of each operation the protocols perform, on a dealt 1024-bit kit:
-/// an RSA signature, a multi-signature share and the assembled
-/// signature, a coin share and the assembled coin, a TDH2 ciphertext, a
-/// decryption share and the combined plaintext.
-fn kit_transcript(keys: &[PartyKeys]) -> String {
+/// What the party keys do, on a dealt 1024-bit kit: an RSA signature, a
+/// multi-signature share and the assembled signature.
+fn rsa_transcript(keys: &[PartyKeys]) -> String {
     let common = &keys[0].common;
     let (n, t) = (common.n, common.t);
     let mut out = Vec::new();
 
-    put(&mut out, &keys[0].sig_key.sign(MESSAGE).0);
+    let sig = keys[0].sig_key.sign(MESSAGE);
+    assert!(common.sig_publics[0].verify(MESSAGE, &sig));
+    put(&mut out, &sig.0);
 
     let shares: Vec<SigShare> = keys
         .iter()
@@ -100,6 +102,16 @@ fn kit_transcript(keys: &[PartyKeys]) -> String {
         .expect("n - t valid shares");
     assert!(common.thsig_agreement.verify(MESSAGE, &signature));
     put_signature(&mut out, &signature);
+    hex(&Sha256::digest(&out))
+}
+
+/// What the group keys do, on the same kit: a coin share and the
+/// assembled coin, a TDH2 ciphertext, a decryption share and the combined
+/// plaintext.
+fn group_transcript(keys: &[PartyKeys]) -> String {
+    let common = &keys[0].common;
+    let t = common.t;
+    let mut out = Vec::new();
 
     let coin_shares: Vec<CoinShare> = keys
         .iter()
@@ -159,13 +171,27 @@ fn shoup_transcript() -> String {
 
 #[test]
 fn fixture_results_match_the_recorded_answers() {
+    // Recorded at the parent of the three-prime keys, whose group half did
+    // not move with them.
     assert_eq!(
-        kit_transcript(&dealt(4, 1)),
-        "d4dff07ae1f133533a1622d08a13521312334359b921929638a6c16cdd0880ec"
+        group_transcript(&dealt(4, 1)),
+        "0694c7e9ba6c42965e503a35a65c78a169269a59ed920b70bc357bb1936493e3"
     );
     assert_eq!(
-        kit_transcript(&dealt(7, 2)),
-        "6f0ad212448b4264257bcd303cc7ba13bb9bda933d6c7afd9b782a5550864954"
+        group_transcript(&dealt(7, 2)),
+        "bd4b9b4064e082d9bea33b4e1e8b449a02c097c5cf3375582136d1686dd4845f"
+    );
+    // Re-recorded with the three-prime keys: new primes are new keys, and
+    // an RSA-FDH signature is a function of the key. On the two-prime keys
+    // these read 29cacb70…1ca45b9a and 5c1dd15a…d5184fa5; every signature
+    // in them is checked under its public key before it is hashed.
+    assert_eq!(
+        rsa_transcript(&dealt(4, 1)),
+        "251334a6ff6c1788422b00e017cf9944d19afb4db54419f15847ab953294fb8d"
+    );
+    assert_eq!(
+        rsa_transcript(&dealt(7, 2)),
+        "8d8ec467f3c730d45ba9ef62738cb3c04a0600e208948b561c155c3d537dafac"
     );
     assert_eq!(
         shoup_transcript(),
@@ -201,20 +227,31 @@ fn fb(exponent_bits: u32) -> f64 {
 fn rsa_charges_are_the_models_formulas() {
     let keys = dealt(4, 1);
     let common = &keys[0].common;
-    // The fixture keys have 1023-bit moduli over two 512-bit primes, with
-    // CRT exponents of 512 and 511 bits.
-    let sign = cost::exp_work(512, 512) + cost::exp_work(512, 511);
+    // The fixture keys have 1023-bit moduli over three primes: one CRT
+    // exponentiation per prime, at the prime's length with its exponent
+    // `d mod (p_i − 1)`. Party 0's primes have 341, 341 and 342 bits and
+    // their exponents 341, 340 and 341; party 1's exponents 337, 341 and
+    // 341. (Over two 512-bit primes both were 0.25: `exp_work(512, 512) +
+    // exp_work(512, 511)`.)
+    let sign = [
+        cost::exp_work(341, 341) + cost::exp_work(341, 340) + cost::exp_work(342, 341),
+        cost::exp_work(341, 337) + cost::exp_work(341, 341) + cost::exp_work(342, 341),
+    ];
     let verify = cost::exp_work(1023, 17);
-    assert_eq!(keys[0].sig_key.public().modulus_bits(), 1023);
+    for key in &keys[..2] {
+        assert_eq!(key.sig_key.public().modulus_bits(), 1023);
+        let primes: Vec<u32> = key.sig_key.primes().map(|p| p.bit_length()).collect();
+        assert_eq!(primes, [341, 341, 342]);
+    }
 
     let (sig, w) = charged(|| keys[0].sig_key.sign(MESSAGE));
-    assert_charge("rsa sign", w, sign);
+    assert_charge("rsa sign", w, sign[0]);
     let (ok, w) = charged(|| keys[0].sig_key.public().verify(MESSAGE, &sig));
     assert!(ok);
     assert_charge("rsa verify", w, verify);
 
     let (share, w) = charged(|| keys[1].thsig_agreement.sign_share(MESSAGE));
-    assert_charge("multi-signature share", w, sign);
+    assert_charge("multi-signature share", w, sign[1]);
     let shares = [
         keys[0].thsig_agreement.sign_share(MESSAGE),
         share,
