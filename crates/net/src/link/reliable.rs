@@ -40,8 +40,12 @@ pub struct LinkConfig {
     pub max_unacked: usize,
     /// Retransmission-queue bound in total sealed-frame bytes.
     pub max_unacked_bytes: usize,
-    /// Send a cumulative ack after this many in-order deliveries (an ack
-    /// is also due whenever the transport drains a read batch).
+    /// Send a cumulative ack after this many in-order deliveries, or
+    /// sooner once they add up to `max_unacked_bytes / ack_every` wire
+    /// bytes (see [`ReliableLink::ack_overdue`]); delivered frames stay
+    /// in the peer's retransmission queue until the next ack or resume
+    /// handshake. Must not exceed `max_unacked`, or the peer's queue
+    /// could fill before an ack is due.
     pub ack_every: u64,
 }
 
@@ -108,6 +112,8 @@ pub struct ReliableLink {
     recv_cum: u64,
     /// Value of `recv_cum` covered by the last ack we sealed.
     last_acked_out: u64,
+    /// Wire bytes of the frames delivered since that ack.
+    unacked_in_bytes: usize,
     stats: LinkStats,
 }
 
@@ -123,6 +129,7 @@ impl ReliableLink {
             peer_acked: 0,
             recv_cum: 0,
             last_acked_out: 0,
+            unacked_in_bytes: 0,
             stats: LinkStats::default(),
         }
     }
@@ -201,6 +208,7 @@ impl ReliableLink {
             FrameKind::Data { seq, payload } => {
                 if seq == self.recv_cum + 1 {
                     self.recv_cum = seq;
+                    self.unacked_in_bytes += self.key.data_frame_len(payload.len());
                     self.stats.delivered += 1;
                     LinkEvent::Deliver(payload)
                 } else {
@@ -222,9 +230,16 @@ impl ReliableLink {
     }
 
     /// Whether enough deliveries accumulated since the last outgoing ack
-    /// that one should be sent even mid-batch.
+    /// that one should be sent: `ack_every` frames, or frames totalling
+    /// `max_unacked_bytes / ack_every` wire bytes. Both ends share one
+    /// [`LinkConfig`], so the frames delivered but not yet acknowledged
+    /// never fill the peer's retransmission queue by themselves: a few
+    /// large frames cannot stall the link short of `ack_every`.
     pub fn ack_overdue(&self) -> bool {
-        self.recv_cum - self.last_acked_out >= self.config.ack_every
+        let frames = self.recv_cum - self.last_acked_out;
+        let byte_bound =
+            (self.config.max_unacked_bytes / self.config.ack_every.max(1) as usize).max(1);
+        frames >= self.config.ack_every || self.unacked_in_bytes >= byte_bound
     }
 
     /// Seals a cumulative ack for the current watermark, or `None` when
@@ -234,6 +249,7 @@ impl ReliableLink {
             return None;
         }
         self.last_acked_out = self.recv_cum;
+        self.unacked_in_bytes = 0;
         self.stats.acks_sent += 1;
         Some(self.key.seal(&FrameKind::Ack { cum: self.recv_cum }))
     }
@@ -449,5 +465,30 @@ mod tests {
         assert!(b.ack_overdue());
         b.make_ack().unwrap();
         assert!(!b.ack_overdue());
+    }
+
+    /// Frames that fill the sender's byte budget in fewer than
+    /// `ack_every` deliveries still make an ack due: otherwise the sender
+    /// sheds every later frame and the receiver waits for deliveries that
+    /// never come.
+    #[test]
+    fn large_frames_make_an_ack_due_before_ack_every() {
+        let config = LinkConfig {
+            max_unacked_bytes: 16 * 1024,
+            ..LinkConfig::default()
+        };
+        let pair = |local, peer| LinkKey::new(HmacKey::new(b"k3".to_vec()), local, peer);
+        let mut a = ReliableLink::new(pair(PartyId(0), PartyId(1)), config.clone());
+        let mut b = ReliableLink::new(pair(PartyId(1), PartyId(0)), config);
+        // 16 KiB / 16 = 1 KiB of frames since the last ack.
+        let f = a.seal_data(&[0u8; 600]).unwrap();
+        b.on_frame(&f).unwrap();
+        assert!(!b.ack_overdue(), "600 bytes are below the byte bound");
+        let f = a.seal_data(&[1u8; 600]).unwrap();
+        b.on_frame(&f).unwrap();
+        assert!(b.ack_overdue(), "two frames past 1 KiB make an ack due");
+        a.on_frame(&b.make_ack().unwrap()).unwrap();
+        assert_eq!(a.unacked_bytes(), 0);
+        assert!(!b.ack_overdue(), "the ack resets the byte count");
     }
 }

@@ -94,10 +94,9 @@ impl MetricsServer {
     }
 }
 
-/// Poll-accept loop, mirroring the TCP runtime's `listener_loop`: wake
-/// every 5ms to observe the shutdown flag, serve one request per
-/// connection inline (scrapes are rare and tiny — one thread is the
-/// cap).
+/// Poll-accept loop: wake every 5ms to observe the shutdown flag, serve
+/// one request per connection inline (scrapes are rare and tiny — one
+/// thread is the cap).
 fn scrape_loop(
     party: usize,
     listener: TcpListener,

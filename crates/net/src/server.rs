@@ -33,9 +33,9 @@ use sintra_core::invariant::OrInvariant;
 /// transport items turn back into authenticated envelopes.
 ///
 /// The server loop owns a `Transport` and calls it from its single
-/// thread; implementations may hand frames to other threads (the TCP
-/// runtime's per-peer writers) but `transmit`/`open` themselves must not
-/// block on the network.
+/// thread; `transmit`/`open` must not block on the network (the TCP
+/// runtime writes to nonblocking sockets and backlogs what the kernel
+/// does not take).
 pub trait Transport: Send + 'static {
     /// Number of parties in the group.
     fn parties(&self) -> usize;

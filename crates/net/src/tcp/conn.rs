@@ -1,23 +1,29 @@
 //! Per-peer TCP connection management: dialing, accepting, handshakes,
-//! the readiness-driven read loop, writer threads, and reconnection with
-//! jittered exponential backoff.
+//! the readiness-driven read loop, the nonblocking write path, and
+//! reconnection with jittered exponential backoff.
 //!
-//! Topology per party: one listener thread accepts connections from
-//! every *lower-id* peer (the deterministic dial rule: the lower id
-//! dials, so exactly one connection exists per pair); per peer there is
-//! one supervisor thread (dialing or installing accepted sockets) and
-//! one writer thread draining an outbound frame queue; and one **poll
-//! thread** for the whole party services every live inbound socket.
-//! Handshaken sockets are switched to nonblocking mode and registered
-//! with the poll thread, which sweeps them for readable bytes through
-//! one reused scratch buffer and reassembles frames in place
-//! ([`FrameBuffer::next_frame_ref`]) — no thread per connection and no
-//! per-frame allocation. All link state — sequence numbers, the
+//! Topology per party: one listener thread blocks in `accept` for
+//! connections from every *lower-id* peer (the deterministic dial rule:
+//! the lower id dials, so exactly one connection exists per pair); per
+//! peer there is one supervisor thread (dialing or installing accepted
+//! sockets); and one **poll thread** for the whole party services every
+//! live inbound socket. Handshaken sockets are switched to nonblocking
+//! mode and registered with the poll thread, which sweeps them for
+//! readable bytes through one reused scratch buffer and reassembles
+//! frames in place ([`FrameBuffer::next_frame_ref`]) — no thread per
+//! connection and no per-frame allocation.
+//!
+//! There is no writer thread. Whoever produces a frame writes it: the
+//! server loop its data frames, the poll thread its acks, the installing
+//! supervisor the replay. A write never blocks — what the kernel does
+//! not take waits in the connection's backlog, which the next write and
+//! every poll sweep push on. All link state — sequence numbers, the
 //! retransmission queue, delivery watermarks — lives in the shared
 //! [`ReliableLink`]; connections are disposable carriers that resume the
 //! link via the [`handshake`](crate::link::handshake) and a replay of
 //! unacknowledged frames.
 
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -60,19 +66,6 @@ impl Default for BackoffConfig {
 /// Scope under which all link-layer telemetry counters are recorded.
 pub const LINK_SCOPE: &str = "link";
 
-/// Messages to a peer's writer thread.
-pub(crate) enum WriterMsg {
-    /// A sealed data frame (already in the retransmission queue).
-    Frame(Vec<u8>),
-    /// Seal and write a cumulative ack if the watermark advanced.
-    Ack,
-    /// A session resumed: prune against the peer's watermark and rewrite
-    /// the unacknowledged tail.
-    Replay(u64),
-    /// Drain queued frames best-effort and exit.
-    Shutdown,
-}
-
 /// Events for a peer's supervisor thread.
 pub(crate) enum SupEvent {
     /// The connection of generation `.0` died.
@@ -84,32 +77,97 @@ pub(crate) enum SupEvent {
     Shutdown,
 }
 
+/// The write half of one connection and the bytes the kernel has not
+/// taken yet. Every backlogged byte belongs to a frame that is also in
+/// the retransmission queue (or is an ack), so
+/// [`LinkConfig::max_unacked_bytes`](crate::link::LinkConfig::max_unacked_bytes)
+/// bounds the backlog too.
+struct Carrier {
+    gen: u64,
+    stream: TcpStream,
+    backlog: VecDeque<u8>,
+}
+
+impl Carrier {
+    fn new(gen: u64, stream: TcpStream) -> Self {
+        Carrier {
+            gen,
+            stream,
+            backlog: VecDeque::new(),
+        }
+    }
+
+    /// Writes what the kernel takes of the backlog, then of `bytes`, and
+    /// keeps the rest, in order.
+    fn push(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.flush()?;
+        let taken = if self.backlog.is_empty() {
+            write_nb(&mut self.stream, bytes)?
+        } else {
+            0
+        };
+        self.backlog.extend(&bytes[taken..]);
+        Ok(())
+    }
+
+    /// Writes what the kernel takes of the backlog; returns the number of
+    /// bytes written.
+    fn flush(&mut self) -> std::io::Result<usize> {
+        let mut total = 0;
+        while !self.backlog.is_empty() {
+            let head = self.backlog.as_slices().0;
+            let (len, n) = (head.len(), write_nb(&mut self.stream, head)?);
+            self.backlog.drain(..n);
+            total += n;
+            if n < len {
+                break;
+            }
+        }
+        Ok(total)
+    }
+}
+
+/// Writes as much of `bytes` as the nonblocking socket takes right now
+/// and returns how much that was.
+fn write_nb(stream: &mut TcpStream, bytes: &[u8]) -> std::io::Result<usize> {
+    let mut done = 0;
+    while done < bytes.len() {
+        match stream.write(&bytes[done..]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => done += n,
+            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(done)
+}
+
 /// Shared state for the link to one peer.
+///
+/// Lock order is `control` → `wstream` → `link`: a thread may take a
+/// later lock while holding an earlier one, never the reverse. In
+/// particular a frame is sealed under `link` and that guard is dropped
+/// before `wstream` is taken to write it.
 pub(crate) struct PeerLink {
     pub(crate) peer: PartyId,
     pub(crate) link: Mutex<ReliableLink>,
-    pub(crate) writer_tx: Sender<WriterMsg>,
     pub(crate) sup_tx: Sender<SupEvent>,
-    /// Current write half, tagged with its connection generation.
-    wstream: Mutex<Option<(u64, TcpStream)>>,
+    /// Current write half and its backlog, tagged with its connection
+    /// generation.
+    wstream: Mutex<Option<Carrier>>,
     /// A second clone used only to `shutdown()` the socket without
-    /// taking the writer's lock (fault injection, teardown).
+    /// taking the write lock (fault injection, teardown).
     control: Mutex<Option<TcpStream>>,
     generation: AtomicU64,
     sessions: AtomicU64,
 }
 
 impl PeerLink {
-    pub(crate) fn new(
-        peer: PartyId,
-        link: ReliableLink,
-        writer_tx: Sender<WriterMsg>,
-        sup_tx: Sender<SupEvent>,
-    ) -> Self {
+    pub(crate) fn new(peer: PartyId, link: ReliableLink, sup_tx: Sender<SupEvent>) -> Self {
         PeerLink {
             peer,
             link: Mutex::new(link),
-            writer_tx,
             sup_tx,
             wstream: Mutex::new(None),
             control: Mutex::new(None),
@@ -118,8 +176,8 @@ impl PeerLink {
         }
     }
 
-    /// Forcibly closes the current socket (if any); readers and writers
-    /// observe the error and the supervisor reconnects.
+    /// Forcibly closes the current socket (if any); the reader and the
+    /// next write observe the error and the supervisor reconnects.
     pub(crate) fn sever(&self) {
         if let Some(s) = self.control.lock().unwrap().as_ref() {
             let _ = s.shutdown(Shutdown::Both);
@@ -128,8 +186,36 @@ impl PeerLink {
 
     fn clear_if_gen(&self, gen: u64) {
         let mut w = self.wstream.lock().unwrap();
-        if matches!(*w, Some((g, _)) if g == gen) {
+        if matches!(&*w, Some(c) if c.gen == gen) {
             *w = None;
+        }
+    }
+
+    /// Writes `frame` to the current connection without blocking; what
+    /// the kernel does not take waits in the backlog. Returns `false`
+    /// when there is no connection or the write failed — the connection
+    /// is then reported broken, and a data frame is recovered from the
+    /// retransmission queue at the next resume.
+    fn write(&self, frame: &[u8]) -> bool {
+        self.with_carrier(|c| c.push(frame)).is_some()
+    }
+
+    /// Pushes the backlog on; returns whether any byte left it.
+    fn flush(&self) -> bool {
+        self.with_carrier(Carrier::flush).unwrap_or(0) > 0
+    }
+
+    fn with_carrier<R>(&self, io: impl FnOnce(&mut Carrier) -> std::io::Result<R>) -> Option<R> {
+        let mut slot = self.wstream.lock().unwrap();
+        let carrier = slot.as_mut()?;
+        match io(carrier) {
+            Ok(r) => Some(r),
+            Err(_) => {
+                let gen = carrier.gen;
+                *slot = None;
+                let _ = self.sup_tx.send(SupEvent::Broken(gen));
+                None
+            }
         }
     }
 }
@@ -169,6 +255,15 @@ impl PartyNet {
         self.threads.lock().unwrap().push(handle);
     }
 
+    /// Writes one frame to `peer` (see [`PeerLink::write`]) and counts
+    /// it under `counter`.
+    pub(crate) fn send(&self, peer: &PeerLink, frame: &[u8], counter: &'static str) {
+        if peer.write(frame) {
+            self.count("bytes_sent", frame.len() as u64);
+            self.count(counter, 1);
+        }
+    }
+
     /// Closes every live connection of this party (fault injection: the
     /// group keeps running and the links must recover by reconnecting).
     pub(crate) fn sever_all(&self) {
@@ -180,8 +275,8 @@ impl PartyNet {
 
 /// Installs a handshaken socket as the peer's current connection:
 /// replaces (and closes) any previous socket, switches the socket to
-/// nonblocking mode, registers its read side with the party's poll
-/// thread, and queues the replay of unacknowledged frames.
+/// nonblocking mode, writes the replay of unacknowledged frames, and
+/// registers its read side with the party's poll thread.
 pub(crate) fn install_connection(
     net: &Arc<PartyNet>,
     peer: &Arc<PeerLink>,
@@ -195,27 +290,35 @@ pub(crate) fn install_connection(
         if let Some(old) = control.take() {
             let _ = old.shutdown(Shutdown::Both);
         }
-        let reader_stream = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
+        let (Ok(reader_stream), Ok(writer_stream)) = (stream.try_clone(), stream.try_clone())
+        else {
+            return;
         };
-        let writer_stream = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        };
-        // Clones share the socket's file-status flags, so this makes the
-        // write side nonblocking too; the writer compensates by spinning
-        // through `WouldBlock` (see `write_all_nb`).
-        if reader_stream.set_nonblocking(true).is_err() {
+        // Clones share the socket's file-status flags, so the write
+        // side is nonblocking too.
+        if stream.set_nonblocking(true).is_err() {
             return;
         }
-        *peer.wstream.lock().unwrap() = Some((gen, writer_stream));
+        // The replay is written before the write lock is released, so
+        // no frame sealed after it can reach the new socket first.
+        let mut slot = peer.wstream.lock().unwrap();
+        let carrier = slot.insert(Carrier::new(gen, writer_stream));
+        let frames = peer.link.lock().unwrap().replay_from(peer_cum);
+        for frame in &frames {
+            if carrier.push(frame).is_err() {
+                // The fresh socket already died; its reader reports it.
+                break;
+            }
+            net.count("retransmits", 1);
+            net.count("frames_sent", 1);
+            net.count("bytes_sent", frame.len() as u64);
+        }
+        drop(slot);
         *control = Some(stream);
         let _ = net
             .poll_tx
             .send(PollConn::new(peer.peer.0, gen, reader_stream));
     }
-    let _ = peer.writer_tx.send(WriterMsg::Replay(peer_cum));
     if peer.sessions.fetch_add(1, Ordering::Relaxed) > 0 {
         net.count("reconnects", 1);
     }
@@ -270,13 +373,15 @@ enum Pump {
 /// The party's readiness-driven read loop: sweeps every registered
 /// nonblocking socket for readable bytes, reassembles and processes
 /// frames through the owning peer's reliable link, and forwards
-/// deliveries to the server inbox. Replaces the thread-per-connection
-/// blocking readers: one thread, one reused 64 KiB scratch buffer, and
-/// in-place framing serve every inbound connection of this party.
+/// deliveries to the server inbox; each sweep also pushes on every
+/// peer's write backlog. Replaces the thread-per-connection blocking
+/// readers: one thread, one reused 64 KiB scratch buffer, and in-place
+/// framing serve every inbound connection of this party.
 ///
-/// With no readable socket the loop parks briefly on the registration
-/// channel, so a fresh connection wakes it immediately and idle cost
-/// stays one syscall per connection per ~500 µs.
+/// With no readable socket and no backlog moving, the loop parks briefly
+/// on the registration channel, so a fresh connection wakes it
+/// immediately and idle cost stays one syscall per connection per
+/// ~500 µs.
 pub(crate) fn poll_loop(net: Arc<PartyNet>, reg_rx: Receiver<PollConn>, inbox: Sender<Input>) {
     let mut conns: Vec<PollConn> = Vec::new();
     let mut buf = vec![0u8; 64 * 1024];
@@ -292,6 +397,9 @@ pub(crate) fn poll_loop(net: Arc<PartyNet>, reg_rx: Receiver<PollConn>, inbox: S
             }
         }
         let mut progressed = false;
+        for peer in net.peers.iter().flatten() {
+            progressed |= peer.flush();
+        }
         let mut i = 0;
         while i < conns.len() {
             match pump_conn(&net, &mut conns[i], &mut buf, &inbox) {
@@ -401,85 +509,22 @@ fn pump_conn(
         }
     }
     if delivered {
-        let _ = peer.writer_tx.send(WriterMsg::Ack);
+        // A cumulative ack only every `ack_every` deliveries, or sooner
+        // for large frames: it prunes the peer's retransmission queue,
+        // and a resume handshake carries the watermark anyway.
+        let ack = {
+            let mut link = peer.link.lock().unwrap();
+            if link.ack_overdue() {
+                link.make_ack()
+            } else {
+                None
+            }
+        };
+        if let Some(ack) = ack {
+            net.send(&peer, &ack, "acks_sent");
+        }
     }
     Pump::Progress
-}
-
-/// The per-peer write loop: drains the outbound queue onto whatever
-/// socket is current; frames shed while disconnected are recovered from
-/// the retransmission queue at the next resume.
-pub(crate) fn writer_loop(net: Arc<PartyNet>, peer: Arc<PeerLink>, rx: Receiver<WriterMsg>) {
-    let write_frame = |bytes: &[u8], counter: &'static str| {
-        let mut slot = peer.wstream.lock().unwrap();
-        if let Some((gen, stream)) = slot.as_mut() {
-            if write_all_nb(stream, bytes).is_err() {
-                let gen = *gen;
-                *slot = None;
-                let _ = peer.sup_tx.send(SupEvent::Broken(gen));
-            } else {
-                net.count("bytes_sent", bytes.len() as u64);
-                net.count(counter, 1);
-            }
-        }
-    };
-    loop {
-        let msg = match rx.recv() {
-            Ok(msg) => msg,
-            Err(_) => return,
-        };
-        match msg {
-            WriterMsg::Frame(bytes) => write_frame(&bytes, "frames_sent"),
-            WriterMsg::Ack => {
-                let ack = peer.link.lock().unwrap().make_ack();
-                if let Some(bytes) = ack {
-                    write_frame(&bytes, "acks_sent");
-                }
-            }
-            WriterMsg::Replay(peer_cum) => {
-                let frames = peer.link.lock().unwrap().replay_from(peer_cum);
-                for bytes in frames {
-                    net.count("retransmits", 1);
-                    write_frame(&bytes, "frames_sent");
-                }
-            }
-            WriterMsg::Shutdown => {
-                // Drain the outbound queue best-effort before exiting so
-                // `close`d channels get their final frames out.
-                while let Ok(msg) = rx.try_recv() {
-                    match msg {
-                        WriterMsg::Frame(bytes) => write_frame(&bytes, "frames_sent"),
-                        WriterMsg::Ack => {
-                            if let Some(bytes) = peer.link.lock().unwrap().make_ack() {
-                                write_frame(&bytes, "acks_sent");
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                return;
-            }
-        }
-    }
-}
-
-/// `write_all` for a socket that shares its file-status flags with the
-/// nonblocking read side: partial writes continue from the written
-/// prefix, and a full send buffer is waited out in short naps — the same
-/// backpressure a blocking `write_all` exerted, made explicit.
-fn write_all_nb(stream: &mut TcpStream, mut bytes: &[u8]) -> std::io::Result<()> {
-    while !bytes.is_empty() {
-        match stream.write(bytes) {
-            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-            Ok(n) => bytes = &bytes[n..],
-            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }
 
 /// The dialing supervisor for a higher-id peer: connect, handshake,
@@ -566,32 +611,24 @@ pub(crate) fn accept_supervisor(
     }
 }
 
-/// The party's accept loop: polls the listener (so shutdown is
-/// observable), runs the responder handshake, and hands authenticated
-/// sockets to the owning peer's supervisor.
+/// The party's accept loop: blocks in `accept`, runs the responder
+/// handshake, and hands authenticated sockets to the owning peer's
+/// supervisor. Shutdown sets the party's flag (a `Release` store this
+/// `Acquire` load pairs with) and then connects to the listener, retrying
+/// until a connect lands, so the blocked `accept` returns and sees the
+/// flag.
 pub(crate) fn listener_loop(net: Arc<PartyNet>, listener: TcpListener) {
-    listener
-        .set_nonblocking(true)
-        .or_invariant("set listener nonblocking");
     loop {
-        if net.shutdown.load(Ordering::Relaxed) {
+        let accepted = listener.accept();
+        if net.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let (stream, _) = match listener.accept() {
-            Ok(conn) => conn,
-            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
-        };
-        if stream.set_nonblocking(false).is_err() {
-            continue;
+        match accepted {
+            Ok((stream, _)) => spawn_inbound(&net, stream),
+            // Out of descriptors and the like: back off instead of
+            // spinning on the error.
+            Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
-        spawn_inbound(&net, stream);
     }
 }
 
@@ -718,5 +755,81 @@ impl Xorshift {
             return base_ms;
         }
         base_ms + self.next() % (base_ms * backoff.jitter_pct / 100 + 1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::link::LinkConfig;
+    use sintra_crypto::hmac::HmacKey;
+    use std::time::Instant;
+
+    fn backlog_len(peer: &PeerLink) -> usize {
+        let slot = peer.wstream.lock().unwrap();
+        slot.as_ref()
+            .expect("connection still installed")
+            .backlog
+            .len()
+    }
+
+    /// A far end that stops reading fills the kernel's buffers; the
+    /// writer must keep returning at once, hold the rest in the backlog,
+    /// and hand over every byte in order once the far end reads again.
+    /// At least 8 MiB go out, and more until the backlog fills, in case
+    /// the host's socket buffers are larger than that.
+    #[test]
+    fn a_peer_that_stops_reading_never_blocks_the_writer() {
+        const FRAME: usize = 16 * 1024;
+        const MIN_FRAMES: usize = 512; // 8 MiB
+        const MAX_FRAMES: usize = 8 * MIN_FRAMES;
+        let frame = |i: usize| {
+            let mut frame = vec![(i % 251) as u8; FRAME];
+            frame[..4].copy_from_slice(&(i as u32).to_be_bytes());
+            frame
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let near = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut far, _) = listener.accept().unwrap();
+        near.set_nonblocking(true).unwrap();
+        let (sup_tx, sup_rx) = crossbeam::channel::unbounded();
+        let key = LinkKey::new(HmacKey::new(b"stalled".to_vec()), PartyId(0), PartyId(1));
+        let peer = PeerLink::new(
+            PartyId(1),
+            ReliableLink::new(key, LinkConfig::default()),
+            sup_tx,
+        );
+        *peer.wstream.lock().unwrap() = Some(Carrier::new(1, near));
+
+        let mut sent = 0;
+        while sent < MIN_FRAMES || backlog_len(&peer) == 0 {
+            assert!(sent < MAX_FRAMES, "the kernel took {sent} frames unread");
+            let bytes = frame(sent);
+            let start = Instant::now();
+            assert!(peer.write(&bytes), "frame {sent} refused");
+            let took = start.elapsed();
+            assert!(
+                took < Duration::from_millis(10),
+                "frame {sent} took {took:?}"
+            );
+            sent += 1;
+        }
+
+        let reader = std::thread::spawn(move || {
+            let mut got = vec![0u8; FRAME];
+            for i in 0..sent {
+                far.read_exact(&mut got).unwrap();
+                assert!(got == frame(i), "frame {i} lost or reordered");
+            }
+        });
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while backlog_len(&peer) > 0 {
+            assert!(Instant::now() < deadline, "backlog never drained");
+            if !peer.flush() {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        }
+        reader.join().unwrap();
+        assert!(sup_rx.try_recv().is_err(), "connection reported broken");
     }
 }

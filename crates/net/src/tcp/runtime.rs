@@ -1,6 +1,6 @@
 //! Group assembly and teardown for the TCP runtime.
 
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -19,8 +19,8 @@ use crate::metrics::{GaugeSampler, MetricsServer};
 use crate::observe::ObservabilityConfig;
 use crate::server::{server_loop, Command, Input, ServerHandle, ServerOpts, Transport};
 use crate::tcp::conn::{
-    accept_supervisor, dial_supervisor, listener_loop, poll_loop, writer_loop, BackoffConfig,
-    PartyNet, PeerLink, SupEvent, WriterMsg,
+    accept_supervisor, dial_supervisor, listener_loop, poll_loop, BackoffConfig, PartyNet,
+    PeerLink, SupEvent,
 };
 use crate::{AsServer, Runtime};
 use sintra_core::invariant::OrInvariant;
@@ -51,9 +51,11 @@ impl Default for TcpConfig {
     }
 }
 
-/// Moves sealed envelopes onto per-peer writer queues. Never blocks on
-/// the network: a frame either enters the bounded retransmission queue
-/// (and is eventually written/replayed by the peer's writer thread) or
+/// Seals envelopes and writes them to the peer's socket from the server
+/// loop's own thread. Never blocks on the network: a frame either enters
+/// the bounded retransmission queue — and goes to the nonblocking socket
+/// at once, into the connection's backlog if the kernel does not take
+/// it, or is replayed at the next resume if there is no connection — or
 /// is shed when that queue hits its bound. A peer that stops
 /// acknowledging may be faulty — whose links are allowed to be lossy —
 /// but may also be a correct peer behind a long partition; shedding to
@@ -89,11 +91,13 @@ impl Transport for TcpTransport {
         let Some(peer) = self.net.peers.get(to.0).and_then(|p| p.as_ref()) else {
             return 0;
         };
-        match peer.link.lock().unwrap().seal_data(&bytes) {
+        // Bound first: the link guard must be gone before the write takes
+        // the connection lock (lock order `wstream` → `link`).
+        let sealed = peer.link.lock().unwrap().seal_data(&bytes);
+        match sealed {
             Ok(frame) => {
-                let len = frame.len() as u64;
-                let _ = peer.writer_tx.send(WriterMsg::Frame(frame));
-                len
+                self.net.send(peer, &frame, "frames_sent");
+                frame.len() as u64
             }
             Err(LinkError::Oversized) => {
                 // An envelope no receiver could accept; sealing it would
@@ -110,7 +114,7 @@ impl Transport for TcpTransport {
 
     fn open(&mut self, _from: PartyId, data: &[u8]) -> Option<Envelope> {
         // Authentication and duplicate suppression already happened in
-        // the reader thread that produced these bytes.
+        // the poll thread that produced these bytes.
         Envelope::from_bytes(data).ok()
     }
 
@@ -171,8 +175,10 @@ pub struct TcpGroup {
     server_threads: Vec<JoinHandle<()>>,
     shutdown_txs: Vec<Sender<Input>>,
     nets: Vec<Arc<PartyNet>>,
-    writer_threads: Vec<JoinHandle<()>>,
     addrs: Vec<SocketAddr>,
+    /// One per party, blocked in `accept`; shutdown wakes each by
+    /// connecting to it.
+    listener_threads: Vec<JoinHandle<()>>,
     metrics_servers: Vec<MetricsServer>,
 }
 
@@ -193,6 +199,15 @@ impl TcpGroup {
         recorder: Option<Arc<dyn Recorder>>,
     ) -> std::io::Result<(TcpGroup, Vec<TcpHandle>)> {
         let n = party_keys.len();
+        // A receiver acks after `ack_every` deliveries at the latest; a
+        // sender whose queue holds fewer frames would shed every frame
+        // after its first `max_unacked` and never hear an ack.
+        if (config.link.max_unacked as u64) < config.link.ack_every {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "LinkConfig::max_unacked is below ack_every",
+            ));
+        }
         // One shared time zero for the whole group: trace stamps from
         // different party threads must be comparable.
         let run_start = std::time::Instant::now();
@@ -211,7 +226,7 @@ impl TcpGroup {
         let mut server_threads = Vec::with_capacity(n);
         let mut shutdown_txs = Vec::with_capacity(n);
         let mut nets = Vec::with_capacity(n);
-        let mut writer_threads = Vec::new();
+        let mut listener_threads = Vec::with_capacity(n);
         let mut metrics_servers = Vec::new();
         let metrics_config = config
             .observability
@@ -240,25 +255,19 @@ impl TcpGroup {
             // Per-peer link state and channels; thread spawns wait until
             // the PartyNet exists.
             let mut peers: Vec<Option<Arc<PeerLink>>> = Vec::with_capacity(n);
-            let mut pending = Vec::new(); // (j, writer_rx, sup_rx)
+            let mut pending = Vec::new(); // (j, sup_rx)
             for j in 0..n {
                 if j == i {
                     peers.push(None);
                     continue;
                 }
-                let (writer_tx, writer_rx) = unbounded::<WriterMsg>();
                 let (sup_tx, sup_rx) = unbounded::<SupEvent>();
                 let link = ReliableLink::new(
                     LinkKey::new(keys.mac_keys[j].clone(), me, PartyId(j)),
                     config.link.clone(),
                 );
-                peers.push(Some(Arc::new(PeerLink::new(
-                    PartyId(j),
-                    link,
-                    writer_tx,
-                    sup_tx,
-                ))));
-                pending.push((j, writer_rx, sup_rx));
+                peers.push(Some(Arc::new(PeerLink::new(PartyId(j), link, sup_tx))));
+                pending.push((j, sup_rx));
             }
 
             let (poll_tx, poll_rx) = unbounded();
@@ -285,18 +294,8 @@ impl TcpGroup {
                 .or_invariant("spawn poll thread");
             net.register_thread(poll_thread);
 
-            for (j, writer_rx, sup_rx) in pending {
+            for (j, sup_rx) in pending {
                 let peer = Arc::clone(net.peers[j].as_ref().or_invariant("peer link"));
-                let writer = std::thread::Builder::new()
-                    .name(format!("sintra-tx-{i}-{j}"))
-                    .spawn({
-                        let net = Arc::clone(&net);
-                        let peer = Arc::clone(&peer);
-                        move || writer_loop(net, peer, writer_rx)
-                    })
-                    .or_invariant("spawn writer thread");
-                writer_threads.push(writer);
-
                 let sup = if i < j {
                     // Deterministic dial direction: the lower id dials.
                     let addr = addrs[j];
@@ -323,7 +322,7 @@ impl TcpGroup {
                     move || listener_loop(net, listener)
                 })
                 .or_invariant("spawn listener thread");
-            net.register_thread(listener_thread);
+            listener_threads.push(listener_thread);
 
             let (event_tx, event_rx) = unbounded();
             let transport = TcpTransport {
@@ -388,8 +387,8 @@ impl TcpGroup {
                 server_threads,
                 shutdown_txs,
                 nets,
-                writer_threads,
                 addrs,
+                listener_threads,
                 metrics_servers,
             },
             handles,
@@ -407,9 +406,8 @@ impl TcpGroup {
         self.metrics_servers.iter().map(|s| s.addr()).collect()
     }
 
-    /// Stops the group: server loops first (so final protocol messages
-    /// reach the writer queues), then writers (draining their queues
-    /// while every remote reader is still alive), then all sockets and
+    /// Stops the group: server loops first (their final frames are
+    /// written by the time each is joined), then all sockets and
     /// remaining transport threads. Mirrors
     /// [`ThreadedGroup::shutdown`](crate::threaded::ThreadedGroup::shutdown):
     /// every thread is joined before this returns.
@@ -420,26 +418,26 @@ impl TcpGroup {
         for t in self.server_threads {
             let _ = t.join();
         }
-        // Writers drain outbound queues while all peers' readers still
-        // consume, so the final frames are not stranded in full socket
-        // buffers.
+        // Now stop everything else: flags for the poll loops and the
+        // listeners, events for the supervisors, severed sockets for the
+        // connections.
         for net in &self.nets {
-            for peer in net.peers.iter().flatten() {
-                let _ = peer.writer_tx.send(WriterMsg::Shutdown);
-            }
-        }
-        for t in self.writer_threads {
-            let _ = t.join();
-        }
-        // Now stop everything else: flags for the polling listeners,
-        // events for the supervisors, severed sockets for the blocked
-        // readers.
-        for net in &self.nets {
-            net.shutdown.store(true, Ordering::Relaxed);
+            net.shutdown.store(true, Ordering::Release);
             for peer in net.peers.iter().flatten() {
                 let _ = peer.sup_tx.send(SupEvent::Shutdown);
             }
             net.sever_all();
+        }
+        // A connect wakes each listener blocked in `accept`. It can fail
+        // (out of descriptors, say), so retry until one lands or the
+        // listener is gone.
+        for (addr, listener) in self.addrs.iter().zip(self.listener_threads) {
+            while TcpStream::connect_timeout(addr, Duration::from_millis(100)).is_err()
+                && !listener.is_finished()
+            {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let _ = listener.join();
         }
         for net in &self.nets {
             let threads = std::mem::take(&mut *net.threads.lock().unwrap());

@@ -42,7 +42,13 @@ fn with_deadline<F: FnOnce() + Send + 'static>(secs: u64, f: F) {
 #[test]
 fn atomic_broadcast_over_loopback_tcp() {
     with_deadline(180, || {
-        let (group, mut handles) = TcpGroup::spawn(group_keys(4, 1, 91)).expect("bind loopback");
+        let registry = Arc::new(MetricsRegistry::new());
+        let (group, mut handles) = TcpGroup::spawn_with(
+            group_keys(4, 1, 91),
+            sintra::runtime::tcp::TcpConfig::default(),
+            Some(registry.clone()),
+        )
+        .expect("bind loopback");
         let pid = ProtocolId::new("tcp-ac");
         for h in &handles {
             h.create_atomic_channel(pid.clone(), AtomicChannelConfig::default());
@@ -72,7 +78,76 @@ fn atomic_broadcast_over_loopback_tcp() {
         expected.sort();
         assert_eq!(sorted, expected, "exactly the 100 sent payloads");
         group.shutdown();
+        // A link acks once per `ack_every = 16` deliveries, not once per
+        // socket read (which on loopback is about once per frame).
+        let snapshot = registry.snapshot();
+        let acks = snapshot.counter("link", "acks_sent");
+        let delivered = snapshot.counter("link", "frames_delivered");
+        assert!(delivered > 0, "frames crossed the links");
+        assert!(
+            acks <= delivered / 16,
+            "{acks} acks for {delivered} delivered frames"
+        );
     });
+}
+
+/// Large payloads fill a link's byte budget in fewer deliveries than
+/// `ack_every`, so the receiver must ack by bytes as well: otherwise the
+/// sender sheds every later frame and the channel never delivers again.
+/// A reliable channel sends each payload twice per link (rb-send and
+/// rb-echo). The budget is scaled to 4 MiB so that 512 KiB payloads
+/// stand in for 5 MiB ones under the default 64 MiB.
+#[test]
+fn large_payloads_are_acked_before_the_link_budget_fills() {
+    with_deadline(180, || {
+        let registry = Arc::new(MetricsRegistry::new());
+        let config = sintra::runtime::tcp::TcpConfig {
+            link: sintra::runtime::link::LinkConfig {
+                max_unacked_bytes: 4 * 1024 * 1024,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let (group, mut handles) =
+            TcpGroup::spawn_with(group_keys(4, 1, 97), config, Some(registry.clone()))
+                .expect("bind loopback");
+        let pid = ProtocolId::new("tcp-large");
+        for h in &handles {
+            h.create_reliable_channel(pid.clone());
+        }
+        for k in 0..20u8 {
+            let payload = vec![k; 512 * 1024];
+            handles[0].send(&pid, payload.clone());
+            for (i, h) in handles.iter_mut().enumerate() {
+                let got = h.receive(&pid).expect("live channel").data;
+                assert!(got == payload, "party {i} got the wrong payload {k}");
+            }
+        }
+        group.shutdown();
+        let snapshot = registry.snapshot();
+        assert_eq!(
+            snapshot.counter("link", "backpressure_drops"),
+            0,
+            "a link shed frames"
+        );
+    });
+}
+
+/// A retransmission queue that holds fewer frames than `ack_every` would
+/// fill before any ack came due; such a configuration is refused.
+#[test]
+fn a_link_queue_shorter_than_ack_every_is_refused() {
+    let config = sintra::runtime::tcp::TcpConfig {
+        link: sintra::runtime::link::LinkConfig {
+            max_unacked: 8,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let err = TcpGroup::spawn_with(group_keys(4, 1, 98), config, None)
+        .err()
+        .expect("max_unacked 8 < ack_every 16");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
 }
 
 #[test]
@@ -230,7 +305,8 @@ fn stalled_inbound_connections_do_not_starve_accepts() {
 #[test]
 fn tcp_shutdown_joins_cleanly_while_idle() {
     // Teardown with live connections but no protocol traffic: every
-    // listener, supervisor, reader and writer thread must exit.
+    // listener (blocked in `accept`), supervisor and poll thread must
+    // exit.
     with_deadline(60, || {
         let (group, handles) = TcpGroup::spawn(group_keys(4, 1, 95)).expect("bind loopback");
         // Give dialers a moment to establish the mesh so shutdown tears
