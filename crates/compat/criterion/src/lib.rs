@@ -16,9 +16,9 @@
 //! * `SINTRA_BENCH_JSON=<path>` — additionally write all results as a
 //!   JSON array when the benchmark binary finishes (the
 //!   [`criterion_main!`] macro calls [`finalize`]): first one
-//!   `{"id": "host", nproc, cpu, rustc}` record naming the machine the
-//!   numbers came from, then one `{id, median_ns, min_ns, max_ns}`
-//!   object per benchmark.
+//!   `{"id": "host", nproc, cpu, sha_ni, rustc}` record naming the machine
+//!   (and so the SHA-256 kernel) the numbers came from, then one
+//!   `{id, median_ns, min_ns, max_ns}` object per benchmark.
 
 #![forbid(unsafe_code)]
 
@@ -136,20 +136,23 @@ fn json_escape(s: &str) -> String {
         .collect()
 }
 
-/// The leading record of a JSON report: core count, CPU model and
+/// The leading record of a JSON report: core count, CPU model, whether
+/// the CPU has the SHA extensions (which pick the SHA-256 kernel) and
 /// compiler of the host, so that two reports are only compared when they
-/// name the same machine.
+/// name the same machine and ran the same kernels.
 fn host_record() -> String {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let cpu = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|info| {
-            info.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split_once(':'))
-                .map(|(_, model)| model.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".to_string());
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let field = |name: &str| {
+        cpuinfo
+            .lines()
+            .find(|l| l.starts_with(name))
+            .and_then(|l| l.split_once(':'))
+            .map(|(_, value)| value.trim())
+    };
+    let cpu = field("model name").unwrap_or("unknown");
+    let sha_ni =
+        field("flags").is_some_and(|flags| flags.split_whitespace().any(|f| f == "sha_ni"));
     let rustc = std::process::Command::new("rustc")
         .arg("--version")
         .output()
@@ -158,8 +161,8 @@ fn host_record() -> String {
         .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
         .unwrap_or_else(|| "unknown".to_string());
     format!(
-        "{{\"id\": \"host\", \"nproc\": {nproc}, \"cpu\": \"{}\", \"rustc\": \"{}\"}}",
-        json_escape(&cpu),
+        "{{\"id\": \"host\", \"nproc\": {nproc}, \"cpu\": \"{}\", \"sha_ni\": {sha_ni}, \"rustc\": \"{}\"}}",
+        json_escape(cpu),
         json_escape(&rustc)
     )
 }
@@ -359,7 +362,7 @@ mod tests {
         let record = host_record();
         assert!(record.starts_with("{\"id\": \"host\", \"nproc\": "));
         assert!(record.ends_with("\"}"));
-        for key in ["\"cpu\": \"", "\"rustc\": \""] {
+        for key in ["\"cpu\": \"", "\"sha_ni\": ", "\"rustc\": \""] {
             assert!(record.contains(key), "{record}");
         }
         assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c ");

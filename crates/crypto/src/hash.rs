@@ -1,38 +1,13 @@
-//! Cryptographic hash functions: SHA-256 (default) and SHA-1.
+//! SHA-256 (FIPS 180-4) and the expanders built on it.
 //!
-//! SINTRA used SHA-1 throughout; this implementation defaults to SHA-256
-//! but keeps SHA-1 available for configuration fidelity. Both follow the
-//! incremental `update`/`finalize` pattern.
+//! SINTRA used SHA-1; this implementation uses SHA-256 throughout.
+//! The compression function has two kernels: a portable one, and on
+//! x86-64 CPUs with the SHA extensions one built from the SHA-NI
+//! instructions. Each call picks the kernel from the CPU's cached feature
+//! flags; both give bit-identical states, and the tests pin them to each
+//! other.
 
 use sintra_bigint::Ubig;
-
-/// Selects which hash function a scheme instance uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum HashAlgorithm {
-    /// SHA-256 (32-byte output). The default.
-    #[default]
-    Sha256,
-    /// SHA-1 (20-byte output), as in the original SINTRA deployment.
-    Sha1,
-}
-
-impl HashAlgorithm {
-    /// Output length in bytes.
-    pub fn output_len(self) -> usize {
-        match self {
-            HashAlgorithm::Sha256 => 32,
-            HashAlgorithm::Sha1 => 20,
-        }
-    }
-
-    /// One-shot digest of `data`.
-    pub fn digest(self, data: &[u8]) -> Vec<u8> {
-        match self {
-            HashAlgorithm::Sha256 => Sha256::digest(data).to_vec(),
-            HashAlgorithm::Sha1 => Sha1::digest(data).to_vec(),
-        }
-    }
-}
 
 /// Incremental SHA-256 (FIPS 180-4).
 ///
@@ -90,52 +65,60 @@ impl Sha256 {
         h.finalize()
     }
 
-    /// Absorbs more input.
+    /// Absorbs more input. Whole blocks are compressed straight from
+    /// `data`; only a partial block is buffered.
     pub fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buffer_len > 0 {
-            let need = 64 - self.buffer_len;
-            let take = need.min(data.len());
+            let take = (64 - self.buffer_len).min(data.len());
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
             self.buffer_len += take;
             data = &data[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
+            compress_blocks(&mut self.state, std::slice::from_ref(&self.buffer));
+            self.buffer_len = 0;
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        let (blocks, rest) = data.as_chunks::<64>();
+        if !blocks.is_empty() {
+            compress_blocks(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
-        }
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffer_len = rest.len();
     }
 
     /// Completes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0]);
+        let used = self.buffer_len;
+        self.buffer[used] = 0x80;
+        self.buffer[used + 1..].fill(0);
+        if used >= 56 {
+            // No room for the length: it goes in a block of its own.
+            compress_blocks(&mut self.state, std::slice::from_ref(&self.buffer));
+            self.buffer = [0; 64];
         }
-        // Manual length append (bypasses total_len accounting).
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress_blocks(&mut self.state, std::slice::from_ref(&self.buffer));
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// Compresses `blocks` into `state` with the fastest kernel this CPU runs.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    if !compress_sha_ni(state, blocks) {
+        compress_portable(state, blocks);
+    }
+}
+
+/// The portable kernel: FIPS 180-4 §6.2.2 on plain `u32`s.
+fn compress_portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
@@ -148,7 +131,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -169,122 +152,109 @@ impl Sha256 {
             b = a;
             a = temp1.wrapping_add(temp2);
         }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *s = s.wrapping_add(v);
         }
     }
 }
 
-/// Incremental SHA-1 (FIPS 180-4). Provided for fidelity with the original
-/// SINTRA deployment; prefer [`Sha256`] for new configurations.
-#[derive(Debug, Clone)]
-pub struct Sha1 {
-    state: [u32; 5],
-    buffer: [u8; 64],
-    buffer_len: usize,
-    total_len: u64,
+/// Runs the SHA-NI kernel if this CPU has the SHA extensions and returns
+/// whether it ran. `is_x86_feature_detected!` caches what it finds, so
+/// after the first call each check is one atomic load.
+#[cfg(target_arch = "x86_64")]
+fn compress_sha_ni(state: &mut [u32; 8], blocks: &[[u8; 64]]) -> bool {
+    let detected = is_x86_feature_detected!("sha")
+        && is_x86_feature_detected!("sse2")
+        && is_x86_feature_detected!("ssse3")
+        && is_x86_feature_detected!("sse4.1");
+    if detected {
+        // SAFETY: `detected` has just confirmed that this CPU supports
+        // sha, sse2, ssse3 and sse4.1, every feature `sha_ni_kernel` is
+        // compiled for.
+        #[allow(unsafe_code)]
+        unsafe {
+            sha_ni_kernel(state, blocks)
+        };
+    }
+    detected
 }
 
-impl Default for Sha1 {
-    fn default() -> Self {
-        Self::new()
-    }
+/// Without x86-64 there is no SHA-NI kernel to run.
+#[cfg(not(target_arch = "x86_64"))]
+fn compress_sha_ni(_state: &mut [u32; 8], _blocks: &[[u8; 64]]) -> bool {
+    false
 }
 
-impl Sha1 {
-    /// Creates a fresh hasher.
-    pub fn new() -> Self {
-        Sha1 {
-            state: [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0],
-            buffer: [0; 64],
-            buffer_len: 0,
-            total_len: 0,
-        }
-    }
+/// The SHA-NI kernel. The state lives in two registers, `abef` and
+/// `cdgh` (lanes high to low, as `sha256rnds2` takes them); each
+/// `sha256rnds2` does two rounds and `sha256msg1`/`sha256msg2` extend
+/// the message schedule four words at a time. Words enter and leave
+/// through `_mm_set_epi32` and `_mm_extract_epi32`, so the kernel needs
+/// no pointer loads or stores.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+fn sha_ni_kernel(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
 
-    /// One-shot convenience digest.
-    pub fn digest(data: &[u8]) -> [u8; 20] {
-        let mut h = Sha1::new();
-        h.update(data);
-        h.finalize()
-    }
+    let lanes = |w3: u32, w2: u32, w1: u32, w0: u32| {
+        _mm_set_epi32(w3 as i32, w2 as i32, w1 as i32, w0 as i32)
+    };
+    let [a, b, c, d, e, f, g, h] = *state;
+    let mut abef = lanes(a, b, e, f);
+    let mut cdgh = lanes(c, d, g, h);
 
-    /// Absorbs more input.
-    pub fn update(&mut self, mut data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        if self.buffer_len > 0 {
-            let need = 64 - self.buffer_len;
-            let take = need.min(data.len());
-            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
-            self.buffer_len += take;
-            data = &data[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
-        }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
-        }
-    }
-
-    /// Completes the hash and returns the 20-byte digest.
-    pub fn finalize(mut self) -> [u8; 20] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0]);
-        }
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
-        let mut out = [0u8; 20];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | (!b & d), 0x5A827999),
-                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-                _ => (b ^ c ^ d, 0xCA62C1D6),
+    for block in blocks {
+        let (abef_in, cdgh_in) = (abef, cdgh);
+        let (words, _) = block.as_chunks::<4>();
+        let word = |i: usize| u32::from_be_bytes(words[i]);
+        // `msg[j]` holds schedule words 4j..4j+4, the first in the low lane.
+        let mut msg: [__m128i; 4] = std::array::from_fn(|j| {
+            lanes(
+                word(4 * j + 3),
+                word(4 * j + 2),
+                word(4 * j + 1),
+                word(4 * j),
+            )
+        });
+        for quad in 0..16 {
+            let w = if quad < 4 {
+                msg[quad]
+            } else {
+                // W[t] from W[t-16..t-13] (msg1), W[t-7..t-4] (alignr)
+                // and W[t-4..t] (msg2).
+                let [m0, m1, m2, m3] = msg;
+                let next = _mm_sha256msg2_epu32(
+                    _mm_add_epi32(_mm_sha256msg1_epu32(m0, m1), _mm_alignr_epi8::<4>(m3, m2)),
+                    m3,
+                );
+                msg = [m1, m2, m3, next];
+                next
             };
-            let temp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = temp;
+            let k = &SHA256_K[4 * quad..4 * quad + 4];
+            let wk = _mm_add_epi32(w, lanes(k[3], k[2], k[1], k[0]));
+            // Two rounds leave the old A,B,E,F as the new C,D,G,H, so
+            // writing each result over the other register keeps the
+            // names right after every pair of calls.
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
         }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e]) {
-            *s = s.wrapping_add(v);
-        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
     }
+
+    *state = [
+        _mm_extract_epi32::<3>(abef) as u32,
+        _mm_extract_epi32::<2>(abef) as u32,
+        _mm_extract_epi32::<3>(cdgh) as u32,
+        _mm_extract_epi32::<2>(cdgh) as u32,
+        _mm_extract_epi32::<1>(abef) as u32,
+        _mm_extract_epi32::<0>(abef) as u32,
+        _mm_extract_epi32::<1>(cdgh) as u32,
+        _mm_extract_epi32::<0>(cdgh) as u32,
+    ];
 }
 
 /// Deterministically expands domain-separated input into `len` bytes using
@@ -319,6 +289,7 @@ pub fn hash_to_ubig(domain: &[u8], input: &[u8], bound: &Ubig) -> Ubig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -359,7 +330,7 @@ mod tests {
     #[test]
     fn sha256_incremental_matches_oneshot() {
         let data: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
-        for split in [0usize, 1, 63, 64, 65, 500, 999, 1000] {
+        for split in [0usize, 1, 55, 56, 63, 64, 65, 119, 120, 500, 999, 1000] {
             let mut h = Sha256::new();
             h.update(&data[..split]);
             h.update(&data[split..]);
@@ -367,46 +338,48 @@ mod tests {
         }
     }
 
+    /// The dispatcher runs SHA-NI exactly when the CPU's flags list the
+    /// SHA extensions and the SSE levels the kernel is compiled for.
+    #[cfg(target_os = "linux")]
     #[test]
-    fn sha1_known_answers() {
-        assert_eq!(
-            hex(&Sha1::digest(b"")),
-            "da39a3ee5e6b4b0d3255bfef95601890afd80709"
-        );
-        assert_eq!(
-            hex(&Sha1::digest(b"abc")),
-            "a9993e364706816aba3e25717850c26c9cd0d89d"
-        );
-        assert_eq!(
-            hex(&Sha1::digest(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
-        );
+    fn sha_ni_runs_exactly_when_the_cpu_reports_it() {
+        let info = std::fs::read_to_string("/proc/cpuinfo").expect("read /proc/cpuinfo");
+        let flags = info
+            .lines()
+            .find(|l| l.starts_with("flags"))
+            .and_then(|l| l.split_once(':'))
+            .map_or("", |(_, flags)| flags);
+        let reported = ["sha_ni", "ssse3", "sse4_1"]
+            .iter()
+            .all(|want| flags.split_whitespace().any(|f| f == *want));
+        let mut state = Sha256::new().state;
+        assert_eq!(compress_sha_ni(&mut state, &[[0; 64]]), reported);
     }
 
-    #[test]
-    fn sha1_incremental_matches_oneshot() {
-        let data: Vec<u8> = (0..200u8).collect();
-        let mut h = Sha1::new();
-        for b in &data {
-            h.update(std::slice::from_ref(b));
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Both kernels from the same random state over the same random
+        // blocks, the SHA-NI one in two calls split at a random block.
+        #[test]
+        fn kernels_agree(
+            start in prop::collection::vec(any::<u32>(), 8),
+            data in prop::collection::vec(any::<u8>(), 0..=8192),
+            split in any::<usize>(),
+        ) {
+            let start: [u32; 8] = start.try_into().expect("eight words");
+            let (blocks, _) = data.as_chunks::<64>();
+            let split = split % (blocks.len() + 1);
+            let mut portable = start;
+            compress_portable(&mut portable, blocks);
+            let mut sha_ni = start;
+            if !compress_sha_ni(&mut sha_ni, &blocks[..split]) {
+                eprintln!("kernels_agree: this CPU has no SHA-NI; compared nothing");
+                return;
+            }
+            prop_assert!(compress_sha_ni(&mut sha_ni, &blocks[split..]));
+            prop_assert_eq!(sha_ni, portable);
         }
-        assert_eq!(h.finalize(), Sha1::digest(&data));
-    }
-
-    #[test]
-    fn algorithm_dispatch() {
-        assert_eq!(HashAlgorithm::Sha256.output_len(), 32);
-        assert_eq!(HashAlgorithm::Sha1.output_len(), 20);
-        assert_eq!(
-            HashAlgorithm::Sha256.digest(b"x"),
-            Sha256::digest(b"x").to_vec()
-        );
-        assert_eq!(
-            HashAlgorithm::Sha1.digest(b"x"),
-            Sha1::digest(b"x").to_vec()
-        );
     }
 
     #[test]

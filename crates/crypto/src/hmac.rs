@@ -1,9 +1,15 @@
-//! HMAC message authentication, used for SINTRA's point-to-point link
-//! authentication (the paper uses HMAC with a 128-bit key per server pair).
+//! HMAC-SHA-256 message authentication (RFC 2104), used for SINTRA's
+//! point-to-point link authentication (the paper uses HMAC with a 128-bit
+//! key per server pair).
 
-use crate::hash::{HashAlgorithm, Sha1, Sha256};
+use crate::hash::Sha256;
 
-/// An HMAC key bound to a hash algorithm.
+/// Length of an HMAC-SHA-256 tag in bytes.
+pub const TAG_LEN: usize = 32;
+
+/// An HMAC-SHA-256 key, keyed once: it holds the hash states after the
+/// inner and outer pad blocks, so a tag costs the message's blocks plus
+/// two.
 ///
 /// ```
 /// use sintra_crypto::hmac::HmacKey;
@@ -13,63 +19,43 @@ use crate::hash::{HashAlgorithm, Sha1, Sha256};
 /// assert!(key.verify(b"message", &tag));
 /// assert!(!key.verify(b"tampered", &tag));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct HmacKey {
     key: Vec<u8>,
-    algorithm: HashAlgorithm,
+    /// SHA-256 after absorbing `key ^ ipad`.
+    inner: Sha256,
+    /// SHA-256 after absorbing `key ^ opad`.
+    outer: Sha256,
 }
 
 impl HmacKey {
-    /// Creates a key using the default hash (SHA-256).
+    /// Creates a key; a key longer than the 64-byte block is hashed first.
     pub fn new(key: Vec<u8>) -> Self {
-        HmacKey {
-            key,
-            algorithm: HashAlgorithm::Sha256,
+        let mut block = [0u8; 64];
+        if key.len() > block.len() {
+            block[..32].copy_from_slice(&Sha256::digest(&key));
+        } else {
+            block[..key.len()].copy_from_slice(&key);
         }
-    }
-
-    /// Creates a key with an explicit hash algorithm.
-    pub fn with_algorithm(key: Vec<u8>, algorithm: HashAlgorithm) -> Self {
-        HmacKey { key, algorithm }
-    }
-
-    /// Tag length in bytes.
-    pub fn tag_len(&self) -> usize {
-        self.algorithm.output_len()
+        let keyed = |pad: u8| {
+            let mut h = Sha256::new();
+            h.update(&block.map(|b| b ^ pad));
+            h
+        };
+        HmacKey {
+            inner: keyed(0x36),
+            outer: keyed(0x5c),
+            key,
+        }
     }
 
     /// Computes the HMAC tag of `message`.
-    pub fn sign(&self, message: &[u8]) -> Vec<u8> {
-        const BLOCK: usize = 64; // block size for both SHA-1 and SHA-256
-        let mut key_block = [0u8; BLOCK];
-        if self.key.len() > BLOCK {
-            let digest = self.algorithm.digest(&self.key);
-            key_block[..digest.len()].copy_from_slice(&digest);
-        } else {
-            key_block[..self.key.len()].copy_from_slice(&self.key);
-        }
-        let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-        let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-        match self.algorithm {
-            HashAlgorithm::Sha256 => {
-                let mut inner = Sha256::new();
-                inner.update(&ipad);
-                inner.update(message);
-                let mut outer = Sha256::new();
-                outer.update(&opad);
-                outer.update(&inner.finalize());
-                outer.finalize().to_vec()
-            }
-            HashAlgorithm::Sha1 => {
-                let mut inner = Sha1::new();
-                inner.update(&ipad);
-                inner.update(message);
-                let mut outer = Sha1::new();
-                outer.update(&opad);
-                outer.update(&inner.finalize());
-                outer.finalize().to_vec()
-            }
-        }
+    pub fn sign(&self, message: &[u8]) -> [u8; TAG_LEN] {
+        let mut inner = self.inner.clone();
+        inner.update(message);
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
     }
 
     /// Verifies a tag in constant time with respect to tag contents.
@@ -86,6 +72,15 @@ impl HmacKey {
             == 0
     }
 }
+
+/// Two keys are equal when their key bytes are.
+impl PartialEq for HmacKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for HmacKey {}
 
 #[cfg(test)]
 mod tests {
@@ -115,6 +110,26 @@ mod tests {
     }
 
     #[test]
+    fn rfc4231_test_case_3() {
+        // Key 0xaa * 20, data 0xdd * 50: a message that is not text.
+        let key = HmacKey::new(vec![0xaa; 20]);
+        assert_eq!(
+            hex(&key.sign(&[0xdd; 50])),
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
+        );
+    }
+
+    #[test]
+    fn rfc4231_test_case_4() {
+        // Key 0x01..=0x19, data 0xcd * 50.
+        let key = HmacKey::new((0x01..=0x19).collect());
+        assert_eq!(
+            hex(&key.sign(&[0xcd; 50])),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+        );
+    }
+
+    #[test]
     fn rfc4231_long_key() {
         // Test case 6: key longer than the block size gets hashed first.
         let key = HmacKey::new(vec![0xaa; 131]);
@@ -125,12 +140,15 @@ mod tests {
     }
 
     #[test]
-    fn rfc2202_sha1_test_case() {
-        // HMAC-SHA-1, key = 0x0b * 20, data = "Hi There".
-        let key = HmacKey::with_algorithm(vec![0x0b; 20], HashAlgorithm::Sha1);
+    fn rfc4231_test_case_7() {
+        // A hashed long key and a message longer than one block.
+        let key = HmacKey::new(vec![0xaa; 131]);
+        let message: &[u8] = b"This is a test using a larger than block-size key and a \
+            larger than block-size data. The key needs to be hashed before being used by \
+            the HMAC algorithm.";
         assert_eq!(
-            hex(&key.sign(b"Hi There")),
-            "b617318655057264e28bc0b6fb378c8ef146be00"
+            hex(&key.sign(message)),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
         );
     }
 
@@ -149,5 +167,7 @@ mod tests {
         let k1 = HmacKey::new(b"key-one".to_vec());
         let k2 = HmacKey::new(b"key-two".to_vec());
         assert_ne!(k1.sign(b"m"), k2.sign(b"m"));
+        assert_ne!(k1, k2);
+        assert_eq!(k1, HmacKey::new(b"key-one".to_vec()));
     }
 }

@@ -4,7 +4,8 @@
 //! stack (Cachin & Poritz, DSN 2002) relies on, from scratch on top of
 //! [`sintra_bigint`]:
 //!
-//! * [`hash`]: SHA-256 and SHA-1, plus [`hmac`] for link authentication;
+//! * [`hash`]: SHA-256, with a SHA-NI kernel where the CPU has one, plus
+//!   [`hmac`] for link authentication;
 //! * [`chacha`]: the ChaCha20 stream cipher used for bulk encryption inside
 //!   the threshold cryptosystem (the paper used MARS; any symmetric cipher
 //!   is interchangeable here);
@@ -46,7 +47,9 @@
 //! assert_eq!(value.len(), 16);
 //! ```
 
-#![forbid(unsafe_code)]
+// One `unsafe` block is allowed, in `hash.rs`: the call into the SHA-NI
+// kernel after the CPU check.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chacha;

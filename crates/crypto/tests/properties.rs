@@ -9,7 +9,7 @@ use rand::SeedableRng;
 use sintra_crypto::chacha;
 use sintra_crypto::coin::CoinScheme;
 use sintra_crypto::fixtures;
-use sintra_crypto::hash::{expand, Sha1, Sha256};
+use sintra_crypto::hash::{expand, Sha256};
 use sintra_crypto::hmac::HmacKey;
 use sintra_crypto::thenc::EncScheme;
 use sintra_crypto::thsig::{deal_kits, SigFlavor, ThresholdSigKit};
@@ -42,7 +42,6 @@ proptest! {
     #[test]
     fn hashes_are_deterministic_and_length_correct(data in prop::collection::vec(any::<u8>(), 0..512)) {
         prop_assert_eq!(Sha256::digest(&data), Sha256::digest(&data));
-        prop_assert_eq!(Sha1::digest(&data).len(), 20);
     }
 
     #[test]

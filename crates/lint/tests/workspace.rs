@@ -54,6 +54,49 @@ fn reintroducing_hashmap_in_multiplex_fails() {
 }
 
 #[test]
+fn unsafe_outside_the_sha_ni_dispatch_fails() {
+    // The workspace's unsafe budget is one block: the call into the SHA-NI
+    // kernel in hash.rs. An `unsafe` anywhere else must still be a finding,
+    // next door in hmac.rs included.
+    assert_eq!(rules::UNSAFE_ALLOWLIST, ["crates/crypto/src/hash.rs"]);
+    let unsafe_findings = |path: &str, src: &str| {
+        analyze_source(path, src)
+            .iter()
+            .filter(|f| f.rule == rules::UNSAFE_BUDGET && f.suppressed.is_none())
+            .count()
+    };
+
+    let path = "crates/crypto/src/hmac.rs";
+    let src = std::fs::read_to_string(repo_root().join(path)).expect("read hmac.rs");
+    assert_eq!(unsafe_findings(path, &src), 0);
+    let anchor = "    pub fn sign(";
+    assert!(
+        src.contains(anchor),
+        "HmacKey::sign moved; update this mutation"
+    );
+    let mutated = src.replacen(
+        anchor,
+        "    fn raw(&self) { unsafe {} }\n\n    pub fn sign(",
+        1,
+    );
+    assert_eq!(
+        unsafe_findings(path, &mutated),
+        1,
+        "unsafe in hmac.rs went undetected"
+    );
+
+    // Read as if it lived anywhere else, hash.rs shows its budget: one.
+    let hash = std::fs::read_to_string(repo_root().join("crates/crypto/src/hash.rs"))
+        .expect("read hash.rs");
+    assert_eq!(unsafe_findings("crates/crypto/src/hash.rs", &hash), 0);
+    assert_eq!(
+        unsafe_findings("crates/crypto/src/other.rs", &hash),
+        1,
+        "hash.rs must hold exactly one unsafe block"
+    );
+}
+
+#[test]
 fn reintroducing_inline_quorum_arithmetic_fails() {
     for snippet in [
         "fn bound(&self) -> usize { self.ctx.n() - self.ctx.t() }",

@@ -16,7 +16,7 @@
 
 use sintra_core::wire::Reader;
 use sintra_core::PartyId;
-use sintra_crypto::hmac::HmacKey;
+use sintra_crypto::hmac::{HmacKey, TAG_LEN};
 
 use super::LinkError;
 use sintra_core::invariant::OrInvariant;
@@ -184,22 +184,27 @@ impl LinkKey {
     /// receiver's [`FrameBuffer`] poisons the whole stream on an
     /// oversized length prefix.
     pub fn data_frame_len(&self, payload_len: usize) -> usize {
-        4 + 1 + 8 + payload_len + self.key.tag_len()
+        4 + 1 + 8 + payload_len + TAG_LEN
     }
 
-    /// Seals one frame: encodes the body, authenticates `sender || body`
-    /// and prepends the length.
+    /// Seals one frame into one buffer: a placeholder length, then
+    /// `sender || body`, then its tag; the length is patched in last.
     pub fn seal(&self, kind: &FrameKind) -> Vec<u8> {
-        let mut authed = Vec::with_capacity(64);
-        authed.extend_from_slice(&(self.local.0 as u32).to_be_bytes());
-        kind.encode_body(&mut authed);
-        let tag = self.key.sign(&authed);
-        let len = authed.len() + tag.len();
-        let len32 = u32::try_from(len).or_invariant("frame length exceeds the u32 prefix");
-        let mut frame = Vec::with_capacity(4 + len);
-        frame.extend_from_slice(&len32.to_be_bytes());
-        frame.extend_from_slice(&authed);
+        let payload_len = if let FrameKind::Data { payload, .. } = kind {
+            payload.len()
+        } else {
+            0
+        };
+        // Every kind's fixed fields fit in a kind byte, two nonces and a u64.
+        let mut frame = Vec::with_capacity(4 + 4 + 1 + 2 * NONCE_LEN + 8 + payload_len + TAG_LEN);
+        frame.extend_from_slice(&[0; 4]);
+        frame.extend_from_slice(&(self.local.0 as u32).to_be_bytes());
+        kind.encode_body(&mut frame);
+        let tag = self.key.sign(&frame[4..]);
         frame.extend_from_slice(&tag);
+        let len32 =
+            u32::try_from(frame.len() - 4).or_invariant("frame length exceeds the u32 prefix");
+        frame[..4].copy_from_slice(&len32.to_be_bytes());
         frame
     }
 
@@ -207,7 +212,6 @@ impl LinkKey {
     /// the length, the claimed sender, and the HMAC, then decodes the
     /// body. Never panics on malformed input.
     pub fn open(&self, frame: &[u8]) -> Result<FrameKind, LinkError> {
-        let tag_len = self.key.tag_len();
         if frame.len() < 4 {
             return Err(LinkError::Truncated);
         }
@@ -215,11 +219,10 @@ impl LinkKey {
         if declared > MAX_FRAME_LEN {
             return Err(LinkError::Oversized);
         }
-        if frame.len() != declared + 4 || declared < 4 + 1 + tag_len {
+        if frame.len() != declared + 4 || declared < 4 + 1 + TAG_LEN {
             return Err(LinkError::Truncated);
         }
-        let authed = &frame[4..frame.len() - tag_len];
-        let tag = &frame[frame.len() - tag_len..];
+        let (authed, tag) = frame[4..].split_at(declared - TAG_LEN);
         if !self.key.verify(authed, tag) {
             return Err(LinkError::BadMac);
         }
