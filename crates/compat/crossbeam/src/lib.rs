@@ -1,7 +1,7 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
 //! Provides only `crossbeam::channel::{unbounded, Sender, Receiver}` with
-//! the subset of semantics the SINTRA threaded runtime relies on:
+//! the subset of semantics the SINTRA TCP runtime relies on:
 //! unbounded MPMC queues, cloneable endpoints on both sides, blocking
 //! `recv`, `recv_timeout`, non-blocking `try_recv`, and disconnect
 //! detection when either side fully drops. Implemented over

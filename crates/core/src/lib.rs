@@ -4,7 +4,7 @@
 //! Replication on the Internet* (Cachin & Poritz, DSN 2002) as **sans-IO
 //! state machines**: each protocol consumes incoming messages and local
 //! requests, and emits outgoing messages plus locally observable outputs.
-//! Runtimes (the deterministic discrete-event simulator and the threaded
+//! Runtimes (the deterministic discrete-event simulator and the TCP
 //! runtime in `sintra-net`) drive these machines; the protocols themselves
 //! never touch a socket or a clock, which is what makes them fully
 //! asynchronous — exactly the system model of the paper.

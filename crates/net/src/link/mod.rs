@@ -20,11 +20,9 @@
 //!   side's delivery watermark so unacknowledged frames can be replayed
 //!   after a reconnect.
 //!
-//! The [`threaded`](crate::threaded) runtime uses the framing and
-//! authentication layer directly (its substrate — in-process channels —
-//! is already reliable and FIFO), while the [`tcp`](crate::tcp) runtime
-//! runs the full [`ReliableLink`] machinery over real sockets. Neither
-//! runtime carries private framing or MAC code.
+//! The [`tcp`](crate::tcp) runtime runs the full [`ReliableLink`]
+//! machinery over real sockets and carries no private framing or MAC
+//! code.
 
 pub mod frame;
 pub mod handshake;

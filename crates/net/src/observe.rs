@@ -11,7 +11,7 @@
 //! [`dump_dir`](ObservabilityConfig::dump_dir). The same dump fires when
 //! a protocol invariant panics the dispatch path (reason `invariant`)
 //! and on demand via
-//! [`ServerHandle::request_dump`](crate::ServerHandle::request_dump) —
+//! [`TcpHandle::request_dump`](crate::tcp::TcpHandle::request_dump) —
 //! the portable stand-in for a SIGUSR1 handler, which a dependency-free
 //! workspace cannot install.
 

@@ -1,403 +1,211 @@
-//! The transport-independent per-party server: one OS thread driving a
-//! sans-I/O [`Node`], fed by a command/network inbox.
+//! The per-party server loop: one OS thread driving a [`PartyCore`], fed
+//! by an inbox of authenticated envelopes and application requests.
 //!
-//! Both real runtimes ([`threaded`](crate::threaded) and
-//! [`tcp`](crate::tcp)) run this exact loop; they differ only in the
-//! [`Transport`] they plug in — how a sealed envelope reaches a peer and
-//! how inbound bytes are authenticated back into envelopes. The
-//! application talks to the loop through a [`ServerHandle`], whose
-//! blocking `send`/`receive`/`close`/`close_wait` API mirrors the Java
-//! `Channel` interface of the paper (§3.4).
+//! Each step is [`PartyCore::step`], the same sans-IO step the simulator
+//! runs. The loop adds what only a real party needs: wall-clock trace
+//! stamps, the `net:send`/`net:recv` events, the flight recorder and
+//! trace stream, stall detection, timers on the wall clock, and the
+//! phase counters (`net_dispatch_us`, `timer_dispatch_us`,
+//! `cmd_dispatch_us`, `flush_us`). Sealed frames leave through the TCP
+//! runtime's transport. The application talks to the loop through a
+//! [`TcpHandle`](crate::tcp::TcpHandle), whose blocking
+//! `send`/`receive`/`close`/`close_wait` API mirrors the Java `Channel`
+//! interface of the paper (§3.4).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, Sender};
 
-use sintra_core::agreement::CandidateOrder;
-use sintra_core::channel::{AtomicChannelConfig, OptimisticChannelConfig};
 use sintra_core::message::{Envelope, Payload, PayloadKind};
 use sintra_core::node::Node;
-use sintra_core::validator::{ArrayValidator, BinaryValidator};
-use sintra_core::{Event, GroupContext, Outgoing, PartyId, ProtocolId, Recipient};
+use sintra_core::wire::Wire;
+use sintra_core::{Event, GroupContext, Outgoing, PartyId, ProtocolId};
 use sintra_crypto::dealer::PartyKeys;
 use sintra_telemetry::{
     root_scope, FlightRecorder, Recorder, TraceEvent, TraceStream, DELIVERY_LATENCY,
 };
 
 use crate::observe::{write_dump, ObservabilityConfig};
+use crate::step::{self, targets, Effects, PartyCore};
+use crate::tcp::TcpTransport;
 use sintra_core::invariant::OrInvariant;
 
-/// How a party's sealed envelopes reach its peers, and how inbound
-/// transport items turn back into authenticated envelopes.
-///
-/// The server loop owns a `Transport` and calls it from its single
-/// thread; `transmit`/`open` must not block on the network (the TCP
-/// runtime writes to nonblocking sockets and backlogs what the kernel
-/// does not take).
-pub trait Transport: Send + 'static {
-    /// Number of parties in the group.
-    fn parties(&self) -> usize;
+/// An application action sent to a server thread.
+pub(crate) type Action = Box<dyn FnOnce(&mut Node, &mut Outgoing) + Send>;
 
-    /// Seals `env` and hands it to the delivery substrate for `to`
-    /// (which may be the local party — self-delivery is the transport's
-    /// job too). Returns the number of bytes put on, or queued for, the
-    /// wire; 0 when the frame was shed (e.g. link backpressure).
-    fn transmit(&mut self, to: PartyId, env: &Envelope) -> u64;
-
-    /// Authenticates and decodes one inbound item that arrived from
-    /// `from`. `None` drops the item (failed authentication, duplicate,
-    /// or malformed payload); the loop counts the drop.
-    fn open(&mut self, from: PartyId, data: &[u8]) -> Option<Envelope>;
-
-    /// Serializes the transport's per-peer link state (sequence cursors,
-    /// retransmission backlog) for a debug dump. The default reports
-    /// nothing — only transports with meaningful link state override it.
-    fn link_snapshots(&self) -> Vec<String> {
-        Vec::new()
-    }
-}
-
-/// What a server thread can be asked to do.
-pub(crate) enum Command {
-    CreateAtomic(ProtocolId, AtomicChannelConfig),
-    CreateSecure(ProtocolId, AtomicChannelConfig),
-    CreateOptimistic(ProtocolId, OptimisticChannelConfig),
-    CreateReliableChannel(ProtocolId),
-    CreateConsistentChannel(ProtocolId),
-    CreateReliableBroadcast(ProtocolId, PartyId),
-    CreateConsistentBroadcast(ProtocolId, PartyId),
-    CreateBinaryAgreement(ProtocolId, Option<BinaryValidator>, Option<bool>),
-    CreateMultiValued(ProtocolId, ArrayValidator, CandidateOrder),
+/// One item in a server's inbox.
+pub(crate) enum Input {
+    /// An envelope encoding from `from`, already authenticated and
+    /// deduplicated by the link layer.
+    Net {
+        /// Authenticated origin.
+        from: PartyId,
+        /// The envelope's wire encoding.
+        data: Vec<u8>,
+    },
+    /// An application action: create an instance, propose, close, ...
+    Act(Action),
+    /// An application payload for a channel. Its own variant because the
+    /// loop notes when it was sent, for end-to-end delivery latency.
     Send(ProtocolId, Vec<u8>),
-    SendCiphertext(ProtocolId, Vec<u8>),
-    BroadcastSend(ProtocolId, Vec<u8>),
-    ProposeBinary(ProtocolId, bool, Vec<u8>),
-    ProposeMulti(ProtocolId, Vec<u8>),
-    Close(ProtocolId),
     /// Dump the server's live state under the given reason tag.
     DumpState(String),
+    /// Stop the loop.
     Shutdown,
 }
 
-/// One item in a server's inbox: bytes from the network or an
-/// application command.
-pub(crate) enum Input {
-    /// A transport item from `from`; `data` is transport-defined (a
-    /// sealed frame for the threaded runtime, an already-authenticated
-    /// envelope encoding for TCP).
-    Net {
-        /// Claimed (threaded) or authenticated (TCP) origin.
-        from: PartyId,
-        /// Transport-defined bytes, resolved by [`Transport::open`].
-        data: Vec<u8>,
-    },
-    /// An application command from the [`ServerHandle`].
-    Cmd(Command),
-}
-
-/// A handle to one SINTRA server running on its own thread.
+/// The application's side of a server's event stream: deliveries,
+/// decisions and closings, kept per instance until someone asks for
+/// them.
 ///
-/// Mirrors the paper's Java `Channel` API: `send` and `close` are
-/// non-blocking requests, `receive` blocks until the next delivery,
-/// `close_wait` blocks until the channel terminates. The handle is
-/// transport-independent — the threaded and TCP runtimes both hand out
-/// this type.
-pub struct ServerHandle {
-    me: PartyId,
-    cmd_tx: Sender<Input>,
-    event_rx: Receiver<Event>,
-    /// Deliveries already pulled from the event stream but not yet
-    /// claimed by `receive` (per channel).
-    stash: HashMap<ProtocolId, VecDeque<Payload>>,
-    closed: std::collections::HashSet<ProtocolId>,
+/// Every wait reads the one stream, so a wait on one instance stashes
+/// what arrives for the others; a later wait on those finds it here.
+pub(crate) struct Outputs {
+    events: Receiver<Event>,
+    /// Claimable events pulled from the stream, per instance, in order.
+    stash: HashMap<ProtocolId, VecDeque<Event>>,
+    closed: HashSet<ProtocolId>,
 }
 
-impl ServerHandle {
-    pub(crate) fn new(me: PartyId, cmd_tx: Sender<Input>, event_rx: Receiver<Event>) -> Self {
-        ServerHandle {
-            me,
-            cmd_tx,
-            event_rx,
+impl Outputs {
+    pub(crate) fn new(events: Receiver<Event>) -> Self {
+        Outputs {
+            events,
             stash: HashMap::new(),
-            closed: std::collections::HashSet::new(),
+            closed: HashSet::new(),
         }
     }
 
-    /// This server's party identity.
-    pub fn id(&self) -> PartyId {
-        self.me
-    }
-
-    /// Opens an atomic broadcast channel on this server.
-    pub fn create_atomic_channel(&self, pid: ProtocolId, config: AtomicChannelConfig) {
-        let _ = self
-            .cmd_tx
-            .send(Input::Cmd(Command::CreateAtomic(pid, config)));
-    }
-
-    /// Opens a secure causal atomic broadcast channel on this server.
-    pub fn create_secure_channel(&self, pid: ProtocolId, config: AtomicChannelConfig) {
-        let _ = self
-            .cmd_tx
-            .send(Input::Cmd(Command::CreateSecure(pid, config)));
-    }
-
-    /// Opens an optimistic (leader-sequenced) atomic broadcast channel.
-    pub fn create_optimistic_channel(&self, pid: ProtocolId, config: OptimisticChannelConfig) {
-        let _ = self
-            .cmd_tx
-            .send(Input::Cmd(Command::CreateOptimistic(pid, config)));
-    }
-
-    /// Opens a reliable channel on this server.
-    pub fn create_reliable_channel(&self, pid: ProtocolId) {
-        let _ = self
-            .cmd_tx
-            .send(Input::Cmd(Command::CreateReliableChannel(pid)));
-    }
-
-    /// Opens a consistent channel on this server.
-    pub fn create_consistent_channel(&self, pid: ProtocolId) {
-        let _ = self
-            .cmd_tx
-            .send(Input::Cmd(Command::CreateConsistentChannel(pid)));
-    }
-
-    /// Sends a payload on a channel (non-blocking).
-    pub fn send(&self, pid: &ProtocolId, data: Vec<u8>) {
-        let _ = self
-            .cmd_tx
-            .send(Input::Cmd(Command::Send(pid.clone(), data)));
-    }
-
-    /// Injects an externally encrypted ciphertext into a secure channel.
-    pub fn send_ciphertext(&self, pid: &ProtocolId, ciphertext: Vec<u8>) {
-        let _ = self
-            .cmd_tx
-            .send(Input::Cmd(Command::SendCiphertext(pid.clone(), ciphertext)));
-    }
-
-    /// Requests termination of a channel (non-blocking).
-    pub fn close(&self, pid: &ProtocolId) {
-        let _ = self.cmd_tx.send(Input::Cmd(Command::Close(pid.clone())));
-    }
-
-    /// Asks the server to dump its live state (instance snapshots, link
-    /// state, recent trace events) to a `sintra-dump-<party>-<reason>.json`
-    /// file. A no-op unless the group was spawned with an
-    /// [`ObservabilityConfig`](crate::ObservabilityConfig). This is the
-    /// portable equivalent of a SIGUSR1 "dump state" signal — the
-    /// dependency-free workspace cannot install OS signal handlers.
-    pub fn request_dump(&self, reason: &str) {
-        let _ = self
-            .cmd_tx
-            .send(Input::Cmd(Command::DumpState(reason.to_string())));
-    }
-
-    /// Stops this server's loop without touching the rest of the group —
-    /// a crash-fault injection hook for tests. The group's own
-    /// `shutdown` later joins the (already finished) thread.
-    pub fn shutdown(&self) {
-        let _ = self.cmd_tx.send(Input::Cmd(Command::Shutdown));
-    }
-
-    /// Registers a reliable broadcast instance for `sender`.
-    pub fn create_reliable_broadcast(&self, pid: ProtocolId, sender: PartyId) {
-        let _ = self
-            .cmd_tx
-            .send(Input::Cmd(Command::CreateReliableBroadcast(pid, sender)));
-    }
-
-    /// Registers a (verifiable) consistent broadcast instance for `sender`.
-    pub fn create_consistent_broadcast(&self, pid: ProtocolId, sender: PartyId) {
-        let _ = self
-            .cmd_tx
-            .send(Input::Cmd(Command::CreateConsistentBroadcast(pid, sender)));
-    }
-
-    /// Registers a binary agreement instance (optionally validated and/or
-    /// biased).
-    pub fn create_binary_agreement(
-        &self,
-        pid: ProtocolId,
-        validator: Option<BinaryValidator>,
-        bias: Option<bool>,
-    ) {
-        let _ = self.cmd_tx.send(Input::Cmd(Command::CreateBinaryAgreement(
-            pid, validator, bias,
-        )));
-    }
-
-    /// Registers a multi-valued agreement instance.
-    pub fn create_multi_valued(
-        &self,
-        pid: ProtocolId,
-        validator: ArrayValidator,
-        order: CandidateOrder,
-    ) {
-        let _ = self.cmd_tx.send(Input::Cmd(Command::CreateMultiValued(
-            pid, validator, order,
-        )));
-    }
-
-    /// Starts a broadcast (this server must be the instance's sender).
-    pub fn broadcast_send(&self, pid: &ProtocolId, payload: Vec<u8>) {
-        let _ = self
-            .cmd_tx
-            .send(Input::Cmd(Command::BroadcastSend(pid.clone(), payload)));
-    }
-
-    /// Proposes a value to a binary agreement instance.
-    pub fn propose_binary(&self, pid: &ProtocolId, value: bool, proof: Vec<u8>) {
-        let _ = self.cmd_tx.send(Input::Cmd(Command::ProposeBinary(
-            pid.clone(),
-            value,
-            proof,
-        )));
-    }
-
-    /// Proposes a value to a multi-valued agreement instance.
-    pub fn propose_multi(&self, pid: &ProtocolId, value: Vec<u8>) {
-        let _ = self
-            .cmd_tx
-            .send(Input::Cmd(Command::ProposeMulti(pid.clone(), value)));
-    }
-
-    /// Blocks until a broadcast instance delivers; the SINTRA `receive()`
-    /// of the `Broadcast` API. Returns `None` if the server shut down.
-    pub fn receive_broadcast(&mut self, pid: &ProtocolId) -> Option<Vec<u8>> {
-        loop {
-            match self.event_rx.recv().ok()? {
-                Event::BroadcastDelivered { pid: epid, payload } if epid == *pid => {
-                    return Some(payload);
-                }
-                Event::ChannelDelivered { pid: epid, payload } => {
-                    self.stash.entry(epid).or_default().push_back(payload);
-                }
-                Event::ChannelClosed { pid: epid } => {
-                    self.closed.insert(epid);
-                }
-                _ => {}
+    /// Files one event under its instance. Ciphertext orderings are
+    /// dropped: nobody waits on them.
+    fn file(&mut self, event: Event) {
+        let pid = match &event {
+            Event::ChannelClosed { pid } => {
+                self.closed.insert(pid.clone());
+                return;
+            }
+            Event::ChannelDelivered { pid, .. }
+            | Event::BroadcastDelivered { pid, .. }
+            | Event::BinaryDecided { pid, .. }
+            | Event::MultiDecided { pid, .. } => pid,
+            _ => return,
+        };
+        match self.stash.get_mut(pid) {
+            Some(queue) => queue.push_back(event),
+            None => {
+                let pid = pid.clone();
+                self.stash.insert(pid, VecDeque::from([event]));
             }
         }
     }
 
-    /// Blocks until a binary agreement instance decides; the SINTRA
-    /// `decide()` of the `Agreement` API.
-    pub fn decide_binary(&mut self, pid: &ProtocolId) -> Option<(bool, Option<Vec<u8>>)> {
+    /// The first event of `pid` that `claim` accepts, stashed or next to
+    /// arrive. `None` once the server is gone or the channel `pid` has
+    /// closed with nothing left to claim, and — unless `block` — when
+    /// nothing claimable has arrived yet.
+    fn take(&mut self, pid: &ProtocolId, block: bool, claim: fn(&Event) -> bool) -> Option<Event> {
         loop {
-            match self.event_rx.recv().ok()? {
-                Event::BinaryDecided {
-                    pid: epid,
-                    value,
-                    proof,
-                } if epid == *pid => return Some((value, proof)),
-                Event::ChannelDelivered { pid: epid, payload } => {
-                    self.stash.entry(epid).or_default().push_back(payload);
+            if let Some(queue) = self.stash.get_mut(pid) {
+                if let Some(at) = queue.iter().position(claim) {
+                    return queue.remove(at);
                 }
-                Event::ChannelClosed { pid: epid } => {
-                    self.closed.insert(epid);
-                }
-                _ => {}
             }
-        }
-    }
-
-    /// Blocks until a multi-valued agreement instance decides.
-    pub fn decide_multi(&mut self, pid: &ProtocolId) -> Option<Vec<u8>> {
-        loop {
-            match self.event_rx.recv().ok()? {
-                Event::MultiDecided { pid: epid, value } if epid == *pid => return Some(value),
-                Event::ChannelDelivered { pid: epid, payload } => {
-                    self.stash.entry(epid).or_default().push_back(payload);
-                }
-                Event::ChannelClosed { pid: epid } => {
-                    self.closed.insert(epid);
-                }
-                _ => {}
+            if self.closed.contains(pid) {
+                return None;
             }
+            let event = if block {
+                self.events.recv().ok()?
+            } else {
+                self.events.try_recv().ok()?
+            };
+            self.file(event);
         }
     }
 
-    /// Blocks until the next payload is delivered on `pid`. Returns
-    /// `None` if the channel closed (or the server shut down) first.
-    pub fn receive(&mut self, pid: &ProtocolId) -> Option<Payload> {
-        if let Some(payload) = self.stash.get_mut(pid).and_then(VecDeque::pop_front) {
-            return Some(payload);
-        }
-        if self.closed.contains(pid) {
-            return None;
-        }
-        loop {
-            let event = self.event_rx.recv().ok()?;
-            match event {
-                Event::ChannelDelivered { pid: epid, payload } => {
-                    if epid == *pid {
-                        return Some(payload);
-                    }
-                    self.stash.entry(epid).or_default().push_back(payload);
-                }
-                Event::ChannelClosed { pid: epid } => {
-                    self.closed.insert(epid.clone());
-                    if epid == *pid {
-                        return None;
-                    }
-                }
-                _ => {}
-            }
+    /// Files every event that has already arrived.
+    fn drain(&mut self) {
+        while let Ok(event) = self.events.try_recv() {
+            self.file(event);
         }
     }
 
-    /// Non-blocking receive.
-    pub fn try_receive(&mut self, pid: &ProtocolId) -> Option<Payload> {
-        self.drain_events();
-        self.stash.get_mut(pid).and_then(VecDeque::pop_front)
+    fn delivery(&mut self, pid: &ProtocolId, block: bool) -> Option<Payload> {
+        match self.take(pid, block, |e| matches!(e, Event::ChannelDelivered { .. }))? {
+            Event::ChannelDelivered { payload, .. } => Some(payload),
+            _ => None,
+        }
     }
 
-    /// Whether a `receive` on `pid` would return immediately.
-    pub fn can_receive(&mut self, pid: &ProtocolId) -> bool {
-        self.drain_events();
-        self.stash.get(pid).is_some_and(|s| !s.is_empty())
+    /// Blocks until the next payload is delivered on `pid`; `None` once
+    /// the channel closed or the server shut down.
+    pub(crate) fn receive(&mut self, pid: &ProtocolId) -> Option<Payload> {
+        self.delivery(pid, true)
+    }
+
+    /// The next payload delivered on `pid`, if one has arrived.
+    pub(crate) fn try_receive(&mut self, pid: &ProtocolId) -> Option<Payload> {
+        self.delivery(pid, false)
+    }
+
+    /// Whether a `receive` on `pid` would return a payload at once.
+    pub(crate) fn can_receive(&mut self, pid: &ProtocolId) -> bool {
+        self.drain();
+        self.stash.get(pid).is_some_and(|queue| {
+            queue
+                .iter()
+                .any(|e| matches!(e, Event::ChannelDelivered { .. }))
+        })
     }
 
     /// Whether the channel has terminated.
-    pub fn is_closed(&mut self, pid: &ProtocolId) -> bool {
-        self.drain_events();
+    pub(crate) fn is_closed(&mut self, pid: &ProtocolId) -> bool {
+        self.drain();
         self.closed.contains(pid)
     }
 
-    /// Blocks until the channel terminates, draining deliveries into the
-    /// stash (the Java `closeWait`). Returns the undelivered payloads.
-    pub fn close_wait(&mut self, pid: &ProtocolId) -> Vec<Payload> {
-        self.close(pid);
+    /// Blocks until the channel closes (at most 30 s between events) and
+    /// returns its undelivered payloads.
+    pub(crate) fn close_wait(&mut self, pid: &ProtocolId) -> Vec<Payload> {
         while !self.closed.contains(pid) {
-            match self.event_rx.recv_timeout(Duration::from_secs(30)) {
-                Ok(Event::ChannelDelivered { pid: epid, payload }) => {
-                    self.stash.entry(epid).or_default().push_back(payload);
-                }
-                Ok(Event::ChannelClosed { pid: epid }) => {
-                    self.closed.insert(epid);
-                }
-                Ok(_) => {}
+            match self.events.recv_timeout(Duration::from_secs(30)) {
+                Ok(event) => self.file(event),
                 Err(_) => break,
             }
         }
-        self.stash.remove(pid).map(Vec::from).unwrap_or_default()
+        self.stash
+            .remove(pid)
+            .into_iter()
+            .flatten()
+            .filter_map(|event| match event {
+                Event::ChannelDelivered { payload, .. } => Some(payload),
+                _ => None,
+            })
+            .collect()
     }
 
-    fn drain_events(&mut self) {
-        while let Ok(event) = self.event_rx.try_recv() {
-            match event {
-                Event::ChannelDelivered { pid, payload } => {
-                    self.stash.entry(pid).or_default().push_back(payload);
-                }
-                Event::ChannelClosed { pid } => {
-                    self.closed.insert(pid);
-                }
-                _ => {}
-            }
+    /// Blocks until the broadcast `pid` delivers.
+    pub(crate) fn receive_broadcast(&mut self, pid: &ProtocolId) -> Option<Vec<u8>> {
+        match self.take(pid, true, |e| matches!(e, Event::BroadcastDelivered { .. }))? {
+            Event::BroadcastDelivered { payload, .. } => Some(payload),
+            _ => None,
+        }
+    }
+
+    /// Blocks until the binary agreement `pid` decides.
+    pub(crate) fn decide_binary(&mut self, pid: &ProtocolId) -> Option<(bool, Option<Vec<u8>>)> {
+        match self.take(pid, true, |e| matches!(e, Event::BinaryDecided { .. }))? {
+            Event::BinaryDecided { value, proof, .. } => Some((value, proof)),
+            _ => None,
+        }
+    }
+
+    /// Blocks until the multi-valued agreement `pid` decides.
+    pub(crate) fn decide_multi(&mut self, pid: &ProtocolId) -> Option<Vec<u8>> {
+        match self.take(pid, true, |e| matches!(e, Event::MultiDecided { .. }))? {
+            Event::MultiDecided { value, .. } => Some(value),
+            _ => None,
         }
     }
 }
@@ -421,11 +229,11 @@ pub(crate) struct ServerOpts {
 /// Pending timers: (deadline, pid, token), earliest first.
 type Timers = std::collections::BinaryHeap<std::cmp::Reverse<(Instant, ProtocolId, u64)>>;
 
-/// What every step of one party's loop needs besides the node, the
-/// transport and the step's own [`Outgoing`]: where telemetry goes, the
-/// application's event stream and the send-sequence counter.
+/// What every step of one party's loop needs besides the core and the
+/// transport: where telemetry goes and the application's event stream.
 struct LoopState {
     me: usize,
+    parties: usize,
     recorder: Option<Arc<dyn Recorder>>,
     observability: Option<ObservabilityConfig>,
     flight: Option<FlightRecorder>,
@@ -435,7 +243,6 @@ struct LoopState {
     tracing: bool,
     /// Whether the loop's phase counters are recorded.
     metered: bool,
-    next_send_seq: u64,
     event_tx: Sender<Event>,
     /// Per-channel FIFO of own send instants, matched against own
     /// deliveries for end-to-end latency.
@@ -443,57 +250,50 @@ struct LoopState {
 }
 
 impl LoopState {
-    /// Drains one step's outgoing messages/traces into the transport.
+    /// Microseconds since the group spawned: the wall-clock trace stamp.
+    fn now_us(&self) -> u64 {
+        self.run_start.elapsed().as_micros() as u64
+    }
+
+    /// Hands one stamped trace event to the trace stream, the flight ring
+    /// and the recorder.
+    fn emit(&self, ev: TraceEvent) {
+        if let Some(stream) = &self.trace_stream {
+            stream.record(ev.clone());
+        }
+        match &self.recorder {
+            Some(rec) if rec.enabled() => {
+                if let Some(flight) = &self.flight {
+                    flight.record(ev.clone());
+                }
+                rec.trace(ev);
+            }
+            _ => {
+                if let Some(flight) = &self.flight {
+                    flight.record(ev);
+                }
+            }
+        }
+    }
+
+    /// Stamps a step's trace events and puts its envelopes on the wire.
     ///
-    /// Every envelope is stamped with this party's next `send_seq` before
-    /// transmission — one number per envelope, shared by all fan-out copies —
-    /// so receivers can attribute the work a message triggers back to the
-    /// exact send. When tracing, a synthetic `net`/`send` event records the
-    /// stamp (and inherits the cause of the step that produced the message).
-    fn flush<T: Transport>(&mut self, out: &mut Outgoing, transport: &mut T) {
-        // Wall-clock trace stamps: microseconds since the group spawned.
-        // Events the loop pre-stamped (the dispatch-start `net:recv`) keep
-        // their earlier stamp, so a dispatch's recv and its produced events
-        // bracket the actual compute interval instead of collapsing onto
-        // one flush instant.
-        let now_us = self.run_start.elapsed().as_micros() as u64;
+    /// Events the loop pre-stamped keep their stamp; the rest get the
+    /// flush instant. When tracing, a synthetic `net`/`send` event records
+    /// each envelope's `send_seq` (and inherits the cause of the step that
+    /// produced it).
+    fn flush(&mut self, effects: &mut Effects, transport: &mut TcpTransport) {
+        let now_us = self.now_us();
         let flush_start = self.metered.then(Instant::now);
-        let cause = out.cause();
-        for mut ev in out.drain_traces() {
+        for mut ev in effects.traces.drain(..) {
             if ev.time_us == 0 {
                 ev.time_us = now_us;
             }
-            if let Some(stream) = &self.trace_stream {
-                stream.record(ev.clone());
-            }
-            if let Some(rec) = &self.recorder {
-                let scope = root_scope(&ev.protocol);
-                match ev.phase {
-                    "round" | "epoch" => rec.counter_add(scope, "rounds", 1),
-                    "batch" => rec.observe(scope, "batch_size", ev.bytes),
-                    _ => {}
-                }
-                if rec.enabled() {
-                    if let Some(flight) = &self.flight {
-                        flight.record(ev.clone());
-                    }
-                    rec.trace(ev);
-                    continue;
-                }
-            }
-            if let Some(flight) = &self.flight {
-                flight.record(ev);
-            }
+            self.emit(ev);
         }
-        for (recipient, mut env) in out.drain() {
-            env.send_seq = self.next_send_seq;
-            self.next_send_seq += 1;
-            let targets: Vec<usize> = match recipient {
-                Recipient::All => (0..transport.parties()).collect(),
-                Recipient::One(p) => vec![p.0],
-            };
+        for (recipient, env) in effects.sends.drain(..) {
             let mut wire_total = 0u64;
-            for to in targets {
+            for to in targets(recipient, self.parties) {
                 let wire_bytes = transport.transmit(PartyId(to), &env);
                 wire_total += wire_bytes;
                 if let Some(rec) = &self.recorder {
@@ -508,18 +308,8 @@ impl LoopState {
                     .round(env.send_seq)
                     .bytes(wire_total);
                 ev.time_us = now_us;
-                ev.cause = cause;
-                if let Some(stream) = &self.trace_stream {
-                    stream.record(ev.clone());
-                }
-                if let Some(flight) = &self.flight {
-                    flight.record(ev.clone());
-                }
-                if let Some(rec) = &self.recorder {
-                    if rec.enabled() {
-                        rec.trace(ev);
-                    }
-                }
+                ev.cause = effects.cause;
+                self.emit(ev);
             }
         }
         // Wall time spent sealing and queueing outbound frames — part of
@@ -529,12 +319,12 @@ impl LoopState {
         }
     }
 
-    /// Forwards harvested node events to the application, recording
-    /// end-to-end delivery latency for payloads this party sent itself
-    /// (channels deliver each sender's payloads in order, so FIFO pairing of
-    /// send instants against own deliveries is exact).
-    fn forward_events(&mut self, node: &mut Node) {
-        for event in node.take_events() {
+    /// Forwards a step's events to the application, recording end-to-end
+    /// delivery latency for payloads this party sent itself (channels
+    /// deliver each sender's payloads in order, so FIFO pairing of send
+    /// instants against own deliveries is exact).
+    fn forward_events(&mut self, events: Vec<Event>) {
+        for event in events {
             if let Some(rec) = &self.recorder {
                 if let Event::ChannelDelivered { pid, payload } = &event {
                     if payload.origin.0 == self.me && payload.kind == PayloadKind::App {
@@ -556,30 +346,28 @@ impl LoopState {
         }
     }
 
-    /// The end of every step, timer or input alike: re-arm the timers the
-    /// step asked for, put its messages on the wire, hand its events to
-    /// the application.
-    fn finish_step<T: Transport>(
+    /// The end of every step: arm the timers it asked for, put its
+    /// messages on the wire, hand its events to the application.
+    fn finish_step(
         &mut self,
-        out: &mut Outgoing,
-        node: &mut Node,
-        transport: &mut T,
+        mut effects: Effects,
+        transport: &mut TcpTransport,
         timers: &mut Timers,
     ) {
-        for t in out.drain_timers() {
+        for t in effects.timers.drain(..) {
             timers.push(std::cmp::Reverse((
                 Instant::now() + Duration::from_millis(t.delay_ms),
                 t.pid,
                 t.token,
             )));
         }
-        self.flush(out, transport);
-        self.forward_events(node);
+        self.flush(&mut effects, transport);
+        self.forward_events(effects.events);
     }
 
     /// Writes the server's live state (instance snapshots, link state,
     /// flight-recorder tail) under `reason`; nothing without observability.
-    fn dump<T: Transport>(&self, reason: &str, node: &Node, transport: &T) {
+    fn dump(&self, reason: &str, node: &Node, transport: &TcpTransport) {
         let Some(obs) = &self.observability else {
             return;
         };
@@ -592,7 +380,7 @@ impl LoopState {
             obs,
             self.me,
             reason,
-            self.run_start.elapsed().as_micros() as u64,
+            self.now_us(),
             obs.quiet.as_micros() as u64,
             &node.snapshot_instances(),
             &transport.link_snapshots(),
@@ -601,74 +389,93 @@ impl LoopState {
         );
     }
 
-    /// Runs `dispatch` against the node; with observability on, a panic
-    /// inside it (a protocol invariant violation) first writes an
-    /// `invariant` dump and then resumes unwinding.
-    fn guarded_dispatch<T: Transport>(
+    /// Runs one step; with observability on, a panic inside it (a
+    /// protocol invariant violation) first writes an `invariant` dump and
+    /// then resumes unwinding.
+    fn guarded_step(
         &self,
-        node: &mut Node,
-        out: &mut Outgoing,
-        transport: &T,
-        dispatch: impl FnOnce(&mut Node, &mut Outgoing),
-    ) {
+        core: &mut PartyCore,
+        transport: &TcpTransport,
+        input: step::Input<'_>,
+    ) -> Effects {
         if self.observability.is_none() {
-            dispatch(node, out);
-            return;
+            return core.step(input);
         }
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dispatch(node, out)));
-        if let Err(panic) = result {
-            self.dump("invariant", node, transport);
-            std::panic::resume_unwind(panic);
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| core.step(input))) {
+            Ok(effects) => effects,
+            Err(panic) => {
+                self.dump("invariant", core.node(), transport);
+                std::panic::resume_unwind(panic);
+            }
         }
     }
 
-    /// Dispatches one authenticated envelope into the node: recv trace,
-    /// cause attribution, guarded `handle_envelope`, phase metering.
-    fn dispatch_net<T: Transport>(
+    /// Steps one authenticated envelope: recv trace, guarded step, phase
+    /// metering.
+    fn dispatch_net(
         &self,
         from: PartyId,
         env: &Envelope,
         wire_len: u64,
-        node: &mut Node,
-        out: &mut Outgoing,
-        transport: &T,
-    ) {
+        core: &mut PartyCore,
+        transport: &TcpTransport,
+    ) -> Effects {
         if let Some(rec) = &self.recorder {
             rec.counter_add(root_scope(env.pid.as_str()), "msgs_delivered", 1);
         }
-        // Everything this step emits — messages and trace events alike —
-        // descends from this exact transmission.
-        out.set_cause(Some((from.0, env.send_seq)));
         if self.tracing {
-            // Pre-stamped at dispatch start (flush leaves nonzero stamps
-            // alone): with the produced events stamped at flush time, the
-            // recv/produced pair brackets this dispatch's compute interval.
+            // Stamped at dispatch start: with the produced events stamped
+            // at flush time, the recv/produced pair brackets this
+            // dispatch's compute interval.
             let mut ev = TraceEvent::new(self.me, env.pid.as_str(), "net")
                 .phase("recv")
                 .round(env.send_seq)
                 .bytes(wire_len);
-            ev.time_us = self.run_start.elapsed().as_micros() as u64;
-            out.trace(ev);
+            ev.time_us = self.now_us();
+            ev.cause = Some((from.0, env.send_seq));
+            self.emit(ev);
         }
         let dispatch_start = self.metered.then(Instant::now);
-        self.guarded_dispatch(node, out, transport, |node, out| {
-            node.handle_envelope(from, env, out)
-        });
+        let effects = self.guarded_step(core, transport, step::Input::Envelope { from, env });
         if let (Some(rec), Some(start)) = (&self.recorder, dispatch_start) {
             let us = start.elapsed().as_micros() as u64;
             rec.counter_add(root_scope(env.pid.as_str()), "dispatch_us", us);
             rec.counter_add("server", "net_dispatch_us", us);
         }
+        effects
+    }
+
+    /// Steps one application action, metered as command dispatch.
+    fn dispatch_cmd(
+        &self,
+        core: &mut PartyCore,
+        transport: &TcpTransport,
+        run: step::Action<'_>,
+    ) -> Effects {
+        let start = self.metered.then(Instant::now);
+        let effects = self.guarded_step(core, transport, step::Input::Act(run));
+        self.count_cmd(start);
+        effects
+    }
+
+    /// Adds the wall time since `start` to `cmd_dispatch_us`.
+    fn count_cmd(&self, start: Option<Instant>) {
+        if let (Some(rec), Some(start)) = (&self.recorder, start) {
+            rec.counter_add(
+                "server",
+                "cmd_dispatch_us",
+                start.elapsed().as_micros() as u64,
+            );
+        }
     }
 }
 
-/// Runs one party's server loop until shutdown. Spawned on its own
-/// thread by each runtime.
-pub(crate) fn server_loop<T: Transport>(
+/// Runs one party's server loop until shutdown, on its own thread.
+pub(crate) fn server_loop(
     me: usize,
     keys: Arc<PartyKeys>,
     inbox: Receiver<Input>,
-    mut transport: T,
+    mut transport: TcpTransport,
     event_tx: Sender<Event>,
     opts: ServerOpts,
 ) {
@@ -679,17 +486,21 @@ pub(crate) fn server_loop<T: Transport>(
         trace_stream,
     } = opts;
     let ctx = GroupContext::new(keys);
-    let mut node = Node::new(ctx, me as u64 ^ 0x7EAD_ED01);
+    let parties = ctx.n();
+    let mut core = PartyCore::new(Node::new(ctx, me as u64 ^ 0x7EAD_ED01));
     if let Some(rec) = &recorder {
-        node.set_recorder(rec.clone());
+        core.set_recorder(rec.clone());
         // Publish the stalled gauge at 0 up front so the series exists
         // in the first scrape, before any stall has happened.
         rec.gauge_set("server", "stalled", 0);
     }
     let metered = recorder.as_ref().is_some_and(|r| r.enabled());
+    let tracing = metered || observability.is_some();
+    core.set_tracing(tracing);
     let mut state = LoopState {
         me,
-        tracing: metered || observability.is_some(),
+        parties,
+        tracing,
         metered,
         flight: observability
             .as_ref()
@@ -698,7 +509,6 @@ pub(crate) fn server_loop<T: Transport>(
         observability,
         trace_stream,
         run_start,
-        next_send_seq: 1,
         event_tx,
         send_times: HashMap::new(),
     };
@@ -718,18 +528,18 @@ pub(crate) fn server_loop<T: Transport>(
             }
             let std::cmp::Reverse((_, pid, token)) =
                 timers.pop().or_invariant("timer heap drained after peek");
-            let mut out = Outgoing::new();
-            out.set_tracing(state.tracing);
             let dispatch_start = state.metered.then(Instant::now);
-            state.guarded_dispatch(&mut node, &mut out, &transport, |node, out| {
-                node.handle_timer(&pid, token, out)
-            });
+            let effects = state.guarded_step(
+                &mut core,
+                &transport,
+                step::Input::Timer { pid: &pid, token },
+            );
             if let (Some(rec), Some(start)) = (&state.recorder, dispatch_start) {
                 let us = start.elapsed().as_micros() as u64;
                 rec.counter_add(root_scope(pid.as_str()), "dispatch_us", us);
                 rec.counter_add("server", "timer_dispatch_us", us);
             }
-            state.finish_step(&mut out, &mut node, &mut transport, &mut timers);
+            state.finish_step(effects, &mut transport, &mut timers);
         }
         // Block for the next input — but never past the next timer
         // deadline, and never past the stall-check cadence when the
@@ -743,9 +553,11 @@ pub(crate) fn server_loop<T: Transport>(
             match inbox.recv_timeout(wait) {
                 Ok(input) => input,
                 Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    if !stall_dumped && last_input.elapsed() >= obs.quiet && node.has_pending_work()
+                    if !stall_dumped
+                        && last_input.elapsed() >= obs.quiet
+                        && core.node().has_pending_work()
                     {
-                        state.dump("stall", &node, &transport);
+                        state.dump("stall", core.node(), &transport);
                         stall_dumped = true;
                         if let Some(rec) = &state.recorder {
                             rec.gauge_set("server", "stalled", 1);
@@ -780,83 +592,43 @@ pub(crate) fn server_loop<T: Transport>(
         if let (Some(rec), true) = (&state.recorder, state.metered) {
             rec.gauge_set("server", "inbox_depth", inbox.len() as u64);
         }
-        let mut out = Outgoing::new();
-        out.set_tracing(state.tracing);
-        match input {
+        let effects = match input {
             Input::Net { from, data } => {
-                let Some(env) = transport.open(from, &data) else {
-                    // An unauthenticated frame carries no trustworthy
-                    // protocol id; account it against the link itself.
+                // The poll thread authenticated and deduplicated these
+                // bytes; what fails to decode carries no trustworthy
+                // protocol id, so it is counted against the link.
+                let Ok(env) = Envelope::from_bytes(&data) else {
                     if let Some(rec) = &state.recorder {
                         rec.counter_add("link", "msgs_dropped", 1);
                     }
                     continue;
                 };
-                state.dispatch_net(
-                    from,
-                    &env,
-                    data.len() as u64,
-                    &mut node,
-                    &mut out,
+                state.dispatch_net(from, &env, data.len() as u64, &mut core, &transport)
+            }
+            Input::Act(run) => state.dispatch_cmd(&mut core, &transport, run),
+            Input::Send(pid, data) => {
+                if state.metered {
+                    state
+                        .send_times
+                        .entry(pid.as_str().to_string())
+                        .or_default()
+                        .push_back(Instant::now());
+                }
+                state.dispatch_cmd(
+                    &mut core,
                     &transport,
-                );
+                    Box::new(move |node, out| node.channel_send(&pid, data, out)),
+                )
             }
-            Input::Cmd(cmd) => {
-                let cmd_start = state.metered.then(Instant::now);
-                match cmd {
-                    Command::CreateAtomic(pid, config) => node.create_atomic_channel(pid, config),
-                    Command::CreateSecure(pid, config) => node.create_secure_channel(pid, config),
-                    Command::CreateOptimistic(pid, config) => {
-                        node.create_optimistic_channel(pid, config)
-                    }
-                    Command::CreateReliableChannel(pid) => node.create_reliable_channel(pid),
-                    Command::CreateConsistentChannel(pid) => node.create_consistent_channel(pid),
-                    Command::CreateReliableBroadcast(pid, sender) => {
-                        node.create_reliable_broadcast(pid, sender)
-                    }
-                    Command::CreateConsistentBroadcast(pid, sender) => {
-                        node.create_consistent_broadcast(pid, sender)
-                    }
-                    Command::CreateBinaryAgreement(pid, validator, bias) => {
-                        node.create_binary_agreement(pid, validator, bias)
-                    }
-                    Command::CreateMultiValued(pid, validator, order) => {
-                        node.create_multi_valued(pid, validator, order)
-                    }
-                    Command::Send(pid, data) => {
-                        if state.metered {
-                            state
-                                .send_times
-                                .entry(pid.as_str().to_string())
-                                .or_default()
-                                .push_back(Instant::now());
-                        }
-                        node.channel_send(&pid, data, &mut out)
-                    }
-                    Command::SendCiphertext(pid, ct) => {
-                        node.channel_send_ciphertext(&pid, ct, &mut out)
-                    }
-                    Command::BroadcastSend(pid, payload) => {
-                        node.broadcast_send(&pid, payload, &mut out)
-                    }
-                    Command::ProposeBinary(pid, value, proof) => {
-                        node.propose_binary(&pid, value, proof, &mut out)
-                    }
-                    Command::ProposeMulti(pid, value) => node.propose_multi(&pid, value, &mut out),
-                    Command::Close(pid) => node.channel_close(&pid, &mut out),
-                    Command::DumpState(reason) => state.dump(&reason, &node, &transport),
-                    Command::Shutdown => return,
-                }
-                if let (Some(rec), Some(start)) = (&state.recorder, cmd_start) {
-                    rec.counter_add(
-                        "server",
-                        "cmd_dispatch_us",
-                        start.elapsed().as_micros() as u64,
-                    );
-                }
+            Input::DumpState(reason) => {
+                let start = state.metered.then(Instant::now);
+                state.dump(&reason, core.node(), &transport);
+                state.count_cmd(start);
+                continue;
             }
-        }
-        state.finish_step(&mut out, &mut node, &mut transport, &mut timers);
+            Input::Shutdown => return,
+        };
+        state.finish_step(effects, &mut transport, &mut timers);
     }
 }
 
@@ -867,9 +639,8 @@ mod tests {
 
     #[test]
     fn stashed_deliveries_come_back_in_order() {
-        let (cmd_tx, _cmd_rx) = unbounded();
         let (event_tx, event_rx) = unbounded();
-        let mut handle = ServerHandle::new(PartyId(0), cmd_tx, event_rx);
+        let mut outputs = Outputs::new(event_rx);
         let pid = ProtocolId::new("stash");
         let count = 2_000u64;
         for seq in 0..count {
@@ -886,13 +657,13 @@ mod tests {
                 })
                 .unwrap();
         }
-        // The first `try_receive` moves every pending delivery into the
-        // stash; from then on both calls are served from it.
+        // The first `try_receive` moves the first pending delivery into
+        // the stash; both calls are served in arrival order.
         for seq in 0..count - 3 {
             let got = if seq % 2 == 0 {
-                handle.try_receive(&pid)
+                outputs.try_receive(&pid)
             } else {
-                handle.receive(&pid)
+                outputs.receive(&pid)
             };
             assert_eq!(got.map(|p| p.seq), Some(seq));
         }
@@ -900,8 +671,48 @@ mod tests {
         event_tx
             .send(Event::ChannelClosed { pid: pid.clone() })
             .unwrap();
-        let rest: Vec<u64> = handle.close_wait(&pid).iter().map(|p| p.seq).collect();
+        let rest: Vec<u64> = outputs.close_wait(&pid).iter().map(|p| p.seq).collect();
         assert_eq!(rest, vec![count - 3, count - 2, count - 1]);
-        assert!(handle.try_receive(&pid).is_none());
+        assert!(outputs.try_receive(&pid).is_none());
+        assert!(outputs.receive(&pid).is_none(), "closed: no wait");
+        assert!(outputs.is_closed(&pid));
+    }
+
+    /// A wait on one instance keeps what arrives for the others: waiting
+    /// for the results in the reverse of their arrival order gets all of
+    /// them, after the server is gone.
+    #[test]
+    fn results_of_other_instances_wait_for_their_turn() {
+        let (event_tx, event_rx) = unbounded();
+        let mut outputs = Outputs::new(event_rx);
+        let [a, b, m, r] = ["ba-a", "ba-b", "vba-m", "rb-r"].map(ProtocolId::new);
+        for event in [
+            Event::BinaryDecided {
+                pid: a.clone(),
+                value: true,
+                proof: None,
+            },
+            Event::BinaryDecided {
+                pid: b.clone(),
+                value: false,
+                proof: Some(vec![7]),
+            },
+            Event::MultiDecided {
+                pid: m.clone(),
+                value: b"m".to_vec(),
+            },
+            Event::BroadcastDelivered {
+                pid: r.clone(),
+                payload: b"r".to_vec(),
+            },
+        ] {
+            event_tx.send(event).unwrap();
+        }
+        drop(event_tx);
+        assert_eq!(outputs.receive_broadcast(&r), Some(b"r".to_vec()));
+        assert_eq!(outputs.decide_multi(&m), Some(b"m".to_vec()));
+        assert_eq!(outputs.decide_binary(&b), Some((false, Some(vec![7]))));
+        assert_eq!(outputs.decide_binary(&a), Some((true, None)));
+        assert_eq!(outputs.decide_binary(&a), None, "each result once");
     }
 }

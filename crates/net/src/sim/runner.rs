@@ -10,13 +10,13 @@ use rand::SeedableRng;
 use sintra_core::message::Envelope;
 use sintra_core::node::Node;
 use sintra_core::{Event, GroupContext, Outgoing, PartyId, Recipient};
-use sintra_crypto::cost;
 use sintra_crypto::dealer::PartyKeys;
 use sintra_telemetry::{root_scope, Recorder};
 
 use super::byzantine::ByzantineActor;
 use super::latency::LatencyModel;
 use super::machine::MachineProfile;
+use crate::step::{stamp, targets, Effects, Input, PartyCore};
 use sintra_core::invariant_violated;
 
 /// Virtual time in microseconds since simulation start.
@@ -70,7 +70,7 @@ pub struct DeliveryRecord {
 }
 
 /// A deferred application action on a node.
-type NodeAction = Box<dyn FnOnce(&mut Node, &mut Outgoing)>;
+type NodeAction = crate::step::Action<'static>;
 
 /// A pluggable per-message link rule.
 type LinkFilterFn = Box<dyn FnMut(usize, usize, VirtualTime) -> LinkDecision>;
@@ -118,8 +118,9 @@ impl Ord for Scheduled {
 
 #[allow(clippy::large_enum_variant)]
 enum Actor {
-    Honest(Node),
-    Byzantine(Box<dyn ByzantineActor>),
+    Honest(PartyCore),
+    /// A Byzantine actor and the next `send_seq` it stamps.
+    Byzantine(Box<dyn ByzantineActor>, u64),
 }
 
 /// Aggregate traffic statistics of a run.
@@ -142,8 +143,6 @@ pub struct Simulation {
     seq: u64,
     heap: BinaryHeap<Scheduled>,
     busy_until: Vec<VirtualTime>,
-    /// Per-party causal sequence stamp for outgoing envelopes.
-    send_seqs: Vec<u64>,
     records: Vec<DeliveryRecord>,
     stats: Stats,
     /// Decides the fate of each `(from, to)` message at a given time.
@@ -184,10 +183,10 @@ impl Simulation {
             .into_iter()
             .enumerate()
             .map(|(i, keys)| {
-                Actor::Honest(Node::new(
+                Actor::Honest(PartyCore::new(Node::new(
                     GroupContext::new(keys),
                     config.seed ^ (i as u64) << 32,
-                ))
+                )))
             })
             .collect();
         Simulation {
@@ -200,7 +199,6 @@ impl Simulation {
             seq: 0,
             heap: BinaryHeap::new(),
             busy_until: vec![0; n],
-            send_seqs: vec![1; n],
             records: Vec::new(),
             stats: Stats::default(),
             link_filter: None,
@@ -216,28 +214,11 @@ impl Simulation {
     /// quiescence.
     pub fn set_recorder(&mut self, recorder: Arc<dyn Recorder>) {
         for actor in &mut self.actors {
-            if let Actor::Honest(node) = actor {
-                node.set_recorder(recorder.clone());
+            if let Actor::Honest(core) = actor {
+                core.set_recorder(recorder.clone());
             }
         }
         self.recorder = Some(recorder);
-    }
-
-    /// Stamps drained trace events with virtual time, derives the metrics
-    /// that depend on protocol phases (round counts, batch sizes), and
-    /// forwards the events to the recorder.
-    fn forward_traces(&self, time_us: VirtualTime, out: &mut Outgoing) {
-        let Some(rec) = &self.recorder else { return };
-        for mut ev in out.drain_traces() {
-            ev.time_us = time_us;
-            let scope = root_scope(&ev.protocol);
-            match ev.phase {
-                "round" | "epoch" => rec.counter_add(scope, "rounds", 1),
-                "batch" => rec.observe(scope, "batch_size", ev.bytes),
-                _ => {}
-            }
-            rec.trace(ev);
-        }
     }
 
     /// Number of parties.
@@ -268,8 +249,8 @@ impl Simulation {
     /// Panics if the party has been replaced by a Byzantine actor.
     pub fn node_mut(&mut self, party: usize) -> &mut Node {
         match &mut self.actors[party] {
-            Actor::Honest(node) => node,
-            Actor::Byzantine(_) => {
+            Actor::Honest(core) => core.node_mut(),
+            Actor::Byzantine(..) => {
                 invariant_violated!("cannot drive party {party}: it is Byzantine")
             }
         }
@@ -282,7 +263,7 @@ impl Simulation {
 
     /// Replaces a party with a Byzantine actor.
     pub fn set_byzantine(&mut self, party: usize, actor: Box<dyn ByzantineActor>) {
-        self.actors[party] = Actor::Byzantine(actor);
+        self.actors[party] = Actor::Byzantine(actor, 1);
     }
 
     /// Installs a link filter deciding per-message delivery, drop or
@@ -345,21 +326,15 @@ impl Simulation {
         }
     }
 
-    fn dispatch(&mut self, from: usize, depart: VirtualTime, out: Vec<(Recipient, Envelope)>) {
+    /// Puts a step's stamped envelopes on the links, each copy with its
+    /// own sampled latency, unless the sender is mute or crashed by then.
+    fn dispatch(&mut self, from: usize, depart: VirtualTime, sends: Vec<(Recipient, Envelope)>) {
         if matches!(self.faults[from], Fault::Mute) || self.is_crashed(from, depart) {
             return;
         }
-        for (recipient, mut env) in out {
-            // Same causal stamping as the real runtimes: one sequence
-            // number per envelope, shared by all fan-out copies.
-            env.send_seq = self.send_seqs[from];
-            self.send_seqs[from] += 1;
-            let targets: Vec<usize> = match recipient {
-                Recipient::All => (0..self.n()).collect(),
-                Recipient::One(p) => vec![p.0],
-            };
+        for (recipient, env) in sends {
             let size = sintra_core::wire::Wire::to_bytes(&env).len() as u64;
-            for to in targets {
+            for to in targets(recipient, self.n()) {
                 let mut not_before = depart;
                 let mut dropped = false;
                 if let Some(rule) = &mut self.link_filter {
@@ -404,9 +379,10 @@ impl Simulation {
             return false;
         };
         self.clock = self.clock.max(item.time);
+        let clock = self.clock;
         match item.work {
             Work::Net { from, to, env } => {
-                if self.is_crashed(to, self.clock) {
+                if self.is_crashed(to, clock) {
                     if let Some(rec) = &self.recorder {
                         rec.counter_add(root_scope(env.pid.as_str()), "msgs_dropped", 1);
                     }
@@ -415,103 +391,72 @@ impl Simulation {
                 if let Some(rec) = &self.recorder {
                     rec.counter_add(root_scope(env.pid.as_str()), "msgs_delivered", 1);
                 }
-                let tracing = self.recorder.as_ref().is_some_and(|r| r.enabled());
                 match &mut self.actors[to] {
-                    Actor::Honest(node) => {
-                        cost::reset();
-                        let mut out = Outgoing::new();
-                        out.set_tracing(tracing);
-                        out.set_cause(Some((from.0, env.send_seq)));
-                        node.handle_envelope(from, &env, &mut out);
-                        let work = cost::take();
-                        let start = self.clock.max(self.busy_until[to]);
-                        let done =
-                            start + self.machines[to].cpu_us(work) + self.machines[to].msg_us();
-                        self.busy_until[to] = done;
-                        let events = node.take_events();
-                        for event in events {
-                            self.records.push(DeliveryRecord {
-                                time_us: done,
-                                party: to,
-                                event,
-                            });
-                        }
-                        self.forward_traces(done, &mut out);
-                        let timers = out.drain_timers();
-                        self.schedule_timers(to, done, timers);
-                        self.dispatch(to, done, out.drain());
+                    Actor::Honest(core) => {
+                        let effects = core.step(Input::Envelope { from, env: &env });
+                        let msg_us = self.machines[to].msg_us();
+                        self.release(to, effects, msg_us);
                     }
-                    Actor::Byzantine(actor) => {
-                        let clock = self.clock;
-                        let replies = actor.on_message(from, &env, clock);
-                        let replies: Vec<(Recipient, Envelope)> = replies;
+                    Actor::Byzantine(actor, next_send_seq) => {
+                        let mut replies = actor.on_message(from, &env, clock);
+                        stamp(next_send_seq, &mut replies);
                         self.dispatch(to, clock, replies);
                     }
                 }
             }
             Work::Timer { party, pid, token } => {
-                if self.is_crashed(party, self.clock) {
+                if self.is_crashed(party, clock) {
                     return true;
                 }
-                let tracing = self.recorder.as_ref().is_some_and(|r| r.enabled());
-                if let Actor::Honest(node) = &mut self.actors[party] {
-                    cost::reset();
-                    let mut out = Outgoing::new();
-                    out.set_tracing(tracing);
-                    node.handle_timer(&pid, token, &mut out);
-                    let work = cost::take();
-                    let start = self.clock.max(self.busy_until[party]);
-                    let done = start + self.machines[party].cpu_us(work);
-                    self.busy_until[party] = done;
-                    for event in node.take_events() {
-                        self.records.push(DeliveryRecord {
-                            time_us: done,
-                            party,
-                            event,
-                        });
-                    }
-                    self.forward_traces(done, &mut out);
-                    let timers = out.drain_timers();
-                    self.schedule_timers(party, done, timers);
-                    self.dispatch(party, done, out.drain());
+                if let Actor::Honest(core) = &mut self.actors[party] {
+                    let effects = core.step(Input::Timer { pid: &pid, token });
+                    self.release(party, effects, 0);
                 }
             }
             Work::Action { party, run } => {
-                if self.is_crashed(party, self.clock) {
+                if self.is_crashed(party, clock) {
                     return true;
                 }
-                let tracing = self.recorder.as_ref().is_some_and(|r| r.enabled());
                 match &mut self.actors[party] {
-                    Actor::Honest(node) => {
-                        cost::reset();
-                        let mut out = Outgoing::new();
-                        out.set_tracing(tracing);
-                        run(node, &mut out);
-                        let work = cost::take();
-                        let start = self.clock.max(self.busy_until[party]);
-                        let done = start + self.machines[party].cpu_us(work);
-                        self.busy_until[party] = done;
-                        for event in node.take_events() {
-                            self.records.push(DeliveryRecord {
-                                time_us: done,
-                                party,
-                                event,
-                            });
-                        }
-                        self.forward_traces(done, &mut out);
-                        let timers = out.drain_timers();
-                        self.schedule_timers(party, done, timers);
-                        self.dispatch(party, done, out.drain());
+                    Actor::Honest(core) => {
+                        let effects = core.step(Input::Act(run));
+                        self.release(party, effects, 0);
                     }
-                    Actor::Byzantine(actor) => {
-                        let clock = self.clock;
-                        let msgs = actor.on_start(clock);
+                    Actor::Byzantine(actor, next_send_seq) => {
+                        let mut msgs = actor.on_start(clock);
+                        stamp(next_send_seq, &mut msgs);
                         self.dispatch(party, clock, msgs);
                     }
                 }
             }
         }
         true
+    }
+
+    /// Charges an honest step's work (plus `overhead_us`) to the party's
+    /// machine, after whatever it is still busy with, and releases the
+    /// step's effects at the instant it finishes: events become records,
+    /// traces are stamped with that instant, timers and messages leave
+    /// then.
+    fn release(&mut self, party: usize, effects: Effects, overhead_us: u64) {
+        let start = self.clock.max(self.busy_until[party]);
+        let done = start + self.machines[party].cpu_us(effects.work) + overhead_us;
+        self.busy_until[party] = done;
+        for event in effects.events {
+            self.records.push(DeliveryRecord {
+                time_us: done,
+                party,
+                event,
+            });
+        }
+        if let Some(rec) = &self.recorder {
+            for mut ev in effects.traces {
+                ev.time_us = done;
+                rec.trace(ev);
+            }
+        }
+        self.schedule_timers(party, done, effects.timers);
+        self.dispatch(party, done, effects.sends);
     }
 
     /// Runs until no scheduled work remains, returning the final virtual

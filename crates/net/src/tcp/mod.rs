@@ -16,14 +16,13 @@
 //! backoff; the handshake exchanges delivery watermarks and the sender
 //! replays every unacknowledged frame above the peer's watermark, so a
 //! severed-and-resumed link loses and reorders nothing. Protocol logic
-//! is untouched by any of this: the same [`server`](crate::server) loop
-//! that drives the threaded runtime runs here behind a [`Transport`]
-//! whose frames happen to cross real sockets.
-//!
-//! [`Transport`]: crate::Transport
+//! is untouched by any of this: each party's server loop steps the same
+//! `PartyCore` the simulator steps, and hands its envelopes to a
+//! transport whose frames cross real sockets.
 
 mod conn;
 mod runtime;
 
 pub use conn::{BackoffConfig, LINK_SCOPE};
+pub(crate) use runtime::TcpTransport;
 pub use runtime::{TcpConfig, TcpGroup, TcpHandle};

@@ -8,21 +8,25 @@ use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Sender};
 
-use sintra_core::message::Envelope;
+use sintra_core::agreement::CandidateOrder;
+use sintra_core::channel::{AtomicChannelConfig, OptimisticChannelConfig};
+use sintra_core::message::{Envelope, Payload};
+use sintra_core::node::Node;
+use sintra_core::validator::{ArrayValidator, BinaryValidator};
 use sintra_core::wire::Wire;
-use sintra_core::PartyId;
+use sintra_core::{Outgoing, PartyId, ProtocolId};
 use sintra_crypto::dealer::PartyKeys;
 use sintra_telemetry::{FanoutRecorder, MetricsRegistry, Recorder};
 
 use crate::link::{LinkConfig, LinkError, LinkKey, ReliableLink};
 use crate::metrics::{GaugeSampler, MetricsServer};
 use crate::observe::ObservabilityConfig;
-use crate::server::{server_loop, Command, Input, ServerHandle, ServerOpts, Transport};
+use crate::server::{server_loop, Input, Outputs, ServerOpts};
 use crate::tcp::conn::{
     accept_supervisor, dial_supervisor, listener_loop, poll_loop, BackoffConfig, PartyNet,
     PeerLink, SupEvent,
 };
-use crate::{AsServer, Runtime};
+use crate::PartyHandle;
 use sintra_core::invariant::OrInvariant;
 
 /// Configuration for a TCP group.
@@ -52,7 +56,8 @@ impl Default for TcpConfig {
 }
 
 /// Seals envelopes and writes them to the peer's socket from the server
-/// loop's own thread. Never blocks on the network: a frame either enters
+/// loop's own thread; self-addressed envelopes go straight back into the
+/// party's own inbox. Never blocks on the network: a frame either enters
 /// the bounded retransmission queue — and goes to the nonblocking socket
 /// at once, into the connection's backlog if the kernel does not take
 /// it, or is replayed at the next resume if there is no connection — or
@@ -66,19 +71,17 @@ impl Default for TcpConfig {
 /// `backpressure_drops` counter rather than dropped silently. Blocking
 /// the server loop instead is not an option: one Byzantine peer could
 /// then stall this party's progress with every correct peer.
-struct TcpTransport {
+pub(crate) struct TcpTransport {
     me: PartyId,
     net: Arc<PartyNet>,
     /// This party's own inbox, for self-delivery.
     self_tx: Sender<Input>,
 }
 
-impl Transport for TcpTransport {
-    fn parties(&self) -> usize {
-        self.net.peers.len()
-    }
-
-    fn transmit(&mut self, to: PartyId, env: &Envelope) -> u64 {
+impl TcpTransport {
+    /// Seals `env` for `to` and writes or queues it. Returns the bytes
+    /// put on, or queued for, the wire; 0 when the frame was shed.
+    pub(crate) fn transmit(&mut self, to: PartyId, env: &Envelope) -> u64 {
         let bytes = env.to_bytes();
         if to == self.me {
             let len = bytes.len() as u64;
@@ -112,13 +115,9 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn open(&mut self, _from: PartyId, data: &[u8]) -> Option<Envelope> {
-        // Authentication and duplicate suppression already happened in
-        // the poll thread that produced these bytes.
-        Envelope::from_bytes(data).ok()
-    }
-
-    fn link_snapshots(&self) -> Vec<String> {
+    /// Every peer link's state (sequence cursors, retransmission
+    /// backlog), for a debug dump.
+    pub(crate) fn link_snapshots(&self) -> Vec<String> {
         self.net
             .peers
             .iter()
@@ -128,11 +127,12 @@ impl Transport for TcpTransport {
     }
 }
 
-/// A handle to one party of a TCP group: the transport-independent
-/// [`ServerHandle`] API (via [`PartyHandle`](crate::PartyHandle)) plus
+/// A handle to one party of a TCP group: the [`PartyHandle`] API plus
 /// TCP-specific controls.
 pub struct TcpHandle {
-    inner: ServerHandle,
+    me: PartyId,
+    inbox: Sender<Input>,
+    outputs: Outputs,
     net: Arc<PartyNet>,
 }
 
@@ -146,27 +146,118 @@ impl TcpHandle {
         self.net.sever_all();
     }
 
-    /// Asks this party's server to write a state dump (see
-    /// [`ServerHandle::request_dump`]).
+    /// Asks this party's server to dump its live state (instance
+    /// snapshots, link state, recent trace events) to a
+    /// `sintra-dump-<party>-<reason>.json` file. A no-op unless the group
+    /// was spawned with an [`ObservabilityConfig`]. This is the portable
+    /// equivalent of a SIGUSR1 "dump state" signal — the dependency-free
+    /// workspace cannot install OS signal handlers.
     pub fn request_dump(&self, reason: &str) {
-        self.inner.request_dump(reason);
+        let _ = self.inbox.send(Input::DumpState(reason.to_string()));
     }
 
     /// Stops this party's server loop without stopping the group — a
-    /// crash-fault injection hook (see [`ServerHandle::shutdown`]). Its
-    /// sockets stay up until the group shuts down; combine with
-    /// [`TcpHandle::sever_links`] to silence the party completely.
+    /// crash-fault injection hook. Its sockets stay up until the group
+    /// shuts down; combine with [`TcpHandle::sever_links`] to silence the
+    /// party completely.
     pub fn shutdown_server(&self) {
-        self.inner.shutdown();
+        let _ = self.inbox.send(Input::Shutdown);
+    }
+
+    /// Runs `action` on this party's node, in its server loop.
+    fn act(&self, action: impl FnOnce(&mut Node, &mut Outgoing) + Send + 'static) {
+        let _ = self.inbox.send(Input::Act(Box::new(action)));
     }
 }
 
-impl AsServer for TcpHandle {
-    fn as_server(&self) -> &ServerHandle {
-        &self.inner
+impl PartyHandle for TcpHandle {
+    fn id(&self) -> PartyId {
+        self.me
     }
-    fn as_server_mut(&mut self) -> &mut ServerHandle {
-        &mut self.inner
+    fn create_atomic_channel(&self, pid: ProtocolId, config: AtomicChannelConfig) {
+        self.act(move |node, _| node.create_atomic_channel(pid, config));
+    }
+    fn create_secure_channel(&self, pid: ProtocolId, config: AtomicChannelConfig) {
+        self.act(move |node, _| node.create_secure_channel(pid, config));
+    }
+    fn create_optimistic_channel(&self, pid: ProtocolId, config: OptimisticChannelConfig) {
+        self.act(move |node, _| node.create_optimistic_channel(pid, config));
+    }
+    fn create_reliable_channel(&self, pid: ProtocolId) {
+        self.act(move |node, _| node.create_reliable_channel(pid));
+    }
+    fn create_consistent_channel(&self, pid: ProtocolId) {
+        self.act(move |node, _| node.create_consistent_channel(pid));
+    }
+    fn create_reliable_broadcast(&self, pid: ProtocolId, sender: PartyId) {
+        self.act(move |node, _| node.create_reliable_broadcast(pid, sender));
+    }
+    fn create_consistent_broadcast(&self, pid: ProtocolId, sender: PartyId) {
+        self.act(move |node, _| node.create_consistent_broadcast(pid, sender));
+    }
+    fn create_binary_agreement(
+        &self,
+        pid: ProtocolId,
+        validator: Option<BinaryValidator>,
+        bias: Option<bool>,
+    ) {
+        self.act(move |node, _| node.create_binary_agreement(pid, validator, bias));
+    }
+    fn create_multi_valued(
+        &self,
+        pid: ProtocolId,
+        validator: ArrayValidator,
+        order: CandidateOrder,
+    ) {
+        self.act(move |node, _| node.create_multi_valued(pid, validator, order));
+    }
+    fn send(&self, pid: &ProtocolId, data: Vec<u8>) {
+        let _ = self.inbox.send(Input::Send(pid.clone(), data));
+    }
+    fn send_ciphertext(&self, pid: &ProtocolId, ciphertext: Vec<u8>) {
+        let pid = pid.clone();
+        self.act(move |node, out| node.channel_send_ciphertext(&pid, ciphertext, out));
+    }
+    fn broadcast_send(&self, pid: &ProtocolId, payload: Vec<u8>) {
+        let pid = pid.clone();
+        self.act(move |node, out| node.broadcast_send(&pid, payload, out));
+    }
+    fn propose_binary(&self, pid: &ProtocolId, value: bool, proof: Vec<u8>) {
+        let pid = pid.clone();
+        self.act(move |node, out| node.propose_binary(&pid, value, proof, out));
+    }
+    fn propose_multi(&self, pid: &ProtocolId, value: Vec<u8>) {
+        let pid = pid.clone();
+        self.act(move |node, out| node.propose_multi(&pid, value, out));
+    }
+    fn close(&self, pid: &ProtocolId) {
+        let pid = pid.clone();
+        self.act(move |node, out| node.channel_close(&pid, out));
+    }
+    fn receive(&mut self, pid: &ProtocolId) -> Option<Payload> {
+        self.outputs.receive(pid)
+    }
+    fn try_receive(&mut self, pid: &ProtocolId) -> Option<Payload> {
+        self.outputs.try_receive(pid)
+    }
+    fn can_receive(&mut self, pid: &ProtocolId) -> bool {
+        self.outputs.can_receive(pid)
+    }
+    fn is_closed(&mut self, pid: &ProtocolId) -> bool {
+        self.outputs.is_closed(pid)
+    }
+    fn close_wait(&mut self, pid: &ProtocolId) -> Vec<Payload> {
+        self.close(pid);
+        self.outputs.close_wait(pid)
+    }
+    fn receive_broadcast(&mut self, pid: &ProtocolId) -> Option<Vec<u8>> {
+        self.outputs.receive_broadcast(pid)
+    }
+    fn decide_binary(&mut self, pid: &ProtocolId) -> Option<(bool, Option<Vec<u8>>)> {
+        self.outputs.decide_binary(pid)
+    }
+    fn decide_multi(&mut self, pid: &ProtocolId) -> Option<Vec<u8>> {
+        self.outputs.decide_multi(pid)
     }
 }
 
@@ -346,7 +437,9 @@ impl TcpGroup {
             server_threads.push(server);
             shutdown_txs.push(inbox_tx.clone());
             handles.push(TcpHandle {
-                inner: ServerHandle::new(me, inbox_tx, event_rx),
+                me,
+                inbox: inbox_tx,
+                outputs: Outputs::new(event_rx),
                 net: Arc::clone(&net),
             });
 
@@ -408,12 +501,11 @@ impl TcpGroup {
 
     /// Stops the group: server loops first (their final frames are
     /// written by the time each is joined), then all sockets and
-    /// remaining transport threads. Mirrors
-    /// [`ThreadedGroup::shutdown`](crate::threaded::ThreadedGroup::shutdown):
-    /// every thread is joined before this returns.
+    /// remaining transport threads. Every thread is joined before this
+    /// returns.
     pub fn shutdown(self) {
         for tx in &self.shutdown_txs {
-            let _ = tx.send(Input::Cmd(Command::Shutdown));
+            let _ = tx.send(Input::Shutdown);
         }
         for t in self.server_threads {
             let _ = t.join();
@@ -460,22 +552,11 @@ impl TcpGroup {
     }
 }
 
-impl Runtime for TcpGroup {
-    type Handle = TcpHandle;
-
-    fn shutdown(self) {
-        TcpGroup::shutdown(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PartyHandle;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sintra_core::channel::AtomicChannelConfig;
-    use sintra_core::ProtocolId;
     use sintra_crypto::dealer::{deal, DealerConfig};
 
     fn keys(n: usize, t: usize) -> Vec<Arc<PartyKeys>> {
@@ -619,6 +700,94 @@ mod tests {
         handles[1].send(&pid, b"after".to_vec());
         for h in handles.iter_mut() {
             assert_eq!(h.receive(&pid).unwrap().data, b"after");
+        }
+        group.shutdown();
+    }
+
+    #[test]
+    fn broadcast_and_agreement_over_sockets() {
+        let (group, mut handles) = TcpGroup::spawn(keys(4, 1)).unwrap();
+        // Reliable broadcast with party 1 as sender.
+        let rb = ProtocolId::new("t-rb");
+        for h in &handles {
+            h.create_reliable_broadcast(rb.clone(), PartyId(1));
+        }
+        handles[1].broadcast_send(&rb, b"broadcast over sockets".to_vec());
+        for h in handles.iter_mut() {
+            assert_eq!(
+                h.receive_broadcast(&rb).as_deref(),
+                Some(&b"broadcast over sockets"[..])
+            );
+        }
+        // Binary agreement with split proposals.
+        let ba = ProtocolId::new("t-ba");
+        for h in &handles {
+            h.create_binary_agreement(ba.clone(), None, None);
+        }
+        for (i, h) in handles.iter().enumerate() {
+            h.propose_binary(&ba, i % 2 == 0, Vec::new());
+        }
+        let decisions: Vec<bool> = handles
+            .iter_mut()
+            .map(|h| h.decide_binary(&ba).expect("decided").0)
+            .collect();
+        assert!(decisions.windows(2).all(|w| w[0] == w[1]));
+        group.shutdown();
+    }
+
+    #[test]
+    fn multi_valued_agreement_over_sockets() {
+        let (group, mut handles) = TcpGroup::spawn(keys(4, 1)).unwrap();
+        let pid = ProtocolId::new("t-vba");
+        for h in &handles {
+            h.create_multi_valued(
+                pid.clone(),
+                ArrayValidator::always(),
+                CandidateOrder::LocalRandom,
+            );
+        }
+        for (i, h) in handles.iter().enumerate() {
+            h.propose_multi(&pid, format!("tv-{i}").into_bytes());
+        }
+        let decisions: Vec<Vec<u8>> = handles
+            .iter_mut()
+            .map(|h| h.decide_multi(&pid).expect("decided"))
+            .collect();
+        assert!(decisions.windows(2).all(|w| w[0] == w[1]));
+        group.shutdown();
+    }
+
+    #[test]
+    fn optimistic_channel_over_sockets() {
+        let (group, mut handles) = TcpGroup::spawn(keys(4, 1)).unwrap();
+        let pid = ProtocolId::new("tcp-opt");
+        for h in &handles {
+            h.create_optimistic_channel(pid.clone(), OptimisticChannelConfig::default());
+        }
+        for (i, h) in handles.iter().enumerate() {
+            h.send(&pid, format!("opt-{i}").into_bytes());
+        }
+        let mut sequences = Vec::new();
+        for h in handles.iter_mut() {
+            let seq: Vec<Vec<u8>> = (0..4).map(|_| h.receive(&pid).unwrap().data).collect();
+            sequences.push(seq);
+        }
+        for s in &sequences[1..] {
+            assert_eq!(s, &sequences[0], "optimistic total order over sockets");
+        }
+        group.shutdown();
+    }
+
+    #[test]
+    fn secure_channel_over_sockets() {
+        let (group, mut handles) = TcpGroup::spawn(keys(4, 1)).unwrap();
+        let pid = ProtocolId::new("tcp-sc");
+        for h in &handles {
+            h.create_secure_channel(pid.clone(), AtomicChannelConfig::default());
+        }
+        handles[1].send(&pid, b"secret over sockets".to_vec());
+        for h in handles.iter_mut() {
+            assert_eq!(h.receive(&pid).unwrap().data, b"secret over sockets");
         }
         group.shutdown();
     }

@@ -12,7 +12,7 @@
 //! |---|---|
 //! | [`crypto`] | threshold coin-tossing, threshold signatures (Shoup RSA and multi-signatures), TDH2 threshold encryption, RSA, hashing, the trusted dealer |
 //! | [`protocols`] | reliable/consistent broadcast, binary and multi-valued Byzantine agreement, atomic / secure-causal / reliable / consistent channels, the per-party [`protocols::node::Node`] |
-//! | [`runtime`] | the deterministic discrete-event simulator and the threaded runtime |
+//! | [`runtime`] | the deterministic discrete-event simulator and the TCP runtime, both stepping parties through one `PartyCore` |
 //! | [`testbed`] | the paper's evaluation testbeds and experiment runners |
 //! | [`bigint`] | the arbitrary-precision arithmetic substrate |
 //!
@@ -23,16 +23,17 @@
 //! use rand::SeedableRng;
 //! use sintra::crypto::dealer::{deal, DealerConfig};
 //! use sintra::protocols::channel::AtomicChannelConfig;
-//! use sintra::runtime::threaded::ThreadedGroup;
+//! use sintra::runtime::tcp::TcpGroup;
+//! use sintra::runtime::PartyHandle;
 //! use sintra::ProtocolId;
 //!
 //! // 1. Trusted setup: deal keys for n = 4 servers tolerating t = 1.
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let keys = deal(&DealerConfig::small(4, 1), &mut rng)?;
 //!
-//! // 2. Launch the servers (one thread each, authenticated links).
-//! let (group, mut servers) =
-//!     ThreadedGroup::spawn(keys.into_iter().map(Arc::new).collect());
+//! // 2. Launch the servers (one thread each, authenticated loopback
+//! //    TCP links).
+//! let (group, mut servers) = TcpGroup::spawn(keys.into_iter().map(Arc::new).collect())?;
 //!
 //! // 3. Open an atomic broadcast channel and replicate state updates.
 //! let channel = ProtocolId::new("bank-ledger");

@@ -18,7 +18,7 @@
 //!   snapshots.
 //! * [`TraceEvent`] — one structured record per interesting protocol
 //!   step (phase transitions, round advances, deliveries), stamped with
-//!   virtual time by the simulator or wall-clock micros by the threaded
+//!   virtual time by the simulator or wall-clock micros by the TCP
 //!   runtime.
 //! * [`TraceStream`] — the streaming trace sink: a double-buffered,
 //!   off-thread writer spilling events to rotating per-party `.jsonl`

@@ -6,8 +6,8 @@ use std::fmt;
 ///
 /// State machines are sans-IO and have no clock, so they emit events
 /// with `time_us == 0`; the runtime that drains them stamps the field —
-/// the simulator with [`VirtualTime`] microseconds, the threaded runtime
-/// with wall-clock microseconds since the run started.
+/// the simulator with [`VirtualTime`] microseconds, the TCP runtime with
+/// wall-clock microseconds since the run started.
 ///
 /// [`VirtualTime`]: https://en.wikipedia.org/wiki/Discrete-event_simulation
 #[derive(Debug, Clone, PartialEq, Eq)]

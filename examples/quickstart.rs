@@ -13,7 +13,8 @@ use std::sync::Arc;
 use rand::SeedableRng;
 use sintra::crypto::dealer::{deal, DealerConfig};
 use sintra::protocols::channel::AtomicChannelConfig;
-use sintra::runtime::threaded::ThreadedGroup;
+use sintra::runtime::tcp::{TcpConfig, TcpGroup};
+use sintra::runtime::PartyHandle;
 use sintra::telemetry::{MetricsRegistry, RunReport};
 use sintra::ProtocolId;
 
@@ -29,14 +30,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let keys = deal(&DealerConfig::small(n, t), &mut rng)?;
 
     // --- 2. Launch the group ----------------------------------------------
-    // One OS thread per server; links are HMAC-authenticated channels.
-    // A metrics registry collects per-protocol telemetry as the run goes.
+    // One OS thread per server, each listening on a loopback socket;
+    // links are HMAC-authenticated TCP connections. A metrics registry
+    // collects per-protocol telemetry as the run goes.
     let registry = Arc::new(MetricsRegistry::new());
     let start = std::time::Instant::now();
-    let (group, mut servers) = ThreadedGroup::spawn_with_recorder(
+    let (group, mut servers) = TcpGroup::spawn_with(
         keys.into_iter().map(Arc::new).collect(),
+        TcpConfig::default(),
         Some(registry.clone()),
-    );
+    )?;
 
     // --- 3. Open an atomic broadcast channel -------------------------------
     let channel = ProtocolId::new("quickstart");

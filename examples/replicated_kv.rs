@@ -7,14 +7,11 @@
 //! the same order and end in identical states — even though commands
 //! arrive at different servers concurrently.
 //!
-//! The replication logic is written against the transport-independent
-//! [`PartyHandle`]/[`Runtime`] traits, so the same code runs over the
-//! in-process threaded runtime or over real loopback TCP sockets with
-//! authenticated, reconnecting links (the paper's deployment model).
+//! The replicas run over real loopback TCP sockets with authenticated,
+//! reconnecting links (the paper's deployment model).
 //!
-//! Run with: `cargo run --release --example replicated_kv` (in-process
-//! links) or `cargo run --release --example replicated_kv -- --tcp`
-//! (real 127.0.0.1 sockets). Add `--metrics` to serve a live
+//! Run with: `cargo run --release --example replicated_kv`. Add
+//! `--metrics` to serve a live
 //! Prometheus-style scrape endpoint per replica and keep the group up
 //! for a while after convergence — point `curl` or `sintra-top` at the
 //! printed addresses. Add `--trace-dir DIR` to stream every party's
@@ -28,9 +25,8 @@ use std::time::Duration;
 use rand::SeedableRng;
 use sintra::crypto::dealer::{deal, DealerConfig, PartyKeys};
 use sintra::protocols::channel::AtomicChannelConfig;
-use sintra::runtime::tcp::{TcpConfig, TcpGroup};
-use sintra::runtime::threaded::ThreadedGroup;
-use sintra::runtime::{ObservabilityConfig, PartyHandle, Runtime};
+use sintra::runtime::tcp::{TcpConfig, TcpGroup, TcpHandle};
+use sintra::runtime::{ObservabilityConfig, PartyHandle};
 use sintra::ProtocolId;
 
 /// The replicated state machine: a sorted map plus a command log length.
@@ -57,8 +53,8 @@ impl KvStore {
     }
 }
 
-fn drive_replica<H: PartyHandle>(
-    server: &mut H,
+fn drive_replica(
+    server: &mut TcpHandle,
     channel: &ProtocolId,
     expected_commands: usize,
 ) -> KvStore {
@@ -72,15 +68,10 @@ fn drive_replica<H: PartyHandle>(
     store
 }
 
-/// The whole scenario, transport-agnostic: create the channel, submit
-/// commands through different servers, drive every replica to the same
-/// final state, shut the group down.
-fn run_scenario<R: Runtime>(
-    group: R,
-    mut servers: Vec<R::Handle>,
-    n: usize,
-    linger: Option<Duration>,
-) {
+/// The whole scenario: create the channel, submit commands through
+/// different servers, drive every replica to the same final state, shut
+/// the group down.
+fn run_scenario(group: TcpGroup, mut servers: Vec<TcpHandle>, n: usize, linger: Option<Duration>) {
     let channel = ProtocolId::new("kv-store");
     for s in &servers {
         s.create_atomic_channel(channel.clone(), AtomicChannelConfig::default());
@@ -139,7 +130,6 @@ fn flag_value(flag: &str) -> Option<String> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let use_tcp = std::env::args().any(|a| a == "--tcp");
     let use_metrics = std::env::args().any(|a| a == "--metrics");
     let trace_dir = flag_value("--trace-dir");
     let (n, t) = (4, 1);
@@ -166,28 +156,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         None
     };
-    if use_tcp {
-        let config = TcpConfig {
-            observability,
-            ..TcpConfig::default()
-        };
-        let (group, servers) = TcpGroup::spawn_with(keys, config, None)?;
-        println!("replicas listening on real loopback sockets:");
-        for (i, addr) in group.addrs().iter().enumerate() {
-            println!("  replica {i}: {addr}");
-        }
-        for (i, addr) in group.metrics_addrs().iter().enumerate() {
-            println!("  replica {i} metrics: http://{addr}/metrics");
-        }
-        println!();
-        run_scenario(group, servers, n, linger);
-    } else {
-        let (group, servers) = ThreadedGroup::spawn_observable(keys, None, observability);
-        for (i, addr) in group.metrics_addrs().iter().enumerate() {
-            println!("  replica {i} metrics: http://{addr}/metrics");
-        }
-        run_scenario(group, servers, n, linger);
+    let config = TcpConfig {
+        observability,
+        ..TcpConfig::default()
+    };
+    let (group, servers) = TcpGroup::spawn_with(keys, config, None)?;
+    println!("replicas listening on real loopback sockets:");
+    for (i, addr) in group.addrs().iter().enumerate() {
+        println!("  replica {i}: {addr}");
     }
+    for (i, addr) in group.metrics_addrs().iter().enumerate() {
+        println!("  replica {i} metrics: http://{addr}/metrics");
+    }
+    println!();
+    run_scenario(group, servers, n, linger);
     if let Some(dir) = &trace_dir {
         println!(
             "\nstreaming traces written to {dir}/ — analyze with:\n  sintra-prof profile {dir}"

@@ -15,7 +15,8 @@ use std::sync::Arc;
 use rand::SeedableRng;
 use sintra::crypto::dealer::{deal, DealerConfig};
 use sintra::protocols::channel::{AtomicChannelConfig, SecureAtomicChannel};
-use sintra::runtime::threaded::ThreadedGroup;
+use sintra::runtime::tcp::TcpGroup;
+use sintra::runtime::PartyHandle;
 use sintra::{GroupContext, ProtocolId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Keep one context around to play the "external client" role: clients
     // only need the *public* channel key to encrypt.
     let client_view = GroupContext::new(Arc::new(keys[0].clone()));
-    let (group, mut servers) = ThreadedGroup::spawn(keys.into_iter().map(Arc::new).collect());
+    let (group, mut servers) = TcpGroup::spawn(keys.into_iter().map(Arc::new).collect())?;
 
     let channel = ProtocolId::new("auction-lot-17");
     for s in &servers {

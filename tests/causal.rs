@@ -4,7 +4,7 @@
 //! it follows is closed: every event that names a parent `(sender,
 //! send_seq)` must find that send in the merged multi-party stream.
 //! These tests run real atomic-broadcast workloads — randomized command
-//! counts, submitting parties, and key seeds — over both runtimes with
+//! counts, submitting parties, and key seeds — over loopback TCP with
 //! streaming traces on, then merge the per-party `.jsonl` segments and
 //! assert that every non-anchor event resolves its parent (anchors are
 //! local commands and timers, which legitimately carry no cause).
@@ -24,7 +24,6 @@ use common::group_keys;
 use proptest::prelude::*;
 use sintra::protocols::channel::AtomicChannelConfig;
 use sintra::runtime::tcp::{TcpConfig, TcpGroup};
-use sintra::runtime::threaded::ThreadedGroup;
 use sintra::runtime::{ObservabilityConfig, PartyHandle};
 use sintra::telemetry::TraceStreamConfig;
 use sintra::testbed::profile::{causal_resolution, find_trace_files, merge_streams, MergedTrace};
@@ -111,33 +110,11 @@ fn assert_causally_closed(dir: &std::path::Path, parties: usize) -> MergedTrace 
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    // Threaded runtime: any short broadcast workload leaves a merged
-    // trace whose every non-anchor event resolves its causal parent.
-    #[test]
-    fn threaded_traces_are_causally_closed(
-        seed in 1u64..1_000,
-        commands in 1usize..6,
-    ) {
-        with_deadline(60, move || {
-            let dir = trace_dir("threaded");
-            let keys = group_keys(4, 1, seed);
-            let (group, mut handles) =
-                ThreadedGroup::spawn_observable(keys, None, Some(traced_observability(&dir)));
-            let channel = ProtocolId::new("causal-prop");
-            drive(&mut handles, &channel, commands);
-            group.shutdown();
-            assert_causally_closed(&dir, 4);
-        });
-    }
-}
-
-proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
-    // Same property over real loopback-TCP sockets: framing and link
-    // retransmission must not break the chain.
+    // Any short broadcast workload over real loopback-TCP sockets leaves
+    // a merged trace whose every non-anchor event resolves its causal
+    // parent: framing and link retransmission must not break the chain.
     #[test]
     fn tcp_traces_are_causally_closed(
         seed in 1u64..1_000,

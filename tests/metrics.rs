@@ -17,7 +17,6 @@ use std::time::{Duration, Instant};
 use common::group_keys;
 use sintra::protocols::channel::AtomicChannelConfig;
 use sintra::runtime::tcp::{TcpConfig, TcpGroup};
-use sintra::runtime::threaded::ThreadedGroup;
 use sintra::runtime::{MetricsConfig, ObservabilityConfig, PartyHandle};
 use sintra::testbed::scrape::{missing_series, negative_rates, scrape};
 use sintra::ProtocolId;
@@ -211,44 +210,5 @@ fn stalled_gauge_tracks_wedge_and_recovery() {
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
-    });
-}
-
-/// The in-process runtime serves the same metrics plane (minus the
-/// TCP-only link gauges) through `spawn_observable`.
-#[test]
-fn threaded_runtime_serves_scrapes_too() {
-    with_deadline(120, || {
-        let observability = ObservabilityConfig {
-            metrics: Some(MetricsConfig::default()),
-            dump_dir: std::env::temp_dir(),
-            ..ObservabilityConfig::default()
-        };
-        let (group, mut handles) =
-            ThreadedGroup::spawn_observable(group_keys(4, 1, 4300), None, Some(observability));
-        let addrs = group.metrics_addrs();
-        assert_eq!(addrs.len(), 4);
-
-        let pid = ProtocolId::new("threaded-metrics");
-        for h in &handles {
-            h.create_atomic_channel(pid.clone(), AtomicChannelConfig::default());
-        }
-        handles[1].send(&pid, b"one payload".to_vec());
-        for h in handles.iter_mut() {
-            h.receive(&pid).expect("live channel");
-        }
-        let exposition = scrape(addrs[2], Duration::from_secs(5)).expect("scrape party 2");
-        assert_eq!(exposition.label_values("party"), vec!["2".to_string()]);
-        assert!(missing_series(
-            &exposition,
-            &[
-                "sintra_msgs_sent_total",
-                "sintra_deliveries_total",
-                "sintra_stalled"
-            ]
-        )
-        .is_empty());
-        group.shutdown();
-        assert!(scrape(addrs[2], Duration::from_secs(2)).is_err());
     });
 }

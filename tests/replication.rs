@@ -1,7 +1,7 @@
 //! End-to-end state-machine replication: the paper's raison d'être.
 //! A bank-ledger state machine is replicated over the atomic channel in
-//! the simulator and over real threads, with and without faults, and all
-//! replicas must converge to the same state.
+//! the simulator and over real threads and loopback sockets, with and
+//! without faults, and all replicas must converge to the same state.
 
 mod common;
 
@@ -10,7 +10,8 @@ use std::collections::BTreeMap;
 use common::{delivered_data, group_keys, lan_sim, wan_sim};
 use sintra::protocols::channel::AtomicChannelConfig;
 use sintra::runtime::sim::Fault;
-use sintra::runtime::threaded::ThreadedGroup;
+use sintra::runtime::tcp::TcpGroup;
+use sintra::runtime::PartyHandle;
 use sintra::ProtocolId;
 
 /// A deterministic state machine: account balances with transfers.
@@ -121,7 +122,7 @@ fn replicated_ledger_converges_with_crash() {
 #[test]
 fn replicated_ledger_over_real_threads() {
     let keys = group_keys(4, 1, 3200);
-    let (group, mut servers) = ThreadedGroup::spawn(keys);
+    let (group, mut servers) = TcpGroup::spawn(keys).expect("bind loopback");
     let pid = ProtocolId::new("ledger-threads");
     for s in &servers {
         s.create_atomic_channel(pid.clone(), AtomicChannelConfig::default());

@@ -2,10 +2,8 @@
 //! n = 4, t = 1. Atomic broadcast must deliver every payload in the
 //! same order at every party; severing a replica's connections
 //! mid-stream must be healed by reconnection and replay with no loss or
-//! reordering; and shutdown must join every thread. A generic
-//! close/close_wait scenario runs over both the threaded and the TCP
-//! runtime through the [`PartyHandle`]/[`Runtime`] traits — the two
-//! share one link layer and one teardown discipline.
+//! reordering; close/close_wait must return the undelivered residue; and
+//! shutdown must join every thread.
 
 mod common;
 
@@ -16,8 +14,7 @@ use std::time::Duration;
 use common::group_keys;
 use sintra::protocols::channel::AtomicChannelConfig;
 use sintra::runtime::tcp::TcpGroup;
-use sintra::runtime::threaded::ThreadedGroup;
-use sintra::runtime::{PartyHandle, Runtime};
+use sintra::runtime::PartyHandle;
 use sintra::telemetry::{MetricsRegistry, RunReport};
 use sintra::ProtocolId;
 
@@ -209,51 +206,39 @@ fn severed_replica_reconnects_without_loss_or_reorder() {
     });
 }
 
-/// The shared close/close_wait discipline, written against the
-/// transport-independent traits: every party closes, `close_wait`
-/// returns the undelivered residue, and the runtime then shuts down
-/// with every thread joined. Regression for the historical flakiness
-/// where closing before the payload reached all parties could terminate
-/// the channel without delivering it.
-fn close_wait_scenario<R: Runtime>(group: R, mut handles: Vec<R::Handle>) {
-    let pid = ProtocolId::new("close-regression");
-    for h in &handles {
-        h.create_reliable_channel(pid.clone());
-    }
-    handles[1].send(&pid, b"farewell".to_vec());
-    // Barrier: the payload must be receivable everywhere before anyone
-    // closes — fairness only bounds delivery while the channel is open.
-    for h in handles.iter_mut() {
-        while !h.can_receive(&pid) {
-            std::thread::yield_now();
-        }
-    }
-    for h in &handles {
-        h.close(&pid);
-    }
-    for (i, h) in handles.iter_mut().enumerate() {
-        let residual = h.close_wait(&pid);
-        assert!(
-            residual.iter().any(|p| p.data == b"farewell"),
-            "party {i} lost the residual payload"
-        );
-    }
-    group.shutdown();
-}
-
+/// The close/close_wait discipline: every party closes, `close_wait`
+/// returns the undelivered residue, and the group then shuts down with
+/// every thread joined. Regression for the historical flakiness where
+/// closing before the payload reached all parties could terminate the
+/// channel without delivering it.
 #[test]
 fn close_wait_terminates_over_tcp() {
     with_deadline(120, || {
-        let (group, handles) = TcpGroup::spawn(group_keys(4, 1, 93)).expect("bind loopback");
-        close_wait_scenario(group, handles);
-    });
-}
-
-#[test]
-fn close_wait_terminates_over_threads_via_shared_path() {
-    with_deadline(120, || {
-        let (group, handles) = ThreadedGroup::spawn(group_keys(4, 1, 94));
-        close_wait_scenario(group, handles);
+        let (group, mut handles) = TcpGroup::spawn(group_keys(4, 1, 93)).expect("bind loopback");
+        let pid = ProtocolId::new("close-regression");
+        for h in &handles {
+            h.create_reliable_channel(pid.clone());
+        }
+        handles[1].send(&pid, b"farewell".to_vec());
+        // Barrier: the payload must be receivable everywhere before
+        // anyone closes — fairness only bounds delivery while the channel
+        // is open.
+        for h in handles.iter_mut() {
+            while !h.can_receive(&pid) {
+                std::thread::yield_now();
+            }
+        }
+        for h in &handles {
+            h.close(&pid);
+        }
+        for (i, h) in handles.iter_mut().enumerate() {
+            let residual = h.close_wait(&pid);
+            assert!(
+                residual.iter().any(|p| p.data == b"farewell"),
+                "party {i} lost the residual payload"
+            );
+        }
+        group.shutdown();
     });
 }
 

@@ -8,7 +8,8 @@ use std::sync::Arc;
 
 use common::{group_keys, lan_sim};
 use sintra::protocols::channel::AtomicChannelConfig;
-use sintra::runtime::threaded::ThreadedGroup;
+use sintra::runtime::tcp::{TcpConfig, TcpGroup};
+use sintra::runtime::PartyHandle;
 use sintra::telemetry::{MetricsRegistry, RunReport};
 use sintra::ProtocolId;
 
@@ -86,11 +87,17 @@ fn sim_without_recorder_stays_silent() {
     assert_eq!(sim.channel_deliveries(2, &pid).len(), 1);
 }
 
+/// The wall-clock runtime (one server thread per party, over loopback
+/// TCP) counts traffic and rounds through the same recorder.
 #[test]
 fn threaded_runtime_reports_traffic() {
     let registry = Arc::new(MetricsRegistry::new());
-    let (group, mut handles) =
-        ThreadedGroup::spawn_with_recorder(group_keys(4, 1, 73), Some(registry.clone()));
+    let (group, mut handles) = TcpGroup::spawn_with(
+        group_keys(4, 1, 73),
+        TcpConfig::default(),
+        Some(registry.clone()),
+    )
+    .expect("bind loopback");
     let pid = ProtocolId::new("telemetry-threads");
     for h in &handles {
         h.create_atomic_channel(pid.clone(), AtomicChannelConfig::default());
