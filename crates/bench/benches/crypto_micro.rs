@@ -216,6 +216,19 @@ fn bench_thenc(c: &mut Criterion) {
     group.bench_function("combine", |b| {
         b.iter(|| scheme.combine(&ct, &shares).expect("ok"))
     });
+    // A secure-channel round of four ciphertexts: one party's shares for
+    // all of them under one proof, and a peer's check of that batch.
+    let round: Vec<_> = (0..4)
+        .map(|_| scheme.encrypt(b"label", b"a short confidential payload", &mut rng))
+        .collect();
+    let round: Vec<_> = round.iter().collect();
+    group.bench_function("share-batch-4/release", |b| {
+        b.iter(|| scheme.batch_share_prechecked(b"round", &round, &secrets[0]))
+    });
+    let batch = scheme.batch_share_prechecked(b"round", &round, &secrets[0]);
+    group.bench_function("share-batch-4/verify", |b| {
+        b.iter(|| scheme.verify_batch_share(b"round", &round, &batch))
+    });
     group.finish();
 }
 

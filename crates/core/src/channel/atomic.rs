@@ -176,8 +176,9 @@ pub struct AtomicChannel {
     /// Per origin, the sequence number delivered next (the integrity
     /// filter): `(o, s)` is delivered iff `s == next_deliver[o]`.
     next_deliver: Vec<u64>,
-    /// Application deliveries not yet drained by the runtime.
-    deliveries: VecDeque<Payload>,
+    /// Application deliveries not yet drained by the runtime, with the
+    /// round that ordered each.
+    deliveries: VecDeque<(u64, Payload)>,
     /// Entries and held-back proposals by round, current and future.
     rounds: BTreeMap<u64, RoundState>,
     /// Whether we broadcast our own entry for the current round.
@@ -377,7 +378,21 @@ impl AtomicChannel {
 
     /// Takes the next delivered payload, in total order.
     pub fn take_delivery(&mut self) -> Option<Payload> {
+        self.take_round_delivery().map(|(_, payload)| payload)
+    }
+
+    /// Takes the next delivered payload with the round that ordered it.
+    /// Every honest party delivers the same payloads in the same rounds,
+    /// and a round's deliveries are in the queue together.
+    pub fn take_round_delivery(&mut self) -> Option<(u64, Payload)> {
         self.deliveries.pop_front()
+    }
+
+    /// How many rounds this party has decided and delivered: every round
+    /// below it, none at or above it.
+    pub fn rounds_delivered(&self) -> u64 {
+        // The round a channel closes in is delivered but not left.
+        self.round + u64::from(self.closed)
     }
 
     /// Whether the channel has terminated.
@@ -789,7 +804,7 @@ impl AtomicChannel {
             }
             delivered += 1;
             match payload.kind {
-                PayloadKind::App => self.deliveries.push_back(payload.clone()),
+                PayloadKind::App => self.deliveries.push_back((self.round, payload.clone())),
                 PayloadKind::Close => {
                     self.close_origins.insert(payload.origin);
                 }

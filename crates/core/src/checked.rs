@@ -21,8 +21,8 @@
 //!    share, closing or justification it already holds.
 //!
 //! A quarantine (coin shares parked until a quorum is in, decryption
-//! shares ahead of their ciphertext) is an `Unchecked<T>` in a bounded
-//! buffer; only a batched `check_*` drains it. The checks run where a
+//! batches ahead of their round) is an `Unchecked<T>` in a bounded
+//! buffer; only a `check_*` drains it. The checks run where a
 //! handler asks for them, behind its state filters: nothing here is a
 //! stage in front of dispatch (`tests/drop_before_crypto.rs`).
 //!
@@ -63,12 +63,13 @@ use std::ops::Deref;
 use sintra_crypto::coin::CoinShare;
 use sintra_crypto::hash::Sha256;
 use sintra_crypto::rsa::RsaSignature;
-use sintra_crypto::thenc::{Ciphertext, DecryptionShare};
+use sintra_crypto::thenc::{Ciphertext, DecryptionBatch};
 use sintra_crypto::thsig::{SigShare, SigShareBody, ThresholdSigPublic, ThresholdSignature};
 
 use crate::config::GroupContext;
 use crate::ids::{PartyId, ProtocolId};
-use crate::message::{statement_entry, Entry, EntryRef, Payload};
+use crate::message::{statement_entry, statement_sc_shares, Entry, EntryRef, Payload};
+use crate::wire::put_bytes;
 
 /// A value nobody has checked: off the wire, or forgotten for sending.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,7 +84,7 @@ pub struct Checked<T> {
 }
 
 /// What a value was checked under: the digest of the key's domain and the
-/// signed statement (a coin's name, a ciphertext's `u`). Two values stand
+/// signed statement (a coin's name, a round's ciphertexts). Two values stand
 /// under the same statement exactly if these are equal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Under([u8; 32]);
@@ -110,8 +111,16 @@ impl Under {
         (statement, under)
     }
 
-    fn ciphertext(ct: &Ciphertext) -> Self {
-        Under::new(Under::DECRYPTION, &ct.u.to_be_bytes())
+    /// A decryption batch's: the channel, the round and the `u` of every
+    /// ciphertext it decrypts, in order. Returns the context its proof is
+    /// bound to as well.
+    fn ciphertexts(pid: &ProtocolId, round: u64, cts: &[&Ciphertext]) -> (Vec<u8>, Self) {
+        let context = statement_sc_shares(pid, round);
+        let mut statement = context.clone();
+        for ct in cts {
+            put_bytes(&mut statement, &ct.u.to_be_bytes());
+        }
+        (context, Under::new(Under::DECRYPTION, &statement))
     }
 }
 
@@ -430,46 +439,54 @@ impl GroupContext {
         Some((bit, used.collect()))
     }
 
-    /// This party's decryption share for `ct`, which has passed
-    /// `verify_ciphertext`.
-    pub fn release_dec_share(&self, ct: &Ciphertext) -> Checked<DecryptionShare> {
+    /// This party's decryption shares for `cts`, the valid ciphertexts
+    /// that round `round` of channel `pid` ordered (each has passed
+    /// `verify_ciphertext`), under one proof.
+    pub fn release_dec_batch(
+        &self,
+        pid: &ProtocolId,
+        round: u64,
+        cts: &[&Ciphertext],
+    ) -> Checked<DecryptionBatch> {
+        let (context, under) = Under::ciphertexts(pid, round, cts);
         let enc = &self.keys().common.enc;
-        let value = enc.decryption_share_prechecked(ct, &self.keys().enc_secret);
-        let under = Under::ciphertext(ct);
+        let value = enc.batch_share_prechecked(&context, cts, &self.keys().enc_secret);
         Checked { value, under }
     }
 
-    /// A peer's decryption share for `ct`, if its proof verifies.
-    pub fn check_dec_share(
+    /// A peer's decryption shares for the same ciphertexts, if there is
+    /// one per ciphertext and its proof verifies.
+    pub fn check_dec_batch(
         &self,
-        ct: &Ciphertext,
-        share: &Unchecked<DecryptionShare>,
-    ) -> Option<Checked<DecryptionShare>> {
-        let verified = self.keys().common.enc.verify_share(ct, share);
-        share.checked_if(verified, Under::ciphertext(ct))
+        pid: &ProtocolId,
+        round: u64,
+        cts: &[&Ciphertext],
+        batch: &Unchecked<DecryptionBatch>,
+    ) -> Option<Checked<DecryptionBatch>> {
+        let (context, under) = Under::ciphertexts(pid, round, cts);
+        let verified = self
+            .keys()
+            .common
+            .enc
+            .verify_batch_share(&context, cts, batch);
+        batch.checked_if(verified, under)
     }
 
-    /// Drains a quarantine of decryption shares for `ct` with one batched
-    /// check; what fails is dropped.
-    pub fn check_dec_shares(
+    /// The plaintexts of `cts` from batches that are each checked for
+    /// those very ciphertexts of that round, or this party's own; none is
+    /// verified again.
+    pub fn combine_dec_batches<'a>(
         &self,
-        ct: &Ciphertext,
-        shares: impl IntoIterator<Item = Unchecked<DecryptionShare>>,
-    ) -> Vec<Checked<DecryptionShare>> {
+        pid: &ProtocolId,
+        round: u64,
+        cts: &[&Ciphertext],
+        batches: impl IntoIterator<Item = &'a Checked<DecryptionBatch>>,
+    ) -> Option<Vec<Vec<u8>>> {
+        let (_, under) = Under::ciphertexts(pid, round, cts);
+        let bare =
+            |batch: &'a Checked<DecryptionBatch>| (batch.under == under).then_some(&batch.value);
+        let bare: Vec<&DecryptionBatch> = batches.into_iter().map(bare).collect::<Option<_>>()?;
         let enc = &self.keys().common.enc;
-        drained(shares, Under::ciphertext(ct), |shares| {
-            enc.verify_shares(ct, shares)
-        })
-    }
-
-    /// The plaintext of `ct`, which has passed `verify_ciphertext`, from
-    /// shares that are each checked or this party's own.
-    pub fn combine_dec_shares<'a>(
-        &self,
-        ct: &Ciphertext,
-        shares: impl IntoIterator<Item = &'a Checked<DecryptionShare>>,
-    ) -> Option<Vec<u8>> {
-        let enc = &self.keys().common.enc;
-        enc.combine_prechecked(ct, &bare(shares)).ok()
+        enc.combine_batches_prechecked(cts, &bare).ok()
     }
 }

@@ -449,7 +449,7 @@ impl Wire for usize {
 /// --example wire_schema`) refuses to rewrite it when a layout changed
 /// and this constant did not, making wire breaks an explicit, reviewable
 /// event rather than a silent drift.
-pub const WIRE_FORMAT_VERSION: u32 = 3;
+pub const WIRE_FORMAT_VERSION: u32 = 4;
 
 /// Wire discriminants. Explicit and append-only: renumbering or reusing
 /// a tag byte is a wire-format break (`sintra-lint`'s `wire-stability`
@@ -606,7 +606,7 @@ impl Wire for [u8; 32] {
 use sintra_crypto::coin::CoinShare;
 use sintra_crypto::dleq::DleqProof;
 use sintra_crypto::rsa::RsaSignature;
-use sintra_crypto::thenc::{Ciphertext, DecryptionShare};
+use sintra_crypto::thenc::{Ciphertext, DecryptionBatch};
 use sintra_crypto::thsig::{ShoupShareProof, SigShare, SigShareBody, ThresholdSignature};
 
 wire_struct!(DleqProof {
@@ -637,9 +637,9 @@ wire_enum!(ThresholdSignature {
     TAG_THSIG_MULTI => Multi(sigs: Vec<(usize, RsaSignature)>),
 });
 wire_struct!(Ciphertext { data: Vec<u8>, label: Vec<u8>, u: Ubig, u_bar: Ubig, e: Ubig, f: Ubig });
-wire_struct!(DecryptionShare {
+wire_struct!(DecryptionBatch {
     index: usize,
-    value: Ubig,
+    values: Vec<Ubig> [max crate::message::MAX_DECRYPTION_BATCH],
     proof: DleqProof
 });
 

@@ -18,7 +18,7 @@ use sintra_core::{PartyId, ProtocolId};
 use sintra_crypto::coin::CoinShare;
 use sintra_crypto::dleq::DleqProof;
 use sintra_crypto::rsa::RsaSignature;
-use sintra_crypto::thenc::{Ciphertext, DecryptionShare};
+use sintra_crypto::thenc::{Ciphertext, DecryptionBatch};
 use sintra_crypto::thsig::{ShoupShareProof, SigShare, SigShareBody, ThresholdSignature};
 
 /// One corpus value: its encoding and a decoder for (mutations of) it.
@@ -288,13 +288,12 @@ pub fn corpus() -> Vec<Case> {
             },
         ),
         (
-            "sc-share",
-            Body::ScShare {
-                origin: PartyId(1),
-                seq: 8,
-                share: DecryptionShare {
+            "sc-shares",
+            Body::ScShares {
+                round: 8,
+                batch: DecryptionBatch {
                     index: 3,
-                    value: big(0xdec),
+                    values: vec![big(0xdec), big(0xded)],
                     proof: dleq(0x20),
                 }
                 .into(),

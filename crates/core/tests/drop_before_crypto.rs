@@ -45,7 +45,7 @@ use sintra_core::wire::Wire;
 use sintra_core::{GroupContext, Outgoing, PartyId, ProtocolId, Recipient};
 use sintra_crypto::cost::CostScope;
 use sintra_crypto::dealer::{deal, DealerConfig};
-use sintra_crypto::thenc::Ciphertext;
+use sintra_crypto::thenc::{Ciphertext, DecryptionBatch};
 use sintra_crypto::thsig::{SigShare, SigShareBody, ThresholdSignature};
 use sintra_telemetry::StateSnapshot;
 
@@ -224,30 +224,34 @@ fn final_after_delivery(ctxs: &[GroupContext]) -> Row {
     }
 }
 
-/// Runs a group to quiescence in FIFO order from what party `at` sent
-/// into `out`, without the messages that `lost` names by recipient.
+/// Runs a group to quiescence in FIFO order from what the parties sent
+/// into `outs`, in that order, without the messages that `lost` names by
+/// recipient.
 fn run<C>(
     chans: &mut [C],
-    mut at: usize,
-    mut out: Outgoing,
+    outs: Vec<(usize, Outgoing)>,
     handle: impl Fn(&mut C, PartyId, &Envelope, &mut Outgoing),
     lost: impl Fn(usize, &Body) -> bool,
 ) {
+    let n = chans.len();
     let mut queue = VecDeque::new();
-    loop {
+    let enqueue = |queue: &mut VecDeque<_>, at: usize, out: &mut Outgoing| {
         for (recipient, env) in out.drain() {
             let targets = match recipient {
-                Recipient::All => 0..chans.len(),
+                Recipient::All => 0..n,
                 Recipient::One(p) => p.0..p.0 + 1,
             };
             let kept = targets.filter(|to| !lost(*to, &env.body));
             queue.extend(kept.map(|to| (at, to, env.clone())));
         }
-        let Some((from, to, env)) = queue.pop_front() else {
-            break;
-        };
-        at = to;
+    };
+    for (at, mut out) in outs {
+        enqueue(&mut queue, at, &mut out);
+    }
+    let mut out = Outgoing::new();
+    while let Some((from, to, env)) = queue.pop_front() {
         handle(&mut chans[to], PartyId(from), &env, &mut out);
+        enqueue(&mut queue, to, &mut out);
     }
 }
 
@@ -263,7 +267,7 @@ fn channel_after_one_round(ctxs: &[GroupContext], pid: &ProtocolId) -> AtomicCha
     let handle = |chan: &mut AtomicChannel, from, env: &Envelope, out: &mut Outgoing| {
         chan.handle(from, &env.pid, &env.body, out)
     };
-    run(&mut chans, 1, out, handle, |_, _| false);
+    run(&mut chans, vec![(1, out)], handle, |_, _| false);
     let mut chan = chans.swap_remove(0);
     assert_eq!(chan.round(), 1);
     let delivered = chan.take_delivery().map(|p| (p.origin.0, p.seq));
@@ -323,6 +327,7 @@ fn late_messages_are_dropped_before_any_signature_check() {
         final_after_delivery(&ctxs),
     ];
     table.extend(late_entries(&ctxs));
+    table.extend(late_dec_batches(&ctxs));
     for row in table {
         assert!(row.check_work > 0.0, "{}: the check is not free", row.what);
         assert_eq!(row.late.work, 0.0, "{}: work before the filter", row.what);
@@ -611,40 +616,144 @@ fn forged_fetched(ctxs: &[GroupContext]) -> Forged {
     }
 }
 
-fn forged_dec_share(ctxs: &[GroupContext]) -> Forged {
-    let pid = ProtocolId::new("sc-forged");
+/// Party 0's endpoint of a secure channel on which `requests`, one each
+/// from parties 1, 2, …, have been ordered in round 0, with no decryption
+/// batch reaching party 0: it has released its own and waits for one
+/// more. Returns the round's ciphertexts with it.
+fn secure_waiting(
+    ctxs: &[GroupContext],
+    pid: &ProtocolId,
+    requests: &[&[u8]],
+) -> (SecureAtomicChannel, Vec<Ciphertext>) {
     let mut chans: Vec<SecureAtomicChannel> = ctxs
         .iter()
         .map(|c| SecureAtomicChannel::new(pid.clone(), c.clone(), Default::default()))
         .collect();
     let mut rng = StdRng::seed_from_u64(9);
-    let mut out = Outgoing::new();
-    chans[1].send(b"secret".to_vec(), &mut rng, &mut out);
-    // No decryption share reaches party 0: it orders the ciphertext,
-    // releases its own share and waits for one more.
+    let mut outs = Vec::new();
+    for (sender, request) in (1..).zip(requests) {
+        let mut out = Outgoing::new();
+        chans[sender].send(request.to_vec(), &mut rng, &mut out);
+        outs.push((sender, out));
+    }
     let handle = |chan: &mut SecureAtomicChannel, from, env: &Envelope, out: &mut Outgoing| {
         chan.handle(from, &env.pid, &env.body, out)
     };
-    let lost = |to: usize, body: &Body| to == 0 && matches!(body, Body::ScShare { .. });
-    run(&mut chans, 1, out, handle, lost);
+    let lost = |to: usize, body: &Body| to == 0 && matches!(body, Body::ScShares { .. });
+    run(&mut chans, outs, handle, lost);
     let mut chan = chans.swap_remove(0);
-    let (origin, seq, ordered) = chan.take_ordered_ciphertext().expect("ordered");
+    let cts: Vec<Ciphertext> = std::iter::from_fn(|| chan.take_ordered_ciphertext())
+        .map(|(_, _, ordered)| Ciphertext::from_bytes(&ordered).unwrap())
+        .collect();
+    assert_eq!(cts.len(), requests.len(), "one round orders them all");
     assert!(!chan.can_receive(), "still encrypted");
-    let ct = Ciphertext::from_bytes(&ordered).unwrap();
-    // Party 1's share for another ciphertext of this channel.
-    let enc = &ctxs[1].keys().common.enc;
-    let other = enc.encrypt(pid.as_bytes(), b"other", &mut rng);
-    let share = ctxs[1].release_dec_share(&other).forget();
-    let body = Body::ScShare {
-        origin,
-        seq,
-        share: share.clone(),
+    (chan, cts)
+}
+
+fn shares_body(round: u64, batch: Unchecked<DecryptionBatch>) -> Body {
+    Body::ScShares { round, batch }
+}
+
+fn late_dec_batches(ctxs: &[GroupContext]) -> [Row; 3] {
+    let pid = ProtocolId::new("sc-late");
+    let (mut chan, cts) = secure_waiting(ctxs, &pid, &[b"secret"]);
+    let cts: Vec<&Ciphertext> = cts.iter().collect();
+    let batch_of = |party: usize, cts: &[&Ciphertext]| ctxs[party].release_dec_batch(&pid, 0, cts);
+    let checked = |cts: &[&Ciphertext], batch: &Unchecked<DecryptionBatch>| {
+        priced(|| ctxs[0].check_dec_batch(&pid, 0, cts, batch).is_some())
     };
-    Forged {
-        what: "sc-share for another ciphertext, its slot present",
-        offered: offer(&mut chan, |c, out| c.handle(PartyId(1), &pid, &body, out)),
-        check_work: refused(|| ctxs[0].check_dec_share(&ct, &share).is_some()),
-    }
+    // Party 2's batch, sent by party 1.
+    let relayed = batch_of(2, &cts).forget();
+    let relayed = Row {
+        what: "sc-shares whose index is not its sender's",
+        check_work: checked(&cts, &relayed),
+        late: offer(&mut chan, |c, out| {
+            c.handle(PartyId(1), &pid, &shares_body(0, relayed.clone()), out)
+        }),
+    };
+    // Party 1's batch over the round's ciphertext and one more.
+    let enc = &ctxs[1].keys().common.enc;
+    let other = enc.encrypt(pid.as_bytes(), b"other", &mut StdRng::seed_from_u64(10));
+    let two = [cts[0], &other];
+    let longer = batch_of(1, &two).forget();
+    let longer = Row {
+        what: "sc-shares with one value more than the round ordered",
+        check_work: checked(&two, &longer),
+        late: offer(&mut chan, |c, out| {
+            c.handle(PartyId(1), &pid, &shares_body(0, longer.clone()), out)
+        }),
+    };
+    // Party 2's batch resolves the round; party 3's comes after.
+    let resolving = shares_body(0, batch_of(2, &cts).forget());
+    chan.handle(PartyId(2), &pid, &resolving, &mut Outgoing::new());
+    assert_eq!(
+        chan.take_delivery().map(|p| p.data),
+        Some(b"secret".to_vec())
+    );
+    let after = batch_of(3, &cts).forget();
+    let after = Row {
+        what: "sc-shares for a round already resolved",
+        check_work: checked(&cts, &after),
+        late: offer(&mut chan, |c, out| {
+            c.handle(PartyId(3), &pid, &shares_body(0, after.clone()), out)
+        }),
+    };
+    [relayed, longer, after]
+}
+
+fn forged_dec_batches(ctxs: &[GroupContext]) -> [Forged; 3] {
+    let pid = ProtocolId::new("sc-forged");
+    let requests: [&[u8]; 2] = [b"secret", b"another"];
+    let (mut chan, cts) = secure_waiting(ctxs, &pid, &requests);
+    let cts: Vec<&Ciphertext> = cts.iter().collect();
+    let refused_batch = |batch: &Unchecked<DecryptionBatch>| {
+        refused(|| ctxs[0].check_dec_batch(&pid, 0, &cts, batch).is_some())
+    };
+    let mut offered = |batch: &Unchecked<DecryptionBatch>| {
+        let body = shares_body(0, batch.clone());
+        offer(&mut chan, |c, out| c.handle(PartyId(1), &pid, &body, out))
+    };
+    // Party 1's batch for two other ciphertexts of this channel.
+    let mut rng = StdRng::seed_from_u64(10);
+    let enc = &ctxs[1].keys().common.enc;
+    let others: Vec<Ciphertext> = requests
+        .iter()
+        .map(|r| enc.encrypt(pid.as_bytes(), r, &mut rng))
+        .collect();
+    let others: Vec<&Ciphertext> = others.iter().collect();
+    let elsewhere = ctxs[1].release_dec_batch(&pid, 0, &others).forget();
+    let elsewhere = Forged {
+        what: "sc-shares for other ciphertexts, its round pending",
+        check_work: refused_batch(&elsewhere),
+        offered: offered(&elsewhere),
+    };
+    // Party 1's valid batch for these ciphertexts in round 5.
+    let later = ctxs[1].release_dec_batch(&pid, 5, &cts).forget();
+    let later = Forged {
+        what: "sc-shares carrying a valid proof for another round",
+        check_work: refused_batch(&later),
+        offered: offered(&later),
+    };
+    // Party 1's own batch with its second value times p - 1, an order-2
+    // component: a product test of membership would let it through with
+    // an even weight.
+    let mut negated = (*ctxs[1].release_dec_batch(&pid, 0, &cts)).clone();
+    let p = enc.group().modulus();
+    negated.values[1] = p - &negated.values[1];
+    let negated: Unchecked<DecryptionBatch> = negated.into();
+    let negated = Forged {
+        what: "sc-shares with one value times p - 1",
+        check_work: refused_batch(&negated),
+        offered: offered(&negated),
+    };
+    // Refused whole, and the plaintexts still arrive with party 2's.
+    let resolving = shares_body(0, ctxs[2].release_dec_batch(&pid, 0, &cts).forget());
+    chan.handle(PartyId(2), &pid, &resolving, &mut Outgoing::new());
+    let delivered: Vec<Vec<u8>> = std::iter::from_fn(|| chan.take_delivery())
+        .map(|p| p.data)
+        .collect();
+    assert_eq!(delivered, requests.map(<[u8]>::to_vec));
+    [elsewhere, later, negated]
 }
 
 fn forged_ack(ctxs: &[GroupContext]) -> Forged {
@@ -739,7 +848,7 @@ fn forged_closing(ctxs: &[GroupContext]) -> Forged {
 #[test]
 fn forged_messages_cost_their_check_and_change_nothing() {
     let ctxs = group();
-    let table = [
+    let mut table = vec![
         forged_echo(&ctxs),
         forged_final(&ctxs),
         forged_pre_vote(&ctxs),
@@ -748,11 +857,11 @@ fn forged_messages_cost_their_check_and_change_nothing() {
         forged_coin_share(&ctxs),
         forged_entry(&ctxs),
         forged_fetched(&ctxs),
-        forged_dec_share(&ctxs),
         forged_ack(&ctxs),
         forged_state(&ctxs),
         forged_closing(&ctxs),
     ];
+    table.extend(forged_dec_batches(&ctxs));
     for row in table {
         let (spent, owed) = (row.offered.work, row.check_work);
         assert!(owed > 0.0, "{}: the check is not free", row.what);

@@ -2,10 +2,10 @@
 //!
 //! Round-trip tests hold when encode and decode are wrong in the same
 //! way — two fields swapped in a declaration, a tag renumbered on both
-//! sides. This test pins the bytes: the SHA-256 below was recorded by
-//! running this file against the hand-written codec the declarations
-//! replaced (wire format 3), and changes only with a
-//! `WIRE_FORMAT_VERSION` bump.
+//! sides. This test pins the bytes: the SHA-256 below was first recorded
+//! against the hand-written codec the declarations replaced (wire format
+//! 3), re-recorded when format 4 replaced `sc-share` with `sc-shares`,
+//! and changes only with a `WIRE_FORMAT_VERSION` bump.
 
 mod corpus;
 
@@ -16,8 +16,8 @@ use sintra_core::wire::{put_bytes, Shape, Wire, WIRE_FORMAT_VERSION};
 use sintra_core::ProtocolId;
 use sintra_crypto::hash::Sha256;
 
-const CORPUS_BYTES: usize = 1696;
-const CORPUS_SHA256: &str = "899d3ab0531bafb7efa39f329a175b306652f9e075db27aabd7786d08d3d9d03";
+const CORPUS_BYTES: usize = 1702;
+const CORPUS_SHA256: &str = "e4f546e9a567a51d380148161efbd7b6db9449f0cd904bd7f98201f963a541e9";
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -25,7 +25,7 @@ fn hex(bytes: &[u8]) -> String {
 
 #[test]
 fn corpus_encodes_to_the_recorded_bytes() {
-    assert_eq!(WIRE_FORMAT_VERSION, 3, "new format: record a new answer");
+    assert_eq!(WIRE_FORMAT_VERSION, 4, "new format: record a new answer");
     let cases = corpus::corpus();
     let mut all = Vec::new();
     for case in &cases {

@@ -35,8 +35,8 @@ fn changed_layout_without_a_version_bump_is_refused() {
     assert!(refusal.contains("WIRE_FORMAT_VERSION"), "{refusal}");
     // With the version moved as well, it is a declared wire change.
     let older = stale.replacen(
+        "\"wire_format_version\": 4",
         "\"wire_format_version\": 3",
-        "\"wire_format_version\": 2",
         1,
     );
     assert_eq!(regenerate(&older).as_deref(), Ok(GOLDEN));
@@ -89,7 +89,7 @@ const SIGNED: [&str; 7] = [
     "ThresholdSignature",
     "RsaSignature",
     "CoinShare",
-    "DecryptionShare",
+    "DecryptionBatch",
     "Entry",
     "EntryRef",
 ];

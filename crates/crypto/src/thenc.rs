@@ -15,7 +15,7 @@
 use rand::Rng;
 use sintra_bigint::Ubig;
 
-use crate::dleq::{self, BatchEntry, DleqProof, DleqStatement};
+use crate::dleq::{self, BatchEntry, DleqProof, DleqStatement, ManyStatement};
 use crate::group::SchnorrGroup;
 use crate::polynomial::{lagrange_at_zero, Polynomial};
 use crate::{chacha, hash, CryptoError, Result};
@@ -70,6 +70,19 @@ pub struct DecryptionShare {
     /// The share value `u^{x_i}`.
     pub value: Ubig,
     /// DLEQ proof against the verification key.
+    pub proof: DleqProof,
+}
+
+/// One party's decryption shares for several ciphertexts, `u_j^{x_i}` in
+/// the order of the ciphertexts, under one batched DLEQ proof
+/// ([`dleq::prove_many`]) against the verification key `h_i`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecryptionBatch {
+    /// 0-based index of the releasing party.
+    pub index: usize,
+    /// The share values, one per ciphertext.
+    pub values: Vec<Ubig>,
+    /// One proof that every value has the exponent of `h_i`.
     pub proof: DleqProof,
 }
 
@@ -302,6 +315,102 @@ impl EncScheme {
         ok
     }
 
+    /// What holder `index`'s batched proof is bound to besides its pairs.
+    fn bound(context: &[u8], index: usize) -> Vec<u8> {
+        [context, &(index as u32).to_be_bytes()].concat()
+    }
+
+    /// This party's decryption shares for `cts`, every one of which has
+    /// passed [`EncScheme::verify_ciphertext`], under one proof bound to
+    /// `context` (in SINTRA the channel and the round that ordered them).
+    /// With one ciphertext the value and proof are
+    /// [`EncScheme::decryption_share_prechecked`]'s, at the same cost.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cts` is empty.
+    pub fn batch_share_prechecked(
+        &self,
+        context: &[u8],
+        cts: &[&Ciphertext],
+        secret: &EncSecretShare,
+    ) -> DecryptionBatch {
+        let values: Vec<Ubig> = cts
+            .iter()
+            .map(|ct| self.group.pow(&ct.u, &secret.key))
+            .collect();
+        let us: Vec<&Ubig> = cts.iter().map(|ct| &ct.u).collect();
+        let vs: Vec<&Ubig> = values.iter().collect();
+        let stmt = ManyStatement {
+            h: &self.public.verification_keys[secret.index],
+            us: &us,
+            vs: &vs,
+            context: &Self::bound(context, secret.index),
+        };
+        let proof = dleq::prove_many(&self.group, SHARE_DOMAIN, &stmt, &secret.key);
+        DecryptionBatch {
+            index: secret.index,
+            values,
+            proof,
+        }
+    }
+
+    /// Verifies a peer's batch for `cts` under `context`: one value per
+    /// ciphertext, each a subgroup member (tested one by one, stopping at
+    /// the first that is not), and the batched proof. A batch of one
+    /// costs what [`EncScheme::verify_share`] does.
+    ///
+    /// Same precondition as [`EncScheme::verify_share`]: every ciphertext
+    /// has passed [`EncScheme::verify_ciphertext`].
+    pub fn verify_batch_share(
+        &self,
+        context: &[u8],
+        cts: &[&Ciphertext],
+        batch: &DecryptionBatch,
+    ) -> bool {
+        if batch.index >= self.public.n || cts.is_empty() || batch.values.len() != cts.len() {
+            return false;
+        }
+        if !batch.values.iter().all(|v| self.group.is_element(v)) {
+            return false;
+        }
+        let us: Vec<&Ubig> = cts.iter().map(|ct| &ct.u).collect();
+        let vs: Vec<&Ubig> = batch.values.iter().collect();
+        let stmt = ManyStatement {
+            h: &self.public.verification_keys[batch.index],
+            us: &us,
+            vs: &vs,
+            context: &Self::bound(context, batch.index),
+        };
+        dleq::verify_many_preverified(&self.group, SHARE_DOMAIN, &stmt, &batch.proof)
+    }
+
+    /// The plaintexts of `cts` from the first `k` of `batches`, each of
+    /// which was verified against `cts` ([`EncScheme::verify_batch_share`])
+    /// or produced here; the Lagrange coefficients are computed once for
+    /// all of them.
+    ///
+    /// # Errors
+    ///
+    /// Fails on too few batches, an out-of-range or duplicate holder, or
+    /// a batch whose length is not the number of ciphertexts.
+    pub fn combine_batches_prechecked(
+        &self,
+        cts: &[&Ciphertext],
+        batches: &[&DecryptionBatch],
+    ) -> Result<Vec<Vec<u8>>> {
+        let used = self.combining_set(batches, |b| b.index)?;
+        if let Some(short) = used.iter().find(|b| b.values.len() != cts.len()) {
+            return Err(CryptoError::InvalidShare { index: short.index });
+        }
+        let lambdas = self.lagrange(used.iter().map(|b| b.index));
+        let plaintexts = cts.iter().enumerate().map(|(j, ct)| {
+            let values = used.iter().map(|b| &b.values[j]);
+            self.open(ct, values.zip(&lambdas).collect())
+        });
+        Ok(plaintexts.collect())
+    }
+
     /// Combines `k` decryption shares and recovers the plaintext.
     ///
     /// # Errors
@@ -312,7 +421,7 @@ impl EncScheme {
         if !self.verify_ciphertext(ct) {
             return Err(CryptoError::InvalidCiphertext);
         }
-        let used = self.combining_set(shares)?;
+        let used = self.combining_set(shares, |s| s.index)?;
         for (share, valid) in used.iter().zip(self.verify_shares(ct, used)) {
             if !valid {
                 return Err(CryptoError::InvalidShare { index: share.index });
@@ -334,11 +443,15 @@ impl EncScheme {
         ct: &Ciphertext,
         shares: &[DecryptionShare],
     ) -> Result<Vec<u8>> {
-        Ok(self.recover(ct, self.combining_set(shares)?))
+        Ok(self.recover(ct, self.combining_set(shares, |s| s.index)?))
     }
 
     /// The first `k` shares, provided they name `k` distinct holders.
-    fn combining_set<'a>(&self, shares: &'a [DecryptionShare]) -> Result<&'a [DecryptionShare]> {
+    fn combining_set<'a, S>(
+        &self,
+        shares: &'a [S],
+        index: impl Fn(&S) -> usize,
+    ) -> Result<&'a [S]> {
         if shares.len() < self.public.k {
             return Err(CryptoError::NotEnoughShares {
                 needed: self.public.k,
@@ -348,27 +461,33 @@ impl EncScheme {
         let used = &shares[..self.public.k];
         let mut seen = vec![false; self.public.n];
         for share in used {
-            if share.index >= self.public.n {
-                return Err(CryptoError::InvalidShare { index: share.index });
+            let index = index(share);
+            if index >= self.public.n {
+                return Err(CryptoError::InvalidShare { index });
             }
-            if seen[share.index] {
-                return Err(CryptoError::DuplicateShare { index: share.index });
+            if seen[index] {
+                return Err(CryptoError::DuplicateShare { index });
             }
-            seen[share.index] = true;
+            seen[index] = true;
         }
         Ok(used)
+    }
+
+    /// The Lagrange coefficients at zero of distinct holders.
+    fn lagrange(&self, holders: impl Iterator<Item = usize>) -> Vec<Ubig> {
+        let points: Vec<u64> = holders.map(|index| index as u64 + 1).collect();
+        lagrange_at_zero(&points, self.group.order())
     }
 
     /// Lagrange-interpolates `h^r` from verified shares of distinct
     /// holders and opens the payload.
     fn recover(&self, ct: &Ciphertext, used: &[DecryptionShare]) -> Vec<u8> {
-        let points: Vec<u64> = used.iter().map(|s| s.index as u64 + 1).collect();
-        let lambdas = lagrange_at_zero(&points, self.group.order());
-        let pairs: Vec<(&Ubig, &Ubig)> = used
-            .iter()
-            .zip(lambdas.iter())
-            .map(|(share, lambda)| (&share.value, lambda))
-            .collect();
+        let lambdas = self.lagrange(used.iter().map(|s| s.index));
+        self.open(ct, used.iter().map(|s| &s.value).zip(&lambdas).collect())
+    }
+
+    /// Opens the payload with `h^r = ∏ value^λ`.
+    fn open(&self, ct: &Ciphertext, pairs: Vec<(&Ubig, &Ubig)>) -> Vec<u8> {
         let shared = self.group.multi_pow(&pairs);
         chacha::open(&shared.to_be_bytes(), &ct.data)
     }
@@ -548,6 +667,132 @@ mod tests {
         let mut other = ct.clone();
         other.data.push(0);
         assert_ne!(ciphertext_digest(&ct), ciphertext_digest(&other));
+    }
+
+    /// `m` valid ciphertexts and every holder's batch for them.
+    fn batches(
+        scheme: &EncScheme,
+        secrets: &[EncSecretShare],
+        rng: &mut StdRng,
+        m: usize,
+    ) -> (Vec<Ciphertext>, Vec<DecryptionBatch>) {
+        let cts: Vec<Ciphertext> = (0..m)
+            .map(|j| scheme.encrypt(b"l", format!("message {j}").as_bytes(), rng))
+            .collect();
+        let refs: Vec<&Ciphertext> = cts.iter().collect();
+        let batches = secrets
+            .iter()
+            .map(|s| scheme.batch_share_prechecked(b"round 7", &refs, s))
+            .collect();
+        (cts, batches)
+    }
+
+    #[test]
+    fn batch_roundtrip() {
+        let (scheme, secrets, mut rng) = setup(4, 2);
+        for m in [1, 2, 8] {
+            let (cts, batches) = batches(&scheme, &secrets, &mut rng, m);
+            let refs: Vec<&Ciphertext> = cts.iter().collect();
+            for batch in &batches {
+                assert!(
+                    scheme.verify_batch_share(b"round 7", &refs, batch),
+                    "m = {m}"
+                );
+            }
+            for pair in [[0usize, 1], [3, 1], [2, 0]] {
+                let used = [&batches[pair[0]], &batches[pair[1]]];
+                let plaintexts = scheme.combine_batches_prechecked(&refs, &used).unwrap();
+                let expected: Vec<Vec<u8>> = (0..m)
+                    .map(|j| format!("message {j}").into_bytes())
+                    .collect();
+                assert_eq!(plaintexts, expected, "m = {m}, holders {pair:?}");
+            }
+            // Each value is the holder's single share of its ciphertext.
+            for (j, ct) in cts.iter().enumerate() {
+                let single = scheme.decryption_share_prechecked(ct, &secrets[1]);
+                assert_eq!(batches[1].values[j], single.value);
+            }
+        }
+    }
+
+    #[test]
+    fn batch_of_one_is_the_single_share_at_its_cost() {
+        use crate::cost::CostScope;
+        let (scheme, secrets, mut rng) = setup(4, 2);
+        let ct = scheme.encrypt(b"l", b"alone", &mut rng);
+        let priced = |f: &dyn Fn()| {
+            let scope = CostScope::enter();
+            f();
+            scope.elapsed()
+        };
+        let single = scheme.decryption_share_prechecked(&ct, &secrets[2]);
+        let batch = scheme.batch_share_prechecked(b"round 7", &[&ct], &secrets[2]);
+        assert_eq!(
+            (&batch.values[..], &batch.proof),
+            (&[single.value.clone()][..], &single.proof)
+        );
+        let release_single = priced(&|| {
+            scheme.decryption_share_prechecked(&ct, &secrets[2]);
+        });
+        let release_batch = priced(&|| {
+            scheme.batch_share_prechecked(b"round 7", &[&ct], &secrets[2]);
+        });
+        assert_eq!(release_batch, release_single);
+        let check_single = priced(&|| assert!(scheme.verify_share(&ct, &single)));
+        let check_batch =
+            priced(&|| assert!(scheme.verify_batch_share(b"round 7", &[&ct], &batch)));
+        assert_eq!(check_batch, check_single);
+    }
+
+    #[test]
+    fn forged_batches_refused() {
+        let (scheme, secrets, mut rng) = setup(4, 2);
+        let (cts, batches) = batches(&scheme, &secrets, &mut rng, 3);
+        let refs: Vec<&Ciphertext> = cts.iter().collect();
+        let good = &batches[1];
+        let mut swapped = good.clone();
+        swapped.values.swap(0, 2);
+        let mut other_holder = good.clone();
+        other_holder.values[1] = batches[2].values[1].clone();
+        let mut renamed = batches[2].clone();
+        renamed.index = 1;
+        let mut truncated = good.clone();
+        truncated.values.pop();
+        let mut order_two = good.clone();
+        order_two.values[0] = scheme.group().modulus() - &order_two.values[0];
+        for (what, batch, context) in [
+            ("swapped values", &swapped, &b"round 7"[..]),
+            ("a value from another holder", &other_holder, b"round 7"),
+            (
+                "another holder's batch under this index",
+                &renamed,
+                b"round 7",
+            ),
+            ("a truncated vector", &truncated, b"round 7"),
+            ("a value times p - 1", &order_two, b"round 7"),
+            ("another round or channel", good, b"round 8"),
+        ] {
+            assert!(!scheme.verify_batch_share(context, &refs, batch), "{what}");
+        }
+        assert!(
+            !scheme.verify_batch_share(b"round 7", &refs[..2], good),
+            "fewer ciphertexts"
+        );
+        let reordered = [refs[1], refs[0], refs[2]];
+        assert!(
+            !scheme.verify_batch_share(b"round 7", &reordered, good),
+            "reordered"
+        );
+        let mut short = batches[0].clone();
+        short.values.pop();
+        assert!(matches!(
+            scheme.combine_batches_prechecked(&refs, &[good, &short]),
+            Err(CryptoError::InvalidShare { index: 0 })
+        ));
+        assert!(matches!(
+            scheme.combine_batches_prechecked(&refs, &[good, good]),
+            Err(CryptoError::DuplicateShare { index: 1 })
+        ));
     }
 
     #[test]

@@ -159,7 +159,7 @@ pub fn waiting_on(instance: &JsonValue) -> Option<String> {
                 let _ = write!(
                     line,
                     "{pending} ordered ciphertext(s) awaiting decryption \
-                     (front has {shares}/{threshold} shares)"
+                     (front round has {shares}/{threshold} share batches)"
                 );
             }
             if let Some(inner) = inner_line {
