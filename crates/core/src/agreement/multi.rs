@@ -127,6 +127,8 @@ fn seeded_permutation(n: usize, mut state: u64) -> Vec<usize> {
         state ^= state >> 12;
         state ^= state << 25;
         state ^= state >> 27;
+        // The remainder is at most `i`, a `usize`.
+        #[allow(clippy::cast_possible_truncation)]
         let j = (state.wrapping_mul(0x2545F4914F6CDD1D) % (i as u64 + 1)) as usize;
         perm.swap(i, j);
     }

@@ -1492,7 +1492,7 @@ mod tests {
         for (origin, chan) in chans.iter_mut().enumerate().skip(1) {
             let mut out = Outgoing::new();
             for k in 0..4u8 {
-                chan.send(vec![origin as u8, k], &mut out);
+                chan.send(vec![u8::try_from(origin).unwrap(), k], &mut out);
             }
             outs.push((origin, out));
         }

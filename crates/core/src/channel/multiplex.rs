@@ -511,8 +511,8 @@ mod tests {
     /// messages must emit identical ordered deliveries *and* identical
     /// outgoing message streams — the BFT state-machine-replication
     /// contract. This is what the `BTreeMap` instance map (rather than a
-    /// randomly-seeded `HashMap`) guarantees structurally; `sintra-lint`'s
-    /// `determinism` rule keeps it that way.
+    /// randomly-seeded `HashMap`) guarantees structurally; the crate's
+    /// `clippy.toml` refuses `HashMap` and `HashSet` to keep it that way.
     #[test]
     fn replicas_with_same_input_emit_identical_output() {
         let ctxs = group(4, 1);
@@ -525,7 +525,7 @@ mod tests {
         for (sender, chan) in chans.iter_mut().enumerate().take(3) {
             for k in 0..3u8 {
                 let mut out = Outgoing::new();
-                chan.send(vec![sender as u8, k], &mut out);
+                chan.send(vec![u8::try_from(sender).unwrap(), k], &mut out);
                 outs.push((sender, out));
             }
         }

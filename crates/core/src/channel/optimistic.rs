@@ -302,8 +302,10 @@ impl OptimisticChannel {
     }
 
     /// The current epoch's leader (sequencer).
+    // The remainder is below `n`, a `usize`.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn leader(&self) -> PartyId {
-        PartyId((self.epoch as usize) % self.ctx.n())
+        PartyId((self.epoch % self.ctx.n() as u64) as usize)
     }
 
     /// Whether `send` is currently allowed.
@@ -994,7 +996,7 @@ mod tests {
         for (i, chan) in chans.iter_mut().enumerate() {
             let mut out = Outgoing::new();
             for k in 0..3u8 {
-                chan.send(vec![i as u8, k], &mut out);
+                chan.send(vec![u8::try_from(i).unwrap(), k], &mut out);
             }
             outs.push((i, out));
         }

@@ -23,7 +23,7 @@ impl fmt::Debug for GroupContext {
         f.debug_struct("GroupContext")
             .field("me", &self.me())
             .field("n", &self.n())
-            .field("t", &self.t())
+            .field("t", &self.fault_budget())
             .finish()
     }
 }
@@ -44,50 +44,43 @@ impl GroupContext {
         self.keys.n()
     }
 
-    /// Corruption bound `t`.
-    pub fn t(&self) -> usize {
-        self.keys.t()
-    }
-
     /// The Byzantine quorum `⌈(n + t + 1) / 2⌉` used by both broadcast
     /// primitives (any two quorums intersect in an honest party).
     ///
     /// All threshold arithmetic lives in this file so protocol code
-    /// never spells out `n`/`t` expressions inline — `sintra-lint`'s
-    /// `quorum-arithmetic` rule enforces that.
+    /// never spells out `n`/`t` expressions inline. There is no `t()`
+    /// accessor to write `t + 1` with: the corruption bound leaves this
+    /// type only as [`fault_budget`](Self::fault_budget). Arithmetic on
+    /// `n()`, which sizing and indexing still need, is left to review.
     pub fn quorum(&self) -> usize {
-        // lint:allow(quorum-arithmetic): definitional — this helper is where the bound lives
-        (self.n() + self.t() + 1).div_ceil(2)
+        (self.n() + self.keys.t() + 1).div_ceil(2)
     }
 
     /// `n - t`: the number of messages a party can wait for without
     /// risking deadlock (paper §2: up to `t` parties may never answer).
     pub fn n_minus_t(&self) -> usize {
-        // lint:allow(quorum-arithmetic): definitional — this helper is where the bound lives
-        self.n() - self.t()
+        self.n() - self.keys.t()
     }
 
     /// `t + 1`: the smallest set of parties guaranteed to contain at
     /// least one honest member. Used wherever a single honest witness
     /// suffices — echo amplification, close requests, complaints.
     pub fn one_honest(&self) -> usize {
-        // lint:allow(quorum-arithmetic): definitional — this helper is where the bound lives
-        self.t() + 1
+        self.keys.t() + 1
     }
 
     /// `t`: the corruption budget itself, for "strictly more than the
     /// faulty parties could produce alone" comparisons
     /// (`count > fault_budget()` is equivalent to `count >= one_honest()`).
     pub fn fault_budget(&self) -> usize {
-        self.t()
+        self.keys.t()
     }
 
     /// `2t + 1`: Bracha's ready quorum. A set of `2t + 1` ready senders
     /// contains `t + 1` honest ones, enough to make every honest party
     /// eventually ready, so delivery at this bound is irrevocable.
     pub fn ready_quorum(&self) -> usize {
-        // lint:allow(quorum-arithmetic): definitional — this helper is where the bound lives
-        2 * self.t() + 1
+        2 * self.keys.t() + 1
     }
 
     /// The atomic-channel batch size `n - f + 1` that guarantees
@@ -95,7 +88,6 @@ impl GroupContext {
     /// (paper §2.6): any batch assembled from `n - t` received entry
     /// sets intersects the queues of at least `f` honest parties.
     pub fn fairness_batch(&self, f: usize) -> usize {
-        // lint:allow(quorum-arithmetic): definitional — this helper is where the bound lives
         self.n() - f + 1
     }
 
@@ -129,7 +121,6 @@ mod tests {
         let ctx = GroupContext::new(Arc::new(parties[2].clone()));
         assert_eq!(ctx.me(), PartyId(2));
         assert_eq!(ctx.n(), 4);
-        assert_eq!(ctx.t(), 1);
         assert_eq!(ctx.quorum(), 3);
         assert_eq!(ctx.n_minus_t(), 3);
         assert_eq!(ctx.one_honest(), 2);

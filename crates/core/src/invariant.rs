@@ -11,10 +11,10 @@
 //! the live instance snapshots and the recent trace ring, and then
 //! resumes unwinding.
 //!
-//! `sintra-lint`'s `panic-policy` rule bans bare `unwrap()`, `expect()`
-//! and `panic!` in protocol and link code precisely so that every
-//! can't-happen path funnels through these macros (and therefore
-//! through the dump).
+//! `sintra-core` and `sintra-net` deny clippy's `unwrap_used`,
+//! `expect_used`, `panic` and `unreachable` outside tests precisely so
+//! that every can't-happen path funnels through these macros (and
+//! therefore through the dump).
 
 /// Signals a violated protocol invariant with a formatted message.
 ///
@@ -24,7 +24,6 @@
 #[macro_export]
 macro_rules! invariant_violated {
     ($($arg:tt)+) => {
-        // lint:allow(panic-policy): definitional — this macro is the sanctioned panic site
         ::std::panic!("protocol invariant violated: {}", ::std::format_args!($($arg)+))
     };
 }

@@ -34,6 +34,22 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Protocol code stops on a violated invariant only through the
+// `invariant*` macros, which the server loop turns into a dump.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+// Lengths, ids and counts are encoded all over the crate, not only in
+// `wire.rs`: none may truncate silently on its way to the wire.
+#![deny(clippy::cast_possible_truncation)]
 
 pub mod agreement;
 pub mod broadcast;

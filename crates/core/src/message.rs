@@ -558,9 +558,9 @@ pub fn statement_opt_state(pid: &ProtocolId, epoch: u64, entries_digest: &[u8; 3
 // --- wire layouts ----------------------------------------------------------
 //
 // Wire discriminants. Explicit and append-only: renumbering or reusing a
-// tag byte is a wire-format break, so `sintra-lint`'s `wire-stability`
-// rule bans raw tag literals in a codec — every tag lives here, under a
-// name, and the declarations below refer to it by that name.
+// tag byte is a wire-format break, so every tag lives here, under a name,
+// and the declarations below refer to it by that name. `tests/wire_kat.rs`
+// pins the encoded bytes: a renumbered tag changes its corpus digest.
 
 const TAG_RB_SEND: u8 = 0;
 const TAG_RB_ECHO: u8 = 1;

@@ -125,6 +125,9 @@ impl Node {
     /// Charges the work measured by `scope` to `pid`'s root instance.
     fn attribute_crypto(&self, pid: &ProtocolId, scope: Option<CostScope>) {
         if let Some(scope) = scope {
+            // A work reading is a small non-negative count of milli-units,
+            // and `as` saturates rather than wraps.
+            #[allow(clippy::cast_possible_truncation)]
             let milli = (scope.elapsed() * CRYPTO_WORK_MILLI).round() as u64;
             if milli > 0 {
                 self.recorder

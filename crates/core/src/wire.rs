@@ -452,8 +452,8 @@ impl Wire for usize {
 pub const WIRE_FORMAT_VERSION: u32 = 4;
 
 /// Wire discriminants. Explicit and append-only: renumbering or reusing
-/// a tag byte is a wire-format break (`sintra-lint`'s `wire-stability`
-/// rule bans raw tag literals so every tag lives here, under a name).
+/// a tag byte is a wire-format break, so every tag lives here, under a
+/// name, and `tests/wire_kat.rs` pins the bytes each one encodes to.
 const TAG_FALSE: u8 = 0;
 const TAG_TRUE: u8 = 1;
 const TAG_NONE: u8 = 0;

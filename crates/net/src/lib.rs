@@ -28,6 +28,19 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Runtime and link code stops on a violated invariant only through
+// `sintra-core`'s `invariant*` macros, which write a dump first.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod link;
 pub mod metrics;

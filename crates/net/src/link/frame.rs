@@ -198,7 +198,8 @@ impl LinkKey {
         // Every kind's fixed fields fit in a kind byte, two nonces and a u64.
         let mut frame = Vec::with_capacity(4 + 4 + 1 + 2 * NONCE_LEN + 8 + payload_len + TAG_LEN);
         frame.extend_from_slice(&[0; 4]);
-        frame.extend_from_slice(&(self.local.0 as u32).to_be_bytes());
+        let sender = u32::try_from(self.local.0).or_invariant("party id exceeds the u32 field");
+        frame.extend_from_slice(&sender.to_be_bytes());
         kind.encode_body(&mut frame);
         let tag = self.key.sign(&frame[4..]);
         frame.extend_from_slice(&tag);
@@ -409,7 +410,7 @@ mod tests {
             assert!(b.open(&frame[..cut]).is_err());
         }
         let mut huge = frame.clone();
-        huge[..4].copy_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_be_bytes());
+        huge[..4].copy_from_slice(&(u32::try_from(MAX_FRAME_LEN).unwrap() + 1).to_be_bytes());
         assert_eq!(b.open(&huge), Err(LinkError::Oversized));
     }
 
@@ -445,10 +446,10 @@ mod tests {
     fn frame_buffer_reassembles_byte_dribble() {
         let (a, b) = key_pair();
         let mut wire = Vec::new();
-        let sent: Vec<FrameKind> = (0..5)
+        let sent: Vec<FrameKind> = (0..5u8)
             .map(|i| FrameKind::Data {
-                seq: i + 1,
-                payload: vec![i as u8; (i * 17) as usize],
+                seq: u64::from(i) + 1,
+                payload: vec![i; usize::from(i) * 17],
             })
             .collect();
         for kind in &sent {
@@ -470,10 +471,10 @@ mod tests {
     fn frame_buffer_ref_variant_matches_owning_variant() {
         let (a, b) = key_pair();
         let mut wire = Vec::new();
-        let sent: Vec<FrameKind> = (0..64)
+        let sent: Vec<FrameKind> = (0..64u8)
             .map(|i| FrameKind::Data {
-                seq: i + 1,
-                payload: vec![i as u8; (i * 13 % 97) as usize],
+                seq: u64::from(i) + 1,
+                payload: vec![i; usize::from(i) * 13 % 97],
             })
             .collect();
         for kind in &sent {

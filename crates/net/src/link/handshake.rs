@@ -84,6 +84,8 @@ pub fn read_frame<S: Read>(stream: &mut S) -> Result<Vec<u8>, HandshakeError> {
 /// only needs freshness against replay, which uniqueness provides.
 pub fn fresh_nonce() -> [u8; NONCE_LEN] {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
+    // The low 64 bits of the clock are as fresh as all of them.
+    #[allow(clippy::cast_possible_truncation)]
     let nanos = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_nanos() as u64)

@@ -24,6 +24,10 @@
 //! machinery over real sockets and carries no private framing or MAC
 //! code.
 
+// Frame lengths, sequence numbers and ids cross the wire here: none may
+// truncate silently.
+#![deny(clippy::cast_possible_truncation)]
+
 pub mod frame;
 pub mod handshake;
 pub mod reliable;

@@ -237,8 +237,8 @@ impl ReliableLink {
     /// large frames cannot stall the link short of `ack_every`.
     pub fn ack_overdue(&self) -> bool {
         let frames = self.recv_cum - self.last_acked_out;
-        let byte_bound =
-            (self.config.max_unacked_bytes / self.config.ack_every.max(1) as usize).max(1);
+        let every = usize::try_from(self.config.ack_every.max(1)).unwrap_or(usize::MAX);
+        let byte_bound = (self.config.max_unacked_bytes / every).max(1);
         frames >= self.config.ack_every || self.unacked_in_bytes >= byte_bound
     }
 
@@ -419,7 +419,7 @@ mod tests {
         a.seal_data(b"fits again").unwrap();
         // The high-water mark remembers the peak, not the drained state.
         assert!(a.stats().unacked_bytes_hwm >= 200);
-        assert!(a.stats().unacked_bytes_hwm as usize > a.unacked_bytes());
+        assert!(a.stats().unacked_bytes_hwm > a.unacked_bytes() as u64);
     }
 
     #[test]

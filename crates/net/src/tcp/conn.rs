@@ -38,6 +38,7 @@ use sintra_telemetry::Recorder;
 use crate::link::handshake::{self, fresh_nonce};
 use crate::link::{frame_sender, FrameBuffer, FrameKind, LinkEvent, LinkKey, ReliableLink};
 use crate::server::Input;
+use crate::tcp::lock;
 use sintra_core::invariant::OrInvariant;
 
 /// Reconnection backoff policy: exponential growth from `initial_ms` to
@@ -179,13 +180,13 @@ impl PeerLink {
     /// Forcibly closes the current socket (if any); the reader and the
     /// next write observe the error and the supervisor reconnects.
     pub(crate) fn sever(&self) {
-        if let Some(s) = self.control.lock().unwrap().as_ref() {
+        if let Some(s) = lock(&self.control).as_ref() {
             let _ = s.shutdown(Shutdown::Both);
         }
     }
 
     fn clear_if_gen(&self, gen: u64) {
-        let mut w = self.wstream.lock().unwrap();
+        let mut w = lock(&self.wstream);
         if matches!(&*w, Some(c) if c.gen == gen) {
             *w = None;
         }
@@ -206,7 +207,7 @@ impl PeerLink {
     }
 
     fn with_carrier<R>(&self, io: impl FnOnce(&mut Carrier) -> std::io::Result<R>) -> Option<R> {
-        let mut slot = self.wstream.lock().unwrap();
+        let mut slot = lock(&self.wstream);
         let carrier = slot.as_mut()?;
         match io(carrier) {
             Ok(r) => Some(r),
@@ -252,7 +253,7 @@ impl PartyNet {
     }
 
     pub(crate) fn register_thread(&self, handle: std::thread::JoinHandle<()>) {
-        self.threads.lock().unwrap().push(handle);
+        lock(&self.threads).push(handle);
     }
 
     /// Writes one frame to `peer` (see [`PeerLink::write`]) and counts
@@ -286,7 +287,7 @@ pub(crate) fn install_connection(
     let gen = net_install_gen(peer);
     // Tear down the previous carrier, if any.
     {
-        let mut control = peer.control.lock().unwrap();
+        let mut control = lock(&peer.control);
         if let Some(old) = control.take() {
             let _ = old.shutdown(Shutdown::Both);
         }
@@ -301,9 +302,9 @@ pub(crate) fn install_connection(
         }
         // The replay is written before the write lock is released, so
         // no frame sealed after it can reach the new socket first.
-        let mut slot = peer.wstream.lock().unwrap();
+        let mut slot = lock(&peer.wstream);
         let carrier = slot.insert(Carrier::new(gen, writer_stream));
-        let frames = peer.link.lock().unwrap().replay_from(peer_cum);
+        let frames = lock(&peer.link).replay_from(peer_cum);
         for frame in &frames {
             if carrier.push(frame).is_err() {
                 // The fresh socket already died; its reader reports it.
@@ -472,7 +473,7 @@ fn pump_conn(
         // The inbox is unbounded, so the send never blocks while the
         // lock is held.
         let outcome = {
-            let mut link = peer.link.lock().unwrap();
+            let mut link = lock(&peer.link);
             match link.on_frame(frame) {
                 Ok(LinkEvent::Deliver(payload)) => {
                     let _ = inbox.send(Input::Net {
@@ -513,7 +514,7 @@ fn pump_conn(
         // for large frames: it prunes the peer's retransmission queue,
         // and a resume handshake carries the watermark anyway.
         let ack = {
-            let mut link = peer.link.lock().unwrap();
+            let mut link = lock(&peer.link);
             if link.ack_overdue() {
                 link.make_ack()
             } else {
@@ -565,7 +566,7 @@ pub(crate) fn dial_supervisor(
                 continue;
             }
         };
-        let recv_cum = peer.link.lock().unwrap().recv_cum();
+        let recv_cum = lock(&peer.link).recv_cum();
         let peer_cum = match handshake::initiate(&mut stream, &key_of(&peer), recv_cum) {
             Ok(cum) => cum,
             Err(_) => {
@@ -639,7 +640,7 @@ pub(crate) fn listener_loop(net: Arc<PartyNet>, listener: TcpListener) {
 /// here; when [`MAX_INBOUND_HANDSHAKES`] are still running, the attempt
 /// is dropped instead of spawning without bound.
 fn spawn_inbound(net: &Arc<PartyNet>, stream: TcpStream) {
-    let mut slots = net.handshake_threads.lock().unwrap();
+    let mut slots = lock(&net.handshake_threads);
     slots.retain(|h| !h.is_finished());
     if slots.len() >= MAX_INBOUND_HANDSHAKES {
         net.count("handshake_rejects", 1);
@@ -692,7 +693,7 @@ fn handle_inbound(net: &Arc<PartyNet>, mut stream: TcpStream) {
             return;
         }
     };
-    let recv_cum = peer.link.lock().unwrap().recv_cum();
+    let recv_cum = lock(&peer.link).recv_cum();
     let peer_cum = match handshake::respond(&mut stream, &key_of(peer), nonce, recv_cum) {
         Ok(cum) => cum,
         Err(_) => {
@@ -707,7 +708,7 @@ fn handle_inbound(net: &Arc<PartyNet>, mut stream: TcpStream) {
 }
 
 fn key_of(peer: &Arc<PeerLink>) -> LinkKey {
-    peer.link.lock().unwrap().key().clone()
+    lock(&peer.link).key().clone()
 }
 
 /// Sleeps `ms`, interruptible by a shutdown event. Returns `true` when

@@ -20,9 +20,22 @@
 //! `PartyCore` the simulator steps, and hands its envelopes to a
 //! transport whose frames cross real sockets.
 
+use std::sync::{Mutex, MutexGuard};
+
 mod conn;
 mod runtime;
 
 pub use conn::{BackoffConfig, LINK_SCOPE};
 pub(crate) use runtime::TcpTransport;
 pub use runtime::{TcpConfig, TcpGroup, TcpHandle};
+
+/// Locks `mutex`. A poisoned lock means a sibling thread already
+/// panicked while holding it, and this thread panics in turn: the party
+/// is down either way.
+#[allow(
+    clippy::unwrap_used,
+    reason = "poisoning is a panic already under way on another thread"
+)]
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap()
+}

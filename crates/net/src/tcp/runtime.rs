@@ -26,6 +26,7 @@ use crate::tcp::conn::{
     accept_supervisor, dial_supervisor, listener_loop, poll_loop, BackoffConfig, PartyNet,
     PeerLink, SupEvent,
 };
+use crate::tcp::lock;
 use crate::PartyHandle;
 use sintra_core::invariant::OrInvariant;
 
@@ -96,7 +97,7 @@ impl TcpTransport {
         };
         // Bound first: the link guard must be gone before the write takes
         // the connection lock (lock order `wstream` → `link`).
-        let sealed = peer.link.lock().unwrap().seal_data(&bytes);
+        let sealed = lock(&peer.link).seal_data(&bytes);
         match sealed {
             Ok(frame) => {
                 self.net.send(peer, &frame, "frames_sent");
@@ -122,7 +123,7 @@ impl TcpTransport {
             .peers
             .iter()
             .flatten()
-            .map(|peer| peer.link.lock().unwrap().snapshot_json())
+            .map(|peer| lock(&peer.link).snapshot_json())
             .collect()
     }
 }
@@ -453,7 +454,7 @@ impl TcpGroup {
                     let mut queue_frames = 0u64;
                     let mut bytes_hwm = 0u64;
                     for peer in sampler_net.peers.iter().flatten() {
-                        let link = peer.link.lock().unwrap();
+                        let link = lock(&peer.link);
                         queue_bytes += link.unacked_bytes() as u64;
                         queue_frames += link.unacked_len() as u64;
                         bytes_hwm = bytes_hwm.max(link.stats().unacked_bytes_hwm);
@@ -532,13 +533,13 @@ impl TcpGroup {
             let _ = listener.join();
         }
         for net in &self.nets {
-            let threads = std::mem::take(&mut *net.threads.lock().unwrap());
+            let threads = std::mem::take(&mut *lock(&net.threads));
             for t in threads {
                 let _ = t.join();
             }
             // In-flight inbound handshakes are bounded by the read
             // timeout; wait them out so no thread outlives the group.
-            let handshakes = std::mem::take(&mut *net.handshake_threads.lock().unwrap());
+            let handshakes = std::mem::take(&mut *lock(&net.handshake_threads));
             for t in handshakes {
                 let _ = t.join();
             }

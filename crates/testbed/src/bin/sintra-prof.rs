@@ -15,6 +15,8 @@
 //! below the threshold (CI's ≥95% gate); `--strict-causal` exits
 //! non-zero when any causal parent dangles.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -21,6 +21,8 @@
 //! its stall detector reports `sintra_stalled 1` — usable directly as a
 //! health check in CI or a deploy gate.
 
+#![forbid(unsafe_code)]
+
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Arc;

@@ -21,6 +21,8 @@
 //! evict old sends; streaming captures should resolve fully) and fail
 //! the run under `--strict-causal`.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 

@@ -1,17 +1,28 @@
 #!/bin/sh
-# Typestate drill: six known verify-before-mutate bugs, re-introduced one
-# at a time into a scratch copy of the workspace, each of which rustc must
-# refuse with a `Checked`/`Unchecked` type mismatch.
+# Drill: known bugs, re-introduced one at a time into a scratch copy of
+# the workspace, each of which rustc, clippy or a test must refuse.
 #
-#   1-3  the ordering bugs the lint's cross-file rule found in PR 10:
+# Typestate (rustc, a `Checked`/`Unchecked` type mismatch):
+#   1-3  three verify-before-mutate ordering bugs once found by static analysis:
 #        `note_proof` ahead of the share check in `on_pre_vote` and in
 #        `on_main_vote`, the round's slot ahead of `acceptable` in
 #        `on_entry`;
-#   4-6  the lint's own mutation drills: the check dropped for `AcEntry`
-#        (atomic.rs), `BaDecide` (binary.rs), `CbFinal` (consistent.rs).
+#   4-6  the check dropped for `AcEntry` (atomic.rs), `BaDecide`
+#        (binary.rs), `CbFinal` (consistent.rs).
+# One row per protocol rule (DESIGN.md §10):
+#   7    determinism: `HashMap` back in multiplex.rs (core's clippy.toml);
+#   8-9  panic policy: a bare `.unwrap()` in the link layer, a `panic!`
+#        in the atomic channel (clippy's unwrap_used / panic);
+#   10   wire stability: a length prefix cast to u32 in optimistic.rs
+#        (clippy's cast_possible_truncation);
+#   11   wire stability: TAG_RB_ECHO and TAG_RB_READY swapped
+#        (tests/wire_kat.rs);
+#   12-13 unsafe budget: `unsafe {}` in hmac.rs (deny) and in sintra-top
+#        (forbid);
+#   14   quorum arithmetic: `self.ctx.t() + 1` (there is no `t()`).
 #
 # Usage: scripts/typestate_drill.sh [scratch-dir]
-# Exit 0 when all six are refused; prints the first rustc error of each.
+# Exit 0 when every row is refused; prints the first error of each.
 
 set -eu
 
@@ -21,23 +32,35 @@ mkdir -p "$scratch"
 copy="$scratch/workspace"
 rm -rf "$copy"
 mkdir -p "$copy"
-# The workspace without build output or the benchmark.
-(cd "$root" && tar cf - --exclude=./target --exclude=./abcbench --exclude=./.git .) | (cd "$copy" && tar xf -)
+# The workspace without build output or the benchmark. Files get the
+# current time (`m`), newer than any build a previous run left behind
+# from a mutated copy.
+(cd "$root" && tar cf - --exclude=./target --exclude=./abcbench --exclude=./.git .) | (cd "$copy" && tar xmf -)
 export CARGO_TARGET_DIR="$scratch/target"
 
-check() {
-    (cd "$copy" && cargo check --offline -q -p sintra-core 2>&1)
+# run <how> <package>: `check`, `clippy` (warnings denied) or
+# `test:<target>` on one package of the copy.
+run() {
+    case $1 in
+        check) (cd "$copy" && cargo check --offline -q -p "$2" 2>&1) ;;
+        clippy) (cd "$copy" && cargo clippy --offline -q -p "$2" -- -D warnings 2>&1) ;;
+        test:*) (cd "$copy" && cargo test --offline -q -p "$2" --test "${1#test:}" 2>&1) ;;
+    esac
 }
 
-if ! check >"$scratch/pristine.log"; then
-    echo "typestate drill: the unmutated copy does not build" >&2
-    cat "$scratch/pristine.log" >&2
-    exit 1
-fi
+for how in clippy:sintra-core clippy:sintra-net check:sintra-crypto \
+    check:sintra-testbed test:wire_kat:sintra-core; do
+    pkg=${how##*:}
+    if ! run "${how%:*}" "$pkg" >"$scratch/pristine.log"; then
+        echo "drill: the unmutated copy fails ${how%:*} on $pkg" >&2
+        cat "$scratch/pristine.log" >&2
+        exit 1
+    fi
+done
 
 # mutate <file> <name>: applies the named edit, which must find its anchor.
 mutate() {
-    python3 - "$copy/crates/core/src/$1" "$2" <<'EOF'
+    python3 - "$copy/$1" "$2" <<'EOF'
 import sys
 path, name = sys.argv[1], sys.argv[2]
 src = open(path).read()
@@ -50,9 +73,9 @@ def move_up(line, above):
     assert src.count(above) == 1, (name, "anchor moved")
     src = src.replace(above, line + above)
 
-def replace(old, new):
+def replace(old, new, count=1):
     global src
-    assert src.count(old) == 1, (name, "anchor moved")
+    assert src.count(old) == count, (name, "anchor moved")
     src = src.replace(old, new)
 
 if name == "note_proof before the share check (on_pre_vote)":
@@ -90,6 +113,42 @@ elif name == "BaDecide: check dropped":
 elif name == "CbFinal: check dropped":
     replace("if let Some(sig) = self.check_final(payload, sig) {",
             "if let Some(sig) = Some(sig.clone()) {")
+elif name == "determinism: HashMap instance table":
+    replace("BTreeMap", "HashMap", src.count("BTreeMap"))
+elif name == "panic policy: bare unwrap in the link":
+    replace("                .pop_front()\n"
+            "                .or_invariant(\"unacked queue lost its matched front\");\n",
+            "                .pop_front()\n"
+            "                .unwrap();\n")
+elif name == "panic policy: panic! on an unacceptable entry":
+    replace("        let Some(entry) = self.acceptable(round, entry) else {\n"
+            "            return;\n"
+            "        };\n"
+            "        let state = self.slot(round, &entry);\n"
+            "        state.arrived.push(",
+            "        let Some(entry) = self.acceptable(round, entry) else {\n"
+            "            panic!(\"unacceptable entry\");\n"
+            "        };\n"
+            "        let state = self.slot(round, &entry);\n"
+            "        state.arrived.push(")
+elif name == "wire stability: truncating length prefix":
+    replace("        put_seq(&mut buf, entries);\n",
+            "        buf.extend_from_slice(&(entries.len() as u32).to_be_bytes());\n"
+            "        for entry in entries {\n"
+            "            entry.encode(&mut buf);\n"
+            "        }\n")
+elif name == "wire stability: renumbered tags":
+    replace("const TAG_RB_ECHO: u8 = 1;\nconst TAG_RB_READY: u8 = 2;\n",
+            "const TAG_RB_ECHO: u8 = 2;\nconst TAG_RB_READY: u8 = 1;\n")
+elif name == "unsafe budget: unsafe in hmac.rs":
+    replace("    pub fn sign(",
+            "    fn raw(&self) {\n        unsafe {}\n    }\n\n    pub fn sign(")
+elif name == "unsafe budget: unsafe in sintra-top":
+    replace("fn main() -> ExitCode {\n",
+            "fn main() -> ExitCode {\n    unsafe {}\n")
+elif name == "quorum arithmetic: t() + 1":
+    replace("if self.close_origins.len() > self.ctx.fault_budget() {",
+            "if self.close_origins.len() >= self.ctx.t() + 1 {")
 else:
     raise SystemExit("unknown mutation " + name)
 open(path, "w").write(src)
@@ -97,35 +156,69 @@ EOF
 }
 
 failed=0
+rows=0
+# drill <how> <package> <file> <pattern> <name>: mutates <file>, runs
+# <how> on <package>, and wants it to fail with an error matching
+# <pattern> (`typestate` for the `Checked`/`Unchecked` mismatch).
 drill() {
-    file=$1
-    name=$2
-    cp "$copy/crates/core/src/$file" "$scratch/pristine.rs"
+    how=$1
+    pkg=$2
+    file=$3
+    pattern=$4
+    name=$5
+    rows=$((rows + 1))
+    cp "$copy/$file" "$scratch/pristine.rs"
     mutate "$file" "$name"
     log="$scratch/drill.log"
-    if check >"$log"; then
-        echo "NOT REFUSED  $name ($file compiles)"
+    if run "$how" "$pkg" >"$log"; then
+        echo "NOT REFUSED  $name ($file passes $how)"
         failed=1
-    elif grep -q 'mismatched types' "$log" && grep -Eq 'expected .*Checked<|found .*Unchecked<' "$log"; then
+    elif [ "$pattern" = typestate ]; then
+        if grep -q 'mismatched types' "$log" && grep -Eq 'expected .*Checked<|found .*Unchecked<' "$log"; then
+            echo "refused      $name"
+            grep -E -m1 -A12 '^error\[E0308\]' "$log" | grep -E '^error|-->|expected|found' | head -4 | sed 's/^/             /'
+        else
+            echo "NOT A TYPE ERROR  $name"
+            cat "$log"
+            failed=1
+        fi
+    elif grep -Eq "$pattern" "$log"; then
         echo "refused      $name"
-        grep -E -m1 -A12 '^error\[E0308\]' "$log" | grep -E '^error|-->|expected|found' | head -4 | sed 's/^/             /'
+        grep -E -m1 -A1 "$pattern" "$log" | sed 's/^/             /'
     else
-        echo "NOT A TYPE ERROR  $name"
+        echo "REFUSED FOR ANOTHER REASON  $name"
         cat "$log"
         failed=1
     fi
-    cp "$scratch/pristine.rs" "$copy/crates/core/src/$file"
+    cp "$scratch/pristine.rs" "$copy/$file"
 }
 
-drill agreement/binary.rs "note_proof before the share check (on_pre_vote)"
-drill agreement/binary.rs "note_proof before the share check (on_main_vote)"
-drill channel/atomic.rs "round slot before acceptable (on_entry)"
-drill channel/atomic.rs "AcEntry: check dropped"
-drill agreement/binary.rs "BaDecide: check dropped"
-drill broadcast/consistent.rs "CbFinal: check dropped"
+core=crates/core/src
+drill check sintra-core $core/agreement/binary.rs typestate "note_proof before the share check (on_pre_vote)"
+drill check sintra-core $core/agreement/binary.rs typestate "note_proof before the share check (on_main_vote)"
+drill check sintra-core $core/channel/atomic.rs typestate "round slot before acceptable (on_entry)"
+drill check sintra-core $core/channel/atomic.rs typestate "AcEntry: check dropped"
+drill check sintra-core $core/agreement/binary.rs typestate "BaDecide: check dropped"
+drill check sintra-core $core/broadcast/consistent.rs typestate "CbFinal: check dropped"
+drill clippy sintra-core $core/channel/multiplex.rs 'disallowed type `std::collections::(hash_map::)?HashMap`' \
+    "determinism: HashMap instance table"
+drill clippy sintra-net crates/net/src/link/reliable.rs 'used `unwrap\(\)`' \
+    "panic policy: bare unwrap in the link"
+drill clippy sintra-core $core/channel/atomic.rs '`panic` should not be present' \
+    "panic policy: panic! on an unacceptable entry"
+drill clippy sintra-core $core/channel/optimistic.rs 'casting `usize` to `u32` may truncate' \
+    "wire stability: truncating length prefix"
+drill test:wire_kat sintra-core $core/message.rs 'the bytes of wire format [0-9]+ changed' \
+    "wire stability: renumbered tags"
+drill check sintra-crypto crates/crypto/src/hmac.rs 'usage of an `unsafe` block' \
+    "unsafe budget: unsafe in hmac.rs"
+drill check sintra-testbed crates/testbed/src/bin/sintra-top.rs 'usage of an `unsafe` block' \
+    "unsafe budget: unsafe in sintra-top"
+drill check sintra-core $core/channel/atomic.rs 'no method named `t` found' \
+    "quorum arithmetic: t() + 1"
 
 if [ "$failed" -ne 0 ]; then
-    echo "typestate drill: a re-introduced bug was not refused by the types" >&2
+    echo "drill: a re-introduced bug was not refused" >&2
     exit 1
 fi
-echo "typestate drill: all six refused by rustc"
+echo "drill: all $rows refused"
