@@ -8,9 +8,11 @@
 //!    round number and sends the signed *entry* to all parties; a party
 //!    with nothing to send may *adopt* another party's payloads and sign
 //!    those;
-//! 2. once a party holds a *batch* of `n - f + 1` entries signed by
-//!    distinct parties, it proposes the batch to a multi-valued agreement
-//!    whose external validity predicate checks exactly that property;
+//! 2. once a party holds `n - t` entries signed by distinct parties, it
+//!    proposes a *batch* of at least `n - f + 1` of them — every further
+//!    held entry that adds a deliverable payload, up to `n` — to a
+//!    multi-valued agreement whose external validity predicate checks
+//!    `n - f + 1 ..= n` references by distinct signers;
 //! 3. the payloads of the agreed batch are delivered in a fixed order
 //!    (entries by signer index, payloads in vector order); payload
 //!    `(origin, seq)` is delivered iff `seq` is the next sequence number
@@ -30,15 +32,17 @@
 //! one-payload entry the moment it is sent, so one agreement orders
 //! whatever the chosen parties had queued when the round began.
 //!
-//! Fairness: with batch size `n - f + 1`, a payload known to `f` honest
-//! parties is delivered within a bounded number of rounds, because every
-//! agreed batch contains at least one entry signed by one of them.
+//! Fairness: with at least `n - f + 1` entries in a batch, a payload known
+//! to `f` honest parties is delivered within a bounded number of rounds,
+//! because every agreed batch contains at least one entry signed by one of
+//! them.
 //!
 //! Termination: `close` enqueues a termination request as a regular
 //! payload; the channel terminates at the end of the round in which
 //! requests from `t + 1` distinct parties have been delivered.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::RangeInclusive;
 
 use sintra_telemetry::{SnapshotWriter, StateSnapshot, TraceEvent};
 
@@ -57,8 +61,8 @@ use crate::wire::Wire;
 
 /// How many finished rounds' decided batches a party keeps to answer
 /// `ac-fetch` from parties that decide those rounds later. With the
-/// 16 KiB requests and two-entry batches of the bulk benchmark that is
-/// 512 KiB. A party further behind than this that also misses an entry
+/// 16 KiB requests and three-entry batches of the bulk benchmark that is
+/// 768 KiB. A party further behind than this that also misses an entry
 /// its (Byzantine) signer withheld needs state transfer — the same class
 /// of bound as the link's retransmission window.
 pub const FETCH_RETAIN_ROUNDS: usize = 16;
@@ -77,6 +81,12 @@ pub struct AtomicChannelConfig {
     /// regenerate the paper's figures set 1: the 2002 prototype signed
     /// one payload per entry.
     pub max_entry_payloads: usize,
+    /// Whether a proposal names, beyond its first `n - f + 1` entries,
+    /// every further held entry that still adds a deliverable payload,
+    /// up to `n` (the default). The harnesses that regenerate the paper's
+    /// figures set `false`: the 2002 prototype's batches held exactly
+    /// `n - f + 1` entries.
+    pub whole_batches: bool,
 }
 
 impl Default for AtomicChannelConfig {
@@ -85,6 +95,7 @@ impl Default for AtomicChannelConfig {
             fairness: None,
             order: CandidateOrder::LocalRandom,
             max_entry_payloads: MAX_ENTRY_PAYLOADS,
+            whole_batches: true,
         }
     }
 }
@@ -115,7 +126,7 @@ struct RoundState {
     /// which they arrive in the current round"), at most one per signer.
     arrived: Vec<Checked<Entry>>,
     /// Entries a proposal named that the signer's own broadcast did not
-    /// bring, pulled with `ac-fetch`: at most `batch_size` per proposer.
+    /// bring, pulled with `ac-fetch`: at most `max_batch_size` per proposer.
     fetched: Vec<Checked<Entry>>,
     /// Held-back proposals, at most one per proposer.
     parked: BTreeMap<PartyId, ParkedProposal>,
@@ -167,6 +178,9 @@ pub struct AtomicChannel {
     pid: ProtocolId,
     ctx: GroupContext,
     batch_size: usize,
+    /// The most entries a proposal names: `n`, or `batch_size` under the
+    /// paper pin.
+    max_batch_size: usize,
     order: CandidateOrder,
     max_entry_payloads: usize,
     round: u64,
@@ -207,23 +221,21 @@ pub struct AtomicChannel {
     closed_taken: bool,
 }
 
-/// The validity predicate on a proposal: exactly `batch_size` references
-/// by distinct signers, each passing `check` (the signer's signature
-/// over `(pid, round, digest)`). Returns the references as checked.
+/// The validity predicate on a proposal: a count of references in
+/// `sizes`, by distinct signers, each passing `check` (the signer's
+/// signature over `(pid, round, digest)`). The shape is judged before any
+/// signature is. Returns the references as checked.
 fn checked_refs(
     bytes: &[u8],
-    batch_size: usize,
-    mut check: impl FnMut(&Unchecked<EntryRef>) -> Option<Checked<EntryRef>>,
+    sizes: &RangeInclusive<usize>,
+    check: impl FnMut(&Unchecked<EntryRef>) -> Option<Checked<EntryRef>>,
 ) -> Option<Vec<Checked<EntryRef>>> {
     let refs = Vec::<Unchecked<EntryRef>>::from_bytes(bytes).ok()?;
-    if refs.len() != batch_size {
+    let mut signers = BTreeSet::new();
+    if !sizes.contains(&refs.len()) || !refs.iter().all(|r| signers.insert(r.signer)) {
         return None;
     }
-    let mut signers = BTreeSet::new();
-    let checked = refs
-        .iter()
-        .map(|r| signers.insert(r.signer).then(|| check(r)).flatten());
-    checked.collect()
+    refs.iter().map(check).collect()
 }
 
 /// A proposal's reference for round `round` of channel `pid`, checked —
@@ -245,12 +257,12 @@ fn check_ref(
 fn valid_batch(
     ctx: &GroupContext,
     pid: &ProtocolId,
-    batch_size: usize,
+    sizes: &RangeInclusive<usize>,
     round: u64,
     state: Option<&RoundState>,
     bytes: &[u8],
 ) -> bool {
-    checked_refs(bytes, batch_size, |r| check_ref(ctx, pid, round, state, r)).is_some()
+    checked_refs(bytes, sizes, |r| check_ref(ctx, pid, round, state, r)).is_some()
 }
 
 /// The delivery rule: whether `payload` is its origin's next in sequence
@@ -293,11 +305,17 @@ impl AtomicChannel {
             "max_entry_payloads must be in 1..=MAX_ENTRY_PAYLOADS"
         );
         let batch_size = ctx.fairness_batch(f);
+        let max_batch_size = if config.whole_batches {
+            ctx.n()
+        } else {
+            batch_size
+        };
         AtomicChannel {
             pid,
             next_deliver: vec![0; ctx.n()],
             ctx,
             batch_size,
+            max_batch_size,
             order: config.order,
             max_entry_payloads: config.max_entry_payloads,
             round: 0,
@@ -325,9 +343,21 @@ impl AtomicChannel {
         &self.pid
     }
 
-    /// The configured batch size `n - f + 1`.
+    /// The configured batch size `n - f + 1`: the fewest entries a
+    /// proposal names.
     pub fn batch_size(&self) -> usize {
         self.batch_size
+    }
+
+    /// The most entries a proposal names: `n`, or the batch size when
+    /// [`AtomicChannelConfig::whole_batches`] is off.
+    pub fn max_batch_size(&self) -> usize {
+        self.max_batch_size
+    }
+
+    /// The proposal sizes the validity predicate accepts.
+    fn batch_sizes(&self) -> RangeInclusive<usize> {
+        self.batch_size..=self.max_batch_size
     }
 
     /// The current protocol round.
@@ -441,18 +471,19 @@ impl AtomicChannel {
         round: u64,
         f: impl FnOnce(&mut MultiValuedAgreement, &dyn Fn(&[u8]) -> bool) -> R,
     ) -> R {
-        let batch_size = self.batch_size;
+        let sizes = self.batch_sizes();
         let vba = self.vbas.entry(round).or_insert_with(|| {
             let (ctx, pid) = (self.ctx.clone(), self.pid.clone());
             let vba_pid = pid.child(format!("vba/{round}"));
+            let sizes = sizes.clone();
             let validator = ArrayValidator::new(move |bytes| {
-                valid_batch(&ctx, &pid, batch_size, round, None, bytes)
+                valid_batch(&ctx, &pid, &sizes, round, None, bytes)
             });
             MultiValuedAgreement::new(vba_pid, self.ctx.clone(), validator, self.order)
         });
         let state = self.rounds.get(&round);
         f(vba, &|bytes| {
-            valid_batch(&self.ctx, &self.pid, batch_size, round, state, bytes)
+            valid_batch(&self.ctx, &self.pid, &sizes, round, state, bytes)
         })
     }
 
@@ -540,7 +571,7 @@ impl AtomicChannel {
         // Every reference is checked before the proposal may occupy the
         // proposer's parking slot.
         let check = |r: &Unchecked<EntryRef>| check_ref(&self.ctx, &self.pid, round, state, r);
-        let Some(refs) = checked_refs(bytes, self.batch_size, check) else {
+        let Some(refs) = checked_refs(bytes, &self.batch_sizes(), check) else {
             return false;
         };
         // A proposal of no entries is no proposal.
@@ -763,18 +794,22 @@ impl AtomicChannel {
             })
     }
 
-    /// Picks the proposal's `batch_size` entries: greedily the entry that
-    /// adds the most payloads not yet covered by the ones picked before
-    /// it, ties by arrival order. With one payload per entry this is
-    /// "distinct payloads in arrival order, padded with duplicates".
-    /// Any `batch_size` validly signed entries are a valid batch, so the
-    /// choice affects only how much a round delivers — and a party passed
-    /// over in one round holds the largest entry in the next. The
+    /// Picks the proposal's entries: greedily the entry that adds the
+    /// most payloads not yet covered by the ones picked before it, ties by
+    /// arrival order — `batch_size` of them, and then more while the best
+    /// one left still adds a payload, up to `max_batch_size`. With one
+    /// payload per entry this is "distinct payloads in arrival order,
+    /// padded with duplicates" to the batch size. Any validly signed
+    /// entries of distinct signers in the accepted count are a valid
+    /// batch, so the choice affects only how much a round delivers — and a
+    /// party passed over in one round holds the largest entry in the next.
+    /// An entry that adds nothing past the batch size is never named, so a
+    /// round with one sender proposes exactly `batch_size` entries. The
     /// proposal names the picked entries, all of which this party holds.
     fn select_batch(&self, all: &[Checked<Entry>]) -> Vec<Unchecked<EntryRef>> {
         let mut covered = self.next_deliver.clone();
-        let mut picked: Vec<usize> = Vec::with_capacity(self.batch_size);
-        for _ in 0..self.batch_size {
+        let mut picked: Vec<usize> = Vec::with_capacity(self.max_batch_size);
+        while picked.len() < self.max_batch_size {
             let mut best: Option<(usize, usize)> = None;
             for (i, entry) in all.iter().enumerate() {
                 if picked.contains(&i) {
@@ -785,7 +820,10 @@ impl AtomicChannel {
                     best = Some((i, gain));
                 }
             }
-            let Some((i, _)) = best else { break };
+            let Some((i, gain)) = best else { break };
+            if gain == 0 && picked.len() >= self.batch_size {
+                break;
+            }
             count_deliverable(&all[i], &mut covered);
             picked.push(i);
         }
@@ -1431,8 +1469,18 @@ mod tests {
         let signers = |batch: Vec<Unchecked<EntryRef>>| -> Vec<usize> {
             batch.iter().map(|r| r.signer.0).collect()
         };
+        // Past the batch size, every entry that still adds a payload.
         let arrival = [one.clone(), three.clone(), two.clone()];
-        assert_eq!(signers(chan.select_batch(&arrival)), vec![1, 2]);
+        assert_eq!(signers(chan.select_batch(&arrival)), vec![1, 2, 0]);
+        let pinned = AtomicChannel::new(
+            ProtocolId::new("ac-select"),
+            ctxs[3].clone(),
+            AtomicChannelConfig {
+                whole_batches: false,
+                ..AtomicChannelConfig::default()
+            },
+        );
+        assert_eq!(signers(pinned.select_batch(&arrival)), vec![1, 2]);
         // Ties go by arrival order; an adopter's copy adds nothing once
         // the original is in and is only picked to fill the batch.
         let copy = signed(&ctxs, "ac-select", 0, 3, three.payloads().to_vec());
@@ -1484,52 +1532,60 @@ mod tests {
     fn suffix_relay_full_protocol_run() {
         // The same attack against running channels: party 0 is Byzantine
         // and, whenever it sees an honest multi-payload entry, broadcasts
-        // its own validly signed entry carrying only the suffix.
+        // its own validly signed entry carrying only the suffix. The
+        // honest parties send in two bursts, each cut into a one-payload
+        // entry and then a three-payload one, so that multi-payload
+        // entries meet the relay in more than one round.
         let ctxs = group(4, 1);
         let tag = "ac-suffix-run";
         let mut chans = channels(&ctxs, tag);
-        let mut outs = Vec::new();
-        for (origin, chan) in chans.iter_mut().enumerate().skip(1) {
-            let mut out = Outgoing::new();
-            for k in 0..4u8 {
-                chan.send(vec![u8::try_from(origin).unwrap(), k], &mut out);
-            }
-            outs.push((origin, out));
-        }
-        let mut net = Net::new(chans.len(), outs);
+        let mut net = Net::new(chans.len(), Vec::new());
         let mut relayed = BTreeSet::new();
-        while let Some(msg) = net.queue.pop_front() {
-            if msg.1 != 0 {
-                net.deliver(&mut chans, msg);
-                continue;
+        for burst in 0..2u8 {
+            for (origin, chan) in chans.iter_mut().enumerate().skip(1) {
+                let mut out = Outgoing::new();
+                for k in 4 * burst..4 * burst + 4 {
+                    chan.send(vec![u8::try_from(origin).unwrap(), k], &mut out);
+                }
+                net.push(origin, out);
             }
-            // The Byzantine party runs no honest code; it cuts the first
-            // multi-payload entry it sees in each round.
-            if let Body::AcEntry { round, entry } = &msg.3 {
-                if entry.payloads().len() > 1 && relayed.insert(*round) {
-                    let suffix = signed(&ctxs, tag, *round, 0, entry.payloads()[1..].to_vec());
-                    let mut out = Outgoing::new();
-                    out.send_all(
-                        &msg.2,
-                        Body::AcEntry {
-                            round: *round,
-                            entry: suffix.forget(),
-                        },
-                    );
-                    net.push(0, out);
+            while let Some(msg) = net.queue.pop_front() {
+                if msg.1 != 0 {
+                    net.deliver(&mut chans, msg);
+                    continue;
+                }
+                // The Byzantine party runs no honest code; it cuts the
+                // first multi-payload entry it sees in each round.
+                if let Body::AcEntry { round, entry } = &msg.3 {
+                    if entry.payloads().len() > 1 && relayed.insert(*round) {
+                        let suffix = signed(&ctxs, tag, *round, 0, entry.payloads()[1..].to_vec());
+                        let mut out = Outgoing::new();
+                        out.send_all(
+                            &msg.2,
+                            Body::AcEntry {
+                                round: *round,
+                                entry: suffix.forget(),
+                            },
+                        );
+                        net.push(0, out);
+                    }
                 }
             }
         }
         assert!(relayed.len() >= 2, "the relay found entries to cut");
         let reference = drain(&mut chans[1]);
-        assert_eq!(reference.len(), 12, "every payload delivered, each once");
+        assert_eq!(reference.len(), 24, "every payload delivered, each once");
         for origin in 1..4usize {
             let seqs: Vec<u64> = reference
                 .iter()
                 .filter(|(o, _)| *o == origin)
                 .map(|(_, s)| *s)
                 .collect();
-            assert_eq!(seqs, vec![0, 1, 2, 3], "origin {origin} in send order");
+            assert_eq!(
+                seqs,
+                (0..8).collect::<Vec<u64>>(),
+                "origin {origin} in send order"
+            );
         }
         for (p, chan) in chans.iter_mut().enumerate().skip(2) {
             assert_eq!(drain(chan), reference, "party {p} agrees");
@@ -1608,15 +1664,26 @@ mod tests {
         let tag = "ac-valid";
         let chan = channels(&ctxs, tag).remove(0);
         let is_valid =
-            |bytes: &[u8]| valid_batch(&chan.ctx, &chan.pid, chan.batch_size, 0, None, bytes);
+            |bytes: &[u8]| valid_batch(&chan.ctx, &chan.pid, &chan.batch_sizes(), 0, None, bytes);
+        let zero = signed(&ctxs, tag, 0, 0, vec![app(0, 0, b"z")]).to_ref();
         let one = signed(&ctxs, tag, 0, 1, vec![app(1, 0, b"a")]).to_ref();
         let two = signed(&ctxs, tag, 0, 2, vec![app(2, 0, b"b")]).to_ref();
         let three = signed(&ctxs, tag, 0, 3, vec![app(3, 0, b"c")]).to_ref();
         let valid = |refs: &[EntryRef]| is_valid(&encoded(refs));
         assert!(valid(&[one.clone(), two.clone()]));
+        let all = [zero, one.clone(), two.clone(), three.clone()];
+        assert!(valid(&all[1..]) && valid(&all), "up to n");
         assert!(!valid(std::slice::from_ref(&one)), "too few");
-        assert!(!valid(&[one.clone(), two.clone(), three]), "too many");
+        let beyond = EntryRef {
+            signer: PartyId(4),
+            ..three
+        };
+        assert!(!valid(&[all.to_vec(), vec![beyond]].concat()), "too many");
         assert!(!valid(&[one.clone(), one.clone()]), "one signer twice");
+        assert!(
+            !valid(&[one.clone(), two.clone(), one.clone()]),
+            "one signer twice, in an n - t batch"
+        );
         let other_round = signed(&ctxs, tag, 1, 2, vec![app(2, 0, b"b")]).to_ref();
         assert!(!valid(&[one.clone(), other_round]), "signed for round 1");
         let stolen = EntryRef {
@@ -1741,7 +1808,7 @@ mod tests {
         for chan in &mut chans[1..] {
             let counts = chan.take_fetch_counts();
             assert!(counts.parked >= 1 && counts.sent == 1, "{counts:?}");
-            assert_eq!(chan.round(), 2, "three one-payload entries, two a round");
+            assert_eq!(chan.round(), 1, "three one-payload entries, one round");
             assert_eq!(parked_total(chan), 0, "dropped with the round");
             assert!(chan.wanted.is_empty());
             assert!(!chan.has_pending_work());

@@ -110,11 +110,13 @@ impl SecureAtomicChannel {
     ///
     /// Panics if a round could order more ciphertexts than a
     /// [`Body::ScShares`] batch carries ([`MAX_DECRYPTION_BATCH`]): a
-    /// batch of more than 64 entries.
+    /// proposal that may name more than 64 entries
+    /// ([`AtomicChannel::max_batch_size`]), i.e. a group of more than 64
+    /// parties unless whole batches are off.
     pub fn new(pid: ProtocolId, ctx: GroupContext, config: AtomicChannelConfig) -> Self {
         let inner = AtomicChannel::new(pid.child("ac"), ctx.clone(), config);
         assert!(
-            inner.batch_size() * MAX_ENTRY_PAYLOADS <= MAX_DECRYPTION_BATCH,
+            inner.max_batch_size() * MAX_ENTRY_PAYLOADS <= MAX_DECRYPTION_BATCH,
             "a round's ciphertexts must fit one decryption batch"
         );
         SecureAtomicChannel {

@@ -4,7 +4,8 @@
 //! has decided, a second vote from a sender, a final after delivery, an
 //! entry for a past round or with nothing undelivered in it, a fetch reply
 //! nobody asked for — is dropped by a free state test, however validly it
-//! is signed. That is why there is no verification stage in front of
+//! is signed. So is a proposal whose shape no batch can have: one signer
+//! named twice, or more references than there are parties. That is why there is no verification stage in front of
 //! dispatch (DESIGN.md §11): a stateless stage would pay for the signature
 //! of every one of these. Whoever puts a check ahead of these filters sees
 //! its cost here.
@@ -317,6 +318,48 @@ fn late_entries(ctxs: &[GroupContext]) -> [Row; 3] {
     })
 }
 
+/// Proposals to party 0's fresh channel whose every reference is validly
+/// signed, but that no batch can be: the shape is judged before any
+/// signature, so none of them is checked.
+fn misshapen_proposals(ctxs: &[GroupContext]) -> [Row; 3] {
+    let pid = ProtocolId::new("ac-shape");
+    let refs: Vec<Unchecked<EntryRef>> = (0..4)
+        .map(|signer| {
+            let entry = ctxs[signer].sign_entry(&pid, 0, app(signer, b"request"));
+            entry.to_ref().into()
+        })
+        .collect();
+    let (a, b) = (refs[1].clone(), refs[2].clone());
+    let cases = [
+        (
+            "cb-send naming one signer twice",
+            vec![a.clone(), a.clone()],
+        ),
+        (
+            "cb-send of n - t references naming one signer twice",
+            vec![a.clone(), b, a.clone()],
+        ),
+        (
+            "cb-send of n + 1 references",
+            [refs.clone(), vec![a]].concat(),
+        ),
+    ];
+    cases.map(|(what, proposal)| {
+        let mut chan = AtomicChannel::new(pid.clone(), ctxs[0].clone(), Default::default());
+        let bc = pid.child("vba/0/bc/1");
+        let body = Body::CbSend(proposal.to_bytes());
+        let check_work = priced(|| {
+            let mut checked = proposal.iter().map(|r| ctxs[0].check_entry_ref(&pid, 0, r));
+            checked.all(|r| r.is_some())
+        });
+        Row {
+            what,
+            check_work,
+            late: offer(&mut chan, |c, out| c.handle(PartyId(1), &bc, &body, out)),
+        }
+    })
+}
+
 #[test]
 fn late_messages_are_dropped_before_any_signature_check() {
     let ctxs = group();
@@ -328,6 +371,7 @@ fn late_messages_are_dropped_before_any_signature_check() {
     ];
     table.extend(late_entries(&ctxs));
     table.extend(late_dec_batches(&ctxs));
+    table.extend(misshapen_proposals(&ctxs));
     for row in table {
         assert!(row.check_work > 0.0, "{}: the check is not free", row.what);
         assert_eq!(row.late.work, 0.0, "{}: work before the filter", row.what);

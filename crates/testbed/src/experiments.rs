@@ -46,13 +46,16 @@ impl ChannelKind {
 }
 
 /// The atomic-channel configuration of the paper's experiments: the
-/// 2002 prototype signed one payload per entry, and every figure's
-/// bands (two deliveries per round at `t + 1 = 2`) follow from that.
-/// These workloads enqueue every message at time zero, so without the
-/// pin a sender's second entry would carry its whole backlog.
+/// 2002 prototype signed one payload per entry and agreed on batches of
+/// exactly `t + 1` entries, and every figure's bands (two deliveries per
+/// round at `t + 1 = 2`) follow from that. These workloads enqueue every
+/// message at time zero, so without the pins a sender's second entry
+/// would carry its whole backlog, and a round would order every sender's
+/// entry.
 pub fn paper_channel_config() -> AtomicChannelConfig {
     AtomicChannelConfig {
         max_entry_payloads: 1,
+        whole_batches: false,
         ..AtomicChannelConfig::default()
     }
 }

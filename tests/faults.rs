@@ -282,6 +282,13 @@ fn mangled_entries_of_a_signing_member_break_nothing() {
 /// echo, from everybody once it is decided — and every honest party
 /// delivers every honest request, in one order, whatever the withholder
 /// got in.
+///
+/// The honest parties send one request at a time, in turn, 20 ms apart
+/// (several LAN rounds), so that a round opens with one sender's entry and
+/// the withholder's reply races the other parties' adopted entries to the
+/// proposers. Had all of them sent at time zero, every proposer would hold
+/// the honest entries before the withheld one and order them all without
+/// it, and nothing would be pulled.
 #[test]
 fn entries_withheld_from_part_of_the_group_are_fetched() {
     use sintra::telemetry::{MetricsRegistry, Recorder};
@@ -303,13 +310,14 @@ fn entries_withheld_from_part_of_the_group_are_fetched() {
             Box::new(EntryWithhold::new(keys[byzantine].clone())),
         );
         let per_party = 4;
-        for p in 0..byzantine {
-            let spid = pid.clone();
-            sim.schedule(0, p, move |node, out| {
-                for k in 0..per_party {
+        for k in 0..per_party {
+            for p in 0..byzantine {
+                let spid = pid.clone();
+                let at_us = (k * byzantine + p) as u64 * 20_000;
+                sim.schedule(at_us, p, move |node, out| {
                     node.channel_send(&spid, format!("h{p}-{k}").into_bytes(), out);
-                }
-            });
+                });
+            }
         }
         sim.run();
         let reference = common::delivered_payloads(&sim, 0, &pid);

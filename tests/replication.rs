@@ -18,6 +18,8 @@ use sintra::ProtocolId;
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 struct Ledger {
     balances: BTreeMap<String, i64>,
+    /// Per account, the transfers out of it that were applied.
+    transfers_out: BTreeMap<String, usize>,
 }
 
 impl Ledger {
@@ -37,6 +39,7 @@ impl Ledger {
                     if available >= v {
                         *self.balances.entry(from.to_string()).or_insert(0) -= v;
                         *self.balances.entry(to.to_string()).or_insert(0) += v;
+                        *self.transfers_out.entry(from.to_string()).or_insert(0) += 1;
                     }
                 }
             }
@@ -78,8 +81,9 @@ fn replicated_ledger_converges_in_simulation() {
         });
     }
     sim.run();
-    let reference = replay(&delivered_data(&sim, 0, &pid));
-    assert_eq!(delivered_data(&sim, 0, &pid).len(), 5);
+    let order = delivered_data(&sim, 0, &pid);
+    let reference = replay(&order);
+    assert_eq!(order.len(), 5);
     for p in 1..4 {
         let state = replay(&delivered_data(&sim, p, &pid));
         assert_eq!(state, reference, "replica {p} diverged");
@@ -87,9 +91,16 @@ fn replicated_ledger_converges_in_simulation() {
     // Money conservation: deposits put 150 into the system.
     let total: i64 = reference.balances.values().sum();
     assert_eq!(total, 150);
-    // Exactly one of the conflicting transfers was applied.
-    let alice = reference.balances.get("alice").copied().unwrap_or(0);
-    assert!(alice < 100, "one transfer out of alice succeeded");
+    // The outcome the agreed order dictates: alice holds at most 110, so
+    // the first transfer of 80 after her deposit succeeds and the other
+    // fails; before it, neither can.
+    let at = |cmd: &str| order.iter().position(|c| c == cmd.as_bytes()).unwrap();
+    let deposit = at("deposit alice 100");
+    let funded = [at("transfer alice bob 80"), at("transfer alice carol 80")]
+        .into_iter()
+        .any(|transfer| transfer > deposit);
+    let out_of_alice = reference.transfers_out.get("alice").copied().unwrap_or(0);
+    assert_eq!(out_of_alice, usize::from(funded), "transfers out of alice");
 }
 
 #[test]

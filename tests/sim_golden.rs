@@ -168,22 +168,22 @@ fn internet_with_crash_and_healing_partition() {
     assert_eq!(
         got,
         Golden {
-            end_us: 4_631_465,
+            end_us: 3_189_192,
             records: 15,
-            records_digest: 0x43c7b96c723a5cca,
-            traces: 113,
-            traces_digest: 0x4a0005f1adf92ed1,
-            messages: 372,
-            bytes: 70_579,
-            msgs_sent: 372,
-            msgs_delivered: 313,
-            msgs_dropped: 59,
-            bytes_sent: 70_579,
-            rounds: 36,
-            batch_count: 9,
+            records_digest: 0x58ebe7143df38bd6,
+            traces: 83,
+            traces_digest: 0x132dbef4e8e651cf,
+            messages: 279,
+            bytes: 54_755,
+            msgs_sent: 279,
+            msgs_delivered: 241,
+            msgs_dropped: 38,
+            bytes_sent: 54_755,
+            rounds: 27,
+            batch_count: 6,
             batch_sum: 15,
-            crypto_work_milli: 28,
-            counters_digest: 0x2855ebdfcf1a8b0a,
+            crypto_work_milli: 21,
+            counters_digest: 0x94ac1ae918f4ca97,
         }
     );
 }
