@@ -37,7 +37,6 @@ use crate::message::{
     coin_name, statement_main_vote, statement_pre_vote, Body, MainVote, MainVoteJust, PreVoteJust,
 };
 use crate::outgoing::Outgoing;
-use crate::validator::BinaryValidator;
 
 /// Which exchange of the current round this party is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,8 +76,9 @@ impl Justified {
     }
 }
 
-/// The external validity predicate as a call sees it: the instance's own
-/// validator, or its owner's with the owner's state in view.
+/// The external validity predicate, supplied by the instance's owner on
+/// each call so that it can see the owner's state: what the owner already
+/// holds needs no second check.
 type Valid<'a> = &'a dyn Fn(bool, &[u8]) -> bool;
 
 /// Validation data that has just passed the validator for its bit.
@@ -129,13 +129,12 @@ struct RoundState {
 /// A binary Byzantine agreement instance.
 ///
 /// Construct with [`BinaryAgreement::new`] (plain), or configure
-/// [validation](BinaryAgreement::with_validator) and
+/// [validation](BinaryAgreement::validated) and
 /// [bias](BinaryAgreement::with_bias) before proposing.
 #[derive(Debug)]
 pub struct BinaryAgreement {
     pid: ProtocolId,
     ctx: GroupContext,
-    validator: BinaryValidator,
     validated: bool,
     bias: Option<bool>,
     round: u32,
@@ -155,7 +154,6 @@ impl BinaryAgreement {
         BinaryAgreement {
             pid,
             ctx,
-            validator: BinaryValidator::always(),
             validated: false,
             bias: None,
             round: 0,
@@ -169,9 +167,9 @@ impl BinaryAgreement {
         }
     }
 
-    /// Enables external validity with the given predicate.
-    pub fn with_validator(mut self, validator: BinaryValidator) -> Self {
-        self.validator = validator;
+    /// Enables external validity: validation data travels with the votes
+    /// and is judged by the predicate each call passes.
+    pub fn validated(mut self) -> Self {
         self.validated = true;
         self
     }
@@ -193,22 +191,13 @@ impl BinaryAgreement {
     }
 
     /// Starts the instance with this party's proposal. For validated
-    /// agreement, `proof` must satisfy the validator for `value`.
+    /// agreement, `proof` must satisfy `valid` for `value`; a plain
+    /// instance never calls `valid`.
     ///
     /// # Panics
     ///
     /// Panics if called twice, or if the proposal fails validation.
-    pub fn propose(&mut self, value: bool, proof: Vec<u8>, out: &mut Outgoing) {
-        let validator = self.validator.clone();
-        let valid = |value: bool, proof: &[u8]| validator.is_valid(value, proof);
-        self.propose_with(&valid, value, proof, out);
-    }
-
-    /// [`Self::propose`] with `valid` standing in for the instance's
-    /// validator during this call: the same predicate, evaluated by an
-    /// owner that can compare validation data with what it already holds
-    /// before it verifies anything.
-    pub fn propose_with(&mut self, valid: Valid, value: bool, proof: Vec<u8>, out: &mut Outgoing) {
+    pub fn propose(&mut self, valid: Valid, value: bool, proof: Vec<u8>, out: &mut Outgoing) {
         if self.stage == Stage::Done {
             // A valid decide message arrived before we proposed (possible
             // after partitions): the decision stands, our proposal is moot.
@@ -288,16 +277,9 @@ impl BinaryAgreement {
         self.try_advance(out);
     }
 
-    /// Processes a protocol message from `from`.
-    pub fn handle(&mut self, from: PartyId, body: &Body, out: &mut Outgoing) {
-        let validator = self.validator.clone();
-        let valid = |value: bool, proof: &[u8]| validator.is_valid(value, proof);
-        self.handle_with(&valid, from, body, out);
-    }
-
-    /// [`Self::handle`] with `valid` standing in for the instance's
-    /// validator during this call (see [`Self::propose_with`]).
-    pub fn handle_with(&mut self, valid: Valid, from: PartyId, body: &Body, out: &mut Outgoing) {
+    /// Processes a protocol message from `from`, judging validation data
+    /// with `valid` (see [`Self::propose`]).
+    pub fn handle(&mut self, valid: Valid, from: PartyId, body: &Body, out: &mut Outgoing) {
         if self.stage == Stage::Done || !self.ctx.is_valid_party(from) {
             return;
         }
@@ -932,6 +914,9 @@ mod tests {
     use std::collections::VecDeque;
     use std::sync::Arc;
 
+    /// The predicate a plain instance is passed, and never calls.
+    const ANY: Valid<'static> = &|_, _| true;
+
     fn group(n: usize, t: usize) -> Vec<GroupContext> {
         let mut rng = StdRng::seed_from_u64(23);
         deal(&DealerConfig::small(n, t), &mut rng)
@@ -947,7 +932,7 @@ mod tests {
         let mut queue: VecDeque<(PartyId, usize, Body)> = VecDeque::new();
         for (i, inst) in instances.iter_mut().enumerate() {
             let mut out = Outgoing::new();
-            inst.propose(proposals[i], Vec::new(), &mut out);
+            inst.propose(ANY, proposals[i], Vec::new(), &mut out);
             for (recipient, env) in out.drain() {
                 match recipient {
                     Recipient::All => {
@@ -964,7 +949,7 @@ mod tests {
             steps += 1;
             assert!(steps < 1_000_000, "agreement did not terminate");
             let mut out = Outgoing::new();
-            instances[to].handle(from, &body, &mut out);
+            instances[to].handle(ANY, from, &body, &mut out);
             for (recipient, env) in out.drain() {
                 match recipient {
                     Recipient::All => {
@@ -1041,22 +1026,18 @@ mod tests {
     #[test]
     fn validated_agreement_returns_proof() {
         let ctxs = group(4, 1);
-        let validator = BinaryValidator::new(|value, proof| {
-            (value && proof == b"proof-of-1") || (!value && proof == b"proof-of-0")
-        });
+        let valid: Valid =
+            &|value, proof| (value && proof == b"proof-of-1") || (!value && proof == b"proof-of-0");
         let mut instances: Vec<BinaryAgreement> = ctxs
             .iter()
-            .map(|c| {
-                BinaryAgreement::new(ProtocolId::new("ba-validated"), c.clone())
-                    .with_validator(validator.clone())
-            })
+            .map(|c| BinaryAgreement::new(ProtocolId::new("ba-validated"), c.clone()).validated())
             .collect();
         // All propose 1 with valid proofs.
         let n = instances.len();
         let mut queue: VecDeque<(PartyId, usize, Body)> = VecDeque::new();
         for (i, inst) in instances.iter_mut().enumerate() {
             let mut out = Outgoing::new();
-            inst.propose(true, b"proof-of-1".to_vec(), &mut out);
+            inst.propose(valid, true, b"proof-of-1".to_vec(), &mut out);
             for (recipient, env) in out.drain() {
                 if let Recipient::All = recipient {
                     for to in 0..n {
@@ -1067,7 +1048,7 @@ mod tests {
         }
         while let Some((from, to, body)) = queue.pop_front() {
             let mut out = Outgoing::new();
-            instances[to].handle(from, &body, &mut out);
+            instances[to].handle(valid, from, &body, &mut out);
             for (recipient, env) in out.drain() {
                 if let Recipient::All = recipient {
                     for dest in 0..n {
@@ -1087,10 +1068,13 @@ mod tests {
     #[should_panic(expected = "satisfy the validator")]
     fn invalid_own_proposal_rejected() {
         let ctxs = group(4, 1);
-        let validator = BinaryValidator::new(|_, proof| proof == b"ok");
-        let mut inst =
-            BinaryAgreement::new(ProtocolId::new("ba"), ctxs[0].clone()).with_validator(validator);
-        inst.propose(true, b"bad".to_vec(), &mut Outgoing::new());
+        let mut inst = BinaryAgreement::new(ProtocolId::new("ba"), ctxs[0].clone()).validated();
+        inst.propose(
+            &|_, proof| proof == b"ok",
+            true,
+            b"bad".to_vec(),
+            &mut Outgoing::new(),
+        );
     }
 
     #[test]
@@ -1098,8 +1082,9 @@ mod tests {
         let ctxs = group(4, 1);
         let mut inst = BinaryAgreement::new(ProtocolId::new("ba-forge"), ctxs[0].clone());
         let mut out = Outgoing::new();
-        inst.propose(false, Vec::new(), &mut out);
+        inst.propose(ANY, false, Vec::new(), &mut out);
         inst.handle(
+            ANY,
             PartyId(1),
             &Body::BaDecide {
                 round: 1,
@@ -1117,7 +1102,7 @@ mod tests {
         let ctxs = group(4, 1);
         let pid = ProtocolId::new("ba-share");
         let mut inst = BinaryAgreement::new(pid.clone(), ctxs[0].clone());
-        inst.propose(true, Vec::new(), &mut Outgoing::new());
+        inst.propose(ANY, true, Vec::new(), &mut Outgoing::new());
         let share = ctxs[1]
             .sign_share(Thsig::Agreement, &statement_pre_vote(&pid, 1, true))
             .forget();
@@ -1134,12 +1119,12 @@ mod tests {
                 .is_some_and(|r| r.pre_votes.contains_key(&PartyId(from)))
         };
         // Party 1's share under party 2's name: index mismatch.
-        inst.handle(PartyId(2), &pre_vote(true), &mut Outgoing::new());
+        inst.handle(ANY, PartyId(2), &pre_vote(true), &mut Outgoing::new());
         assert!(!recorded(&inst, 2));
         // The share transplanted onto the other value's statement.
-        inst.handle(PartyId(1), &pre_vote(false), &mut Outgoing::new());
+        inst.handle(ANY, PartyId(1), &pre_vote(false), &mut Outgoing::new());
         assert!(!recorded(&inst, 1));
-        inst.handle(PartyId(1), &pre_vote(true), &mut Outgoing::new());
+        inst.handle(ANY, PartyId(1), &pre_vote(true), &mut Outgoing::new());
         assert!(recorded(&inst, 1));
     }
 
@@ -1163,10 +1148,10 @@ mod tests {
             proof: None,
         };
         let mut inst = BinaryAgreement::new(pid, ctxs[0].clone());
-        inst.propose(false, Vec::new(), &mut Outgoing::new());
-        inst.handle(PartyId(2), &decide(false), &mut Outgoing::new());
+        inst.propose(ANY, false, Vec::new(), &mut Outgoing::new());
+        inst.handle(ANY, PartyId(2), &decide(false), &mut Outgoing::new());
         assert_eq!(inst.decision(), None, "signature is over the other value");
-        inst.handle(PartyId(2), &decide(true), &mut Outgoing::new());
+        inst.handle(ANY, PartyId(2), &decide(true), &mut Outgoing::new());
         assert_eq!(inst.decision(), Some(true));
     }
 
@@ -1174,12 +1159,8 @@ mod tests {
     fn abstain_evidence_is_the_validated_proof_not_the_carried_one() {
         let ctxs = group(4, 1);
         let pid = ProtocolId::new("ba-evidence");
-        let validator = BinaryValidator::new(|value, proof| {
-            proof == if value { &b"one"[..] } else { &b"zero"[..] }
-        });
-        let instance = |at: usize| {
-            BinaryAgreement::new(pid.clone(), ctxs[at].clone()).with_validator(validator.clone())
-        };
+        let valid: Valid = &|value, proof| proof == if value { &b"one"[..] } else { &b"zero"[..] };
+        let instance = |at: usize| BinaryAgreement::new(pid.clone(), ctxs[at].clone()).validated();
         let pre_vote = |from: usize, value: bool, proof: &[u8]| Body::BaPreVote {
             round: 1,
             value,
@@ -1194,11 +1175,11 @@ mod tests {
         // shared and carrying garbage: it is accepted on the held data.
         let mut inst = instance(0);
         let mut out = Outgoing::new();
-        inst.propose(true, b"one".to_vec(), &mut out);
+        inst.propose(valid, true, b"one".to_vec(), &mut out);
         let (_, own) = out.drain().remove(0);
-        inst.handle(PartyId(1), &pre_vote(1, true, b"garbage"), &mut out);
-        inst.handle(PartyId(2), &pre_vote(2, false, b"zero"), &mut out);
-        inst.handle(PartyId(0), &own.body, &mut out);
+        inst.handle(valid, PartyId(1), &pre_vote(1, true, b"garbage"), &mut out);
+        inst.handle(valid, PartyId(2), &pre_vote(2, false, b"zero"), &mut out);
+        inst.handle(valid, PartyId(0), &own.body, &mut out);
         // Pre-votes for both bits: it abstains, exhibiting one of each.
         let (_, abstain) = out.drain().remove(0);
         let Body::BaMainVote {
@@ -1213,7 +1194,7 @@ mod tests {
         assert_eq!(proof1.as_deref(), Some(&b"one"[..]), "not the garbage");
         // A party that knows no data for either bit accepts the vote.
         let mut fresh = instance(3);
-        fresh.handle(PartyId(0), &abstain.body, &mut Outgoing::new());
+        fresh.handle(valid, PartyId(0), &abstain.body, &mut Outgoing::new());
         assert!(fresh.rounds[&1].main_votes.contains_key(&PartyId(0)));
     }
 
@@ -1251,7 +1232,7 @@ mod tests {
         let mut queue: VecDeque<(PartyId, usize, Body)> = VecDeque::new();
         for (i, inst) in instances.iter_mut().enumerate().take(3) {
             let mut out = Outgoing::new();
-            inst.propose(i % 2 == 0, Vec::new(), &mut out);
+            inst.propose(ANY, i % 2 == 0, Vec::new(), &mut out);
             for (recipient, env) in out.drain() {
                 if let Recipient::All = recipient {
                     for to in 0..n - 1 {
@@ -1265,7 +1246,7 @@ mod tests {
             steps += 1;
             assert!(steps < 1_000_000, "no termination under crash fault");
             let mut out = Outgoing::new();
-            instances[to].handle(from, &body, &mut out);
+            instances[to].handle(ANY, from, &body, &mut out);
             for (recipient, env) in out.drain() {
                 if let Recipient::All = recipient {
                     for dest in 0..n - 1 {

@@ -36,7 +36,6 @@ use crate::invariant::OrInvariant;
 use crate::invariant_unwrap;
 use crate::message::Body;
 use crate::outgoing::Outgoing;
-use crate::validator::{ArrayValidator, BinaryValidator};
 
 /// How the candidate permutation `Π` is chosen. The paper's §2.4 lists
 /// three variations; SINTRA implemented the first two, and this library
@@ -73,7 +72,6 @@ struct IterationVotes {
 pub struct MultiValuedAgreement {
     pid: ProtocolId,
     ctx: GroupContext,
-    validator: ArrayValidator,
     order: CandidateOrder,
     /// Proposal broadcast instances, one per party.
     broadcasts: Vec<VerifiableConsistentBroadcast>,
@@ -106,8 +104,9 @@ pub struct MultiValuedAgreement {
     decision_taken: bool,
 }
 
-/// The external validity predicate as a call sees it: the instance's own
-/// validator, or its owner's with the owner's state in view.
+/// The external validity predicate, supplied by the instance's owner on
+/// each call so that it can see the owner's state: what the owner already
+/// holds needs no second check.
 type Valid<'a> = &'a dyn Fn(&[u8]) -> bool;
 
 /// The coin identifying this instance's candidate permutation.
@@ -136,13 +135,9 @@ fn seeded_permutation(n: usize, mut state: u64) -> Vec<usize> {
 }
 
 impl MultiValuedAgreement {
-    /// Creates an instance with the given external validator.
-    pub fn new(
-        pid: ProtocolId,
-        ctx: GroupContext,
-        validator: ArrayValidator,
-        order: CandidateOrder,
-    ) -> Self {
+    /// Creates an instance; its external validity predicate comes with
+    /// each call.
+    pub fn new(pid: ProtocolId, ctx: GroupContext, order: CandidateOrder) -> Self {
         let n = ctx.n();
         let broadcasts = (0..n)
             .map(|i| {
@@ -173,7 +168,6 @@ impl MultiValuedAgreement {
         MultiValuedAgreement {
             pid,
             ctx,
-            validator,
             order,
             broadcasts,
             proposals: vec![None; n],
@@ -204,21 +198,13 @@ impl MultiValuedAgreement {
         self.perm.as_deref()
     }
 
-    /// Starts the instance with this party's proposed value.
+    /// Starts the instance with this party's proposed value, which must
+    /// satisfy `valid`, the external validity predicate.
     ///
     /// # Panics
     ///
     /// Panics if called twice or if the value fails the validator.
-    pub fn propose(&mut self, value: Vec<u8>, out: &mut Outgoing) {
-        let validator = self.validator.clone();
-        self.propose_with(&|value| validator.is_valid(value), value, out);
-    }
-
-    /// [`Self::propose`] with `valid` standing in for the instance's
-    /// validator during this call: the same predicate, evaluated by an
-    /// owner that can compare a value with what it already holds before
-    /// it verifies anything.
-    pub fn propose_with(&mut self, valid: Valid, value: Vec<u8>, out: &mut Outgoing) {
+    pub fn propose(&mut self, valid: Valid, value: Vec<u8>, out: &mut Outgoing) {
         assert!(!self.proposed, "propose may be executed once");
         assert!(valid(&value), "own proposal must satisfy the validator");
         self.proposed = true;
@@ -250,15 +236,9 @@ impl MultiValuedAgreement {
     }
 
     /// Processes a protocol message addressed to this instance or one of
-    /// its children (`msg_pid` is the envelope's full pid).
-    pub fn handle(&mut self, from: PartyId, msg_pid: &ProtocolId, body: &Body, out: &mut Outgoing) {
-        let validator = self.validator.clone();
-        self.handle_with(&|value| validator.is_valid(value), from, msg_pid, body, out);
-    }
-
-    /// [`Self::handle`] with `valid` standing in for the instance's
-    /// validator during this call (see [`Self::propose_with`]).
-    pub fn handle_with(
+    /// its children (`msg_pid` is the envelope's full pid), judging
+    /// proposals with `valid` (see [`Self::propose`]).
+    pub fn handle(
         &mut self,
         valid: Valid,
         from: PartyId,
@@ -303,8 +283,8 @@ impl MultiValuedAgreement {
                 // which depends on the permutation.
                 self.deferred.push((from, msg_pid.clone(), body.clone()));
             } else {
-                self.with_ba(iteration, |ba, valid| {
-                    ba.handle_with(valid, from, body, out)
+                self.with_ba(valid, iteration, |ba, valid| {
+                    ba.handle(valid, from, body, out)
                 });
             }
             self.try_advance(valid, out);
@@ -343,7 +323,7 @@ impl MultiValuedAgreement {
     fn replay_deferred(&mut self, valid: Valid, out: &mut Outgoing) {
         let parked = std::mem::take(&mut self.deferred);
         for (from, msg_pid, body) in parked {
-            self.handle_with(valid, from, &msg_pid, &body, out);
+            self.handle(valid, from, &msg_pid, &body, out);
         }
     }
 
@@ -370,26 +350,28 @@ impl MultiValuedAgreement {
     /// Runs `f` on `iteration`'s binary agreement, made on its first use,
     /// with the validity of its validation data as this party sees it
     /// now: 1 is backed by a closing message of the candidate's broadcast
-    /// — the very bytes held for the candidate, or bytes that check out.
+    /// whose payload satisfies `valid` — the very bytes held for the
+    /// candidate, or bytes that check out.
     fn with_ba<R>(
         &mut self,
+        valid: Valid,
         iteration: u32,
         f: impl FnOnce(&mut BinaryAgreement, &dyn Fn(bool, &[u8]) -> bool) -> R,
     ) -> R {
         let candidate = self.candidate(iteration);
         let bc = &self.broadcasts[candidate];
         let ba = self.bas.entry(iteration).or_insert_with(|| {
-            let (bc_pid, ctx) = (bc.pid().clone(), self.ctx.clone());
-            let validator = BinaryValidator::new(move |value, proof| {
-                !value || VerifiableConsistentBroadcast::is_valid_closing(&bc_pid, &ctx, proof)
-            });
             BinaryAgreement::new(self.pid.child(format!("ba/{iteration}")), self.ctx.clone())
-                .with_validator(validator)
+                .validated()
                 .with_bias(true)
         });
         let held = self.closings[candidate].as_deref();
         f(ba, &|value, proof| {
-            !value || held == Some(proof) || bc.check_closing(proof).is_some()
+            !value
+                || held == Some(proof)
+                || bc
+                    .check_closing(proof)
+                    .is_some_and(|(payload, _sig)| valid(&payload))
         })
     }
 
@@ -426,11 +408,12 @@ impl MultiValuedAgreement {
         if self.votes.get(&iteration).is_some_and(voted) {
             return;
         }
-        // A yes vote is proper only with a valid closing message; the
-        // iteration's slot opens for a vote that counts. The closing this
-        // party holds for the candidate has been checked, so the same
-        // bytes again count as they are; any other closing is checked
-        // and, with none held, adopted with the proposal it transports.
+        // A yes vote is proper only with a valid closing message whose
+        // payload satisfies `valid`; the iteration's slot opens for a vote
+        // that counts. The closing this party holds for the candidate has
+        // been checked, so the same bytes again count as they are; any
+        // other closing is checked and, with none held, adopted with the
+        // proposal it transports.
         let adopted = match closing {
             _ if !yes => None,
             None => return,
@@ -440,6 +423,9 @@ impl MultiValuedAgreement {
                 else {
                     return;
                 };
+                if !valid(&payload) {
+                    return;
+                }
                 Some((closing, payload))
             }
         };
@@ -452,12 +438,8 @@ impl MultiValuedAgreement {
         if self.closings[candidate].is_none() {
             self.closings[candidate] = Some(closing.to_vec());
             if self.proposals[candidate].is_none() {
-                if valid(&payload) {
-                    self.valid_count += 1;
-                    self.proposals[candidate] = Some(Some(payload));
-                } else {
-                    self.proposals[candidate] = Some(None);
-                }
+                self.valid_count += 1;
+                self.proposals[candidate] = Some(Some(payload));
             }
         }
     }
@@ -548,8 +530,8 @@ impl MultiValuedAgreement {
                 } else {
                     Vec::new()
                 };
-                self.with_ba(iteration, |ba, valid| {
-                    ba.propose_with(valid, have, proof, out)
+                self.with_ba(valid, iteration, |ba, valid| {
+                    ba.propose(valid, have, proof, out)
                 });
             }
 
@@ -643,6 +625,9 @@ mod tests {
     use std::collections::VecDeque;
     use std::sync::Arc;
 
+    /// A predicate every value satisfies.
+    const ANY: Valid<'static> = &|_| true;
+
     fn group(n: usize, t: usize) -> Vec<GroupContext> {
         let mut rng = StdRng::seed_from_u64(29);
         deal(&DealerConfig::small(n, t), &mut rng)
@@ -652,12 +637,12 @@ mod tests {
             .collect()
     }
 
-    fn run(instances: &mut [MultiValuedAgreement], proposals: &[Vec<u8>]) {
+    fn run(instances: &mut [MultiValuedAgreement], proposals: &[Vec<u8>], valid: Valid) {
         let n = instances.len();
         let mut queue: VecDeque<(PartyId, usize, ProtocolId, Body)> = VecDeque::new();
         for (i, inst) in instances.iter_mut().enumerate() {
             let mut out = Outgoing::new();
-            inst.propose(proposals[i].clone(), &mut out);
+            inst.propose(valid, proposals[i].clone(), &mut out);
             for (recipient, env) in out.drain() {
                 match recipient {
                     Recipient::All => {
@@ -674,7 +659,7 @@ mod tests {
             steps += 1;
             assert!(steps < 2_000_000, "MVBA did not terminate");
             let mut out = Outgoing::new();
-            instances[to].handle(from, &pid, &body, &mut out);
+            instances[to].handle(valid, from, &pid, &body, &mut out);
             for (recipient, env) in out.drain() {
                 match recipient {
                     Recipient::All => {
@@ -690,14 +675,7 @@ mod tests {
 
     fn fresh(ctxs: &[GroupContext], tag: &str, order: CandidateOrder) -> Vec<MultiValuedAgreement> {
         ctxs.iter()
-            .map(|c| {
-                MultiValuedAgreement::new(
-                    ProtocolId::new(tag),
-                    c.clone(),
-                    ArrayValidator::always(),
-                    order,
-                )
-            })
+            .map(|c| MultiValuedAgreement::new(ProtocolId::new(tag), c.clone(), order))
             .collect()
     }
 
@@ -708,7 +686,7 @@ mod tests {
             let proposals: Vec<Vec<u8>> =
                 (0..4).map(|i| format!("value-{i}").into_bytes()).collect();
             let mut instances = fresh(&ctxs, &format!("vba-{order:?}"), order);
-            run(&mut instances, &proposals);
+            run(&mut instances, &proposals, ANY);
             let decisions: Vec<Vec<u8>> = instances
                 .iter_mut()
                 .map(|i| i.take_decision().expect("decided"))
@@ -726,7 +704,7 @@ mod tests {
         let ctxs = group(4, 1);
         let proposals = vec![b"same".to_vec(); 4];
         let mut instances = fresh(&ctxs, "vba-same", CandidateOrder::LocalRandom);
-        run(&mut instances, &proposals);
+        run(&mut instances, &proposals, ANY);
         for inst in instances.iter_mut() {
             assert_eq!(inst.take_decision().unwrap(), b"same");
         }
@@ -737,20 +715,9 @@ mod tests {
         // Proposals must start with "ok:"; all honest proposals comply, so
         // whatever is decided must comply too.
         let ctxs = group(4, 1);
-        let validator = ArrayValidator::new(|v| v.starts_with(b"ok:"));
-        let mut instances: Vec<MultiValuedAgreement> = ctxs
-            .iter()
-            .map(|c| {
-                MultiValuedAgreement::new(
-                    ProtocolId::new("vba-validated"),
-                    c.clone(),
-                    validator.clone(),
-                    CandidateOrder::Fixed,
-                )
-            })
-            .collect();
+        let mut instances = fresh(&ctxs, "vba-validated", CandidateOrder::Fixed);
         let proposals: Vec<Vec<u8>> = (0..4).map(|i| format!("ok:{i}").into_bytes()).collect();
-        run(&mut instances, &proposals);
+        run(&mut instances, &proposals, &|v| v.starts_with(b"ok:"));
         for inst in instances.iter_mut() {
             let d = inst.take_decision().unwrap();
             assert!(d.starts_with(b"ok:"));
@@ -763,13 +730,11 @@ mod tests {
         let a = MultiValuedAgreement::new(
             ProtocolId::new("instance-a"),
             ctxs[0].clone(),
-            ArrayValidator::always(),
             CandidateOrder::LocalRandom,
         );
         let a2 = MultiValuedAgreement::new(
             ProtocolId::new("instance-a"),
             ctxs[1].clone(),
-            ArrayValidator::always(),
             CandidateOrder::LocalRandom,
         );
         assert_eq!(a.permutation(), a2.permutation(), "same pid, same order");
@@ -778,7 +743,6 @@ mod tests {
             let b = MultiValuedAgreement::new(
                 ProtocolId::new(format!("instance-{i}")),
                 ctxs[0].clone(),
-                ArrayValidator::always(),
                 CandidateOrder::LocalRandom,
             );
             let p = b.permutation().expect("local-random is immediate").to_vec();
@@ -793,7 +757,6 @@ mod tests {
         let c = MultiValuedAgreement::new(
             ProtocolId::new("coin-instance"),
             ctxs[0].clone(),
-            ArrayValidator::always(),
             CandidateOrder::CommonCoin,
         );
         assert!(c.permutation().is_none());
@@ -804,7 +767,7 @@ mod tests {
         let ctxs = group(4, 1);
         let proposals: Vec<Vec<u8>> = (0..4).map(|i| format!("cc-{i}").into_bytes()).collect();
         let mut instances = fresh(&ctxs, "vba-commoncoin", CandidateOrder::CommonCoin);
-        run(&mut instances, &proposals);
+        run(&mut instances, &proposals, ANY);
         let decisions: Vec<Vec<u8>> = instances
             .iter_mut()
             .map(|i| i.take_decision().expect("decided"))
@@ -827,11 +790,10 @@ mod tests {
         let mut inst = MultiValuedAgreement::new(
             ProtocolId::new("vba-double"),
             ctxs[0].clone(),
-            ArrayValidator::always(),
             CandidateOrder::Fixed,
         );
         let mut out = Outgoing::new();
-        inst.propose(b"a".to_vec(), &mut out);
-        inst.propose(b"b".to_vec(), &mut out);
+        inst.propose(ANY, b"a".to_vec(), &mut out);
+        inst.propose(ANY, b"b".to_vec(), &mut out);
     }
 }

@@ -333,26 +333,6 @@ impl VerifiableConsistentBroadcast {
     pub fn payload_from_closing(closing: &[u8]) -> Option<Vec<u8>> {
         ClosingMessage::from_bytes(closing).ok().map(|m| m.payload)
     }
-
-    /// Statically checks a closing message for instance `pid` against the
-    /// group's broadcast threshold key, returning its payload and checked
-    /// signature if valid.
-    pub fn validate_closing_bytes(
-        pid: &ProtocolId,
-        ctx: &GroupContext,
-        closing: &[u8],
-    ) -> Option<(Vec<u8>, Checked<ThresholdSignature>)> {
-        let msg = ClosingMessage::from_bytes(closing).ok()?;
-        let statement = statement_cb(pid, &msg.payload);
-        let sig = ctx.check_sig(Thsig::Broadcast, &statement, &msg.sig)?;
-        Some((msg.payload, sig))
-    }
-
-    /// Boolean form of [`Self::validate_closing_bytes`], mirroring the
-    /// Java API's `isValidClosing`.
-    pub fn is_valid_closing(pid: &ProtocolId, ctx: &GroupContext, closing: &[u8]) -> bool {
-        Self::validate_closing_bytes(pid, ctx, closing).is_some()
-    }
 }
 
 #[cfg(test)]
@@ -504,9 +484,8 @@ mod tests {
             VerifiableConsistentBroadcast::payload_from_closing(&closing).unwrap(),
             b"proposal"
         );
-        assert!(VerifiableConsistentBroadcast::is_valid_closing(
-            &pid, &ctxs[2], &closing
-        ));
+        let checker = VerifiableConsistentBroadcast::new(pid.clone(), ctxs[2].clone(), PartyId(0));
+        assert!(checker.check_closing(&closing).is_some());
 
         // A fresh party instance that saw no messages delivers from it.
         let mut fresh =

@@ -56,7 +56,6 @@ use crate::message::{
     Body, Entry, EntryRef, Payload, PayloadKind, MAX_ENTRY_BYTES, MAX_ENTRY_PAYLOADS,
 };
 use crate::outgoing::Outgoing;
-use crate::validator::ArrayValidator;
 use crate::wire::Wire;
 
 /// How many finished rounds' decided batches a party keeps to answer
@@ -473,13 +472,8 @@ impl AtomicChannel {
     ) -> R {
         let sizes = self.batch_sizes();
         let vba = self.vbas.entry(round).or_insert_with(|| {
-            let (ctx, pid) = (self.ctx.clone(), self.pid.clone());
-            let vba_pid = pid.child(format!("vba/{round}"));
-            let sizes = sizes.clone();
-            let validator = ArrayValidator::new(move |bytes| {
-                valid_batch(&ctx, &pid, &sizes, round, None, bytes)
-            });
-            MultiValuedAgreement::new(vba_pid, self.ctx.clone(), validator, self.order)
+            let vba_pid = self.pid.child(format!("vba/{round}"));
+            MultiValuedAgreement::new(vba_pid, self.ctx.clone(), self.order)
         });
         let state = self.rounds.get(&round);
         f(vba, &|bytes| {
@@ -521,7 +515,7 @@ impl AtomicChannel {
             let live = round > self.round || (round == self.round && self.decided.is_none());
             if live && self.admit(from, round, proposer, msg_pid, body) {
                 self.with_vba(round, |vba, valid| {
-                    vba.handle_with(valid, from, msg_pid, body, out)
+                    vba.handle(valid, from, msg_pid, body, out)
                 });
             }
         }
@@ -748,7 +742,7 @@ impl AtomicChannel {
                 .and_then(|state| state.parked.remove(&proposer));
             if let Some(parked) = parked {
                 self.with_vba(round, |vba, valid| {
-                    vba.handle_with(valid, proposer, &parked.msg_pid, &parked.body, out)
+                    vba.handle(valid, proposer, &parked.msg_pid, &parked.body, out)
                 });
             }
         }
@@ -947,7 +941,7 @@ impl AtomicChannel {
                         "entry set for round {round} missing at proposal"
                     );
                     let bytes = self.select_batch(&state.arrived).to_bytes();
-                    self.with_vba(round, |vba, valid| vba.propose_with(valid, bytes, out));
+                    self.with_vba(round, |vba, valid| vba.propose(valid, bytes, out));
                 }
 
                 // Step 3: pull what held-back proposals name.

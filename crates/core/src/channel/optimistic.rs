@@ -40,7 +40,6 @@ use crate::message::{
     payload_digest, statement_opt_ack, statement_opt_state, Body, Payload, PayloadKind,
 };
 use crate::outgoing::Outgoing;
-use crate::validator::ArrayValidator;
 use crate::wire::{impl_wire_vec, put_seq, wire_struct, Wire};
 
 /// Configuration of an optimistic channel.
@@ -499,10 +498,7 @@ impl OptimisticChannel {
         // Recovery agreement: {pid}/rec/{epoch}.
         if let Some(e) = self.parse_rec_child(msg_pid) {
             if e == self.epoch {
-                self.ensure_recovery_instance();
-                if let Some(rec) = &mut self.recovery {
-                    rec.handle(from, msg_pid, body, out);
-                }
+                self.with_recovery(|rec, valid| rec.handle(valid, from, msg_pid, body, out));
                 self.check_recovery_decision(out);
             }
         }
@@ -719,33 +715,27 @@ impl OptimisticChannel {
         self.maybe_propose_recovery(out);
     }
 
-    fn ensure_recovery_instance(&mut self) {
-        if self.recovery.is_some() {
-            return;
-        }
-        let rec_pid = self.pid.child(format!("rec/{}", self.epoch));
-        let vpid = self.pid.clone();
-        let vctx = self.ctx.clone();
-        let epoch = self.epoch;
-        let quorum = self.ctx.n_minus_t();
-        let validator = ArrayValidator::new(move |bytes| {
+    /// Runs `f` on this epoch's recovery agreement, made on its first use,
+    /// with its external validity: at least `n - t` epoch states, of
+    /// distinct senders, each valid for this epoch.
+    fn with_recovery(&mut self, f: impl FnOnce(&mut MultiValuedAgreement, &dyn Fn(&[u8]) -> bool)) {
+        let (pid, ctx, epoch) = (&self.pid, &self.ctx, self.epoch);
+        let rec = self.recovery.get_or_insert_with(|| {
+            let rec_pid = pid.child(format!("rec/{epoch}"));
+            MultiValuedAgreement::new(rec_pid, ctx.clone(), self.config.recovery_order)
+        });
+        f(rec, &|bytes| {
             let Ok(set) = RecoverySet::from_bytes(bytes) else {
                 return false;
             };
-            if set.0.len() < quorum {
+            if set.0.len() < ctx.n_minus_t() {
                 return false;
             }
             let mut senders = BTreeSet::new();
-            set.0.iter().all(|s| {
-                senders.insert(s.sender) && validate_state(&vpid, &vctx, epoch, s).is_some()
-            })
+            set.0
+                .iter()
+                .all(|s| senders.insert(s.sender) && validate_state(pid, ctx, epoch, s).is_some())
         });
-        self.recovery = Some(MultiValuedAgreement::new(
-            rec_pid,
-            self.ctx.clone(),
-            validator,
-            self.config.recovery_order,
-        ));
     }
 
     fn maybe_propose_recovery(&mut self, out: &mut Outgoing) {
@@ -753,15 +743,12 @@ impl OptimisticChannel {
             return;
         }
         self.recovery_proposed = true;
-        self.ensure_recovery_instance();
         let states = self.states.values().cloned();
         let mut states: Vec<EpochState> = states.map(EpochState::forget).collect();
         states.sort_by_key(|s| s.sender);
         states.truncate(self.ctx.n_minus_t());
-        let set = RecoverySet(states);
-        if let Some(rec) = &mut self.recovery {
-            rec.propose(set.to_bytes(), out);
-        }
+        let set = RecoverySet(states).to_bytes();
+        self.with_recovery(|rec, valid| rec.propose(valid, set, out));
         self.check_recovery_decision(out);
     }
 

@@ -440,25 +440,6 @@ impl Body {
             Body::OptState { .. } => "opt-state",
         }
     }
-
-    /// Protocol family this message kind belongs to.
-    pub fn family(&self) -> &'static str {
-        match self {
-            Body::RbSend(_) | Body::RbEcho(_) | Body::RbReady(_) => "rb",
-            Body::CbSend(_) | Body::CbEcho(_) | Body::CbFinal { .. } => "vcb",
-            Body::BaPreVote { .. }
-            | Body::BaMainVote { .. }
-            | Body::BaCoinShare { .. }
-            | Body::BaDecide { .. } => "abba",
-            Body::VbaVote { .. } => "vba",
-            Body::AcEntry { .. } | Body::AcFetch { .. } | Body::AcFetched { .. } => "atomic",
-            Body::ScShares { .. } => "secure",
-            Body::OptSubmit { .. }
-            | Body::OptAck { .. }
-            | Body::OptComplain { .. }
-            | Body::OptState { .. } => "opt",
-        }
-    }
 }
 
 /// A routed protocol message.

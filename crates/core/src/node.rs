@@ -35,8 +35,10 @@ use crate::validator::{ArrayValidator, BinaryValidator};
 enum Instance {
     ReliableBroadcast(ReliableBroadcast),
     ConsistentBroadcast(VerifiableConsistentBroadcast),
-    BinaryAgreement(BinaryAgreement),
-    MultiValued(MultiValuedAgreement),
+    /// An agreement with the user's validity predicate, passed on each
+    /// call.
+    BinaryAgreement(BinaryAgreement, BinaryValidator),
+    MultiValued(MultiValuedAgreement, ArrayValidator),
     Atomic(AtomicChannel),
     Secure(SecureAtomicChannel),
     Optimistic(OptimisticChannel),
@@ -178,13 +180,14 @@ impl Node {
         bias: Option<bool>,
     ) {
         let mut inst = BinaryAgreement::new(pid.clone(), self.ctx.clone());
-        if let Some(v) = validator {
-            inst = inst.with_validator(v);
+        if validator.is_some() {
+            inst = inst.validated();
         }
         if let Some(b) = bias {
             inst = inst.with_bias(b);
         }
-        self.register(pid, Instance::BinaryAgreement(inst));
+        let validator = validator.unwrap_or_else(BinaryValidator::always);
+        self.register(pid, Instance::BinaryAgreement(inst, validator));
     }
 
     /// Registers a multi-valued agreement instance.
@@ -194,8 +197,8 @@ impl Node {
         validator: ArrayValidator,
         order: CandidateOrder,
     ) {
-        let inst = MultiValuedAgreement::new(pid.clone(), self.ctx.clone(), validator, order);
-        self.register(pid, Instance::MultiValued(inst));
+        let inst = MultiValuedAgreement::new(pid.clone(), self.ctx.clone(), order);
+        self.register(pid, Instance::MultiValued(inst, validator));
     }
 
     /// Opens an atomic broadcast channel.
@@ -271,7 +274,9 @@ impl Node {
     ) {
         let scope = self.crypto_scope();
         match self.instances.get_mut(pid) {
-            Some(Instance::BinaryAgreement(a)) => a.propose(value, proof, out),
+            Some(Instance::BinaryAgreement(a, v)) => {
+                a.propose(&|value, proof| v.is_valid(value, proof), value, proof, out);
+            }
             _ => invariant_violated!("no binary agreement instance {pid}"),
         }
         self.attribute_crypto(pid, scope);
@@ -286,7 +291,7 @@ impl Node {
     pub fn propose_multi(&mut self, pid: &ProtocolId, value: Vec<u8>, out: &mut Outgoing) {
         let scope = self.crypto_scope();
         match self.instances.get_mut(pid) {
-            Some(Instance::MultiValued(a)) => a.propose(value, out),
+            Some(Instance::MultiValued(a, v)) => a.propose(&|value| v.is_valid(value), value, out),
             _ => invariant_violated!("no multi-valued agreement instance {pid}"),
         }
         self.attribute_crypto(pid, scope);
@@ -386,8 +391,14 @@ impl Node {
         ) {
             Instance::ReliableBroadcast(b) => b.handle(from, &envelope.body, out),
             Instance::ConsistentBroadcast(b) => b.handle(from, &envelope.body, out),
-            Instance::BinaryAgreement(a) => a.handle(from, &envelope.body, out),
-            Instance::MultiValued(a) => a.handle(from, &envelope.pid, &envelope.body, out),
+            Instance::BinaryAgreement(a, v) => {
+                let valid = |value, proof: &[u8]| v.is_valid(value, proof);
+                a.handle(&valid, from, &envelope.body, out);
+            }
+            Instance::MultiValued(a, v) => {
+                let valid = |value: &[u8]| v.is_valid(value);
+                a.handle(&valid, from, &envelope.pid, &envelope.body, out);
+            }
             Instance::Atomic(c) => c.handle(from, &envelope.pid, &envelope.body, out),
             Instance::Secure(c) => c.handle(from, &envelope.pid, &envelope.body, out),
             Instance::Optimistic(c) => c.handle(from, &envelope.pid, &envelope.body, out),
@@ -423,8 +434,8 @@ impl Node {
         match instance {
             Instance::ReliableBroadcast(b) => b,
             Instance::ConsistentBroadcast(b) => b,
-            Instance::BinaryAgreement(a) => a,
-            Instance::MultiValued(a) => a,
+            Instance::BinaryAgreement(a, _) => a,
+            Instance::MultiValued(a, _) => a,
             Instance::Atomic(c) => c,
             Instance::Secure(c) => c,
             Instance::Optimistic(c) => c,
@@ -472,7 +483,7 @@ impl Node {
                         });
                     }
                 }
-                Instance::BinaryAgreement(a) => {
+                Instance::BinaryAgreement(a, _) => {
                     if let Some((value, proof)) = a.take_decision() {
                         self.events.push(Event::BinaryDecided {
                             pid: pid.clone(),
@@ -481,7 +492,7 @@ impl Node {
                         });
                     }
                 }
-                Instance::MultiValued(a) => {
+                Instance::MultiValued(a, _) => {
                     if let Some(value) = a.take_decision() {
                         self.events.push(Event::MultiDecided {
                             pid: pid.clone(),

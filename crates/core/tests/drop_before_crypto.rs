@@ -41,7 +41,6 @@ use sintra_core::message::{
     statement_opt_state, statement_pre_vote, Body, Entry, EntryRef, Envelope, MainVote,
     MainVoteJust, Payload, PayloadKind, PreVoteJust,
 };
-use sintra_core::validator::{ArrayValidator, BinaryValidator};
 use sintra_core::wire::Wire;
 use sintra_core::{GroupContext, Outgoing, PartyId, ProtocolId, Recipient};
 use sintra_crypto::cost::CostScope;
@@ -116,8 +115,8 @@ fn decide_after_decision(ctxs: &[GroupContext]) -> Row {
         proof: None,
     };
     let mut inst = BinaryAgreement::new(pid, ctxs[0].clone());
-    inst.propose(true, Vec::new(), &mut Outgoing::new());
-    let first = offer(&mut inst, |i, out| i.handle(PartyId(1), &decide, out));
+    inst.propose(&any, true, Vec::new(), &mut Outgoing::new());
+    let first = offer(&mut inst, |i, out| i.handle(&any, PartyId(1), &decide, out));
     assert!(first.changed && first.work > 0.0);
     assert_eq!(inst.decision(), Some(true));
     Row {
@@ -127,7 +126,7 @@ fn decide_after_decision(ctxs: &[GroupContext]) -> Row {
                 .check_sig(Thsig::Agreement, &statement, &sig)
                 .is_some()
         }),
-        late: offer(&mut inst, |i, out| i.handle(PartyId(2), &decide, out)),
+        late: offer(&mut inst, |i, out| i.handle(&any, PartyId(2), &decide, out)),
     }
 }
 
@@ -147,9 +146,9 @@ fn second_pre_vote(ctxs: &[GroupContext]) -> Row {
         (statement, share, body)
     };
     let mut inst = BinaryAgreement::new(pid.clone(), ctxs[0].clone());
-    inst.propose(true, Vec::new(), &mut Outgoing::new());
+    inst.propose(&any, true, Vec::new(), &mut Outgoing::new());
     let (_, _, first) = pre_vote(true);
-    let first = offer(&mut inst, |i, out| i.handle(PartyId(1), &first, out));
+    let first = offer(&mut inst, |i, out| i.handle(&any, PartyId(1), &first, out));
     assert!(first.changed && first.work > 0.0);
     let (statement, share, second) = pre_vote(false);
     Row {
@@ -159,7 +158,7 @@ fn second_pre_vote(ctxs: &[GroupContext]) -> Row {
                 .check_share(Thsig::Agreement, &statement, &share)
                 .is_some()
         }),
-        late: offer(&mut inst, |i, out| i.handle(PartyId(1), &second, out)),
+        late: offer(&mut inst, |i, out| i.handle(&any, PartyId(1), &second, out)),
     }
 }
 
@@ -182,9 +181,9 @@ fn second_main_vote(ctxs: &[GroupContext]) -> Row {
         (just_statement, just, statement, share, body)
     };
     let mut inst = BinaryAgreement::new(pid.clone(), ctxs[0].clone());
-    inst.propose(true, Vec::new(), &mut Outgoing::new());
+    inst.propose(&any, true, Vec::new(), &mut Outgoing::new());
     let first = main_vote(true).4;
-    let first = offer(&mut inst, |i, out| i.handle(PartyId(1), &first, out));
+    let first = offer(&mut inst, |i, out| i.handle(&any, PartyId(1), &first, out));
     assert!(first.changed && first.work > 0.0);
     let (just_statement, just, statement, share, second) = main_vote(false);
     let checks = &ctxs[0];
@@ -198,7 +197,7 @@ fn second_main_vote(ctxs: &[GroupContext]) -> Row {
                     .check_share(Thsig::Agreement, &statement, &share)
                     .is_some()
         }),
-        late: offer(&mut inst, |i, out| i.handle(PartyId(1), &second, out)),
+        late: offer(&mut inst, |i, out| i.handle(&any, PartyId(1), &second, out)),
     }
 }
 
@@ -435,13 +434,23 @@ fn forged_final(ctxs: &[GroupContext]) -> Forged {
     }
 }
 
+/// The predicate of [`validated`]'s agreements: free, so a row's work is
+/// signatures.
+fn ok(_: bool, proof: &[u8]) -> bool {
+    proof == b"ok"
+}
+
 /// A validated agreement at party 0 that proposed 1 and holds validation
-/// data for 1 only; the predicate is free, so a row's work is signatures.
+/// data for 1 only.
 fn validated(ctxs: &[GroupContext], pid: &ProtocolId) -> BinaryAgreement {
-    let validator = BinaryValidator::new(|_, proof| proof == b"ok");
-    let mut inst = BinaryAgreement::new(pid.clone(), ctxs[0].clone()).with_validator(validator);
-    inst.propose(true, b"ok".to_vec(), &mut Outgoing::new());
+    let mut inst = BinaryAgreement::new(pid.clone(), ctxs[0].clone()).validated();
+    inst.propose(&ok, true, b"ok".to_vec(), &mut Outgoing::new());
     inst
+}
+
+/// The predicate a plain agreement is passed, and never calls.
+fn any(_: bool, _: &[u8]) -> bool {
+    true
 }
 
 fn forged_pre_vote(ctxs: &[GroupContext]) -> Forged {
@@ -461,7 +470,9 @@ fn forged_pre_vote(ctxs: &[GroupContext]) -> Forged {
     };
     Forged {
         what: "ba-pre-vote with a share on the other value's statement",
-        offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &pre_vote, out)),
+        offered: offer(&mut inst, |i, out| {
+            i.handle(&ok, PartyId(1), &pre_vote, out)
+        }),
         check_work: refused(|| {
             ctxs[0]
                 .check_share(Thsig::Agreement, &statement, &share)
@@ -490,7 +501,9 @@ fn forged_main_vote(ctxs: &[GroupContext]) -> Forged {
     let checks = &ctxs[0];
     Forged {
         what: "ba-main-vote with a share on the other value's statement",
-        offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &main_vote, out)),
+        offered: offer(&mut inst, |i, out| {
+            i.handle(&ok, PartyId(1), &main_vote, out)
+        }),
         check_work: refused(|| {
             checks
                 .check_sig(Thsig::Agreement, &just_statement, &just)
@@ -516,7 +529,7 @@ fn forged_decide(ctxs: &[GroupContext]) -> Forged {
     };
     Forged {
         what: "ba-decide with the signature on the other value",
-        offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &decide, out)),
+        offered: offer(&mut inst, |i, out| i.handle(&ok, PartyId(1), &decide, out)),
         check_work: refused(|| {
             ctxs[0]
                 .check_sig(Thsig::Agreement, &statement, &sig)
@@ -554,7 +567,7 @@ fn forged_coin_share(ctxs: &[GroupContext]) -> Forged {
     // decide or adopt, so it releases its coin share and waits for one
     // more. Its own broadcasts come back as the network brings them.
     let mut out = Outgoing::new();
-    inst.propose(true, Vec::new(), &mut out);
+    inst.propose(&any, true, Vec::new(), &mut out);
     let mut script = VecDeque::from([
         (1, pre_vote(1, true)),
         (2, pre_vote(2, false)),
@@ -568,7 +581,7 @@ fn forged_coin_share(ctxs: &[GroupContext]) -> Forged {
         let Some((from, body)) = script.pop_front() else {
             break;
         };
-        inst.handle(PartyId(from), &body, &mut out);
+        inst.handle(&any, PartyId(from), &body, &mut out);
     }
     assert!(inst.snapshot_json().contains("collecting-coin"));
     // Party 1's share of the next round's coin: parked for free, and
@@ -581,7 +594,9 @@ fn forged_coin_share(ctxs: &[GroupContext]) -> Forged {
     let name = coin_name(&pid, 1);
     Forged {
         what: "ba-coin-share of another round's coin, flushed",
-        offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &coin_share, out)),
+        offered: offer(&mut inst, |i, out| {
+            i.handle(&any, PartyId(1), &coin_share, out)
+        }),
         check_work: refused(|| !ctxs[0].check_coin_shares(&name, [share]).is_empty()),
     }
 }
@@ -857,13 +872,7 @@ fn forged_state(ctxs: &[GroupContext]) -> Forged {
 
 fn forged_closing(ctxs: &[GroupContext]) -> Forged {
     let pid = ProtocolId::new("vba-forged-closing");
-    let validator = ArrayValidator::always();
-    let mut inst = MultiValuedAgreement::new(
-        pid.clone(),
-        ctxs[0].clone(),
-        validator,
-        CandidateOrder::Fixed,
-    );
+    let mut inst = MultiValuedAgreement::new(pid.clone(), ctxs[0].clone(), CandidateOrder::Fixed);
     // Iteration 0 examines party 0's broadcast; the closing is of
     // another agreement's.
     let statement = statement_cb(&pid.child("bc/0"), b"candidate");
@@ -880,7 +889,9 @@ fn forged_closing(ctxs: &[GroupContext]) -> Forged {
     };
     Forged {
         what: "vba-vote whose closing is of another instance",
-        offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &pid, &vote, out)),
+        offered: offer(&mut inst, |i, out| {
+            i.handle(&|_| true, PartyId(1), &pid, &vote, out)
+        }),
         check_work: refused(|| {
             ctxs[0]
                 .check_sig(Thsig::Broadcast, &statement, &sig)
@@ -953,9 +964,9 @@ fn holding_pre_votes(
         .collect();
     let mut inst = BinaryAgreement::new(pid.clone(), ctxs[0].clone());
     let mut out = Outgoing::new();
-    inst.propose(true, Vec::new(), &mut out);
+    inst.propose(&any, true, Vec::new(), &mut out);
     let (_, own) = out.drain().remove(0);
-    inst.handle(PartyId(0), &own.body, &mut out);
+    inst.handle(&any, PartyId(0), &own.body, &mut out);
     for from in [1, 2] {
         let pre_vote = Body::BaPreVote {
             round: 1,
@@ -964,7 +975,7 @@ fn holding_pre_votes(
             share: shares[from].clone().forget(),
             proof: None,
         };
-        inst.handle(PartyId(from), &pre_vote, &mut out);
+        inst.handle(&any, PartyId(from), &pre_vote, &mut out);
     }
     assert!(inst.snapshot_json().contains("collecting-main-votes"));
     (inst, shares)
@@ -1011,7 +1022,7 @@ fn justified_main_votes(ctxs: &[GroupContext]) -> Vec<Held> {
                 .check_share(Thsig::Agreement, &statement, &share)
                 .is_some()
         }),
-        offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &body, out)),
+        offered: offer(&mut inst, |i, out| i.handle(&any, PartyId(1), &body, out)),
         counts: true,
     });
 
@@ -1029,7 +1040,7 @@ fn justified_main_votes(ctxs: &[GroupContext]) -> Vec<Held> {
             let own = check.check_share(Thsig::Agreement, &statement, &share);
             new.is_some() && own.is_some()
         }),
-        offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &body, out)),
+        offered: offer(&mut inst, |i, out| i.handle(&any, PartyId(1), &body, out)),
         counts: true,
     });
 
@@ -1049,7 +1060,7 @@ fn justified_main_votes(ctxs: &[GroupContext]) -> Vec<Held> {
                 .check_share(Thsig::Agreement, &pre(&pid), &bad)
                 .is_some()
         }),
-        offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &body, out)),
+        offered: offer(&mut inst, |i, out| i.handle(&any, PartyId(1), &body, out)),
         counts: false,
     });
 
@@ -1071,7 +1082,7 @@ fn justified_main_votes(ctxs: &[GroupContext]) -> Vec<Held> {
         rows.push(Held {
             what,
             owed: 0.0,
-            offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &body, out)),
+            offered: offer(&mut inst, |i, out| i.handle(&any, PartyId(1), &body, out)),
             counts: false,
         });
     }
@@ -1092,7 +1103,7 @@ fn decide_with_one_new_share(ctxs: &[GroupContext]) -> Held {
     // Its own main-vote is in the first network's hands; party 1's has
     // arrived.
     let (_, _, body) = main_vote_from(ctxs, &pid, 1, true, just);
-    inst.handle(PartyId(1), &body, &mut Outgoing::new());
+    inst.handle(&any, PartyId(1), &body, &mut Outgoing::new());
     let decide = Body::BaDecide {
         round: 1,
         value: true,
@@ -1105,7 +1116,7 @@ fn decide_with_one_new_share(ctxs: &[GroupContext]) -> Held {
         let checked = |share| check.check_share(Thsig::Agreement, &statement, share);
         new.iter().all(|share| checked(share).is_some())
     });
-    let offered = offer(&mut inst, |i, out| i.handle(PartyId(2), &decide, out));
+    let offered = offer(&mut inst, |i, out| i.handle(&any, PartyId(2), &decide, out));
     assert_eq!(inst.decision(), Some(true));
     Held {
         what: "ba-decide signed by one held main-vote share and two new ones",
@@ -1130,7 +1141,7 @@ fn held_under_another_statement(ctxs: &[GroupContext]) -> Vec<Held> {
     rows.push(Held {
         what: "ba-main-vote for 0 justified by the held shares for 1",
         owed: refused(|| check.check_sig(Thsig::Agreement, &claimed, &just).is_some()),
-        offered: offer(&mut inst, |i, out| i.handle(PartyId(3), &body, out)),
+        offered: offer(&mut inst, |i, out| i.handle(&any, PartyId(3), &body, out)),
         counts: false,
     });
 
@@ -1151,7 +1162,9 @@ fn held_under_another_statement(ctxs: &[GroupContext]) -> Vec<Held> {
     rows.push(Held {
         what: "ba-pre-vote of round 3 justified by round 1's held shares",
         owed: refused(|| check.check_sig(Thsig::Agreement, &claimed, &just).is_some()),
-        offered: offer(&mut inst, |i, out| i.handle(PartyId(3), &pre_vote, out)),
+        offered: offer(&mut inst, |i, out| {
+            i.handle(&any, PartyId(3), &pre_vote, out)
+        }),
         counts: false,
     });
 
@@ -1262,22 +1275,30 @@ fn closing_of_candidate_0(ctxs: &[GroupContext], pid: &ProtocolId) -> ClosingMes
 /// same broadcast (a different quorum's signature).
 fn votes_with_closings(ctxs: &[GroupContext]) -> [Held; 2] {
     let pid = ProtocolId::new("vba-held-closing");
-    let validator = ArrayValidator::always();
     let order = CandidateOrder::Fixed;
-    let mut inst = MultiValuedAgreement::new(pid.clone(), ctxs[0].clone(), validator, order);
+    let mut inst = MultiValuedAgreement::new(pid.clone(), ctxs[0].clone(), order);
+    let valid = |_: &[u8]| true;
     let held = closing_of_candidate_0(ctxs, &pid);
     let fin = Body::CbFinal {
         payload: held.payload.clone(),
         sig: held.sig.clone(),
     };
-    inst.handle(PartyId(0), &pid.child("bc/0"), &fin, &mut Outgoing::new());
+    inst.handle(
+        &valid,
+        PartyId(0),
+        &pid.child("bc/0"),
+        &fin,
+        &mut Outgoing::new(),
+    );
     let vote = |closing: &ClosingMessage| Body::VbaVote {
         iteration: 0,
         yes: true,
         closing: Some(closing.to_bytes()),
     };
     let same = vote(&held);
-    let same = offer(&mut inst, |i, out| i.handle(PartyId(1), &pid, &same, out));
+    let same = offer(&mut inst, |i, out| {
+        i.handle(&valid, PartyId(1), &pid, &same, out)
+    });
     assert!(format!("{inst:?}").contains("proper: 1"), "the vote counts");
     // Parties 1, 2 and 3 signed this one; the held one is of 0, 1 and 2.
     let statement = statement_cb(&pid.child("bc/0"), b"candidate");
@@ -1288,7 +1309,7 @@ fn votes_with_closings(ctxs: &[GroupContext]) -> [Held; 2] {
     assert_ne!(other, held);
     let differs = vote(&other);
     let differs = offer(&mut inst, |i, out| {
-        i.handle(PartyId(2), &pid, &differs, out)
+        i.handle(&valid, PartyId(2), &pid, &differs, out)
     });
     assert!(
         format!("{inst:?}").contains("proper: 2"),
@@ -1320,12 +1341,10 @@ fn votes_with_closings(ctxs: &[GroupContext]) -> [Held; 2] {
 fn pre_vote_with_held_proof(ctxs: &[GroupContext]) -> Held {
     let pid = ProtocolId::new("ba-held-proof");
     let closing = closing_of_candidate_0(ctxs, &pid).to_bytes();
-    let (bc_pid, ctx) = (pid.child("bc/0"), ctxs[0].clone());
-    let validator = BinaryValidator::new(move |value, proof| {
-        !value || VerifiableConsistentBroadcast::is_valid_closing(&bc_pid, &ctx, proof)
-    });
-    let mut inst = BinaryAgreement::new(pid.clone(), ctxs[0].clone()).with_validator(validator);
-    inst.propose(true, closing.clone(), &mut Outgoing::new());
+    let bc = VerifiableConsistentBroadcast::new(pid.child("bc/0"), ctxs[0].clone(), PartyId(0));
+    let valid = |value: bool, proof: &[u8]| !value || bc.check_closing(proof).is_some();
+    let mut inst = BinaryAgreement::new(pid.clone(), ctxs[0].clone()).validated();
+    inst.propose(&valid, true, closing.clone(), &mut Outgoing::new());
     let statement = statement_pre_vote(&pid, 1, true);
     let share = ctxs[1].sign_share(Thsig::Agreement, &statement).forget();
     let pre_vote = Body::BaPreVote {
@@ -1342,7 +1361,9 @@ fn pre_vote_with_held_proof(ctxs: &[GroupContext]) -> Held {
                 .check_share(Thsig::Agreement, &statement, &share)
                 .is_some()
         }),
-        offered: offer(&mut inst, |i, out| i.handle(PartyId(1), &pre_vote, out)),
+        offered: offer(&mut inst, |i, out| {
+            i.handle(&valid, PartyId(1), &pre_vote, out)
+        }),
         counts: true,
     }
 }

@@ -17,7 +17,6 @@ use sintra_core::message::{
     payload_digest, statement_cb, statement_entry, statement_pre_vote, Body, Entry, EntryRef,
     Envelope, MainVote, MainVoteJust, Payload, PayloadKind,
 };
-use sintra_core::validator::ArrayValidator;
 use sintra_core::wire::Wire;
 use sintra_core::{GroupContext, Outgoing, PartyId, ProtocolId, Recipient};
 use sintra_crypto::dealer::{deal, DealerConfig};
@@ -219,7 +218,7 @@ fn run_ba_with_schedule(proposals: &[bool], seed: u64) -> Vec<bool> {
     };
     for (i, inst) in instances.iter_mut().enumerate() {
         let mut out = Outgoing::new();
-        inst.propose(proposals[i], Vec::new(), &mut out);
+        inst.propose(&|_, _| true, proposals[i], Vec::new(), &mut out);
         push(&mut queue, i, out);
     }
     let mut steps = 0;
@@ -230,7 +229,7 @@ fn run_ba_with_schedule(proposals: &[bool], seed: u64) -> Vec<bool> {
         let idx = rng.gen_range(0..queue.len());
         let (from, to, body) = queue.swap_remove(idx);
         let mut out = Outgoing::new();
-        instances[to].handle(from, &body, &mut out);
+        instances[to].handle(&|_, _| true, from, &body, &mut out);
         push(&mut queue, to, out);
     }
     instances
@@ -262,21 +261,14 @@ fn mvba_safe_under_shuffled_schedule() {
     let pid = ProtocolId::new("vba-shuffle");
     let mut instances: Vec<MultiValuedAgreement> = ctxs
         .iter()
-        .map(|c| {
-            MultiValuedAgreement::new(
-                pid.clone(),
-                c.clone(),
-                ArrayValidator::always(),
-                CandidateOrder::LocalRandom,
-            )
-        })
+        .map(|c| MultiValuedAgreement::new(pid.clone(), c.clone(), CandidateOrder::LocalRandom))
         .collect();
     let proposals: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8; 8]).collect();
     let mut rng = StdRng::seed_from_u64(99);
     let mut queue: Vec<(PartyId, usize, ProtocolId, Body)> = Vec::new();
     for (i, inst) in instances.iter_mut().enumerate() {
         let mut out = Outgoing::new();
-        inst.propose(proposals[i].clone(), &mut out);
+        inst.propose(&|_| true, proposals[i].clone(), &mut out);
         for (recipient, env) in out.drain() {
             match recipient {
                 Recipient::All => {
@@ -295,7 +287,7 @@ fn mvba_safe_under_shuffled_schedule() {
         queue.shuffle(&mut rng);
         let (from, to, mpid, body) = queue.pop().expect("nonempty");
         let mut out = Outgoing::new();
-        instances[to].handle(from, &mpid, &body, &mut out);
+        instances[to].handle(&|_| true, from, &mpid, &body, &mut out);
         for (recipient, env) in out.drain() {
             match recipient {
                 Recipient::All => {

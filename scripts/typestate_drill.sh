@@ -20,6 +20,9 @@
 #   12-13 unsafe budget: `unsafe {}` in hmac.rs (deny) and in sintra-top
 #        (forbid);
 #   14   quorum arithmetic: `self.ctx.t() + 1` (there is no `t()`).
+# One row for the agreement's external validity (tests/agreement.rs):
+#   15   the VBA's binary agreement accepts a closing as 1's validation
+#        data without asking whether its payload satisfies the predicate.
 #
 # Usage: scripts/typestate_drill.sh [scratch-dir]
 # Exit 0 when every row is refused; prints the first error of each.
@@ -49,7 +52,7 @@ run() {
 }
 
 for how in clippy:sintra-core clippy:sintra-net check:sintra-crypto \
-    check:sintra-testbed test:wire_kat:sintra-core; do
+    check:sintra-testbed test:wire_kat:sintra-core test:agreement:sintra; do
     pkg=${how##*:}
     if ! run "${how%:*}" "$pkg" >"$scratch/pristine.log"; then
         echo "drill: the unmutated copy fails ${how%:*} on $pkg" >&2
@@ -149,6 +152,11 @@ elif name == "unsafe budget: unsafe in sintra-top":
 elif name == "quorum arithmetic: t() + 1":
     replace("if self.close_origins.len() > self.ctx.fault_budget() {",
             "if self.close_origins.len() >= self.ctx.t() + 1 {")
+elif name == "VBA validity dropped":
+    replace("                || bc\n"
+            "                    .check_closing(proof)\n"
+            "                    .is_some_and(|(payload, _sig)| valid(&payload))\n",
+            "                || bc.check_closing(proof).is_some()\n")
 else:
     raise SystemExit("unknown mutation " + name)
 open(path, "w").write(src)
@@ -216,6 +224,8 @@ drill check sintra-testbed crates/testbed/src/bin/sintra-top.rs 'usage of an `un
     "unsafe budget: unsafe in sintra-top"
 drill check sintra-core $core/channel/atomic.rs 'no method named `t` found' \
     "quorum arithmetic: t() + 1"
+drill test:agreement sintra $core/agreement/multi.rs 'seed [0-9]+: (undecided|external validity)' \
+    "VBA validity dropped"
 
 if [ "$failed" -ne 0 ]; then
     echo "drill: a re-introduced bug was not refused" >&2

@@ -115,6 +115,49 @@ fn validated_biased_agreement_from_node_api() {
 }
 
 #[test]
+fn invalid_candidate_cannot_win_its_binary_agreement() {
+    // Party 0 judges with a predicate that accepts anything and proposes
+    // a value the others' predicate refuses. With candidate 0 examined
+    // first, the honest parties echo its broadcast, so its closing is
+    // valid; a yes-vote or a 1 backed by it must still not count for
+    // them, or the 1-biased agreement could decide a value they cannot
+    // deliver, and they would never decide.
+    for seed in 0..12u64 {
+        let pid = ProtocolId::new(format!("vba-invalid-{seed}"));
+        let mut sim = wan_sim(4, 1, 950 + seed);
+        let ok = ArrayValidator::new(|value| value.starts_with(b"ok:"));
+        for p in 0..4 {
+            let validator = if p == 0 {
+                ArrayValidator::always()
+            } else {
+                ok.clone()
+            };
+            sim.node_mut(p)
+                .create_multi_valued(pid.clone(), validator, CandidateOrder::Fixed);
+        }
+        for p in 0..4 {
+            let spid = pid.clone();
+            let value = if p == 0 {
+                b"bad:0".to_vec()
+            } else {
+                format!("ok:{p}").into_bytes()
+            };
+            sim.schedule(0, p, move |node, out| {
+                node.propose_multi(&spid, value, out);
+            });
+        }
+        sim.run();
+        let decisions = multi_decisions(&sim, &pid, 4);
+        let first = decisions[1].clone();
+        let first = first.unwrap_or_else(|| panic!("seed {seed}: undecided {decisions:?}"));
+        assert!(first.starts_with(b"ok:"), "seed {seed}: external validity");
+        for (p, d) in decisions.iter().enumerate().skip(1) {
+            assert_eq!(d.as_ref(), Some(&first), "seed {seed} party {p}");
+        }
+    }
+}
+
+#[test]
 fn multi_valued_agreement_under_jitter() {
     for order in [
         CandidateOrder::Fixed,
