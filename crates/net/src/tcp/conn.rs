@@ -1,22 +1,25 @@
 //! Per-peer TCP connection management: dialing, accepting, handshakes,
 //! the readiness-driven read loop, the nonblocking write path, and
-//! reconnection with jittered exponential backoff.
+//! redialing with jittered exponential backoff.
 //!
 //! Topology per party: one listener thread blocks in `accept` for
 //! connections from every *lower-id* peer (the deterministic dial rule:
-//! the lower id dials, so exactly one connection exists per pair); per
-//! peer there is one supervisor thread (dialing or installing accepted
-//! sockets); and one **poll thread** for the whole party services every
-//! live inbound socket. Handshaken sockets are switched to nonblocking
-//! mode and registered with the poll thread, which sweeps them for
-//! readable bytes through one reused scratch buffer and reassembles
-//! frames in place ([`FrameBuffer::next_frame_ref`]) — no thread per
-//! connection and no per-frame allocation.
+//! the lower id dials, so exactly one connection exists per pair), and
+//! one **poll thread** for the whole party services every live inbound
+//! socket and watches every link. Handshaken sockets are switched to
+//! nonblocking mode and registered with the poll thread, which sweeps
+//! them for readable bytes through one reused scratch buffer and
+//! reassembles frames in place ([`FrameBuffer::next_frame_ref`]) — no
+//! thread per connection and no per-frame allocation. A sweep that finds
+//! a higher-id peer with no connection starts a dial, at once or after a
+//! backoff ([`Redial`]). Every handshake, dialed or accepted, runs on a
+//! short-lived thread of its own, which installs the connection it
+//! authenticates.
 //!
 //! There is no writer thread. Whoever produces a frame writes it: the
-//! server loop its data frames, the poll thread its acks, the installing
-//! supervisor the replay. A write never blocks — what the kernel does
-//! not take waits in the connection's backlog, which the next write and
+//! server loop its data frames, the poll thread its acks, the handshake
+//! thread the replay. A write never blocks — what the kernel does not
+//! take waits in the connection's backlog, which the next write and
 //! every poll sweep push on. All link state — sequence numbers, the
 //! retransmission queue, delivery watermarks — lives in the shared
 //! [`ReliableLink`]; connections are disposable carriers that resume the
@@ -28,7 +31,7 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
@@ -41,42 +44,20 @@ use crate::server::Input;
 use crate::tcp::lock;
 use sintra_core::invariant::OrInvariant;
 
-/// Reconnection backoff policy: exponential growth from `initial_ms` to
-/// `max_ms` with up to `jitter_pct` percent randomization on each sleep
-/// (so a partitioned group does not redial in lockstep).
-#[derive(Debug, Clone)]
-pub struct BackoffConfig {
-    /// First retry delay in milliseconds.
-    pub initial_ms: u64,
-    /// Delay ceiling in milliseconds.
-    pub max_ms: u64,
-    /// Random extra delay, as a percentage of the current delay.
-    pub jitter_pct: u64,
-}
-
-impl Default for BackoffConfig {
-    fn default() -> Self {
-        BackoffConfig {
-            initial_ms: 20,
-            max_ms: 2000,
-            jitter_pct: 50,
-        }
-    }
-}
-
 /// Scope under which all link-layer telemetry counters are recorded.
 pub const LINK_SCOPE: &str = "link";
 
-/// Events for a peer's supervisor thread.
-pub(crate) enum SupEvent {
-    /// The connection of generation `.0` died.
-    Broken(u64),
-    /// The listener completed a handshake on an inbound socket; install
-    /// it (peer watermark attached).
-    Accepted(TcpStream, u64),
-    /// Stop supervising.
-    Shutdown,
-}
+/// Read timeout while a connection handshakes; a peer that stalls
+/// mid-handshake is dropped after this long.
+const HANDSHAKE_READ_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// First redial delay after a dial that did not install a connection.
+const REDIAL_INITIAL_MS: u64 = 20;
+/// Redial delay ceiling.
+const REDIAL_MAX_MS: u64 = 2000;
+/// Random extra delay, as a percentage of the current one, so that a
+/// partitioned group does not redial in lockstep.
+const REDIAL_JITTER_PCT: u64 = 50;
 
 /// The write half of one connection and the bytes the kernel has not
 /// taken yet. Every backlogged byte belongs to a frame that is also in
@@ -153,7 +134,14 @@ fn write_nb(stream: &mut TcpStream, bytes: &[u8]) -> std::io::Result<usize> {
 pub(crate) struct PeerLink {
     pub(crate) peer: PartyId,
     pub(crate) link: Mutex<ReliableLink>,
-    pub(crate) sup_tx: Sender<SupEvent>,
+    /// The peer's listener, for a peer this party dials (a higher id);
+    /// `None` for one that dials this party.
+    addr: Option<SocketAddr>,
+    /// A dial to the peer is in flight; set by the poll thread, cleared
+    /// by the handshake thread once it has installed or given up. That
+    /// `Release` store pairs with the poll loop's `Acquire` load, so a
+    /// loop that sees the dial over also sees the connection it left.
+    dialing: AtomicBool,
     /// Current write half and its backlog, tagged with its connection
     /// generation.
     wstream: Mutex<Option<Carrier>>,
@@ -165,11 +153,12 @@ pub(crate) struct PeerLink {
 }
 
 impl PeerLink {
-    pub(crate) fn new(peer: PartyId, link: ReliableLink, sup_tx: Sender<SupEvent>) -> Self {
+    pub(crate) fn new(peer: PartyId, link: ReliableLink, addr: Option<SocketAddr>) -> Self {
         PeerLink {
             peer,
             link: Mutex::new(link),
-            sup_tx,
+            addr,
+            dialing: AtomicBool::new(false),
             wstream: Mutex::new(None),
             control: Mutex::new(None),
             generation: AtomicU64::new(0),
@@ -178,7 +167,8 @@ impl PeerLink {
     }
 
     /// Forcibly closes the current socket (if any); the reader and the
-    /// next write observe the error and the supervisor reconnects.
+    /// next write observe the error, and the dialing side's poll thread
+    /// redials.
     pub(crate) fn sever(&self) {
         if let Some(s) = lock(&self.control).as_ref() {
             let _ = s.shutdown(Shutdown::Both);
@@ -195,29 +185,25 @@ impl PeerLink {
     /// Writes `frame` to the current connection without blocking; what
     /// the kernel does not take waits in the backlog. Returns `false`
     /// when there is no connection or the write failed — the connection
-    /// is then reported broken, and a data frame is recovered from the
+    /// is then dropped, and a data frame is recovered from the
     /// retransmission queue at the next resume.
     fn write(&self, frame: &[u8]) -> bool {
         self.with_carrier(|c| c.push(frame)).is_some()
     }
 
-    /// Pushes the backlog on; returns whether any byte left it.
-    fn flush(&self) -> bool {
-        self.with_carrier(Carrier::flush).unwrap_or(0) > 0
+    /// Pushes the backlog on; returns whether any byte left it, or
+    /// `None` when the peer has no connection (any more).
+    fn flush(&self) -> Option<bool> {
+        self.with_carrier(Carrier::flush).map(|n| n > 0)
     }
 
     fn with_carrier<R>(&self, io: impl FnOnce(&mut Carrier) -> std::io::Result<R>) -> Option<R> {
         let mut slot = lock(&self.wstream);
-        let carrier = slot.as_mut()?;
-        match io(carrier) {
-            Ok(r) => Some(r),
-            Err(_) => {
-                let gen = carrier.gen;
-                *slot = None;
-                let _ = self.sup_tx.send(SupEvent::Broken(gen));
-                None
-            }
+        let result = io(slot.as_mut()?);
+        if result.is_err() {
+            *slot = None;
         }
+        result.ok()
     }
 }
 
@@ -233,16 +219,17 @@ pub(crate) struct PartyNet {
     /// nonblocking sockets enter the readiness sweep through here.
     pub(crate) poll_tx: Sender<PollConn>,
     pub(crate) threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Short-lived threads running inbound handshakes, one per
-    /// connection attempt (reaped as they finish, capped at
-    /// [`MAX_INBOUND_HANDSHAKES`]).
-    pub(crate) handshake_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    pub(crate) handshake_timeout: Duration,
+    /// Short-lived threads running handshakes, one per connection
+    /// attempt, each tagged with whether it is inbound (reaped as they
+    /// finish; inbound ones capped at [`MAX_INBOUND_HANDSHAKES`]).
+    pub(crate) handshake_threads: Mutex<Vec<(std::thread::JoinHandle<()>, bool)>>,
 }
 
 /// Bound on concurrently running inbound-handshake threads; attempts
 /// past the bound are dropped at accept. Each thread lives at most a
 /// few read-timeouts, so the cap is only reached under a connect flood.
+/// Dials do not count against it: there is at most one per peer, and a
+/// flood of this party's listener must not hold back its own redials.
 pub(crate) const MAX_INBOUND_HANDSHAKES: usize = 64;
 
 impl PartyNet {
@@ -277,57 +264,50 @@ impl PartyNet {
 /// Installs a handshaken socket as the peer's current connection:
 /// replaces (and closes) any previous socket, switches the socket to
 /// nonblocking mode, writes the replay of unacknowledged frames, and
-/// registers its read side with the party's poll thread.
-pub(crate) fn install_connection(
-    net: &Arc<PartyNet>,
-    peer: &Arc<PeerLink>,
-    stream: TcpStream,
-    peer_cum: u64,
-) {
-    let gen = net_install_gen(peer);
-    // Tear down the previous carrier, if any.
-    {
-        let mut control = lock(&peer.control);
-        if let Some(old) = control.take() {
-            let _ = old.shutdown(Shutdown::Both);
-        }
-        let (Ok(reader_stream), Ok(writer_stream)) = (stream.try_clone(), stream.try_clone())
-        else {
-            return;
-        };
-        // Clones share the socket's file-status flags, so the write
-        // side is nonblocking too.
-        if stream.set_nonblocking(true).is_err() {
-            return;
-        }
-        // The replay is written before the write lock is released, so
-        // no frame sealed after it can reach the new socket first.
-        let mut slot = lock(&peer.wstream);
-        let carrier = slot.insert(Carrier::new(gen, writer_stream));
-        let frames = lock(&peer.link).replay_from(peer_cum);
-        for frame in &frames {
-            if carrier.push(frame).is_err() {
-                // The fresh socket already died; its reader reports it.
-                break;
-            }
-            net.count("retransmits", 1);
-            net.count("frames_sent", 1);
-            net.count("bytes_sent", frame.len() as u64);
-        }
-        drop(slot);
-        *control = Some(stream);
-        let _ = net
-            .poll_tx
-            .send(PollConn::new(peer.peer.0, gen, reader_stream));
+/// registers its read side with the party's poll thread. Once the party
+/// is shutting down it installs nothing.
+fn install_connection(net: &Arc<PartyNet>, peer: &Arc<PeerLink>, stream: TcpStream, peer_cum: u64) {
+    let (Ok(reader_stream), Ok(writer_stream)) = (stream.try_clone(), stream.try_clone()) else {
+        return;
+    };
+    // Clones share the socket's file-status flags, so the write side is
+    // nonblocking too.
+    if stream.set_nonblocking(true).is_err() {
+        return;
     }
+    let mut control = lock(&peer.control);
+    // Shutdown sets the flag before it severs under this lock, so a
+    // connection installed after the check is severed there.
+    if net.shutdown.load(Ordering::Acquire) {
+        return;
+    }
+    if let Some(old) = control.replace(stream) {
+        let _ = old.shutdown(Shutdown::Both);
+    }
+    let gen = peer.generation.fetch_add(1, Ordering::Relaxed) + 1;
+    // The replay is written before the write lock is released, so no
+    // frame sealed after it can reach the new socket first.
+    let mut slot = lock(&peer.wstream);
+    let carrier = slot.insert(Carrier::new(gen, writer_stream));
+    let frames = lock(&peer.link).replay_from(peer_cum);
+    for frame in &frames {
+        if carrier.push(frame).is_err() {
+            // The fresh socket already died; the next sweep drops it.
+            break;
+        }
+        net.count("retransmits", 1);
+        net.count("frames_sent", 1);
+        net.count("bytes_sent", frame.len() as u64);
+    }
+    drop(slot);
+    drop(control);
+    let _ = net
+        .poll_tx
+        .send(PollConn::new(peer.peer.0, gen, reader_stream));
     if peer.sessions.fetch_add(1, Ordering::Relaxed) > 0 {
         net.count("reconnects", 1);
     }
     net.count("connects", 1);
-}
-
-fn net_install_gen(peer: &Arc<PeerLink>) -> u64 {
-    peer.generation.fetch_add(1, Ordering::Relaxed) + 1
 }
 
 /// What one inbound frame produced, recorded after the link lock is
@@ -375,9 +355,10 @@ enum Pump {
 /// nonblocking socket for readable bytes, reassembles and processes
 /// frames through the owning peer's reliable link, and forwards
 /// deliveries to the server inbox; each sweep also pushes on every
-/// peer's write backlog. Replaces the thread-per-connection blocking
-/// readers: one thread, one reused 64 KiB scratch buffer, and in-place
-/// framing serve every inbound connection of this party.
+/// peer's write backlog and, for a peer this party dials that has no
+/// connection, starts a dial when its [`Redial`] schedule says so. One
+/// thread, one reused 64 KiB scratch buffer, and in-place framing serve
+/// every inbound connection of this party.
 ///
 /// With no readable socket and no backlog moving, the loop parks briefly
 /// on the registration channel, so a fresh connection wakes it
@@ -386,6 +367,7 @@ enum Pump {
 pub(crate) fn poll_loop(net: Arc<PartyNet>, reg_rx: Receiver<PollConn>, inbox: Sender<Input>) {
     let mut conns: Vec<PollConn> = Vec::new();
     let mut buf = vec![0u8; 64 * 1024];
+    let mut redials: Vec<Redial> = net.peers.iter().map(|_| Redial::new()).collect();
     loop {
         if net.shutdown.load(Ordering::Relaxed) {
             return;
@@ -398,8 +380,18 @@ pub(crate) fn poll_loop(net: Arc<PartyNet>, reg_rx: Receiver<PollConn>, inbox: S
             }
         }
         let mut progressed = false;
-        for peer in net.peers.iter().flatten() {
-            progressed |= peer.flush();
+        for (peer, redial) in net.peers.iter().zip(&mut redials) {
+            let Some(peer) = peer else { continue };
+            let Some(moved) = peer.flush() else {
+                let dialing = peer.dialing.load(Ordering::Acquire);
+                if peer.addr.is_some() && redial.due(Instant::now(), dialing) {
+                    peer.dialing.store(true, Ordering::Relaxed);
+                    spawn_handshake(&net, Handshake::Dial(Arc::clone(peer)));
+                }
+                continue;
+            };
+            progressed |= moved;
+            redial.up();
         }
         let mut i = 0;
         while i < conns.len() {
@@ -413,7 +405,6 @@ pub(crate) fn poll_loop(net: Arc<PartyNet>, reg_rx: Receiver<PollConn>, inbox: S
                     let conn = conns.swap_remove(i);
                     if let Some(peer) = net.peers.get(conn.peer_idx).and_then(|p| p.as_ref()) {
                         peer.clear_if_gen(conn.gen);
-                        let _ = peer.sup_tx.send(SupEvent::Broken(conn.gen));
                     }
                 }
             }
@@ -528,96 +519,65 @@ fn pump_conn(
     Pump::Progress
 }
 
-/// The dialing supervisor for a higher-id peer: connect, handshake,
-/// install, wait for the connection to break, back off, repeat.
-pub(crate) fn dial_supervisor(
-    net: Arc<PartyNet>,
-    peer: Arc<PeerLink>,
-    addr: SocketAddr,
-    backoff: BackoffConfig,
-    sup_rx: Receiver<SupEvent>,
-) {
-    let mut delay_ms = backoff.initial_ms;
-    let mut jitter = Xorshift::new();
-    loop {
-        if net.shutdown.load(Ordering::Relaxed) {
-            return;
+/// The poll loop's redial schedule for one peer it dials: the first
+/// dial, and the first after a lost connection, start at once; after a
+/// dial that did not leave a connection up the next waits 20 ms, doubled
+/// per failure up to 2 s, each plus up to 50 % jitter. At most one dial
+/// is in flight.
+struct Redial {
+    /// Base delay after the next failure, in milliseconds.
+    delay_ms: u64,
+    /// A dial started and no connection has been seen since.
+    attempted: bool,
+    /// Earliest start of the next dial.
+    not_before: Option<Instant>,
+    jitter: Xorshift,
+}
+
+impl Redial {
+    fn new() -> Self {
+        Redial {
+            delay_ms: REDIAL_INITIAL_MS,
+            attempted: false,
+            not_before: None,
+            jitter: Xorshift::new(),
         }
-        // Absorb any pending events (stale breaks, shutdown).
-        loop {
-            match sup_rx.try_recv() {
-                Ok(SupEvent::Shutdown) => return,
-                Ok(_) => {}
-                Err(_) => break,
-            }
+    }
+
+    /// A connection is up: the next loss redials at once, from 20 ms.
+    fn up(&mut self) {
+        self.delay_ms = REDIAL_INITIAL_MS;
+        self.attempted = false;
+        self.not_before = None;
+    }
+
+    /// With no connection up: whether to start a dial at `now`, given
+    /// whether one is still in flight. A dial that is over without a
+    /// connection seen since it started has failed, and pushes the next
+    /// one out.
+    fn due(&mut self, now: Instant, dialing: bool) -> bool {
+        if dialing {
+            return false;
         }
-        let attempt = TcpStream::connect_timeout(&addr, Duration::from_secs(1)).and_then(|s| {
-            s.set_read_timeout(Some(net.handshake_timeout))?;
-            s.set_nodelay(true)?;
-            Ok(s)
-        });
-        let mut stream = match attempt {
-            Ok(s) => s,
-            Err(_) => {
-                if sleep_or_shutdown(&sup_rx, jitter.jittered(delay_ms, &backoff)) {
-                    return;
-                }
-                delay_ms = (delay_ms * 2).min(backoff.max_ms);
-                continue;
-            }
-        };
-        let recv_cum = lock(&peer.link).recv_cum();
-        let peer_cum = match handshake::initiate(&mut stream, &key_of(&peer), recv_cum) {
-            Ok(cum) => cum,
-            Err(_) => {
-                net.count("handshake_failures", 1);
-                if sleep_or_shutdown(&sup_rx, jitter.jittered(delay_ms, &backoff)) {
-                    return;
-                }
-                delay_ms = (delay_ms * 2).min(backoff.max_ms);
-                continue;
-            }
-        };
-        let _ = stream.set_read_timeout(None);
-        install_connection(&net, &peer, stream, peer_cum);
-        delay_ms = backoff.initial_ms;
-        let current = peer.generation.load(Ordering::Relaxed);
-        // Wait for this connection (or the whole party) to go down.
-        loop {
-            match sup_rx.recv() {
-                Ok(SupEvent::Broken(gen)) if gen >= current => break,
-                Ok(SupEvent::Broken(_)) => {}
-                Ok(SupEvent::Accepted(s, _)) => drop(s),
-                Ok(SupEvent::Shutdown) | Err(_) => return,
-            }
+        if self.attempted {
+            self.attempted = false;
+            let jitter = self.jitter.next() % (self.delay_ms * REDIAL_JITTER_PCT / 100 + 1);
+            self.not_before = Some(now + Duration::from_millis(self.delay_ms + jitter));
+            self.delay_ms = (self.delay_ms * 2).min(REDIAL_MAX_MS);
         }
+        if self.not_before.is_some_and(|at| now < at) {
+            return false;
+        }
+        self.attempted = true;
+        true
     }
 }
 
-/// The accepting supervisor for a lower-id peer: installs sockets the
-/// listener has already handshaken; the remote side owns redialing.
-pub(crate) fn accept_supervisor(
-    net: Arc<PartyNet>,
-    peer: Arc<PeerLink>,
-    sup_rx: Receiver<SupEvent>,
-) {
-    loop {
-        match sup_rx.recv() {
-            Ok(SupEvent::Accepted(stream, peer_cum)) => {
-                install_connection(&net, &peer, stream, peer_cum);
-            }
-            Ok(SupEvent::Broken(gen)) => peer.clear_if_gen(gen),
-            Ok(SupEvent::Shutdown) | Err(_) => return,
-        }
-    }
-}
-
-/// The party's accept loop: blocks in `accept`, runs the responder
-/// handshake, and hands authenticated sockets to the owning peer's
-/// supervisor. Shutdown sets the party's flag (a `Release` store this
-/// `Acquire` load pairs with) and then connects to the listener, retrying
-/// until a connect lands, so the blocked `accept` returns and sees the
-/// flag.
+/// The party's accept loop: blocks in `accept` and hands each socket to
+/// a handshake thread. Shutdown sets the party's flag (a `Release`
+/// store this `Acquire` load pairs with) and then connects to the
+/// listener, retrying until a connect lands, so the blocked `accept`
+/// returns and sees the flag.
 pub(crate) fn listener_loop(net: Arc<PartyNet>, listener: TcpListener) {
     loop {
         let accepted = listener.accept();
@@ -625,7 +585,7 @@ pub(crate) fn listener_loop(net: Arc<PartyNet>, listener: TcpListener) {
             return;
         }
         match accepted {
-            Ok((stream, _)) => spawn_inbound(&net, stream),
+            Ok((stream, _)) => spawn_handshake(&net, Handshake::Accept(stream)),
             // Out of descriptors and the like: back off instead of
             // spinning on the error.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
@@ -633,34 +593,70 @@ pub(crate) fn listener_loop(net: Arc<PartyNet>, listener: TcpListener) {
     }
 }
 
-/// Hands one accepted socket to a short-lived handshake thread so a
-/// client that connects and then stalls cannot block the accept loop
-/// (each handshake read is bounded by `handshake_timeout`, but serial
-/// stalls would still starve accepts). Finished threads are reaped
-/// here; when [`MAX_INBOUND_HANDSHAKES`] are still running, the attempt
-/// is dropped instead of spawning without bound.
-fn spawn_inbound(net: &Arc<PartyNet>, stream: TcpStream) {
+/// One connection attempt for a handshake thread.
+enum Handshake {
+    /// Dial this higher-id peer and initiate.
+    Dial(Arc<PeerLink>),
+    /// Respond on a socket the listener accepted.
+    Accept(TcpStream),
+}
+
+/// Runs one handshake on a short-lived thread of its own, so a client
+/// that connects and then stalls cannot block the accept loop, nor a
+/// slow peer the poll loop (each handshake read is bounded by
+/// [`HANDSHAKE_READ_TIMEOUT`], but serial stalls would still starve the
+/// caller). Finished threads are reaped here; when
+/// [`MAX_INBOUND_HANDSHAKES`] inbound ones are still running, an
+/// accepted socket is dropped instead of spawning without bound.
+fn spawn_handshake(net: &Arc<PartyNet>, handshake: Handshake) {
+    let inbound = matches!(handshake, Handshake::Accept(_));
     let mut slots = lock(&net.handshake_threads);
-    slots.retain(|h| !h.is_finished());
-    if slots.len() >= MAX_INBOUND_HANDSHAKES {
+    slots.retain(|(h, _)| !h.is_finished());
+    if inbound && slots.iter().filter(|(_, inbound)| *inbound).count() >= MAX_INBOUND_HANDSHAKES {
         net.count("handshake_rejects", 1);
         return;
     }
     let net2 = Arc::clone(net);
     let handle = std::thread::Builder::new()
         .name(format!("sintra-hs-{}", net.me.0))
-        .spawn(move || handle_inbound(&net2, stream))
+        .spawn(move || match handshake {
+            Handshake::Dial(peer) => {
+                dial(&net2, &peer);
+                peer.dialing.store(false, Ordering::Release);
+            }
+            Handshake::Accept(stream) => handle_inbound(&net2, stream),
+        })
         .or_invariant("spawn handshake thread");
-    slots.push(handle);
+    slots.push((handle, inbound));
 }
 
-/// Authenticates one inbound connection and forwards it to its peer's
-/// supervisor. Runs on its own short-lived thread; every read is
-/// bounded by `handshake_timeout`, so the thread cannot outlive a
+/// Dials a higher-id peer, authenticates the connection and installs
+/// it. A failure just returns: the poll loop finds the peer still
+/// without a connection and redials after its backoff.
+fn dial(net: &Arc<PartyNet>, peer: &Arc<PeerLink>) {
+    let Some(addr) = peer.addr else { return };
+    let attempt = TcpStream::connect_timeout(&addr, Duration::from_secs(1)).and_then(|s| {
+        s.set_read_timeout(Some(HANDSHAKE_READ_TIMEOUT))?;
+        s.set_nodelay(true)?;
+        Ok(s)
+    });
+    let Ok(mut stream) = attempt else { return };
+    let recv_cum = lock(&peer.link).recv_cum();
+    let Ok(peer_cum) = handshake::initiate(&mut stream, &key_of(peer), recv_cum) else {
+        net.count("handshake_failures", 1);
+        return;
+    };
+    if stream.set_read_timeout(None).is_ok() {
+        install_connection(net, peer, stream, peer_cum);
+    }
+}
+
+/// Authenticates one inbound connection and installs it. Every read is
+/// bounded by [`HANDSHAKE_READ_TIMEOUT`], so the thread cannot outlive a
 /// stalled client by more than the timeout.
 fn handle_inbound(net: &Arc<PartyNet>, mut stream: TcpStream) {
     if stream
-        .set_read_timeout(Some(net.handshake_timeout))
+        .set_read_timeout(Some(HANDSHAKE_READ_TIMEOUT))
         .is_err()
         || stream.set_nodelay(true).is_err()
     {
@@ -701,34 +697,16 @@ fn handle_inbound(net: &Arc<PartyNet>, mut stream: TcpStream) {
             return;
         }
     };
-    if stream.set_read_timeout(None).is_err() {
-        return;
+    if stream.set_read_timeout(None).is_ok() {
+        install_connection(net, peer, stream, peer_cum);
     }
-    let _ = peer.sup_tx.send(SupEvent::Accepted(stream, peer_cum));
 }
 
 fn key_of(peer: &Arc<PeerLink>) -> LinkKey {
     lock(&peer.link).key().clone()
 }
 
-/// Sleeps `ms`, interruptible by a shutdown event. Returns `true` when
-/// the supervisor should exit.
-fn sleep_or_shutdown(sup_rx: &Receiver<SupEvent>, ms: u64) -> bool {
-    let deadline = std::time::Instant::now() + Duration::from_millis(ms);
-    loop {
-        let left = deadline.saturating_duration_since(std::time::Instant::now());
-        if left.is_zero() {
-            return false;
-        }
-        match sup_rx.recv_timeout(left) {
-            Ok(SupEvent::Shutdown) | Err(RecvTimeoutError::Disconnected) => return true,
-            Ok(_) => {}
-            Err(RecvTimeoutError::Timeout) => return false,
-        }
-    }
-}
-
-/// A tiny xorshift64* PRNG for backoff jitter (freshness, not crypto).
+/// A tiny xorshift64* PRNG for redial jitter (freshness, not crypto).
 struct Xorshift(u64);
 
 impl Xorshift {
@@ -750,13 +728,6 @@ impl Xorshift {
         self.0 = x;
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
-
-    fn jittered(&mut self, base_ms: u64, backoff: &BackoffConfig) -> u64 {
-        if backoff.jitter_pct == 0 {
-            return base_ms;
-        }
-        base_ms + self.next() % (base_ms * backoff.jitter_pct / 100 + 1)
-    }
 }
 
 #[cfg(test)]
@@ -764,7 +735,6 @@ mod tests {
     use super::*;
     use crate::link::LinkConfig;
     use sintra_crypto::hmac::HmacKey;
-    use std::time::Instant;
 
     fn backlog_len(peer: &PeerLink) -> usize {
         let slot = peer.wstream.lock().unwrap();
@@ -793,12 +763,11 @@ mod tests {
         let near = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (mut far, _) = listener.accept().unwrap();
         near.set_nonblocking(true).unwrap();
-        let (sup_tx, sup_rx) = crossbeam::channel::unbounded();
         let key = LinkKey::new(HmacKey::new(b"stalled".to_vec()), PartyId(0), PartyId(1));
         let peer = PeerLink::new(
             PartyId(1),
             ReliableLink::new(key, LinkConfig::default()),
-            sup_tx,
+            None,
         );
         *peer.wstream.lock().unwrap() = Some(Carrier::new(1, near));
 
@@ -826,11 +795,53 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(60);
         while backlog_len(&peer) > 0 {
             assert!(Instant::now() < deadline, "backlog never drained");
-            if !peer.flush() {
+            if !peer.flush().expect("connection still installed") {
                 std::thread::sleep(Duration::from_micros(200));
             }
         }
         reader.join().unwrap();
-        assert!(sup_rx.try_recv().is_err(), "connection reported broken");
+        assert!(peer.flush().is_some(), "connection dropped");
+    }
+
+    /// The redial schedule, driven with explicit instants: the first dial
+    /// at once, none while one is in flight, then 20, 40, … up to
+    /// 2 000 ms between failed dials, each plus at most 50 %, and back to
+    /// a dial at once and 20 ms once a connection was up.
+    #[test]
+    fn redials_back_off_and_reset_once_a_connection_is_up() {
+        let mut redial = Redial::new();
+        let mut now = Instant::now();
+        assert!(redial.due(now, false), "the first dial starts at once");
+        assert!(!redial.due(now, true), "a dial is in flight");
+        let mut expect_ms = 20;
+        for _ in 0..10 {
+            // The dial ended without a connection: the next one waits.
+            assert!(!redial.due(now, false), "redialed with no backoff");
+            let at = redial.not_before.expect("next dial scheduled");
+            let wait = at - now;
+            let base = Duration::from_millis(expect_ms);
+            assert!(
+                wait >= base && wait <= base * 3 / 2,
+                "waits {wait:?} for a base of {base:?}"
+            );
+            assert!(!redial.due(at - Duration::from_micros(1), false), "early");
+            assert!(!redial.due(at, true), "a dial is in flight");
+            assert!(redial.due(at, false), "due at {wait:?}");
+            assert!(
+                !redial.due(at, true),
+                "a second dial while one is in flight"
+            );
+            now = at;
+            expect_ms = (expect_ms * 2).min(2000);
+        }
+        assert_eq!(expect_ms, 2000, "the schedule reached its ceiling");
+        redial.up();
+        assert!(redial.due(now, false), "a lost connection redials at once");
+        assert!(!redial.due(now, false));
+        let wait = redial.not_before.expect("next dial scheduled") - now;
+        assert!(
+            wait >= Duration::from_millis(20) && wait <= Duration::from_millis(30),
+            "the backoff restarts at 20 ms, waits {wait:?}"
+        );
     }
 }

@@ -12,10 +12,13 @@
 //! acknowledgements, a bounded retransmission queue, and duplicate
 //! suppression.
 //!
-//! Torn connections are re-established with jittered exponential
-//! backoff; the handshake exchanges delivery watermarks and the sender
-//! replays every unacknowledged frame above the peer's watermark, so a
-//! severed-and-resumed link loses and reorders nothing. Protocol logic
+//! Each party runs one listener thread, one poll thread and a
+//! short-lived thread per handshake; there is no thread per peer. The
+//! poll thread reads every connection and redials a torn one, at once
+//! and then with jittered exponential backoff; the handshake exchanges
+//! delivery watermarks and the sender replays every unacknowledged frame
+//! above the peer's watermark, so a severed-and-resumed link loses and
+//! reorders nothing. Protocol logic
 //! is untouched by any of this: each party's server loop steps the same
 //! `PartyCore` the simulator steps, and hands its envelopes to a
 //! transport whose frames cross real sockets.
@@ -25,7 +28,7 @@ use std::sync::{Mutex, MutexGuard};
 mod conn;
 mod runtime;
 
-pub use conn::{BackoffConfig, LINK_SCOPE};
+pub use conn::LINK_SCOPE;
 pub(crate) use runtime::TcpTransport;
 pub use runtime::{TcpConfig, TcpGroup, TcpHandle};
 

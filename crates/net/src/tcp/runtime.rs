@@ -22,38 +22,19 @@ use crate::link::{LinkConfig, LinkError, LinkKey, ReliableLink};
 use crate::metrics::{GaugeSampler, MetricsServer};
 use crate::observe::ObservabilityConfig;
 use crate::server::{server_loop, Input, Outputs, ServerOpts};
-use crate::tcp::conn::{
-    accept_supervisor, dial_supervisor, listener_loop, poll_loop, BackoffConfig, PartyNet,
-    PeerLink, SupEvent,
-};
+use crate::tcp::conn::{listener_loop, poll_loop, PartyNet, PeerLink};
 use crate::tcp::lock;
 use crate::PartyHandle;
 use sintra_core::invariant::OrInvariant;
 
 /// Configuration for a TCP group.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TcpConfig {
-    /// Reconnection backoff policy.
-    pub backoff: BackoffConfig,
     /// Reliable-link tuning (retransmission queue bound, ack cadence).
     pub link: LinkConfig,
-    /// Read timeout applied while a connection handshakes; a peer that
-    /// stalls mid-handshake is dropped after this long.
-    pub handshake_timeout: Duration,
     /// Flight-recorder and stall-detector settings; `None` disables both
     /// (no per-event overhead beyond one branch).
     pub observability: Option<ObservabilityConfig>,
-}
-
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            backoff: BackoffConfig::default(),
-            link: LinkConfig::default(),
-            handshake_timeout: Duration::from_secs(2),
-            observability: None,
-        }
-    }
 }
 
 /// Seals envelopes and writes them to the peer's socket from the server
@@ -139,10 +120,10 @@ pub struct TcpHandle {
 
 impl TcpHandle {
     /// Forcibly closes every live TCP connection of this party without
-    /// stopping it — a fault-injection hook. The connection supervisors
-    /// observe the broken sockets and re-establish them with backoff;
-    /// the reliable link replays whatever was unacknowledged, so no
-    /// delivery is lost or reordered.
+    /// stopping it — a fault-injection hook. The poll thread of each
+    /// pair's lower id finds its link without a connection and redials,
+    /// with backoff if the dial fails; the reliable link replays whatever
+    /// was unacknowledged, so no delivery is lost or reordered.
     pub fn sever_links(&self) {
         self.net.sever_all();
     }
@@ -344,23 +325,19 @@ impl TcpGroup {
                 (None, user) => user.clone(),
             };
 
-            // Per-peer link state and channels; thread spawns wait until
-            // the PartyNet exists.
-            let mut peers: Vec<Option<Arc<PeerLink>>> = Vec::with_capacity(n);
-            let mut pending = Vec::new(); // (j, sup_rx)
-            for j in 0..n {
-                if j == i {
-                    peers.push(None);
-                    continue;
-                }
-                let (sup_tx, sup_rx) = unbounded::<SupEvent>();
-                let link = ReliableLink::new(
-                    LinkKey::new(keys.mac_keys[j].clone(), me, PartyId(j)),
-                    config.link.clone(),
-                );
-                peers.push(Some(Arc::new(PeerLink::new(PartyId(j), link, sup_tx))));
-                pending.push((j, sup_rx));
-            }
+            // Per-peer link state. Deterministic dial direction: the
+            // lower id dials, so only higher-id peers get an address.
+            let peers: Vec<Option<Arc<PeerLink>>> = (0..n)
+                .map(|j| {
+                    (j != i).then(|| {
+                        let link = ReliableLink::new(
+                            LinkKey::new(keys.mac_keys[j].clone(), me, PartyId(j)),
+                            config.link.clone(),
+                        );
+                        Arc::new(PeerLink::new(PartyId(j), link, (i < j).then_some(addrs[j])))
+                    })
+                })
+                .collect();
 
             let (poll_tx, poll_rx) = unbounded();
             let net = Arc::new(PartyNet {
@@ -371,11 +348,10 @@ impl TcpGroup {
                 poll_tx,
                 threads: Mutex::new(Vec::new()),
                 handshake_threads: Mutex::new(Vec::new()),
-                handshake_timeout: config.handshake_timeout,
             });
 
-            // One readiness-driven read loop services every inbound
-            // socket of this party.
+            // One readiness-driven loop services every inbound socket of
+            // this party and dials its higher-id peers.
             let poll_thread = std::thread::Builder::new()
                 .name(format!("sintra-poll-{i}"))
                 .spawn({
@@ -385,27 +361,6 @@ impl TcpGroup {
                 })
                 .or_invariant("spawn poll thread");
             net.register_thread(poll_thread);
-
-            for (j, sup_rx) in pending {
-                let peer = Arc::clone(net.peers[j].as_ref().or_invariant("peer link"));
-                let sup = if i < j {
-                    // Deterministic dial direction: the lower id dials.
-                    let addr = addrs[j];
-                    let backoff = config.backoff.clone();
-                    let net2 = Arc::clone(&net);
-                    std::thread::Builder::new()
-                        .name(format!("sintra-dial-{i}-{j}"))
-                        .spawn(move || dial_supervisor(net2, peer, addr, backoff, sup_rx))
-                        .or_invariant("spawn dial supervisor")
-                } else {
-                    let net2 = Arc::clone(&net);
-                    std::thread::Builder::new()
-                        .name(format!("sintra-accept-{i}-{j}"))
-                        .spawn(move || accept_supervisor(net2, peer, sup_rx))
-                        .or_invariant("spawn accept supervisor")
-                };
-                net.register_thread(sup);
-            }
 
             let listener_thread = std::thread::Builder::new()
                 .name(format!("sintra-listen-{i}"))
@@ -511,14 +466,11 @@ impl TcpGroup {
         for t in self.server_threads {
             let _ = t.join();
         }
-        // Now stop everything else: flags for the poll loops and the
-        // listeners, events for the supervisors, severed sockets for the
+        // Now stop everything else: flags for the poll loops, the
+        // listeners and the handshake threads, severed sockets for the
         // connections.
         for net in &self.nets {
             net.shutdown.store(true, Ordering::Release);
-            for peer in net.peers.iter().flatten() {
-                let _ = peer.sup_tx.send(SupEvent::Shutdown);
-            }
             net.sever_all();
         }
         // A connect wakes each listener blocked in `accept`. It can fail
@@ -537,10 +489,12 @@ impl TcpGroup {
             for t in threads {
                 let _ = t.join();
             }
-            // In-flight inbound handshakes are bounded by the read
-            // timeout; wait them out so no thread outlives the group.
+            // In-flight handshakes, dialed or accepted, are bounded by
+            // the read timeout; wait them out so no thread outlives the
+            // group. The poll loop and the listener that spawn them are
+            // joined already.
             let handshakes = std::mem::take(&mut *lock(&net.handshake_threads));
-            for t in handshakes {
+            for (t, _) in handshakes {
                 let _ = t.join();
             }
         }
@@ -695,8 +649,8 @@ mod tests {
         for h in handles.iter_mut() {
             assert_eq!(h.receive(&pid).unwrap().data, b"before");
         }
-        // Kill every live connection; supervisors must redial and the
-        // poll thread must pick up the replacement sockets.
+        // Kill every live connection; the poll threads must redial and
+        // pick up the replacement sockets.
         handles[0].sever_links();
         handles[1].send(&pid, b"after".to_vec());
         for h in handles.iter_mut() {

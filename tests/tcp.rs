@@ -250,47 +250,70 @@ fn stalled_inbound_connections_do_not_starve_accepts() {
     // starvation. Handshakes now run on their own short-lived threads,
     // so legitimate redials complete while the stalled sockets wait out
     // their timeouts in parallel.
+    //
+    // Party 3 accepts from everyone (lower ids dial): stall its listener
+    // and make everyone redial it. Party 0 dials everyone and accepts no
+    // one: fill every inbound handshake slot of its listener and make it
+    // redial everyone — its own dials must not wait for a slot. Either
+    // way a full round must land well inside the 2 s handshake timeout
+    // the stalled sockets hold their slots for.
     with_deadline(180, || {
-        let (group, mut handles) = TcpGroup::spawn(group_keys(4, 1, 96)).expect("bind loopback");
-        // Party 3 accepts from everyone (lower ids dial). Stall its
-        // listener with connections that never speak.
-        let addr = group.addrs()[3];
-        let stalled: Vec<std::net::TcpStream> = (0..8)
-            .map(|_| std::net::TcpStream::connect(addr).expect("connect"))
-            .collect();
-        let pid = ProtocolId::new("tcp-stall");
-        for h in &handles {
-            h.create_atomic_channel(pid.clone(), AtomicChannelConfig::default());
+        for (target, flood) in [(3, false), (0, true)] {
+            let registry = Arc::new(MetricsRegistry::new());
+            let (group, mut handles) = TcpGroup::spawn_with(
+                group_keys(4, 1, 96),
+                sintra::runtime::tcp::TcpConfig::default(),
+                Some(registry.clone()),
+            )
+            .expect("bind loopback");
+            let addr = group.addrs()[target];
+            let connect = || std::net::TcpStream::connect(addr).expect("connect");
+            let mut stalled: Vec<std::net::TcpStream> =
+                (0..if flood { 64 } else { 8 }).map(|_| connect()).collect();
+            // A flood holds every slot once the listener refuses one more.
+            while flood && registry.snapshot().counter("link", "handshake_rejects") == 0 {
+                assert!(stalled.len() < 1000, "the listener never filled its slots");
+                stalled.push(connect());
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let pid = ProtocolId::new("tcp-stall");
+            for h in &handles {
+                h.create_atomic_channel(pid.clone(), AtomicChannelConfig::default());
+            }
+            let start = std::time::Instant::now();
+            handles[target].sever_links();
+            for (i, h) in handles.iter().enumerate() {
+                h.send(&pid, format!("stall-{i}").into_bytes());
+            }
+            let mut sequences = Vec::new();
+            for h in handles.iter_mut() {
+                let seq: Vec<Vec<u8>> = (0..4)
+                    .map(|_| {
+                        h.receive(&pid)
+                            .expect("channel survives stalled peers")
+                            .data
+                    })
+                    .collect();
+                sequences.push(seq);
+            }
+            let took = start.elapsed();
+            for (i, s) in sequences.iter().enumerate().skip(1) {
+                assert_eq!(s, &sequences[0], "party {i} diverges under accept pressure");
+            }
+            assert!(
+                took < Duration::from_millis(1500),
+                "party {target} severed: a round took {took:?}"
+            );
+            drop(stalled);
+            group.shutdown();
         }
-        // Force everyone to redial party 3 while the stalled sockets
-        // occupy its handshake threads.
-        handles[3].sever_links();
-        for (i, h) in handles.iter().enumerate() {
-            h.send(&pid, format!("stall-{i}").into_bytes());
-        }
-        let mut sequences = Vec::new();
-        for h in handles.iter_mut() {
-            let seq: Vec<Vec<u8>> = (0..4)
-                .map(|_| {
-                    h.receive(&pid)
-                        .expect("channel survives stalled peers")
-                        .data
-                })
-                .collect();
-            sequences.push(seq);
-        }
-        for (i, s) in sequences.iter().enumerate().skip(1) {
-            assert_eq!(s, &sequences[0], "party {i} diverges under accept pressure");
-        }
-        drop(stalled);
-        group.shutdown();
     });
 }
 
 #[test]
 fn tcp_shutdown_joins_cleanly_while_idle() {
     // Teardown with live connections but no protocol traffic: every
-    // listener (blocked in `accept`), supervisor and poll thread must
+    // listener (blocked in `accept`), poll and handshake thread must
     // exit.
     with_deadline(60, || {
         let (group, handles) = TcpGroup::spawn(group_keys(4, 1, 95)).expect("bind loopback");
