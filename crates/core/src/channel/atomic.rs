@@ -59,11 +59,12 @@ use crate::outgoing::Outgoing;
 use crate::wire::Wire;
 
 /// How many finished rounds' decided batches a party keeps to answer
-/// `ac-fetch` from parties that decide those rounds later. With the
-/// 16 KiB requests and three-entry batches of the bulk benchmark that is
-/// 768 KiB. A party further behind than this that also misses an entry
-/// its (Byzantine) signer withheld needs state transfer — the same class
-/// of bound as the link's retransmission window.
+/// `ac-fetch` from parties that decide those rounds later: up to 16 × n
+/// entries of [`MAX_ENTRY_BYTES`] (a lone oversized payload aside), 4 MiB
+/// at n = 4 and 7 MiB at n = 7; 1 MiB at n = 4 with one 16 KiB request per
+/// entry. A party further behind than this that also misses an entry its
+/// (Byzantine) signer withheld needs state transfer — the same class of
+/// bound as the link's retransmission window.
 pub const FETCH_RETAIN_ROUNDS: usize = 16;
 
 /// Configuration of an atomic channel.
@@ -117,7 +118,10 @@ struct ParkedProposal {
     refs: Vec<Checked<EntryRef>>,
 }
 
-/// What a party holds for one round.
+/// What a party holds for one round. Once the round is decided and
+/// delivered, `arrived` and `fetched` keep only the batch's entries, one
+/// copy each, for parties that decide the round later; the state goes
+/// when the round falls out of [`FETCH_RETAIN_ROUNDS`].
 #[derive(Debug, Default)]
 struct RoundState {
     /// Valid entries as their signers broadcast them, in arrival order
@@ -132,6 +136,13 @@ struct RoundState {
     /// Parties whose (valid) proposal has been seen, held back or not;
     /// anything further a party sends as its proposal is dropped.
     proposers: BTreeSet<PartyId>,
+    /// Entries asked for and not yet held, with the parties already
+    /// asked; only the current round asks. A fetched entry is accepted
+    /// only if it is named here.
+    wanted: BTreeMap<EntryName, BTreeSet<PartyId>>,
+    /// `(requester, signer, digest)` already answered: one reply each,
+    /// however often it is asked.
+    served: BTreeSet<(PartyId, PartyId, [u8; 32])>,
 }
 
 impl RoundState {
@@ -171,7 +182,8 @@ pub struct FetchCounts {
     pub ignored: u64,
 }
 
-/// An atomic broadcast channel endpoint at one party.
+/// An atomic broadcast channel endpoint at one party. What it holds of a
+/// round — entries, proposals, fetches — is that round's `RoundState`.
 #[derive(Debug)]
 pub struct AtomicChannel {
     pid: ProtocolId,
@@ -192,7 +204,8 @@ pub struct AtomicChannel {
     /// Application deliveries not yet drained by the runtime, with the
     /// round that ordered each.
     deliveries: VecDeque<(u64, Payload)>,
-    /// Entries and held-back proposals by round, current and future.
+    /// What is held per round: the current and future rounds, and the
+    /// batches of the last [`FETCH_RETAIN_ROUNDS`] decided ones.
     rounds: BTreeMap<u64, RoundState>,
     /// Whether we broadcast our own entry for the current round.
     sent_entry: bool,
@@ -203,15 +216,6 @@ pub struct AtomicChannel {
     /// entries are still being fetched; the round's agreement is over by
     /// then, and the signatures it checked are of no further use.
     decided: Option<Vec<EntryName>>,
-    /// Entries of the current round asked for and not yet held, by
-    /// `(signer, digest)`, with the parties already asked. A fetched
-    /// entry is accepted only if it is named here.
-    wanted: BTreeMap<EntryName, BTreeSet<PartyId>>,
-    /// Decided batches of the last [`FETCH_RETAIN_ROUNDS`] rounds.
-    retained: VecDeque<(u64, Vec<Checked<Entry>>)>,
-    /// `(round, requester, signer, digest)` already answered, for the
-    /// rounds still held: one reply each, however often it is asked.
-    served: BTreeSet<(u64, PartyId, PartyId, [u8; 32])>,
     fetch_counts: FetchCounts,
     close_requested: bool,
     /// Origins whose termination requests have been delivered.
@@ -326,9 +330,6 @@ impl AtomicChannel {
             proposed: false,
             vbas: BTreeMap::new(),
             decided: None,
-            wanted: BTreeMap::new(),
-            retained: VecDeque::new(),
-            served: BTreeSet::new(),
             fetch_counts: FetchCounts::default(),
             close_requested: false,
             close_origins: BTreeSet::new(),
@@ -594,7 +595,8 @@ impl AtomicChannel {
 
     /// Round `round`'s slot, opened on behalf of an entry or a proposal
     /// signed for that round that checked out — so that a forged one
-    /// cannot grow the per-round map.
+    /// cannot grow the per-round map. The only round opened otherwise is
+    /// the current one, by [`Self::request`].
     fn slot<T>(&mut self, round: u64, _checked: &Checked<T>) -> &mut RoundState {
         self.rounds.entry(round).or_default()
     }
@@ -608,7 +610,8 @@ impl AtomicChannel {
         out: &mut Outgoing,
     ) {
         let (signer, digest) = wanted;
-        let asked = self.wanted.entry(wanted).or_default();
+        let state = self.rounds.entry(self.round).or_default();
+        let asked = state.wanted.entry(wanted).or_default();
         let mut sent = 0;
         for holder in holders {
             if holder != self.ctx.me() && asked.insert(holder) {
@@ -635,8 +638,8 @@ impl AtomicChannel {
         }
     }
 
-    /// Answers a fetch from the round's entries or a retained batch, once
-    /// per requester and entry; anything else is ignored.
+    /// Answers a fetch from the round's entries — a decided round's are
+    /// its batch — once per requester and entry; anything else is ignored.
     fn on_fetch(
         &mut self,
         from: PartyId,
@@ -645,22 +648,18 @@ impl AtomicChannel {
         digest: &[u8; 32],
         out: &mut Outgoing,
     ) {
-        let held = self
-            .rounds
-            .get(&round)
-            .and_then(|state| state.find(signer, digest))
-            .or_else(|| {
-                let (_, batch) = self.retained.iter().find(|(r, _)| *r == round)?;
-                batch.iter().find(|e| e.is_named(signer, digest))
-            });
-        match held {
-            Some(entry) if !self.served.contains(&(round, from, signer, *digest)) => {
-                let entry = entry.clone().forget();
-                self.served.insert((round, from, signer, *digest));
+        let reply = self.rounds.get_mut(&round).and_then(|state| {
+            let mut held = state.arrived.iter().chain(&state.fetched);
+            let entry = held.find(|e| e.is_named(signer, digest))?;
+            let first = state.served.insert((from, signer, *digest));
+            first.then(|| entry.clone().forget())
+        });
+        match reply {
+            Some(entry) => {
                 self.fetch_counts.served += 1;
                 out.send_to(from, &self.pid, Body::AcFetched { round, entry });
             }
-            _ => self.fetch_counts.ignored += 1,
+            None => self.fetch_counts.ignored += 1,
         }
     }
 
@@ -706,9 +705,9 @@ impl AtomicChannel {
 
     fn on_fetched(&mut self, round: u64, entry: &Unchecked<Entry>, out: &mut Outgoing) {
         // Only what this party asked for, in the round it asked in.
-        let solicited =
-            round == self.round && self.wanted.contains_key(&(entry.signer(), *entry.digest()));
-        if !solicited {
+        let name = (entry.signer(), *entry.digest());
+        let wanted = |state: &RoundState| state.wanted.contains_key(&name);
+        if round != self.round || !self.rounds.get(&round).is_some_and(wanted) {
             return;
         }
         let Some(entry) = self.acceptable(round, entry) else {
@@ -723,12 +722,10 @@ impl AtomicChannel {
     /// wanted, and the proposals that waited for it go on to the
     /// agreement.
     fn entry_stored(&mut self, round: u64, entry: &Checked<Entry>, out: &mut Outgoing) {
-        if round == self.round {
-            self.wanted.remove(&(entry.signer(), *entry.digest()));
-        }
-        let Some(state) = self.rounds.get(&round) else {
+        let Some(state) = self.rounds.get_mut(&round) else {
             return;
         };
+        state.wanted.remove(&(entry.signer(), *entry.digest()));
         let complete: Vec<PartyId> = state
             .parked
             .iter()
@@ -825,9 +822,8 @@ impl AtomicChannel {
     }
 
     /// Delivers a decided batch — entries by signer index, payloads in
-    /// vector order — and returns how many payloads it delivered. The
-    /// batch itself is retained for parties that decide the round later.
-    fn deliver_batch(&mut self, mut batch: Vec<Checked<Entry>>) -> usize {
+    /// vector order — and returns how many payloads it delivered.
+    fn deliver_batch(&mut self, mut batch: Vec<&Checked<Entry>>) -> usize {
         batch.sort_by_key(|entry| entry.signer());
         let mut delivered = 0;
         for payload in batch.iter().flat_map(|entry| entry.payloads()) {
@@ -842,15 +838,6 @@ impl AtomicChannel {
                 }
             }
         }
-        self.retained.push_back((self.round, batch));
-        if self.retained.len() > FETCH_RETAIN_ROUNDS {
-            self.retained.pop_front();
-        }
-        let oldest = self
-            .retained
-            .front()
-            .map_or(self.round, |(round, _)| *round);
-        self.served.retain(|(round, ..)| *round >= oldest);
         delivered
     }
 
@@ -881,11 +868,11 @@ impl AtomicChannel {
         }
     }
 
-    /// The entries of the current round's decided batch, taken out of the
-    /// round's store — once all of them are held. One still missing is
-    /// asked of everybody: the proposal's closing message says t + 1
-    /// honest parties hold it.
-    fn take_decided_batch(&mut self, out: &mut Outgoing) -> Option<Vec<Checked<Entry>>> {
+    /// The current round's state, taken out of `rounds` with its entries
+    /// trimmed to one copy of each the decided batch names — once all of
+    /// them are held. One still missing is asked of everybody: the
+    /// proposal's closing message says t + 1 honest parties hold it.
+    fn take_decided_batch(&mut self, out: &mut Outgoing) -> Option<RoundState> {
         let named = self.decided.as_ref()?;
         let missing: Vec<EntryName> = match self.rounds.get(&self.round) {
             Some(state) => state.missing(named.iter().copied()).collect(),
@@ -897,14 +884,15 @@ impl AtomicChannel {
             }
             return None;
         }
-        let named = self.decided.take()?;
-        let state = self.rounds.remove(&self.round).unwrap_or_default();
-        let mut pool: Vec<_> = state.arrived.into_iter().chain(state.fetched).collect();
-        let batch = named.iter().filter_map(|(signer, digest)| {
-            let at = pool.iter().position(|e| e.is_named(*signer, digest))?;
-            Some(pool.swap_remove(at))
-        });
-        Some(batch.collect())
+        let mut unkept = self.decided.take()?;
+        let mut state = self.rounds.remove(&self.round).unwrap_or_default();
+        let mut keep = |e: &Checked<Entry>| {
+            let at = unkept.iter().position(|(s, d)| e.is_named(*s, d));
+            at.map(|at| unkept.swap_remove(at)).is_some()
+        };
+        state.arrived.retain(&mut keep);
+        state.fetched.retain(keep);
+        Some(state)
     }
 
     /// Drives the round state machine.
@@ -961,16 +949,21 @@ impl AtomicChannel {
                 self.vbas.remove(&round);
                 if let Some(state) = self.rounds.get_mut(&round) {
                     state.parked.clear();
+                    state.wanted.clear();
                 }
-                self.wanted.clear();
                 self.decided = Some(refs.iter().map(|r| (r.signer, r.digest)).collect());
             }
 
-            // Step 5: deliver it, once every entry it names is held.
-            let Some(batch) = self.take_decided_batch(out) else {
+            // Step 5: deliver it, once every entry it names is held. The
+            // round keeps its batch for parties that decide it later.
+            let Some(state) = self.take_decided_batch(out) else {
                 return;
             };
-            let delivered = self.deliver_batch(batch) as u64;
+            let delivered =
+                self.deliver_batch(state.arrived.iter().chain(&state.fetched).collect()) as u64;
+            self.rounds.insert(round, state);
+            let oldest = (round + 1).saturating_sub(FETCH_RETAIN_ROUNDS as u64);
+            self.rounds.retain(|r, _| *r >= oldest);
             // One event per decided round; it carries the number of
             // payloads the round delivered.
             out.trace_with(|| {
@@ -987,7 +980,6 @@ impl AtomicChannel {
             self.round += 1;
             self.sent_entry = false;
             self.proposed = false;
-            self.wanted.clear();
             out.trace_with(|| {
                 TraceEvent::new(self.ctx.me().0, self.pid.as_str(), "atomic")
                     .phase("round")
@@ -1002,24 +994,28 @@ impl StateSnapshot for AtomicChannel {
         if self.closed {
             return false;
         }
-        // Held-back proposals live in `rounds`; a decided batch that
-        // awaits payloads is in `decided`.
+        // Held-back proposals live in the rounds not yet delivered (a
+        // delivered one keeps only its batch); a decided batch that awaits
+        // payloads is in `decided`.
         !self.queue.is_empty()
             || self.close_requested
-            || !self.rounds.is_empty()
+            || self
+                .rounds
+                .last_key_value()
+                .is_some_and(|(r, _)| *r >= self.round)
             || !self.vbas.is_empty()
             || self.decided.is_some()
     }
 
     fn snapshot_json(&self) -> String {
-        let current_entries = self
-            .rounds
-            .get(&self.round)
-            .map_or(0, |state| state.arrived.len());
+        // The current round's state, unless the channel closed in it.
+        let current = self.rounds.get(&self.round).filter(|_| !self.closed);
+        let current_entries = current.map_or(0, |state| state.arrived.len());
         let parked: usize = self.rounds.values().map(|state| state.parked.len()).sum();
-        let awaiting: Vec<String> = self
-            .wanted
-            .keys()
+        let retained = self.rounds.range(..self.rounds_delivered()).count();
+        let awaiting: Vec<String> = current
+            .into_iter()
+            .flat_map(|state| state.wanted.keys())
             .map(|(signer, digest)| {
                 let prefix: String = digest[..4].iter().map(|b| format!("{b:02x}")).collect();
                 format!("{{\"signer\":{},\"digest\":\"{prefix}\"}}", signer.0)
@@ -1040,7 +1036,7 @@ impl StateSnapshot for AtomicChannel {
             .flag("batch_decided", self.decided.is_some())
             .num("parked_proposals", parked as u64)
             .raw("awaiting_payloads", &format!("[{}]", awaiting.join(",")))
-            .num("retained_rounds", self.retained.len() as u64)
+            .num("retained_rounds", retained as u64)
             .flag("close_requested", self.close_requested)
             .num("close_origins", self.close_origins.len() as u64)
             .flag("closed", self.closed);
@@ -1507,19 +1503,19 @@ mod tests {
 
         // Signer order puts the suffix first.
         let mut chan = channels(&ctxs, "ac-suffix").remove(3);
-        assert_eq!(chan.deliver_batch(vec![full.clone(), suffix.clone()]), 2);
+        assert_eq!(chan.deliver_batch(vec![&full, &suffix]), 2);
         assert_eq!(drain(&mut chan), vec![(2, 0), (2, 1)]);
 
         // Only the suffix was agreed on: c2 waits for c1.
         let mut chan = channels(&ctxs, "ac-suffix").remove(3);
-        assert_eq!(chan.deliver_batch(vec![suffix.clone(), filler]), 1);
+        assert_eq!(chan.deliver_batch(vec![&suffix, &filler]), 1);
         assert_eq!(drain(&mut chan), vec![(1, 0)]);
         assert_eq!(chan.next_expected(PartyId(2)), 0);
         // The honest origin still has both queued; a later round brings
         // them, in order, once.
-        assert_eq!(chan.deliver_batch(vec![full.clone()]), 2);
+        assert_eq!(chan.deliver_batch(vec![&full]), 2);
         assert_eq!(drain(&mut chan), vec![(2, 0), (2, 1)]);
-        assert_eq!(chan.deliver_batch(vec![full, suffix]), 0, "each once");
+        assert_eq!(chan.deliver_batch(vec![&full, &suffix]), 0, "each once");
     }
 
     #[test]
@@ -1648,7 +1644,7 @@ mod tests {
         let mixed = signed(&ctxs, tag, 0, 2, vec![app(2, 2, b"old"), app(2, 3, b"new")]);
         chan.on_entry(PartyId(2), 0, &mixed.clone().forget(), &mut Outgoing::new());
         assert_eq!(chan.rounds[&0].arrived.len(), 1);
-        assert_eq!(chan.deliver_batch(vec![mixed]), 1);
+        assert_eq!(chan.deliver_batch(vec![&mixed]), 1);
         assert_eq!(drain(&mut chan), vec![(2, 3)]);
     }
 
@@ -1737,6 +1733,26 @@ mod tests {
         chan.rounds.values().map(|state| state.parked.len()).sum()
     }
 
+    fn wanted_total(chan: &AtomicChannel) -> usize {
+        chan.rounds.values().map(|state| state.wanted.len()).sum()
+    }
+
+    fn served_total(chan: &AtomicChannel) -> usize {
+        chan.rounds.values().map(|state| state.served.len()).sum()
+    }
+
+    /// How many rounds at or after the current one have state.
+    fn live_rounds(chan: &AtomicChannel) -> usize {
+        chan.rounds.range(chan.rounds_delivered()..).count()
+    }
+
+    /// The delivered rounds still held, oldest first, each with its batch.
+    fn retained(chan: &AtomicChannel) -> Vec<(u64, Vec<Checked<Entry>>)> {
+        let delivered = chan.rounds.range(..chan.rounds_delivered());
+        let batch = |s: &RoundState| s.arrived.iter().chain(&s.fetched).cloned().collect();
+        delivered.map(|(round, s)| (*round, batch(s))).collect()
+    }
+
     #[test]
     fn proposal_naming_an_entry_nobody_holds_is_never_echoed_or_decided() {
         // Party 0 is Byzantine. It signs an entry it shows to nobody and
@@ -1804,7 +1820,7 @@ mod tests {
             assert!(counts.parked >= 1 && counts.sent == 1, "{counts:?}");
             assert_eq!(chan.round(), 1, "three one-payload entries, one round");
             assert_eq!(parked_total(chan), 0, "dropped with the round");
-            assert!(chan.wanted.is_empty());
+            assert_eq!(wanted_total(chan), 0);
             assert!(!chan.has_pending_work());
         }
     }
@@ -1915,7 +1931,7 @@ mod tests {
         assert_eq!(asked, 3, "one request to each other party");
         let served: u64 = chans.iter_mut().map(|c| c.take_fetch_counts().served).sum();
         assert_eq!(served, 3, "every holder answered");
-        assert_eq!(chans[3].rounds.len(), 0, "extra replies left nothing");
+        assert_eq!(live_rounds(&chans[3]), 0, "extra replies left nothing");
         // What was kept back is stale by now.
         for msg in held_back {
             net.deliver(&mut chans, msg);
@@ -2009,7 +2025,7 @@ mod tests {
             assert!(out.is_empty(), "{what}");
             assert_eq!(chan.snapshot_json(), before, "{what}");
             assert!(chan.rounds[&0].fetched.is_empty(), "{what}");
-            assert_eq!(chan.rounds.len(), 1, "{what}");
+            assert_eq!(live_rounds(&chan), 1, "{what}");
         }
         // The entry asked for, from whoever has it: stored beside the
         // broadcast slots, and the proposal that waited for it goes on.
@@ -2041,7 +2057,7 @@ mod tests {
             pump(chans, vec![(0, out)]);
             assert!(chans
                 .iter()
-                .all(|c| c.retained.len() <= FETCH_RETAIN_ROUNDS));
+                .all(|c| retained(c).len() <= FETCH_RETAIN_ROUNDS));
         }
         assert!(chans.iter().all(|c| c.round() == rounds));
     }
@@ -2069,9 +2085,9 @@ mod tests {
             digest: *entry.digest(),
         };
         let mut asks = Vec::new();
-        for (round, batch) in holder.retained.iter() {
+        for (round, batch) in retained(holder) {
             for entry in batch {
-                asks.push((*round, entry.clone()));
+                asks.push((round, entry));
             }
         }
         assert_eq!(asks.len(), 3 * holder.batch_size());
@@ -2119,6 +2135,72 @@ mod tests {
     }
 
     #[test]
+    fn entry_fetched_then_broadcast_is_held_once() {
+        // Party 0 is the only sender. Its entry's broadcast reaches party
+        // 1 only after party 1 pulled that entry for party 0's proposal,
+        // so party 1 stores it twice: fetched, then arrived.
+        let ctxs = group(4, 1);
+        let tag = "ac-twice";
+        let me = ProtocolId::new(tag);
+        let fixed = AtomicChannelConfig {
+            order: CandidateOrder::Fixed,
+            ..AtomicChannelConfig::default()
+        };
+        let mut chans: Vec<AtomicChannel> = ctxs
+            .iter()
+            .map(|c| AtomicChannel::new(me.clone(), c.clone(), fixed))
+            .collect();
+        let outs = one_payload_each(&mut chans, &[0]);
+        let mut net = Net::new(4, outs);
+        let mut held_back = None;
+        let mut held_twice = false;
+        while let Some(msg) = net.queue.pop_front() {
+            if (msg.0, msg.1) == (0, 1) && matches!(msg.3, Body::AcEntry { round: 0, .. }) {
+                held_back = Some(msg);
+                continue;
+            }
+            let fetched_by_one = msg.1 == 1 && matches!(msg.3, Body::AcFetched { .. });
+            net.deliver(&mut chans, msg);
+            if let Some(entry) = held_back.take_if(|_| fetched_by_one) {
+                net.deliver(&mut chans, entry);
+                let state = &chans[1].rounds[&0];
+                let signed_by_zero = |held: &[Checked<Entry>]| {
+                    held.iter().filter(|e| e.signer() == PartyId(0)).count()
+                };
+                held_twice = signed_by_zero(&state.arrived) == 1
+                    && signed_by_zero(&state.fetched) == 1
+                    && state.arrived.iter().any(|e| state.fetched.contains(e));
+            }
+        }
+        assert!(
+            held_twice,
+            "party 1 held party 0's entry as fetched and arrived"
+        );
+        for (p, chan) in chans.iter_mut().enumerate() {
+            assert_eq!(drain(chan), vec![(0, 0)], "party {p}: delivered once");
+        }
+        let (round, batch) = retained(&chans[1]).remove(0);
+        assert_eq!(round, 0);
+        let names: BTreeSet<EntryName> = batch.iter().map(|e| (e.signer(), *e.digest())).collect();
+        assert_eq!(names.len(), batch.len(), "each named entry held once");
+        assert_eq!(batch.len(), chans[1].batch_size());
+        let zero = batch.iter().find(|e| e.signer() == PartyId(0));
+        let zero = zero.expect("the batch names party 0's entry");
+        for chan in &chans {
+            assert_eq!(retained(chan)[0].1.len(), batch.len());
+        }
+        let ask = Body::AcFetch {
+            round: 0,
+            signer: PartyId(0),
+            digest: *zero.digest(),
+        };
+        let mut out = Outgoing::new();
+        chans[1].handle(PartyId(2), &me, &ask, &mut out);
+        chans[1].handle(PartyId(2), &me, &ask, &mut out);
+        assert_eq!(out.len(), 1, "two identical asks, one reply");
+    }
+
+    #[test]
     fn retention_never_exceeds_the_constant() {
         let ctxs = group(4, 1);
         let tag = "ac-retain";
@@ -2128,7 +2210,7 @@ mod tests {
         let mut first_batch = Vec::new();
         for round in 0..FETCH_RETAIN_ROUNDS as u64 + extra {
             if round == 1 {
-                first_batch = chans[2].retained[0].1.clone();
+                first_batch = retained(&chans[2])[0].1.clone();
                 // Served while retained; the record of it goes when the
                 // round does.
                 let ask = Body::AcFetch {
@@ -2139,28 +2221,30 @@ mod tests {
                 let mut out = Outgoing::new();
                 chans[2].handle(PartyId(3), &me, &ask, &mut out);
                 assert_eq!(out.len(), 1);
-                assert_eq!(chans[2].served.len(), 1);
+                assert_eq!(served_total(&chans[2]), 1);
             }
             let mut out = Outgoing::new();
             chans[0].send(round.to_be_bytes().to_vec(), &mut out);
             pump(&mut chans, vec![(0, out)]);
+            let held = (round + 1).min(FETCH_RETAIN_ROUNDS as u64);
             for chan in &chans {
-                assert!(chan.retained.len() <= FETCH_RETAIN_ROUNDS);
-                assert_eq!(
-                    chan.retained.len() as u64,
-                    (round + 1).min(FETCH_RETAIN_ROUNDS as u64)
-                );
-                assert!(chan.rounds.is_empty() && chan.wanted.is_empty());
+                assert!(retained(chan).len() <= FETCH_RETAIN_ROUNDS);
+                assert_eq!(retained(chan).len() as u64, held);
+                assert!(live_rounds(chan) == 0 && wanted_total(chan) == 0);
+                // Retained rounds are no work: the stall detector stays quiet.
+                assert!(!chan.has_pending_work(), "round {round}");
+                let snapshot = chan.snapshot_json();
+                assert!(snapshot.contains(&format!("\"retained_rounds\":{held},")));
             }
         }
         let chan = &mut chans[2];
-        let kept: Vec<u64> = chan.retained.iter().map(|(round, _)| *round).collect();
+        let kept: Vec<u64> = retained(chan).iter().map(|(round, _)| *round).collect();
         let expected: Vec<u64> = (extra..FETCH_RETAIN_ROUNDS as u64 + extra).collect();
         assert_eq!(kept, expected, "the latest rounds, oldest dropped first");
         assert!(chan
             .snapshot_json()
             .contains(&format!("\"retained_rounds\":{FETCH_RETAIN_ROUNDS}")));
-        assert!(chan.served.is_empty());
+        assert_eq!(served_total(chan), 0);
         // Round 0 fell out of the window: nothing for it any more.
         chan.take_fetch_counts();
         let mut out = Outgoing::new();
@@ -2190,7 +2274,7 @@ mod tests {
             .collect();
         pump(&mut chans, outs);
         assert!(chans[1].is_closed());
-        let last = chans[1].retained.back().expect("the closing round").clone();
+        let last = retained(&chans[1]).pop().expect("the closing round");
         let ask = Body::AcFetch {
             round: last.0,
             signer: last.1[0].signer(),

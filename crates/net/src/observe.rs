@@ -22,19 +22,17 @@ use sintra_telemetry::{render_dump, TraceEvent, TraceStream, TraceStreamConfig};
 
 use crate::metrics::MetricsConfig;
 
+/// Capacity of each party's in-memory trace-event ring; the oldest events
+/// are evicted once it fills (the eviction count appears in the dump as
+/// `dropped_events`).
+pub(crate) const FLIGHT_RING_CAPACITY: usize = 4096;
+
 /// Tuning for the per-party flight recorder and stall detector.
 #[derive(Debug, Clone)]
 pub struct ObservabilityConfig {
-    /// Bounded capacity of the in-memory trace-event ring; the oldest
-    /// events are evicted once it fills (eviction count appears in the
-    /// dump as `dropped_events`).
-    pub ring_capacity: usize,
     /// How long the server loop may sit idle with work pending before it
     /// declares a stall and writes a dump.
     pub quiet: Duration,
-    /// How often the idle loop wakes to check for a stall. Defaults to a
-    /// quarter of `quiet` (clamped to at least 10ms) when `None`.
-    pub check_interval: Option<Duration>,
     /// Directory dumps are written into.
     pub dump_dir: PathBuf,
     /// When set, every party runs a live metrics scrape endpoint (its
@@ -52,9 +50,7 @@ pub struct ObservabilityConfig {
 impl Default for ObservabilityConfig {
     fn default() -> Self {
         ObservabilityConfig {
-            ring_capacity: 4096,
             quiet: Duration::from_secs(2),
-            check_interval: None,
             dump_dir: PathBuf::from("."),
             metrics: None,
             trace: None,
@@ -83,10 +79,10 @@ impl ObservabilityConfig {
 }
 
 impl ObservabilityConfig {
-    /// The effective stall-poll cadence.
+    /// How often the idle loop wakes to check for a stall: a quarter of
+    /// `quiet`, at least 10 ms.
     pub fn effective_check_interval(&self) -> Duration {
-        self.check_interval
-            .unwrap_or_else(|| (self.quiet / 4).max(Duration::from_millis(10)))
+        (self.quiet / 4).max(Duration::from_millis(10))
     }
 
     /// The dump path for one party/reason pair. Repeated dumps for the

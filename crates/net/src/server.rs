@@ -27,7 +27,7 @@ use sintra_telemetry::{
     root_scope, FlightRecorder, Recorder, TraceEvent, TraceStream, DELIVERY_LATENCY,
 };
 
-use crate::observe::{write_dump, ObservabilityConfig};
+use crate::observe::{write_dump, ObservabilityConfig, FLIGHT_RING_CAPACITY};
 use crate::step::{self, targets, Effects, PartyCore};
 use crate::tcp::TcpTransport;
 use sintra_core::invariant::OrInvariant;
@@ -504,7 +504,7 @@ pub(crate) fn server_loop(
         metered,
         flight: observability
             .as_ref()
-            .map(|obs| FlightRecorder::new(obs.ring_capacity)),
+            .map(|_| FlightRecorder::new(FLIGHT_RING_CAPACITY)),
         recorder,
         observability,
         trace_stream,

@@ -107,7 +107,6 @@ fn stall_drill(dump_dir: &std::path::Path, trace_dir: Option<&std::path::Path>) 
             // The streaming sink coexists with the stall-dump plane:
             // the wedge shows up in the dump *and* in the causal trace.
             trace: trace_dir.map(sintra::telemetry::TraceStreamConfig::into_dir),
-            ..ObservabilityConfig::default()
         }),
         ..TcpConfig::default()
     };
