@@ -113,7 +113,6 @@ fn main() {
     for (label, order) in [
         ("fixed", CandidateOrder::Fixed),
         ("local-random", CandidateOrder::LocalRandom),
-        ("common-coin", CandidateOrder::CommonCoin),
     ] {
         let config = AtomicChannelConfig {
             order,
@@ -124,9 +123,6 @@ fn main() {
     }
 
     // --- Reliable vs consistent broadcast ---------------------------------
-    println!("# common-coin adds one share exchange per agreement but makes the");
-    println!("# order unpredictable to the adversary (paper's third variation).");
-
     println!("\n## reliable vs consistent channel (message count vs crypto, LAN)");
     println!(
         "{:>12} {:>14} {:>12} {:>12}",

@@ -217,11 +217,6 @@ impl BinaryAgreement {
         self.send_pre_vote(out);
     }
 
-    /// Whether a decision is available (and not yet taken).
-    pub fn can_decide(&self) -> bool {
-        self.decided.is_some() && !self.decision_taken
-    }
-
     /// Takes the decision `(value, proof)`, once.
     pub fn take_decision(&mut self) -> Option<(bool, Option<Vec<u8>>)> {
         if self.decision_taken {

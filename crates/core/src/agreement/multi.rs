@@ -8,7 +8,8 @@
 //!    validation predicate.
 //! 2. Candidates are examined in the order given by a permutation `Π` —
 //!    fixed, or derived pseudorandomly from locally available common
-//!    information (the protocol id). For each candidate `P_a`:
+//!    information (the protocol id), so known when the instance is built.
+//!    For each candidate `P_a`:
 //!    a. send a yes/no vote, a yes carrying the candidate's closing
 //!    message as transferable proof;
 //!    b. collect `n - t` proper votes;
@@ -21,25 +22,24 @@
 //!
 //! Expected `O(t)` loop iterations with a fixed or locally-random order.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use sintra_crypto::coin::CoinShare;
 use sintra_crypto::hash::Sha256;
 use sintra_telemetry::{SnapshotWriter, StateSnapshot, TraceEvent};
 
 use crate::agreement::BinaryAgreement;
 use crate::broadcast::VerifiableConsistentBroadcast;
-use crate::checked::{Checked, Unchecked};
 use crate::config::GroupContext;
 use crate::ids::{PartyId, ProtocolId};
 use crate::invariant::OrInvariant;
-use crate::invariant_unwrap;
 use crate::message::Body;
 use crate::outgoing::Outgoing;
 
-/// How the candidate permutation `Π` is chosen. The paper's §2.4 lists
-/// three variations; SINTRA implemented the first two, and this library
-/// additionally provides the third.
+/// How the candidate permutation `Π` is chosen: the two orders of the
+/// paper's §2.4 that SINTRA implemented. Either is known when an instance
+/// is built. (The third variation, an order drawn from the threshold coin,
+/// needs a vote-commitment step for its constant-expected-rounds bound and
+/// is not provided.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CandidateOrder {
     /// Candidates examined in index order `0, 1, ..., n-1`.
@@ -48,23 +48,6 @@ pub enum CandidateOrder {
     /// for all parties, balancing load across senders between instances.
     #[default]
     LocalRandom,
-    /// The permutation is derived from the threshold coin, opened in an
-    /// extra round of share exchange once a party holds `n - t` validated
-    /// proposals — so the adversary cannot predict the order when choosing
-    /// which broadcasts to slow down. (The paper's full constant-expected-
-    /// round variant additionally commits votes before the coin opens;
-    /// that commitment step is not implemented here, matching the
-    /// description in §2.4.)
-    CommonCoin,
-}
-
-/// Per-iteration vote bookkeeping.
-#[derive(Debug, Default)]
-struct IterationVotes {
-    /// Parties whose vote has been counted.
-    voted: BTreeMap<PartyId, bool>,
-    /// Number of proper votes (yes with valid closing, or no).
-    proper: usize,
 }
 
 /// A multi-valued agreement instance.
@@ -72,7 +55,6 @@ struct IterationVotes {
 pub struct MultiValuedAgreement {
     pid: ProtocolId,
     ctx: GroupContext,
-    order: CandidateOrder,
     /// Proposal broadcast instances, one per party.
     broadcasts: Vec<VerifiableConsistentBroadcast>,
     /// Validated proposals by party (payload); `Some(None)` marks a
@@ -85,21 +67,13 @@ pub struct MultiValuedAgreement {
     /// Current loop iteration (candidate index into the permutation);
     /// `None` until `n - t` proposals arrived.
     iteration: Option<u32>,
-    votes: BTreeMap<u32, IterationVotes>,
-    vote_sent: BTreeMap<u32, bool>,
+    /// Per iteration, the parties whose proper vote (yes with a valid
+    /// closing, or no) counted.
+    votes: BTreeMap<u32, BTreeSet<PartyId>>,
     /// Binary agreement per iteration, created lazily.
     bas: BTreeMap<u32, BinaryAgreement>,
-    /// The resolved permutation (immediate for `Fixed`/`LocalRandom`,
-    /// coin-derived for `CommonCoin`).
-    perm: Option<Vec<usize>>,
-    /// Whether this party has released its permutation-coin share.
-    perm_coin_sent: bool,
-    /// Verified permutation-coin shares by holder.
-    perm_shares: BTreeMap<usize, Checked<CoinShare>>,
-    /// Vote / agreement messages parked until the permutation is known,
-    /// as they came: a yes-vote's closing is checked when the vote is
-    /// replayed and counted, a no-vote is a bare bit.
-    deferred: Vec<(PartyId, ProtocolId, Body)>,
+    /// The candidate permutation.
+    perm: Vec<usize>,
     decided: Option<Vec<u8>>,
     decision_taken: bool,
 }
@@ -108,13 +82,6 @@ pub struct MultiValuedAgreement {
 /// each call so that it can see the owner's state: what the owner already
 /// holds needs no second check.
 type Valid<'a> = &'a dyn Fn(&[u8]) -> bool;
-
-/// The coin identifying this instance's candidate permutation.
-fn perm_coin_name(pid: &ProtocolId) -> Vec<u8> {
-    let mut name = b"vba-perm".to_vec();
-    name.extend_from_slice(pid.as_bytes());
-    name
-}
 
 /// Fisher–Yates driven by a 64-bit seed (xorshift64*).
 fn seeded_permutation(n: usize, mut state: u64) -> Vec<usize> {
@@ -149,26 +116,24 @@ impl MultiValuedAgreement {
             })
             .collect();
         let perm = match order {
-            CandidateOrder::Fixed => Some((0..n).collect()),
+            CandidateOrder::Fixed => (0..n).collect(),
             CandidateOrder::LocalRandom => {
                 // Seeded by a hash of the pid: common to all parties,
                 // different across instances.
                 let seed = Sha256::digest(pid.as_bytes());
-                Some(seeded_permutation(
+                seeded_permutation(
                     n,
                     u64::from_be_bytes(
                         seed[..8]
                             .try_into()
                             .or_invariant("digest shorter than 8 bytes"),
                     ),
-                ))
+                )
             }
-            CandidateOrder::CommonCoin => None,
         };
         MultiValuedAgreement {
             pid,
             ctx,
-            order,
             broadcasts,
             proposals: vec![None; n],
             closings: vec![None; n],
@@ -176,12 +141,8 @@ impl MultiValuedAgreement {
             proposed: false,
             iteration: None,
             votes: BTreeMap::new(),
-            vote_sent: BTreeMap::new(),
             bas: BTreeMap::new(),
             perm,
-            perm_coin_sent: false,
-            perm_shares: BTreeMap::new(),
-            deferred: Vec::new(),
             decided: None,
             decision_taken: false,
         }
@@ -192,10 +153,9 @@ impl MultiValuedAgreement {
         &self.pid
     }
 
-    /// The candidate permutation, if already determined (always for
-    /// `Fixed`/`LocalRandom`; only after the coin opens for `CommonCoin`).
-    pub fn permutation(&self) -> Option<&[usize]> {
-        self.perm.as_deref()
+    /// The candidate permutation.
+    pub fn permutation(&self) -> &[usize] {
+        &self.perm
     }
 
     /// Starts the instance with this party's proposed value, which must
@@ -213,11 +173,6 @@ impl MultiValuedAgreement {
         self.try_advance(valid, out);
     }
 
-    /// Whether a decision is available (and not yet taken).
-    pub fn can_decide(&self) -> bool {
-        self.decided.is_some() && !self.decision_taken
-    }
-
     /// Takes the decided value, once.
     pub fn take_decision(&mut self) -> Option<Vec<u8>> {
         if self.decision_taken {
@@ -228,11 +183,6 @@ impl MultiValuedAgreement {
             self.decision_taken = true;
         }
         d
-    }
-
-    /// Read-only view of the decision.
-    pub fn decision(&self) -> Option<&[u8]> {
-        self.decided.as_deref()
     }
 
     /// Processes a protocol message addressed to this instance or one of
@@ -250,25 +200,13 @@ impl MultiValuedAgreement {
             return;
         }
         if *msg_pid == self.pid {
-            match body {
-                Body::VbaVote {
-                    iteration,
-                    yes,
-                    closing,
-                } => {
-                    if self.perm.is_none() {
-                        // Votes cannot be interpreted before the
-                        // permutation coin opens; park them.
-                        self.deferred.push((from, msg_pid.clone(), body.clone()));
-                    } else {
-                        self.on_vote(valid, from, *iteration, *yes, closing.as_deref());
-                    }
-                }
-                Body::BaCoinShare { round: 0, share } => {
-                    // Round 0 is reserved for the permutation coin.
-                    self.on_perm_share(valid, share, out);
-                }
-                _ => {}
+            if let Body::VbaVote {
+                iteration,
+                yes,
+                closing,
+            } = body
+            {
+                self.on_vote(valid, from, *iteration, *yes, closing.as_deref());
             }
         } else if let Some(bc) = self
             .broadcasts
@@ -278,53 +216,14 @@ impl MultiValuedAgreement {
             bc.handle(from, body, out);
         } else if let Some(iteration) = Self::parse_ba_child(&self.pid, msg_pid) {
             // Binary agreement children: pid = {pid}/ba/{iter}.
-            if self.perm.is_none() {
-                // The agreement's validator depends on the candidate,
-                // which depends on the permutation.
-                self.deferred.push((from, msg_pid.clone(), body.clone()));
-            } else {
-                self.with_ba(valid, iteration, |ba, valid| {
-                    ba.handle(valid, from, body, out)
-                });
-            }
+            self.with_ba(valid, iteration, |ba, valid| {
+                ba.handle(valid, from, body, out)
+            });
             self.try_advance(valid, out);
             return;
         }
         self.harvest_broadcasts(valid);
         self.try_advance(valid, out);
-    }
-
-    /// Ingests a permutation-coin share (CommonCoin order only).
-    fn on_perm_share(&mut self, valid: Valid, share: &Unchecked<CoinShare>, out: &mut Outgoing) {
-        if self.order != CandidateOrder::CommonCoin || self.perm.is_some() {
-            return;
-        }
-        let name = perm_coin_name(&self.pid);
-        let Some(share) = self.ctx.check_coin_share(&name, share) else {
-            return;
-        };
-        self.perm_shares.insert(share.index, share);
-        let coin = &self.ctx.keys().common.coin;
-        if self.perm_shares.len() >= coin.threshold() {
-            let shares: Vec<CoinShare> = self.perm_shares.values().map(|s| (**s).clone()).collect();
-            if let Ok(bytes) = coin.assemble(&name, &shares, 8) {
-                let seed = u64::from_be_bytes(
-                    bytes[..8]
-                        .try_into()
-                        .or_invariant("coin value shorter than 8 bytes"),
-                );
-                self.perm = Some(seeded_permutation(self.ctx.n(), seed));
-                self.replay_deferred(valid, out);
-            }
-        }
-    }
-
-    /// Replays messages parked while the permutation was unknown.
-    fn replay_deferred(&mut self, valid: Valid, out: &mut Outgoing) {
-        let parked = std::mem::take(&mut self.deferred);
-        for (from, msg_pid, body) in parked {
-            self.handle(valid, from, &msg_pid, &body, out);
-        }
     }
 
     fn parse_ba_child(parent: &ProtocolId, msg_pid: &ProtocolId) -> Option<u32> {
@@ -334,17 +233,8 @@ impl MultiValuedAgreement {
     }
 
     /// The candidate examined in `iteration`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the permutation is not yet determined (callers gate on
-    /// it).
     fn candidate(&self, iteration: u32) -> usize {
-        let perm = self
-            .perm
-            .as_ref()
-            .or_invariant("candidate loop entered before permutation was determined");
-        perm[iteration as usize % perm.len()]
+        self.perm[iteration as usize % self.perm.len()]
     }
 
     /// Runs `f` on `iteration`'s binary agreement, made on its first use,
@@ -404,7 +294,7 @@ impl MultiValuedAgreement {
         closing: Option<&[u8]>,
     ) {
         let candidate = self.candidate(iteration);
-        let voted = |votes: &IterationVotes| votes.voted.contains_key(&from);
+        let voted = |voters: &BTreeSet<PartyId>| voters.contains(&from);
         if self.votes.get(&iteration).is_some_and(voted) {
             return;
         }
@@ -429,9 +319,7 @@ impl MultiValuedAgreement {
                 Some((closing, payload))
             }
         };
-        let votes = self.votes.entry(iteration).or_default();
-        votes.voted.insert(from, yes);
-        votes.proper += 1;
+        self.votes.entry(iteration).or_default().insert(from);
         let Some((closing, payload)) = adopted else {
             return;
         };
@@ -449,69 +337,20 @@ impl MultiValuedAgreement {
         if self.decided.is_some() || !self.proposed {
             return;
         }
-        // Gate: n - t validated proposals before the loop starts.
-        if self.iteration.is_none() {
-            if self.valid_count < self.ctx.n_minus_t() {
-                return;
+        let mut iteration = match self.iteration {
+            Some(iteration) => iteration,
+            // Gate: n - t validated proposals before the loop starts.
+            None if self.valid_count >= self.ctx.n_minus_t() => {
+                self.enter(0, out);
+                0
             }
-            // CommonCoin order: open the permutation coin first (one extra
-            // exchange of coin shares, paper §2.4 third variation).
-            if self.order == CandidateOrder::CommonCoin {
-                if !self.perm_coin_sent {
-                    self.perm_coin_sent = true;
-                    let name = perm_coin_name(&self.pid);
-                    let share = self.ctx.release_coin_share(&name).forget();
-                    out.send_all(
-                        &self.pid,
-                        Body::BaCoinShare {
-                            round: 0,
-                            share: share.clone(),
-                        },
-                    );
-                    self.on_perm_share(valid, &share, out);
-                }
-                if self.perm.is_none() {
-                    return;
-                }
-            }
-            // Releasing our own coin share may have re-entered this
-            // function via deferred-message replay; only start the loop if
-            // that did not already happen.
-            if self.iteration.is_none() {
-                self.iteration = Some(0);
-                out.trace_with(|| {
-                    TraceEvent::new(self.ctx.me().0, self.pid.as_str(), "vba")
-                        .phase("round")
-                        .round(0)
-                });
-            }
-        }
-        if self.perm.is_none() {
-            return;
-        }
+            None => return,
+        };
         loop {
-            let iteration = self
-                .iteration
-                .or_invariant("vote handling before the candidate loop started");
             let candidate = self.candidate(iteration);
 
-            // Step 2a: send our vote once.
-            if !*self.vote_sent.entry(iteration).or_insert(false) {
-                self.vote_sent.insert(iteration, true);
-                let closing = self.closings[candidate].clone();
-                let yes = closing.is_some() && matches!(&self.proposals[candidate], Some(Some(_)));
-                out.send_all(
-                    &self.pid,
-                    Body::VbaVote {
-                        iteration,
-                        yes,
-                        closing: if yes { closing } else { None },
-                    },
-                );
-            }
-
             // Step 2b: n - t proper votes gate the binary agreement.
-            let proper = self.votes.get(&iteration).map_or(0, |v| v.proper);
+            let proper = self.votes.get(&iteration).map_or(0, BTreeSet::len);
             let quorum = self.ctx.n_minus_t();
             let ba_started = self
                 .bas
@@ -520,18 +359,9 @@ impl MultiValuedAgreement {
                 .unwrap_or(false);
             if proper >= quorum && !ba_started {
                 // Step 2c: propose 1 iff we hold the candidate's proposal.
-                let have = matches!(&self.proposals[candidate], Some(Some(_)))
-                    && self.closings[candidate].is_some();
-                let proof = if have {
-                    invariant_unwrap!(
-                        self.closings[candidate].clone(),
-                        "vote for candidate {candidate} sent without a closing"
-                    )
-                } else {
-                    Vec::new()
-                };
+                let proof = self.held_closing(candidate);
                 self.with_ba(valid, iteration, |ba, valid| {
-                    ba.propose(valid, have, proof, out)
+                    ba.propose(valid, proof.is_some(), proof.unwrap_or_default(), out)
                 });
             }
 
@@ -566,13 +396,36 @@ impl MultiValuedAgreement {
                 return;
             }
             // Decided 0: next candidate.
-            self.iteration = Some(iteration + 1);
-            out.trace_with(|| {
-                TraceEvent::new(self.ctx.me().0, self.pid.as_str(), "vba")
-                    .phase("round")
-                    .round((iteration + 1) as u64)
-            });
+            iteration += 1;
+            self.enter(iteration, out);
         }
+    }
+
+    /// The candidate's closing if its valid proposal is held: the proof
+    /// of a yes-vote and the validation data for proposing 1.
+    fn held_closing(&self, candidate: usize) -> Option<Vec<u8>> {
+        let held = matches!(&self.proposals[candidate], Some(Some(_)));
+        self.closings[candidate].clone().filter(|_| held)
+    }
+
+    /// Moves the loop to `iteration` and sends this party's vote on its
+    /// candidate (step 2a).
+    fn enter(&mut self, iteration: u32, out: &mut Outgoing) {
+        self.iteration = Some(iteration);
+        out.trace_with(|| {
+            TraceEvent::new(self.ctx.me().0, self.pid.as_str(), "vba")
+                .phase("round")
+                .round(u64::from(iteration))
+        });
+        let closing = self.held_closing(self.candidate(iteration));
+        out.send_all(
+            &self.pid,
+            Body::VbaVote {
+                iteration,
+                yes: closing.is_some(),
+                closing,
+            },
+        );
     }
 }
 
@@ -593,7 +446,7 @@ impl StateSnapshot for MultiValuedAgreement {
         let current_votes = self
             .iteration
             .and_then(|i| self.votes.get(&i))
-            .map_or(0, |v| v.proper);
+            .map_or(0, BTreeSet::len);
         let mut w = SnapshotWriter::new(self.pid.as_str(), "vba")
             .flag("proposed", self.proposed)
             .flag("loop_started", self.iteration.is_some())
@@ -603,8 +456,6 @@ impl StateSnapshot for MultiValuedAgreement {
             .num("proposal_quorum", self.ctx.n_minus_t() as u64)
             .num("proper_votes", current_votes as u64)
             .num("vote_quorum", self.ctx.n_minus_t() as u64)
-            .flag("perm_known", self.perm.is_some())
-            .num("deferred_msgs", self.deferred.len() as u64)
             .flag("decided", self.decided.is_some());
         // The current candidate's binary agreement, when it exists, is
         // usually what the loop is waiting on.
@@ -745,7 +596,7 @@ mod tests {
                 ctxs[0].clone(),
                 CandidateOrder::LocalRandom,
             );
-            let p = b.permutation().expect("local-random is immediate").to_vec();
+            let p = b.permutation().to_vec();
             assert_eq!(p.len(), 4);
             let mut sorted = p.clone();
             sorted.sort_unstable();
@@ -753,34 +604,6 @@ mod tests {
             seen.insert(p);
         }
         assert!(seen.len() > 1, "permutations vary across instances");
-        // CommonCoin instances have no permutation until the coin opens.
-        let c = MultiValuedAgreement::new(
-            ProtocolId::new("coin-instance"),
-            ctxs[0].clone(),
-            CandidateOrder::CommonCoin,
-        );
-        assert!(c.permutation().is_none());
-    }
-
-    #[test]
-    fn common_coin_order_agrees() {
-        let ctxs = group(4, 1);
-        let proposals: Vec<Vec<u8>> = (0..4).map(|i| format!("cc-{i}").into_bytes()).collect();
-        let mut instances = fresh(&ctxs, "vba-commoncoin", CandidateOrder::CommonCoin);
-        run(&mut instances, &proposals, ANY);
-        let decisions: Vec<Vec<u8>> = instances
-            .iter_mut()
-            .map(|i| i.take_decision().expect("decided"))
-            .collect();
-        assert!(decisions.windows(2).all(|w| w[0] == w[1]));
-        assert!(proposals.contains(&decisions[0]));
-        // All parties derived the same coin-based permutation.
-        let perms: Vec<_> = instances
-            .iter()
-            .map(|i| i.permutation().map(<[usize]>::to_vec))
-            .collect();
-        assert!(perms[0].is_some());
-        assert!(perms.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]

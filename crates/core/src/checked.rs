@@ -400,16 +400,6 @@ impl GroupContext {
         Checked { value, under }
     }
 
-    /// A peer's share of the coin `name`, if its proof verifies.
-    pub fn check_coin_share(
-        &self,
-        name: &[u8],
-        share: &Unchecked<CoinShare>,
-    ) -> Option<Checked<CoinShare>> {
-        let verified = self.keys().common.coin.verify_share(name, share);
-        share.checked_if(verified, Under::new(Under::COIN, name))
-    }
-
     /// Drains a quarantine of shares of the coin `name` with one batched
     /// check; what fails is dropped.
     pub fn check_coin_shares(

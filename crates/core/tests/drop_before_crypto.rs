@@ -1299,7 +1299,10 @@ fn votes_with_closings(ctxs: &[GroupContext]) -> [Held; 2] {
     let same = offer(&mut inst, |i, out| {
         i.handle(&valid, PartyId(1), &pid, &same, out)
     });
-    assert!(format!("{inst:?}").contains("proper: 1"), "the vote counts");
+    assert!(
+        format!("{inst:?}").contains("votes: {0: {PartyId(1)}}"),
+        "the vote counts"
+    );
     // Parties 1, 2 and 3 signed this one; the held one is of 0, 1 and 2.
     let statement = statement_cb(&pid.child("bc/0"), b"candidate");
     let other = ClosingMessage {
@@ -1312,7 +1315,7 @@ fn votes_with_closings(ctxs: &[GroupContext]) -> [Held; 2] {
         i.handle(&valid, PartyId(2), &pid, &differs, out)
     });
     assert!(
-        format!("{inst:?}").contains("proper: 2"),
+        format!("{inst:?}").contains("votes: {0: {PartyId(1), PartyId(2)}}"),
         "and so does this"
     );
     let full = priced(|| {

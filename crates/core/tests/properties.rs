@@ -307,6 +307,61 @@ fn mvba_safe_under_shuffled_schedule() {
     assert!(proposals.contains(&decisions[0]));
 }
 
+#[test]
+fn vba_binary_agreement_waits_for_n_minus_t_proper_votes() {
+    // Step 2b: a party starts its candidate's binary agreement on exactly
+    // `n - t` proper votes. Every proposal reaches every party; every
+    // vote is held back, then party 0 gets its first iteration's votes
+    // one at a time.
+    let (n, t) = (4, 1);
+    let ctxs = group(n, t, 4343);
+    let pid = ProtocolId::new("vba-vote-gate");
+    let ba0 = pid.child("ba/0");
+    let mut instances: Vec<MultiValuedAgreement> = ctxs
+        .iter()
+        .map(|c| MultiValuedAgreement::new(pid.clone(), c.clone(), CandidateOrder::Fixed))
+        .collect();
+    let valid = |_: &[u8]| true;
+    let route = |from: usize, out: &mut Outgoing| {
+        let mut sent = Vec::new();
+        for (recipient, env) in out.drain() {
+            match recipient {
+                Recipient::All => sent.extend((0..n).map(|to| (from, to, env.clone()))),
+                Recipient::One(p) => sent.push((from, p.0, env)),
+            }
+        }
+        sent
+    };
+    let mut queue = std::collections::VecDeque::new();
+    for (i, inst) in instances.iter_mut().enumerate() {
+        let mut out = Outgoing::new();
+        inst.propose(&valid, vec![i as u8; 8], &mut out);
+        queue.extend(route(i, &mut out));
+    }
+    let mut votes = Vec::new();
+    while let Some((from, to, env)) = queue.pop_front() {
+        assert_ne!(env.pid, ba0, "agreement message before any vote");
+        if matches!(env.body, Body::VbaVote { .. }) {
+            votes.push((from, to, env));
+            continue;
+        }
+        let mut out = Outgoing::new();
+        instances[to].handle(&valid, PartyId(from), &env.pid, &env.body, &mut out);
+        queue.extend(route(to, &mut out));
+    }
+    let to_zero: Vec<_> = votes.into_iter().filter(|(_, to, _)| *to == 0).collect();
+    assert_eq!(to_zero.len(), n, "every party voted on its first candidate");
+    for (k, (from, _, env)) in to_zero.into_iter().enumerate() {
+        let k = k + 1;
+        let mut out = Outgoing::new();
+        instances[0].handle(&valid, PartyId(from), &env.pid, &env.body, &mut out);
+        let started = route(0, &mut out)
+            .iter()
+            .any(|(_, _, e)| e.pid == ba0 && matches!(e.body, Body::BaPreVote { .. }));
+        assert_eq!(started, k == n - t, "after {k} proper votes");
+    }
+}
+
 /// The `index`-th request of `party`, `len` bytes long (or as long as its
 /// label, if that is longer).
 fn request(party: usize, index: u64, len: usize) -> Vec<u8> {

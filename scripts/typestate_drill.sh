@@ -23,6 +23,9 @@
 # One row for the agreement's external validity (tests/agreement.rs):
 #   15   the VBA's binary agreement accepts a closing as 1's validation
 #        data without asking whether its payload satisfies the predicate.
+# One row for the VBA's vote gate (core's tests/properties.rs):
+#   16   step 2b starts the binary agreement one proper vote short of
+#        `n - t`.
 #
 # Usage: scripts/typestate_drill.sh [scratch-dir]
 # Exit 0 when every row is refused; prints the first error of each.
@@ -52,7 +55,8 @@ run() {
 }
 
 for how in clippy:sintra-core clippy:sintra-net check:sintra-crypto \
-    check:sintra-testbed test:wire_kat:sintra-core test:agreement:sintra; do
+    check:sintra-testbed test:wire_kat:sintra-core test:properties:sintra-core \
+    test:agreement:sintra; do
     pkg=${how##*:}
     if ! run "${how%:*}" "$pkg" >"$scratch/pristine.log"; then
         echo "drill: the unmutated copy fails ${how%:*} on $pkg" >&2
@@ -157,6 +161,9 @@ elif name == "VBA validity dropped":
             "                    .check_closing(proof)\n"
             "                    .is_some_and(|(payload, _sig)| valid(&payload))\n",
             "                || bc.check_closing(proof).is_some()\n")
+elif name == "VBA vote gate one short":
+    replace("            let quorum = self.ctx.n_minus_t();\n",
+            "            let quorum = self.ctx.n_minus_t() - 1;\n")
 else:
     raise SystemExit("unknown mutation " + name)
 open(path, "w").write(src)
@@ -226,6 +233,8 @@ drill check sintra-core $core/channel/atomic.rs 'no method named `t` found' \
     "quorum arithmetic: t() + 1"
 drill test:agreement sintra $core/agreement/multi.rs 'seed [0-9]+: (undecided|external validity)' \
     "VBA validity dropped"
+drill test:properties sintra-core $core/agreement/multi.rs 'after [0-9]+ proper votes' \
+    "VBA vote gate one short"
 
 if [ "$failed" -ne 0 ]; then
     echo "drill: a re-introduced bug was not refused" >&2

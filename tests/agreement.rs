@@ -159,11 +159,7 @@ fn invalid_candidate_cannot_win_its_binary_agreement() {
 
 #[test]
 fn multi_valued_agreement_under_jitter() {
-    for order in [
-        CandidateOrder::Fixed,
-        CandidateOrder::LocalRandom,
-        CandidateOrder::CommonCoin,
-    ] {
+    for order in [CandidateOrder::Fixed, CandidateOrder::LocalRandom] {
         for seed in 0..3u64 {
             let pid = ProtocolId::new(format!("vba-{order:?}-{seed}"));
             let mut sim = wan_sim(4, 1, 700 + seed);
