@@ -6,10 +6,10 @@
 //! performs, normalized so that **1.0 work unit = one full 1024-bit
 //! exponentiation** (1024-bit modulus, 1024-bit exponent, no CRT).
 //!
-//! The discrete-event simulator resets the meter before stepping a party
-//! and converts the accumulated work into virtual CPU time using that
-//! party's machine profile, reproducing the paper's timing methodology
-//! without 2002-era hardware.
+//! The discrete-event simulator opens a [`CostScope`] around each step
+//! of a party and converts the work charged inside it into virtual CPU
+//! time using that party's machine profile, reproducing the paper's
+//! timing methodology without 2002-era hardware.
 //!
 //! Cost model: a modular exponentiation with `m`-bit modulus and `e`-bit
 //! exponent costs `(m/1024)^2 * (e/1024)` units — schoolbook modular
@@ -18,15 +18,13 @@
 //! exponentiation scales cubically while fixed-160-bit-exponent operations
 //! scale quadratically in the key size.
 //!
-//! # Scopes vs. the legacy meter
+//! # Scopes
 //!
 //! The meter is a monotone thread-local total. [`CostScope`] captures the
 //! total at construction and reports the delta, so independent consumers
 //! (the simulator's per-step meter and the telemetry layer's per-instance
-//! attribution) can measure the same work concurrently without clearing
-//! each other's readings. The original [`reset`]/[`take`]/[`peek`] free
-//! functions remain as thin wrappers over a single implicit baseline and
-//! behave exactly as before.
+//! attribution) can measure the same work concurrently, and nested,
+//! without clearing each other's readings.
 
 use std::cell::Cell;
 
@@ -35,8 +33,6 @@ use sintra_bigint::Ubig;
 thread_local! {
     /// Monotone total of all work ever charged on this thread.
     static TOTAL: Cell<f64> = const { Cell::new(0.0) };
-    /// Baseline for the legacy `reset`/`take`/`peek` API.
-    static BASE: Cell<f64> = const { Cell::new(0.0) };
 }
 
 /// Work units of one exponentiation (see module docs for the model).
@@ -97,7 +93,7 @@ pub fn multi_exp_work(modulus_bits: u32, exponent_bits: &[u32]) -> f64 {
 }
 
 /// Measures the crypto work performed on this thread while the scope is
-/// alive, without disturbing the legacy meter or other scopes.
+/// alive, without disturbing other scopes.
 ///
 /// ```
 /// use sintra_crypto::cost::{self, CostScope};
@@ -126,27 +122,6 @@ impl CostScope {
     pub fn elapsed(&self) -> f64 {
         TOTAL.with(|t| t.get()) - self.start
     }
-}
-
-/// Resets the thread-local meter to zero.
-///
-/// Thin wrapper over the scope machinery: moves the legacy baseline to
-/// the current total. Scopes opened elsewhere are unaffected.
-pub fn reset() {
-    let now = TOTAL.with(|t| t.get());
-    BASE.with(|b| b.set(now));
-}
-
-/// Returns the work accumulated since the last [`reset`] and clears it.
-pub fn take() -> f64 {
-    let now = TOTAL.with(|t| t.get());
-    BASE.with(|b| now - b.replace(now))
-}
-
-/// Returns the accumulated work without clearing it.
-pub fn peek() -> f64 {
-    let now = TOTAL.with(|t| t.get());
-    now - BASE.with(|b| b.get())
 }
 
 /// Adds raw work units to the meter (for operations other than plain
@@ -204,22 +179,12 @@ mod tests {
     }
 
     #[test]
-    fn meter_accumulates_and_takes() {
-        reset();
-        charge(0.5);
-        charge(0.25);
-        assert!((peek() - 0.75).abs() < 1e-12);
-        assert!((take() - 0.75).abs() < 1e-12);
-        assert_eq!(peek(), 0.0);
-    }
-
-    #[test]
     fn mod_pow_charges_and_computes() {
-        reset();
+        let scope = CostScope::enter();
         let m = Ubig::from(1_000_003u64);
         let r = mod_pow(&Ubig::from(2u64), &Ubig::from(10u64), &m);
         assert_eq!(r, Ubig::from(1024u64));
-        assert!(peek() > 0.0);
+        assert!(scope.elapsed() > 0.0);
     }
 
     #[test]
@@ -232,22 +197,5 @@ mod tests {
         assert!((outer.elapsed() - 0.75).abs() < 1e-12);
         // Reading a scope is non-destructive.
         assert!((outer.elapsed() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn legacy_meter_ignores_scopes_and_vice_versa() {
-        reset();
-        let scope = CostScope::enter();
-        charge(0.5);
-        // take() clears the legacy meter…
-        assert!((take() - 0.5).abs() < 1e-12);
-        assert_eq!(peek(), 0.0);
-        // …but the scope still sees the full delta.
-        assert!((scope.elapsed() - 0.5).abs() < 1e-12);
-        charge(0.25);
-        // reset() likewise leaves scopes alone.
-        reset();
-        assert!((scope.elapsed() - 0.75).abs() < 1e-12);
-        assert_eq!(peek(), 0.0);
     }
 }

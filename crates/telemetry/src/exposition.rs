@@ -330,30 +330,6 @@ impl Exposition {
     }
 }
 
-/// Windowed rates between two registry snapshots: for every counter
-/// present in `next`, `(next - prev) / elapsed` in units per second,
-/// clamped to zero. Returned as scope → name → rate with the same
-/// deterministic ordering as the snapshots themselves.
-pub fn counter_rates(
-    prev: &MetricsSnapshot,
-    next: &MetricsSnapshot,
-    elapsed: Duration,
-) -> BTreeMap<String, BTreeMap<String, f64>> {
-    let secs = elapsed.as_secs_f64();
-    let mut out: BTreeMap<String, BTreeMap<String, f64>> = BTreeMap::new();
-    if secs <= 0.0 {
-        return out;
-    }
-    for (scope, inner) in &next.counters {
-        let row = out.entry(scope.clone()).or_default();
-        for (name, value) in inner {
-            let before = prev.counter(scope, name);
-            row.insert(name.clone(), value.saturating_sub(before) as f64 / secs);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,23 +455,14 @@ mod tests {
         r.counter_add("atomic", "msgs_sent", 30);
         r.counter_add("atomic", "deliveries", 4);
         let second = r.snapshot();
-        let rates = counter_rates(&first, &second, Duration::from_secs(2));
-        assert_eq!(rates["atomic"]["msgs_sent"], 15.0);
-        assert_eq!(rates["atomic"]["deliveries"], 2.0);
-        // A counter that went backwards (restart) clamps to zero.
-        let reversed = counter_rates(&second, &first, Duration::from_secs(2));
-        assert_eq!(reversed["atomic"]["msgs_sent"], 0.0);
-        // Parsed-exposition rates agree.
         let a = Exposition::parse(&render_exposition(&first, &[])).expect("a");
         let b = Exposition::parse(&render_exposition(&second, &[])).expect("b");
-        assert_eq!(
-            b.rate_since(
-                &a,
-                "sintra_msgs_sent_total",
-                &[("scope", "atomic")],
-                Duration::from_secs(2)
-            ),
-            Some(15.0)
-        );
+        let rate = |now: &Exposition, prev: &Exposition, name: &str| {
+            now.rate_since(prev, name, &[("scope", "atomic")], Duration::from_secs(2))
+        };
+        assert_eq!(rate(&b, &a, "sintra_msgs_sent_total"), Some(15.0));
+        assert_eq!(rate(&b, &a, "sintra_deliveries_total"), Some(2.0));
+        // A counter that went backwards (restart) clamps to zero.
+        assert_eq!(rate(&a, &b, "sintra_msgs_sent_total"), Some(0.0));
     }
 }

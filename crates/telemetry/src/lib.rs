@@ -14,8 +14,8 @@
 //! * [`render_exposition`] / [`Exposition`] — the live metrics plane's
 //!   wire format: a Prometheus-style text rendering of a
 //!   [`MetricsSnapshot`] with deterministic series ordering, a parser
-//!   for it, and windowed [`counter_rates`] between successive
-//!   snapshots.
+//!   for it, and windowed rates between successive scrapes
+//!   ([`Exposition::rate_since`]).
 //! * [`TraceEvent`] — one structured record per interesting protocol
 //!   step (phase transitions, round advances, deliveries), stamped with
 //!   virtual time by the simulator or wall-clock micros by the TCP
@@ -41,13 +41,13 @@ mod report;
 mod stream;
 mod trace;
 
-pub use exposition::{counter_rates, render_exposition, Exposition, Series, SERIES_PREFIX};
+pub use exposition::{render_exposition, Exposition, Series, SERIES_PREFIX};
 pub use flight::{render_dump, FlightRecorder, SnapshotWriter, StateSnapshot, DUMP_SCHEMA};
 pub use histogram::{Histogram, HistogramSnapshot, BUCKETS, SUB_BUCKETS};
 pub use json::{parse_json, JsonError, JsonValue};
 pub use recorder::{FanoutRecorder, NoopRecorder, Recorder};
 pub use registry::{MetricsRegistry, MetricsSnapshot};
-pub use report::{report_columns, ProtocolRow, RunReport, BATCH_SIZE, DELIVERY_LATENCY};
+pub use report::{ProtocolRow, RunReport, BATCH_SIZE, DELIVERY_LATENCY};
 pub use stream::{segment_file_name, TraceStream, TraceStreamConfig, TRACE_SCHEMA};
 pub use trace::{json_escape, TraceEvent};
 

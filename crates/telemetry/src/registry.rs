@@ -82,11 +82,6 @@ impl MetricsRegistry {
         self.capture_traces.store(on, Ordering::Relaxed);
     }
 
-    /// Whether trace events are currently being stored.
-    pub fn trace_capture(&self) -> bool {
-        self.capture_traces.load(Ordering::Relaxed)
-    }
-
     /// Current value of a counter (0 when never touched).
     pub fn counter(&self, scope: &str, name: &str) -> u64 {
         read_cell(&self.shards[shard_index(scope)].counters, scope, name)

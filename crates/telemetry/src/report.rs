@@ -14,19 +14,6 @@ pub const DELIVERY_LATENCY: &str = "delivery_latency_us";
 /// event: the number of payloads each decided round delivered.
 pub const BATCH_SIZE: &str = "batch_size";
 
-/// Counter names the report treats as first-class columns; everything
-/// else a scope accumulated shows up in the row's `extra` map (per
-/// message-kind counts, for instance).
-const COLUMNS: [&str; 7] = [
-    "msgs_sent",
-    "msgs_delivered",
-    "msgs_dropped",
-    "bytes_sent",
-    "rounds",
-    "deliveries",
-    "crypto_work_milli",
-];
-
 /// Totals for one reporting scope (one top-level protocol instance,
 /// i.e. one channel in the paper's Table 1 terminology).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -307,12 +294,6 @@ impl RunReport {
         }
         out
     }
-}
-
-/// Names treated as dedicated report columns (exported so runtimes and
-/// tests use the same spelling).
-pub const fn report_columns() -> [&'static str; 7] {
-    COLUMNS
 }
 
 #[cfg(test)]

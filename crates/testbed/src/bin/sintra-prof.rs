@@ -6,7 +6,8 @@
 //! ```
 //!
 //! `profile` merges the `sintra-trace-*.jsonl` segments of one run (a
-//! directory is globbed; explicit files are taken as-is), walks the
+//! directory is globbed; explicit files, dumps too, are read through
+//! `sintra_testbed::profile::load_trace`), walks the
 //! causal chain behind every decided ABC/VBA round, and prints the
 //! per-round attribution ledger plus the aggregate phase histogram.
 //! `--chrome` additionally writes a Chrome `trace_event` export with the
@@ -21,7 +22,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use sintra_testbed::profile::{
-    analyze, causal_resolution, chrome_critical, find_trace_files, merge_streams, render_histogram,
+    analyze, causal_resolution, chrome_trace, find_trace_files, merge_streams, render_histogram,
     render_ledger,
 };
 
@@ -110,7 +111,7 @@ fn main() -> ExitCode {
     println!();
     print!("{}", render_histogram(&analysis));
     if let Some(out) = chrome_out {
-        let body = chrome_critical(&trace, &analysis);
+        let body = chrome_trace(&trace, &analysis);
         if let Err(err) = std::fs::write(&out, body) {
             eprintln!("sintra-prof: {}: {err}", out.display());
             return ExitCode::FAILURE;

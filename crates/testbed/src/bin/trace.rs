@@ -6,41 +6,32 @@
 //! ```
 //!
 //! `FILE` is either a `sintra-dump-*.json` flight-recorder dump or a
-//! `sintra-trace-*.jsonl` streaming segment (auto-detected by content);
-//! arguments containing `*`/`?` are expanded against the filesystem, so
-//! one invocation takes a whole run's per-party files even when the
-//! shell didn't expand the pattern.
+//! `sintra-trace-*.jsonl` streaming segment: the `.jsonl` extension
+//! selects a stream, anything else is read as a dump. Arguments
+//! containing `*`/`?` are expanded against the filesystem, so one
+//! invocation takes a whole run's per-party files even when the shell
+//! didn't expand the pattern. Both subcommands read through
+//! `sintra_testbed::profile`, the same loader `sintra-prof` uses.
 //!
 //! `export --chrome` merges everything into a single Chrome
 //! `trace_event` file that `chrome://tracing` or Perfetto opens directly
-//! — per-party tracks and flow arrows from each message send to the work
-//! it triggered. `validate` checks every file against its schema, then
-//! resolves causal parents *across* the whole file set: each event's
-//! `(sender, send_seq)` must name a `net:send` present in some input.
-//! Unresolved parents are reported (bounded per-party rings legitimately
-//! evict old sends; streaming captures should resolve fully) and fail
-//! the run under `--strict-causal`.
+//! — one process row per party, per-protocol tracks and flow arrows from
+//! each message send to the work it triggered. `validate` checks every
+//! file against its schema, then resolves causal parents *across* the
+//! whole file set: each event's `(sender, send_seq)` must name a
+//! `net:send` present in some input. Unresolved parents are reported
+//! (bounded per-party rings legitimately evict old sends; streaming
+//! captures should resolve fully) and fail the run under
+//! `--strict-causal`.
 
 #![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use sintra_telemetry::{parse_json, JsonValue};
-use sintra_testbed::profile::stream_to_dump_json;
-use sintra_testbed::trace_export::{chrome_trace, validate_dump};
-
-/// Loads one input as a dump-shaped value: dumps directly, streaming
-/// segments re-shaped through the dump schema.
-fn load(path: &Path) -> Result<JsonValue, String> {
-    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-    let body = if name.ends_with(".jsonl") {
-        stream_to_dump_json(path)?
-    } else {
-        std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?
-    };
-    parse_json(&body).map_err(|e| format!("{}: {e}", path.display()))
-}
+use sintra_testbed::profile::{
+    causal_resolution, chrome_trace, load_trace, merge, merge_streams, Analysis,
+};
 
 /// Expands one CLI argument: plain paths pass through, `*`/`?` patterns
 /// match against the named directory (portable stand-in for shell
@@ -104,60 +95,6 @@ fn glob_match(pattern: &str, name: &str) -> bool {
     pi == p.len()
 }
 
-/// Cross-file causal resolution over the merged event set.
-struct CausalSummary {
-    caused: usize,
-    resolved: usize,
-    examples: Vec<String>,
-}
-
-fn causal_summary(dumps: &[(PathBuf, JsonValue)]) -> CausalSummary {
-    let mut sends = std::collections::HashSet::new();
-    let events = |dump: &JsonValue| -> Vec<JsonValue> {
-        dump.get("events")
-            .and_then(JsonValue::as_array)
-            .map(<[JsonValue]>::to_vec)
-            .unwrap_or_default()
-    };
-    for (_, dump) in dumps {
-        for ev in events(dump) {
-            let family = ev.get("family").and_then(JsonValue::as_str);
-            let phase = ev.get("phase").and_then(JsonValue::as_str);
-            if family == Some("net") && phase == Some("send") {
-                let party = ev.get("party").and_then(JsonValue::as_u64);
-                let seq = ev.get("round").and_then(JsonValue::as_u64);
-                if let (Some(party), Some(seq)) = (party, seq) {
-                    sends.insert((party, seq));
-                }
-            }
-        }
-    }
-    let mut summary = CausalSummary {
-        caused: 0,
-        resolved: 0,
-        examples: Vec::new(),
-    };
-    for (path, dump) in dumps {
-        for ev in events(dump) {
-            let Some(cause) = ev.get("cause").and_then(JsonValue::as_array) else {
-                continue;
-            };
-            let (Some(s), Some(q)) = (cause[0].as_u64(), cause[1].as_u64()) else {
-                continue;
-            };
-            summary.caused += 1;
-            if sends.contains(&(s, q)) {
-                summary.resolved += 1;
-            } else if summary.examples.len() < 4 {
-                summary
-                    .examples
-                    .push(format!("{}: cause (p{s}, seq {q})", path.display()));
-            }
-        }
-    }
-    summary
-}
-
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  trace export --chrome FILE [FILE ...] [--out FILE]\n  \
@@ -194,31 +131,23 @@ fn main() -> ExitCode {
             if !chrome || inputs.is_empty() {
                 return usage();
             }
-            let mut dumps = Vec::new();
-            for path in &inputs {
-                match load(path) {
-                    Ok(dump) => dumps.push(dump),
-                    Err(err) => {
-                        eprintln!("trace: {err}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            match chrome_trace(&dumps) {
-                Ok(trace) => match out_path {
-                    Some(path) => {
-                        if let Err(err) = std::fs::write(&path, trace) {
-                            eprintln!("trace: {path}: {err}");
-                            return ExitCode::FAILURE;
-                        }
-                        eprintln!("trace: wrote {path} ({} input(s))", dumps.len());
-                    }
-                    None => println!("{trace}"),
-                },
+            let trace = match merge_streams(&inputs) {
+                Ok(trace) => trace,
                 Err(err) => {
                     eprintln!("trace: {err}");
                     return ExitCode::FAILURE;
                 }
+            };
+            let body = chrome_trace(&trace, &Analysis::default());
+            match out_path {
+                Some(path) => {
+                    if let Err(err) = std::fs::write(&path, body) {
+                        eprintln!("trace: {path}: {err}");
+                        return ExitCode::FAILURE;
+                    }
+                    eprintln!("trace: wrote {path} ({} input(s))", inputs.len());
+                }
+                None => println!("{body}"),
             }
             ExitCode::SUCCESS
         }
@@ -241,34 +170,30 @@ fn main() -> ExitCode {
             if inputs.is_empty() {
                 return usage();
             }
-            let mut dumps = Vec::new();
-            for path in inputs {
-                let result = load(&path).and_then(|dump| {
-                    validate_dump(&dump)?;
-                    Ok(dump)
-                });
-                match result {
-                    Ok(dump) => {
+            let mut files = Vec::new();
+            for path in &inputs {
+                match load_trace(path) {
+                    Ok(file) => {
                         eprintln!("trace: {}: ok", path.display());
-                        dumps.push((path, dump));
+                        files.push(file);
                     }
                     Err(err) => {
-                        eprintln!("trace: {}: {err}", path.display());
+                        eprintln!("trace: {err}");
                         return ExitCode::FAILURE;
                     }
                 }
             }
-            let summary = causal_summary(&dumps);
+            let resolution = causal_resolution(&merge(files));
             eprintln!(
                 "trace: causal parents {}/{} resolved across {} file(s)",
-                summary.resolved,
-                summary.caused,
-                dumps.len()
+                resolution.resolved,
+                resolution.caused,
+                inputs.len()
             );
-            for example in &summary.examples {
-                eprintln!("trace: unresolved: {example}");
+            for (party, s, q) in resolution.dangling.iter().take(4) {
+                eprintln!("trace: unresolved: p{party}: cause (p{s}, seq {q})");
             }
-            if strict_causal && summary.resolved != summary.caused {
+            if strict_causal && !resolution.is_complete() {
                 eprintln!("trace: FAIL: dangling causal parents under --strict-causal");
                 return ExitCode::FAILURE;
             }

@@ -1,42 +1,49 @@
-//! Cross-party critical-path profiling over streaming traces.
+//! Reading trace files, and cross-party critical-path profiling over them.
 //!
-//! The streaming sink (`sintra-telemetry`'s `TraceStream`) leaves one
-//! `.jsonl` file per party per segment, every event stamped in
-//! microseconds since the *shared* run-start anchor and carrying its
-//! causal parent `(sender, send_seq)`. This module merges those streams
-//! and answers the question the paper answers with its WAN tables: *what
-//! did a decided round actually spend its wall-time on?*
+//! This module is the one reader of trace files on disk. The streaming
+//! sink (`sintra-telemetry`'s `TraceStream`) leaves one `.jsonl` file per
+//! party per segment, every event stamped in microseconds since the
+//! *shared* run-start anchor and carrying its causal parent
+//! `(sender, send_seq)`; a flight-recorder dump carries the same events
+//! from one party's ring. [`load_trace`] reads either into a
+//! [`StreamFile`], [`merge`] joins a run's files into one
+//! [`MergedTrace`], [`causal_resolution`] checks that every causal parent
+//! names a send, and [`chrome_trace`] exports the merged trace. Both the
+//! `trace` and the `sintra-prof` tools read through here.
 //!
+//! The profiler answers the question the paper answers with its WAN
+//! tables: *what did a decided round actually spend its wall-time on?*
 //! For every decided ABC round (`atomic:batch`) and VBA outcome
 //! (`vba:decide`) the analyzer walks causal parents backwards across
 //! parties: the decide's cause names the last-arriving message that
 //! completed the quorum — by construction the latency-critical one — and
 //! that message's `net:send` on the sender carries the cause of *its*
 //! dispatch, and so on until a causeless anchor (a client send or timer
-//! expiry). Because the runtimes stamp `net:recv` at dispatch start,
-//! record the verify-queue wait on it, and stamp produced events at
-//! dispatch end, the chain tiles the round's wall-time into contiguous
-//! named segments:
+//! expiry). Because the runtimes stamp `net:recv` at dispatch start and
+//! stamp produced events at dispatch end, the chain tiles the round's
+//! wall-time into contiguous named segments:
 //!
 //! * `link` — send stamp → admission on the receiver (wire, retransmit
 //!   wait, inbox queue),
-//! * `verify-wait` — admission → dispatch under the staged pipeline,
+//! * `verify-wait` — the `wait_us` a `net:recv` records between admission
+//!   and dispatch; no runtime records one any more, so it is always 0 and
+//!   the bucket is kept only until the benchmark drops it,
 //! * one compute bucket per protocol phase (`rb-quorum`, `cb-final`,
 //!   `vba-propose`, `abba-vote`, `abba-coin`, `abc-deliver`), named by
 //!   the protocol events the dispatch emitted.
 //!
 //! [`analyze`] produces per-round [`RoundProfile`]s plus aggregate phase
-//! totals; [`render_ledger`]/[`render_histogram`] print them and
-//! [`chrome_critical`] exports a Chrome trace with the critical path
-//! highlighted as its own lane per party.
+//! totals; [`render_ledger`]/[`render_histogram`] print them, and
+//! [`chrome_trace`] given an [`Analysis`] highlights the critical path as
+//! its own lane per party.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use sintra_telemetry::{json_escape, parse_json, JsonValue, TRACE_SCHEMA};
+use sintra_telemetry::{json_escape, parse_json, root_scope, JsonValue, TRACE_SCHEMA};
 
-use crate::trace_export::validate_event;
+use crate::trace_export::{validate_dump, validate_event};
 
 /// One parsed trace event from a stream (owned strings — the schema's
 /// `&'static str` fields are only static on the producing side).
@@ -62,16 +69,17 @@ pub struct StreamEvent {
     pub wait_us: u64,
 }
 
-/// One loaded segment file.
+/// One loaded trace file: a streaming segment or a flight-recorder dump.
 #[derive(Debug)]
 pub struct StreamFile {
-    /// Party the segment belongs to (from the header line).
+    /// Party the file belongs to.
     pub party: u64,
-    /// Segment index (from the header line).
+    /// Segment index from a stream's header line; 0 for a dump.
     pub segment: u64,
     /// Events in file order.
     pub events: Vec<StreamEvent>,
-    /// Sum of `{"dropped":n}` markers in the file.
+    /// Events lost before reaching the file: the sum of a stream's
+    /// `{"dropped":n}` markers, or a dump's `dropped_events`.
     pub dropped: u64,
 }
 
@@ -122,10 +130,22 @@ pub fn parse_stream_event(ev: &JsonValue) -> Result<StreamEvent, String> {
     })
 }
 
-/// Loads one streaming-trace segment file: a header line carrying
-/// [`TRACE_SCHEMA`], then one event or `{"dropped":n}` marker per line.
-pub fn load_stream(path: &Path) -> Result<StreamFile, String> {
+/// Loads one trace file: a `.jsonl` file is a streaming segment, any
+/// other file a flight-recorder dump. Errors name the path.
+pub fn load_trace(path: &Path) -> Result<StreamFile, String> {
     let body = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    if path.extension().and_then(|e| e.to_str()) == Some("jsonl") {
+        return parse_stream(&body, path);
+    }
+    parse_json(&body)
+        .map_err(|e| e.to_string())
+        .and_then(|dump| StreamFile::from_dump(&dump))
+        .map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Parses a streaming segment: a header line carrying [`TRACE_SCHEMA`],
+/// then one event or `{"dropped":n}` marker per line.
+fn parse_stream(body: &str, path: &Path) -> Result<StreamFile, String> {
     let mut lines = body
         .lines()
         .enumerate()
@@ -171,6 +191,28 @@ pub fn load_stream(path: &Path) -> Result<StreamFile, String> {
         events,
         dropped,
     })
+}
+
+impl StreamFile {
+    /// Reads a flight-recorder dump (schema `sintra-dump-v1`) as segment 0
+    /// of its party, counting the ring's evictions as dropped events.
+    pub fn from_dump(dump: &JsonValue) -> Result<StreamFile, String> {
+        validate_dump(dump)?;
+        let num = |field: &str| dump.get(field).and_then(JsonValue::as_u64).unwrap_or(0);
+        let events = dump
+            .get("events")
+            .and_then(JsonValue::as_array)
+            .unwrap_or_default()
+            .iter()
+            .map(parse_stream_event)
+            .collect::<Result<_, _>>()?;
+        Ok(StreamFile {
+            party: num("party"),
+            segment: 0,
+            events,
+            dropped: num("dropped_events"),
+        })
+    }
 }
 
 /// The `sintra-trace-*.jsonl` segment files under `dir`, sorted so each
@@ -229,17 +271,22 @@ impl MergedTrace {
     }
 }
 
-/// Loads and merges stream files from every party of a run.
+/// Loads and merges the trace files from every party of a run.
 pub fn merge_streams(paths: &[PathBuf]) -> Result<MergedTrace, String> {
-    let mut files = Vec::new();
-    for path in paths {
-        files.push(load_stream(path)?);
-    }
+    let files = paths
+        .iter()
+        .map(|path| load_trace(path))
+        .collect::<Result<_, _>>()?;
+    Ok(merge(files))
+}
+
+/// Merges loaded files on the shared run-start anchor.
+pub fn merge(mut files: Vec<StreamFile>) -> MergedTrace {
     // Per-party segment order, so each party's events stay chronological.
     files.sort_by_key(|f| (f.party, f.segment));
     let dropped = files.iter().map(|f| f.dropped).sum();
     let events = files.into_iter().flat_map(|f| f.events).collect();
-    Ok(MergedTrace::from_events(events, dropped))
+    MergedTrace::from_events(events, dropped)
 }
 
 /// How completely causal parents resolve across the merged streams.
@@ -535,11 +582,6 @@ impl Analysis {
     }
 }
 
-/// Root segment of a protocol instance id.
-fn root(protocol: &str) -> &str {
-    protocol.split('/').next().unwrap_or(protocol)
-}
-
 /// The round a decide event belongs to. VBA decides report their
 /// internal iteration (usually 0), so distinct instances under one
 /// channel would collapse; the instance index in the protocol path
@@ -578,7 +620,7 @@ pub fn analyze(trace: &MergedTrace) -> Analysis {
     sorted.sort_by_key(|&i| {
         let ev = &trace.events[i];
         (
-            root(&ev.protocol).to_string(),
+            root_scope(&ev.protocol).to_string(),
             ev.family.clone(),
             ev.party,
             decide_round(ev),
@@ -589,14 +631,18 @@ pub fn analyze(trace: &MergedTrace) -> Analysis {
     let mut rounds = Vec::new();
     for idx in sorted {
         let ev = &trace.events[idx];
-        let key = (root(&ev.protocol).to_string(), ev.family.clone(), ev.party);
+        let key = (
+            root_scope(&ev.protocol).to_string(),
+            ev.family.clone(),
+            ev.party,
+        );
         let prev = prev_end.get(&key).copied().unwrap_or(0);
         let (segments, origin) = walk_critical_path(trace, idx, prev);
         let start = origin.max(prev).min(ev.time_us);
         let segments = clip(segments, start, ev.time_us);
         let attributed = segments.iter().map(Segment::len_us).sum();
         rounds.push(RoundProfile {
-            protocol: root(&ev.protocol).to_string(),
+            protocol: root_scope(&ev.protocol).to_string(),
             family: ev.family.clone(),
             round: decide_round(ev),
             party: ev.party,
@@ -687,12 +733,13 @@ fn flow_id(sender: u64, send_seq: u64) -> u64 {
     (sender << 48) | (send_seq & 0xFFFF_FFFF_FFFF)
 }
 
-/// Exports the merged trace as Chrome `trace_event` JSON with the
-/// critical path highlighted: every event is a 1µs slice on its party's
-/// per-protocol track (with send→recv flow arrows), and each
-/// group-critical round's segments form real-duration slices on a
-/// dedicated `critical-path` lane per party.
-pub fn chrome_critical(trace: &MergedTrace, analysis: &Analysis) -> String {
+/// Exports the merged trace as Chrome `trace_event` JSON that
+/// `chrome://tracing` and Perfetto open directly: every event is a 1µs
+/// slice on its party's per-protocol track, with a flow arrow from each
+/// `net:send` to the `net:recv` its `(sender, send_seq)` cause names.
+/// When `analysis` has rounds, each group-critical round's segments form
+/// real-duration slices on a dedicated `critical-path` lane per party.
+pub fn chrome_trace(trace: &MergedTrace, analysis: &Analysis) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     let mut first = true;
     let mut push = |s: String, out: &mut String| {
@@ -711,17 +758,19 @@ pub fn chrome_critical(trace: &MergedTrace, analysis: &Analysis) -> String {
             ),
             &mut out,
         );
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{party},\"tid\":1,\
-                 \"args\":{{\"name\":\"critical-path\"}}}}"
-            ),
-            &mut out,
-        );
+        if !analysis.rounds.is_empty() {
+            push(
+                format!(
+                    "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{party},\"tid\":1,\
+                     \"args\":{{\"name\":\"critical-path\"}}}}"
+                ),
+                &mut out,
+            );
+        }
     }
     let mut tids: HashMap<(u64, String), u64> = HashMap::new();
     for ev in &trace.events {
-        let scope = root(&ev.protocol).to_string();
+        let scope = root_scope(&ev.protocol).to_string();
         let next_tid = tids.len() as u64 + 2;
         let tid = *tids.entry((ev.party, scope.clone())).or_insert(next_tid);
         if tid == next_tid {
@@ -803,53 +852,10 @@ pub fn chrome_critical(trace: &MergedTrace, analysis: &Analysis) -> String {
     out
 }
 
-/// Re-shapes one streaming segment file into a dump-schema JSON string
-/// (`reason: "stream"`, no instance/link snapshots), so dump-oriented
-/// tooling — `trace export --chrome`, `validate` — consumes streams too.
-pub fn stream_to_dump_json(path: &Path) -> Result<String, String> {
-    let body = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut lines = body.lines().filter(|l| !l.trim().is_empty());
-    let header = lines
-        .next()
-        .ok_or_else(|| format!("{}: empty stream file", path.display()))?;
-    let header = parse_json(header).map_err(|e| format!("{}: header: {e}", path.display()))?;
-    let schema = header.get("schema").and_then(JsonValue::as_str);
-    if schema != Some(TRACE_SCHEMA) {
-        return Err(format!("{}: not a {TRACE_SCHEMA} stream", path.display()));
-    }
-    let party = header
-        .get("party")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("{}: header lacks numeric \"party\"", path.display()))?;
-    let mut raw_events = Vec::new();
-    let mut dropped = 0u64;
-    let mut last_us = 0u64;
-    for line in lines {
-        let value = parse_json(line).map_err(|e| format!("{}: {e}", path.display()))?;
-        if let Some(n) = value.get("dropped").and_then(JsonValue::as_u64) {
-            dropped += n;
-            continue;
-        }
-        validate_event(&value).map_err(|e| format!("{}: event {e}", path.display()))?;
-        last_us = last_us.max(
-            value
-                .get("time_us")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or(0),
-        );
-        raw_events.push(line.trim().to_string());
-    }
-    Ok(format!(
-        "{{\"schema\":\"sintra-dump-v1\",\"party\":{party},\"reason\":\"stream\",\
-         \"time_us\":{last_us},\"quiet_us\":0,\"dropped_events\":{dropped},\
-         \"instances\":[],\"links\":[],\"events\":[{}]}}",
-        raw_events.join(",")
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sintra_telemetry::{render_dump, SnapshotWriter, TraceEvent};
 
     fn ev(
         party: u64,
@@ -930,7 +936,7 @@ mod tests {
         assert!(ledger.lines().next().unwrap().contains("reqs"), "{ledger}");
         let histogram = render_histogram(&analysis);
         assert!(histogram.contains("rb-quorum"), "{histogram}");
-        let chrome = chrome_critical(&trace, &analysis);
+        let chrome = chrome_trace(&trace, &analysis);
         let parsed = parse_json(&chrome).expect("chrome json parses");
         let events = parsed
             .get("traceEvents")
@@ -957,26 +963,128 @@ mod tests {
             .all(|&(_, s, q)| (s, q) == (0, 5)));
     }
 
-    #[test]
-    fn stream_files_round_trip_through_loader_and_dump_shape() {
-        let dir = std::env::temp_dir().join(format!("sintra-profile-{}", std::process::id()));
+    /// A two-event flight-recorder dump of `party`: a send (seq 7) and a
+    /// receive caused by the other party's seq 3.
+    fn dump_body(party: usize, dropped: u64) -> String {
+        let inst = SnapshotWriter::new("ac", "atomic").num("round", 2).finish();
+        let mut send = TraceEvent::new(party, "ac", "net").phase("send").round(7);
+        send.time_us = 10;
+        let mut recv = TraceEvent::new(party, "ac", "net")
+            .phase("recv")
+            .round(3)
+            .caused_by(1 - party, 3);
+        recv.time_us = 20;
+        render_dump(
+            party,
+            "stall",
+            1000,
+            500,
+            &[inst],
+            &[],
+            &[send, recv],
+            dropped,
+        )
+    }
+
+    fn chrome_events(trace: &MergedTrace) -> Vec<JsonValue> {
+        let chrome = chrome_trace(trace, &Analysis::default());
+        let parsed = parse_json(&chrome).expect("chrome json parses");
+        parsed
+            .get("traceEvents")
+            .and_then(JsonValue::as_array)
+            .expect("traceEvents")
+            .to_vec()
+    }
+
+    fn str_field<'a>(ev: &'a JsonValue, field: &str) -> Option<&'a str> {
+        ev.get(field).and_then(JsonValue::as_str)
+    }
+
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("sintra-profile-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("sintra-trace-2-0000.jsonl");
+        dir
+    }
+
+    #[test]
+    fn chrome_export_has_tracks_and_flows() {
+        let files = [0, 1]
+            .map(|party| {
+                let dump = parse_json(&dump_body(party, 0)).expect("dump parses");
+                StreamFile::from_dump(&dump).expect("valid dump")
+            })
+            .into();
+        let events = chrome_events(&merge(files));
+        // Process metadata for both parties.
+        for party in ["party 0", "party 1"] {
+            assert!(events.iter().any(|e| {
+                str_field(e, "ph") == Some("M")
+                    && e.get("args").and_then(|a| str_field(a, "name")) == Some(party)
+            }));
+        }
+        // Party 0's send (seq 7) starts a flow; party 1's recv of
+        // (sender 0, seq 3) finishes the matching id.
+        let start_id = events
+            .iter()
+            .find(|e| str_field(e, "ph") == Some("s"))
+            .and_then(|e| e.get("id"))
+            .and_then(JsonValue::as_u64)
+            .expect("flow start");
+        assert_eq!(start_id, flow_id(0, 7));
+        assert!(events.iter().any(|e| str_field(e, "ph") == Some("f")
+            && e.get("id").and_then(JsonValue::as_u64) == Some(flow_id(0, 3))));
+        // Without an analysis there is no critical-path lane.
+        assert!(!events.iter().any(|e| {
+            e.get("args").and_then(|a| str_field(a, "name")) == Some("critical-path")
+        }));
+    }
+
+    #[test]
+    fn dump_files_load_as_segment_zero() {
+        let dir = scratch_dir("dump");
+        let path = dir.join("sintra-dump-1-stall.json");
+        std::fs::write(&path, dump_body(1, 6)).expect("write");
+        let file = load_trace(&path).expect("loads");
+        assert_eq!((file.party, file.segment, file.dropped), (1, 0, 6));
+        let [send, recv] = &file.events[..] else {
+            panic!("two events: {:?}", file.events);
+        };
+        assert_eq!(
+            (send.phase.as_str(), send.time_us, send.cause),
+            ("send", 10, None)
+        );
+        assert_eq!(
+            (recv.phase.as_str(), recv.time_us, recv.cause),
+            ("recv", 20, Some((0, 3)))
+        );
+        // An event without a phase is refused, naming the file and event.
+        let broken = dump_body(1, 0).replacen("\"phase\":\"recv\",", "", 1);
+        std::fs::write(&path, broken).expect("write");
+        let err = load_trace(&path).unwrap_err();
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(err.contains("event 1 lacks string \"phase\""), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stream_files_round_trip_through_loader_and_dump_shape() {
+        let dir = scratch_dir("stream");
+        let path = dir.join("sintra-trace-1-0000.jsonl");
         std::fs::write(
             &path,
             format!(
-                "{{\"schema\":\"{TRACE_SCHEMA}\",\"party\":2,\"segment\":0}}\n\
-                 {{\"time_us\":7,\"party\":2,\"protocol\":\"kv\",\"family\":\"net\",\
+                "{{\"schema\":\"{TRACE_SCHEMA}\",\"party\":1,\"segment\":0}}\n\
+                 {{\"time_us\":7,\"party\":1,\"protocol\":\"kv\",\"family\":\"net\",\
                  \"phase\":\"send\",\"round\":1,\"bytes\":9}}\n\
                  {{\"dropped\":4}}\n\
-                 {{\"time_us\":9,\"party\":2,\"protocol\":\"kv\",\"family\":\"rb\",\
-                 \"phase\":\"echo\",\"round\":0,\"bytes\":0,\"cause\":[2,1],\"wait_us\":3}}\n"
+                 {{\"time_us\":9,\"party\":1,\"protocol\":\"kv\",\"family\":\"rb\",\
+                 \"phase\":\"echo\",\"round\":0,\"bytes\":0,\"cause\":[1,1],\"wait_us\":3}}\n"
             ),
         )
         .expect("write");
-        let file = load_stream(&path).expect("loads");
-        assert_eq!((file.party, file.segment, file.dropped), (2, 0, 4));
+        let file = load_trace(&path).expect("loads");
+        assert_eq!((file.party, file.segment, file.dropped), (1, 0, 4));
         assert_eq!(file.events.len(), 2);
         assert_eq!(file.events[1].wait_us, 3);
         let files = find_trace_files(&dir).expect("find");
@@ -984,13 +1092,18 @@ mod tests {
         let merged = merge_streams(&files).expect("merge");
         assert_eq!(merged.dropped, 4);
         assert!(causal_resolution(&merged).is_complete());
-        let dump = stream_to_dump_json(&path).expect("dump shape");
-        let parsed = parse_json(&dump).expect("parses");
-        crate::trace_export::validate_dump(&parsed).expect("valid dump shape");
-        assert_eq!(
-            parsed.get("dropped_events").and_then(JsonValue::as_u64),
-            Some(4)
-        );
+        // A dump of the same party merges into the same process row.
+        let dump = dir.join("sintra-dump-1-stall.json");
+        std::fs::write(&dump, dump_body(1, 2)).expect("write");
+        let merged = merge_streams(&[dump, path]).expect("merge mixed");
+        assert_eq!(merged.events.len(), 4);
+        assert_eq!(merged.dropped, 6);
+        let process_rows: Vec<u64> = chrome_events(&merged)
+            .iter()
+            .filter(|e| str_field(e, "name") == Some("process_name"))
+            .filter_map(|e| e.get("pid").and_then(JsonValue::as_u64))
+            .collect();
+        assert_eq!(process_rows, [1]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

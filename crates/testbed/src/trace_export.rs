@@ -1,19 +1,14 @@
-//! Dump validation and Chrome `trace_event` export.
+//! Schema checks for trace files.
 //!
 //! A flight-recorder dump (`sintra-dump-<party>-<reason>.json`, schema
-//! [`DUMP_SCHEMA`]) carries the trace-event ring of one party. This
-//! module validates dumps against the schema and converts one or more of
-//! them — typically the whole group's — into the Chrome trace-event JSON
-//! that `chrome://tracing` and [Perfetto](https://ui.perfetto.dev) open
-//! directly: one process row per party, one thread row per protocol
-//! instance, and flow arrows connecting each message send to the work
-//! its delivery triggered on the receiving party (via the
-//! `(sender, send_seq)` causal stamps the runtimes attach).
+//! [`DUMP_SCHEMA`]) carries the trace-event ring of one party plus its
+//! instance and link snapshots; a streaming segment carries one event
+//! per line. [`validate_dump`] checks a whole dump and [`validate_event`]
+//! one event of either. Reading trace files into events, merging them
+//! and exporting them to Chrome's `trace_event` format live in
+//! [`crate::profile`].
 
-use std::collections::HashMap;
-use std::fmt::Write as _;
-
-use sintra_telemetry::{json_escape, JsonValue, DUMP_SCHEMA};
+use sintra_telemetry::{JsonValue, DUMP_SCHEMA};
 
 /// Checks that `dump` is a well-formed flight-recorder dump. Returns a
 /// human-readable description of the first violation.
@@ -91,144 +86,6 @@ pub fn validate_event(ev: &JsonValue) -> Result<(), String> {
     Ok(())
 }
 
-/// The root protocol segment of an instance id (`atomic/vba/3` →
-/// `atomic`), used to group trace rows.
-fn root(protocol: &str) -> &str {
-    protocol.split('/').next().unwrap_or(protocol)
-}
-
-/// A globally unique flow id for one transmission: the `(sender,
-/// send_seq)` pair packed into one integer.
-fn flow_id(sender: u64, send_seq: u64) -> u64 {
-    (sender << 48) | (send_seq & 0xFFFF_FFFF_FFFF)
-}
-
-/// Converts dumps (typically one per party) into Chrome `trace_event`
-/// JSON. Each party becomes a process, each protocol root a named
-/// thread, each trace event a 1µs slice, and each `net` send/recv pair
-/// a flow arrow from the sending party's timeline to the receiving
-/// party's.
-pub fn chrome_trace(dumps: &[JsonValue]) -> Result<String, String> {
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    let push = |s: String, out: &mut String, first: &mut bool| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push_str(&s);
-    };
-    // Stable thread ids per (party, protocol root), announced via
-    // metadata so Perfetto labels the rows.
-    let mut tids: HashMap<(u64, String), u64> = HashMap::new();
-    for dump in dumps {
-        validate_dump(dump)?;
-        let party = dump
-            .get("party")
-            .and_then(JsonValue::as_u64)
-            .expect("validated");
-        push(
-            format!(
-                "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{party},\"tid\":0,\
-                 \"args\":{{\"name\":\"party {party}\"}}}}"
-            ),
-            &mut out,
-            &mut first,
-        );
-        let events = dump
-            .get("events")
-            .and_then(JsonValue::as_array)
-            .expect("validated");
-        for ev in events {
-            let ts = ev
-                .get("time_us")
-                .and_then(JsonValue::as_u64)
-                .expect("validated");
-            let protocol = ev
-                .get("protocol")
-                .and_then(JsonValue::as_str)
-                .expect("validated");
-            let family = ev
-                .get("family")
-                .and_then(JsonValue::as_str)
-                .expect("validated");
-            let phase = ev
-                .get("phase")
-                .and_then(JsonValue::as_str)
-                .expect("validated");
-            let round = ev
-                .get("round")
-                .and_then(JsonValue::as_u64)
-                .expect("validated");
-            let bytes = ev
-                .get("bytes")
-                .and_then(JsonValue::as_u64)
-                .expect("validated");
-            let scope = root(protocol).to_string();
-            let next_tid = tids.len() as u64 + 1;
-            let tid = *tids
-                .entry((party, scope.clone()))
-                .or_insert_with(|| next_tid);
-            if tid == next_tid {
-                push(
-                    format!(
-                        "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{party},\"tid\":{tid},\
-                         \"args\":{{\"name\":{}}}}}",
-                        json_escape(&scope)
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
-            let name = json_escape(&format!("{family}:{phase}"));
-            let mut slice = format!(
-                "{{\"ph\":\"X\",\"name\":{name},\"cat\":{},\"pid\":{party},\"tid\":{tid},\
-                 \"ts\":{ts},\"dur\":1,\"args\":{{\"protocol\":{},\"round\":{round},\
-                 \"bytes\":{bytes}",
-                json_escape(family),
-                json_escape(protocol),
-            );
-            if let Some(cause) = ev.get("cause").and_then(JsonValue::as_array) {
-                let sender = cause[0].as_u64().expect("validated");
-                let seq = cause[1].as_u64().expect("validated");
-                let _ = write!(slice, ",\"cause\":\"p{sender}#{seq}\"");
-            }
-            slice.push_str("}}");
-            push(slice, &mut out, &mut first);
-            // Flow arrows: a `net:send` starts a flow under its own
-            // (party, send_seq); a `net:recv` terminates the flow its
-            // cause names. Perfetto draws the arrow between the two.
-            if family == "net" && phase == "send" {
-                push(
-                    format!(
-                        "{{\"ph\":\"s\",\"name\":\"msg\",\"cat\":\"flow\",\"id\":{},\
-                         \"pid\":{party},\"tid\":{tid},\"ts\":{ts}}}",
-                        flow_id(party, round)
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            } else if family == "net" && phase == "recv" {
-                if let Some(cause) = ev.get("cause").and_then(JsonValue::as_array) {
-                    let sender = cause[0].as_u64().expect("validated");
-                    let seq = cause[1].as_u64().expect("validated");
-                    push(
-                        format!(
-                            "{{\"ph\":\"f\",\"bp\":\"e\",\"name\":\"msg\",\"cat\":\"flow\",\
-                             \"id\":{},\"pid\":{party},\"tid\":{tid},\"ts\":{ts}}}",
-                            flow_id(sender, seq)
-                        ),
-                        &mut out,
-                        &mut first,
-                    );
-                }
-            }
-        }
-    }
-    out.push_str("]}");
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,39 +113,5 @@ mod tests {
     fn wrong_schema_fails_validation() {
         let dump = parse_json("{\"schema\":\"bogus\"}").unwrap();
         assert!(validate_dump(&dump).unwrap_err().contains("bogus"));
-    }
-
-    #[test]
-    fn chrome_export_has_tracks_and_flows() {
-        let dumps = [sample_dump(0), sample_dump(1)];
-        let trace = chrome_trace(&dumps).expect("export");
-        let parsed = parse_json(&trace).expect("chrome json parses");
-        let events = parsed
-            .get("traceEvents")
-            .and_then(JsonValue::as_array)
-            .expect("traceEvents");
-        // Process metadata for both parties.
-        for party in ["party 0", "party 1"] {
-            assert!(events.iter().any(|e| {
-                e.get("ph").and_then(JsonValue::as_str) == Some("M")
-                    && e.get("args")
-                        .and_then(|a| a.get("name"))
-                        .and_then(JsonValue::as_str)
-                        == Some(party)
-            }));
-        }
-        // Party 0's send (seq 7) starts a flow; party 1's recv of
-        // (sender 0, seq 3) finishes the matching id.
-        let start_id = events
-            .iter()
-            .find(|e| e.get("ph").and_then(JsonValue::as_str) == Some("s"))
-            .and_then(|e| e.get("id"))
-            .and_then(JsonValue::as_u64)
-            .expect("flow start");
-        assert_eq!(start_id, super::flow_id(0, 7));
-        assert!(events
-            .iter()
-            .any(|e| e.get("ph").and_then(JsonValue::as_str) == Some("f")
-                && e.get("id").and_then(JsonValue::as_u64) == Some(super::flow_id(0, 3))));
     }
 }
