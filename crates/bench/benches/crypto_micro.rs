@@ -13,22 +13,31 @@ use sintra_crypto::thsig::{deal_kits, SigFlavor};
 use sintra_crypto::{fixtures, hmac::HmacKey};
 
 /// The bottom layer: one Montgomery multiplication and squaring at the
-/// group modulus, and exponentiations at the exponent lengths the stack
-/// uses — 17 bits (RSA verification), 160 (group exponents), 341 at a
-/// 341-bit prime of a 1024-bit RSA key (one of a signature's three CRT
-/// exponentiations), 1024 (Shoup shares, hashing into the group).
+/// group modulus and at a 341-bit prime of a 1024-bit RSA key (the
+/// 6-limb width, which runs the ADX kernel on a CPU with `bmi2` and
+/// `adx`), and exponentiations at the exponent lengths the stack uses —
+/// 17 bits (RSA verification), 160 (group exponents), 341 at that prime
+/// (one of a signature's three CRT exponentiations), 1024 (Shoup shares,
+/// hashing into the group).
 fn bench_bigint(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     let group = fixtures::schnorr_group(1024).expect("fixture");
     let p = group.modulus();
-    let ctx = Montgomery::new(p);
-    let a = ctx.to_mont(&rng.gen_ubig_below(p));
-    let b = ctx.to_mont(&rng.gen_ubig_below(p));
-    let mut g = c.benchmark_group("bigint");
-    g.bench_function("mont-mul/1024", |bench| bench.iter(|| ctx.mont_mul(&a, &b)));
-    g.bench_function("mont-sqr/1024", |bench| bench.iter(|| ctx.mont_sqr(&a)));
     let key = fixtures::rsa_key(1024, 0).expect("fixture");
     let prime = key.primes().next().expect("a prime");
+    let mut g = c.benchmark_group("bigint");
+    for modulus in [p, prime] {
+        let ctx = Montgomery::new(modulus);
+        let a = ctx.to_mont(&rng.gen_ubig_below(modulus));
+        let b = ctx.to_mont(&rng.gen_ubig_below(modulus));
+        let bits = modulus.bit_length();
+        g.bench_function(format!("mont-mul/{bits}"), |bench| {
+            bench.iter(|| ctx.mont_mul(&a, &b))
+        });
+        g.bench_function(format!("mont-sqr/{bits}"), |bench| {
+            bench.iter(|| ctx.mont_sqr(&a))
+        });
+    }
     for (modulus, exp_bits) in [(p, 17), (p, 160), (prime, 341), (p, 1024)] {
         let base = rng.gen_ubig_below(modulus);
         let exp = rng.gen_ubig_bits(exp_bits).with_bit(exp_bits - 1, true);

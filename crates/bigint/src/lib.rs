@@ -30,7 +30,9 @@
 //! assert!(y < p);
 //! ```
 
-#![forbid(unsafe_code)]
+// One `unsafe` block is allowed, in `montgomery.rs`: the 6-limb
+// `mulx`/`adcx`/`adox` kernel, which a context selects after the CPU check.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod arith;

@@ -9,6 +9,11 @@
 //! [`FixedBase::pow_mont`]) run on a few scratch buffers allocated once
 //! per call. The `Ubig`-level methods are thin wrappers that bring their
 //! operands into that shape first.
+//!
+//! At 6 limbs, on an x86-64 CPU with BMI2 and ADX, `mul_into` and `sqr`
+//! run one assembly kernel instead ([`mul_reduce_adx`]); the context
+//! decides once, in [`Montgomery::new`], and the portable kernel stays
+//! the fallback and the reference the tests hold it to.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -47,6 +52,10 @@ pub struct Montgomery {
     r1: Vec<Limb>,
     /// `R^2 mod n`
     r2: Vec<Limb>,
+    /// `n‖n′` when this context multiplies with the 6-limb ADX kernel
+    /// ([`mul_reduce_adx`]); `None` runs the portable one. Boxed, so that
+    /// the keys and groups that embed a context stay a pointer larger.
+    adx: Option<Box<[Limb; 7]>>,
 }
 
 /// The limbs of `v < 2^(64 * k)`, zero-extended to exactly `k`.
@@ -161,6 +170,117 @@ fn reduce_wide(n: &[Limb], n_prime: Limb, out: &mut [Limb], wide: &mut [Limb]) {
     reduce_once(out, top, n);
 }
 
+/// Whether this CPU has the two extensions the 6-limb kernel is written
+/// in: `mulx` (BMI2) and `adcx`/`adox` (ADX).
+#[cfg(target_arch = "x86_64")]
+fn adx_detected() -> bool {
+    is_x86_feature_detected!("bmi2") && is_x86_feature_detected!("adx")
+}
+
+/// Without x86-64 there is no ADX kernel to run.
+#[cfg(not(target_arch = "x86_64"))]
+fn adx_detected() -> bool {
+    false
+}
+
+/// Assembly text for the 6-limb kernel. `row` is one CIOS row of
+/// [`mul_reduce_adx`] for the limb of `b` at byte offset `$off`:
+/// `t += a·bᵢ`, then `m = t₀·n′ mod 2⁶⁴` and `t = (t + m·n) / 2⁶⁴`.
+/// `$t0 … $t6` name the accumulator's registers from low to high; the
+/// next row names them one further on, so `$t0`, which the reduction
+/// leaves zero, becomes its top register. `sum` adds `p · rdx` into
+/// `t₀ … t₆` on two carry chains side by side: the low product halves on
+/// OF (`adox`), the high ones on CF (`adcx`).
+#[cfg(target_arch = "x86_64")]
+macro_rules! adx6 {
+    (row $off:literal; $t0:ident $t1:ident $t2:ident $t3:ident $t4:ident $t5:ident $t6:ident) => {
+        concat!(
+            "mov rdx, qword ptr [{b} + ", $off, "]\n",
+            "xor {lo:e}, {lo:e}\n",
+            adx6!(sum a; $t0 $t1 $t2 $t3 $t4 $t5 $t6),
+            "mov rdx, {", stringify!($t0), "}\n",
+            "imul rdx, qword ptr [{n} + 48]\n",
+            "xor {lo:e}, {lo:e}\n",
+            adx6!(sum n; $t0 $t1 $t2 $t3 $t4 $t5 $t6),
+        )
+    };
+    (sum $p:ident; $t0:ident $t1:ident $t2:ident $t3:ident $t4:ident $t5:ident $t6:ident) => {
+        concat!(
+            adx6!(limb $p 0; $t0 $t1),
+            adx6!(limb $p 8; $t1 $t2),
+            adx6!(limb $p 16; $t2 $t3),
+            adx6!(limb $p 24; $t3 $t4),
+            adx6!(limb $p 32; $t4 $t5),
+            adx6!(limb $p 40; $t5 $t6),
+            // The OF chain's last carry; `mov` leaves the flags alone.
+            "mov {lo:e}, 0\n",
+            "adox {", stringify!($t6), "}, {lo}\n",
+        )
+    };
+    (limb $p:ident $off:literal; $lo:ident $hi:ident) => {
+        concat!(
+            "mulx {hi}, {lo}, qword ptr [{", stringify!($p), "} + ", $off, "]\n",
+            "adox {", stringify!($lo), "}, {lo}\n",
+            "adcx {", stringify!($hi), "}, {hi}\n",
+        )
+    };
+}
+
+/// `a * b * R^-1 mod 2n` for 6-limb residues `a`, `b` modulo the `n` of
+/// `nn = n‖n′` (`n′ = -n^-1 mod 2^64`), in `mulx`/`adcx`/`adox`
+/// assembly: the CIOS rows of [`mul_reduce`] with the accumulator in
+/// seven registers. The caller finishes with [`reduce_once`]. Only a
+/// context whose `new` saw `adx_detected()` and `n < 2^383` calls it.
+#[cfg(target_arch = "x86_64")]
+fn mul_reduce_adx(nn: &[Limb; 7], a: &[Limb; 6], b: &[Limb; 6]) -> [Limb; 6] {
+    let [mut r0, mut r1, mut r2, mut r3, mut r4, mut r5, mut r6]: [Limb; 7] = [0; 7];
+    // SAFETY: `Montgomery::new` stores `nn` only after `adx_detected()`
+    // has confirmed that this CPU runs `mulx`, `adcx` and `adox`; `nn`,
+    // `a` and `b` are `&[Limb; 7]`/`&[Limb; 6]`, so every load below
+    // (offsets 0 to 40 of `a` and `b`, 0 to 48 of `nn`) is in bounds; and
+    // the block only reads them: it writes no memory and touches no stack
+    // (`readonly`, `nostack`), only the registers it declares.
+    #[allow(unsafe_code)]
+    unsafe {
+        std::arch::asm!(
+            adx6!(row 0; r0 r1 r2 r3 r4 r5 r6),
+            adx6!(row 8; r1 r2 r3 r4 r5 r6 r0),
+            adx6!(row 16; r2 r3 r4 r5 r6 r0 r1),
+            adx6!(row 24; r3 r4 r5 r6 r0 r1 r2),
+            adx6!(row 32; r4 r5 r6 r0 r1 r2 r3),
+            adx6!(row 40; r5 r6 r0 r1 r2 r3 r4),
+            a = in(reg) a.as_ptr(),
+            b = in(reg) b.as_ptr(),
+            n = in(reg) nn.as_ptr(),
+            r0 = inout(reg) r0,
+            r1 = inout(reg) r1,
+            r2 = inout(reg) r2,
+            r3 = inout(reg) r3,
+            r4 = inout(reg) r4,
+            r5 = inout(reg) r5,
+            r6 = inout(reg) r6,
+            hi = out(reg) _,
+            lo = out(reg) _,
+            out("rdx") _,
+            options(readonly, nostack),
+        );
+    }
+    // Row 5 zeroed `r5`; `t < 2n < 2^384` fills the other six.
+    debug_assert_eq!(r5, 0);
+    [r6, r0, r1, r2, r3, r4]
+}
+
+/// Without x86-64 no context selects the ADX kernel.
+#[cfg(not(target_arch = "x86_64"))]
+fn mul_reduce_adx(_nn: &[Limb; 7], _a: &[Limb; 6], _b: &[Limb; 6]) -> [Limb; 6] {
+    unreachable!("the ADX kernel is only selected on x86-64")
+}
+
+/// The first six limbs of a residue, for the ADX kernel.
+fn six(a: &[Limb]) -> &[Limb; 6] {
+    a.first_chunk().expect("a 6-limb residue")
+}
+
 /// Runs a kernel body with the modulus re-sliced to a literal length at
 /// the two widths the stack lives at — 6 limbs (the 341- and 342-bit
 /// primes of a three-prime 1024-bit RSA key) and 16 (the group and RSA
@@ -240,11 +360,21 @@ impl Montgomery {
         let n_prime = inv.wrapping_neg();
         let r = &(&Ubig::one() << (64 * limbs as u32)) % n;
         let r2 = &(&r * &r) % n;
+        // The ADX kernel's accumulator is seven registers. After every row
+        // t < 2n, so t + a·bᵢ + m·n < 2n + 2·(2⁶⁴ − 1)·n < n·2⁶⁵, which is
+        // below 2⁴⁴⁸ when n < 2³⁸³: the seventh register never carries
+        // out. A modulus with bit 383 set stays on the portable kernel.
+        let adx = (limbs == 6 && !n.bit(383) && adx_detected()).then(|| {
+            let mut nn = Box::new([n_prime; 7]);
+            nn[..6].copy_from_slice(n.limbs());
+            nn
+        });
         Montgomery {
             n: n.clone(),
             n_prime,
             r1: fixed_width(r, limbs),
             r2: fixed_width(r2, limbs),
+            adx,
         }
     }
 
@@ -261,6 +391,10 @@ impl Montgomery {
     /// `out = a * b * R^-1 mod n` for residues `a`, `b`; `out` is a third
     /// buffer.
     fn mul_into(&self, out: &mut [Limb], a: &[Limb], b: &[Limb]) {
+        if let Some(nn) = &self.adx {
+            out[..6].copy_from_slice(&mul_reduce_adx(nn, six(a), six(b)));
+            return reduce_once(&mut out[..6], 0, &nn[..6]);
+        }
         at_width!(self.n.limbs(), |n| mul_reduce(n, self.n_prime, out, a, b))
     }
 
@@ -272,8 +406,12 @@ impl Montgomery {
 
     /// `a = a * a * R^-1 mod n` in place, through the `2k`-limb scratch
     /// `wide`: `k(k+1)/2 + k²` limb products where `mul_into` spends
-    /// `2k²`.
+    /// `2k²`. The ADX kernel squares as `a·a`.
     fn sqr(&self, a: &mut [Limb], wide: &mut [Limb]) {
+        if self.adx.is_some() {
+            let a6 = *six(a);
+            return self.mul_into(a, &a6, &a6);
+        }
         at_width!(self.n.limbs(), |n| {
             square_wide(wide, &a[..n.len()]);
             reduce_wide(n, self.n_prime, a, wide)
@@ -551,6 +689,113 @@ impl FixedBase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The three 341-bit primes of party 0's 1024-bit fixture RSA key.
+    const RSA_PRIMES: [&str; 3] = [
+        "1d5f2e1b5efbffb44e0615b9afcd49bcf0e5fd8eafb6eb252855db37f2003910e9371132d0bd4d30f23aa1",
+        "11f06d0adadbd512d57c3226004e7c51059daa66f88336228bcb18700b1d8aacda13bfbfd7ab3af7d59155",
+        "39923b74324aebbb7eb6f0fb46099d1c9b61429d9d4bc2f31be80488fdf9d284526cf8ef4f58988de689db",
+    ];
+
+    /// Checks the context's `mul_into` and `sqr` on every pair of
+    /// `operands` (reduced modulo `n`, plus 0, 1 and `n − 1`) against the
+    /// portable `mul_reduce` and `square_wide` + `reduce_wide`. Returns
+    /// whether the context runs the ADX kernel, that is, whether it
+    /// compared two kernels at all.
+    fn adx_matches_portable(n: &Ubig, operands: &[Ubig]) -> bool {
+        let ctx = Montgomery::new(n);
+        let residues: Vec<Vec<Limb>> = [Ubig::zero(), Ubig::one(), n - &Ubig::one()]
+            .iter()
+            .chain(operands)
+            .map(|a| fixed_width(a % n, 6))
+            .collect();
+        let (mut want, mut got, mut wide) = (vec![0; 6], vec![0; 6], vec![0; 12]);
+        for a in &residues {
+            for b in &residues {
+                mul_reduce(n.limbs(), ctx.n_prime, &mut want, a, b);
+                ctx.mul_into(&mut got, a, b);
+                assert_eq!(got, want, "mul of {a:x?} and {b:x?} modulo {n:?}");
+            }
+            square_wide(&mut wide, a);
+            reduce_wide(n.limbs(), ctx.n_prime, &mut want, &mut wide);
+            got.copy_from_slice(a);
+            ctx.sqr(&mut got, &mut wide);
+            assert_eq!(got, want, "square of {a:x?} modulo {n:?}");
+        }
+        ctx.adx.is_some()
+    }
+
+    /// A 6-limb modulus the kernel's bound does not cover (bit 383 set)
+    /// takes the portable kernel and still computes the right powers.
+    #[test]
+    fn a_modulus_with_bit_383_set_stays_portable() {
+        let n = &(&Ubig::one() << 384) - &Ubig::from(317u64);
+        let ctx = Montgomery::new(&n);
+        assert!(ctx.adx.is_none());
+        let base = Ubig::from_hex(RSA_PRIMES[0]).unwrap();
+        let exp = Ubig::from_hex(RSA_PRIMES[1]).unwrap();
+        let mut want = Ubig::one();
+        for i in (0..exp.bit_length()).rev() {
+            want = want.mod_mul(&want, &n);
+            if exp.bit(i) {
+                want = want.mod_mul(&base, &n);
+            }
+        }
+        assert_eq!(ctx.pow(&base, &exp), want);
+        assert_eq!(base.mod_pow(&exp, &n), want);
+        assert_eq!(ctx.mul(&base, &exp), base.mod_mul(&exp, &n));
+    }
+
+    /// A 6-limb context takes the ADX kernel exactly when the CPU's flags
+    /// list `bmi2` and `adx`; no other width ever does.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn adx_runs_exactly_when_the_cpu_reports_it() {
+        let info = std::fs::read_to_string("/proc/cpuinfo").expect("read /proc/cpuinfo");
+        let flags = info
+            .lines()
+            .find(|l| l.starts_with("flags"))
+            .and_then(|l| l.split_once(':'))
+            .map_or("", |(_, flags)| flags);
+        let reported = ["bmi2", "adx"]
+            .iter()
+            .all(|want| flags.split_whitespace().any(|f| f == *want));
+        let prime = Ubig::from_hex(RSA_PRIMES[0]).unwrap();
+        assert_eq!(Montgomery::new(&prime).adx.is_some(), reported);
+        for bits in [320, 448, 1024] {
+            let n = &(&Ubig::one() << (bits - 2)) + &Ubig::one();
+            assert!(Montgomery::new(&n).adx.is_none(), "{bits} bits");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // A random odd 6-limb modulus below 2^383, the fixture primes and
+        // 2^383 − 1, each with the same random operands.
+        #[test]
+        fn kernels_agree(
+            modulus in prop::collection::vec(any::<u64>(), 6),
+            operands in prop::collection::vec(any::<u64>(), 24),
+        ) {
+            let mut modulus = modulus;
+            modulus[0] |= 1;
+            modulus[5] = (modulus[5] >> 1).max(1);
+            let moduli = RSA_PRIMES
+                .iter()
+                .map(|hex| Ubig::from_hex(hex).unwrap())
+                .chain([Ubig::from_limbs(modulus), &(&Ubig::one() << 383) - &Ubig::one()]);
+            let operands: Vec<Ubig> =
+                operands.chunks(6).map(|l| Ubig::from_limbs(l.to_vec())).collect();
+            for n in moduli {
+                if !adx_matches_portable(&n, &operands) {
+                    eprintln!("kernels_agree: this CPU has no ADX; compared nothing");
+                    return;
+                }
+            }
+        }
+    }
 
     #[test]
     fn redc_identity() {

@@ -1,12 +1,15 @@
-//! The workspace's unsafe budget is one block: the call into the SHA-NI
-//! kernel in `hash.rs`, after the CPU check.
+//! The workspace's unsafe budget is two blocks: the call into the SHA-NI
+//! kernel in `sintra-crypto`'s `hash.rs`, and the 6-limb `mulx`/`adcx`/
+//! `adox` Montgomery kernel in `sintra-bigint`'s `montgomery.rs`. Each
+//! runs only after its CPU check.
 //!
 //! The compiler enforces the budget once every crate root carries its
-//! attribute: `#![forbid(unsafe_code)]` everywhere, and
-//! `#![deny(unsafe_code)]` on `sintra-crypto`, whose one
-//! `#[allow(unsafe_code)]` sits in `hash.rs`. This test keeps those
-//! attributes in place: a new binary without one, a `forbid` weakened
-//! to `deny`, or a second `allow` fails here.
+//! attribute: `#![forbid(unsafe_code)]` everywhere, except
+//! `#![deny(unsafe_code)]` on those two crates, each of which has one
+//! `#[allow(unsafe_code)]` in one file over one `unsafe` block. This test
+//! keeps those attributes in place: a new binary without one, a `forbid`
+//! weakened to `deny` anywhere else, a third `allow`, or a second block
+//! under either `allow` fails here.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -15,10 +18,13 @@ const FORBID: &str = "#![forbid(unsafe_code)]";
 const DENY: &str = "#![deny(unsafe_code)]";
 const ALLOW: &str = "#[allow(unsafe_code)]";
 
-/// The one crate root that denies rather than forbids.
-const DENYING_ROOT: &str = "crates/crypto/src/lib.rs";
-/// The one file that allows, once.
-const ALLOWING_FILE: &str = "crates/crypto/src/hash.rs";
+/// The two crate roots that deny rather than forbid.
+const DENYING_ROOTS: [&str; 2] = ["crates/bigint/src/lib.rs", "crates/crypto/src/lib.rs"];
+/// The two files that allow, once each.
+const ALLOWING_FILES: [&str; 2] = [
+    "crates/bigint/src/montgomery.rs",
+    "crates/crypto/src/hash.rs",
+];
 /// This file names the attributes in strings and is not counted.
 const THIS_FILE: &str = "crates/crypto/tests/unsafe_budget.rs";
 
@@ -54,11 +60,13 @@ fn is_crate_root(path: &str) -> bool {
 }
 
 #[test]
-fn unsafe_outside_the_sha_ni_dispatch_is_forbidden() {
+fn unsafe_outside_the_two_kernels_is_forbidden() {
     let root = workspace_root();
     let mut files = Vec::new();
     rust_files(&root, &root.join("crates"), &mut files);
-    assert!(files.iter().any(|f| f == ALLOWING_FILE), "walked {files:?}");
+    for allowing in ALLOWING_FILES {
+        assert!(files.iter().any(|f| f == allowing), "walked {files:?}");
+    }
 
     let mut forbidding = Vec::new();
     let mut denying = Vec::new();
@@ -80,7 +88,7 @@ fn unsafe_outside_the_sha_ni_dispatch_is_forbidden() {
     }
 
     for path in files.iter().filter(|f| is_crate_root(f)) {
-        let wanted = if path == DENYING_ROOT {
+        let wanted = if DENYING_ROOTS.contains(&path.as_str()) {
             &denying
         } else {
             &forbidding
@@ -90,13 +98,21 @@ fn unsafe_outside_the_sha_ni_dispatch_is_forbidden() {
             "{path} is a crate root without its unsafe_code attribute"
         );
     }
-    assert_eq!(denying, [DENYING_ROOT], "only sintra-crypto denies");
-    assert_eq!(allows, [ALLOWING_FILE], "one allow, in hash.rs");
-    let hash = fs::read_to_string(root.join(ALLOWING_FILE)).unwrap();
-    let blocks = hash
-        .lines()
-        .map(|l| l.split("//").next().unwrap())
-        .filter(|code| code.contains("unsafe {"))
-        .count();
-    assert_eq!(blocks, 1, "the allow in hash.rs covers one unsafe block");
+    assert_eq!(
+        denying, DENYING_ROOTS,
+        "only sintra-bigint and sintra-crypto deny"
+    );
+    assert_eq!(
+        allows, ALLOWING_FILES,
+        "one allow in each of the two kernel files"
+    );
+    for allowing in ALLOWING_FILES {
+        let src = fs::read_to_string(root.join(allowing)).unwrap();
+        let blocks = src
+            .lines()
+            .map(|l| l.split("//").next().unwrap())
+            .filter(|code| code.contains("unsafe {"))
+            .count();
+        assert_eq!(blocks, 1, "the allow in {allowing} covers one unsafe block");
+    }
 }

@@ -26,6 +26,9 @@
 # One row for the VBA's vote gate (core's tests/properties.rs):
 #   16   step 2b starts the binary agreement one proper vote short of
 #        `n - t`.
+# One row for sintra-bigint's unsafe budget, whose one allowed block is
+# the 6-limb ADX kernel in montgomery.rs:
+#   17   `unsafe {}` in arith.rs (deny).
 #
 # Usage: scripts/typestate_drill.sh [scratch-dir]
 # Exit 0 when every row is refused; prints the first error of each.
@@ -55,8 +58,8 @@ run() {
 }
 
 for how in clippy:sintra-core clippy:sintra-net check:sintra-crypto \
-    check:sintra-testbed test:wire_kat:sintra-core test:properties:sintra-core \
-    test:agreement:sintra; do
+    check:sintra-bigint check:sintra-testbed test:wire_kat:sintra-core \
+    test:properties:sintra-core test:agreement:sintra; do
     pkg=${how##*:}
     if ! run "${how%:*}" "$pkg" >"$scratch/pristine.log"; then
         echo "drill: the unmutated copy fails ${how%:*} on $pkg" >&2
@@ -153,6 +156,9 @@ elif name == "unsafe budget: unsafe in hmac.rs":
 elif name == "unsafe budget: unsafe in sintra-top":
     replace("fn main() -> ExitCode {\n",
             "fn main() -> ExitCode {\n    unsafe {}\n")
+elif name == "unsafe budget: unsafe in bigint's arith.rs":
+    replace("pub(crate) fn add_assign(",
+            "fn raw() {\n    unsafe {}\n}\n\npub(crate) fn add_assign(")
 elif name == "quorum arithmetic: t() + 1":
     replace("if self.close_origins.len() > self.ctx.fault_budget() {",
             "if self.close_origins.len() >= self.ctx.t() + 1 {")
@@ -235,6 +241,8 @@ drill test:agreement sintra $core/agreement/multi.rs 'seed [0-9]+: (undecided|ex
     "VBA validity dropped"
 drill test:properties sintra-core $core/agreement/multi.rs 'after [0-9]+ proper votes' \
     "VBA vote gate one short"
+drill check sintra-bigint crates/bigint/src/arith.rs 'usage of an `unsafe` block' \
+    "unsafe budget: unsafe in bigint's arith.rs"
 
 if [ "$failed" -ne 0 ]; then
     echo "drill: a re-introduced bug was not refused" >&2
