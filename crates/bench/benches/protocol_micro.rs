@@ -6,13 +6,12 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use sintra_core::channel::AtomicChannelConfig;
-use sintra_core::message::Envelope;
 use sintra_core::node::Node;
-use sintra_core::{GroupContext, Outgoing, PartyId, ProtocolId, Recipient};
+use sintra_core::pump::{Choice, Pump};
+use sintra_core::{GroupContext, Outgoing, PartyId, ProtocolId};
 use sintra_crypto::dealer::{deal, DealerConfig, PartyKeys};
 
 fn keys(key_bits: u32) -> Vec<Arc<PartyKeys>> {
@@ -27,28 +26,10 @@ fn keys(key_bits: u32) -> Vec<Arc<PartyKeys>> {
 
 /// Synchronously pumps all messages to quiescence (zero-latency network).
 fn pump(nodes: &mut [Node], outs: Vec<(usize, Outgoing)>) {
-    let n = nodes.len();
-    let mut queue: VecDeque<(PartyId, usize, Envelope)> = VecDeque::new();
-    let push = |queue: &mut VecDeque<_>, from: usize, mut out: Outgoing| {
-        for (recipient, env) in out.drain() {
-            match recipient {
-                Recipient::All => {
-                    for to in 0..n {
-                        queue.push_back((PartyId(from), to, env.clone()));
-                    }
-                }
-                Recipient::One(p) => queue.push_back((PartyId(from), p.0, env)),
-            }
-        }
-    };
-    for (from, out) in outs {
-        push(&mut queue, from, out);
-    }
-    while let Some((from, to, env)) = queue.pop_front() {
-        let mut out = Outgoing::new();
-        nodes[to].handle_envelope(from, &env, &mut out);
-        push(&mut queue, to, out);
-    }
+    let mut pump = Pump::new(nodes.len(), Choice::Fifo);
+    pump.extend(outs);
+    pump.run(nodes, Node::handle_envelope, 1_000_000)
+        .expect("group did not quiesce");
 }
 
 fn fresh_nodes(keys: &[Arc<PartyKeys>]) -> Vec<Node> {

@@ -902,11 +902,10 @@ impl StateSnapshot for BinaryAgreement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::outgoing::Recipient;
+    use crate::pump::{Choice, Pump};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sintra_crypto::dealer::{deal, DealerConfig};
-    use std::collections::VecDeque;
     use std::sync::Arc;
 
     /// The predicate a plain instance is passed, and never calls.
@@ -923,39 +922,29 @@ mod tests {
 
     /// Drives a full group of instances to quiescence, FIFO order.
     fn run(instances: &mut [BinaryAgreement], proposals: &[bool]) {
-        let n = instances.len();
-        let mut queue: VecDeque<(PartyId, usize, Body)> = VecDeque::new();
+        run_with(instances, ANY, |i| (proposals[i], Vec::new()));
+    }
+
+    /// Has every instance propose what `propose` gives it and delivers
+    /// FIFO to quiescence, checking proofs with `valid`.
+    fn run_with(
+        instances: &mut [BinaryAgreement],
+        valid: Valid,
+        propose: impl Fn(usize) -> (bool, Vec<u8>),
+    ) {
+        let mut pump = Pump::new(instances.len(), Choice::Fifo);
         for (i, inst) in instances.iter_mut().enumerate() {
+            let (value, proof) = propose(i);
             let mut out = Outgoing::new();
-            inst.propose(ANY, proposals[i], Vec::new(), &mut out);
-            for (recipient, env) in out.drain() {
-                match recipient {
-                    Recipient::All => {
-                        for to in 0..n {
-                            queue.push_back((PartyId(i), to, env.body.clone()));
-                        }
-                    }
-                    Recipient::One(p) => queue.push_back((PartyId(i), p.0, env.body)),
-                }
-            }
+            inst.propose(valid, value, proof, &mut out);
+            pump.push(i, &mut out);
         }
-        let mut steps = 0;
-        while let Some((from, to, body)) = queue.pop_front() {
-            steps += 1;
-            assert!(steps < 1_000_000, "agreement did not terminate");
-            let mut out = Outgoing::new();
-            instances[to].handle(ANY, from, &body, &mut out);
-            for (recipient, env) in out.drain() {
-                match recipient {
-                    Recipient::All => {
-                        for dest in 0..n {
-                            queue.push_back((PartyId(to), dest, env.body.clone()));
-                        }
-                    }
-                    Recipient::One(p) => queue.push_back((PartyId(to), p.0, env.body)),
-                }
-            }
-        }
+        pump.run(
+            instances,
+            |inst, from, env, out| inst.handle(valid, from, &env.body, out),
+            1_000_000,
+        )
+        .expect("agreement did not terminate");
     }
 
     fn fresh(ctxs: &[GroupContext], tag: &str) -> Vec<BinaryAgreement> {
@@ -1028,30 +1017,7 @@ mod tests {
             .map(|c| BinaryAgreement::new(ProtocolId::new("ba-validated"), c.clone()).validated())
             .collect();
         // All propose 1 with valid proofs.
-        let n = instances.len();
-        let mut queue: VecDeque<(PartyId, usize, Body)> = VecDeque::new();
-        for (i, inst) in instances.iter_mut().enumerate() {
-            let mut out = Outgoing::new();
-            inst.propose(valid, true, b"proof-of-1".to_vec(), &mut out);
-            for (recipient, env) in out.drain() {
-                if let Recipient::All = recipient {
-                    for to in 0..n {
-                        queue.push_back((PartyId(i), to, env.body.clone()));
-                    }
-                }
-            }
-        }
-        while let Some((from, to, body)) = queue.pop_front() {
-            let mut out = Outgoing::new();
-            instances[to].handle(valid, from, &body, &mut out);
-            for (recipient, env) in out.drain() {
-                if let Recipient::All = recipient {
-                    for dest in 0..n {
-                        queue.push_back((PartyId(to), dest, env.body.clone()));
-                    }
-                }
-            }
-        }
+        run_with(&mut instances, valid, |_| (true, b"proof-of-1".to_vec()));
         for inst in instances.iter_mut() {
             let (value, proof) = inst.take_decision().expect("decided");
             assert!(value);
@@ -1223,33 +1189,7 @@ mod tests {
         // parties must still decide.
         let ctxs = group(4, 1);
         let mut instances = fresh(&ctxs, "ba-crash");
-        let n = 4;
-        let mut queue: VecDeque<(PartyId, usize, Body)> = VecDeque::new();
-        for (i, inst) in instances.iter_mut().enumerate().take(3) {
-            let mut out = Outgoing::new();
-            inst.propose(ANY, i % 2 == 0, Vec::new(), &mut out);
-            for (recipient, env) in out.drain() {
-                if let Recipient::All = recipient {
-                    for to in 0..n - 1 {
-                        queue.push_back((PartyId(i), to, env.body.clone()));
-                    }
-                }
-            }
-        }
-        let mut steps = 0;
-        while let Some((from, to, body)) = queue.pop_front() {
-            steps += 1;
-            assert!(steps < 1_000_000, "no termination under crash fault");
-            let mut out = Outgoing::new();
-            instances[to].handle(ANY, from, &body, &mut out);
-            for (recipient, env) in out.drain() {
-                if let Recipient::All = recipient {
-                    for dest in 0..n - 1 {
-                        queue.push_back((PartyId(to), dest, env.body.clone()));
-                    }
-                }
-            }
-        }
+        run_with(&mut instances[..3], ANY, |i| (i % 2 == 0, Vec::new()));
         let decisions: Vec<bool> = instances[..3]
             .iter_mut()
             .map(|i| i.take_decision().expect("decided despite crash").0)

@@ -469,11 +469,10 @@ impl StateSnapshot for MultiValuedAgreement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::outgoing::Recipient;
+    use crate::pump::{Choice, Pump};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sintra_crypto::dealer::{deal, DealerConfig};
-    use std::collections::VecDeque;
     use std::sync::Arc;
 
     /// A predicate every value satisfies.
@@ -489,39 +488,18 @@ mod tests {
     }
 
     fn run(instances: &mut [MultiValuedAgreement], proposals: &[Vec<u8>], valid: Valid) {
-        let n = instances.len();
-        let mut queue: VecDeque<(PartyId, usize, ProtocolId, Body)> = VecDeque::new();
+        let mut pump = Pump::new(instances.len(), Choice::Fifo);
         for (i, inst) in instances.iter_mut().enumerate() {
             let mut out = Outgoing::new();
             inst.propose(valid, proposals[i].clone(), &mut out);
-            for (recipient, env) in out.drain() {
-                match recipient {
-                    Recipient::All => {
-                        for to in 0..n {
-                            queue.push_back((PartyId(i), to, env.pid.clone(), env.body.clone()));
-                        }
-                    }
-                    Recipient::One(p) => queue.push_back((PartyId(i), p.0, env.pid, env.body)),
-                }
-            }
+            pump.push(i, &mut out);
         }
-        let mut steps = 0;
-        while let Some((from, to, pid, body)) = queue.pop_front() {
-            steps += 1;
-            assert!(steps < 2_000_000, "MVBA did not terminate");
-            let mut out = Outgoing::new();
-            instances[to].handle(valid, from, &pid, &body, &mut out);
-            for (recipient, env) in out.drain() {
-                match recipient {
-                    Recipient::All => {
-                        for dest in 0..n {
-                            queue.push_back((PartyId(to), dest, env.pid.clone(), env.body.clone()));
-                        }
-                    }
-                    Recipient::One(p) => queue.push_back((PartyId(to), p.0, env.pid, env.body)),
-                }
-            }
-        }
+        pump.run(
+            instances,
+            |inst, from, env, out| inst.handle(valid, from, &env.pid, &env.body, out),
+            2_000_000,
+        )
+        .expect("MVBA did not terminate");
     }
 
     fn fresh(ctxs: &[GroupContext], tag: &str, order: CandidateOrder) -> Vec<MultiValuedAgreement> {

@@ -338,7 +338,7 @@ impl VerifiableConsistentBroadcast {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::outgoing::Recipient;
+    use crate::pump::{Choice, Pump};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sintra_crypto::dealer::{deal, DealerConfig};
@@ -353,33 +353,17 @@ mod tests {
             .collect()
     }
 
-    fn run(instances: &mut [ConsistentBroadcast], initial: Vec<(PartyId, Recipient, Body)>) {
-        let n = instances.len();
-        let mut queue: Vec<(PartyId, usize, Body)> = Vec::new();
-        for (from, recipient, body) in initial {
-            match recipient {
-                Recipient::All => {
-                    for to in 0..n {
-                        queue.push((from, to, body.clone()));
-                    }
-                }
-                Recipient::One(p) => queue.push((from, p.0, body)),
-            }
-        }
-        while let Some((from, to, body)) = queue.pop() {
-            let mut out = Outgoing::new();
-            instances[to].handle(from, &body, &mut out);
-            for (recipient, env) in out.drain() {
-                match recipient {
-                    Recipient::All => {
-                        for dest in 0..n {
-                            queue.push((PartyId(to), dest, env.body.clone()));
-                        }
-                    }
-                    Recipient::One(p) => queue.push((PartyId(to), p.0, env.body)),
-                }
-            }
-        }
+    /// Delivers what `sender` sent into `out`, and everything it causes,
+    /// FIFO to quiescence.
+    fn run(instances: &mut [ConsistentBroadcast], sender: usize, mut out: Outgoing) {
+        let mut pump = Pump::new(instances.len(), Choice::Fifo);
+        pump.push(sender, &mut out);
+        pump.run(
+            instances,
+            |inst, from, env, out| inst.handle(from, &env.body, out),
+            10_000,
+        )
+        .expect("consistent broadcast did not quiesce");
     }
 
     #[test]
@@ -391,12 +375,7 @@ mod tests {
             .collect();
         let mut out = Outgoing::new();
         instances[1].send(b"consistent".to_vec(), &mut out);
-        let initial = out
-            .drain()
-            .into_iter()
-            .map(|(r, env)| (PartyId(1), r, env.body))
-            .collect();
-        run(&mut instances, initial);
+        run(&mut instances, 1, out);
         for (i, inst) in instances.iter_mut().enumerate() {
             assert_eq!(
                 inst.take_delivery().as_deref(),
@@ -435,12 +414,7 @@ mod tests {
             .collect();
         let mut out = Outgoing::new();
         senders[0].send(b"m".to_vec(), &mut out);
-        let initial = out
-            .drain()
-            .into_iter()
-            .map(|(r, env)| (PartyId(0), r, env.body))
-            .collect();
-        run(&mut senders, initial);
+        run(&mut senders, 0, out);
         let sig = senders[1].delivered_signature().unwrap().clone();
 
         let mut other = ConsistentBroadcast::new(pid_b, ctxs[1].clone(), PartyId(0));
@@ -468,12 +442,7 @@ mod tests {
             .collect();
         let mut out = Outgoing::new();
         instances[0].send(b"proposal".to_vec(), &mut out);
-        let initial = out
-            .drain()
-            .into_iter()
-            .map(|(r, env)| (PartyId(0), r, env.body))
-            .collect();
-        run(&mut instances, initial);
+        run(&mut instances, 0, out);
 
         // Wrap a delivered instance to extract the closing message.
         let delivered = VerifiableConsistentBroadcast {

@@ -192,7 +192,8 @@ impl StateSnapshot for ReliableBroadcast {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::outgoing::Recipient;
+    use crate::message::Envelope;
+    use crate::pump::{Choice, Pump};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sintra_crypto::dealer::{deal, DealerConfig};
@@ -207,29 +208,17 @@ mod tests {
             .collect()
     }
 
-    /// Runs a set of instances to quiescence by synchronously delivering
-    /// every produced message to every destination.
-    fn run_to_quiescence(instances: &mut [ReliableBroadcast], initial: Vec<(PartyId, Body)>) {
-        let n = instances.len();
-        let mut queue: Vec<(PartyId, usize, Body)> = initial
-            .into_iter()
-            .flat_map(|(from, body)| (0..n).map(move |to| (from, to, body.clone())))
-            .collect();
-        while let Some((from, to, body)) = queue.pop() {
-            let mut out = Outgoing::new();
-            instances[to].handle(from, &body, &mut out);
-            let me = PartyId(to);
-            for (recipient, env) in out.drain() {
-                match recipient {
-                    Recipient::All => {
-                        for dest in 0..n {
-                            queue.push((me, dest, env.body.clone()));
-                        }
-                    }
-                    Recipient::One(p) => queue.push((me, p.0, env.body)),
-                }
-            }
-        }
+    fn handle(inst: &mut ReliableBroadcast, from: PartyId, env: &Envelope, out: &mut Outgoing) {
+        inst.handle(from, &env.body, out);
+    }
+
+    /// Delivers what `from` sent into `out`, and everything it causes,
+    /// FIFO to quiescence.
+    fn run_to_quiescence(instances: &mut [ReliableBroadcast], from: usize, mut out: Outgoing) {
+        let mut pump = Pump::new(instances.len(), Choice::Fifo);
+        pump.push(from, &mut out);
+        pump.run(instances, handle, 10_000)
+            .expect("reliable broadcast did not quiesce");
     }
 
     fn fresh_instances(ctxs: &[GroupContext], sender: usize) -> Vec<ReliableBroadcast> {
@@ -244,12 +233,7 @@ mod tests {
         let mut instances = fresh_instances(&ctxs, 0);
         let mut out = Outgoing::new();
         instances[0].send(b"hello".to_vec(), &mut out);
-        let initial = out
-            .drain()
-            .into_iter()
-            .map(|(_, env)| (PartyId(0), env.body))
-            .collect();
-        run_to_quiescence(&mut instances, initial);
+        run_to_quiescence(&mut instances, 0, out);
         for (i, inst) in instances.iter_mut().enumerate() {
             assert_eq!(
                 inst.take_delivery().as_deref(),
@@ -265,12 +249,7 @@ mod tests {
         let mut instances = fresh_instances(&ctxs, 0);
         let mut out = Outgoing::new();
         instances[0].send(b"x".to_vec(), &mut out);
-        let initial = out
-            .drain()
-            .into_iter()
-            .map(|(_, env)| (PartyId(0), env.body))
-            .collect();
-        run_to_quiescence(&mut instances, initial);
+        run_to_quiescence(&mut instances, 0, out);
         assert!(instances[1].can_receive());
         assert!(instances[1].take_delivery().is_some());
         assert!(!instances[1].can_receive());
@@ -282,10 +261,9 @@ mod tests {
         let ctxs = group(4, 1);
         let mut instances = fresh_instances(&ctxs, 0);
         // Party 2 (not the sender) tries to inject a send message.
-        run_to_quiescence(
-            &mut instances,
-            vec![(PartyId(2), Body::RbSend(b"forged".to_vec()))],
-        );
+        let mut out = Outgoing::new();
+        out.send_all(&ProtocolId::new("rb"), Body::RbSend(b"forged".to_vec()));
+        run_to_quiescence(&mut instances, 2, out);
         for inst in &instances {
             assert!(inst.delivered().is_none());
         }
@@ -296,34 +274,18 @@ mod tests {
         // Sender 0 is Byzantine: sends "a" to parties 1,2 and "b" to 3.
         let ctxs = group(4, 1);
         let mut instances = fresh_instances(&ctxs, 0);
-        run_to_quiescence(
-            &mut instances,
-            vec![], // nothing yet
-        );
         // Manually inject conflicting sends (bypassing instance 0).
-        let n = 4;
-        let mut queue: Vec<(PartyId, usize, Body)> = vec![
-            (PartyId(0), 1, Body::RbSend(b"a".to_vec())),
-            (PartyId(0), 2, Body::RbSend(b"a".to_vec())),
-            (PartyId(0), 3, Body::RbSend(b"b".to_vec())),
-        ];
-        while let Some((from, to, body)) = queue.pop() {
-            let mut out = Outgoing::new();
-            instances[to].handle(from, &body, &mut out);
-            for (recipient, env) in out.drain() {
-                match recipient {
-                    Recipient::All => {
-                        for dest in 1..n {
-                            // honest parties only (0 is Byzantine)
-                            queue.push((PartyId(to), dest, env.body.clone()));
-                        }
-                    }
-                    Recipient::One(p) => {
-                        if p.0 != 0 {
-                            queue.push((PartyId(to), p.0, env.body));
-                        }
-                    }
-                }
+        let pid = ProtocolId::new("rb");
+        let mut out = Outgoing::new();
+        out.send_to(PartyId(1), &pid, Body::RbSend(b"a".to_vec()));
+        out.send_to(PartyId(2), &pid, Body::RbSend(b"a".to_vec()));
+        out.send_to(PartyId(3), &pid, Body::RbSend(b"b".to_vec()));
+        let mut pump = Pump::new(4, Choice::Fifo);
+        pump.push(0, &mut out);
+        while let Some(d) = pump.next() {
+            // Honest parties only: party 0 is Byzantine and runs no code.
+            if d.to != 0 {
+                pump.deliver(&mut instances, d, handle);
             }
         }
         // Agreement: the honest parties that delivered all delivered the

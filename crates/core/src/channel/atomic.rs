@@ -1050,7 +1050,9 @@ impl StateSnapshot for AtomicChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Envelope;
     use crate::outgoing::Recipient;
+    use crate::pump::{Choice, Pump};
     use crate::wire::Wire;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1078,58 +1080,25 @@ mod tests {
             .collect()
     }
 
-    /// A message in flight: sender, recipient, instance, body.
-    type Msg = (usize, usize, ProtocolId, Body);
-
-    /// A FIFO network the drills can reach into: they pop messages
-    /// themselves to drop, hold back or answer them on a Byzantine
-    /// party's behalf, and hand the rest to [`Net::deliver`].
-    struct Net {
-        n: usize,
-        queue: VecDeque<Msg>,
+    fn handle(chan: &mut AtomicChannel, from: PartyId, env: &Envelope, out: &mut Outgoing) {
+        chan.handle(from, &env.pid, &env.body, out);
     }
 
-    impl Net {
-        fn new(n: usize, outs: Vec<(usize, Outgoing)>) -> Self {
-            let mut net = Net {
-                n,
-                queue: VecDeque::new(),
-            };
-            for (from, out) in outs {
-                net.push(from, out);
-            }
-            net
-        }
-
-        fn push(&mut self, from: usize, mut out: Outgoing) {
-            for (recipient, env) in out.drain() {
-                let targets: Vec<usize> = match recipient {
-                    Recipient::All => (0..self.n).collect(),
-                    Recipient::One(p) => vec![p.0],
-                };
-                for to in targets {
-                    self.queue
-                        .push_back((from, to, env.pid.clone(), env.body.clone()));
-                }
-            }
-        }
-
-        fn deliver(&mut self, channels: &mut [AtomicChannel], (from, to, pid, body): Msg) {
-            let mut out = Outgoing::new();
-            channels[to].handle(PartyId(from), &pid, &body, &mut out);
-            self.push(to, out);
-        }
+    /// A FIFO network the drills can reach into, carrying what the
+    /// parties sent into `outs`, in that order: they take messages out
+    /// themselves to drop, hold back or answer them on a Byzantine
+    /// party's behalf, and hand the rest to [`Pump::deliver`].
+    fn fifo(n: usize, outs: Vec<(usize, Outgoing)>) -> Pump {
+        let mut net = Pump::new(n, Choice::Fifo);
+        net.extend(outs);
+        net
     }
 
     /// Delivers all queued messages FIFO until quiescence.
     fn pump(channels: &mut [AtomicChannel], outs: Vec<(usize, Outgoing)>) {
-        let mut net = Net::new(channels.len(), outs);
-        let mut steps = 0usize;
-        while let Some(msg) = net.queue.pop_front() {
-            steps += 1;
-            assert!(steps < 5_000_000, "atomic channel did not quiesce");
-            net.deliver(channels, msg);
-        }
+        fifo(channels.len(), outs)
+            .run(channels, handle, 5_000_000)
+            .expect("atomic channel did not quiesce");
     }
 
     #[test]
@@ -1529,7 +1498,7 @@ mod tests {
         let ctxs = group(4, 1);
         let tag = "ac-suffix-run";
         let mut chans = channels(&ctxs, tag);
-        let mut net = Net::new(chans.len(), Vec::new());
+        let mut net = Pump::new(chans.len(), Choice::Fifo);
         let mut relayed = BTreeSet::new();
         for burst in 0..2u8 {
             for (origin, chan) in chans.iter_mut().enumerate().skip(1) {
@@ -1537,27 +1506,27 @@ mod tests {
                 for k in 4 * burst..4 * burst + 4 {
                     chan.send(vec![u8::try_from(origin).unwrap(), k], &mut out);
                 }
-                net.push(origin, out);
+                net.push(origin, &mut out);
             }
-            while let Some(msg) = net.queue.pop_front() {
-                if msg.1 != 0 {
-                    net.deliver(&mut chans, msg);
+            while let Some(msg) = net.next() {
+                if msg.to != 0 {
+                    net.deliver(&mut chans, msg, handle);
                     continue;
                 }
                 // The Byzantine party runs no honest code; it cuts the
                 // first multi-payload entry it sees in each round.
-                if let Body::AcEntry { round, entry } = &msg.3 {
+                if let Body::AcEntry { round, entry } = &msg.env.body {
                     if entry.payloads().len() > 1 && relayed.insert(*round) {
                         let suffix = signed(&ctxs, tag, *round, 0, entry.payloads()[1..].to_vec());
                         let mut out = Outgoing::new();
                         out.send_all(
-                            &msg.2,
+                            &msg.env.pid,
                             Body::AcEntry {
                                 round: *round,
                                 entry: suffix.forget(),
                             },
                         );
-                        net.push(0, out);
+                        net.push(0, &mut out);
                     }
                 }
             }
@@ -1764,7 +1733,7 @@ mod tests {
         let tag = "ac-ghost";
         let mut chans = channels(&ctxs, tag);
         let outs = one_payload_each(&mut chans, &[1, 2, 3]);
-        let mut net = Net::new(4, outs);
+        let mut net = fifo(4, outs);
         let ghost = signed(&ctxs, tag, 0, 0, vec![app(0, 0, b"ghost")]);
         let twice = signed(&ctxs, tag, 0, 0, vec![app(0, 0, b"x"), app(0, 0, b"x")]);
         assert!(!twice.well_formed());
@@ -1772,13 +1741,13 @@ mod tests {
         let mut echoes_to_the_ghost = 0;
         let mut fetches_to_the_proposer = 0;
         let mut most_parked = 0;
-        while let Some(msg) = net.queue.pop_front() {
-            if msg.1 != 0 {
-                net.deliver(&mut chans, msg);
+        while let Some(msg) = net.next() {
+            if msg.to != 0 {
+                net.deliver(&mut chans, msg, handle);
                 most_parked = most_parked.max(chans[1..].iter().map(parked_total).max().unwrap());
                 continue;
             }
-            match &msg.3 {
+            match &msg.env.body {
                 Body::AcEntry { entry, .. } if !proposed => {
                     proposed = true;
                     // Two proposals from the same proposer, one per ghost.
@@ -1786,10 +1755,10 @@ mod tests {
                         let (pid, body) = proposal(tag, 0, 0, &[unheld.to_ref(), entry.to_ref()]);
                         let mut out = Outgoing::new();
                         out.send_all(&pid, body);
-                        net.push(0, out);
+                        net.push(0, &mut out);
                     }
                 }
-                Body::CbEcho(_) if msg.2.as_str().ends_with("/vba/0/bc/0") => {
+                Body::CbEcho(_) if msg.env.pid.as_str().ends_with("/vba/0/bc/0") => {
                     echoes_to_the_ghost += 1;
                 }
                 Body::AcFetch { signer, digest, .. } => {
@@ -1837,7 +1806,6 @@ mod tests {
         let tag = "ac-split";
         let mut chans = channels(&ctxs, tag);
         let outs = one_payload_each(&mut chans, &[1, 2, 3]);
-        let mut net = Net::new(4, outs);
         let e1 = signed(
             &ctxs,
             tag,
@@ -1848,22 +1816,28 @@ mod tests {
         let e2 = signed(&ctxs, tag, 0, 0, vec![app(0, 0, b"two")]);
         // Ahead of everything else, so E1 is what party 1 sees first and
         // — adding two payloads — picks first.
-        for (to, entry) in [(1, &e1), (2, &e2), (3, &e2)] {
+        let mut net = Pump::new(4, Choice::Fifo);
+        for (to, entry) in [(3, &e2), (2, &e2), (1, &e1)] {
             let body = Body::AcEntry {
                 round: 0,
                 entry: entry.clone().forget(),
             };
-            net.queue.push_front((0, to, ProtocolId::new(tag), body));
+            let mut out = Outgoing::new();
+            out.send_to(PartyId(to), &ProtocolId::new(tag), body);
+            net.push(0, &mut out);
         }
+        net.extend(outs);
         let mut finals_of_party_one = 0;
-        while let Some(msg) = net.queue.pop_front() {
-            if msg.1 == 0 {
+        while let Some(msg) = net.next() {
+            if msg.to == 0 {
                 continue;
             }
-            if matches!(msg.3, Body::CbFinal { .. }) && msg.2.as_str().ends_with("/vba/0/bc/1") {
+            if matches!(msg.env.body, Body::CbFinal { .. })
+                && msg.env.pid.as_str().ends_with("/vba/0/bc/1")
+            {
                 finals_of_party_one += 1;
             }
-            net.deliver(&mut chans, msg);
+            net.deliver(&mut chans, msg, handle);
         }
         assert_eq!(finals_of_party_one, 3, "its broadcast closed");
         let counts: Vec<FetchCounts> = chans.iter_mut().map(|c| c.take_fetch_counts()).collect();
@@ -1899,20 +1873,20 @@ mod tests {
         let tag = "ac-late";
         let mut chans = channels(&ctxs, tag);
         let outs = one_payload_each(&mut chans, &[0, 1, 2, 3]);
-        let mut net = Net::new(4, outs);
+        let mut net = fifo(4, outs);
         let mut held_back = Vec::new();
         let mut asked = 0;
-        while let Some(msg) = net.queue.pop_front() {
-            let keep = match &msg.3 {
-                Body::AcEntry { round: 0, .. } => (msg.0, msg.1) == (0, 3),
-                Body::CbSend(_) => msg.0 == 3 || msg.1 == 3,
+        while let Some(msg) = net.next() {
+            let keep = match &msg.env.body {
+                Body::AcEntry { round: 0, .. } => (msg.from, msg.to) == (0, 3),
+                Body::CbSend(_) => msg.from == 3 || msg.to == 3,
                 _ => false,
             };
             if keep {
                 held_back.push(msg);
                 continue;
             }
-            if msg.0 == 3 && matches!(msg.3, Body::AcFetch { .. }) {
+            if msg.from == 3 && matches!(msg.env.body, Body::AcFetch { .. }) {
                 if asked == 0 {
                     let snapshot = chans[3].snapshot_json();
                     assert!(chans[3].has_pending_work());
@@ -1926,7 +1900,7 @@ mod tests {
                 }
                 asked += 1;
             }
-            net.deliver(&mut chans, msg);
+            net.deliver(&mut chans, msg, handle);
         }
         assert_eq!(asked, 3, "one request to each other party");
         let served: u64 = chans.iter_mut().map(|c| c.take_fetch_counts().served).sum();
@@ -1934,10 +1908,10 @@ mod tests {
         assert_eq!(live_rounds(&chans[3]), 0, "extra replies left nothing");
         // What was kept back is stale by now.
         for msg in held_back {
-            net.deliver(&mut chans, msg);
+            net.deliver(&mut chans, msg, handle);
         }
-        while let Some(msg) = net.queue.pop_front() {
-            net.deliver(&mut chans, msg);
+        while let Some(msg) = net.next() {
+            net.deliver(&mut chans, msg, handle);
         }
         let reference = drain_data(&mut chans[0]);
         assert_eq!(reference.len(), 4);
@@ -2151,18 +2125,20 @@ mod tests {
             .map(|c| AtomicChannel::new(me.clone(), c.clone(), fixed))
             .collect();
         let outs = one_payload_each(&mut chans, &[0]);
-        let mut net = Net::new(4, outs);
+        let mut net = fifo(4, outs);
         let mut held_back = None;
         let mut held_twice = false;
-        while let Some(msg) = net.queue.pop_front() {
-            if (msg.0, msg.1) == (0, 1) && matches!(msg.3, Body::AcEntry { round: 0, .. }) {
+        while let Some(msg) = net.next() {
+            if (msg.from, msg.to) == (0, 1)
+                && matches!(msg.env.body, Body::AcEntry { round: 0, .. })
+            {
                 held_back = Some(msg);
                 continue;
             }
-            let fetched_by_one = msg.1 == 1 && matches!(msg.3, Body::AcFetched { .. });
-            net.deliver(&mut chans, msg);
+            let fetched_by_one = msg.to == 1 && matches!(msg.env.body, Body::AcFetched { .. });
+            net.deliver(&mut chans, msg, handle);
             if let Some(entry) = held_back.take_if(|_| fetched_by_one) {
-                net.deliver(&mut chans, entry);
+                net.deliver(&mut chans, entry, handle);
                 let state = &chans[1].rounds[&0];
                 let signed_by_zero = |held: &[Checked<Entry>]| {
                     held.iter().filter(|e| e.signer() == PartyId(0)).count()

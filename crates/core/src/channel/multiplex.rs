@@ -355,11 +355,11 @@ fn unframe(framed: &[u8]) -> Option<(PayloadKind, Vec<u8>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::outgoing::Recipient;
+    use crate::message::Envelope;
+    use crate::pump::{Choice, Pump};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sintra_crypto::dealer::{deal, DealerConfig};
-    use std::collections::VecDeque;
     use std::sync::Arc;
 
     fn group(n: usize, t: usize) -> Vec<GroupContext> {
@@ -371,29 +371,27 @@ mod tests {
             .collect()
     }
 
+    fn handle<B: BroadcastInstance>(
+        chan: &mut BroadcastChannel<B>,
+        from: PartyId,
+        env: &Envelope,
+        out: &mut Outgoing,
+    ) {
+        chan.handle(from, &env.pid, &env.body, out);
+    }
+
+    /// A FIFO network carrying what the parties sent into `outs`, in
+    /// that order.
+    fn fifo(n: usize, outs: Vec<(usize, Outgoing)>) -> Pump {
+        let mut pump = Pump::new(n, Choice::Fifo);
+        pump.extend(outs);
+        pump
+    }
+
     fn pump<B: BroadcastInstance>(chans: &mut [BroadcastChannel<B>], outs: Vec<(usize, Outgoing)>) {
-        let n = chans.len();
-        let mut queue: VecDeque<(PartyId, usize, ProtocolId, Body)> = VecDeque::new();
-        let push = |queue: &mut VecDeque<_>, from: usize, mut out: Outgoing| {
-            for (recipient, env) in out.drain() {
-                match recipient {
-                    Recipient::All => {
-                        for to in 0..n {
-                            queue.push_back((PartyId(from), to, env.pid.clone(), env.body.clone()));
-                        }
-                    }
-                    Recipient::One(p) => queue.push_back((PartyId(from), p.0, env.pid, env.body)),
-                }
-            }
-        };
-        for (from, out) in outs {
-            push(&mut queue, from, out);
-        }
-        while let Some((from, to, pid, body)) = queue.pop_front() {
-            let mut out = Outgoing::new();
-            chans[to].handle(from, &pid, &body, &mut out);
-            push(&mut queue, to, out);
-        }
+        fifo(chans.len(), outs)
+            .run(chans, handle, 1_000_000)
+            .expect("channel did not quiesce");
     }
 
     fn collect<B: BroadcastInstance>(chan: &mut BroadcastChannel<B>) -> Vec<(usize, Vec<u8>)> {
@@ -530,39 +528,12 @@ mod tests {
             }
         }
         let mut script: Vec<(PartyId, ProtocolId, Body)> = Vec::new();
-        {
-            let n = chans.len();
-            let mut queue: VecDeque<(PartyId, usize, ProtocolId, Body)> = VecDeque::new();
-            let push = |queue: &mut VecDeque<_>, from: usize, mut out: Outgoing| {
-                for (recipient, env) in out.drain() {
-                    match recipient {
-                        Recipient::All => {
-                            for to in 0..n {
-                                queue.push_back((
-                                    PartyId(from),
-                                    to,
-                                    env.pid.clone(),
-                                    env.body.clone(),
-                                ));
-                            }
-                        }
-                        Recipient::One(p) => {
-                            queue.push_back((PartyId(from), p.0, env.pid, env.body))
-                        }
-                    }
-                }
-            };
-            for (from, out) in outs {
-                push(&mut queue, from, out);
+        let mut pump = fifo(chans.len(), outs);
+        while let Some(d) = pump.next() {
+            if d.to == 3 {
+                script.push((PartyId(d.from), d.env.pid.clone(), d.env.body.clone()));
             }
-            while let Some((from, to, pid, body)) = queue.pop_front() {
-                if to == 3 {
-                    script.push((from, pid.clone(), body.clone()));
-                }
-                let mut out = Outgoing::new();
-                chans[to].handle(from, &pid, &body, &mut out);
-                push(&mut queue, to, out);
-            }
+            pump.deliver(&mut chans, d, handle);
         }
         assert!(script.len() > 20, "script too small to be meaningful");
         // Replay the identical script into two fresh replicas of party 3.

@@ -426,7 +426,7 @@ impl StateSnapshot for SecureAtomicChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::outgoing::Recipient;
+    use crate::pump::{Choice, Pump};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sintra_crypto::dealer::{deal, DealerConfig};
@@ -454,29 +454,14 @@ mod tests {
     }
 
     fn pump_all(chans: &mut [SecureAtomicChannel], outs: Vec<(usize, Outgoing)>) {
-        let n = chans.len();
-        let mut queue: std::collections::VecDeque<(PartyId, usize, ProtocolId, Body)> =
-            std::collections::VecDeque::new();
-        let push = |queue: &mut std::collections::VecDeque<_>, from: usize, mut out: Outgoing| {
-            for (recipient, env) in out.drain() {
-                match recipient {
-                    Recipient::All => {
-                        for to in 0..n {
-                            queue.push_back((PartyId(from), to, env.pid.clone(), env.body.clone()));
-                        }
-                    }
-                    Recipient::One(p) => queue.push_back((PartyId(from), p.0, env.pid, env.body)),
-                }
-            }
-        };
-        for (from, out) in outs {
-            push(&mut queue, from, out);
-        }
-        while let Some((from, to, pid, body)) = queue.pop_front() {
-            let mut out = Outgoing::new();
-            chans[to].handle(from, &pid, &body, &mut out);
-            push(&mut queue, to, out);
-        }
+        let mut pump = Pump::new(chans.len(), Choice::Fifo);
+        pump.extend(outs);
+        pump.run(
+            chans,
+            |chan, from, env, out| chan.handle(from, &env.pid, &env.body, out),
+            1_000_000,
+        )
+        .expect("secure channel did not quiesce");
     }
 
     #[test]

@@ -23,6 +23,9 @@
 //! * [`node`]: a per-party container that hosts protocol instances and
 //!   routes messages between them.
 //!
+//! [`pump`] is the in-memory network that tests and benches drive a
+//! group of instances on, in FIFO order or a seeded random one.
+//!
 //! Every protocol acts on a signature, share or signed entry only after
 //! checking it, and [`checked`] makes that a type: the decoder yields
 //! `Unchecked<T>`, state stores `Checked<T>`, and only a check turns one
@@ -61,6 +64,7 @@ pub mod invariant;
 pub mod message;
 pub mod node;
 mod outgoing;
+pub mod pump;
 pub mod schema;
 pub mod validator;
 pub mod wire;

@@ -587,11 +587,10 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::outgoing::Recipient;
+    use crate::pump::{Choice, Pump};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sintra_crypto::dealer::{deal, DealerConfig};
-    use std::collections::VecDeque;
     use std::sync::Arc;
 
     fn nodes(n: usize, t: usize) -> Vec<Node> {
@@ -605,28 +604,10 @@ mod tests {
     }
 
     fn pump(nodes: &mut [Node], outs: Vec<(usize, Outgoing)>) {
-        let n = nodes.len();
-        let mut queue: VecDeque<(PartyId, usize, Envelope)> = VecDeque::new();
-        let push = |queue: &mut VecDeque<_>, from: usize, mut out: Outgoing| {
-            for (recipient, env) in out.drain() {
-                match recipient {
-                    Recipient::All => {
-                        for to in 0..n {
-                            queue.push_back((PartyId(from), to, env.clone()));
-                        }
-                    }
-                    Recipient::One(p) => queue.push_back((PartyId(from), p.0, env)),
-                }
-            }
-        };
-        for (from, out) in outs {
-            push(&mut queue, from, out);
-        }
-        while let Some((from, to, env)) = queue.pop_front() {
-            let mut out = Outgoing::new();
-            nodes[to].handle_envelope(from, &env, &mut out);
-            push(&mut queue, to, out);
-        }
+        let mut pump = Pump::new(nodes.len(), Choice::Fifo);
+        pump.extend(outs);
+        pump.run(nodes, Node::handle_envelope, 1_000_000)
+            .expect("group did not quiesce");
     }
 
     #[test]

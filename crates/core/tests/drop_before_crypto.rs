@@ -41,6 +41,7 @@ use sintra_core::message::{
     statement_opt_state, statement_pre_vote, Body, Entry, EntryRef, Envelope, MainVote,
     MainVoteJust, Payload, PayloadKind, PreVoteJust,
 };
+use sintra_core::pump::{Choice, Pump};
 use sintra_core::wire::Wire;
 use sintra_core::{GroupContext, Outgoing, PartyId, ProtocolId, Recipient};
 use sintra_crypto::cost::CostScope;
@@ -230,28 +231,15 @@ fn final_after_delivery(ctxs: &[GroupContext]) -> Row {
 fn run<C>(
     chans: &mut [C],
     outs: Vec<(usize, Outgoing)>,
-    handle: impl Fn(&mut C, PartyId, &Envelope, &mut Outgoing),
+    mut handle: impl FnMut(&mut C, PartyId, &Envelope, &mut Outgoing),
     lost: impl Fn(usize, &Body) -> bool,
 ) {
-    let n = chans.len();
-    let mut queue = VecDeque::new();
-    let enqueue = |queue: &mut VecDeque<_>, at: usize, out: &mut Outgoing| {
-        for (recipient, env) in out.drain() {
-            let targets = match recipient {
-                Recipient::All => 0..n,
-                Recipient::One(p) => p.0..p.0 + 1,
-            };
-            let kept = targets.filter(|to| !lost(*to, &env.body));
-            queue.extend(kept.map(|to| (at, to, env.clone())));
+    let mut pump = Pump::new(chans.len(), Choice::Fifo);
+    pump.extend(outs);
+    while let Some(d) = pump.next() {
+        if !lost(d.to, &d.env.body) {
+            pump.deliver(chans, d, &mut handle);
         }
-    };
-    for (at, mut out) in outs {
-        enqueue(&mut queue, at, &mut out);
-    }
-    let mut out = Outgoing::new();
-    while let Some((from, to, env)) = queue.pop_front() {
-        handle(&mut chans[to], PartyId(from), &env, &mut out);
-        enqueue(&mut queue, to, &mut out);
     }
 }
 

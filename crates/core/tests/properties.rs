@@ -4,10 +4,10 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 use sintra_core::agreement::{BinaryAgreement, CandidateOrder, MultiValuedAgreement};
 use sintra_core::broadcast::ClosingMessage;
@@ -17,6 +17,7 @@ use sintra_core::message::{
     payload_digest, statement_cb, statement_entry, statement_pre_vote, Body, Entry, EntryRef,
     Envelope, MainVote, MainVoteJust, Payload, PayloadKind,
 };
+use sintra_core::pump::{Choice, Delivery, Overrun, Pump};
 use sintra_core::wire::Wire;
 use sintra_core::{GroupContext, Outgoing, PartyId, ProtocolId, Recipient};
 use sintra_crypto::dealer::{deal, DealerConfig};
@@ -192,50 +193,77 @@ proptest! {
     }
 }
 
+/// Runs one binary agreement per party of `ctxs`, party `i` proposing
+/// `proposals[i]`, to quiescence under `choice`, and returns each
+/// party's decision after checking that it decides exactly once.
+fn run_ba(ctxs: &[GroupContext], pid: &str, proposals: &[bool], choice: Choice) -> Vec<bool> {
+    let mut instances: Vec<BinaryAgreement> = ctxs
+        .iter()
+        .map(|c| BinaryAgreement::new(ProtocolId::new(pid), c.clone()))
+        .collect();
+    let mut pump = Pump::new(ctxs.len(), choice);
+    for (i, inst) in instances.iter_mut().enumerate() {
+        let mut out = Outgoing::new();
+        inst.propose(&|_, _| true, proposals[i], Vec::new(), &mut out);
+        pump.push(i, &mut out);
+    }
+    let handle = |inst: &mut BinaryAgreement, from, env: &Envelope, out: &mut Outgoing| {
+        inst.handle(&|_, _| true, from, &env.body, out)
+    };
+    if let Err(overrun) = pump.run(&mut instances, handle, 2_000_000) {
+        panic!("{pid}: no termination under {choice:?}: {overrun:?}");
+    }
+    let decide = |inst: &mut BinaryAgreement| {
+        let (value, _) = inst.take_decision().expect("decided");
+        assert!(inst.take_decision().is_none(), "{pid}: decided twice");
+        value
+    };
+    instances.iter_mut().map(decide).collect()
+}
+
 /// Runs a full binary-agreement group under a randomly shuffled message
 /// schedule and checks agreement + validity.
 fn run_ba_with_schedule(proposals: &[bool], seed: u64) -> Vec<bool> {
     let n = proposals.len();
     let ctxs = group(n, (n - 1) / 3, seed);
-    let pid = ProtocolId::new(format!("ba-sched-{seed}"));
-    let mut instances: Vec<BinaryAgreement> = ctxs
+    let pid = format!("ba-sched-{seed}");
+    // Deliver a random queued message: an adversarial scheduler.
+    run_ba(&ctxs, &pid, proposals, Choice::Seeded(seed ^ 0xDEAD))
+}
+
+/// Runs one multi-valued agreement per party of `ctxs` to quiescence
+/// under `choice`, and returns each party's decision after checking
+/// that it decides exactly once.
+fn run_vba(
+    ctxs: &[GroupContext],
+    pid: &str,
+    order: CandidateOrder,
+    proposals: &[Vec<u8>],
+    valid: &dyn Fn(&[u8]) -> bool,
+    choice: Choice,
+) -> Vec<Vec<u8>> {
+    let mut instances: Vec<MultiValuedAgreement> = ctxs
         .iter()
-        .map(|c| BinaryAgreement::new(pid.clone(), c.clone()))
+        .map(|c| MultiValuedAgreement::new(ProtocolId::new(pid), c.clone(), order))
         .collect();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xDEAD);
-    let mut queue: Vec<(PartyId, usize, Body)> = Vec::new();
-    let push = |queue: &mut Vec<(PartyId, usize, Body)>, from: usize, mut out: Outgoing| {
-        for (recipient, env) in out.drain() {
-            match recipient {
-                Recipient::All => {
-                    for to in 0..n {
-                        queue.push((PartyId(from), to, env.body.clone()));
-                    }
-                }
-                Recipient::One(p) => queue.push((PartyId(from), p.0, env.body)),
-            }
-        }
-    };
+    let mut pump = Pump::new(ctxs.len(), choice);
     for (i, inst) in instances.iter_mut().enumerate() {
         let mut out = Outgoing::new();
-        inst.propose(&|_, _| true, proposals[i], Vec::new(), &mut out);
-        push(&mut queue, i, out);
+        inst.propose(valid, proposals[i].clone(), &mut out);
+        pump.push(i, &mut out);
     }
-    let mut steps = 0;
-    while !queue.is_empty() {
-        steps += 1;
-        assert!(steps < 2_000_000, "no termination under shuffle {seed}");
-        // Deliver a random queued message: an adversarial scheduler.
-        let idx = rng.gen_range(0..queue.len());
-        let (from, to, body) = queue.swap_remove(idx);
-        let mut out = Outgoing::new();
-        instances[to].handle(&|_, _| true, from, &body, &mut out);
-        push(&mut queue, to, out);
+    let handle = |inst: &mut MultiValuedAgreement, from, env: &Envelope, out: &mut Outgoing| {
+        inst.handle(valid, from, &env.pid, &env.body, out)
+    };
+    if let Err(overrun) = pump.run(&mut instances, handle, 3_000_000) {
+        panic!("{pid}, {order:?}: no termination under {choice:?}: {overrun:?}");
     }
-    instances
-        .iter_mut()
-        .map(|i| i.take_decision().expect("decided").0)
-        .collect()
+    let decide = |inst: &mut MultiValuedAgreement| {
+        let value = inst.take_decision().expect("decided");
+        assert!(inst.take_decision().is_none(), "{pid}, {order:?}: twice");
+        value
+    };
+    instances.iter_mut().map(decide).collect()
 }
 
 proptest! {
@@ -258,51 +286,9 @@ proptest! {
 fn mvba_safe_under_shuffled_schedule() {
     // One adversarially shuffled run of multi-valued agreement.
     let ctxs = group(4, 1, 4242);
-    let pid = ProtocolId::new("vba-shuffle");
-    let mut instances: Vec<MultiValuedAgreement> = ctxs
-        .iter()
-        .map(|c| MultiValuedAgreement::new(pid.clone(), c.clone(), CandidateOrder::LocalRandom))
-        .collect();
     let proposals: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8; 8]).collect();
-    let mut rng = StdRng::seed_from_u64(99);
-    let mut queue: Vec<(PartyId, usize, ProtocolId, Body)> = Vec::new();
-    for (i, inst) in instances.iter_mut().enumerate() {
-        let mut out = Outgoing::new();
-        inst.propose(&|_| true, proposals[i].clone(), &mut out);
-        for (recipient, env) in out.drain() {
-            match recipient {
-                Recipient::All => {
-                    for to in 0..4 {
-                        queue.push((PartyId(i), to, env.pid.clone(), env.body.clone()));
-                    }
-                }
-                Recipient::One(p) => queue.push((PartyId(i), p.0, env.pid, env.body)),
-            }
-        }
-    }
-    let mut steps = 0;
-    while !queue.is_empty() {
-        steps += 1;
-        assert!(steps < 3_000_000);
-        queue.shuffle(&mut rng);
-        let (from, to, mpid, body) = queue.pop().expect("nonempty");
-        let mut out = Outgoing::new();
-        instances[to].handle(&|_| true, from, &mpid, &body, &mut out);
-        for (recipient, env) in out.drain() {
-            match recipient {
-                Recipient::All => {
-                    for dest in 0..4 {
-                        queue.push((PartyId(to), dest, env.pid.clone(), env.body.clone()));
-                    }
-                }
-                Recipient::One(p) => queue.push((PartyId(to), p.0, env.pid, env.body)),
-            }
-        }
-    }
-    let decisions: Vec<Vec<u8>> = instances
-        .iter_mut()
-        .map(|i| i.take_decision().expect("decided"))
-        .collect();
+    let (order, choice) = (CandidateOrder::LocalRandom, Choice::Seeded(99));
+    let decisions = run_vba(&ctxs, "vba-shuffle", order, &proposals, &|_| true, choice);
     assert!(decisions.windows(2).all(|w| w[0] == w[1]));
     assert!(proposals.contains(&decisions[0]));
 }
@@ -322,44 +308,175 @@ fn vba_binary_agreement_waits_for_n_minus_t_proper_votes() {
         .map(|c| MultiValuedAgreement::new(pid.clone(), c.clone(), CandidateOrder::Fixed))
         .collect();
     let valid = |_: &[u8]| true;
-    let route = |from: usize, out: &mut Outgoing| {
-        let mut sent = Vec::new();
-        for (recipient, env) in out.drain() {
-            match recipient {
-                Recipient::All => sent.extend((0..n).map(|to| (from, to, env.clone()))),
-                Recipient::One(p) => sent.push((from, p.0, env)),
-            }
-        }
-        sent
-    };
-    let mut queue = std::collections::VecDeque::new();
+    let mut pump = Pump::new(n, Choice::Fifo);
     for (i, inst) in instances.iter_mut().enumerate() {
         let mut out = Outgoing::new();
         inst.propose(&valid, vec![i as u8; 8], &mut out);
-        queue.extend(route(i, &mut out));
+        pump.push(i, &mut out);
     }
     let mut votes = Vec::new();
-    while let Some((from, to, env)) = queue.pop_front() {
-        assert_ne!(env.pid, ba0, "agreement message before any vote");
-        if matches!(env.body, Body::VbaVote { .. }) {
-            votes.push((from, to, env));
+    while let Some(d) = pump.next() {
+        assert_ne!(d.env.pid, ba0, "agreement message before any vote");
+        if matches!(d.env.body, Body::VbaVote { .. }) {
+            votes.push(d);
             continue;
         }
-        let mut out = Outgoing::new();
-        instances[to].handle(&valid, PartyId(from), &env.pid, &env.body, &mut out);
-        queue.extend(route(to, &mut out));
+        pump.deliver(&mut instances, d, |inst, from, env, out| {
+            inst.handle(&valid, from, &env.pid, &env.body, out)
+        });
     }
-    let to_zero: Vec<_> = votes.into_iter().filter(|(_, to, _)| *to == 0).collect();
+    let to_zero: Vec<Delivery> = votes.into_iter().filter(|d| d.to == 0).collect();
     assert_eq!(to_zero.len(), n, "every party voted on its first candidate");
-    for (k, (from, _, env)) in to_zero.into_iter().enumerate() {
+    for (k, d) in to_zero.into_iter().enumerate() {
         let k = k + 1;
         let mut out = Outgoing::new();
-        instances[0].handle(&valid, PartyId(from), &env.pid, &env.body, &mut out);
-        let started = route(0, &mut out)
+        instances[0].handle(&valid, PartyId(d.from), &d.env.pid, &d.env.body, &mut out);
+        let started = out
             .iter()
-            .any(|(_, _, e)| e.pid == ba0 && matches!(e.body, Body::BaPreVote { .. }));
+            .any(|(_, e)| e.pid == ba0 && matches!(e.body, Body::BaPreVote { .. }));
         assert_eq!(started, k == n - t, "after {k} proper votes");
     }
+}
+
+/// `(from, to, kind)` of each delivery, in the order a pump under
+/// `choice` hands them out, of a broadcast and an echo from each of four
+/// parties.
+fn pump_order(choice: Choice) -> Vec<(usize, usize, &'static str)> {
+    let pid = ProtocolId::new("pump");
+    let mut pump = Pump::new(4, choice);
+    for from in 0..4 {
+        let mut out = Outgoing::new();
+        out.send_all(&pid, Body::RbSend(vec![1]));
+        out.send_to(PartyId(3 - from), &pid, Body::RbEcho(vec![0; 32]));
+        pump.push(from, &mut out);
+        assert!(out.is_empty(), "pushing drains the sink");
+    }
+    pump.map(|d| (d.from, d.to, d.env.body.kind())).collect()
+}
+
+#[test]
+fn fifo_pump_delivers_in_push_order() {
+    let order = pump_order(Choice::Fifo);
+    let expected: Vec<_> = (0..4)
+        .flat_map(|from| {
+            let all = (0..4).map(move |to| (from, to, "rb-send"));
+            all.chain([(from, 3 - from, "rb-echo")])
+        })
+        .collect();
+    assert_eq!(order, expected);
+    // A group that answers nothing: one delivery per recipient.
+    let mut pump = Pump::new(4, Choice::Fifo);
+    let mut out = Outgoing::new();
+    out.send_all(&ProtocolId::new("pump"), Body::RbSend(vec![2]));
+    pump.push(1, &mut out);
+    assert_eq!(pump.run(&mut [(); 4], |_, _, _, _| {}, 4), Ok(4));
+}
+
+#[test]
+fn seeded_pump_repeats_its_seed_and_only_its_seed() {
+    let one = pump_order(Choice::Seeded(1));
+    assert_eq!(
+        one,
+        pump_order(Choice::Seeded(1)),
+        "one seed, two schedules"
+    );
+    assert_ne!(
+        one,
+        pump_order(Choice::Seeded(2)),
+        "two seeds, one schedule"
+    );
+    let mut sorted = one.clone();
+    sorted.sort();
+    let mut fifo = pump_order(Choice::Fifo);
+    fifo.sort();
+    assert_eq!(sorted, fifo, "every delivery exactly once");
+}
+
+#[test]
+fn pump_run_stops_at_its_limit() {
+    // Every party answers every message with a broadcast: it never ends.
+    let mut pump = Pump::new(2, Choice::Fifo);
+    let mut out = Outgoing::new();
+    out.send_all(&ProtocolId::new("pump-echo"), Body::RbSend(vec![0]));
+    pump.push(0, &mut out);
+    let echo = |_: &mut (), _, env: &Envelope, out: &mut Outgoing| {
+        out.send_all(&env.pid, env.body.clone());
+    };
+    assert_eq!(
+        pump.run(&mut [(), ()], echo, 50),
+        Err(Overrun { limit: 50 })
+    );
+    assert!(!pump.is_empty(), "stopped with messages in flight");
+}
+
+/// One dealt group for the seeded sweeps: what a seed varies is the
+/// proposals, the instance (so the coin and candidate order) and the
+/// schedule.
+fn sweep_group() -> &'static [GroupContext] {
+    static GROUP: OnceLock<Vec<GroupContext>> = OnceLock::new();
+    GROUP.get_or_init(|| group(4, 1, 2002))
+}
+
+/// One binary agreement per seed under `Choice::Seeded(seed)`, party `i`
+/// proposing bit `i` of the seed: agreement, validity (someone proposed
+/// the decision) and, in `run_ba`, exactly one decision per party.
+fn sweep_abba(seeds: Range<u64>) {
+    for seed in seeds {
+        let proposals: Vec<bool> = (0..4).map(|i| seed >> i & 1 == 1).collect();
+        let pid = format!("ba-sweep-{seed}");
+        let decisions = run_ba(sweep_group(), &pid, &proposals, Choice::Seeded(seed));
+        assert!(
+            decisions.windows(2).all(|w| w[0] == w[1]),
+            "{pid}: disagreement {decisions:?} on {proposals:?}"
+        );
+        assert!(proposals.contains(&decisions[0]), "{pid}: validity");
+    }
+}
+
+/// One multi-valued agreement per seed and candidate order under
+/// `Choice::Seeded(seed)`: agreement, external validity (the decision is
+/// a proposal that satisfies the predicate) and, in `run_vba`, exactly
+/// one decision per party.
+fn sweep_vba(seeds: Range<u64>) {
+    let valid = |value: &[u8]| value.starts_with(b"ok:");
+    for seed in seeds {
+        let proposals: Vec<Vec<u8>> = (0..4).map(|i| format!("ok:{seed}:{i}").into()).collect();
+        let pid = format!("vba-sweep-{seed}");
+        for order in [CandidateOrder::Fixed, CandidateOrder::LocalRandom] {
+            let choice = Choice::Seeded(seed);
+            let decisions = run_vba(sweep_group(), &pid, order, &proposals, &valid, choice);
+            assert!(
+                decisions.windows(2).all(|w| w[0] == w[1]),
+                "{pid}, {order:?}: disagreement"
+            );
+            let decided = &decisions[0];
+            assert!(
+                proposals.contains(decided) && valid(decided),
+                "{pid}, {order:?}: external validity"
+            );
+        }
+    }
+}
+
+#[test]
+#[cfg_attr(miri, ignore)]
+fn binary_agreement_safe_under_a_thousand_seeded_schedules() {
+    sweep_abba(0..1_000);
+}
+
+#[test]
+#[cfg_attr(miri, ignore)]
+fn multi_valued_agreement_safe_under_a_thousand_seeded_schedules() {
+    sweep_vba(0..1_000);
+}
+
+/// The sweeps a hundred times deeper, for a scheduled job in release:
+/// `cargo test --release -p sintra-core --test properties -- --ignored`.
+#[test]
+#[ignore]
+fn agreements_safe_under_a_hundred_thousand_seeded_schedules() {
+    sweep_abba(1_000..101_000);
+    sweep_vba(1_000..101_000);
 }
 
 /// The `index`-th request of `party`, `len` bytes long (or as long as its

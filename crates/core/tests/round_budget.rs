@@ -2,7 +2,7 @@
 //!
 //! One lone request goes through one atomic-channel round — four (or
 //! seven) entries, as many consistent broadcasts, one biased agreement —
-//! on an in-memory FIFO network, with the paper's 1024-bit keys. The
+//! on a `Pump` with `Choice::Fifo`, with the paper's 1024-bit keys. The
 //! messages handled and the public-key work units charged, all parties
 //! together, are functions of the code alone: no host, no schedule, no
 //! clock. They are committed here, so a change that makes a round dearer
@@ -37,7 +37,6 @@
 //! by as much (+0.021 and −0.014 at the parent) and the multi-signature
 //! rows not at all.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -45,7 +44,8 @@ use rand::SeedableRng;
 
 use sintra_core::channel::{AtomicChannel, AtomicChannelConfig, SecureAtomicChannel};
 use sintra_core::message::Envelope;
-use sintra_core::{GroupContext, Outgoing, PartyId, ProtocolId, Recipient};
+use sintra_core::pump::{Choice, Pump};
+use sintra_core::{GroupContext, Outgoing, PartyId, ProtocolId};
 use sintra_crypto::cost::CostScope;
 use sintra_crypto::dealer::{deal, DealerConfig};
 use sintra_crypto::thsig::SigFlavor;
@@ -65,30 +65,12 @@ fn endpoints<C>(n: usize, t: usize, flavor: SigFlavor, open: impl Fn(GroupContex
 fn run<C>(
     chans: &mut [C],
     outs: Vec<(usize, Outgoing)>,
-    handle: impl Fn(&mut C, PartyId, &Envelope, &mut Outgoing),
+    handle: impl FnMut(&mut C, PartyId, &Envelope, &mut Outgoing),
 ) -> usize {
-    let n = chans.len();
-    let mut queue: VecDeque<(usize, usize, Envelope)> = VecDeque::new();
-    let enqueue = |queue: &mut VecDeque<_>, at: usize, out: &mut Outgoing| {
-        for (recipient, env) in out.drain() {
-            let targets = match recipient {
-                Recipient::All => 0..n,
-                Recipient::One(p) => p.0..p.0 + 1,
-            };
-            queue.extend(targets.map(|to| (at, to, env.clone())));
-        }
-    };
-    for (at, mut out) in outs {
-        enqueue(&mut queue, at, &mut out);
-    }
-    let mut handled = 0;
-    let mut out = Outgoing::new();
-    while let Some((from, to, env)) = queue.pop_front() {
-        handled += 1;
-        handle(&mut chans[to], PartyId(from), &env, &mut out);
-        enqueue(&mut queue, to, &mut out);
-    }
-    handled
+    let mut pump = Pump::new(chans.len(), Choice::Fifo);
+    pump.extend(outs);
+    pump.run(chans, handle, 100_000)
+        .expect("one round quiesces")
 }
 
 /// Messages handled and work units charged by the round that orders one

@@ -29,6 +29,9 @@
 # One row for sintra-bigint's unsafe budget, whose one allowed block is
 # the 6-limb ADX kernel in montgomery.rs:
 #   17   `unsafe {}` in arith.rs (deny).
+# One row for the pump's seeded schedule (core's tests/properties.rs):
+#   18   `Choice::Seeded` takes the front, as `Fifo` does, so every seeded
+#        sweep would silently run one schedule.
 #
 # Usage: scripts/typestate_drill.sh [scratch-dir]
 # Exit 0 when every row is refused; prints the first error of each.
@@ -167,6 +170,11 @@ elif name == "VBA validity dropped":
             "                    .check_closing(proof)\n"
             "                    .is_some_and(|(payload, _sig)| valid(&payload))\n",
             "                || bc.check_closing(proof).is_some()\n")
+elif name == "seeded pump takes the front":
+    replace("                let idx = rng.gen_range(0..self.pending.len());\n"
+            "                self.pending.swap_remove_back(idx)\n",
+            "                let _ = rng;\n"
+            "                self.pending.pop_front()\n")
 elif name == "VBA vote gate one short":
     replace("            let quorum = self.ctx.n_minus_t();\n",
             "            let quorum = self.ctx.n_minus_t() - 1;\n")
@@ -243,6 +251,8 @@ drill test:properties sintra-core $core/agreement/multi.rs 'after [0-9]+ proper 
     "VBA vote gate one short"
 drill check sintra-bigint crates/bigint/src/arith.rs 'usage of an `unsafe` block' \
     "unsafe budget: unsafe in bigint's arith.rs"
+drill test:properties sintra-core $core/pump.rs 'two seeds, one schedule' \
+    "seeded pump takes the front"
 
 if [ "$failed" -ne 0 ]; then
     echo "drill: a re-introduced bug was not refused" >&2
