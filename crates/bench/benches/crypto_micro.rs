@@ -16,7 +16,9 @@ use sintra_crypto::{fixtures, hmac::HmacKey};
 /// group modulus and at a 341-bit prime of a 1024-bit RSA key (the
 /// 6-limb width, which runs the ADX kernel on a CPU with `bmi2` and
 /// `adx`), and exponentiations at the exponent lengths the stack uses —
-/// 17 bits (RSA verification), 160 (group exponents), 341 at that prime
+/// 17 bits (verifying under `e = 65 537`, Shoup's exponent; party keys
+/// verify with `e = 3`, and CI gates `rsa/verify/1024` below half of this
+/// row), 160 (group exponents), 341 at that prime
 /// (one of a signature's three CRT exponentiations), 1024 (Shoup shares,
 /// hashing into the group).
 fn bench_bigint(c: &mut Criterion) {

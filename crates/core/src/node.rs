@@ -86,6 +86,11 @@ pub struct Node {
     rng: StdRng,
     /// Telemetry sink; a no-op unless [`Node::set_recorder`] installs one.
     recorder: RecorderSlot,
+    /// Per root scope, the crypto work measured but not yet counted, in
+    /// milli-units (at most half of one either way): a step's work is
+    /// counted in whole milli-units, and what rounding leaves is carried
+    /// into the scope's next step instead of dropped.
+    crypto_carry: BTreeMap<String, f64>,
 }
 
 impl Node {
@@ -99,6 +104,7 @@ impl Node {
             events: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             recorder: RecorderSlot(Arc::new(NoopRecorder)),
+            crypto_carry: BTreeMap::new(),
         }
     }
 
@@ -125,16 +131,23 @@ impl Node {
     }
 
     /// Charges the work measured by `scope` to `pid`'s root instance.
-    fn attribute_crypto(&self, pid: &ProtocolId, scope: Option<CostScope>) {
+    fn attribute_crypto(&mut self, pid: &ProtocolId, scope: Option<CostScope>) {
         if let Some(scope) = scope {
-            // A work reading is a small non-negative count of milli-units,
-            // and `as` saturates rather than wraps.
+            let name = root_scope(pid.as_str());
+            let carry = match self.crypto_carry.get_mut(name) {
+                Some(carry) => carry,
+                None => self.crypto_carry.entry(name.to_string()).or_default(),
+            };
+            let exact = *carry + scope.elapsed() * CRYPTO_WORK_MILLI;
+            // A work reading is a small count of milli-units, at least
+            // −0.5 with the carry, and `as` saturates rather than wraps.
             #[allow(clippy::cast_possible_truncation)]
-            let milli = (scope.elapsed() * CRYPTO_WORK_MILLI).round() as u64;
+            let milli = exact.round() as u64;
+            *carry = exact - milli as f64;
             if milli > 0 {
                 self.recorder
                     .0
-                    .counter_add(root_scope(pid.as_str()), "crypto_work_milli", milli);
+                    .counter_add(name, "crypto_work_milli", milli);
             }
         }
     }

@@ -15,7 +15,7 @@
 //! request from each of three parties ([`THREE_SENDERS_BUDGET`]).
 //!
 //! The n = 4 multi-signature row is the `abc4_lone` round of
-//! `BENCHMARK.json` (128 messages, and at this commit the same 4.24 work
+//! `BENCHMARK.json` (128 messages, and at this commit the same 3.24 work
 //! units per payload as its traced pass). Before a party stopped
 //! re-verifying the shares, closings and justifications it already holds
 //! the four rows read 11.495236, 36.251827, 208.020303 and 590.723628
@@ -36,6 +36,25 @@
 //! their (new) signatures. One byte more in the request moves those rows
 //! by as much (+0.021 and −0.014 at the parent) and the multi-signature
 //! rows not at all.
+//!
+//! Before the party keys took public exponent 3 the four rows read
+//! 4.244729, 13.124313, 176.901730 and 535.293761, [`THREE_SENDERS_BUDGET`]
+//! 4.244729 and [`SECURE_BUDGET`] 32.794145, with the same message counts.
+//! A verification is charged `exp_work(m, 2)` where 65 537 was
+//! `exp_work(m, 17)`: `15·m²/1024³` less, 0.014620 units at m = 1023 and
+//! 0.014648 at m = 1024 (parties 3 and 7). The n = 4 multi-signature round
+//! verifies 63 signatures of 1023-bit keys and 6 of party 3's, the n = 7
+//! one 264 and 60, the Shoup rounds 9 and 3, 36 and 6 (entries only). The
+//! new primes also moved the signing charge, which follows the CRT
+//! exponents' lengths: `Σ(s'_i − s_i)` is +0.001084 over parties 0–3 and
+//! +0.001517 over 0–6, and a party signs as often as before (7, 10, 1 and
+//! 1 times). So the multi-signature rows moved by −1.008941 + 7·0.001084
+//! = −1.001356 and −4.738544 + 10·0.001517 = −4.723371, the three-sender
+//! row as the lone one, and the secure row, two such rounds (138
+//! verifications, 56 signatures), by −2.002711. The Shoup rows moved by
+//! −0.175524 + 0.001084 − 0.013672 = −0.188112 and −0.614205 + 0.001517 +
+//! 0.044922 = −0.567766: the last terms are the Shoup proofs' lengths,
+//! which hash statements that name entries by their (new) signatures.
 
 use std::sync::Arc;
 
@@ -105,10 +124,10 @@ fn one_round(n: usize, t: usize, flavor: SigFlavor, senders: usize) -> (usize, f
 
 /// `(n, t, flavor, messages, work units)`.
 const BUDGET: [(usize, usize, SigFlavor, usize, f64); 4] = [
-    (4, 1, SigFlavor::Multi, 128, 4.244729),
-    (7, 2, SigFlavor::Multi, 392, 13.124313),
-    (4, 1, SigFlavor::ShoupRsa, 128, 176.901730),
-    (7, 2, SigFlavor::ShoupRsa, 392, 535.293761),
+    (4, 1, SigFlavor::Multi, 128, 3.243373),
+    (7, 2, SigFlavor::Multi, 392, 8.400942),
+    (4, 1, SigFlavor::ShoupRsa, 128, 176.713618),
+    (7, 2, SigFlavor::ShoupRsa, 392, 534.725995),
 ];
 
 #[test]
@@ -134,8 +153,9 @@ fn a_lone_request_costs_what_is_committed() {
 /// round costs (the n = 4 multi-signature row of [`BUDGET`]), since the
 /// proposals name the three senders' entries instead of two of them and
 /// nothing else changes. With batches of exactly `t + 1` entries it took
-/// two rounds.
-const THREE_SENDERS_BUDGET: (usize, f64) = (128, 4.244729);
+/// two rounds. Under party keys with `e = 65 537` it read 4.244729, and it
+/// moved with that row (module doc).
+const THREE_SENDERS_BUDGET: (usize, f64) = (128, 3.243373);
 
 #[test]
 fn three_requests_share_one_round() {
@@ -211,7 +231,11 @@ fn secure_requests() -> (usize, f64) {
 /// 16 releases and 20 share checks (the parked shares were all checked,
 /// 1.25 per ciphertext): −4.600 units in the model, −4.505469 measured,
 /// as an exponent that hashes to fewer than 160 bits charges less.
-const SECURE_BUDGET: (usize, f64) = (288, 32.794145);
+///
+/// Under party keys with `e = 65 537` it read 32.794145: its two atomic
+/// rounds verify 138 party signatures and make 56, twice a lone round's,
+/// so it moved by twice that round's −1.001356 (module doc).
+const SECURE_BUDGET: (usize, f64) = (288, 30.791434);
 
 #[test]
 fn secure_requests_cost_what_is_committed() {

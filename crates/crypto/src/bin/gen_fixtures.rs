@@ -1,112 +1,17 @@
-//! Generates the embedded parameter fixtures (`fixtures_data.rs`).
+//! Writes `fixtures_rsa.rs`, the party keys' RSA prime pools, to stdout:
 //!
-//! Run once with `cargo run --release -p sintra-crypto --bin gen_fixtures >
-//! crates/crypto/src/fixtures_data.rs`. Generation is deterministic
-//! (fixed RNG seeds) so the file is reproducible — except the committed
-//! Schnorr groups and safe-prime pairs, which an earlier random-number
-//! stream drew and which this binary no longer reproduces. The three-prime
-//! RSA pools were regenerated by it and spliced in below them, leaving the
-//! other two tables byte for byte as they were.
+//! ```text
+//! cargo run --release -p sintra-crypto --bin gen_fixtures > crates/crypto/src/fixtures_rsa.rs
+//! ```
+//!
+//! The pools are drawn from fixed seeds by
+//! [`sintra_crypto::fixtures::rsa_pools_source`], so the output is the
+//! committed file byte for byte unless the drawing changed. The Schnorr
+//! groups and safe-prime pairs in `fixtures_data.rs` are frozen and not
+//! generated here.
 
 #![forbid(unsafe_code)]
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sintra_bigint::{prime, PrimeConfig, Ubig};
-use sintra_crypto::fixtures::RSA_MODULUS_BITS;
-use sintra_crypto::group::SchnorrGroup;
-use sintra_crypto::rsa::PRIMES_PER_KEY;
-
-/// (p_bits, q_bits) pairs for Schnorr group fixtures. q is 160 bits at the
-/// paper's default sizes and proportionally smaller for the tiny sweep
-/// points of Fig. 6.
-const GROUP_SIZES: [(u32, u32); 5] = [(128, 64), (256, 128), (512, 160), (768, 160), (1024, 160)];
-
-/// Shoup modulus sizes (each needs two safe primes of half the size).
-const SHOUP_SIZES: [u32; 5] = [128, 256, 512, 768, 1024];
-
 fn main() {
-    let config = PrimeConfig::default();
-    println!("// Generated by `cargo run --release -p sintra-crypto --bin gen_fixtures`.");
-    println!("// Deterministic output (fixed seeds); do not edit by hand.");
-    println!();
-
-    // Schnorr groups.
-    println!("/// (p_bits, p, q, g, g_bar) hex tuples.");
-    println!("pub(crate) static SCHNORR_GROUPS: &[(u32, &str, &str, &str, &str)] = &[");
-    for (p_bits, q_bits) in GROUP_SIZES {
-        eprintln!("generating Schnorr group {p_bits}/{q_bits}...");
-        let mut rng = StdRng::seed_from_u64(0x5EED_0000 + p_bits as u64);
-        let group = SchnorrGroup::generate(p_bits, q_bits, &mut rng);
-        println!(
-            "    ({p_bits}, \"{}\", \"{}\", \"{}\", \"{}\"),",
-            group.modulus().to_hex(),
-            group.order().to_hex(),
-            group.generator().to_hex(),
-            group.generator_bar().to_hex(),
-        );
-    }
-    println!("];");
-    println!();
-
-    // Safe-prime pairs.
-    println!("/// (modulus_bits, p, q) hex tuples; p and q are safe primes.");
-    println!("pub(crate) static SAFE_PRIME_PAIRS: &[(u32, &str, &str)] = &[");
-    for bits in SHOUP_SIZES {
-        eprintln!("generating {bits}-bit safe-prime pair...");
-        let mut rng = StdRng::seed_from_u64(0x5AFE_0000 + bits as u64);
-        let (p, _) = prime::gen_safe_prime(bits / 2, &config, &mut rng);
-        let q = loop {
-            let (q, _) = prime::gen_safe_prime(bits - bits / 2, &config, &mut rng);
-            if q != p {
-                break q;
-            }
-        };
-        println!("    ({bits}, \"{}\", \"{}\"),", p.to_hex(), q.to_hex());
-    }
-    println!("];");
-    println!();
-
-    // RSA prime pools.
-    let e = Ubig::from(65_537u64);
-    println!("/// (modulus_bits, primes) — party i uses primes[3i..3i+3].");
-    println!("pub(crate) static RSA_PRIME_POOLS: &[(u32, &[&str])] = &[");
-    for (bits, moduli) in RSA_MODULUS_BITS {
-        eprintln!("generating {bits}-bit RSA prime pool...");
-        let mut rng = StdRng::seed_from_u64(0x125A_0000 + bits as u64);
-        let mut pool: Vec<Ubig> = Vec::new();
-        for modulus_bits in moduli {
-            // Product of primes with their top bit set: it has the sum of
-            // their lengths in bits, or one or two fewer; aim the sum one
-            // above the target, the likeliest outcome.
-            let parts = PRIMES_PER_KEY as u32;
-            let key = loop {
-                let mut key: Vec<Ubig> = Vec::new();
-                for i in 0..parts {
-                    let p = loop {
-                        let p = prime::gen_prime((modulus_bits + 1 + i) / parts, &config, &mut rng);
-                        // e must be invertible mod p-1 and primes must be distinct.
-                        if (&p - &Ubig::one()).gcd(&e).is_one()
-                            && !pool.contains(&p)
-                            && !key.contains(&p)
-                        {
-                            break p;
-                        }
-                    };
-                    key.push(p);
-                }
-                let n = key.iter().fold(Ubig::one(), |n, p| &n * p);
-                if n.bit_length() == modulus_bits {
-                    break key;
-                }
-            };
-            pool.extend(key);
-        }
-        println!("    ({bits}, &[");
-        for p in &pool {
-            println!("        \"{}\",", p.to_hex());
-        }
-        println!("    ]),");
-    }
-    println!("];");
+    print!("{}", sintra_crypto::fixtures::rsa_pools_source());
 }

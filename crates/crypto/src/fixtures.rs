@@ -2,24 +2,34 @@
 //!
 //! Generating 1024-bit safe primes and Schnorr groups takes minutes; the
 //! paper's key-size sweep (Fig. 6) needs parameters at 128–1024 bits. This
-//! module embeds parameters generated once by the `gen_fixtures` binary
-//! (`cargo run --release -p sintra-crypto --bin gen_fixtures`) so tests and
-//! benchmarks start instantly. The dealer can still generate everything
-//! fresh at runtime; fixtures are a cache, not a trust assumption — all
-//! structural properties are re-validated on load.
+//! module embeds them so tests and benchmarks start instantly. The dealer
+//! can still generate everything fresh at runtime; fixtures are a cache,
+//! not a trust assumption — all structural properties are re-validated on
+//! load.
+//!
+//! Two files hold them. `fixtures_data.rs` is frozen: its Schnorr groups
+//! and safe-prime pairs were drawn once and nothing here reproduces them.
+//! `fixtures_rsa.rs` holds the party keys' prime pools, which
+//! [`rsa_pools_source`] draws from fixed seeds; regenerate it with
+//! `cargo run --release -p sintra-crypto --bin gen_fixtures >
+//! crates/crypto/src/fixtures_rsa.rs`, and a test checks that the two
+//! agree.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use sintra_bigint::Ubig;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use sintra_bigint::{PrimeConfig, Ubig};
 
 use crate::group::SchnorrGroup;
-use crate::rsa::{RsaPrivateKey, RsaPublicKey, PRIMES_PER_KEY};
+use crate::rsa::{self, RsaPrivateKey, RsaPublicKey, PARTY_PUBLIC_EXPONENT, PRIMES_PER_KEY};
 use crate::thsig::ShoupModulus;
 use crate::{CryptoError, Result};
 
 mod data {
     include!("fixtures_data.rs");
+    include!("fixtures_rsa.rs");
 }
 
 fn ub(hex: &str) -> Ubig {
@@ -27,10 +37,10 @@ fn ub(hex: &str) -> Ubig {
 }
 
 /// Each RSA pool size with the modulus length of its 8 parties' keys.
-/// `gen_fixtures` draws a key's [`PRIMES_PER_KEY`] primes at about a third
-/// of that length and redraws them until the modulus is exactly as long
-/// as that party's two-prime modulus was: verifying is charged by the
-/// modulus length, so no verification charge moved with the primes.
+/// [`rsa_pools_source`] draws a key's [`PRIMES_PER_KEY`] primes at about a
+/// third of that length and redraws them until the modulus is exactly as
+/// long as that party's two-prime modulus was. Verifying is charged by the
+/// modulus length, so redrawing a pool moves no modulus length.
 pub const RSA_MODULUS_BITS: [(u32, [u32; 8]); 6] = [
     (128, [128, 128, 127, 127, 127, 128, 128, 127]),
     (256, [255, 256, 255, 256, 255, 255, 255, 256]),
@@ -117,7 +127,7 @@ pub fn rsa_key(bits: u32, index: usize) -> Result<RsaPrivateKey> {
                     "RSA prime pool exhausted for this party index",
                 ));
             };
-            let e = Ubig::from(crate::rsa::DEFAULT_PUBLIC_EXPONENT);
+            let e = Ubig::from(PARTY_PUBLIC_EXPONENT);
             return RsaPrivateKey::from_primes(primes.iter().map(|p| ub(p)).collect(), e).ok_or(
                 CryptoError::MalformedInput("fixture primes incompatible with public exponent"),
             );
@@ -139,6 +149,61 @@ pub fn rsa_public_keys(bits: u32, n: usize) -> Result<Vec<RsaPublicKey>> {
         .iter()
         .map(|k| k.public().clone())
         .collect())
+}
+
+/// Draws the prime pool of one size from its fixed seed: for each party's
+/// modulus length, [`PRIMES_PER_KEY`] primes of about a third of it, each
+/// suited to [`PARTY_PUBLIC_EXPONENT`] and unused so far, redrawn together
+/// until their product has exactly that length.
+fn rsa_prime_pool(bits: u32, lengths: [u32; 8]) -> Vec<Ubig> {
+    let config = PrimeConfig::default();
+    let e = Ubig::from(PARTY_PUBLIC_EXPONENT);
+    let mut rng = StdRng::seed_from_u64(0x125A_0000 + u64::from(bits));
+    let parts = PRIMES_PER_KEY as u32;
+    let mut pool: Vec<Ubig> = Vec::new();
+    for length in lengths {
+        // A product of primes with their top bit set has the sum of their
+        // lengths in bits, or one or two fewer; aim the sum one above the
+        // target, the likeliest outcome.
+        let key = loop {
+            let mut key: Vec<Ubig> = Vec::new();
+            for i in 0..parts {
+                let p = loop {
+                    let p = rsa::gen_prime_for((length + 1 + i) / parts, &e, &config, &mut rng);
+                    if !pool.contains(&p) && !key.contains(&p) {
+                        break p;
+                    }
+                };
+                key.push(p);
+            }
+            let n = key.iter().fold(Ubig::one(), |n, p| &n * p);
+            if n.bit_length() == length {
+                break key;
+            }
+        };
+        pool.extend(key);
+    }
+    pool
+}
+
+/// The Rust source of `fixtures_rsa.rs`: every size's prime pool, drawn
+/// as [`RSA_MODULUS_BITS`] says. Deterministic.
+pub fn rsa_pools_source() -> String {
+    let mut out = String::from(
+        "// Generated by `cargo run --release -p sintra-crypto --bin gen_fixtures`\n\
+         // from fixed seeds (`fixtures::rsa_pools_source`); do not edit by hand.\n\n\
+         /// (modulus_bits, primes) — party i uses primes[3i..3i+3].\n\
+         pub(crate) static RSA_PRIME_POOLS: &[(u32, &[&str])] = &[\n",
+    );
+    for (bits, lengths) in RSA_MODULUS_BITS {
+        out.push_str(&format!("    ({bits}, &[\n"));
+        for p in rsa_prime_pool(bits, lengths) {
+            out.push_str(&format!("        \"{}\",\n", p.to_hex()));
+        }
+        out.push_str("    ]),\n");
+    }
+    out.push_str("];\n");
+    out
 }
 
 #[cfg(test)]
@@ -207,6 +272,7 @@ mod tests {
         use sintra_bigint::UbigRandom;
         let mut rng = StdRng::seed_from_u64(3);
         let cfg = PrimeConfig::default();
+        let three = Ubig::from(3u64);
         assert_eq!(rsa_sizes(), RSA_MODULUS_BITS.map(|(bits, _)| bits));
         for (bits, lengths) in RSA_MODULUS_BITS {
             let mut seen: Vec<Ubig> = Vec::new();
@@ -216,6 +282,7 @@ mod tests {
                 assert_eq!(primes.len(), 3, "{bits}-bit key {index}");
                 for p in primes {
                     assert!(!seen.contains(p), "{bits}-bit key {index} shares a prime");
+                    assert_eq!(p % &three, Ubig::two(), "{bits}-bit key {index}: e = 3");
                     assert!(is_prime(p, &cfg, &mut rng), "{bits}-bit key {index}");
                     seen.push(p.clone());
                 }
@@ -228,6 +295,14 @@ mod tests {
                 assert_eq!(key.crt_pow(&x), key.plain_pow(&x), "{bits}-bit key {index}");
             }
         }
+    }
+
+    #[test]
+    fn rsa_pools_regenerate_to_the_committed_file() {
+        assert!(
+            rsa_pools_source() == include_str!("fixtures_rsa.rs"),
+            "fixtures_rsa.rs is not what `gen_fixtures` writes: regenerate it"
+        );
     }
 
     #[test]

@@ -16,8 +16,24 @@ use sintra_bigint::{prime, Montgomery, PrimeConfig, Ubig};
 
 use crate::{cost, hash, CryptoError};
 
-/// Default public exponent (prime, larger than any practical group size).
-pub const DEFAULT_PUBLIC_EXPONENT: u64 = 65_537;
+/// Public exponent of every party key: generated, dealt or fixture.
+///
+/// Verifying is then one squaring and one multiplication modulo `n`, where
+/// 65 537 takes 16 squarings and one multiplication. RSA-FDH is as hard to
+/// forge as RSA with the same `e` is to invert, for any `e` coprime to
+/// `φ(n)` (Bellare–Rogaway 1996, Coron 2000), and a signature is checked
+/// as one whole residue against the hash, so none of the known `e = 3`
+/// attacks applies (DESIGN.md §8). It needs every prime `≡ 2 (mod 3)`.
+pub const PARTY_PUBLIC_EXPONENT: u64 = 3;
+
+/// Public exponent of Shoup threshold RSA ([`crate::thsig`]).
+///
+/// Shoup's combining step needs `e` prime and coprime to `4Δ² = 4(n!)²`,
+/// so `e` must be a prime larger than the number of parties `n`: 3 fails
+/// from three parties on. 65 537 covers any practical group, and it is
+/// invertible modulo `p'q'` (safe primes `p = 2p' + 1`, `q = 2q' + 1`)
+/// whenever neither `p'` nor `q'` is 65 537 itself.
+pub const SHOUP_PUBLIC_EXPONENT: u64 = 65_537;
 
 /// Primes per generated or fixture key. Three 341-bit primes are the usual
 /// limit at 1024 bits: the number field sieve on `n` stays cheaper than
@@ -62,6 +78,22 @@ pub struct RsaSignature(pub Ubig);
 /// SINTRA schemes assume).
 pub fn fdh(message: &[u8], n: &Ubig) -> Ubig {
     hash::hash_to_ubig(b"sintra-rsa-fdh", message, n)
+}
+
+/// Draws `bits`-bit primes until one has `p − 1` coprime to `e`, so that
+/// `e` stays invertible modulo `φ(n)`: for `e = 3`, until `p ≡ 2 (mod 3)`.
+pub(crate) fn gen_prime_for<R: Rng + ?Sized>(
+    bits: u32,
+    e: &Ubig,
+    config: &PrimeConfig,
+    rng: &mut R,
+) -> Ubig {
+    loop {
+        let p = prime::gen_prime(bits, config, rng);
+        if (&p - &Ubig::one()).gcd(e).is_one() {
+            return p;
+        }
+    }
 }
 
 impl RsaPublicKey {
@@ -124,12 +156,13 @@ impl RsaPrivateKey {
     pub fn generate<R: Rng + ?Sized>(bits: u32, rng: &mut R) -> Self {
         assert!(bits >= 32, "modulus too small");
         let config = PrimeConfig::default();
-        let e = Ubig::from(DEFAULT_PUBLIC_EXPONENT);
+        let e = Ubig::from(PARTY_PUBLIC_EXPONENT);
         let parts = PRIMES_PER_KEY as u32;
         loop {
             let primes = (0..parts)
-                .map(|i| prime::gen_prime((bits + i) / parts, &config, rng))
+                .map(|i| gen_prime_for((bits + i) / parts, &e, &config, rng))
                 .collect();
+            // Only a repeated prime is refused here.
             if let Some(key) = Self::from_primes(primes, e.clone()) {
                 return key;
             }
@@ -277,11 +310,11 @@ mod tests {
     fn crt_matches_plain_exponentiation() {
         use sintra_bigint::UbigRandom;
         let mut rng = StdRng::seed_from_u64(32);
-        let e = Ubig::from(DEFAULT_PUBLIC_EXPONENT);
+        let e = Ubig::from(PARTY_PUBLIC_EXPONENT);
         let config = PrimeConfig::default();
         for count in [2, 3] {
             let primes = (0..count)
-                .map(|_| prime::gen_prime(256 / count as u32, &config, &mut rng))
+                .map(|_| gen_prime_for(256 / count as u32, &e, &config, &mut rng))
                 .collect();
             let key = RsaPrivateKey::from_primes(primes, e.clone()).expect("distinct primes");
             assert_eq!(key.primes().count(), count);
@@ -296,12 +329,59 @@ mod tests {
     fn from_primes_refuses_a_repeated_prime() {
         let key = test_key();
         let primes: Vec<Ubig> = key.primes().cloned().collect();
-        let e = Ubig::from(DEFAULT_PUBLIC_EXPONENT);
+        let e = Ubig::from(PARTY_PUBLIC_EXPONENT);
         assert_eq!(primes.len(), PRIMES_PER_KEY);
         let repeated = vec![primes[0].clone(), primes[1].clone(), primes[0].clone()];
         assert!(RsaPrivateKey::from_primes(repeated, e.clone()).is_none());
         assert!(RsaPrivateKey::from_primes(vec![primes[0].clone()], e.clone()).is_none());
         assert!(RsaPrivateKey::from_primes(primes, e).is_some());
+    }
+
+    #[test]
+    fn generated_keys_take_exponent_three_and_primes_two_mod_three() {
+        let key = test_key();
+        let three = Ubig::from(3u64);
+        assert_eq!(key.public().e, three);
+        for p in key.primes() {
+            assert_eq!(p % &three, Ubig::two(), "{p:?}");
+        }
+        let sig = key.sign(b"payload");
+        assert!(key.public().verify(b"payload", &sig));
+    }
+
+    #[test]
+    fn exponent_three_refuses_a_prime_one_mod_three() {
+        let mut rng = StdRng::seed_from_u64(35);
+        let config = PrimeConfig::default();
+        let three = Ubig::from(3u64);
+        let one_mod_three = loop {
+            let p = prime::gen_prime(86, &config, &mut rng);
+            if (&p % &three).is_one() {
+                break p;
+            }
+        };
+        let mut primes: Vec<Ubig> = (0..2)
+            .map(|_| gen_prime_for(85, &three, &config, &mut rng))
+            .collect();
+        assert!(RsaPrivateKey::from_primes(primes.clone(), three.clone()).is_some());
+        primes.push(one_mod_three);
+        assert!(RsaPrivateKey::from_primes(primes.clone(), three).is_none());
+        // 65 537 divides none of their `p − 1`.
+        assert!(RsaPrivateKey::from_primes(primes, Ubig::from(65_537u64)).is_some());
+    }
+
+    #[test]
+    fn a_signature_verifies_only_under_its_own_exponent() {
+        let key = test_key();
+        let primes: Vec<Ubig> = key.primes().cloned().collect();
+        let other = RsaPrivateKey::from_primes(primes, Ubig::from(65_537u64))
+            .expect("65 537 divides no p − 1 of the test key");
+        assert_eq!(other.public().n(), key.public().n());
+        let (cubed, other_sig) = (key.sign(b"m"), other.sign(b"m"));
+        assert_ne!(cubed, other_sig);
+        assert!(other.public().verify(b"m", &other_sig));
+        assert!(!other.public().verify(b"m", &cubed));
+        assert!(!key.public().verify(b"m", &other_sig));
     }
 
     #[test]
@@ -316,9 +396,14 @@ mod tests {
         let mut sig = key.sign(b"m");
         sig.0 = sig.0.mod_add(&Ubig::one(), key.public().n());
         assert!(!key.public().verify(b"m", &sig));
-        // Out-of-range signatures rejected outright.
+        // Out-of-range signatures rejected outright, even one congruent
+        // to a valid signature modulo `n`.
         let oversized = RsaSignature(key.public().n().clone());
         assert!(!key.public().verify(b"m", &oversized));
+        let valid = key.sign(b"m");
+        assert!(key.public().verify(b"m", &valid));
+        let shifted = RsaSignature(&valid.0 + key.public().n());
+        assert!(!key.public().verify(b"m", &shifted));
     }
 
     #[test]

@@ -200,8 +200,8 @@ impl ShoupRsaPublic {
         assert!(k >= 1 && k <= n, "threshold must satisfy 1 <= k <= n");
         let big_n = modulus.n();
         let m = modulus.m();
-        let e = Ubig::from(rsa::DEFAULT_PUBLIC_EXPONENT);
-        let d = e.mod_inverse(&m).expect("e=65537 is prime and < p', q'");
+        let e = Ubig::from(rsa::SHOUP_PUBLIC_EXPONENT);
+        let d = e.mod_inverse(&m).expect("e = 65 537 is prime and < p', q'");
         let poly = Polynomial::random_with_constant(d, k - 1, &m, rng);
         let shares: Vec<ShoupRsaShare> = poly
             .shares(n)

@@ -5,11 +5,16 @@
 //! Montgomery kernel was rewritten; an exponentiation that is off by one
 //! carry fails here, on the committed fixtures, and not in a benchmark's
 //! correctness oracle. (The party keys' answers were re-recorded when the
-//! keys became three-prime; the group and Shoup answers were not.) The
+//! keys became three-prime and when their public exponent became 3; the
+//! group and Shoup answers were not.) The
 //! charges are the cost model's formulas written out: how many
 //! multiplications an exponentiation really runs (window width,
 //! short-exponent path, squaring) must never reach the meter, or the
 //! simulator's virtual time and EXPERIMENTS.md would move with it.
+//! (The party keys' charges moved when their public exponent became 3: a
+//! verification is charged `exp_work(1023, 2)` where 65 537 was
+//! `exp_work(1023, 17)`, and the new primes changed the CRT exponents'
+//! lengths, which the signing charge follows.)
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -181,17 +186,20 @@ fn fixture_results_match_the_recorded_answers() {
         group_transcript(&dealt(7, 2)),
         "bd4b9b4064e082d9bea33b4e1e8b449a02c097c5cf3375582136d1686dd4845f"
     );
-    // Re-recorded with the three-prime keys: new primes are new keys, and
-    // an RSA-FDH signature is a function of the key. On the two-prime keys
-    // these read 29cacb70…1ca45b9a and 5c1dd15a…d5184fa5; every signature
-    // in them is checked under its public key before it is hashed.
+    // Re-recorded with the three-prime keys, and again with the `e = 3`
+    // keys: new primes are new keys, and an RSA-FDH signature is a
+    // function of the key. On the two-prime keys these read
+    // 29cacb70…1ca45b9a and 5c1dd15a…d5184fa5, on the three-prime keys
+    // under `e = 65 537` 251334a6…3294fb8d and 8d8ec467…537dafac; every
+    // signature in them is checked under its public key before it is
+    // hashed.
     assert_eq!(
         rsa_transcript(&dealt(4, 1)),
-        "251334a6ff6c1788422b00e017cf9944d19afb4db54419f15847ab953294fb8d"
+        "c0c5e3704609e2cd345cb828fd063e35f1a96ed803f50c279f8ff4e6336fba5f"
     );
     assert_eq!(
         rsa_transcript(&dealt(7, 2)),
-        "8d8ec467f3c730d45ba9ef62738cb3c04a0600e208948b561c155c3d537dafac"
+        "52fbab60f56bdab2b8443f7b4e4f4a7f610642939fa8bf279368136f26f3cb14"
     );
     assert_eq!(
         shoup_transcript(),
@@ -230,14 +238,17 @@ fn rsa_charges_are_the_models_formulas() {
     // The fixture keys have 1023-bit moduli over three primes: one CRT
     // exponentiation per prime, at the prime's length with its exponent
     // `d mod (p_i − 1)`. Party 0's primes have 341, 341 and 342 bits and
-    // their exponents 341, 340 and 341; party 1's exponents 337, 341 and
-    // 341. (Over two 512-bit primes both were 0.25: `exp_work(512, 512) +
-    // exp_work(512, 511)`.)
+    // their exponents 341, 341 and 341; party 1's exponents 341, 340 and
+    // 342. (Under `e = 65 537`, with other primes, party 0's exponents
+    // were 341, 340 and 341 and party 1's 337, 341 and 341; over two
+    // 512-bit primes both signatures were 0.25: `exp_work(512, 512) +
+    // exp_work(512, 511)`.) A verification raises to `e = 3`, a 2-bit
+    // exponent, where 65 537 had 17 bits.
     let sign = [
-        cost::exp_work(341, 341) + cost::exp_work(341, 340) + cost::exp_work(342, 341),
-        cost::exp_work(341, 337) + cost::exp_work(341, 341) + cost::exp_work(342, 341),
+        cost::exp_work(341, 341) + cost::exp_work(341, 341) + cost::exp_work(342, 341),
+        cost::exp_work(341, 341) + cost::exp_work(341, 340) + cost::exp_work(342, 342),
     ];
-    let verify = cost::exp_work(1023, 17);
+    let verify = cost::exp_work(1023, 2);
     for key in &keys[..2] {
         assert_eq!(key.sig_key.public().modulus_bits(), 1023);
         let primes: Vec<u32> = key.sig_key.primes().map(|p| p.bit_length()).collect();
