@@ -13,14 +13,22 @@ use sintra_crypto::thsig::{deal_kits, SigFlavor};
 use sintra_crypto::{fixtures, hmac::HmacKey};
 
 /// The bottom layer: one Montgomery multiplication and squaring at the
-/// group modulus and at a 341-bit prime of a 1024-bit RSA key (the
-/// 6-limb width, which runs the ADX kernel on a CPU with `bmi2` and
-/// `adx`), and exponentiations at the exponent lengths the stack uses —
+/// group modulus (the 16-limb width, which runs the IFMA kernel on a CPU
+/// with `avx512f` and `avx512ifma`) and at a 341-bit prime of a 1024-bit
+/// RSA key (the 6-limb width, which runs the ADX kernel on a CPU with
+/// `bmi2` and `adx`), and exponentiations at the exponent lengths the
+/// stack uses —
 /// 17 bits (verifying under `e = 65 537`, Shoup's exponent; party keys
 /// verify with `e = 3`, and CI gates `rsa/verify/1024` below half of this
 /// row), 160 (group exponents), 341 at that prime
 /// (one of a signature's three CRT exponentiations), 1024 (Shoup shares,
 /// hashing into the group).
+///
+/// `mont-mul/1024` and `mont-sqr/1024` time the `Ubig` methods, so on
+/// the IFMA kernel they include the conversion between 16 limbs and the
+/// kernel's 20 digits of 52 bits on the way in and out, which the
+/// exponentiation loops do once per call; the `modexp/*` rows show the
+/// kernel itself.
 fn bench_bigint(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     let group = fixtures::schnorr_group(1024).expect("fixture");

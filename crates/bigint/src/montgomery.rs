@@ -10,10 +10,13 @@
 //! per call. The `Ubig`-level methods are thin wrappers that bring their
 //! operands into that shape first.
 //!
-//! At 6 limbs, on an x86-64 CPU with BMI2 and ADX, `mul_into` and `sqr`
-//! run one assembly kernel instead ([`mul_reduce_adx`]); the context
+//! Two widths run a kernel of their own on an x86-64 CPU that has the
+//! extensions it is written in: at 6 limbs with BMI2 and ADX, one
+//! assembly kernel ([`mul_reduce_adx`]); at 16 limbs with AVX-512 IFMA,
+//! almost-Montgomery multiplication in radix 2⁵² ([`amm52x20`]), whose
+//! residues are 20 digits of 52 bits rather than 16 limbs. The context
 //! decides once, in [`Montgomery::new`], and the portable kernel stays
-//! the fallback and the reference the tests hold it to.
+//! the fallback and the reference the tests hold both to.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -29,10 +32,14 @@ use crate::{DoubleLimb, Limb, Ubig};
 /// # Operand contract
 ///
 /// Inside, every value is a residue: `< n`, exactly as many limbs as `n`.
+/// (A context on the IFMA kernel holds 20 digits of 52 bits instead, and
+/// its residues stay below `2¹⁰²⁵` rather than `n`; see `amm52x20`.)
 /// The methods taking `Ubig`s accept *any* value and reduce it modulo `n`
 /// on entry (a comparison when it is already reduced), so a caller cannot
 /// obtain a wrong residue by passing an operand `>= n` or one with fewer
-/// limbs than the modulus.
+/// limbs than the modulus. The Montgomery-form values they return are
+/// below `n`. `R` is `2^(64 · limbs)` on the limb kernels and `2¹⁰⁴⁰` on
+/// the IFMA kernel, so only values from the same context combine.
 ///
 /// ```
 /// use sintra_bigint::{Montgomery, Ubig};
@@ -47,15 +54,39 @@ pub struct Montgomery {
     n: Ubig,
     /// `-n^{-1} mod 2^64`
     n_prime: Limb,
-    /// `R mod n` where `R = 2^(64 * limbs)`: the residue of `1` in
-    /// Montgomery form.
+    /// `R mod n`: the residue of `1` in Montgomery form.
     r1: Vec<Limb>,
     /// `R^2 mod n`
     r2: Vec<Limb>,
-    /// `n‖n′` when this context multiplies with the 6-limb ADX kernel
-    /// ([`mul_reduce_adx`]); `None` runs the portable one. Boxed, so that
-    /// the keys and groups that embed a context stay a pointer larger.
-    adx: Option<Box<[Limb; 7]>>,
+    kernel: Kernel,
+}
+
+/// The kernel a context multiplies with. The constants of the two CPU
+/// kernels are boxed, so that the keys and groups that embed a context
+/// stay a pointer larger.
+#[derive(Debug, Clone)]
+enum Kernel {
+    /// [`mul_reduce`] and [`square_wide`] + [`reduce_wide`], at any width.
+    Portable,
+    /// `n‖n′` for the 6-limb ADX kernel ([`mul_reduce_adx`]).
+    Adx(Box<[Limb; 7]>),
+    /// The 16-limb IFMA kernel ([`amm52x20`]).
+    Ifma(Box<Ifma>),
+}
+
+/// Bits per digit of an IFMA residue.
+const DIGIT_BITS: usize = 52;
+const DIGIT_MASK: Limb = (1 << DIGIT_BITS) - 1;
+/// Digits per IFMA residue: 1040 bits, so `R = 2¹⁰⁴⁰`.
+const DIGITS: usize = 20;
+
+/// The constants of the IFMA kernel for a 16-limb `n`.
+#[derive(Debug, Clone)]
+struct Ifma {
+    /// `n` in digits.
+    n: [Limb; DIGITS],
+    /// `k₀ = -n^-1 mod 2⁵²`.
+    k0: Limb,
 }
 
 /// The limbs of `v < 2^(64 * k)`, zero-extended to exactly `k`.
@@ -281,6 +312,204 @@ fn six(a: &[Limb]) -> &[Limb; 6] {
     a.first_chunk().expect("a 6-limb residue")
 }
 
+/// Whether this CPU has the two extensions the 16-limb kernel is written
+/// in: AVX-512 Foundation and its 52-bit multiply-add (IFMA).
+#[cfg(target_arch = "x86_64")]
+fn ifma_detected() -> bool {
+    is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma")
+}
+
+/// Without x86-64 there is no IFMA kernel to run.
+#[cfg(not(target_arch = "x86_64"))]
+fn ifma_detected() -> bool {
+    false
+}
+
+/// `v < 2^1040` (at most 17 limbs) as 20 digits of 52 bits.
+fn to_digits(v: &[Limb]) -> [Limb; DIGITS] {
+    let mut out = [0; DIGITS];
+    for (i, d) in out.iter_mut().enumerate() {
+        let (limb, shift) = (i * DIGIT_BITS / 64, i * DIGIT_BITS % 64);
+        let mut x = v.get(limb).map_or(0, |l| l >> shift);
+        if shift > 64 - DIGIT_BITS {
+            x |= v.get(limb + 1).map_or(0, |l| l << (64 - shift));
+        }
+        *d = x & DIGIT_MASK;
+    }
+    out
+}
+
+/// The value of 20 digits of 52 bits, as a `Ubig`.
+fn from_digits(d: &[Limb]) -> Ubig {
+    let mut limbs = vec![0; 17];
+    for (i, &x) in d[..DIGITS].iter().enumerate() {
+        let (limb, shift) = (i * DIGIT_BITS / 64, i * DIGIT_BITS % 64);
+        limbs[limb] |= x << shift;
+        if shift > 64 - DIGIT_BITS {
+            limbs[limb + 1] |= x >> (64 - shift);
+        }
+    }
+    Ubig::from_limbs(limbs)
+}
+
+/// The first twenty digits of a residue, for the IFMA kernel.
+fn twenty(a: &[Limb]) -> &[Limb; DIGITS] {
+    a.first_chunk().expect("a 20-digit residue")
+}
+
+/// Lanes `8j .. 8j + 8` of a 20-digit value, zero past the last digit.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn lanes_in(v: &[Limb; DIGITS], j: usize) -> std::arch::x86_64::__m512i {
+    let d = |i: usize| v.get(8 * j + i).map_or(0, |&x| x as i64);
+    std::arch::x86_64::_mm512_set_epi64(d(7), d(6), d(5), d(4), d(3), d(2), d(1), d(0))
+}
+
+/// The first `N` lanes of `v`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn lanes_out<const N: usize>(v: std::arch::x86_64::__m512i) -> [Limb; N] {
+    use std::arch::x86_64::{_mm512_extracti32x4_epi32 as quarter, *};
+    let pairs = [
+        quarter::<0>(v),
+        quarter::<1>(v),
+        quarter::<2>(v),
+        quarter::<3>(v),
+    ];
+    let mut out = [0; N];
+    for (two, pair) in out.chunks_exact_mut(2).zip(pairs) {
+        two[0] = _mm_cvtsi128_si64(pair) as Limb;
+        two[1] = _mm_extract_epi64::<1>(pair) as Limb;
+    }
+    out
+}
+
+/// Almost-Montgomery multiplication in radix 2⁵² (Gueron–Krasnov):
+/// `a · b · 2⁻¹⁰⁴⁰ mod n`, below `2¹⁰²⁵` but not necessarily below `n`,
+/// for 20-digit `a`, `b < 2¹⁰²⁵` and `n < 2¹⁰²⁴` (`k0 = -n^-1 mod 2⁵²`).
+///
+/// The accumulator `t` is 24 lanes in three `zmm` registers, of which 20
+/// carry digits; a lane holds up to 64 bits and only settles into 52 at
+/// the end. Each row, for one digit `bᵢ`, adds the low halves of `a·bᵢ`
+/// and `m·n` lane by lane (`vpmadd52luq`), shifts the accumulator down
+/// one lane (`valignq`) and adds the high halves, which so land one lane
+/// above their low halves (`vpmadd52huq`). Lane 0 lives in scalar code
+/// alongside: it picks `m = (t₀ + a₀·bᵢ)·k₀ mod 2⁵²`, so that lane 0 is
+/// a multiple of 2⁵² that the shift turns into a carry, and takes its
+/// full products there; the vector lane 0 is never read. The next lane 0
+/// is that carry plus lane 1, read before `m·n` is added to it and given
+/// `m·n₁`'s low half in scalar code, so that the row-to-row chain runs
+/// through `m` once. A lane gains at most four values below 2⁵² per row,
+/// so over 20 rows it stays below 2⁶⁰.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn amm52x20(
+    n: &[Limb; DIGITS],
+    k0: Limb,
+    a: &[Limb; DIGITS],
+    b: &[Limb; DIGITS],
+) -> [Limb; DIGITS] {
+    use std::arch::x86_64::{
+        _mm512_add_epi64 as add, _mm512_alignr_epi64 as down, _mm512_madd52hi_epu64 as hi,
+        _mm512_madd52lo_epu64 as lo, *,
+    };
+    let av = [0, 1, 2].map(|j| lanes_in(a, j));
+    let nv = [0, 1, 2].map(|j| lanes_in(n, j));
+    let zero = _mm512_setzero_si512();
+    let mut t = [zero; 3];
+    // Lane 0 of the accumulator.
+    let mut low: Limb = 0;
+    for &bi in b {
+        let bv = _mm512_set1_epi64(bi as i64);
+        let u = [0, 1, 2].map(|j| lo(t[j], av[j], bv));
+        let lane1 = _mm_extract_epi64::<1>(_mm512_castsi512_si128(u[0])) as Limb;
+        let x = low as DoubleLimb + a[0] as DoubleLimb * bi as DoubleLimb;
+        let m = (x as Limb).wrapping_mul(k0) & DIGIT_MASK;
+        let carry = ((x + m as DoubleLimb * n[0] as DoubleLimb) >> DIGIT_BITS) as Limb;
+        low = carry + lane1 + (m.wrapping_mul(n[1]) & DIGIT_MASK);
+        let mv = _mm512_set1_epi64(m as i64);
+        let s = [0, 1, 2].map(|j| add(u[j], lo(zero, nv[j], mv)));
+        let h = [0, 1, 2].map(|j| hi(hi(zero, av[j], bv), nv[j], mv));
+        let shifted = [
+            down::<1>(s[1], s[0]),
+            down::<1>(s[2], s[1]),
+            down::<1>(zero, s[2]),
+        ];
+        t = [0, 1, 2].map(|j| add(shifted[j], h[j]));
+    }
+    t[0] = _mm512_mask_set1_epi64(t[0], 1, low as i64);
+    settle(t)
+}
+
+/// The lanes a carry enters, as a mask, when the lanes in `generate` carry
+/// out and those in `propagate` carry out exactly when a carry enters
+/// them: the carry bits of the binary sum `(generate << 1) + propagate`.
+fn carried_into(generate: u32, propagate: u32) -> u32 {
+    ((generate << 1) + propagate) ^ propagate
+}
+
+/// The 52-bit digits of the 24 lanes `t` (each below 2⁶⁴) when their value
+/// is below 2¹⁰⁴⁰. One vector step moves each lane's bits above 52 into
+/// the lane above, which leaves every lane at most 2⁵² − 1 + 2¹²; the
+/// carries that are then left are single bits, and adding the mask of
+/// lanes at or above 2⁵² (shifted one up) to the mask of lanes at exactly
+/// 2⁵² − 1 ripples them as binary addition does.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn settle(t: [std::arch::x86_64::__m512i; 3]) -> [Limb; DIGITS] {
+    use std::arch::x86_64::{_mm512_alignr_epi64 as align, *};
+    let zero = _mm512_setzero_si512();
+    let mask = _mm512_set1_epi64(DIGIT_MASK as i64);
+    let c = t.map(|x| _mm512_srli_epi64::<52>(x));
+    let up = [
+        align::<7>(c[0], zero),
+        align::<7>(c[1], c[0]),
+        align::<7>(c[2], c[1]),
+    ];
+    let r = [0, 1, 2].map(|j| _mm512_add_epi64(_mm512_and_si512(t[j], mask), up[j]));
+    let lanes_where = |test: &dyn Fn(__m512i) -> u8| {
+        r.iter()
+            .rev()
+            .fold(0u32, |acc, &x| acc << 8 | test(x) as u32)
+    };
+    let generate = lanes_where(&|x| _mm512_cmpgt_epu64_mask(x, mask));
+    let propagate = lanes_where(&|x| _mm512_cmpeq_epu64_mask(x, mask));
+    let carries = carried_into(generate, propagate);
+    let one = _mm512_set1_epi64(1);
+    let r = [0, 1, 2].map(|j| {
+        let plus = _mm512_mask_add_epi64(r[j], (carries >> (8 * j)) as u8, r[j], one);
+        _mm512_and_si512(plus, mask)
+    });
+    debug_assert_eq!(lanes_out::<8>(r[2])[4..], [0; 4], "below 2^1040");
+    let mut out = [0; DIGITS];
+    out[..8].copy_from_slice(&lanes_out::<8>(r[0]));
+    out[8..16].copy_from_slice(&lanes_out::<8>(r[1]));
+    out[16..].copy_from_slice(&lanes_out::<4>(r[2]));
+    out
+}
+
+impl Ifma {
+    /// `a · b · 2⁻¹⁰⁴⁰ mod n`, below `2¹⁰²⁵`, on the IFMA kernel.
+    #[cfg(target_arch = "x86_64")]
+    fn mul(&self, a: &[Limb; DIGITS], b: &[Limb; DIGITS]) -> [Limb; DIGITS] {
+        // SAFETY: `amm52x20` is only unsafe to call because it is compiled
+        // for AVX-512F and AVX-512 IFMA; it reads its operands through
+        // references and touches no other memory. `Montgomery::new` builds
+        // an `Ifma` only after `ifma_detected()` has confirmed that this
+        // CPU runs both extensions, and nothing else builds one.
+        #[allow(unsafe_code)]
+        unsafe {
+            amm52x20(&self.n, self.k0, a, b)
+        }
+    }
+
+    /// Without x86-64 no context selects the IFMA kernel.
+    #[cfg(not(target_arch = "x86_64"))]
+    fn mul(&self, _a: &[Limb; DIGITS], _b: &[Limb; DIGITS]) -> [Limb; DIGITS] {
+        unreachable!("the IFMA kernel is only selected on x86-64")
+    }
+}
+
 /// Runs a kernel body with the modulus re-sliced to a literal length at
 /// the two widths the stack lives at — 6 limbs (the 341- and 342-bit
 /// primes of a three-prime 1024-bit RSA key) and 16 (the group and RSA
@@ -347,6 +576,12 @@ impl Montgomery {
     ///
     /// Panics if `n` is even or less than 3.
     pub fn new(n: &Ubig) -> Self {
+        Self::with_kernels(n, true)
+    }
+
+    /// A context for `n` on the CPU kernel for its width when `cpu` is set
+    /// and this CPU runs one, on the portable kernel otherwise.
+    fn with_kernels(n: &Ubig, cpu: bool) -> Self {
         assert!(n.is_odd(), "Montgomery modulus must be odd");
         assert!(*n > Ubig::two(), "Montgomery modulus must be >= 3");
         let limbs = n.limbs().len();
@@ -358,24 +593,46 @@ impl Montgomery {
         }
         debug_assert_eq!(n0.wrapping_mul(inv), 1);
         let n_prime = inv.wrapping_neg();
-        let r = &(&Ubig::one() << (64 * limbs as u32)) % n;
-        let r2 = &(&r * &r) % n;
         // The ADX kernel's accumulator is seven registers. After every row
         // t < 2n, so t + a·bᵢ + m·n < 2n + 2·(2⁶⁴ − 1)·n < n·2⁶⁵, which is
         // below 2⁴⁴⁸ when n < 2³⁸³: the seventh register never carries
         // out. A modulus with bit 383 set stays on the portable kernel.
-        let adx = (limbs == 6 && !n.bit(383) && adx_detected()).then(|| {
+        //
+        // The IFMA kernel's residues are below 2¹⁰²⁵, in 20 digits. For
+        // a, b < 2¹⁰²⁵ it returns (a·b + m·n) / 2¹⁰⁴⁰ with m < 2¹⁰⁴⁰,
+        // which is below 2²⁰⁵⁰ / 2¹⁰⁴⁰ + n = 2¹⁰¹⁰ + n < 2¹⁰²⁵ for any
+        // 16-limb n: every output is again an input, so no multiplication
+        // needs a subtraction. Leaving Montgomery form multiplies by 1,
+        // which gives at most a / 2¹⁰⁴⁰ + n < n + 1, and one subtraction
+        // ends it.
+        let kernel = if cpu && limbs == 6 && !n.bit(383) && adx_detected() {
             let mut nn = Box::new([n_prime; 7]);
             nn[..6].copy_from_slice(n.limbs());
-            nn
-        });
-        Montgomery {
+            Kernel::Adx(nn)
+        } else if cpu && limbs == 16 && ifma_detected() {
+            Kernel::Ifma(Box::new(Ifma {
+                n: to_digits(n.limbs()),
+                k0: n_prime & DIGIT_MASK,
+            }))
+        } else {
+            Kernel::Portable
+        };
+        let r_bits = match kernel {
+            Kernel::Ifma(_) => DIGITS * DIGIT_BITS,
+            _ => 64 * limbs,
+        };
+        let r = &(&Ubig::one() << r_bits as u32) % n;
+        let r2 = &(&r * &r) % n;
+        let mut ctx = Montgomery {
             n: n.clone(),
             n_prime,
-            r1: fixed_width(r, limbs),
-            r2: fixed_width(r2, limbs),
-            adx,
-        }
+            r1: Vec::new(),
+            r2: Vec::new(),
+            kernel,
+        };
+        ctx.r1 = ctx.residue(&r).into_owned();
+        ctx.r2 = ctx.residue(&r2).into_owned();
+        ctx
     }
 
     /// The modulus this context reduces by.
@@ -383,71 +640,111 @@ impl Montgomery {
         &self.n
     }
 
-    /// Limbs per residue.
-    fn limbs(&self) -> usize {
-        self.n.limbs().len()
+    /// Words per residue: the limbs of `n`, or 20 digits on the IFMA
+    /// kernel.
+    fn width(&self) -> usize {
+        match self.kernel {
+            Kernel::Ifma(_) => DIGITS,
+            _ => self.n.limbs().len(),
+        }
     }
 
     /// `out = a * b * R^-1 mod n` for residues `a`, `b`; `out` is a third
     /// buffer.
     fn mul_into(&self, out: &mut [Limb], a: &[Limb], b: &[Limb]) {
-        if let Some(nn) = &self.adx {
-            out[..6].copy_from_slice(&mul_reduce_adx(nn, six(a), six(b)));
-            return reduce_once(&mut out[..6], 0, &nn[..6]);
+        match &self.kernel {
+            Kernel::Portable => {
+                at_width!(self.n.limbs(), |n| mul_reduce(n, self.n_prime, out, a, b))
+            }
+            Kernel::Adx(nn) => {
+                out[..6].copy_from_slice(&mul_reduce_adx(nn, six(a), six(b)));
+                reduce_once(&mut out[..6], 0, &nn[..6])
+            }
+            Kernel::Ifma(ifma) => out[..DIGITS].copy_from_slice(&ifma.mul(twenty(a), twenty(b))),
         }
-        at_width!(self.n.limbs(), |n| mul_reduce(n, self.n_prime, out, a, b))
     }
 
     /// `out = wide * R^-1 mod n` for a `2k`-limb `wide < n * R` (which it
-    /// consumes as scratch).
+    /// consumes as scratch), on the limb kernels.
     fn reduce(&self, out: &mut [Limb], wide: &mut [Limb]) {
         at_width!(self.n.limbs(), |n| reduce_wide(n, self.n_prime, out, wide))
     }
 
     /// `a = a * a * R^-1 mod n` in place, through the `2k`-limb scratch
     /// `wide`: `k(k+1)/2 + k²` limb products where `mul_into` spends
-    /// `2k²`. The ADX kernel squares as `a·a`.
+    /// `2k²`. The CPU kernels square as `a·a`.
     fn sqr(&self, a: &mut [Limb], wide: &mut [Limb]) {
-        if self.adx.is_some() {
-            let a6 = *six(a);
-            return self.mul_into(a, &a6, &a6);
+        match &self.kernel {
+            Kernel::Portable => at_width!(self.n.limbs(), |n| {
+                square_wide(wide, &a[..n.len()]);
+                reduce_wide(n, self.n_prime, a, wide)
+            }),
+            Kernel::Adx(_) => {
+                let a6 = *six(a);
+                self.mul_into(a, &a6, &a6)
+            }
+            Kernel::Ifma(ifma) => {
+                let square = ifma.mul(twenty(a), twenty(a));
+                a[..DIGITS].copy_from_slice(&square)
+            }
         }
-        at_width!(self.n.limbs(), |n| {
-            square_wide(wide, &a[..n.len()]);
-            reduce_wide(n, self.n_prime, a, wide)
-        })
     }
 
-    /// Completes a table of `k`-limb residues whose first entry is set:
-    /// every further entry is the one before it times `step`.
+    /// Completes a table of residues whose first entry is set: every
+    /// further entry is the one before it times `step`.
     fn fill_powers(&self, table: &mut [Limb], step: &[Limb]) {
-        let k = self.limbs();
+        let k = self.width();
         for i in 1..table.len() / k {
             let (done, rest) = table.split_at_mut(i * k);
             self.mul_into(&mut rest[..k], &done[(i - 1) * k..], step);
         }
     }
 
-    /// `a mod n` in exactly `k` limbs; borrowed when `a` already has that
-    /// shape.
+    /// `a mod n` as a residue; borrowed when `a` already has that shape.
     fn residue<'a>(&self, a: &'a Ubig) -> Cow<'a, [Limb]> {
-        let k = self.limbs();
-        if a.limbs().len() == k && *a < self.n {
-            return Cow::Borrowed(a.limbs());
+        let k = self.n.limbs().len();
+        let limbs = if a.limbs().len() == k && *a < self.n {
+            Cow::Borrowed(a.limbs())
+        } else {
+            Cow::Owned(fixed_width(a % &self.n, k))
+        };
+        match self.kernel {
+            Kernel::Ifma(_) => Cow::Owned(to_digits(&limbs).to_vec()),
+            _ => limbs,
         }
-        Cow::Owned(fixed_width(a % &self.n, k))
+    }
+
+    /// The value of a residue, below `n`.
+    fn value(&self, residue: Vec<Limb>) -> Ubig {
+        if !matches!(self.kernel, Kernel::Ifma(_)) {
+            return Ubig::from_limbs(residue);
+        }
+        // Below 2¹⁰¹⁰ + n: one subtraction when n > 2¹⁰¹⁰.
+        let mut v = from_digits(&residue);
+        if v >= self.n {
+            v = &v - &self.n;
+        }
+        if v >= self.n {
+            v = &v % &self.n;
+        }
+        v
     }
 
     /// `a` in Montgomery form, as a residue.
     fn enter_mont(&self, a: &Ubig) -> Vec<Limb> {
-        let mut out = vec![0; self.limbs()];
+        let mut out = vec![0; self.width()];
         self.mul_into(&mut out, &self.residue(a), &self.r2);
         out
     }
 
     /// Takes the residue `a` out of Montgomery form.
     fn leave_mont(&self, a: &[Limb]) -> Ubig {
-        let k = self.limbs();
+        if let Kernel::Ifma(ifma) = &self.kernel {
+            let mut one = [0; DIGITS];
+            one[0] = 1;
+            return self.value(ifma.mul(twenty(a), &one).to_vec());
+        }
+        let k = self.width();
         let mut wide = vec![0; 2 * k];
         wide[..k].copy_from_slice(a);
         let mut out = vec![0; k];
@@ -457,7 +754,7 @@ impl Montgomery {
 
     /// Converts into Montgomery form (`a * R mod n`).
     pub fn to_mont(&self, a: &Ubig) -> Ubig {
-        Ubig::from_limbs(self.enter_mont(a))
+        self.value(self.enter_mont(a))
     }
 
     /// Converts out of Montgomery form (`a * R^-1 mod n`); `a` is reduced
@@ -470,9 +767,9 @@ impl Montgomery {
     /// (`a * b * R^-1 mod n`); an operand that is not a residue is
     /// reduced modulo `n` first.
     pub fn mont_mul(&self, a: &Ubig, b: &Ubig) -> Ubig {
-        let mut out = vec![0; self.limbs()];
+        let mut out = vec![0; self.width()];
         self.mul_into(&mut out, &self.residue(a), &self.residue(b));
-        Ubig::from_limbs(out)
+        self.value(out)
     }
 
     /// Modular squaring of a value in Montgomery form: the result of
@@ -480,21 +777,21 @@ impl Montgomery {
     /// loops use.
     pub fn mont_sqr(&self, a: &Ubig) -> Ubig {
         let mut out = self.residue(a).into_owned();
-        self.sqr(&mut out, &mut vec![0; 2 * self.limbs()]);
-        Ubig::from_limbs(out)
+        self.sqr(&mut out, &mut vec![0; 2 * self.width()]);
+        self.value(out)
     }
 
     /// Plain modular multiplication `a * b mod n`.
     pub fn mul(&self, a: &Ubig, b: &Ubig) -> Ubig {
         // (a R) * b * R^-1 = a b: one operand in Montgomery form is enough.
-        let mut out = vec![0; self.limbs()];
+        let mut out = vec![0; self.width()];
         self.mul_into(&mut out, &self.enter_mont(a), &self.residue(b));
-        Ubig::from_limbs(out)
+        self.value(out)
     }
 
     /// `1` in Montgomery form (`R mod n`).
     pub fn one_mont(&self) -> Ubig {
-        Ubig::from_limbs(self.r1.clone())
+        self.value(self.r1.clone())
     }
 
     /// Simultaneous multi-exponentiation: `∏ bᵢ^eᵢ mod n` for the given
@@ -514,7 +811,7 @@ impl Montgomery {
     /// form, so callers can fold further Montgomery-form factors (e.g.
     /// fixed-base table outputs) into the product before converting out.
     pub fn multi_pow_mont(&self, pairs: &[(&Ubig, &Ubig)]) -> Ubig {
-        let k = self.limbs();
+        let k = self.width();
         let active: Vec<(&Ubig, &Ubig)> = pairs
             .iter()
             .filter(|(_, exp)| !exp.is_zero())
@@ -551,7 +848,7 @@ impl Montgomery {
                 }
             }
         }
-        Ubig::from_limbs(acc)
+        self.value(acc)
     }
 
     /// Modular exponentiation `base^exp mod n`: left-to-right sliding
@@ -562,7 +859,7 @@ impl Montgomery {
         if exp.is_zero() {
             return Ubig::one();
         }
-        let k = self.limbs();
+        let k = self.width();
         let width = window_bits(exp.bit_length());
         let mut acc = self.enter_mont(base);
         let mut tmp = vec![0; k];
@@ -609,9 +906,9 @@ impl Montgomery {
 #[derive(Debug, Clone)]
 pub struct FixedBase {
     /// Residue `(j * 15 + v - 1)` is `base^(v · 16^j)` in Montgomery
-    /// form; `limbs` limbs each.
+    /// form; `width` words each.
     table: Vec<Limb>,
-    limbs: usize,
+    width: usize,
     /// Largest exponent bit length the table covers.
     max_bits: u32,
 }
@@ -620,7 +917,7 @@ impl FixedBase {
     /// Precomputes the table for `base` covering exponents of up to
     /// `max_exp_bits` bits.
     pub fn new(ctx: &Montgomery, base: &Ubig, max_exp_bits: u32) -> Self {
-        let k = ctx.limbs();
+        let k = ctx.width();
         let windows = max_exp_bits.div_ceil(4).max(1);
         let mut table = vec![0; windows as usize * 15 * k];
         // `cur` walks through base^(16^j).
@@ -634,7 +931,7 @@ impl FixedBase {
         }
         FixedBase {
             table,
-            limbs: k,
+            width: k,
             max_bits: windows * 4,
         }
     }
@@ -651,7 +948,7 @@ impl FixedBase {
 
     /// Number of precomputed table entries (memory-accounting hook).
     pub fn entries(&self) -> usize {
-        self.table.len() / self.limbs
+        self.table.len() / self.width
     }
 
     /// `base^exp mod n`.
@@ -672,7 +969,7 @@ impl FixedBase {
             exp.bit_length(),
             self.max_bits
         );
-        let k = self.limbs;
+        let k = self.width;
         let mut acc = ctx.r1.clone();
         let mut tmp = vec![0; k];
         for (j, row) in self.table.chunks_exact(15 * k).enumerate() {
@@ -682,7 +979,7 @@ impl FixedBase {
                 std::mem::swap(&mut acc, &mut tmp);
             }
         }
-        Ubig::from_limbs(acc)
+        ctx.value(acc)
     }
 }
 
@@ -697,6 +994,17 @@ mod tests {
         "11f06d0adadbd512d57c3226004e7c51059daa66f88336228bcb18700b1d8aacda13bfbfd7ab3af7d59155",
         "39923b74324aebbb7eb6f0fb46099d1c9b61429d9d4bc2f31be80488fdf9d284526cf8ef4f58988de689db",
     ];
+
+    /// The 1024-bit prime of the fixture Schnorr group.
+    const GROUP_PRIME: &str = "8f508e0ac4f5d98d42899d3aee525d18c45745386c73d1a7fd0c2318d5f9acd32a53ba217a20199bb23cc7092d0ad6b0ba6e4ce4fdfbaaa8839684a94c6f2e2bb9d1091d3a0c1e995b9d197566d6bdf8a682a8098f597768ec905cd991a8fdef8ccbb7a70566a4d22d7e202152e1c31272928b370e2e21395390fcdf5b3dfd03";
+
+    /// Party 0's 1024-bit fixture RSA modulus: the product of its primes.
+    fn rsa_modulus() -> Ubig {
+        RSA_PRIMES
+            .iter()
+            .map(|hex| Ubig::from_hex(hex).unwrap())
+            .fold(Ubig::one(), |acc, p| &acc * &p)
+    }
 
     /// Checks the context's `mul_into` and `sqr` on every pair of
     /// `operands` (reduced modulo `n`, plus 0, 1 and `n − 1`) against the
@@ -723,7 +1031,7 @@ mod tests {
             ctx.sqr(&mut got, &mut wide);
             assert_eq!(got, want, "square of {a:x?} modulo {n:?}");
         }
-        ctx.adx.is_some()
+        matches!(ctx.kernel, Kernel::Adx(_))
     }
 
     /// A 6-limb modulus the kernel's bound does not cover (bit 383 set)
@@ -732,7 +1040,7 @@ mod tests {
     fn a_modulus_with_bit_383_set_stays_portable() {
         let n = &(&Ubig::one() << 384) - &Ubig::from(317u64);
         let ctx = Montgomery::new(&n);
-        assert!(ctx.adx.is_none());
+        assert!(matches!(ctx.kernel, Kernel::Portable));
         let base = Ubig::from_hex(RSA_PRIMES[0]).unwrap();
         let exp = Ubig::from_hex(RSA_PRIMES[1]).unwrap();
         let mut want = Ubig::one();
@@ -748,7 +1056,9 @@ mod tests {
     }
 
     /// A 6-limb context takes the ADX kernel exactly when the CPU's flags
-    /// list `bmi2` and `adx`; no other width ever does.
+    /// list `bmi2` and `adx`, and a 16-limb one the IFMA kernel exactly
+    /// when they list `avx512f` and `avx512ifma`; every other width stays
+    /// portable.
     #[cfg(target_os = "linux")]
     #[test]
     fn adx_runs_exactly_when_the_cpu_reports_it() {
@@ -758,14 +1068,22 @@ mod tests {
             .find(|l| l.starts_with("flags"))
             .and_then(|l| l.split_once(':'))
             .map_or("", |(_, flags)| flags);
-        let reported = ["bmi2", "adx"]
-            .iter()
-            .all(|want| flags.split_whitespace().any(|f| f == *want));
+        let reported = |wanted: [&str; 2]| {
+            wanted
+                .iter()
+                .all(|want| flags.split_whitespace().any(|f| f == *want))
+        };
         let prime = Ubig::from_hex(RSA_PRIMES[0]).unwrap();
-        assert_eq!(Montgomery::new(&prime).adx.is_some(), reported);
-        for bits in [320, 448, 1024] {
+        let adx = matches!(Montgomery::new(&prime).kernel, Kernel::Adx(_));
+        assert_eq!(adx, reported(["bmi2", "adx"]));
+        for n in [Ubig::from_hex(GROUP_PRIME).unwrap(), rsa_modulus()] {
+            let ifma = matches!(Montgomery::new(&n).kernel, Kernel::Ifma(_));
+            assert_eq!(ifma, reported(["avx512f", "avx512ifma"]));
+        }
+        for bits in [320, 448, 512, 1088] {
             let n = &(&Ubig::one() << (bits - 2)) + &Ubig::one();
-            assert!(Montgomery::new(&n).adx.is_none(), "{bits} bits");
+            let ctx = Montgomery::new(&n);
+            assert!(matches!(ctx.kernel, Kernel::Portable), "{bits} bits");
         }
     }
 
@@ -794,6 +1112,215 @@ mod tests {
                     return;
                 }
             }
+        }
+    }
+
+    /// Holds a context on `n` to a portable one in normal form: `mul`,
+    /// `mont_mul`, `mont_sqr`, `pow`, `multi_pow`, `FixedBase::pow` and the
+    /// `to_mont`/`from_mont` round trip, on `operands` plus 0, 1 and
+    /// `n − 1`. Every Montgomery-form value returned is below `n`. Returns
+    /// whether the context runs the IFMA kernel, that is, whether it
+    /// compared two kernels at all.
+    fn ifma_matches_portable(n: &Ubig, operands: &[Ubig], exps: &[Ubig]) -> bool {
+        let ctx = Montgomery::new(n);
+        if !matches!(ctx.kernel, Kernel::Ifma(_)) {
+            return false;
+        }
+        let portable = Montgomery::with_kernels(n, false);
+        assert!(matches!(portable.kernel, Kernel::Portable));
+        let values: Vec<Ubig> = [Ubig::zero(), Ubig::one(), n - &Ubig::one()]
+            .into_iter()
+            .chain(operands.iter().cloned())
+            .collect();
+        let below_n = |v: Ubig| {
+            assert!(v < *n, "a Montgomery-form value {v:?} is not below {n:?}");
+            v
+        };
+        assert_eq!(ctx.from_mont(&below_n(ctx.one_mont())), Ubig::one());
+        for a in &values {
+            let am = below_n(ctx.to_mont(a));
+            assert_eq!(
+                ctx.from_mont(&am),
+                a % n,
+                "round trip of {a:?} modulo {n:?}"
+            );
+            for b in &values {
+                let want = portable.mul(a, b);
+                assert_eq!(ctx.mul(a, b), want, "mul of {a:?} and {b:?} modulo {n:?}");
+                let product = below_n(ctx.mont_mul(&am, &ctx.to_mont(b)));
+                assert_eq!(ctx.from_mont(&product), want, "mont_mul modulo {n:?}");
+            }
+            let square = below_n(ctx.mont_sqr(&am));
+            assert_eq!(ctx.from_mont(&square), portable.mul(a, a), "mont_sqr");
+            for e in exps {
+                assert_eq!(ctx.pow(a, e), portable.pow(a, e), "{a:?}^{e:?} mod {n:?}");
+            }
+        }
+        let pairs: Vec<(&Ubig, &Ubig)> = values.iter().zip(exps.iter().cycle()).collect();
+        let product = below_n(ctx.multi_pow_mont(&pairs));
+        assert_eq!(ctx.from_mont(&product), portable.multi_pow(&pairs));
+        assert_eq!(ctx.multi_pow(&pairs), portable.multi_pow(&pairs));
+        let table = FixedBase::new(&ctx, &values[3], 160);
+        for e in exps.iter().filter(|e| table.covers(e)) {
+            below_n(table.pow_mont(&ctx, e));
+            assert_eq!(table.pow(&ctx, e), portable.pow(&values[3], e));
+        }
+        true
+    }
+
+    /// The 16-limb moduli the IFMA kernel is held to: `random` made odd,
+    /// once as it is, once with bit 1023 set and once with its top limb 1
+    /// (the shortest 16-limb moduli, whose outputs reach past `2n`), then
+    /// `2¹⁰²⁴ − 105`, the fixture group prime and the fixture RSA modulus.
+    fn ifma_moduli(random: &[u64]) -> Vec<Ubig> {
+        let mut limbs = random.to_vec();
+        limbs[0] |= 1;
+        limbs[15] = limbs[15].max(1);
+        let mut top_bit = limbs.clone();
+        top_bit[15] |= 1 << 63;
+        let mut shortest = limbs.clone();
+        shortest[15] = 1;
+        vec![
+            Ubig::from_limbs(limbs),
+            Ubig::from_limbs(top_bit),
+            Ubig::from_limbs(shortest),
+            &(&Ubig::one() << 1024) - &Ubig::from(105u64),
+            Ubig::from_hex(GROUP_PRIME).unwrap(),
+            rsa_modulus(),
+        ]
+    }
+
+    /// One case of the IFMA differential test: every modulus of
+    /// `ifma_moduli`, the same operands (16 limbs, so most are `>= n` for
+    /// the shortest moduli) and exponents of 1024, 160 and 17 bits.
+    fn ifma_case(modulus: &[u64], operands: &[u64], exps: &[u64]) -> bool {
+        let operands: Vec<Ubig> = operands
+            .chunks(16)
+            .map(|l| Ubig::from_limbs(l.to_vec()))
+            .collect();
+        let exps = [
+            Ubig::from_limbs(exps[..16].to_vec()),
+            Ubig::from_limbs(exps[16..19].to_vec()).with_bit(159, true),
+            Ubig::from(exps[19] & 0x1ffff),
+        ];
+        ifma_moduli(modulus)
+            .iter()
+            .all(|n| ifma_matches_portable(n, &operands, &exps))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn ifma_kernel_agrees_with_portable(
+            modulus in prop::collection::vec(any::<u64>(), 16),
+            operands in prop::collection::vec(any::<u64>(), 32),
+            exps in prop::collection::vec(any::<u64>(), 20),
+        ) {
+            if !ifma_case(&modulus, &operands, &exps) {
+                eprintln!("ifma_kernel_agrees_with_portable: this CPU has no IFMA; compared nothing");
+                return;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(100_000))]
+
+        // The weekly job's depth; run it in release.
+        #[test]
+        #[ignore]
+        fn ifma_kernel_agrees_with_portable_deep(
+            modulus in prop::collection::vec(any::<u64>(), 16),
+            operands in prop::collection::vec(any::<u64>(), 32),
+            exps in prop::collection::vec(any::<u64>(), 20),
+        ) {
+            if !ifma_case(&modulus, &operands, &exps) {
+                eprintln!("ifma_kernel_agrees_with_portable_deep: this CPU has no IFMA; compared nothing");
+                return;
+            }
+        }
+    }
+
+    /// Unreduced values fed back in: a chain of 1 000 multiplications
+    /// by `b ∈ [n, 2¹⁰²⁵)` whose every other input is lifted to the top
+    /// of its class below `2¹⁰²⁵`, and whose other inputs are the raw
+    /// outputs before them, stays below `2¹⁰²⁵` in 52-bit digits and
+    /// computes `a · bⁱ · R⁻ⁱ mod n`. On the short moduli most raw
+    /// outputs that come back in are at or above `n`.
+    #[test]
+    fn ifma_chains_unreduced_outputs() {
+        let limit = &Ubig::one() << 1025;
+        let moduli = [
+            &(&Ubig::one() << 960) + &Ubig::from(0x2du64),
+            &(&Ubig::one() << 1000) - &Ubig::from(0x3u64),
+            Ubig::from_hex(GROUP_PRIME).unwrap(),
+        ];
+        for n in &moduli {
+            let ctx = Montgomery::new(n);
+            let Kernel::Ifma(ifma) = &ctx.kernel else {
+                eprintln!("ifma_chains_unreduced_outputs: this CPU has no IFMA; compared nothing");
+                return;
+            };
+            // The largest value of `v`'s class below 2¹⁰²⁵.
+            let lift = |v: &Ubig| {
+                let v = v % n;
+                &v + &(&(&(&(&limit - &Ubig::one()) - &v) / n) * n)
+            };
+            let b = lift(&Ubig::from_hex(RSA_PRIMES[2]).unwrap());
+            assert!(b >= *n && b < limit);
+            let b_digits = to_digits(b.limbs());
+            let factor = b.mod_mul(&(&Ubig::one() << 1040).mod_inverse(n).unwrap(), n);
+            let (mut x, mut want) = (Ubig::from(3u64), Ubig::from(3u64));
+            let mut unreduced = 0;
+            for step in 0..1000 {
+                if step % 2 == 0 {
+                    x = lift(&x);
+                } else {
+                    unreduced += usize::from(x >= *n);
+                }
+                let digits = ifma.mul(&to_digits(x.limbs()), &b_digits);
+                want = want.mod_mul(&factor, n);
+                assert!(
+                    digits.iter().all(|&d| d <= DIGIT_MASK),
+                    "step {step}: digits"
+                );
+                x = from_digits(&digits);
+                assert!(x < limit, "step {step}: {x:?} is not below 2^1025");
+                assert_eq!(&x % n, want, "step {step} modulo {n:?}");
+            }
+            if n.bit_length() <= 1001 {
+                assert!(unreduced > 450, "{unreduced} raw outputs at or above {n:?}");
+            }
+        }
+    }
+
+    /// The settling step's mask arithmetic ripples carries as a lane-by-lane
+    /// loop does, through runs of propagating lanes of every length.
+    #[test]
+    fn carries_ripple_through_full_lanes() {
+        let mut rng = 0x9e37_79b9_u32;
+        for case in 0..20_000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 17;
+            rng ^= rng << 5;
+            // Few generating lanes and long propagating runs.
+            let generate = rng & (rng >> 8) & (rng >> 16) & 0x7f_ffff;
+            let propagate =
+                !generate & if case % 2 == 0 { rng >> 3 } else { 0xff_ffff } & 0x7f_ffff;
+            let mut want = 0;
+            let mut carry = false;
+            for lane in 0..24 {
+                if carry {
+                    want |= 1 << lane;
+                }
+                carry = generate >> lane & 1 == 1 || (carry && propagate >> lane & 1 == 1);
+            }
+            assert_eq!(
+                carried_into(generate, propagate) & 0xff_ffff,
+                want,
+                "generate {generate:024b}, propagate {propagate:024b}"
+            );
         }
     }
 

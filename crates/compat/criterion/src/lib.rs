@@ -16,9 +16,9 @@
 //! * `SINTRA_BENCH_JSON=<path>` — additionally write all results as a
 //!   JSON array when the benchmark binary finishes (the
 //!   [`criterion_main!`] macro calls [`finalize`]): first one
-//!   `{"id": "host", nproc, cpu, sha_ni, adx, rustc}` record naming the
-//!   machine (and so the SHA-256 and 6-limb Montgomery kernels) the
-//!   numbers came from, then one
+//!   `{"id": "host", nproc, cpu, sha_ni, adx, ifma, rustc}` record naming
+//!   the machine (and so the SHA-256 and the 6- and 16-limb Montgomery
+//!   kernels) the numbers came from, then one
 //!   `{id, median_ns, min_ns, max_ns}` object per benchmark.
 
 #![forbid(unsafe_code)]
@@ -138,10 +138,11 @@ fn json_escape(s: &str) -> String {
 }
 
 /// The leading record of a JSON report: core count, CPU model, whether
-/// the CPU has the SHA extensions (which pick the SHA-256 kernel) and
-/// BMI2 plus ADX (which pick the 6-limb Montgomery kernel) and compiler
-/// of the host, so that two reports are only compared when they name the
-/// same machine and ran the same kernels.
+/// the CPU has the SHA extensions (which pick the SHA-256 kernel), BMI2
+/// plus ADX (which pick the 6-limb Montgomery kernel) and AVX-512F plus
+/// IFMA (which pick the 16-limb one), and compiler of the host, so that
+/// two reports are only compared when they name the same machine and ran
+/// the same kernels.
 fn host_record() -> String {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
@@ -157,6 +158,7 @@ fn host_record() -> String {
         field("flags").is_some_and(|flags| flags.split_whitespace().any(|f| f == flag))
     };
     let (sha_ni, adx) = (has("sha_ni"), has("bmi2") && has("adx"));
+    let ifma = has("avx512f") && has("avx512ifma");
     let rustc = std::process::Command::new("rustc")
         .arg("--version")
         .output()
@@ -165,7 +167,7 @@ fn host_record() -> String {
         .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
         .unwrap_or_else(|| "unknown".to_string());
     format!(
-        "{{\"id\": \"host\", \"nproc\": {nproc}, \"cpu\": \"{}\", \"sha_ni\": {sha_ni}, \"adx\": {adx}, \"rustc\": \"{}\"}}",
+        "{{\"id\": \"host\", \"nproc\": {nproc}, \"cpu\": \"{}\", \"sha_ni\": {sha_ni}, \"adx\": {adx}, \"ifma\": {ifma}, \"rustc\": \"{}\"}}",
         json_escape(cpu),
         json_escape(&rustc)
     )
@@ -366,7 +368,13 @@ mod tests {
         let record = host_record();
         assert!(record.starts_with("{\"id\": \"host\", \"nproc\": "));
         assert!(record.ends_with("\"}"));
-        for key in ["\"cpu\": \"", "\"sha_ni\": ", "\"adx\": ", "\"rustc\": \""] {
+        for key in [
+            "\"cpu\": \"",
+            "\"sha_ni\": ",
+            "\"adx\": ",
+            "\"ifma\": ",
+            "\"rustc\": \"",
+        ] {
             assert!(record.contains(key), "{record}");
         }
         assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c ");

@@ -138,21 +138,25 @@ impl CoinScheme {
         self.public.k
     }
 
-    /// `ĝ = H(name)`, memoized per name; the first computation also
-    /// registers a fixed-base table so every later exponentiation of `ĝ`
-    /// in this round (share generation *and* verification) is
-    /// squaring-free.
+    /// `ĝ = H(name)`, memoized per name, with a fixed-base table in the
+    /// group's cache so every exponentiation of `ĝ` in this round (share
+    /// generation *and* verification) is squaring-free. The group's cache
+    /// may have dropped the table since the name was first seen; it is
+    /// registered again then.
     fn coin_base(&self, name: &[u8]) -> Ubig {
         let mut bases = self.bases.lock().expect("coin base cache");
-        if let Some(base) = bases.get(name) {
-            return base.clone();
-        }
-        let base = self.group.hash_to_group(b"sintra-coin-base", name);
+        let base = match bases.get(name) {
+            Some(base) => base.clone(),
+            None => {
+                let base = self.group.hash_to_group(b"sintra-coin-base", name);
+                if bases.len() >= MAX_CACHED_COIN_BASES {
+                    bases.clear();
+                }
+                bases.insert(name.to_vec(), base.clone());
+                base
+            }
+        };
         self.group.cache_base(&base);
-        if bases.len() >= MAX_CACHED_COIN_BASES {
-            bases.clear();
-        }
-        bases.insert(name.to_vec(), base.clone());
         base
     }
 
@@ -285,6 +289,7 @@ impl CoinScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -293,6 +298,34 @@ mod tests {
         let group = SchnorrGroup::generate(96, 32, &mut rng);
         let (public, secrets) = CoinScheme::deal(&group, n, k, &mut rng);
         (CoinScheme::new(group, public), secrets)
+    }
+
+    /// A coin name whose base the group's 16-table cache dropped (here,
+    /// for 20 newer names) gets its table back: a warm release costs what
+    /// it did before, and the release that found the table gone pays for
+    /// building it once.
+    #[test]
+    fn evicted_coin_bases_are_registered_again() {
+        let (scheme, secrets) = setup(4, 2);
+        let charge = |name: &[u8]| {
+            let scope = cost::CostScope::enter();
+            scheme.release_share(name, &secrets[0]);
+            scope.elapsed()
+        };
+        charge(b"kept");
+        let warm = charge(b"kept");
+        for i in 0..20u32 {
+            charge(&i.to_be_bytes());
+        }
+        let rebuilt = charge(b"kept");
+        assert!((charge(b"kept") - warm).abs() < 1e-12, "{warm}");
+        let group = scheme.group();
+        let table = group.cache_base(&scheme.coin_base(b"kept"));
+        let build = table.entries() as f64 * cost::mul_work(group.modulus_bits());
+        assert!(
+            (rebuilt - warm - build).abs() < 1e-12,
+            "{rebuilt} {warm} {build}"
+        );
     }
 
     #[test]

@@ -15,7 +15,8 @@ use crate::{cost, hash};
 
 /// Cap on dynamically cached fixed-base tables (beyond `g` and `ḡ`, which
 /// are always kept). Old tables are dropped wholesale once the cap is hit;
-/// hot bases simply get rebuilt.
+/// a caller that needs its table for good keeps the `Arc` that
+/// [`SchnorrGroup::cache_base`] returns.
 const MAX_CACHED_BASES: usize = 16;
 
 /// A Schnorr group `(p, q, g, ḡ)` with precomputed reduction context.
@@ -227,24 +228,32 @@ impl SchnorrGroup {
 
     /// Precomputes and caches a fixed-base table for `base` (exponents up
     /// to `q` bits), making later [`SchnorrGroup::pow_cached`] and
-    /// [`SchnorrGroup::multi_pow`] calls on that base squaring-free.
+    /// [`SchnorrGroup::multi_pow`] calls on that base squaring-free, and
+    /// returns it. A base whose table is cached costs a lookup.
     ///
-    /// The cache is shared across clones of the group and capped; evicted
-    /// tables are simply rebuilt on a later call.
-    pub fn cache_base(&self, base: &Ubig) {
-        if *base == self.g || *base == self.g_bar {
-            return;
+    /// The cache is shared across clones of the group and capped: the
+    /// call that finds it full empties it first. A table evicted so is
+    /// built (and charged) again only when its base is registered again,
+    /// so a caller that uses a base for good keeps the returned table and
+    /// exponentiates with [`SchnorrGroup::pow_table`].
+    pub fn cache_base(&self, base: &Ubig) -> Arc<FixedBase> {
+        if *base == self.g {
+            return self.g_fixed.clone();
+        }
+        if *base == self.g_bar {
+            return self.g_bar_fixed.clone();
         }
         let mut tables = self.tables.lock().expect("table cache");
-        if tables.contains_key(base) {
-            return;
+        if let Some(fb) = tables.get(base) {
+            return fb.clone();
         }
         if tables.len() >= MAX_CACHED_BASES {
             tables.clear();
         }
-        let fb = FixedBase::new(&self.mont, base, self.q.bit_length());
+        let fb = Arc::new(FixedBase::new(&self.mont, base, self.q.bit_length()));
         cost::charge(fb.entries() as f64 * cost::mul_work(self.p.bit_length()));
-        tables.insert(base.clone(), Arc::new(fb));
+        tables.insert(base.clone(), fb.clone());
+        fb
     }
 
     /// Metered exponentiation that uses a fixed-base table when one is
@@ -252,15 +261,22 @@ impl SchnorrGroup {
     /// to a plain windowed ladder otherwise.
     pub fn pow_cached(&self, base: &Ubig, exp: &Ubig) -> Ubig {
         match self.fixed_for(base, exp) {
-            Some(fb) => {
-                cost::charge(cost::fixed_base_exp_work(
-                    self.p.bit_length(),
-                    exp.bit_length().max(1),
-                ));
-                fb.pow(&self.mont, exp)
-            }
+            Some(fb) => self.pow_table(&fb, exp),
             None => self.pow(base, exp),
         }
+    }
+
+    /// Metered exponentiation by a table from [`SchnorrGroup::cache_base`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `exp` is longer than `q`.
+    pub fn pow_table(&self, table: &FixedBase, exp: &Ubig) -> Ubig {
+        cost::charge(cost::fixed_base_exp_work(
+            self.p.bit_length(),
+            exp.bit_length().max(1),
+        ));
+        table.pow(&self.mont, exp)
     }
 
     /// `g^exp mod p` (fixed-base accelerated).

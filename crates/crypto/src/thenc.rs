@@ -12,8 +12,10 @@
 //! hybridized here with ChaCha20 for arbitrary-length payloads (the paper
 //! used MARS).
 
+use std::sync::Arc;
+
 use rand::Rng;
-use sintra_bigint::Ubig;
+use sintra_bigint::{FixedBase, Ubig};
 
 use crate::dleq::{self, BatchEntry, DleqProof, DleqStatement, ManyStatement};
 use crate::group::SchnorrGroup;
@@ -91,6 +93,9 @@ pub struct DecryptionBatch {
 pub struct EncScheme {
     group: SchnorrGroup,
     public: EncPublicKey,
+    /// The fixed-base table of `h`, held here so that the group's capped
+    /// table cache cannot take it away.
+    h_table: Arc<FixedBase>,
 }
 
 const SHARE_DOMAIN: &[u8] = b"sintra-tdh2-share";
@@ -131,12 +136,17 @@ impl EncScheme {
 
     /// Binds a scheme instance to its parameters.
     ///
-    /// Registers a fixed-base table for the encryption key `h`: every
-    /// encryption exponentiates `h`, and the table makes that
-    /// squaring-free like the generator exponentiations.
+    /// Registers a fixed-base table for the encryption key `h` and keeps
+    /// it: every encryption exponentiates `h`, and the table makes that
+    /// squaring-free like the generator exponentiations, however many
+    /// other bases (coin bases) the group caches later.
     pub fn new(group: SchnorrGroup, public: EncPublicKey) -> Self {
-        group.cache_base(&public.h);
-        EncScheme { group, public }
+        let h_table = group.cache_base(&public.h);
+        EncScheme {
+            group,
+            public,
+            h_table,
+        }
     }
 
     /// The public key.
@@ -188,7 +198,7 @@ impl EncScheme {
     ) -> Ciphertext {
         let r = self.group.random_exponent(rng);
         let s = self.group.random_exponent(rng);
-        let shared = self.group.pow_cached(&self.public.h, &r);
+        let shared = self.group.pow_table(&self.h_table, &r);
         let data = chacha::seal(&shared.to_be_bytes(), message);
         let u = self.group.pow_g(&r);
         let w = self.group.pow_g(&s);
@@ -510,6 +520,8 @@ pub fn ciphertext_digest(ct: &Ciphertext) -> [u8; 32] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coin::CoinScheme;
+    use crate::cost;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -518,6 +530,27 @@ mod tests {
         let group = SchnorrGroup::generate(96, 32, &mut rng);
         let (public, secrets) = EncScheme::deal(&group, n, k, &mut rng);
         (EncScheme::new(group, public), secrets, rng)
+    }
+
+    /// The group's table cache holds 16 bases; 20 coin names overflow it
+    /// and empty it. The encryption key's table is the scheme's own, so
+    /// encrypting afterwards is charged what it was before.
+    #[test]
+    fn coin_bases_leave_the_encryption_key_table_alone() {
+        let (scheme, _, mut rng) = setup(4, 2);
+        // The same randomness, so the same exponent lengths.
+        let charge = || {
+            let scope = cost::CostScope::enter();
+            scheme.encrypt(b"label", b"message", &mut StdRng::seed_from_u64(7));
+            scope.elapsed()
+        };
+        let first = charge();
+        let (coin_public, coin_secrets) = CoinScheme::deal(scheme.group(), 4, 2, &mut rng);
+        let coin = CoinScheme::new(scheme.group().clone(), coin_public);
+        for i in 0..20u32 {
+            coin.release_share(&i.to_be_bytes(), &coin_secrets[0]);
+        }
+        assert!((charge() - first).abs() < 1e-12, "{first}");
     }
 
     #[test]
