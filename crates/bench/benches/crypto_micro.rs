@@ -29,6 +29,11 @@ use sintra_crypto::{fixtures, hmac::HmacKey};
 /// kernel's 20 digits of 52 bits on the way in and out, which the
 /// exponentiation loops do once per call; the `modexp/*` rows show the
 /// kernel itself.
+///
+/// `modexp/341x341` is one CRT exponentiation on its own. `rsa/sign-crt`
+/// does not run three of them where `ifma` is true: there the three run
+/// in lockstep on one AVX-512 IFMA kernel (`Montgomery3`), and CI prints
+/// `rsa/sign-crt/1024 ÷ (3 × modexp/341x341)` from the same run.
 fn bench_bigint(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     let group = fixtures::schnorr_group(1024).expect("fixture");

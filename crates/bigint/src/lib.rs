@@ -12,7 +12,8 @@
 //!   the extended Euclidean algorithm (see [`ibig::Ibig`] for the signed
 //!   cofactors);
 //! * a reusable [`Montgomery`] context for fast exponentiation modulo odd
-//!   numbers;
+//!   numbers, and [`Montgomery3`], which runs three exponentiations modulo
+//!   three small moduli in lockstep on AVX-512 IFMA;
 //! * probabilistic primality testing and (safe-)prime generation in
 //!   [`prime`].
 //!
@@ -30,8 +31,9 @@
 //! assert!(y < p);
 //! ```
 
-// One `unsafe` block is allowed, in `montgomery.rs`: the 6-limb
-// `mulx`/`adcx`/`adox` kernel, which a context selects after the CPU check.
+// Two `unsafe` blocks are allowed: the 6-limb `mulx`/`adcx`/`adox` kernel
+// in `montgomery.rs`, and the one call into the AVX-512 IFMA kernels in
+// `ifma.rs`. Each runs only after its CPU check.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -40,6 +42,7 @@ mod bits;
 mod convert;
 mod fmt;
 pub mod ibig;
+mod ifma;
 mod modular;
 mod montgomery;
 mod ops;
@@ -48,6 +51,7 @@ mod rng;
 mod ubig;
 
 pub use ibig::Ibig;
+pub use ifma::Montgomery3;
 pub use montgomery::{FixedBase, Montgomery};
 pub use prime::{is_prime, PrimeConfig};
 pub use rng::UbigRandom;

@@ -5,15 +5,15 @@
 //! modulus), in buffers the caller owns. Three operations make it up —
 //! `mul_into` (multiply and reduce fused into one pass), `sqr` (each
 //! off-diagonal product once) and `reduce` — and the exponentiation loops
-//! ([`Montgomery::pow`], [`Montgomery::multi_pow_mont`],
-//! [`FixedBase::pow_mont`]) run on a few scratch buffers allocated once
+//! ([`Montgomery::pow`], [`Montgomery::multi_pow_fixed`],
+//! [`FixedBase::pow`]) run on a few scratch buffers allocated once
 //! per call. The `Ubig`-level methods are thin wrappers that bring their
 //! operands into that shape first.
 //!
 //! Two widths run a kernel of their own on an x86-64 CPU that has the
 //! extensions it is written in: at 6 limbs with BMI2 and ADX, one
 //! assembly kernel ([`mul_reduce_adx`]); at 16 limbs with AVX-512 IFMA,
-//! almost-Montgomery multiplication in radix 2⁵² ([`amm52x20`]), whose
+//! almost-Montgomery multiplication in radix 2⁵² (`ifma.rs`), whose
 //! residues are 20 digits of 52 bits rather than 16 limbs. The context
 //! decides once, in [`Montgomery::new`], and the portable kernel stays
 //! the fallback and the reference the tests hold both to.
@@ -21,6 +21,7 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
+use crate::ifma::{from_digits, to_digits, twenty, twenty_mut, Ifma, DIGITS, DIGIT_BITS};
 use crate::{DoubleLimb, Limb, Ubig};
 
 /// A reusable Montgomery reduction context for a fixed odd modulus.
@@ -70,23 +71,18 @@ enum Kernel {
     Portable,
     /// `n‖n′` for the 6-limb ADX kernel ([`mul_reduce_adx`]).
     Adx(Box<[Limb; 7]>),
-    /// The 16-limb IFMA kernel ([`amm52x20`]).
+    /// The 16-limb IFMA kernel (`ifma.rs`).
     Ifma(Box<Ifma>),
 }
 
-/// Bits per digit of an IFMA residue.
-const DIGIT_BITS: usize = 52;
-const DIGIT_MASK: Limb = (1 << DIGIT_BITS) - 1;
-/// Digits per IFMA residue: 1040 bits, so `R = 2¹⁰⁴⁰`.
-const DIGITS: usize = 20;
-
-/// The constants of the IFMA kernel for a 16-limb `n`.
-#[derive(Debug, Clone)]
-struct Ifma {
-    /// `n` in digits.
-    n: [Limb; DIGITS],
-    /// `k₀ = -n^-1 mod 2⁵²`.
-    k0: Limb,
+/// `-n⁻¹ mod 2⁶⁴` for an odd limb `n0`, by Newton iteration.
+pub(crate) fn neg_inverse(n0: Limb) -> Limb {
+    let mut inv: Limb = n0; // correct mod 2^3 for odd n0
+    for _ in 0..5 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
+    }
+    debug_assert_eq!(n0.wrapping_mul(inv), 1);
+    inv.wrapping_neg()
 }
 
 /// The limbs of `v < 2^(64 * k)`, zero-extended to exactly `k`.
@@ -312,204 +308,6 @@ fn six(a: &[Limb]) -> &[Limb; 6] {
     a.first_chunk().expect("a 6-limb residue")
 }
 
-/// Whether this CPU has the two extensions the 16-limb kernel is written
-/// in: AVX-512 Foundation and its 52-bit multiply-add (IFMA).
-#[cfg(target_arch = "x86_64")]
-fn ifma_detected() -> bool {
-    is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma")
-}
-
-/// Without x86-64 there is no IFMA kernel to run.
-#[cfg(not(target_arch = "x86_64"))]
-fn ifma_detected() -> bool {
-    false
-}
-
-/// `v < 2^1040` (at most 17 limbs) as 20 digits of 52 bits.
-fn to_digits(v: &[Limb]) -> [Limb; DIGITS] {
-    let mut out = [0; DIGITS];
-    for (i, d) in out.iter_mut().enumerate() {
-        let (limb, shift) = (i * DIGIT_BITS / 64, i * DIGIT_BITS % 64);
-        let mut x = v.get(limb).map_or(0, |l| l >> shift);
-        if shift > 64 - DIGIT_BITS {
-            x |= v.get(limb + 1).map_or(0, |l| l << (64 - shift));
-        }
-        *d = x & DIGIT_MASK;
-    }
-    out
-}
-
-/// The value of 20 digits of 52 bits, as a `Ubig`.
-fn from_digits(d: &[Limb]) -> Ubig {
-    let mut limbs = vec![0; 17];
-    for (i, &x) in d[..DIGITS].iter().enumerate() {
-        let (limb, shift) = (i * DIGIT_BITS / 64, i * DIGIT_BITS % 64);
-        limbs[limb] |= x << shift;
-        if shift > 64 - DIGIT_BITS {
-            limbs[limb + 1] |= x >> (64 - shift);
-        }
-    }
-    Ubig::from_limbs(limbs)
-}
-
-/// The first twenty digits of a residue, for the IFMA kernel.
-fn twenty(a: &[Limb]) -> &[Limb; DIGITS] {
-    a.first_chunk().expect("a 20-digit residue")
-}
-
-/// Lanes `8j .. 8j + 8` of a 20-digit value, zero past the last digit.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn lanes_in(v: &[Limb; DIGITS], j: usize) -> std::arch::x86_64::__m512i {
-    let d = |i: usize| v.get(8 * j + i).map_or(0, |&x| x as i64);
-    std::arch::x86_64::_mm512_set_epi64(d(7), d(6), d(5), d(4), d(3), d(2), d(1), d(0))
-}
-
-/// The first `N` lanes of `v`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn lanes_out<const N: usize>(v: std::arch::x86_64::__m512i) -> [Limb; N] {
-    use std::arch::x86_64::{_mm512_extracti32x4_epi32 as quarter, *};
-    let pairs = [
-        quarter::<0>(v),
-        quarter::<1>(v),
-        quarter::<2>(v),
-        quarter::<3>(v),
-    ];
-    let mut out = [0; N];
-    for (two, pair) in out.chunks_exact_mut(2).zip(pairs) {
-        two[0] = _mm_cvtsi128_si64(pair) as Limb;
-        two[1] = _mm_extract_epi64::<1>(pair) as Limb;
-    }
-    out
-}
-
-/// Almost-Montgomery multiplication in radix 2⁵² (Gueron–Krasnov):
-/// `a · b · 2⁻¹⁰⁴⁰ mod n`, below `2¹⁰²⁵` but not necessarily below `n`,
-/// for 20-digit `a`, `b < 2¹⁰²⁵` and `n < 2¹⁰²⁴` (`k0 = -n^-1 mod 2⁵²`).
-///
-/// The accumulator `t` is 24 lanes in three `zmm` registers, of which 20
-/// carry digits; a lane holds up to 64 bits and only settles into 52 at
-/// the end. Each row, for one digit `bᵢ`, adds the low halves of `a·bᵢ`
-/// and `m·n` lane by lane (`vpmadd52luq`), shifts the accumulator down
-/// one lane (`valignq`) and adds the high halves, which so land one lane
-/// above their low halves (`vpmadd52huq`). Lane 0 lives in scalar code
-/// alongside: it picks `m = (t₀ + a₀·bᵢ)·k₀ mod 2⁵²`, so that lane 0 is
-/// a multiple of 2⁵² that the shift turns into a carry, and takes its
-/// full products there; the vector lane 0 is never read. The next lane 0
-/// is that carry plus lane 1, read before `m·n` is added to it and given
-/// `m·n₁`'s low half in scalar code, so that the row-to-row chain runs
-/// through `m` once. A lane gains at most four values below 2⁵² per row,
-/// so over 20 rows it stays below 2⁶⁰.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512ifma")]
-fn amm52x20(
-    n: &[Limb; DIGITS],
-    k0: Limb,
-    a: &[Limb; DIGITS],
-    b: &[Limb; DIGITS],
-) -> [Limb; DIGITS] {
-    use std::arch::x86_64::{
-        _mm512_add_epi64 as add, _mm512_alignr_epi64 as down, _mm512_madd52hi_epu64 as hi,
-        _mm512_madd52lo_epu64 as lo, *,
-    };
-    let av = [0, 1, 2].map(|j| lanes_in(a, j));
-    let nv = [0, 1, 2].map(|j| lanes_in(n, j));
-    let zero = _mm512_setzero_si512();
-    let mut t = [zero; 3];
-    // Lane 0 of the accumulator.
-    let mut low: Limb = 0;
-    for &bi in b {
-        let bv = _mm512_set1_epi64(bi as i64);
-        let u = [0, 1, 2].map(|j| lo(t[j], av[j], bv));
-        let lane1 = _mm_extract_epi64::<1>(_mm512_castsi512_si128(u[0])) as Limb;
-        let x = low as DoubleLimb + a[0] as DoubleLimb * bi as DoubleLimb;
-        let m = (x as Limb).wrapping_mul(k0) & DIGIT_MASK;
-        let carry = ((x + m as DoubleLimb * n[0] as DoubleLimb) >> DIGIT_BITS) as Limb;
-        low = carry + lane1 + (m.wrapping_mul(n[1]) & DIGIT_MASK);
-        let mv = _mm512_set1_epi64(m as i64);
-        let s = [0, 1, 2].map(|j| add(u[j], lo(zero, nv[j], mv)));
-        let h = [0, 1, 2].map(|j| hi(hi(zero, av[j], bv), nv[j], mv));
-        let shifted = [
-            down::<1>(s[1], s[0]),
-            down::<1>(s[2], s[1]),
-            down::<1>(zero, s[2]),
-        ];
-        t = [0, 1, 2].map(|j| add(shifted[j], h[j]));
-    }
-    t[0] = _mm512_mask_set1_epi64(t[0], 1, low as i64);
-    settle(t)
-}
-
-/// The lanes a carry enters, as a mask, when the lanes in `generate` carry
-/// out and those in `propagate` carry out exactly when a carry enters
-/// them: the carry bits of the binary sum `(generate << 1) + propagate`.
-fn carried_into(generate: u32, propagate: u32) -> u32 {
-    ((generate << 1) + propagate) ^ propagate
-}
-
-/// The 52-bit digits of the 24 lanes `t` (each below 2⁶⁴) when their value
-/// is below 2¹⁰⁴⁰. One vector step moves each lane's bits above 52 into
-/// the lane above, which leaves every lane at most 2⁵² − 1 + 2¹²; the
-/// carries that are then left are single bits, and adding the mask of
-/// lanes at or above 2⁵² (shifted one up) to the mask of lanes at exactly
-/// 2⁵² − 1 ripples them as binary addition does.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn settle(t: [std::arch::x86_64::__m512i; 3]) -> [Limb; DIGITS] {
-    use std::arch::x86_64::{_mm512_alignr_epi64 as align, *};
-    let zero = _mm512_setzero_si512();
-    let mask = _mm512_set1_epi64(DIGIT_MASK as i64);
-    let c = t.map(|x| _mm512_srli_epi64::<52>(x));
-    let up = [
-        align::<7>(c[0], zero),
-        align::<7>(c[1], c[0]),
-        align::<7>(c[2], c[1]),
-    ];
-    let r = [0, 1, 2].map(|j| _mm512_add_epi64(_mm512_and_si512(t[j], mask), up[j]));
-    let lanes_where = |test: &dyn Fn(__m512i) -> u8| {
-        r.iter()
-            .rev()
-            .fold(0u32, |acc, &x| acc << 8 | test(x) as u32)
-    };
-    let generate = lanes_where(&|x| _mm512_cmpgt_epu64_mask(x, mask));
-    let propagate = lanes_where(&|x| _mm512_cmpeq_epu64_mask(x, mask));
-    let carries = carried_into(generate, propagate);
-    let one = _mm512_set1_epi64(1);
-    let r = [0, 1, 2].map(|j| {
-        let plus = _mm512_mask_add_epi64(r[j], (carries >> (8 * j)) as u8, r[j], one);
-        _mm512_and_si512(plus, mask)
-    });
-    debug_assert_eq!(lanes_out::<8>(r[2])[4..], [0; 4], "below 2^1040");
-    let mut out = [0; DIGITS];
-    out[..8].copy_from_slice(&lanes_out::<8>(r[0]));
-    out[8..16].copy_from_slice(&lanes_out::<8>(r[1]));
-    out[16..].copy_from_slice(&lanes_out::<4>(r[2]));
-    out
-}
-
-impl Ifma {
-    /// `a · b · 2⁻¹⁰⁴⁰ mod n`, below `2¹⁰²⁵`, on the IFMA kernel.
-    #[cfg(target_arch = "x86_64")]
-    fn mul(&self, a: &[Limb; DIGITS], b: &[Limb; DIGITS]) -> [Limb; DIGITS] {
-        // SAFETY: `amm52x20` is only unsafe to call because it is compiled
-        // for AVX-512F and AVX-512 IFMA; it reads its operands through
-        // references and touches no other memory. `Montgomery::new` builds
-        // an `Ifma` only after `ifma_detected()` has confirmed that this
-        // CPU runs both extensions, and nothing else builds one.
-        #[allow(unsafe_code)]
-        unsafe {
-            amm52x20(&self.n, self.k0, a, b)
-        }
-    }
-
-    /// Without x86-64 no context selects the IFMA kernel.
-    #[cfg(not(target_arch = "x86_64"))]
-    fn mul(&self, _a: &[Limb; DIGITS], _b: &[Limb; DIGITS]) -> [Limb; DIGITS] {
-        unreachable!("the IFMA kernel is only selected on x86-64")
-    }
-}
-
 /// Runs a kernel body with the modulus re-sliced to a literal length at
 /// the two widths the stack lives at — 6 limbs (the 341- and 342-bit
 /// primes of a three-prime 1024-bit RSA key) and 16 (the group and RSA
@@ -536,7 +334,7 @@ macro_rules! at_width {
 
 /// Bits `lo .. lo + width` of `exp` (`width <= 8`); bits beyond its
 /// length read as zero.
-fn bits_at(exp: &Ubig, lo: u32, width: u32) -> usize {
+pub(crate) fn bits_at(exp: &Ubig, lo: u32, width: u32) -> usize {
     let limbs = exp.limbs();
     let (index, shift) = ((lo / 64) as usize, lo % 64);
     let mut v = limbs.get(index).map_or(0, |l| l >> shift);
@@ -581,39 +379,24 @@ impl Montgomery {
 
     /// A context for `n` on the CPU kernel for its width when `cpu` is set
     /// and this CPU runs one, on the portable kernel otherwise.
-    fn with_kernels(n: &Ubig, cpu: bool) -> Self {
+    pub(crate) fn with_kernels(n: &Ubig, cpu: bool) -> Self {
         assert!(n.is_odd(), "Montgomery modulus must be odd");
         assert!(*n > Ubig::two(), "Montgomery modulus must be >= 3");
         let limbs = n.limbs().len();
-        // Newton iteration for the inverse of n mod 2^64.
-        let n0 = n.limbs()[0];
-        let mut inv: Limb = n0; // correct mod 2^3 for odd n0
-        for _ in 0..5 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
-        }
-        debug_assert_eq!(n0.wrapping_mul(inv), 1);
-        let n_prime = inv.wrapping_neg();
+        let n_prime = neg_inverse(n.limbs()[0]);
         // The ADX kernel's accumulator is seven registers. After every row
         // t < 2n, so t + a·bᵢ + m·n < 2n + 2·(2⁶⁴ − 1)·n < n·2⁶⁵, which is
         // below 2⁴⁴⁸ when n < 2³⁸³: the seventh register never carries
         // out. A modulus with bit 383 set stays on the portable kernel.
-        //
-        // The IFMA kernel's residues are below 2¹⁰²⁵, in 20 digits. For
-        // a, b < 2¹⁰²⁵ it returns (a·b + m·n) / 2¹⁰⁴⁰ with m < 2¹⁰⁴⁰,
-        // which is below 2²⁰⁵⁰ / 2¹⁰⁴⁰ + n = 2¹⁰¹⁰ + n < 2¹⁰²⁵ for any
-        // 16-limb n: every output is again an input, so no multiplication
-        // needs a subtraction. Leaving Montgomery form multiplies by 1,
-        // which gives at most a / 2¹⁰⁴⁰ + n < n + 1, and one subtraction
-        // ends it.
-        let kernel = if cpu && limbs == 6 && !n.bit(383) && adx_detected() {
+        // The IFMA kernel's bound is written at `Ifma::new`.
+        let kernel = if !cpu {
+            Kernel::Portable
+        } else if limbs == 6 && !n.bit(383) && adx_detected() {
             let mut nn = Box::new([n_prime; 7]);
             nn[..6].copy_from_slice(n.limbs());
             Kernel::Adx(nn)
-        } else if cpu && limbs == 16 && ifma_detected() {
-            Kernel::Ifma(Box::new(Ifma {
-                n: to_digits(n.limbs()),
-                k0: n_prime & DIGIT_MASK,
-            }))
+        } else if let Some(ifma) = Ifma::new(n) {
+            Kernel::Ifma(Box::new(ifma))
         } else {
             Kernel::Portable
         };
@@ -660,7 +443,7 @@ impl Montgomery {
                 out[..6].copy_from_slice(&mul_reduce_adx(nn, six(a), six(b)));
                 reduce_once(&mut out[..6], 0, &nn[..6])
             }
-            Kernel::Ifma(ifma) => out[..DIGITS].copy_from_slice(&ifma.mul(twenty(a), twenty(b))),
+            Kernel::Ifma(ifma) => ifma.mul_into(twenty_mut(out), twenty(a), twenty(b)),
         }
     }
 
@@ -684,8 +467,8 @@ impl Montgomery {
                 self.mul_into(a, &a6, &a6)
             }
             Kernel::Ifma(ifma) => {
-                let square = ifma.mul(twenty(a), twenty(a));
-                a[..DIGITS].copy_from_slice(&square)
+                let a20 = *twenty(a);
+                ifma.mul_into(twenty_mut(a), &a20, &a20)
             }
         }
     }
@@ -709,7 +492,7 @@ impl Montgomery {
             Cow::Owned(fixed_width(a % &self.n, k))
         };
         match self.kernel {
-            Kernel::Ifma(_) => Cow::Owned(to_digits(&limbs).to_vec()),
+            Kernel::Ifma(_) => Cow::Owned(to_digits::<DIGITS>(&limbs).to_vec()),
             _ => limbs,
         }
     }
@@ -720,7 +503,7 @@ impl Montgomery {
             return Ubig::from_limbs(residue);
         }
         // Below 2¹⁰¹⁰ + n: one subtraction when n > 2¹⁰¹⁰.
-        let mut v = from_digits(&residue);
+        let mut v = from_digits(&residue[..DIGITS]);
         if v >= self.n {
             v = &v - &self.n;
         }
@@ -804,13 +587,30 @@ impl Montgomery {
     /// threshold-crypto verification path is built on. Pairs with a zero
     /// exponent contribute `1` and are skipped.
     pub fn multi_pow(&self, pairs: &[(&Ubig, &Ubig)]) -> Ubig {
-        self.from_mont(&self.multi_pow_mont(pairs))
+        self.multi_pow_fixed(&[], pairs)
     }
 
-    /// Like [`Montgomery::multi_pow`] but returns the result in Montgomery
-    /// form, so callers can fold further Montgomery-form factors (e.g.
-    /// fixed-base table outputs) into the product before converting out.
-    pub fn multi_pow_mont(&self, pairs: &[(&Ubig, &Ubig)]) -> Ubig {
+    /// `∏ tᵢ^eᵢ · ∏ bⱼ^fⱼ mod n` for fixed-base tables `tᵢ` (of bases
+    /// `tᵢ`, built on this context) with their exponents, and `(bⱼ, fⱼ)`
+    /// pairs as [`Montgomery::multi_pow`] takes them: the pairs'
+    /// multi-exponentiation, then each table's factor multiplied into the
+    /// same residue, which leaves Montgomery form once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an exponent `eᵢ` exceeds its table's covered bit length.
+    pub fn multi_pow_fixed(&self, fixed: &[(&FixedBase, &Ubig)], pairs: &[(&Ubig, &Ubig)]) -> Ubig {
+        let mut acc = self.multi_pow_residue(pairs);
+        let mut tmp = vec![0; self.width()];
+        for (table, exp) in fixed {
+            table.mul_pow_into(self, &mut acc, &mut tmp, exp);
+        }
+        self.leave_mont(&acc)
+    }
+
+    /// The multi-exponentiation of [`Montgomery::multi_pow`] as a residue
+    /// in Montgomery form.
+    fn multi_pow_residue(&self, pairs: &[(&Ubig, &Ubig)]) -> Vec<Limb> {
         let k = self.width();
         let active: Vec<(&Ubig, &Ubig)> = pairs
             .iter()
@@ -848,7 +648,7 @@ impl Montgomery {
                 }
             }
         }
-        self.value(acc)
+        acc
     }
 
     /// Modular exponentiation `base^exp mod n`: left-to-right sliding
@@ -957,12 +757,14 @@ impl FixedBase {
     ///
     /// Panics if `exp` exceeds the table's covered bit length.
     pub fn pow(&self, ctx: &Montgomery, exp: &Ubig) -> Ubig {
-        ctx.from_mont(&self.pow_mont(ctx, exp))
+        let mut acc = ctx.r1.clone();
+        self.mul_pow_into(ctx, &mut acc, &mut vec![0; self.width], exp);
+        ctx.leave_mont(&acc)
     }
 
-    /// Like [`FixedBase::pow`] but returns the Montgomery form, for folding
-    /// into larger products.
-    pub fn pow_mont(&self, ctx: &Montgomery, exp: &Ubig) -> Ubig {
+    /// `acc = acc · base^exp` for a residue `acc` in Montgomery form, with
+    /// `tmp` a second residue's scratch.
+    fn mul_pow_into(&self, ctx: &Montgomery, acc: &mut Vec<Limb>, tmp: &mut Vec<Limb>, exp: &Ubig) {
         assert!(
             self.covers(exp),
             "exponent of {} bits exceeds fixed-base table ({} bits)",
@@ -970,22 +772,20 @@ impl FixedBase {
             self.max_bits
         );
         let k = self.width;
-        let mut acc = ctx.r1.clone();
-        let mut tmp = vec![0; k];
         for (j, row) in self.table.chunks_exact(15 * k).enumerate() {
             let nibble = bits_at(exp, j as u32 * 4, 4);
             if nibble != 0 {
-                ctx.mul_into(&mut tmp, &acc, &row[(nibble - 1) * k..nibble * k]);
-                std::mem::swap(&mut acc, &mut tmp);
+                ctx.mul_into(tmp, acc, &row[(nibble - 1) * k..nibble * k]);
+                std::mem::swap(acc, tmp);
             }
         }
-        ctx.value(acc)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ifma::{carried_into, DIGIT_MASK};
     use proptest::prelude::*;
 
     /// The three 341-bit primes of party 0's 1024-bit fixture RSA key.
@@ -1157,13 +957,14 @@ mod tests {
             }
         }
         let pairs: Vec<(&Ubig, &Ubig)> = values.iter().zip(exps.iter().cycle()).collect();
-        let product = below_n(ctx.multi_pow_mont(&pairs));
-        assert_eq!(ctx.from_mont(&product), portable.multi_pow(&pairs));
         assert_eq!(ctx.multi_pow(&pairs), portable.multi_pow(&pairs));
         let table = FixedBase::new(&ctx, &values[3], 160);
         for e in exps.iter().filter(|e| table.covers(e)) {
-            below_n(table.pow_mont(&ctx, e));
             assert_eq!(table.pow(&ctx, e), portable.pow(&values[3], e));
+            let want = portable
+                .pow(&values[3], e)
+                .mod_mul(&portable.multi_pow(&pairs), n);
+            assert_eq!(ctx.multi_pow_fixed(&[(&table, e)], &pairs), want);
         }
         true
     }
@@ -1439,6 +1240,60 @@ mod tests {
         let n_minus_1 = &n - &Ubig::one();
         assert_eq!(ctx.multi_pow(&[(&n_minus_1, &Ubig::two())]), Ubig::one());
         assert_eq!(ctx.multi_pow(&[(&n_minus_1, &Ubig::from(3u64))]), n_minus_1);
+    }
+
+    /// Fixed-base tables and dynamic pairs folded into one accumulator give
+    /// the product of separate `pow`s: on the portable kernel at 2 limbs,
+    /// the ADX width and the IFMA width, with zero, one-bit and full-length
+    /// exponents, tables on repeated bases, and either part empty.
+    #[test]
+    fn multi_pow_fixed_matches_separate_pows() {
+        let moduli = [
+            Ubig::from_hex("ffffffffffffffffffffffffffffff61").unwrap(),
+            Ubig::from_hex(RSA_PRIMES[0]).unwrap(),
+            Ubig::from_hex(GROUP_PRIME).unwrap(),
+        ];
+        for n in &moduli {
+            let ctx = Montgomery::new(n);
+            let bases = [
+                Ubig::from_hex(RSA_PRIMES[1]).unwrap(),
+                n - &Ubig::one(),
+                Ubig::from(2u64),
+                Ubig::from_hex(RSA_PRIMES[2]).unwrap(),
+            ];
+            let exps = [
+                Ubig::from_hex("deadbeefcafebabe1122334455667788990").unwrap(),
+                Ubig::zero(),
+                Ubig::one(),
+                Ubig::from_hex("ffffffffffffffffffffffffffffffffffffffff").unwrap(),
+            ];
+            let tables: Vec<FixedBase> =
+                bases.iter().map(|b| FixedBase::new(&ctx, b, 160)).collect();
+            let product = |parts: &[(&Ubig, &Ubig)]| {
+                parts
+                    .iter()
+                    .fold(Ubig::one(), |acc, (b, e)| acc.mod_mul(&ctx.pow(b, e), n))
+            };
+            for split in 0..=bases.len() {
+                let fixed: Vec<(&FixedBase, &Ubig)> = tables[..split]
+                    .iter()
+                    .zip(exps.iter().rev())
+                    .chain([(&tables[0], &exps[0])])
+                    .collect();
+                let pairs: Vec<(&Ubig, &Ubig)> =
+                    bases[split..].iter().zip(&exps[split..]).collect();
+                let mut want: Vec<(&Ubig, &Ubig)> =
+                    bases[..split].iter().zip(exps.iter().rev()).collect();
+                want.push((&bases[0], &exps[0]));
+                want.extend(&pairs);
+                assert_eq!(
+                    ctx.multi_pow_fixed(&fixed, &pairs),
+                    product(&want),
+                    "{split} fixed parts modulo {n:?}"
+                );
+            }
+            assert_eq!(ctx.multi_pow_fixed(&[], &[]), Ubig::one());
+        }
     }
 
     #[test]

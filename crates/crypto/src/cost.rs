@@ -28,7 +28,7 @@
 
 use std::cell::Cell;
 
-use sintra_bigint::Ubig;
+use sintra_bigint::{Montgomery, Montgomery3, Ubig};
 
 thread_local! {
     /// Monotone total of all work ever charged on this thread.
@@ -130,21 +130,24 @@ pub fn charge(units: f64) {
     TOTAL.with(|t| t.set(t.get() + units));
 }
 
-/// Metered modular exponentiation: computes `base^exp mod m` and charges
-/// the meter for it. All crypto code in this crate routes exponentiations
-/// through here.
-pub fn mod_pow(base: &Ubig, exp: &Ubig, m: &Ubig) -> Ubig {
-    charge(exp_work(m.bit_length(), exp.bit_length().max(1)));
-    base.mod_pow(exp, m)
-}
-
-/// Metered exponentiation reusing a Montgomery context.
-pub fn mont_pow(ctx: &sintra_bigint::Montgomery, base: &Ubig, exp: &Ubig) -> Ubig {
+/// Metered exponentiation `base^exp mod n` on the Montgomery context of
+/// `n`. All crypto code in this crate routes plain exponentiations
+/// through here or [`mont_pow3`].
+pub fn mont_pow(ctx: &Montgomery, base: &Ubig, exp: &Ubig) -> Ubig {
     charge(exp_work(
         ctx.modulus().bit_length(),
         exp.bit_length().max(1),
     ));
     ctx.pow(base, exp)
+}
+
+/// Metered `[base^exps[r] mod nᵣ]` on a lockstep context: charged as three
+/// [`mont_pow`]s, one per modulus, however they run.
+pub fn mont_pow3(ctx: &Montgomery3, base: &Ubig, exps: [&Ubig; 3]) -> [Ubig; 3] {
+    for (n, exp) in ctx.moduli().iter().zip(exps) {
+        charge(exp_work(n.bit_length(), exp.bit_length().max(1)));
+    }
+    ctx.pow3([base; 3], exps)
 }
 
 #[cfg(test)]
@@ -179,12 +182,12 @@ mod tests {
     }
 
     #[test]
-    fn mod_pow_charges_and_computes() {
+    fn mont_pow_charges_and_computes() {
         let scope = CostScope::enter();
-        let m = Ubig::from(1_000_003u64);
-        let r = mod_pow(&Ubig::from(2u64), &Ubig::from(10u64), &m);
+        let m = Montgomery::new(&Ubig::from(1_000_003u64));
+        let r = mont_pow(&m, &Ubig::from(2u64), &Ubig::from(10u64));
         assert_eq!(r, Ubig::from(1024u64));
-        assert!(scope.elapsed() > 0.0);
+        assert!((scope.elapsed() - exp_work(20, 4)).abs() < 1e-15);
     }
 
     #[test]

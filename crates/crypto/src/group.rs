@@ -296,7 +296,7 @@ impl SchnorrGroup {
     /// (Straus/Shamir), so `k` same-size exponentiations cost roughly
     /// `0.8 + 0.2·k` plain exponentiations instead of `k`.
     pub fn multi_pow(&self, pairs: &[(&Ubig, &Ubig)]) -> Ubig {
-        let mut acc: Option<Ubig> = None;
+        let mut fixed: Vec<(Arc<FixedBase>, &Ubig)> = Vec::new();
         let mut dynamic: Vec<(&Ubig, &Ubig)> = Vec::new();
         let mut dynamic_bits: Vec<u32> = Vec::new();
         for &(base, exp) in pairs {
@@ -308,11 +308,7 @@ impl SchnorrGroup {
                     self.p.bit_length(),
                     exp.bit_length(),
                 ));
-                let part = fb.pow_mont(&self.mont, exp);
-                acc = Some(match acc {
-                    Some(a) => self.mont.mont_mul(&a, &part),
-                    None => part,
-                });
+                fixed.push((fb, exp));
             } else {
                 dynamic.push((base, exp));
                 dynamic_bits.push(exp.bit_length());
@@ -320,16 +316,9 @@ impl SchnorrGroup {
         }
         if !dynamic.is_empty() {
             cost::charge(cost::multi_exp_work(self.p.bit_length(), &dynamic_bits));
-            let part = self.mont.multi_pow_mont(&dynamic);
-            acc = Some(match acc {
-                Some(a) => self.mont.mont_mul(&a, &part),
-                None => part,
-            });
         }
-        match acc {
-            Some(a) => self.mont.from_mont(&a),
-            None => Ubig::one(),
-        }
+        let fixed: Vec<(&FixedBase, &Ubig)> = fixed.iter().map(|(fb, exp)| (&**fb, *exp)).collect();
+        self.mont.multi_pow_fixed(&fixed, &dynamic)
     }
 
     /// Group operation `a * b mod p`, metered at the fractional weight of

@@ -7,12 +7,14 @@
 //! multi-signature configuration its speed advantage; a key here has
 //! three balanced primes (multi-prime RSA, RFC 8017 §3.2), so a signature
 //! is three exponentiations at a third of the modulus width instead of
-//! two at half. Verification is the same `(n, e)` either way.
+//! two at half; on a CPU with AVX-512 IFMA the three run in lockstep on
+//! one vector kernel ([`Montgomery3`]). Verification is the same `(n, e)`
+//! either way.
 
 use std::fmt;
 
 use rand::Rng;
-use sintra_bigint::{prime, Montgomery, PrimeConfig, Ubig};
+use sintra_bigint::{prime, Montgomery, Montgomery3, PrimeConfig, Ubig};
 
 use crate::{cost, hash, CryptoError};
 
@@ -68,6 +70,10 @@ pub struct RsaPrivateKey {
     public: RsaPublicKey,
     d: Ubig,
     primes: Vec<CrtPrime>,
+    /// The three primes' lockstep context, when the key has three primes
+    /// and [`Montgomery3::new`] takes them (each below 2³⁴³, on a CPU with
+    /// AVX-512 IFMA).
+    lockstep: Option<Montgomery3>,
 }
 
 /// An RSA full-domain-hash signature.
@@ -193,6 +199,10 @@ impl RsaPrivateKey {
             });
             below = &below * p;
         }
+        let lockstep = match primes.as_slice() {
+            [p0, p1, p2] => Montgomery3::new([p0, p1, p2]),
+            _ => None,
+        };
         Some(RsaPrivateKey {
             public: RsaPublicKey {
                 mont: Montgomery::new(&n),
@@ -201,6 +211,7 @@ impl RsaPrivateKey {
             },
             d,
             primes: crt,
+            lockstep,
         })
     }
 
@@ -221,19 +232,29 @@ impl RsaPrivateKey {
     }
 
     /// Raw private-key operation `x^d mod n` via CRT: one exponentiation
-    /// modulo each prime, then Garner's recombination.
+    /// modulo each prime, then Garner's recombination. With a lockstep
+    /// context the three exponentiations run together on it; otherwise
+    /// one after another, each on its prime's `Montgomery` context.
     ///
-    /// Metered as one exponentiation per prime at the prime's width, which
-    /// is why the paper's multi-signature configuration ("benefits from
-    /// fast modular exponentiation using Chinese remaindering") outpaces
-    /// full-width threshold-RSA exponentiation: with three primes a
-    /// signature is charged about 1/9 of a full-width one.
+    /// Metered as one exponentiation per prime at the prime's width
+    /// whichever way they run, which is why the paper's multi-signature
+    /// configuration ("benefits from fast modular exponentiation using
+    /// Chinese remaindering") outpaces full-width threshold-RSA
+    /// exponentiation: with three primes a signature is charged about 1/9
+    /// of a full-width one.
     pub fn crt_pow(&self, x: &Ubig) -> Ubig {
+        let residues: Vec<Ubig> = match (&self.lockstep, self.primes.as_slice()) {
+            (Some(ctx), [p0, p1, p2]) => cost::mont_pow3(ctx, x, [&p0.d, &p1.d, &p2.d]).into(),
+            _ => self
+                .primes
+                .iter()
+                .map(|prime| cost::mont_pow(&prime.mont, x, &prime.d))
+                .collect(),
+        };
         // `acc` is `x^d` modulo the primes folded in so far.
         let mut acc = Ubig::zero();
-        for prime in &self.primes {
+        for (prime, m) in self.primes.iter().zip(&residues) {
             let p = prime.mont.modulus();
-            let m = cost::mont_pow(&prime.mont, x, &prime.d);
             let h = prime.coeff.mod_mul(&m.mod_sub(&acc, p), p);
             acc = &acc + &(&h * &prime.below);
         }
@@ -322,6 +343,91 @@ mod tests {
                 let x = rng.gen_ubig_below(key.public().n());
                 assert_eq!(key.crt_pow(&x), key.plain_pow(&x), "{count} primes");
             }
+        }
+        // The dealt 1024-bit keys, whose primes the lockstep kernel takes
+        // on a CPU with IFMA: the edges of `Z_n`, a multiple of each
+        // prime, and random values.
+        for index in 0..4 {
+            let key = crate::fixtures::rsa_key(1024, index).expect("fixture key");
+            let n = key.public().n();
+            let mut values = vec![Ubig::zero(), Ubig::one(), Ubig::two(), n - &Ubig::one()];
+            values.extend(key.primes().map(|p| p * &Ubig::from(7u64)));
+            values.extend((0..8).map(|_| rng.gen_ubig_below(n)));
+            for x in &values {
+                assert_eq!(key.crt_pow(x), key.plain_pow(x), "key {index}, {x:?}");
+            }
+        }
+    }
+
+    /// Whether `/proc/cpuinfo` lists both AVX-512 flags the lockstep kernel
+    /// needs.
+    #[cfg(target_os = "linux")]
+    fn cpu_reports_ifma() -> bool {
+        let info = std::fs::read_to_string("/proc/cpuinfo").expect("read /proc/cpuinfo");
+        let flags = info
+            .lines()
+            .find(|l| l.starts_with("flags"))
+            .and_then(|l| l.split_once(':'))
+            .map_or("", |(_, flags)| flags);
+        ["avx512f", "avx512ifma"]
+            .iter()
+            .all(|want| flags.split_whitespace().any(|f| f == *want))
+    }
+
+    /// A three-prime 1024-bit key signs on the lockstep kernel exactly when
+    /// the CPU reports IFMA; a two-prime key, a 2048-bit key (683-bit
+    /// primes) and a key with a prime above 2³⁴³ stay on the per-prime
+    /// loop. (A 343-bit prime, bit 342 set, is inside the kernel's bound.)
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn lockstep_runs_exactly_when_the_cpu_reports_it() {
+        let key = crate::fixtures::rsa_key(1024, 0).expect("fixture key");
+        assert_eq!(key.lockstep.is_some(), cpu_reports_ifma());
+        let primes: Vec<Ubig> = key.primes().cloned().collect();
+        let e = Ubig::from(PARTY_PUBLIC_EXPONENT);
+        let two = RsaPrivateKey::from_primes(primes[..2].to_vec(), e.clone()).expect("two primes");
+        assert!(two.lockstep.is_none(), "two primes");
+        let mut rng = StdRng::seed_from_u64(36);
+        let config = PrimeConfig::default();
+        for bits in [344, 683] {
+            let mut primes = primes[..2].to_vec();
+            primes.push(gen_prime_for(bits, &e, &config, &mut rng));
+            let key = RsaPrivateKey::from_primes(primes, e.clone()).expect("three primes");
+            assert!(key.lockstep.is_none(), "a {bits}-bit prime");
+        }
+        let wide = RsaPrivateKey::generate(2048, &mut rng);
+        assert!(wide.lockstep.is_none(), "2048 bits");
+        assert_eq!(wide.sign(b"m"), {
+            let mut reference = wide.clone();
+            reference.lockstep = None;
+            reference.sign(b"m")
+        });
+    }
+
+    /// A signature on the lockstep kernel is the per-prime loop's
+    /// signature, and is charged exactly what that loop charges: one
+    /// `exp_work(bits(pᵢ), bits(dᵢ))` per prime.
+    #[test]
+    fn lockstep_signs_and_charges_as_the_per_prime_loop() {
+        for index in 0..4 {
+            let key = crate::fixtures::rsa_key(1024, index).expect("fixture key");
+            let mut per_prime = key.clone();
+            per_prime.lockstep = None;
+            let charged = |key: &RsaPrivateKey| {
+                let scope = cost::CostScope::enter();
+                let sig = key.sign(b"charged message");
+                (sig, scope.elapsed())
+            };
+            let (sig, units) = charged(&key);
+            let (want_sig, want_units) = charged(&per_prime);
+            assert_eq!(sig, want_sig, "key {index}");
+            assert_eq!(units, want_units, "key {index}");
+            let formula: f64 = key
+                .primes
+                .iter()
+                .map(|p| cost::exp_work(p.mont.modulus().bit_length(), p.d.bit_length()))
+                .sum();
+            assert_eq!(units, formula, "key {index}");
         }
     }
 

@@ -20,7 +20,9 @@
 //! "requires no change to the protocols" observation.
 
 use rand::Rng;
-use sintra_bigint::{prime, Ibig, PrimeConfig, Ubig, UbigRandom};
+use std::fmt;
+
+use sintra_bigint::{prime, Ibig, Montgomery, PrimeConfig, Ubig, UbigRandom};
 
 use crate::polynomial::{factorial, integer_lagrange_at_zero, Polynomial};
 use crate::rsa::{self, RsaPrivateKey, RsaPublicKey, RsaSignature};
@@ -73,8 +75,10 @@ impl ShoupModulus {
     }
 }
 
-/// Public key of a dealt Shoup RSA threshold signature.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Public key of a dealt Shoup RSA threshold signature, with the
+/// Montgomery context of `N` built once. Two keys are equal when their
+/// public fields are.
+#[derive(Clone)]
 pub struct ShoupRsaPublic {
     /// Number of parties.
     pub n_parties: usize,
@@ -88,6 +92,43 @@ pub struct ShoupRsaPublic {
     pub v: Ubig,
     /// Per-party verification keys `v_i = v^{s_i}`.
     pub vks: Vec<Ubig>,
+    /// Every exponentiation of the scheme is modulo `N`.
+    mont: Montgomery,
+}
+
+impl PartialEq for ShoupRsaPublic {
+    fn eq(&self, other: &Self) -> bool {
+        (
+            self.n_parties,
+            self.k,
+            &self.modulus,
+            &self.e,
+            &self.v,
+            &self.vks,
+        ) == (
+            other.n_parties,
+            other.k,
+            &other.modulus,
+            &other.e,
+            &other.v,
+            &other.vks,
+        )
+    }
+}
+
+impl Eq for ShoupRsaPublic {}
+
+impl fmt::Debug for ShoupRsaPublic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ShoupRsaPublic")
+            .field("n_parties", &self.n_parties)
+            .field("k", &self.k)
+            .field("modulus", &self.modulus)
+            .field("e", &self.e)
+            .field("v", &self.v)
+            .field("vks", &self.vks)
+            .finish()
+    }
 }
 
 /// One party's Shoup secret share `s_i = f(i+1) mod m`.
@@ -216,9 +257,10 @@ impl ShoupRsaPublic {
                 break r.mod_mul(&r, &big_n);
             }
         };
+        let mont = Montgomery::new(&big_n);
         let vks = shares
             .iter()
-            .map(|s| cost::mod_pow(&v, &s.s, &big_n))
+            .map(|s| cost::mont_pow(&mont, &v, &s.s))
             .collect();
         (
             ShoupRsaPublic {
@@ -228,6 +270,7 @@ impl ShoupRsaPublic {
                 e,
                 v,
                 vks,
+                mont,
             },
             shares,
         )
@@ -247,7 +290,7 @@ impl ShoupRsaPublic {
 
     fn x_tilde(&self, x_hat: &Ubig) -> Ubig {
         let exp = &self.delta() << 2; // 4Δ
-        cost::mod_pow(x_hat, &exp, &self.modulus)
+        cost::mont_pow(&self.mont, x_hat, &exp)
     }
 
     fn proof_challenge(
@@ -290,12 +333,12 @@ impl ShoupRsaPublic {
         let Some(sig_sq_inv) = sigma_sq.mod_inverse(&self.modulus) else {
             return false;
         };
-        let v_commit = cost::mod_pow(&self.v, &proof.response, &self.modulus).mod_mul(
-            &cost::mod_pow(&vk_inv, &proof.challenge, &self.modulus),
+        let v_commit = cost::mont_pow(&self.mont, &self.v, &proof.response).mod_mul(
+            &cost::mont_pow(&self.mont, &vk_inv, &proof.challenge),
             &self.modulus,
         );
-        let x_commit = cost::mod_pow(&x_tilde, &proof.response, &self.modulus).mod_mul(
-            &cost::mod_pow(&sig_sq_inv, &proof.challenge, &self.modulus),
+        let x_commit = cost::mont_pow(&self.mont, &x_tilde, &proof.response).mod_mul(
+            &cost::mont_pow(&self.mont, &sig_sq_inv, &proof.challenge),
             &self.modulus,
         );
         self.proof_challenge(&x_tilde, vk, &sigma_sq, &v_commit, &x_commit) == proof.challenge
@@ -361,7 +404,7 @@ impl ShoupRsaPublic {
             } else {
                 sigma.clone()
             };
-            w = w.mod_mul(&cost::mod_pow(&base, &exp, &self.modulus), &self.modulus);
+            w = w.mod_mul(&cost::mont_pow(&self.mont, &base, &exp), &self.modulus);
         }
         // w^e = x̂^{e'} with e' = 4Δ²; gcd(e, e') = 1 since e is prime > n.
         let delta = self.delta();
@@ -369,7 +412,7 @@ impl ShoupRsaPublic {
         let (g, a, b) = e_prime.egcd(&self.e);
         debug_assert!(g.is_one(), "e is prime and does not divide 4Δ²");
         let pow_signed = |base: &Ubig, exp: &Ibig| -> Result<Ubig> {
-            let raised = cost::mod_pow(base, exp.magnitude(), &self.modulus);
+            let raised = cost::mont_pow(&self.mont, base, exp.magnitude());
             if exp.is_negative() {
                 raised
                     .mod_inverse(&self.modulus)
@@ -390,7 +433,7 @@ impl ShoupRsaPublic {
         if y.is_zero() || *y >= self.modulus {
             return false;
         }
-        cost::mod_pow(y, &self.e, &self.modulus) == self.digest(message)
+        cost::mont_pow(&self.mont, y, &self.e) == self.digest(message)
     }
 }
 
@@ -533,7 +576,7 @@ impl ThresholdSigKit {
                 let x_hat = p.digest(message);
                 let delta = p.delta();
                 let exp = &(&delta * &share.s) << 1; // 2Δ·s_i
-                let sigma = cost::mod_pow(&x_hat, &exp, &p.modulus);
+                let sigma = cost::mont_pow(&p.mont, &x_hat, &exp);
                 // Correctness proof (Fiat–Shamir, deterministic nonce).
                 let x_tilde = p.x_tilde(&x_hat);
                 let sigma_sq = sigma.mod_mul(&sigma, &p.modulus);
@@ -541,8 +584,8 @@ impl ThresholdSigKit {
                 let mut nonce_input = share.s.to_be_bytes();
                 nonce_input.extend_from_slice(message);
                 let r = hash::hash_to_ubig(b"sintra-shoup-nonce", &nonce_input, &nonce_bound);
-                let v_commit = cost::mod_pow(&p.v, &r, &p.modulus);
-                let x_commit = cost::mod_pow(&x_tilde, &r, &p.modulus);
+                let v_commit = cost::mont_pow(&p.mont, &p.v, &r);
+                let x_commit = cost::mont_pow(&p.mont, &x_tilde, &r);
                 let c = p.proof_challenge(
                     &x_tilde,
                     &p.vks[share.index],

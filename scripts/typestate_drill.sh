@@ -27,15 +27,18 @@
 #   16   step 2b starts the binary agreement one proper vote short of
 #        `n - t`.
 # One row for sintra-bigint's unsafe budget, whose two allowed blocks are
-# the 6-limb ADX kernel and the call into the 16-limb IFMA kernel in
-# montgomery.rs:
+# the 6-limb ADX kernel in montgomery.rs and the one call into the IFMA
+# kernels in ifma.rs:
 #   17   `unsafe {}` in arith.rs (deny).
 # One row for the pump's seeded schedule (core's tests/properties.rs):
 #   18   `Choice::Seeded` takes the front, as `Fifo` does, so every seeded
 #        sweep would silently run one schedule.
-# One row for the IFMA kernel's CPU check (rustc):
-#   19   the `#[target_feature]` kernel called outside `unsafe`, so that
-#        nothing would tie the call to the check in `Montgomery::new`.
+# Two rows for the IFMA kernels' CPU check (rustc):
+#   19   the `#[target_feature]` dispatcher called outside `unsafe`, so
+#        that nothing would tie the call to the checks in `Ifma::new` and
+#        `Montgomery3::new`;
+#   20   `Montgomery3::pow3` calling the lockstep exponentiation directly
+#        rather than through the dispatcher's reviewed block.
 #
 # Usage: scripts/typestate_drill.sh [scratch-dir]
 # Exit 0 when every row is refused; prints the first error of each.
@@ -180,11 +183,14 @@ elif name == "seeded pump takes the front":
             "                let _ = rng;\n"
             "                self.pending.pop_front()\n")
 elif name == "IFMA kernel called outside unsafe":
-    replace("        #[allow(unsafe_code)]\n"
-            "        unsafe {\n"
-            "            amm52x20(&self.n, self.k0, a, b)\n"
-            "        }\n",
-            "        amm52x20(&self.n, self.k0, a, b)\n")
+    replace("    #[allow(unsafe_code)]\n"
+            "    unsafe {\n"
+            "        run(call)\n"
+            "    }\n",
+            "    run(call)\n")
+elif name == "lockstep kernel called around the dispatcher":
+    replace("        dispatch(Call::Pow3(ctx, &x, exps, &mut out));\n",
+            "        out = pow3_lockstep(ctx, &x, exps);\n")
 elif name == "VBA vote gate one short":
     replace("            let quorum = self.ctx.n_minus_t();\n",
             "            let quorum = self.ctx.n_minus_t() - 1;\n")
@@ -263,8 +269,10 @@ drill check sintra-bigint crates/bigint/src/arith.rs 'usage of an `unsafe` block
     "unsafe budget: unsafe in bigint's arith.rs"
 drill test:properties sintra-core $core/pump.rs 'two seeds, one schedule' \
     "seeded pump takes the front"
-drill check sintra-bigint crates/bigint/src/montgomery.rs 'call to function `amm52x20` with `#\[target_feature\]` is unsafe' \
+drill check sintra-bigint crates/bigint/src/ifma.rs 'call to function `run` with `#\[target_feature\]` is unsafe' \
     "IFMA kernel called outside unsafe"
+drill check sintra-bigint crates/bigint/src/ifma.rs 'call to function `pow3_lockstep` with `#\[target_feature\]` is unsafe' \
+    "lockstep kernel called around the dispatcher"
 
 if [ "$failed" -ne 0 ]; then
     echo "drill: a re-introduced bug was not refused" >&2
