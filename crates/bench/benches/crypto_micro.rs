@@ -14,10 +14,10 @@ use sintra_crypto::{fixtures, hmac::HmacKey};
 
 /// The bottom layer: one Montgomery multiplication and squaring at the
 /// group modulus (the 16-limb width, which runs the IFMA kernel on a CPU
-/// with `avx512f` and `avx512ifma`) and at a 341-bit prime of a 1024-bit
-/// RSA key (the 6-limb width, which runs the ADX kernel on a CPU with
-/// `bmi2` and `adx`), and exponentiations at the exponent lengths the
-/// stack uses —
+/// with `avx512f`, `avx512vl` and `avx512ifma`) and at a 341-bit prime of
+/// a 1024-bit RSA key (the 6-limb width, which runs the ADX kernel on a
+/// CPU with `bmi2` and `adx`), and exponentiations at the exponent
+/// lengths the stack uses —
 /// 17 bits (verifying under `e = 65 537`, Shoup's exponent; party keys
 /// verify with `e = 3`, and CI gates `rsa/verify/1024` below half of this
 /// row), 160 (group exponents), 341 at that prime
@@ -32,8 +32,8 @@ use sintra_crypto::{fixtures, hmac::HmacKey};
 ///
 /// `modexp/341x341` is one CRT exponentiation on its own. `rsa/sign-crt`
 /// does not run three of them where `ifma` is true: there the three run
-/// in lockstep on one AVX-512 IFMA kernel (`Montgomery3`), and CI prints
-/// `rsa/sign-crt/1024 ÷ (3 × modexp/341x341)` from the same run.
+/// as one on the digit-sliced AVX-512 IFMA kernel (`Montgomery3`), and CI
+/// prints `rsa/sign-crt/1024 ÷ (3 × modexp/341x341)` from the same run.
 fn bench_bigint(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     let group = fixtures::schnorr_group(1024).expect("fixture");

@@ -158,7 +158,7 @@ fn host_record() -> String {
         field("flags").is_some_and(|flags| flags.split_whitespace().any(|f| f == flag))
     };
     let (sha_ni, adx) = (has("sha_ni"), has("bmi2") && has("adx"));
-    let ifma = has("avx512f") && has("avx512ifma");
+    let ifma = has("avx512f") && has("avx512vl") && has("avx512ifma");
     let rustc = std::process::Command::new("rustc")
         .arg("--version")
         .output()

@@ -260,14 +260,18 @@ fn sha_ni_kernel(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
 /// Deterministically expands domain-separated input into `len` bytes using
 /// SHA-256 in counter mode. Used as the KDF / random-oracle expander for
 /// hash-to-group, FDH padding and coin output.
+///
+/// Block `i` is `SHA-256(len(domain) ‖ domain ‖ input ‖ i)`, so the
+/// prefix is hashed once and its state cloned per block.
 pub fn expand(domain: &[u8], input: &[u8], len: usize) -> Vec<u8> {
+    let mut prefix = Sha256::new();
+    prefix.update(&(domain.len() as u32).to_be_bytes());
+    prefix.update(domain);
+    prefix.update(input);
     let mut out = Vec::with_capacity(len);
     let mut counter: u32 = 0;
     while out.len() < len {
-        let mut h = Sha256::new();
-        h.update(&(domain.len() as u32).to_be_bytes());
-        h.update(domain);
-        h.update(input);
+        let mut h = prefix.clone();
         h.update(&counter.to_be_bytes());
         out.extend_from_slice(&h.finalize());
         counter += 1;
@@ -392,6 +396,41 @@ mod tests {
         assert_eq!(a.len(), 100);
         // Prefix property: shorter expansion is a prefix of longer.
         assert_eq!(expand(b"domA", b"input", 10), a[..10]);
+    }
+
+    /// `expand` is the counter-mode construction it documents, each block
+    /// hashed from scratch, for every input length up to 200 bytes (prefixes
+    /// across the first block boundaries) and output length up to 300.
+    #[test]
+    fn expand_matches_the_naive_construction() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 37 + 11) as u8).collect();
+        let naive = |input: &[u8], len: usize| {
+            let mut out = Vec::new();
+            for counter in 0u32.. {
+                if out.len() >= len {
+                    break;
+                }
+                let mut h = Sha256::new();
+                h.update(&(b"dom".len() as u32).to_be_bytes());
+                h.update(b"dom");
+                h.update(input);
+                h.update(&counter.to_be_bytes());
+                out.extend_from_slice(&h.finalize());
+            }
+            out.truncate(len);
+            out
+        };
+        for input_len in 0..=200 {
+            let input = &data[..input_len];
+            let want = naive(input, 300);
+            for len in 1..=300 {
+                assert_eq!(
+                    expand(b"dom", input, len),
+                    want[..len],
+                    "{input_len}, {len}"
+                );
+            }
+        }
     }
 
     #[test]

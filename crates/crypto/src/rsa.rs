@@ -251,11 +251,13 @@ impl RsaPrivateKey {
                 .map(|prime| cost::mont_pow(&prime.mont, x, &prime.d))
                 .collect(),
         };
-        // `acc` is `x^d` modulo the primes folded in so far.
+        // `acc` is `x^d` modulo the primes folded in so far. Each residue
+        // `m` is already below its prime, so only `acc` is reduced, and
+        // `m + p − (acc mod p)` is positive and `≡ m − acc`.
         let mut acc = Ubig::zero();
         for (prime, m) in self.primes.iter().zip(&residues) {
             let p = prime.mont.modulus();
-            let h = prime.coeff.mod_mul(&m.mod_sub(&acc, p), p);
+            let h = prime.coeff.mod_mul(&(&(m + p) - &(&acc % p)), p);
             acc = &acc + &(&h * &prime.below);
         }
         acc
@@ -359,8 +361,8 @@ mod tests {
         }
     }
 
-    /// Whether `/proc/cpuinfo` lists both AVX-512 flags the lockstep kernel
-    /// needs.
+    /// Whether `/proc/cpuinfo` lists the three AVX-512 flags the lockstep
+    /// kernel needs.
     #[cfg(target_os = "linux")]
     fn cpu_reports_ifma() -> bool {
         let info = std::fs::read_to_string("/proc/cpuinfo").expect("read /proc/cpuinfo");
@@ -369,7 +371,7 @@ mod tests {
             .find(|l| l.starts_with("flags"))
             .and_then(|l| l.split_once(':'))
             .map_or("", |(_, flags)| flags);
-        ["avx512f", "avx512ifma"]
+        ["avx512f", "avx512vl", "avx512ifma"]
             .iter()
             .all(|want| flags.split_whitespace().any(|f| f == *want))
     }
