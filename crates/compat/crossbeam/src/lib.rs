@@ -2,7 +2,7 @@
 //!
 //! Provides only `crossbeam::channel::{unbounded, Sender, Receiver}` with
 //! the subset of semantics the SINTRA TCP runtime relies on:
-//! unbounded MPMC queues, cloneable endpoints on both sides, blocking
+//! unbounded MPSC queues, cloneable senders, blocking
 //! `recv`, `recv_timeout`, non-blocking `try_recv`, and disconnect
 //! detection when either side fully drops. Implemented over
 //! `Mutex<VecDeque>` + `Condvar`; throughput is a few million messages/s,
@@ -72,7 +72,9 @@ pub mod channel {
         shared: Arc<Shared<T>>,
     }
 
-    /// The receiving half; cloneable (messages go to exactly one receiver).
+    /// The receiving half. Unlike the real crate's, it is not cloneable:
+    /// nothing here needs a second receiver, and `std::sync::mpsc`, which
+    /// this stand-in should give way to, has none.
     pub struct Receiver<T> {
         shared: Arc<Shared<T>>,
     }
@@ -81,15 +83,6 @@ pub mod channel {
         fn clone(&self) -> Self {
             self.shared.senders.fetch_add(1, Ordering::Relaxed);
             Sender {
-                shared: Arc::clone(&self.shared),
-            }
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            self.shared.receivers.fetch_add(1, Ordering::Relaxed);
-            Receiver {
                 shared: Arc::clone(&self.shared),
             }
         }
@@ -248,9 +241,8 @@ mod tests {
     fn clone_endpoints_share_queue() {
         let (tx, rx) = unbounded();
         let tx2 = tx.clone();
-        let rx2 = rx.clone();
         tx2.send(7).unwrap();
-        assert_eq!(rx2.recv(), Ok(7));
+        assert_eq!(rx.recv(), Ok(7));
         drop(tx);
         drop(tx2);
         assert_eq!(rx.recv(), Err(RecvError));

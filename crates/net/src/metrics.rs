@@ -9,9 +9,9 @@
 //! link state that only exists inside the transport), and answers with
 //! the Prometheus-style text exposition rendered by
 //! [`render_exposition`]. No HTTP library is involved: the server reads
-//! one request head, writes one response, and closes — the same
-//! poll-accept-with-shutdown-flag idiom as the TCP runtime's listener
-//! loop, so teardown joins the thread deterministically.
+//! one request head, writes one response, and closes; the thread polls
+//! a nonblocking listener until a shutdown flag is set, so teardown
+//! joins it deterministically.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

@@ -1,17 +1,19 @@
-//! The per-party server loop: one OS thread driving a [`PartyCore`], fed
-//! by an inbox of authenticated envelopes and application requests.
+//! The per-party loop: one OS thread that steps a [`PartyCore`] and
+//! services the party's sockets, fed by one command channel.
 //!
 //! Each step is [`PartyCore::step`], the same sans-IO step the simulator
 //! runs. The loop adds what only a real party needs: wall-clock trace
 //! stamps, the `net:send`/`net:recv` events, the flight recorder and
 //! trace stream, stall detection, timers on the wall clock, and the
 //! phase counters (`net_dispatch_us`, `timer_dispatch_us`,
-//! `cmd_dispatch_us`, `flush_us`). Sealed frames leave through the TCP
-//! runtime's transport. The application talks to the loop through a
-//! [`TcpHandle`](crate::tcp::TcpHandle), whose blocking
+//! `cmd_dispatch_us`, `flush_us`). Between steps it sweeps the party's
+//! [`Sockets`]: accepts, backlogs, redials and reads. Sealed frames leave
+//! through the TCP runtime's transport. The application talks to the
+//! loop through a [`TcpHandle`](crate::tcp::TcpHandle), whose blocking
 //! `send`/`receive`/`close`/`close_wait` API mirrors the Java `Channel`
 //! interface of the paper (§3.4).
 
+use std::collections::binary_heap::PeekMut;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,22 +31,13 @@ use sintra_telemetry::{
 
 use crate::observe::{write_dump, ObservabilityConfig, FLIGHT_RING_CAPACITY};
 use crate::step::{self, targets, Effects, PartyCore};
-use crate::tcp::TcpTransport;
-use sintra_core::invariant::OrInvariant;
+use crate::tcp::{PollConn, Sockets, TcpTransport};
 
-/// An application action sent to a server thread.
+/// An application action sent to a party's loop.
 pub(crate) type Action = Box<dyn FnOnce(&mut Node, &mut Outgoing) + Send>;
 
-/// One item in a server's inbox.
-pub(crate) enum Input {
-    /// An envelope encoding from `from`, already authenticated and
-    /// deduplicated by the link layer.
-    Net {
-        /// Authenticated origin.
-        from: PartyId,
-        /// The envelope's wire encoding.
-        data: Vec<u8>,
-    },
+/// One item on a party loop's command channel.
+pub(crate) enum Command {
     /// An application action: create an instance, propose, close, ...
     Act(Action),
     /// An application payload for a channel. Its own variant because the
@@ -52,8 +45,13 @@ pub(crate) enum Input {
     Send(ProtocolId, Vec<u8>),
     /// Dump the server's live state under the given reason tag.
     DumpState(String),
-    /// Stop the loop.
-    Shutdown,
+    /// A handshaken connection for the socket sweep.
+    Conn(PollConn),
+    /// The crash hook: drop the core and stop stepping; the sockets stay
+    /// serviced.
+    Crash,
+    /// Stop the loop: the group is shutting down.
+    Stop,
 }
 
 /// The application's side of a server's event stream: deliveries,
@@ -210,34 +208,32 @@ impl Outputs {
     }
 }
 
-/// Everything a server loop needs beyond its transport and channels.
-pub(crate) struct ServerOpts {
-    /// Telemetry sink for counters, histograms and traces.
-    pub recorder: Option<Arc<dyn Recorder>>,
-    /// Flight recorder + stall detector configuration.
-    pub observability: Option<ObservabilityConfig>,
-    /// The group-wide time zero: every party of a group shares one
-    /// anchor, so trace stamps from different server threads are directly
-    /// comparable (and causal arrows in exported traces point forward).
-    pub run_start: Instant,
-    /// Streaming trace sink. The loop owns it, so returning from the
-    /// loop (any shutdown path) drains the buffered tail to disk before
-    /// the runtime can join this thread — flush-on-shutdown ordering.
-    pub trace_stream: Option<TraceStream>,
-}
-
 /// Pending timers: (deadline, pid, token), earliest first.
 type Timers = std::collections::BinaryHeap<std::cmp::Reverse<(Instant, ProtocolId, u64)>>;
 
-/// What every step of one party's loop needs besides the core and the
-/// transport: where telemetry goes and the application's event stream.
-struct LoopState {
+/// Longest the loop parks when a turn moved nothing: bounds both the
+/// latency of a frame that arrives while it is parked and the idle cost,
+/// one syscall per connection per park.
+const PARK: Duration = Duration::from_micros(500);
+
+/// The protocol half of a party's loop: the core, its timers, where
+/// telemetry goes and the application's event stream. The crash hook
+/// drops it; the socket half runs on.
+pub(crate) struct Server {
     me: usize,
     parties: usize,
+    core: PartyCore,
+    timers: Timers,
     recorder: Option<Arc<dyn Recorder>>,
     observability: Option<ObservabilityConfig>,
     flight: Option<FlightRecorder>,
+    /// Streaming trace sink. Dropping the server — at a crash, or when
+    /// the loop returns and so before the runtime can join the party's
+    /// thread — drains the buffered tail to disk.
     trace_stream: Option<TraceStream>,
+    /// The group-wide time zero: every party of a group shares one
+    /// anchor, so trace stamps from different parties are directly
+    /// comparable (and causal arrows in exported traces point forward).
     run_start: Instant,
     /// Whether steps collect trace events at all.
     tracing: bool,
@@ -247,9 +243,57 @@ struct LoopState {
     /// Per-channel FIFO of own send instants, matched against own
     /// deliveries for end-to-end latency.
     send_times: HashMap<String, VecDeque<Instant>>,
+    /// Stall detection: quiet time is measured from the last *network or
+    /// application* input. Timer expiries deliberately do not reset it —
+    /// a channel re-arming its complaint timer while starved of messages
+    /// is exactly the situation worth dumping.
+    last_input: Instant,
+    stall_dumped: bool,
 }
 
-impl LoopState {
+impl Server {
+    pub(crate) fn new(
+        keys: Arc<PartyKeys>,
+        recorder: Option<Arc<dyn Recorder>>,
+        observability: Option<ObservabilityConfig>,
+        run_start: Instant,
+        trace_stream: Option<TraceStream>,
+        event_tx: Sender<Event>,
+    ) -> Self {
+        let ctx = GroupContext::new(keys);
+        let me = ctx.me().0;
+        let parties = ctx.n();
+        let mut core = PartyCore::new(Node::new(ctx, me as u64 ^ 0x7EAD_ED01));
+        if let Some(rec) = &recorder {
+            core.set_recorder(rec.clone());
+            // Publish the stalled gauge at 0 up front so the series exists
+            // in the first scrape, before any stall has happened.
+            rec.gauge_set("server", "stalled", 0);
+        }
+        let metered = recorder.as_ref().is_some_and(|r| r.enabled());
+        let tracing = metered || observability.is_some();
+        core.set_tracing(tracing);
+        Server {
+            me,
+            parties,
+            core,
+            timers: Timers::new(),
+            tracing,
+            metered,
+            flight: observability
+                .as_ref()
+                .map(|_| FlightRecorder::new(FLIGHT_RING_CAPACITY)),
+            recorder,
+            observability,
+            trace_stream,
+            run_start,
+            event_tx,
+            send_times: HashMap::new(),
+            last_input: Instant::now(),
+            stall_dumped: false,
+        }
+    }
+
     /// Microseconds since the group spawned: the wall-clock trace stamp.
     fn now_us(&self) -> u64 {
         self.run_start.elapsed().as_micros() as u64
@@ -348,14 +392,9 @@ impl LoopState {
 
     /// The end of every step: arm the timers it asked for, put its
     /// messages on the wire, hand its events to the application.
-    fn finish_step(
-        &mut self,
-        mut effects: Effects,
-        transport: &mut TcpTransport,
-        timers: &mut Timers,
-    ) {
+    fn finish_step(&mut self, mut effects: Effects, transport: &mut TcpTransport) {
         for t in effects.timers.drain(..) {
-            timers.push(std::cmp::Reverse((
+            self.timers.push(std::cmp::Reverse((
                 Instant::now() + Duration::from_millis(t.delay_ms),
                 t.pid,
                 t.token,
@@ -367,7 +406,7 @@ impl LoopState {
 
     /// Writes the server's live state (instance snapshots, link state,
     /// flight-recorder tail) under `reason`; nothing without observability.
-    fn dump(&self, reason: &str, node: &Node, transport: &TcpTransport) {
+    fn dump(&self, reason: &str, transport: &TcpTransport) {
         let Some(obs) = &self.observability else {
             return;
         };
@@ -382,7 +421,7 @@ impl LoopState {
             reason,
             self.now_us(),
             obs.quiet.as_micros() as u64,
-            &node.snapshot_instances(),
+            &self.core.node().snapshot_instances(),
             &transport.link_snapshots(),
             &events,
             dropped,
@@ -392,34 +431,48 @@ impl LoopState {
     /// Runs one step; with observability on, a panic inside it (a
     /// protocol invariant violation) first writes an `invariant` dump and
     /// then resumes unwinding.
-    fn guarded_step(
-        &self,
-        core: &mut PartyCore,
-        transport: &TcpTransport,
-        input: step::Input<'_>,
-    ) -> Effects {
+    fn step(&mut self, transport: &TcpTransport, input: step::Input<'_>) -> Effects {
         if self.observability.is_none() {
-            return core.step(input);
+            return self.core.step(input);
         }
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| core.step(input))) {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.core.step(input))) {
             Ok(effects) => effects,
             Err(panic) => {
-                self.dump("invariant", core.node(), transport);
+                self.dump("invariant", transport);
                 std::panic::resume_unwind(panic);
             }
         }
     }
 
-    /// Steps one authenticated envelope: recv trace, guarded step, phase
-    /// metering.
-    fn dispatch_net(
-        &self,
-        from: PartyId,
-        env: &Envelope,
-        wire_len: u64,
-        core: &mut PartyCore,
-        transport: &TcpTransport,
-    ) -> Effects {
+    /// Notes a network or application input at the start of its step: it
+    /// ends a quiet period, and a declared stall with it. When metered,
+    /// the `inbox_depth` gauge reads `depth`: the command channel's
+    /// length plus the `ready` queue's as this step starts.
+    fn input(&mut self, depth: impl FnOnce() -> usize) {
+        self.last_input = Instant::now();
+        if std::mem::take(&mut self.stall_dumped) {
+            // Progress after a declared stall: flip the gauge back so
+            // scrapes see the recovery, not just the incident.
+            if let Some(rec) = &self.recorder {
+                rec.gauge_set("server", "stalled", 0);
+            }
+        }
+        if let (Some(rec), true) = (&self.recorder, self.metered) {
+            rec.gauge_set("server", "inbox_depth", depth() as u64);
+        }
+    }
+
+    /// Steps one envelope encoding from `from`, already authenticated and
+    /// deduplicated by the link layer: recv trace, step, phase metering.
+    fn envelope(&mut self, from: PartyId, data: &[u8], transport: &mut TcpTransport) {
+        // What fails to decode carries no trustworthy protocol id, so it
+        // is counted against the link.
+        let Ok(env) = Envelope::from_bytes(data) else {
+            if let Some(rec) = &self.recorder {
+                rec.counter_add("link", "msgs_dropped", 1);
+            }
+            return;
+        };
         if let Some(rec) = &self.recorder {
             rec.counter_add(root_scope(env.pid.as_str()), "msgs_delivered", 1);
         }
@@ -430,205 +483,173 @@ impl LoopState {
             let mut ev = TraceEvent::new(self.me, env.pid.as_str(), "net")
                 .phase("recv")
                 .round(env.send_seq)
-                .bytes(wire_len);
+                .bytes(data.len() as u64);
             ev.time_us = self.now_us();
             ev.cause = Some((from.0, env.send_seq));
             self.emit(ev);
         }
         let dispatch_start = self.metered.then(Instant::now);
-        let effects = self.guarded_step(core, transport, step::Input::Envelope { from, env });
+        let effects = self.step(transport, step::Input::Envelope { from, env: &env });
         if let (Some(rec), Some(start)) = (&self.recorder, dispatch_start) {
             let us = start.elapsed().as_micros() as u64;
             rec.counter_add(root_scope(env.pid.as_str()), "dispatch_us", us);
             rec.counter_add("server", "net_dispatch_us", us);
         }
-        effects
+        self.finish_step(effects, transport);
     }
 
-    /// Steps one application action, metered as command dispatch.
-    fn dispatch_cmd(
-        &self,
-        core: &mut PartyCore,
-        transport: &TcpTransport,
-        run: step::Action<'_>,
-    ) -> Effects {
+    /// Steps one client action or payload, or writes a requested dump,
+    /// metered as command dispatch.
+    fn command(&mut self, command: Command, transport: &mut TcpTransport) {
         let start = self.metered.then(Instant::now);
-        let effects = self.guarded_step(core, transport, step::Input::Act(run));
-        self.count_cmd(start);
-        effects
-    }
-
-    /// Adds the wall time since `start` to `cmd_dispatch_us`.
-    fn count_cmd(&self, start: Option<Instant>) {
-        if let (Some(rec), Some(start)) = (&self.recorder, start) {
-            rec.counter_add(
-                "server",
-                "cmd_dispatch_us",
-                start.elapsed().as_micros() as u64,
-            );
-        }
-    }
-}
-
-/// Runs one party's server loop until shutdown, on its own thread.
-pub(crate) fn server_loop(
-    me: usize,
-    keys: Arc<PartyKeys>,
-    inbox: Receiver<Input>,
-    mut transport: TcpTransport,
-    event_tx: Sender<Event>,
-    opts: ServerOpts,
-) {
-    let ServerOpts {
-        recorder,
-        observability,
-        run_start,
-        trace_stream,
-    } = opts;
-    let ctx = GroupContext::new(keys);
-    let parties = ctx.n();
-    let mut core = PartyCore::new(Node::new(ctx, me as u64 ^ 0x7EAD_ED01));
-    if let Some(rec) = &recorder {
-        core.set_recorder(rec.clone());
-        // Publish the stalled gauge at 0 up front so the series exists
-        // in the first scrape, before any stall has happened.
-        rec.gauge_set("server", "stalled", 0);
-    }
-    let metered = recorder.as_ref().is_some_and(|r| r.enabled());
-    let tracing = metered || observability.is_some();
-    core.set_tracing(tracing);
-    let mut state = LoopState {
-        me,
-        parties,
-        tracing,
-        metered,
-        flight: observability
-            .as_ref()
-            .map(|_| FlightRecorder::new(FLIGHT_RING_CAPACITY)),
-        recorder,
-        observability,
-        trace_stream,
-        run_start,
-        event_tx,
-        send_times: HashMap::new(),
-    };
-    // Stall detection: quiet time is measured from the last *network or
-    // application* input. Timer expiries deliberately do not reset it —
-    // a channel re-arming its complaint timer while starved of messages
-    // is exactly the situation worth dumping.
-    let mut last_input = Instant::now();
-    let mut stall_dumped = false;
-    let mut timers = Timers::new();
-    loop {
-        // Fire due timers before blocking.
-        let now = Instant::now();
-        while let Some(std::cmp::Reverse((deadline, _, _))) = timers.peek() {
-            if *deadline > now {
-                break;
-            }
-            let std::cmp::Reverse((_, pid, token)) =
-                timers.pop().or_invariant("timer heap drained after peek");
-            let dispatch_start = state.metered.then(Instant::now);
-            let effects = state.guarded_step(
-                &mut core,
-                &transport,
-                step::Input::Timer { pid: &pid, token },
-            );
-            if let (Some(rec), Some(start)) = (&state.recorder, dispatch_start) {
-                let us = start.elapsed().as_micros() as u64;
-                rec.counter_add(root_scope(pid.as_str()), "dispatch_us", us);
-                rec.counter_add("server", "timer_dispatch_us", us);
-            }
-            state.finish_step(effects, &mut transport, &mut timers);
-        }
-        // Block for the next input — but never past the next timer
-        // deadline, and never past the stall-check cadence when the
-        // detector is armed.
-        let timer_wait = timers.peek().map(|std::cmp::Reverse((deadline, _, _))| {
-            deadline.saturating_duration_since(Instant::now())
-        });
-        let input = if let Some(obs) = &state.observability {
-            let check = obs.effective_check_interval();
-            let wait = timer_wait.map_or(check, |w| w.min(check));
-            match inbox.recv_timeout(wait) {
-                Ok(input) => input,
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    if !stall_dumped
-                        && last_input.elapsed() >= obs.quiet
-                        && core.node().has_pending_work()
-                    {
-                        state.dump("stall", core.node(), &transport);
-                        stall_dumped = true;
-                        if let Some(rec) = &state.recorder {
-                            rec.gauge_set("server", "stalled", 1);
-                        }
-                    }
-                    continue;
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-            }
-        } else {
-            match timer_wait {
-                Some(wait) => match inbox.recv_timeout(wait) {
-                    Ok(input) => input,
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-                },
-                None => match inbox.recv() {
-                    Ok(input) => input,
-                    Err(_) => return,
-                },
-            }
-        };
-        last_input = Instant::now();
-        if stall_dumped {
-            // Progress after a declared stall: flip the gauge back so
-            // scrapes see the recovery, not just the incident.
-            if let Some(rec) = &state.recorder {
-                rec.gauge_set("server", "stalled", 0);
-            }
-        }
-        stall_dumped = false;
-        if let (Some(rec), true) = (&state.recorder, state.metered) {
-            rec.gauge_set("server", "inbox_depth", inbox.len() as u64);
-        }
-        let effects = match input {
-            Input::Net { from, data } => {
-                // The poll thread authenticated and deduplicated these
-                // bytes; what fails to decode carries no trustworthy
-                // protocol id, so it is counted against the link.
-                let Ok(env) = Envelope::from_bytes(&data) else {
-                    if let Some(rec) = &state.recorder {
-                        rec.counter_add("link", "msgs_dropped", 1);
-                    }
-                    continue;
-                };
-                state.dispatch_net(from, &env, data.len() as u64, &mut core, &transport)
-            }
-            Input::Act(run) => state.dispatch_cmd(&mut core, &transport, run),
-            Input::Send(pid, data) => {
-                if state.metered {
-                    state
-                        .send_times
+        let effects = match command {
+            Command::Act(run) => Some(self.step(transport, step::Input::Act(run))),
+            Command::Send(pid, data) => {
+                if self.metered {
+                    self.send_times
                         .entry(pid.as_str().to_string())
                         .or_default()
                         .push_back(Instant::now());
                 }
-                state.dispatch_cmd(
-                    &mut core,
-                    &transport,
-                    Box::new(move |node, out| node.channel_send(&pid, data, out)),
-                )
+                let run = Box::new(move |node: &mut Node, out: &mut Outgoing| {
+                    node.channel_send(&pid, data, out)
+                });
+                Some(self.step(transport, step::Input::Act(run)))
             }
-            Input::DumpState(reason) => {
-                let start = state.metered.then(Instant::now);
-                state.dump(&reason, core.node(), &transport);
-                state.count_cmd(start);
-                continue;
+            Command::DumpState(reason) => {
+                self.dump(&reason, transport);
+                None
             }
-            Input::Shutdown => return,
+            // The loop itself handles these.
+            Command::Conn(_) | Command::Crash | Command::Stop => None,
         };
-        state.finish_step(effects, &mut transport, &mut timers);
+        if let (Some(rec), Some(start)) = (&self.recorder, start) {
+            let us = start.elapsed().as_micros() as u64;
+            rec.counter_add("server", "cmd_dispatch_us", us);
+        }
+        if let Some(effects) = effects {
+            self.finish_step(effects, transport);
+        }
+    }
+
+    /// Steps every due timer; returns whether one fired.
+    fn fire_timers(&mut self, transport: &mut TcpTransport) -> bool {
+        let now = Instant::now();
+        let mut fired = false;
+        while let Some(std::cmp::Reverse((_, pid, token))) = self
+            .timers
+            .peek_mut()
+            .filter(|next| next.0 .0 <= now)
+            .map(PeekMut::pop)
+        {
+            let dispatch_start = self.metered.then(Instant::now);
+            let effects = self.step(transport, step::Input::Timer { pid: &pid, token });
+            if let (Some(rec), Some(start)) = (&self.recorder, dispatch_start) {
+                let us = start.elapsed().as_micros() as u64;
+                rec.counter_add(root_scope(pid.as_str()), "dispatch_us", us);
+                rec.counter_add("server", "timer_dispatch_us", us);
+            }
+            self.finish_step(effects, transport);
+            fired = true;
+        }
+        fired
+    }
+
+    /// How long the loop may park, at most `limit`: never past the next
+    /// timer deadline, nor past the stall-check cadence when the detector
+    /// is armed.
+    fn park(&self, limit: Duration) -> Duration {
+        let mut wait = limit;
+        if let Some(std::cmp::Reverse((deadline, _, _))) = self.timers.peek() {
+            wait = wait.min(deadline.saturating_duration_since(Instant::now()));
+        }
+        if let Some(obs) = &self.observability {
+            wait = wait.min(obs.effective_check_interval());
+        }
+        wait
+    }
+
+    /// After a park that brought nothing: a party quiet for longer than
+    /// the detector allows while it has work pending writes one `stall`
+    /// dump, until the next input.
+    fn check_stall(&mut self, transport: &TcpTransport) {
+        let Some(obs) = &self.observability else {
+            return;
+        };
+        if !self.stall_dumped
+            && self.last_input.elapsed() >= obs.quiet
+            && self.core.node().has_pending_work()
+        {
+            self.dump("stall", transport);
+            self.stall_dumped = true;
+            if let Some(rec) = &self.recorder {
+                rec.gauge_set("server", "stalled", 1);
+            }
+        }
+    }
+}
+
+/// Runs one party until group shutdown, on its own thread. Each turn
+/// drains the command channel, fires due timers, sweeps the sockets
+/// (accept, links, reads), and steps every envelope the sweep delivered
+/// and every one the party sent itself, in arrival order. A turn that
+/// moved nothing parks on the command channel.
+pub(crate) fn party_loop(
+    mut transport: TcpTransport,
+    mut sockets: Sockets,
+    cmds: Receiver<Command>,
+    server: Server,
+) {
+    let mut server = Some(server);
+    // A command the park brought, handled first in the next turn.
+    let mut parked = None;
+    // When the last sweep that moved something started. A park ends
+    // `PARK` after it, not after the steps that sweep led to: the sockets
+    // are read as often as if a thread of their own swept them.
+    let mut moved_at = Instant::now();
+    loop {
+        let mut progressed = false;
+        while let Some(command) = parked.take().or_else(|| cmds.try_recv().ok()) {
+            progressed = true;
+            match command {
+                Command::Conn(conn) => sockets.register(conn),
+                // Dropping the server drops the event sender too, so the
+                // application's waits on this party end.
+                Command::Crash => server = None,
+                Command::Stop => return,
+                command => {
+                    if let Some(server) = &mut server {
+                        server.input(|| cmds.len() + transport.ready.len());
+                        server.command(command, &mut transport);
+                    }
+                }
+            }
+        }
+        if let Some(server) = &mut server {
+            progressed |= server.fire_timers(&mut transport);
+        }
+        let sweep_start = Instant::now();
+        if sockets.sweep(&transport.net, &mut transport.ready) {
+            progressed = true;
+            moved_at = sweep_start;
+        }
+        while let Some((from, data)) = transport.ready.pop_front() {
+            progressed = true;
+            if let Some(server) = &mut server {
+                server.input(|| cmds.len() + transport.ready.len());
+                server.envelope(from, &data, &mut transport);
+            }
+        }
+        if !progressed {
+            let due = PARK.saturating_sub(moved_at.elapsed());
+            let limit = if due.is_zero() { PARK } else { due };
+            let wait = server.as_ref().map_or(limit, |server| server.park(limit));
+            match (cmds.recv_timeout(wait), &mut server) {
+                (Ok(command), _) => parked = Some(command),
+                (Err(_), Some(server)) => server.check_stall(&transport),
+                (Err(_), None) => {}
+            }
+        }
     }
 }
 

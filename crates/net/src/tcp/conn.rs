@@ -1,30 +1,31 @@
 //! Per-peer TCP connection management: dialing, accepting, handshakes,
-//! the readiness-driven read loop, the nonblocking write path, and
+//! the readiness-driven read sweep, the nonblocking write path, and
 //! redialing with jittered exponential backoff.
 //!
-//! Topology per party: one listener thread blocks in `accept` for
-//! connections from every *lower-id* peer (the deterministic dial rule:
-//! the lower id dials, so exactly one connection exists per pair), and
-//! one **poll thread** for the whole party services every live inbound
-//! socket and watches every link. Handshaken sockets are switched to
-//! nonblocking mode and registered with the poll thread, which sweeps
-//! them for readable bytes through one reused scratch buffer and
-//! reassembles frames in place ([`FrameBuffer::next_frame_ref`]) — no
-//! thread per connection and no per-frame allocation. A sweep that finds
-//! a higher-id peer with no connection starts a dial, at once or after a
-//! backoff ([`Redial`]). Every handshake, dialed or accepted, runs on a
-//! short-lived thread of its own, which installs the connection it
-//! authenticates.
+//! Topology per party: one thread runs the party's loop
+//! ([`party_loop`](crate::server::party_loop)), and [`Sockets`] is its
+//! socket half. Each sweep takes every pending connection from the
+//! party's nonblocking listener — only *lower-id* peers dial it (the
+//! deterministic dial rule: the lower id dials, so exactly one connection
+//! exists per pair) — watches every link, and services every live
+//! inbound socket. Handshaken sockets are switched to nonblocking mode
+//! and reach the loop over its command channel; the sweep reads them
+//! through one reused scratch buffer and reassembles frames in place
+//! ([`FrameBuffer::next_frame_ref`]) — no thread per connection and no
+//! per-frame allocation. A sweep that finds a higher-id peer with no
+//! connection starts a dial, at once or after a backoff ([`Redial`]).
+//! Every handshake, dialed or accepted, runs on a short-lived thread of
+//! its own, which installs the connection it authenticates.
 //!
 //! There is no writer thread. Whoever produces a frame writes it: the
-//! server loop its data frames, the poll thread its acks, the handshake
-//! thread the replay. A write never blocks — what the kernel does not
-//! take waits in the connection's backlog, which the next write and
-//! every poll sweep push on. All link state — sequence numbers, the
-//! retransmission queue, delivery watermarks — lives in the shared
-//! [`ReliableLink`]; connections are disposable carriers that resume the
-//! link via the [`handshake`](crate::link::handshake) and a replay of
-//! unacknowledged frames.
+//! party's loop its data frames and acks, the handshake thread the
+//! replay. A write never blocks — what the kernel does not take waits in
+//! the connection's backlog, which the next write and every sweep push
+//! on. All link state — sequence numbers, the retransmission queue,
+//! delivery watermarks — lives in the shared [`ReliableLink`];
+//! connections are disposable carriers that resume the link via the
+//! [`handshake`](crate::link::handshake) and a replay of unacknowledged
+//! frames.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -33,14 +34,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::Sender;
 
 use sintra_core::PartyId;
 use sintra_telemetry::Recorder;
 
 use crate::link::handshake::{self, fresh_nonce};
 use crate::link::{frame_sender, FrameBuffer, FrameKind, LinkEvent, LinkKey, ReliableLink};
-use crate::server::Input;
+use crate::server::Command;
 use crate::tcp::lock;
 use sintra_core::invariant::OrInvariant;
 
@@ -137,10 +138,10 @@ pub(crate) struct PeerLink {
     /// The peer's listener, for a peer this party dials (a higher id);
     /// `None` for one that dials this party.
     addr: Option<SocketAddr>,
-    /// A dial to the peer is in flight; set by the poll thread, cleared
+    /// A dial to the peer is in flight; set by the party's loop, cleared
     /// by the handshake thread once it has installed or given up. That
-    /// `Release` store pairs with the poll loop's `Acquire` load, so a
-    /// loop that sees the dial over also sees the connection it left.
+    /// `Release` store pairs with the sweep's `Acquire` load, so a loop
+    /// that sees the dial over also sees the connection it left.
     dialing: AtomicBool,
     /// Current write half and its backlog, tagged with its connection
     /// generation.
@@ -167,8 +168,7 @@ impl PeerLink {
     }
 
     /// Forcibly closes the current socket (if any); the reader and the
-    /// next write observe the error, and the dialing side's poll thread
-    /// redials.
+    /// next write observe the error, and the dialing side's loop redials.
     pub(crate) fn sever(&self) {
         if let Some(s) = lock(&self.control).as_ref() {
             let _ = s.shutdown(Shutdown::Both);
@@ -207,18 +207,19 @@ impl PeerLink {
     }
 }
 
-/// One party's network side: the per-peer links plus the thread registry
-/// and shutdown flag shared by all its connection threads.
+/// One party's network side: the per-peer links, the party loop's
+/// command channel and the shutdown flag its handshake threads share.
 pub(crate) struct PartyNet {
     pub(crate) me: PartyId,
     /// `peers[j]` is `None` at `j == me`.
     pub(crate) peers: Vec<Option<Arc<PeerLink>>>,
+    /// Set once the group shuts down; no connection is installed after.
     pub(crate) shutdown: AtomicBool,
     pub(crate) recorder: Option<Arc<dyn Recorder>>,
-    /// Registration channel to the party's poll thread: handshaken
-    /// nonblocking sockets enter the readiness sweep through here.
-    pub(crate) poll_tx: Sender<PollConn>,
-    pub(crate) threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// The party loop's one command channel: client actions, the crash
+    /// hook and group shutdown, and the handshaken sockets that enter the
+    /// readiness sweep.
+    pub(crate) cmds: Sender<Command>,
     /// Short-lived threads running handshakes, one per connection
     /// attempt, each tagged with whether it is inbound (reaped as they
     /// finish; inbound ones capped at [`MAX_INBOUND_HANDSHAKES`]).
@@ -237,10 +238,6 @@ impl PartyNet {
         if let Some(rec) = &self.recorder {
             rec.counter_add(LINK_SCOPE, name, delta);
         }
-    }
-
-    pub(crate) fn register_thread(&self, handle: std::thread::JoinHandle<()>) {
-        lock(&self.threads).push(handle);
     }
 
     /// Writes one frame to `peer` (see [`PeerLink::write`]) and counts
@@ -264,8 +261,8 @@ impl PartyNet {
 /// Installs a handshaken socket as the peer's current connection:
 /// replaces (and closes) any previous socket, switches the socket to
 /// nonblocking mode, writes the replay of unacknowledged frames, and
-/// registers its read side with the party's poll thread. Once the party
-/// is shutting down it installs nothing.
+/// hands its read side to the party's loop. Once the party is shutting
+/// down it installs nothing.
 fn install_connection(net: &Arc<PartyNet>, peer: &Arc<PeerLink>, stream: TcpStream, peer_cum: u64) {
     let (Ok(reader_stream), Ok(writer_stream)) = (stream.try_clone(), stream.try_clone()) else {
         return;
@@ -301,43 +298,25 @@ fn install_connection(net: &Arc<PartyNet>, peer: &Arc<PeerLink>, stream: TcpStre
     }
     drop(slot);
     drop(control);
-    let _ = net
-        .poll_tx
-        .send(PollConn::new(peer.peer.0, gen, reader_stream));
+    let _ = net.cmds.send(Command::Conn(PollConn {
+        peer_idx: peer.peer.0,
+        gen,
+        stream: reader_stream,
+        fb: FrameBuffer::new(),
+    }));
     if peer.sessions.fetch_add(1, Ordering::Relaxed) > 0 {
         net.count("reconnects", 1);
     }
     net.count("connects", 1);
 }
 
-/// What one inbound frame produced, recorded after the link lock is
-/// released (telemetry needs no lock).
-enum FrameOutcome {
-    Delivered,
-    Duplicate,
-    Acked,
-    StrayHandshake,
-    AuthFailure,
-}
-
-/// One nonblocking socket registered with the party's poll thread,
-/// carrying its own frame-reassembly state across sweeps.
+/// One nonblocking socket in the party's readiness sweep, carrying its
+/// own frame-reassembly state across sweeps.
 pub(crate) struct PollConn {
     peer_idx: usize,
     gen: u64,
     stream: TcpStream,
     fb: FrameBuffer,
-}
-
-impl PollConn {
-    pub(crate) fn new(peer_idx: usize, gen: u64, stream: TcpStream) -> Self {
-        PollConn {
-            peer_idx,
-            gen,
-            stream,
-            fb: FrameBuffer::new(),
-        }
-    }
 }
 
 /// What one readiness sweep of a single connection produced.
@@ -351,42 +330,58 @@ enum Pump {
     Broken,
 }
 
-/// The party's readiness-driven read loop: sweeps every registered
-/// nonblocking socket for readable bytes, reassembles and processes
-/// frames through the owning peer's reliable link, and forwards
-/// deliveries to the server inbox; each sweep also pushes on every
-/// peer's write backlog and, for a peer this party dials that has no
-/// connection, starts a dial when its [`Redial`] schedule says so. One
-/// thread, one reused 64 KiB scratch buffer, and in-place framing serve
-/// every inbound connection of this party.
-///
-/// With no readable socket and no backlog moving, the loop parks briefly
-/// on the registration channel, so a fresh connection wakes it
-/// immediately and idle cost stays one syscall per connection per
-/// ~500 µs.
-pub(crate) fn poll_loop(net: Arc<PartyNet>, reg_rx: Receiver<PollConn>, inbox: Sender<Input>) {
-    let mut conns: Vec<PollConn> = Vec::new();
-    let mut buf = vec![0u8; 64 * 1024];
-    let mut redials: Vec<Redial> = net.peers.iter().map(|_| Redial::new()).collect();
-    loop {
-        if net.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        loop {
-            match reg_rx.try_recv() {
-                Ok(conn) => conns.push(conn),
-                Err(crossbeam::channel::TryRecvError::Empty) => break,
-                Err(crossbeam::channel::TryRecvError::Disconnected) => return,
-            }
-        }
+/// Authenticated envelope encodings waiting to be stepped, with their
+/// origin, in arrival order.
+pub(crate) type Ready = VecDeque<(PartyId, Vec<u8>)>;
+
+/// The socket half of a party's loop: the nonblocking listener, every
+/// registered connection, each peer's [`Redial`] schedule, and one reused
+/// 64 KiB scratch buffer that every read goes through.
+pub(crate) struct Sockets {
+    listener: TcpListener,
+    conns: Vec<PollConn>,
+    buf: Vec<u8>,
+    redials: Vec<Redial>,
+}
+
+impl Sockets {
+    /// Takes over the party's listener, switched to nonblocking mode.
+    pub(crate) fn new(listener: TcpListener, parties: usize) -> std::io::Result<Self> {
+        listener.set_nonblocking(true)?;
+        Ok(Sockets {
+            listener,
+            conns: Vec::new(),
+            buf: vec![0u8; 64 * 1024],
+            redials: (0..parties).map(|_| Redial::new()).collect(),
+        })
+    }
+
+    /// Adds a handshaken connection to the sweep.
+    pub(crate) fn register(&mut self, conn: PollConn) {
+        self.conns.push(conn);
+    }
+
+    /// One sweep: hands every pending connection to a handshake thread;
+    /// pushes on every peer's write backlog and, for a peer this party
+    /// dials that has no connection, starts a dial when its [`Redial`]
+    /// schedule says so; then reads one chunk from every registered
+    /// socket and runs its frames through the peer's reliable link,
+    /// queueing each delivery on `ready`. Returns whether anything moved.
+    pub(crate) fn sweep(&mut self, net: &Arc<PartyNet>, ready: &mut Ready) -> bool {
         let mut progressed = false;
-        for (peer, redial) in net.peers.iter().zip(&mut redials) {
+        // Nothing pending ends the accepts, and so does an error such as
+        // running out of descriptors: the next sweep tries again.
+        while let Ok((stream, _)) = self.listener.accept() {
+            progressed = true;
+            spawn_handshake(net, Handshake::Accept(stream));
+        }
+        for (peer, redial) in net.peers.iter().zip(&mut self.redials) {
             let Some(peer) = peer else { continue };
             let Some(moved) = peer.flush() else {
                 let dialing = peer.dialing.load(Ordering::Acquire);
                 if peer.addr.is_some() && redial.due(Instant::now(), dialing) {
                     peer.dialing.store(true, Ordering::Relaxed);
-                    spawn_handshake(&net, Handshake::Dial(Arc::clone(peer)));
+                    spawn_handshake(net, Handshake::Dial(Arc::clone(peer)));
                 }
                 continue;
             };
@@ -394,39 +389,28 @@ pub(crate) fn poll_loop(net: Arc<PartyNet>, reg_rx: Receiver<PollConn>, inbox: S
             redial.up();
         }
         let mut i = 0;
-        while i < conns.len() {
-            match pump_conn(&net, &mut conns[i], &mut buf, &inbox) {
+        while i < self.conns.len() {
+            match pump_conn(net, &mut self.conns[i], &mut self.buf, ready) {
                 Pump::Idle => i += 1,
                 Pump::Progress => {
                     progressed = true;
                     i += 1;
                 }
                 Pump::Broken => {
-                    let conn = conns.swap_remove(i);
+                    let conn = self.conns.swap_remove(i);
                     if let Some(peer) = net.peers.get(conn.peer_idx).and_then(|p| p.as_ref()) {
                         peer.clear_if_gen(conn.gen);
                     }
                 }
             }
         }
-        if !progressed {
-            match reg_rx.recv_timeout(Duration::from_micros(500)) {
-                Ok(conn) => conns.push(conn),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-        }
+        progressed
     }
 }
 
 /// Reads one chunk from a registered socket (if ready) and runs every
 /// complete frame through the peer's reliable link.
-fn pump_conn(
-    net: &Arc<PartyNet>,
-    conn: &mut PollConn,
-    buf: &mut [u8],
-    inbox: &Sender<Input>,
-) -> Pump {
+fn pump_conn(net: &Arc<PartyNet>, conn: &mut PollConn, buf: &mut [u8], ready: &mut Ready) -> Pump {
     let n = match conn.stream.read(buf) {
         Ok(0) => return Pump::Broken,
         Ok(n) => n,
@@ -456,42 +440,22 @@ fn pump_conn(
                 return Pump::Broken;
             }
         };
-        // Advancing the link watermark and enqueueing the payload must
-        // be one atomic step: a socket from a superseded connection
-        // generation may still have buffered bytes swept concurrently
-        // with its replacement's, and if the inbox send happened outside
-        // the link lock, in-order deliveries could enqueue out of order.
-        // The inbox is unbounded, so the send never blocks while the
-        // lock is held.
-        let outcome = {
-            let mut link = lock(&peer.link);
-            match link.on_frame(frame) {
-                Ok(LinkEvent::Deliver(payload)) => {
-                    let _ = inbox.send(Input::Net {
-                        from: peer.peer,
-                        data: payload,
-                    });
-                    FrameOutcome::Delivered
-                }
-                Ok(LinkEvent::Duplicate) => FrameOutcome::Duplicate,
-                Ok(LinkEvent::Acked) => FrameOutcome::Acked,
-                Ok(LinkEvent::Handshake(_)) => FrameOutcome::StrayHandshake,
-                Err(_) => FrameOutcome::AuthFailure,
-            }
-        };
-        match outcome {
-            FrameOutcome::Delivered => {
+        // Queued under the link lock, so `ready` keeps the link's delivery
+        // order even while a superseded socket still drains next to its
+        // replacement. Nothing is stepped under the lock: a step takes
+        // `link` locks to send.
+        match lock(&peer.link).on_frame(frame) {
+            Ok(LinkEvent::Deliver(payload)) => {
+                ready.push_back((peer.peer, payload));
                 delivered = true;
                 net.count("frames_delivered", 1);
             }
-            FrameOutcome::Duplicate => net.count("dup_frames", 1),
-            FrameOutcome::Acked => {}
-            FrameOutcome::StrayHandshake => {
-                // Handshake frames are consumed before the socket is
-                // registered; mid-stream ones are stray replays.
-                net.count("stray_handshake_frames", 1);
-            }
-            FrameOutcome::AuthFailure => {
+            Ok(LinkEvent::Duplicate) => net.count("dup_frames", 1),
+            Ok(LinkEvent::Acked) => {}
+            // Handshake frames are consumed before the socket is
+            // registered; mid-stream ones are stray replays.
+            Ok(LinkEvent::Handshake(_)) => net.count("stray_handshake_frames", 1),
+            Err(_) => {
                 // A frame that fails authentication inside an
                 // established TCP stream means corruption or an attack;
                 // the carrier is untrustworthy.
@@ -519,7 +483,7 @@ fn pump_conn(
     Pump::Progress
 }
 
-/// The poll loop's redial schedule for one peer it dials: the first
+/// The sweep's redial schedule for one peer it dials: the first
 /// dial, and the first after a lost connection, start at once; after a
 /// dial that did not leave a connection up the next waits 20 ms, doubled
 /// per failure up to 2 s, each plus up to 50 % jitter. At most one dial
@@ -573,37 +537,17 @@ impl Redial {
     }
 }
 
-/// The party's accept loop: blocks in `accept` and hands each socket to
-/// a handshake thread. Shutdown sets the party's flag (a `Release`
-/// store this `Acquire` load pairs with) and then connects to the
-/// listener, retrying until a connect lands, so the blocked `accept`
-/// returns and sees the flag.
-pub(crate) fn listener_loop(net: Arc<PartyNet>, listener: TcpListener) {
-    loop {
-        let accepted = listener.accept();
-        if net.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        match accepted {
-            Ok((stream, _)) => spawn_handshake(&net, Handshake::Accept(stream)),
-            // Out of descriptors and the like: back off instead of
-            // spinning on the error.
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
 /// One connection attempt for a handshake thread.
 enum Handshake {
     /// Dial this higher-id peer and initiate.
     Dial(Arc<PeerLink>),
-    /// Respond on a socket the listener accepted.
+    /// Respond on a socket the sweep accepted.
     Accept(TcpStream),
 }
 
-/// Runs one handshake on a short-lived thread of its own, so a client
-/// that connects and then stalls cannot block the accept loop, nor a
-/// slow peer the poll loop (each handshake read is bounded by
+/// Runs one handshake on a short-lived thread of its own, so neither a
+/// client that connects and then stalls nor a slow peer can block the
+/// party's loop (each handshake read is bounded by
 /// [`HANDSHAKE_READ_TIMEOUT`], but serial stalls would still starve the
 /// caller). Finished threads are reaped here; when
 /// [`MAX_INBOUND_HANDSHAKES`] inbound ones are still running, an
@@ -631,8 +575,8 @@ fn spawn_handshake(net: &Arc<PartyNet>, handshake: Handshake) {
 }
 
 /// Dials a higher-id peer, authenticates the connection and installs
-/// it. A failure just returns: the poll loop finds the peer still
-/// without a connection and redials after its backoff.
+/// it. A failure just returns: the sweep finds the peer still without a
+/// connection and redials after its backoff.
 fn dial(net: &Arc<PartyNet>, peer: &Arc<PeerLink>) {
     let Some(addr) = peer.addr else { return };
     let attempt = TcpStream::connect_timeout(&addr, Duration::from_secs(1)).and_then(|s| {
@@ -655,9 +599,12 @@ fn dial(net: &Arc<PartyNet>, peer: &Arc<PeerLink>) {
 /// bounded by [`HANDSHAKE_READ_TIMEOUT`], so the thread cannot outlive a
 /// stalled client by more than the timeout.
 fn handle_inbound(net: &Arc<PartyNet>, mut stream: TcpStream) {
-    if stream
-        .set_read_timeout(Some(HANDSHAKE_READ_TIMEOUT))
-        .is_err()
+    // Some platforms hand out accepted sockets nonblocking, like the
+    // listener; the read timeout needs a blocking one.
+    if stream.set_nonblocking(false).is_err()
+        || stream
+            .set_read_timeout(Some(HANDSHAKE_READ_TIMEOUT))
+            .is_err()
         || stream.set_nodelay(true).is_err()
     {
         return;

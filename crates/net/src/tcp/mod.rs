@@ -12,16 +12,16 @@
 //! acknowledgements, a bounded retransmission queue, and duplicate
 //! suppression.
 //!
-//! Each party runs one listener thread, one poll thread and a
-//! short-lived thread per handshake; there is no thread per peer. The
-//! poll thread reads every connection and redials a torn one, at once
-//! and then with jittered exponential backoff; the handshake exchanges
+//! Each party runs one thread, which steps the party and sweeps its
+//! sockets, and a short-lived thread per handshake; there is no thread
+//! per peer. The sweep accepts connections, reads every connection and
+//! redials a torn one, at once and then with jittered exponential
+//! backoff; the handshake exchanges
 //! delivery watermarks and the sender replays every unacknowledged frame
 //! above the peer's watermark, so a severed-and-resumed link loses and
-//! reorders nothing. Protocol logic
-//! is untouched by any of this: each party's server loop steps the same
-//! `PartyCore` the simulator steps, and hands its envelopes to a
-//! transport whose frames cross real sockets.
+//! reorders nothing. Protocol logic is untouched by any of this: each
+//! party's loop steps the same `PartyCore` the simulator steps, and
+//! hands its envelopes to a transport whose frames cross real sockets.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -29,6 +29,7 @@ mod conn;
 mod runtime;
 
 pub use conn::LINK_SCOPE;
+pub(crate) use conn::{PollConn, Sockets};
 pub(crate) use runtime::TcpTransport;
 pub use runtime::{TcpConfig, TcpGroup, TcpHandle};
 

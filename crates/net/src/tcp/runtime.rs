@@ -1,12 +1,11 @@
 //! Group assembly and teardown for the TCP runtime.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::unbounded;
 
 use sintra_core::agreement::CandidateOrder;
 use sintra_core::channel::{AtomicChannelConfig, OptimisticChannelConfig};
@@ -21,8 +20,8 @@ use sintra_telemetry::{FanoutRecorder, MetricsRegistry, Recorder};
 use crate::link::{LinkConfig, LinkError, LinkKey, ReliableLink};
 use crate::metrics::{GaugeSampler, MetricsServer};
 use crate::observe::ObservabilityConfig;
-use crate::server::{server_loop, Input, Outputs, ServerOpts};
-use crate::tcp::conn::{listener_loop, poll_loop, PartyNet, PeerLink};
+use crate::server::{party_loop, Command, Outputs, Server};
+use crate::tcp::conn::{PartyNet, PeerLink, Ready, Sockets};
 use crate::tcp::lock;
 use crate::PartyHandle;
 use sintra_core::invariant::OrInvariant;
@@ -37,9 +36,9 @@ pub struct TcpConfig {
     pub observability: Option<ObservabilityConfig>,
 }
 
-/// Seals envelopes and writes them to the peer's socket from the server
-/// loop's own thread; self-addressed envelopes go straight back into the
-/// party's own inbox. Never blocks on the network: a frame either enters
+/// Seals envelopes and writes them to the peer's socket from the party's
+/// loop; self-addressed envelopes go straight onto the loop's `ready`
+/// queue. Never blocks on the network: a frame either enters
 /// the bounded retransmission queue — and goes to the nonblocking socket
 /// at once, into the connection's backlog if the kernel does not take
 /// it, or is replayed at the next resume if there is no connection — or
@@ -54,10 +53,10 @@ pub struct TcpConfig {
 /// the server loop instead is not an option: one Byzantine peer could
 /// then stall this party's progress with every correct peer.
 pub(crate) struct TcpTransport {
-    me: PartyId,
-    net: Arc<PartyNet>,
-    /// This party's own inbox, for self-delivery.
-    self_tx: Sender<Input>,
+    pub(crate) net: Arc<PartyNet>,
+    /// Envelope encodings the loop steps next, in arrival order: what the
+    /// socket sweep delivered and what this party sent itself.
+    pub(crate) ready: Ready,
 }
 
 impl TcpTransport {
@@ -65,12 +64,9 @@ impl TcpTransport {
     /// put on, or queued for, the wire; 0 when the frame was shed.
     pub(crate) fn transmit(&mut self, to: PartyId, env: &Envelope) -> u64 {
         let bytes = env.to_bytes();
-        if to == self.me {
+        if to == self.net.me {
             let len = bytes.len() as u64;
-            let _ = self.self_tx.send(Input::Net {
-                from: self.me,
-                data: bytes,
-            });
+            self.ready.push_back((to, bytes));
             return len;
         }
         let Some(peer) = self.net.peers.get(to.0).and_then(|p| p.as_ref()) else {
@@ -112,16 +108,14 @@ impl TcpTransport {
 /// A handle to one party of a TCP group: the [`PartyHandle`] API plus
 /// TCP-specific controls.
 pub struct TcpHandle {
-    me: PartyId,
-    inbox: Sender<Input>,
     outputs: Outputs,
     net: Arc<PartyNet>,
 }
 
 impl TcpHandle {
     /// Forcibly closes every live TCP connection of this party without
-    /// stopping it — a fault-injection hook. The poll thread of each
-    /// pair's lower id finds its link without a connection and redials,
+    /// stopping it — a fault-injection hook. The loop of each pair's
+    /// lower id finds its link without a connection and redials,
     /// with backoff if the dial fails; the reliable link replays whatever
     /// was unacknowledged, so no delivery is lost or reordered.
     pub fn sever_links(&self) {
@@ -135,26 +129,36 @@ impl TcpHandle {
     /// equivalent of a SIGUSR1 "dump state" signal — the dependency-free
     /// workspace cannot install OS signal handlers.
     pub fn request_dump(&self, reason: &str) {
-        let _ = self.inbox.send(Input::DumpState(reason.to_string()));
+        self.command(Command::DumpState(reason.to_string()));
     }
 
-    /// Stops this party's server loop without stopping the group — a
-    /// crash-fault injection hook. Its sockets stay up until the group
-    /// shuts down; combine with [`TcpHandle::sever_links`] to silence the
-    /// party completely.
+    /// Crashes this party's server without stopping the group — a
+    /// crash-fault injection hook. The party drops its protocol state
+    /// and stops stepping: it sends no protocol message, ignores client
+    /// actions and dump requests, fires no timer, and this handle's
+    /// waits return `None`. Its sockets stay up until the group shuts
+    /// down: its loop still reads, acknowledges and discards what its
+    /// links deliver, flushes their backlogs, redials and accepts
+    /// connections, so its peers' retransmission queues do not fill.
+    /// Combine with [`TcpHandle::sever_links`] to cut its current
+    /// connections as well.
     pub fn shutdown_server(&self) {
-        let _ = self.inbox.send(Input::Shutdown);
+        self.command(Command::Crash);
     }
 
-    /// Runs `action` on this party's node, in its server loop.
+    /// Runs `action` on this party's node, in its loop.
     fn act(&self, action: impl FnOnce(&mut Node, &mut Outgoing) + Send + 'static) {
-        let _ = self.inbox.send(Input::Act(Box::new(action)));
+        self.command(Command::Act(Box::new(action)));
+    }
+
+    fn command(&self, command: Command) {
+        let _ = self.net.cmds.send(command);
     }
 }
 
 impl PartyHandle for TcpHandle {
     fn id(&self) -> PartyId {
-        self.me
+        self.net.me
     }
     fn create_atomic_channel(&self, pid: ProtocolId, config: AtomicChannelConfig) {
         self.act(move |node, _| node.create_atomic_channel(pid, config));
@@ -194,7 +198,7 @@ impl PartyHandle for TcpHandle {
         self.act(move |node, _| node.create_multi_valued(pid, validator, order));
     }
     fn send(&self, pid: &ProtocolId, data: Vec<u8>) {
-        let _ = self.inbox.send(Input::Send(pid.clone(), data));
+        self.command(Command::Send(pid.clone(), data));
     }
     fn send_ciphertext(&self, pid: &ProtocolId, ciphertext: Vec<u8>) {
         let pid = pid.clone();
@@ -245,13 +249,9 @@ impl PartyHandle for TcpHandle {
 
 /// A running group of SINTRA servers connected over real TCP sockets.
 pub struct TcpGroup {
-    server_threads: Vec<JoinHandle<()>>,
-    shutdown_txs: Vec<Sender<Input>>,
-    nets: Vec<Arc<PartyNet>>,
+    /// Each party's loop thread and network side, by party id.
+    parties: Vec<(JoinHandle<()>, Arc<PartyNet>)>,
     addrs: Vec<SocketAddr>,
-    /// One per party, blocked in `accept`; shutdown wakes each by
-    /// connecting to it.
-    listener_threads: Vec<JoinHandle<()>>,
     metrics_servers: Vec<MetricsServer>,
 }
 
@@ -286,29 +286,24 @@ impl TcpGroup {
         let run_start = std::time::Instant::now();
         // Bind every listener first so the full address table is known
         // before anyone dials.
-        let mut listeners = Vec::with_capacity(n);
+        let mut party_sockets = Vec::with_capacity(n);
         let mut addrs = Vec::with_capacity(n);
         for _ in 0..n {
             let listener = TcpListener::bind("127.0.0.1:0")?;
             addrs.push(listener.local_addr()?);
-            listeners.push(listener);
+            party_sockets.push(Sockets::new(listener, n)?);
         }
 
-        let inboxes: Vec<_> = (0..n).map(|_| unbounded::<Input>()).collect();
         let mut handles = Vec::with_capacity(n);
-        let mut server_threads = Vec::with_capacity(n);
-        let mut shutdown_txs = Vec::with_capacity(n);
-        let mut nets = Vec::with_capacity(n);
-        let mut listener_threads = Vec::with_capacity(n);
+        let mut parties = Vec::with_capacity(n);
         let mut metrics_servers = Vec::new();
         let metrics_config = config
             .observability
             .as_ref()
             .and_then(|obs| obs.metrics.clone());
 
-        for (i, (keys, listener)) in party_keys.iter().zip(listeners).enumerate() {
+        for (i, (keys, sockets)) in party_keys.iter().zip(party_sockets).enumerate() {
             let me = PartyId(i);
-            let inbox_tx = inboxes[i].0.clone();
 
             // With the metrics plane on, every party counts into its own
             // registry (scrapes must not mix parties); a user-supplied
@@ -339,62 +334,34 @@ impl TcpGroup {
                 })
                 .collect();
 
-            let (poll_tx, poll_rx) = unbounded();
+            let (cmds, cmd_rx) = unbounded();
             let net = Arc::new(PartyNet {
                 me,
                 peers,
                 shutdown: std::sync::atomic::AtomicBool::new(false),
                 recorder: party_recorder.clone(),
-                poll_tx,
-                threads: Mutex::new(Vec::new()),
+                cmds,
                 handshake_threads: Mutex::new(Vec::new()),
             });
 
-            // One readiness-driven loop services every inbound socket of
-            // this party and dials its higher-id peers.
-            let poll_thread = std::thread::Builder::new()
-                .name(format!("sintra-poll-{i}"))
-                .spawn({
-                    let net = Arc::clone(&net);
-                    let inbox = inbox_tx.clone();
-                    move || poll_loop(net, poll_rx, inbox)
-                })
-                .or_invariant("spawn poll thread");
-            net.register_thread(poll_thread);
-
-            let listener_thread = std::thread::Builder::new()
-                .name(format!("sintra-listen-{i}"))
-                .spawn({
-                    let net = Arc::clone(&net);
-                    move || listener_loop(net, listener)
-                })
-                .or_invariant("spawn listener thread");
-            listener_threads.push(listener_thread);
-
             let (event_tx, event_rx) = unbounded();
-            let transport = TcpTransport {
-                me,
-                net: Arc::clone(&net),
-                self_tx: inbox_tx.clone(),
-            };
-            let keys = Arc::clone(keys);
-            let opts = ServerOpts {
-                recorder: party_recorder.clone(),
-                observability: config.observability.clone(),
+            let server = Server::new(
+                Arc::clone(keys),
+                party_recorder.clone(),
+                config.observability.clone(),
                 run_start,
-                trace_stream: crate::observe::spawn_trace_stream(i, config.observability.as_ref()),
+                crate::observe::spawn_trace_stream(i, config.observability.as_ref()),
+                event_tx,
+            );
+            let transport = TcpTransport {
+                net: Arc::clone(&net),
+                ready: Ready::new(),
             };
-            let inbox_rx = inboxes[i].1.clone();
-            let server = std::thread::Builder::new()
+            let thread = std::thread::Builder::new()
                 .name(format!("sintra-p{i}"))
-                .spawn(move || server_loop(i, keys, inbox_rx, transport, event_tx, opts))
-                .or_invariant("spawn server thread");
-
-            server_threads.push(server);
-            shutdown_txs.push(inbox_tx.clone());
+                .spawn(move || party_loop(transport, sockets, cmd_rx, server))
+                .or_invariant("spawn party thread");
             handles.push(TcpHandle {
-                me,
-                inbox: inbox_tx,
                 outputs: Outputs::new(event_rx),
                 net: Arc::clone(&net),
             });
@@ -428,16 +395,13 @@ impl TcpGroup {
                 )?);
             }
 
-            nets.push(net);
+            parties.push((thread, net));
         }
 
         Ok((
             TcpGroup {
-                server_threads,
-                shutdown_txs,
-                nets,
+                parties,
                 addrs,
-                listener_threads,
                 metrics_servers,
             },
             handles,
@@ -455,44 +419,26 @@ impl TcpGroup {
         self.metrics_servers.iter().map(|s| s.addr()).collect()
     }
 
-    /// Stops the group: server loops first (their final frames are
-    /// written by the time each is joined), then all sockets and
-    /// remaining transport threads. Every thread is joined before this
-    /// returns.
+    /// Stops the group: party loops first (their final frames are
+    /// written or backlogged by the time each is joined, and their
+    /// listeners closed), then all sockets and the handshake threads.
+    /// Every thread is joined before this returns.
     pub fn shutdown(self) {
-        for tx in &self.shutdown_txs {
-            let _ = tx.send(Input::Shutdown);
+        for (_, net) in &self.parties {
+            let _ = net.cmds.send(Command::Stop);
         }
-        for t in self.server_threads {
-            let _ = t.join();
-        }
-        // Now stop everything else: flags for the poll loops, the
-        // listeners and the handshake threads, severed sockets for the
-        // connections.
-        for net in &self.nets {
+        let mut nets = Vec::with_capacity(self.parties.len());
+        for (thread, net) in self.parties {
+            let _ = thread.join();
             net.shutdown.store(true, Ordering::Release);
             net.sever_all();
+            nets.push(net);
         }
-        // A connect wakes each listener blocked in `accept`. It can fail
-        // (out of descriptors, say), so retry until one lands or the
-        // listener is gone.
-        for (addr, listener) in self.addrs.iter().zip(self.listener_threads) {
-            while TcpStream::connect_timeout(addr, Duration::from_millis(100)).is_err()
-                && !listener.is_finished()
-            {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            let _ = listener.join();
-        }
-        for net in &self.nets {
-            let threads = std::mem::take(&mut *lock(&net.threads));
-            for t in threads {
-                let _ = t.join();
-            }
-            // In-flight handshakes, dialed or accepted, are bounded by
-            // the read timeout; wait them out so no thread outlives the
-            // group. The poll loop and the listener that spawn them are
-            // joined already.
+        // In-flight handshakes, dialed or accepted, are bounded by the
+        // read timeout; wait them out so no thread outlives the group.
+        // The loops that spawn them are joined already, and no handshake
+        // installs a connection once the flag is set.
+        for net in &nets {
             let handshakes = std::mem::take(&mut *lock(&net.handshake_threads));
             for (t, _) in handshakes {
                 let _ = t.join();
@@ -649,8 +595,8 @@ mod tests {
         for h in handles.iter_mut() {
             assert_eq!(h.receive(&pid).unwrap().data, b"before");
         }
-        // Kill every live connection; the poll threads must redial and
-        // pick up the replacement sockets.
+        // Kill every live connection; the loops must redial and pick up
+        // the replacement sockets.
         handles[0].sever_links();
         handles[1].send(&pid, b"after".to_vec());
         for h in handles.iter_mut() {

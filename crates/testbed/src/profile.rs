@@ -24,7 +24,7 @@
 //! wall-time into contiguous named segments:
 //!
 //! * `link` — send stamp → admission on the receiver (wire, retransmit
-//!   wait, inbox queue),
+//!   wait, `ready` queue),
 //! * `verify-wait` — the `wait_us` a `net:recv` records between admission
 //!   and dispatch; no runtime records one any more, so it is always 0 and
 //!   the bucket is kept only until the benchmark drops it,

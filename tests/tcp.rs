@@ -310,11 +310,50 @@ fn stalled_inbound_connections_do_not_starve_accepts() {
     });
 }
 
+/// A crashed server still services its sockets: it reads and acks what
+/// its links deliver, so the live parties' retransmission queues to it
+/// drain. One request per round, 20 rounds among the other three send
+/// each of them far more than a 64-frame queue's worth to it.
+#[test]
+fn crashed_server_still_acks_its_links() {
+    with_deadline(180, || {
+        let registry = Arc::new(MetricsRegistry::new());
+        let config = sintra::runtime::tcp::TcpConfig {
+            link: sintra::runtime::link::LinkConfig {
+                max_unacked: 64,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let (group, mut handles) =
+            TcpGroup::spawn_with(group_keys(4, 1, 99), config, Some(registry.clone()))
+                .expect("bind loopback");
+        let pid = ProtocolId::new("tcp-crash-ack");
+        for h in &handles {
+            h.create_atomic_channel(pid.clone(), AtomicChannelConfig::default());
+        }
+        handles[3].shutdown_server();
+        for k in 0..20 {
+            let data = format!("c{k}").into_bytes();
+            handles[k % 3].send(&pid, data.clone());
+            for (i, h) in handles[..3].iter_mut().enumerate() {
+                let got = h.receive(&pid).expect("live channel").data;
+                assert_eq!(got, data, "party {i}, request {k}");
+            }
+        }
+        group.shutdown();
+        assert_eq!(
+            registry.snapshot().counter("link", "backpressure_drops"),
+            0,
+            "a link to the crashed server shed frames"
+        );
+    });
+}
+
 #[test]
 fn tcp_shutdown_joins_cleanly_while_idle() {
     // Teardown with live connections but no protocol traffic: every
-    // listener (blocked in `accept`), poll and handshake thread must
-    // exit.
+    // party's loop thread and every handshake thread must exit.
     with_deadline(60, || {
         let (group, handles) = TcpGroup::spawn(group_keys(4, 1, 95)).expect("bind loopback");
         // Give dialers a moment to establish the mesh so shutdown tears
