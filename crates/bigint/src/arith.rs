@@ -3,10 +3,6 @@
 
 use crate::{DoubleLimb, Limb, Ubig};
 
-/// Threshold (in limbs) above which multiplication switches from schoolbook
-/// to Karatsuba. Chosen empirically; correctness does not depend on it.
-const KARATSUBA_THRESHOLD: usize = 24;
-
 /// `a += b`, returning the final carry.
 pub(crate) fn add_assign(a: &mut Vec<Limb>, b: &[Limb]) {
     if a.len() < b.len() {
@@ -57,8 +53,10 @@ pub(crate) fn sub_assign(a: &mut Vec<Limb>, b: &[Limb]) {
     }
 }
 
-/// Schoolbook product of two limb slices into a fresh vector.
-fn mul_schoolbook(a: &[Limb], b: &[Limb]) -> Vec<Limb> {
+/// Full product of two limb slices into a fresh vector, schoolbook: no
+/// operation on a request path multiplies operands long enough for a
+/// sub-quadratic method to pay.
+pub(crate) fn mul(a: &[Limb], b: &[Limb]) -> Vec<Limb> {
     if a.is_empty() || b.is_empty() {
         return Vec::new();
     }
@@ -85,47 +83,6 @@ fn mul_schoolbook(a: &[Limb], b: &[Limb]) -> Vec<Limb> {
         out.pop();
     }
     out
-}
-
-/// Karatsuba product for large operands; falls back to schoolbook below the
-/// threshold.
-fn mul_karatsuba(a: &[Limb], b: &[Limb]) -> Vec<Limb> {
-    if a.len() < KARATSUBA_THRESHOLD || b.len() < KARATSUBA_THRESHOLD {
-        return mul_schoolbook(a, b);
-    }
-    let split = a.len().max(b.len()) / 2;
-    let (a0, a1) = a.split_at(split.min(a.len()));
-    let (b0, b1) = b.split_at(split.min(b.len()));
-    // a = a1*B + a0, b = b1*B + b0 with B = 2^(64*split)
-    let z0 = mul_karatsuba(a0, b0);
-    let z2 = mul_karatsuba(a1, b1);
-    let mut a_sum = a0.to_vec();
-    add_assign(&mut a_sum, a1);
-    let mut b_sum = b0.to_vec();
-    add_assign(&mut b_sum, b1);
-    let mut z1 = mul_karatsuba(&a_sum, &b_sum);
-    // z1 = (a0+a1)(b0+b1) - z0 - z2
-    sub_assign(&mut z1, &z0);
-    sub_assign(&mut z1, &z2);
-
-    let mut out = z0;
-    // out += z1 << (64*split)
-    let mut shifted = vec![0u64; split];
-    shifted.extend_from_slice(&z1);
-    add_assign(&mut out, &shifted);
-    // out += z2 << (64*2*split)
-    let mut shifted2 = vec![0u64; 2 * split];
-    shifted2.extend_from_slice(&z2);
-    add_assign(&mut out, &shifted2);
-    while out.last() == Some(&0) {
-        out.pop();
-    }
-    out
-}
-
-/// Full product of two limb slices.
-pub(crate) fn mul(a: &[Limb], b: &[Limb]) -> Vec<Limb> {
-    mul_karatsuba(a, b)
 }
 
 /// Multiplies a limb slice by a single limb in place, returning any overflow
@@ -397,16 +354,22 @@ mod tests {
         }
     }
 
+    /// Operands of 64 and 70 limbs, past any width a request multiplies:
+    /// the product divides back into each factor with no remainder, and
+    /// adding less than a factor leaves it as the remainder.
     #[test]
-    fn karatsuba_agrees_with_schoolbook() {
-        // Build operands large enough to trigger Karatsuba.
-        let a: Vec<Limb> = (0..64)
-            .map(|i| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .collect();
-        let b: Vec<Limb> = (0..70)
-            .map(|i| (i as u64) ^ 0xDEAD_BEEF_CAFE_F00D)
-            .collect();
-        assert_eq!(mul_karatsuba(&a, &b), mul_schoolbook(&a, &b));
+    fn large_products_divide_back() {
+        let a = Ubig::from_limbs(
+            (1..=64u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .collect(),
+        );
+        let b = Ubig::from_limbs((1..=70u64).map(|i| i ^ 0xDEAD_BEEF_CAFE_F00D).collect());
+        let product = &a * &b;
+        assert_eq!(product.div_rem(&a), (b.clone(), Ubig::zero()));
+        assert_eq!(product.div_rem(&b), (a.clone(), Ubig::zero()));
+        let r = &b - &Ubig::one();
+        assert_eq!((&product + &r).div_rem(&b), (a, r));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! value semantics, together with the modular machinery public-key
 //! cryptography needs:
 //!
-//! * ring arithmetic: addition, subtraction, multiplication (schoolbook and
-//!   Karatsuba), Knuth Algorithm D division, shifts and bit access;
+//! * ring arithmetic: addition, subtraction, schoolbook multiplication,
+//!   Knuth Algorithm D division, shifts and bit access;
 //! * modular arithmetic: [`Ubig::mod_add`], [`Ubig::mod_mul`],
 //!   [`Ubig::mod_pow`], [`Ubig::mod_inverse`], greatest common divisors and
 //!   the extended Euclidean algorithm (see [`ibig::Ibig`] for the signed

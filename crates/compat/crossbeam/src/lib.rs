@@ -4,7 +4,9 @@
 //! the subset of semantics the SINTRA TCP runtime relies on:
 //! unbounded MPSC queues, cloneable senders, blocking
 //! `recv`, `recv_timeout`, non-blocking `try_recv`, and disconnect
-//! detection when either side fully drops. Implemented over
+//! detection when either side fully drops. As in the real crate, the
+//! receiver's drop discards every queued message, and a later send
+//! fails and hands its message back. Implemented over
 //! `Mutex<VecDeque>` + `Condvar`; throughput is a few million messages/s,
 //! plenty for the in-process runtime.
 
@@ -100,17 +102,23 @@ pub mod channel {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
+            // Under the queue lock, so no send slips a message in after
+            // the queue is emptied.
+            let mut queue = self.shared.queue.lock().unwrap();
             self.shared.receivers.fetch_sub(1, Ordering::AcqRel);
+            let discarded = std::mem::take(&mut *queue);
+            drop(queue);
+            drop(discarded);
         }
     }
 
     impl<T> Sender<T> {
         /// Enqueues a message; fails only when every receiver is dropped.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
+            let mut queue = self.shared.queue.lock().unwrap();
             if self.shared.receivers.load(Ordering::Acquire) == 0 {
                 return Err(SendError(value));
             }
-            let mut queue = self.shared.queue.lock().unwrap();
             queue.push_back(value);
             drop(queue);
             self.shared.ready.notify_one();
@@ -212,6 +220,18 @@ mod tests {
         let (tx2, rx2) = unbounded::<u32>();
         drop(rx2);
         assert_eq!(tx2.send(9), Err(SendError(9)));
+    }
+
+    /// Dropping the receiver drops what it left queued, at once, even
+    /// while a sender lives on.
+    #[test]
+    fn receiver_drop_discards_queued_messages() {
+        let (tx, rx) = unbounded();
+        let queued = std::sync::Arc::new(());
+        tx.send(std::sync::Arc::clone(&queued)).unwrap();
+        drop(rx);
+        assert_eq!(std::sync::Arc::strong_count(&queued), 1, "still queued");
+        assert!(tx.send(queued).is_err());
     }
 
     #[test]

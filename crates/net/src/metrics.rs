@@ -4,10 +4,8 @@
 //! Each party of an observable group runs one capped thread that accepts
 //! scrape connections (`curl http://<addr>/metrics`), snapshots the
 //! party's [`MetricsRegistry`](sintra_telemetry::MetricsRegistry)
-//! *without pausing any writer* (counters are relaxed atomics), folds in
-//! gauges sampled at scrape time (retransmission-queue depth and other
-//! link state that only exists inside the transport), and answers with
-//! the Prometheus-style text exposition rendered by
+//! *without pausing any writer* (counters are relaxed atomics) and
+//! answers with the Prometheus-style text exposition rendered by
 //! [`render_exposition`]. No HTTP library is involved: the server reads
 //! one request head, writes one response, and closes; the thread polls
 //! a nonblocking listener until a shutdown flag is set, so teardown
@@ -40,11 +38,6 @@ impl Default for MetricsConfig {
     }
 }
 
-/// Gauges sampled at scrape time, as `(scope, name, value)` triples —
-/// transport state (queue depths, high-water marks) that is not pushed
-/// through the [`Recorder`] on the hot path but read on demand.
-pub(crate) type GaugeSampler = Box<dyn Fn() -> Vec<(String, &'static str, u64)> + Send>;
-
 /// One party's running scrape endpoint.
 pub(crate) struct MetricsServer {
     addr: SocketAddr,
@@ -60,7 +53,6 @@ impl MetricsServer {
         party: usize,
         config: &MetricsConfig,
         source: Arc<dyn Recorder>,
-        sampler: GaugeSampler,
     ) -> std::io::Result<MetricsServer> {
         let listener = TcpListener::bind(config.addr)?;
         let addr = listener.local_addr()?;
@@ -69,7 +61,7 @@ impl MetricsServer {
         let flag = Arc::clone(&shutdown);
         let thread = std::thread::Builder::new()
             .name(format!("sintra-metrics-{party}"))
-            .spawn(move || scrape_loop(party, listener, source, sampler, flag))
+            .spawn(move || scrape_loop(party, listener, source, flag))
             .or_invariant("spawn metrics thread");
         Ok(MetricsServer {
             addr,
@@ -101,7 +93,6 @@ fn scrape_loop(
     party: usize,
     listener: TcpListener,
     source: Arc<dyn Recorder>,
-    sampler: GaugeSampler,
     shutdown: Arc<AtomicBool>,
 ) {
     loop {
@@ -123,7 +114,7 @@ fn scrape_loop(
             continue;
         }
         // A failing scrape must never take the endpoint down.
-        let _ = serve_one(party, stream, &source, &sampler);
+        let _ = serve_one(party, stream, &source);
     }
 }
 
@@ -132,7 +123,6 @@ fn serve_one(
     party: usize,
     mut stream: TcpStream,
     source: &Arc<dyn Recorder>,
-    sampler: &GaugeSampler,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     // Read until the blank line ending the request head, bounded so a
@@ -149,13 +139,7 @@ fn serve_one(
     let head = String::from_utf8_lossy(&head);
     let request_line = head.lines().next().unwrap_or_default();
     let (status, body) = if request_line.starts_with("GET ") {
-        let mut snap = source.snapshot_metrics().unwrap_or_default();
-        for (scope, name, value) in sampler() {
-            snap.gauges
-                .entry(scope)
-                .or_default()
-                .insert(name.to_string(), value);
-        }
+        let snap = source.snapshot_metrics().unwrap_or_default();
         let party_label = party.to_string();
         (
             "200 OK",
@@ -190,20 +174,16 @@ mod tests {
     fn scrape_returns_exposition_with_party_label() {
         let registry = Arc::new(MetricsRegistry::new());
         registry.counter_add("atomic", "msgs_sent", 11);
-        let server = MetricsServer::spawn(
-            7,
-            &MetricsConfig::default(),
-            registry.clone(),
-            Box::new(|| vec![("link".to_string(), "retransmit_queue_bytes", 123)]),
-        )
-        .expect("bind scrape endpoint");
+        registry.gauge_set("link", "retransmit_queue_bytes", 123);
+        let server = MetricsServer::spawn(7, &MetricsConfig::default(), registry.clone())
+            .expect("bind scrape endpoint");
         let addr = server.addr();
         let response = scrape(addr, "GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n");
         assert!(response.starts_with("HTTP/1.0 200 OK"), "{response}");
         assert!(response.contains("sintra_msgs_sent_total{party=\"7\",scope=\"atomic\"} 11"));
         assert!(
             response.contains("sintra_retransmit_queue_bytes{party=\"7\",scope=\"link\"} 123"),
-            "sampler gauges are folded in: {response}"
+            "gauges are rendered: {response}"
         );
         // Writers were never paused: counting continues and the next
         // scrape sees the new value.
@@ -220,9 +200,8 @@ mod tests {
     #[test]
     fn non_get_requests_are_rejected() {
         let registry = Arc::new(MetricsRegistry::new());
-        let server =
-            MetricsServer::spawn(0, &MetricsConfig::default(), registry, Box::new(Vec::new))
-                .expect("bind scrape endpoint");
+        let server = MetricsServer::spawn(0, &MetricsConfig::default(), registry)
+            .expect("bind scrape endpoint");
         let response = scrape(server.addr(), "POST /metrics HTTP/1.0\r\n\r\n");
         assert!(response.starts_with("HTTP/1.0 405"), "{response}");
         server.stop();

@@ -7,15 +7,18 @@
 //! trace stream, stall detection, timers on the wall clock, and the
 //! phase counters (`net_dispatch_us`, `timer_dispatch_us`,
 //! `cmd_dispatch_us`, `flush_us`). Between steps it sweeps the party's
-//! [`Sockets`]: accepts, backlogs, redials and reads. Sealed frames leave
-//! through the TCP runtime's transport. The application talks to the
+//! sockets through the TCP runtime's transport, which it alone owns:
+//! accepts, backlogs, redials and reads. Sealed frames leave through the
+//! same transport. The application talks to the
 //! loop through a [`TcpHandle`](crate::tcp::TcpHandle), whose blocking
 //! `send`/`receive`/`close`/`close_wait` API mirrors the Java `Channel`
 //! interface of the paper (§3.4).
 
 use std::collections::binary_heap::PeekMut;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, Sender};
@@ -31,7 +34,7 @@ use sintra_telemetry::{
 
 use crate::observe::{write_dump, ObservabilityConfig, FLIGHT_RING_CAPACITY};
 use crate::step::{self, targets, Effects, PartyCore};
-use crate::tcp::{PollConn, Sockets, TcpTransport};
+use crate::tcp::TcpTransport;
 
 /// An application action sent to a party's loop.
 pub(crate) type Action = Box<dyn FnOnce(&mut Node, &mut Outgoing) + Send>;
@@ -45,8 +48,16 @@ pub(crate) enum Command {
     Send(ProtocolId, Vec<u8>),
     /// Dump the server's live state under the given reason tag.
     DumpState(String),
-    /// A handshaken connection for the socket sweep.
-    Conn(PollConn),
+    /// An authenticated connection from a handshake thread: the peer,
+    /// the stream, and the peer's delivery watermark as the handshake
+    /// read it.
+    Conn {
+        peer: PartyId,
+        stream: TcpStream,
+        peer_cum: u64,
+    },
+    /// Close every live connection of this party (fault injection).
+    Sever,
     /// The crash hook: drop the core and stop stepping; the sockets stay
     /// serviced.
     Crash,
@@ -521,7 +532,7 @@ impl Server {
                 None
             }
             // The loop itself handles these.
-            Command::Conn(_) | Command::Crash | Command::Stop => None,
+            Command::Conn { .. } | Command::Sever | Command::Crash | Command::Stop => None,
         };
         if let (Some(rec), Some(start)) = (&self.recorder, start) {
             let us = start.elapsed().as_micros() as u64;
@@ -589,17 +600,18 @@ impl Server {
     }
 }
 
-/// Runs one party until group shutdown, on its own thread. Each turn
-/// drains the command channel, fires due timers, sweeps the sockets
-/// (accept, links, reads), and steps every envelope the sweep delivered
-/// and every one the party sent itself, in arrival order. A turn that
-/// moved nothing parks on the command channel.
+/// Runs one party until group shutdown, on its own thread, and returns
+/// the handshake threads still to be joined. Each turn drains the
+/// command channel, fires due timers, sweeps the sockets (accept, links,
+/// reads), and steps every envelope the sweep delivered and every one
+/// the party sent itself, in arrival order. A turn that moved something
+/// ends by publishing the retransmission-queue gauges; one that moved
+/// nothing parks on the command channel.
 pub(crate) fn party_loop(
     mut transport: TcpTransport,
-    mut sockets: Sockets,
     cmds: Receiver<Command>,
     server: Server,
-) {
+) -> Vec<JoinHandle<()>> {
     let mut server = Some(server);
     // A command the park brought, handled first in the next turn.
     let mut parked = None;
@@ -612,11 +624,16 @@ pub(crate) fn party_loop(
         while let Some(command) = parked.take().or_else(|| cmds.try_recv().ok()) {
             progressed = true;
             match command {
-                Command::Conn(conn) => sockets.register(conn),
+                Command::Conn {
+                    peer,
+                    stream,
+                    peer_cum,
+                } => transport.install(peer, stream, peer_cum),
+                Command::Sever => transport.sever(),
                 // Dropping the server drops the event sender too, so the
                 // application's waits on this party end.
                 Command::Crash => server = None,
-                Command::Stop => return,
+                Command::Stop => return transport.into_handshakes(),
                 command => {
                     if let Some(server) = &mut server {
                         server.input(|| cmds.len() + transport.ready.len());
@@ -629,7 +646,7 @@ pub(crate) fn party_loop(
             progressed |= server.fire_timers(&mut transport);
         }
         let sweep_start = Instant::now();
-        if sockets.sweep(&transport.net, &mut transport.ready) {
+        if transport.sweep() {
             progressed = true;
             moved_at = sweep_start;
         }
@@ -640,7 +657,9 @@ pub(crate) fn party_loop(
                 server.envelope(from, &data, &mut transport);
             }
         }
-        if !progressed {
+        if progressed {
+            transport.record_queue_gauges();
+        } else {
             let due = PARK.saturating_sub(moved_at.elapsed());
             let limit = if due.is_zero() { PARK } else { due };
             let wait = server.as_ref().map_or(limit, |server| server.park(limit));

@@ -3,46 +3,52 @@
 //! redialing with jittered exponential backoff.
 //!
 //! Topology per party: one thread runs the party's loop
-//! ([`party_loop`](crate::server::party_loop)), and [`Sockets`] is its
-//! socket half. Each sweep takes every pending connection from the
-//! party's nonblocking listener — only *lower-id* peers dial it (the
-//! deterministic dial rule: the lower id dials, so exactly one connection
-//! exists per pair) — watches every link, and services every live
-//! inbound socket. Handshaken sockets are switched to nonblocking mode
-//! and reach the loop over its command channel; the sweep reads them
-//! through one reused scratch buffer and reassembles frames in place
-//! ([`FrameBuffer::next_frame_ref`]) — no thread per connection and no
-//! per-frame allocation. A sweep that finds a higher-id peer with no
-//! connection starts a dial, at once or after a backoff ([`Redial`]).
-//! Every handshake, dialed or accepted, runs on a short-lived thread of
-//! its own, which installs the connection it authenticates.
+//! ([`party_loop`](crate::server::party_loop)), and [`TcpTransport`] is
+//! its socket half, owned by that loop alone. Each sweep takes every
+//! pending connection from the party's nonblocking listener — only
+//! *lower-id* peers dial it (the deterministic dial rule: the lower id
+//! dials, so exactly one connection exists per pair) — watches every
+//! link, and reads every live connection through one reused scratch
+//! buffer, reassembling frames in place ([`FrameBuffer::next_frame_ref`])
+//! — no thread per connection and no per-frame allocation. A sweep that
+//! finds a higher-id peer with no connection starts a dial, at once or
+//! after a backoff ([`Redial`]).
 //!
-//! There is no writer thread. Whoever produces a frame writes it: the
-//! party's loop its data frames and acks, the handshake thread the
-//! replay. A write never blocks — what the kernel does not take waits in
-//! the connection's backlog, which the next write and every sweep push
-//! on. All link state — sequence numbers, the retransmission queue,
-//! delivery watermarks — lives in the shared [`ReliableLink`];
-//! connections are disposable carriers that resume the link via the
-//! [`handshake`](crate::link::handshake) and a replay of unacknowledged
-//! frames.
+//! Every handshake, dialed or accepted, runs on a short-lived thread of
+//! its own. The thread gets by value what it needs — the socket or the
+//! address, the pairwise keys and the delivery watermarks as they were
+//! when it started — and touches no link state: it hands the
+//! authenticated stream and the peer's watermark back to the loop as a
+//! [`Command::Conn`], and the loop installs it ([`TcpTransport::install`]).
+//!
+//! There is no writer thread. The loop writes every frame: its data
+//! frames, its acks and the replay of a connection it installs. A write
+//! never blocks — what the kernel does not take waits in the connection's
+//! backlog, which the next write and every sweep push on. All link state
+//! — sequence numbers, the retransmission queue, delivery watermarks —
+//! lives in each peer's [`ReliableLink`]; a peer holds at most one
+//! connection, a disposable carrier that resumes the link via the
+//! [`handshake`] and a replay of unacknowledged frames.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::Sender;
 
+use sintra_core::message::Envelope;
+use sintra_core::wire::Wire;
 use sintra_core::PartyId;
 use sintra_telemetry::Recorder;
 
 use crate::link::handshake::{self, fresh_nonce};
-use crate::link::{frame_sender, FrameBuffer, FrameKind, LinkEvent, LinkKey, ReliableLink};
+use crate::link::{
+    frame_sender, FrameBuffer, FrameKind, LinkError, LinkEvent, LinkKey, ReliableLink,
+};
 use crate::server::Command;
-use crate::tcp::lock;
 use sintra_core::invariant::OrInvariant;
 
 /// Scope under which all link-layer telemetry counters are recorded.
@@ -60,22 +66,30 @@ const REDIAL_MAX_MS: u64 = 2000;
 /// partitioned group does not redial in lockstep.
 const REDIAL_JITTER_PCT: u64 = 50;
 
-/// The write half of one connection and the bytes the kernel has not
-/// taken yet. Every backlogged byte belongs to a frame that is also in
-/// the retransmission queue (or is an ack), so
+/// Bound on concurrently running inbound-handshake threads; attempts
+/// past the bound are dropped at accept. Each thread lives at most a
+/// few read-timeouts, so the cap is only reached under a connect flood.
+/// Dials do not count against it: there is at most one per peer, and a
+/// flood of this party's listener must not hold back its own redials.
+const MAX_INBOUND_HANDSHAKES: usize = 64;
+
+/// One authenticated connection: its socket, the reassembly state of
+/// what it has read, and the bytes the kernel has not taken yet. Every
+/// backlogged byte belongs to a frame that is also in the retransmission
+/// queue (or is an ack), so
 /// [`LinkConfig::max_unacked_bytes`](crate::link::LinkConfig::max_unacked_bytes)
 /// bounds the backlog too.
-struct Carrier {
-    gen: u64,
+struct Conn {
     stream: TcpStream,
+    fb: FrameBuffer,
     backlog: VecDeque<u8>,
 }
 
-impl Carrier {
-    fn new(gen: u64, stream: TcpStream) -> Self {
-        Carrier {
-            gen,
+impl Conn {
+    fn new(stream: TcpStream) -> Self {
+        Conn {
             stream,
+            fb: FrameBuffer::new(),
             backlog: VecDeque::new(),
         }
     }
@@ -126,59 +140,32 @@ fn write_nb(stream: &mut TcpStream, bytes: &[u8]) -> std::io::Result<usize> {
     Ok(done)
 }
 
-/// Shared state for the link to one peer.
-///
-/// Lock order is `control` → `wstream` → `link`: a thread may take a
-/// later lock while holding an earlier one, never the reverse. In
-/// particular a frame is sealed under `link` and that guard is dropped
-/// before `wstream` is taken to write it.
-pub(crate) struct PeerLink {
-    pub(crate) peer: PartyId,
-    pub(crate) link: Mutex<ReliableLink>,
+/// The party's link to one peer: the reliable link, the connection that
+/// carries it now, if any, and — for a peer this party dials — the
+/// redial schedule and the dial in flight.
+struct Peer {
+    link: ReliableLink,
+    conn: Option<Conn>,
     /// The peer's listener, for a peer this party dials (a higher id);
     /// `None` for one that dials this party.
     addr: Option<SocketAddr>,
-    /// A dial to the peer is in flight; set by the party's loop, cleared
-    /// by the handshake thread once it has installed or given up. That
-    /// `Release` store pairs with the sweep's `Acquire` load, so a loop
-    /// that sees the dial over also sees the connection it left.
-    dialing: AtomicBool,
-    /// Current write half and its backlog, tagged with its connection
-    /// generation.
-    wstream: Mutex<Option<Carrier>>,
-    /// A second clone used only to `shutdown()` the socket without
-    /// taking the write lock (fault injection, teardown).
-    control: Mutex<Option<TcpStream>>,
-    generation: AtomicU64,
-    sessions: AtomicU64,
+    redial: Redial,
+    /// The last dial's handshake thread; a dial is in flight until it
+    /// finishes.
+    dial: Option<JoinHandle<()>>,
+    /// Connections installed so far.
+    sessions: u64,
 }
 
-impl PeerLink {
-    pub(crate) fn new(peer: PartyId, link: ReliableLink, addr: Option<SocketAddr>) -> Self {
-        PeerLink {
-            peer,
-            link: Mutex::new(link),
+impl Peer {
+    fn new(link: ReliableLink, addr: Option<SocketAddr>) -> Self {
+        Peer {
+            link,
+            conn: None,
             addr,
-            dialing: AtomicBool::new(false),
-            wstream: Mutex::new(None),
-            control: Mutex::new(None),
-            generation: AtomicU64::new(0),
-            sessions: AtomicU64::new(0),
-        }
-    }
-
-    /// Forcibly closes the current socket (if any); the reader and the
-    /// next write observe the error, and the dialing side's loop redials.
-    pub(crate) fn sever(&self) {
-        if let Some(s) = lock(&self.control).as_ref() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-    }
-
-    fn clear_if_gen(&self, gen: u64) {
-        let mut w = lock(&self.wstream);
-        if matches!(&*w, Some(c) if c.gen == gen) {
-            *w = None;
+            redial: Redial::new(),
+            dial: None,
+            sessions: 0,
         }
     }
 
@@ -187,136 +174,300 @@ impl PeerLink {
     /// when there is no connection or the write failed — the connection
     /// is then dropped, and a data frame is recovered from the
     /// retransmission queue at the next resume.
-    fn write(&self, frame: &[u8]) -> bool {
-        self.with_carrier(|c| c.push(frame)).is_some()
+    fn write(&mut self, frame: &[u8]) -> bool {
+        self.with_conn(|c| c.push(frame)).is_some()
     }
 
     /// Pushes the backlog on; returns whether any byte left it, or
     /// `None` when the peer has no connection (any more).
-    fn flush(&self) -> Option<bool> {
-        self.with_carrier(Carrier::flush).map(|n| n > 0)
+    fn flush(&mut self) -> Option<bool> {
+        self.with_conn(Conn::flush).map(|n| n > 0)
     }
 
-    fn with_carrier<R>(&self, io: impl FnOnce(&mut Carrier) -> std::io::Result<R>) -> Option<R> {
-        let mut slot = lock(&self.wstream);
-        let result = io(slot.as_mut()?);
+    /// With no connection up: starts a dial when this party dials the
+    /// peer, no dial is in flight and the [`Redial`] schedule says so. A
+    /// dial whose connection still waits on the command channel reads as
+    /// failed for one turn: that only pushes the next dial out, and the
+    /// install resets the schedule.
+    fn dial_if_due(&mut self, me: PartyId, counters: &Counters, cmds: &Sender<Command>) {
+        let Some(addr) = self.addr else { return };
+        let dialing = self.dial.as_ref().is_some_and(|d| !d.is_finished());
+        if self.redial.due(Instant::now(), dialing) {
+            let (key, recv_cum) = (self.link.key().clone(), self.link.recv_cum());
+            let handshake = move |_: &Counters| dial(addr, &key, recv_cum);
+            self.dial = Some(spawn_handshake(me, counters, cmds, handshake));
+        }
+    }
+
+    fn with_conn<R>(&mut self, io: impl FnOnce(&mut Conn) -> std::io::Result<R>) -> Option<R> {
+        let result = io(self.conn.as_mut()?);
         if result.is_err() {
-            *slot = None;
+            self.conn = None;
         }
         result.ok()
     }
 }
 
-/// One party's network side: the per-peer links, the party loop's
-/// command channel and the shutdown flag its handshake threads share.
-pub(crate) struct PartyNet {
-    pub(crate) me: PartyId,
-    /// `peers[j]` is `None` at `j == me`.
-    pub(crate) peers: Vec<Option<Arc<PeerLink>>>,
-    /// Set once the group shuts down; no connection is installed after.
-    pub(crate) shutdown: AtomicBool,
-    pub(crate) recorder: Option<Arc<dyn Recorder>>,
-    /// The party loop's one command channel: client actions, the crash
-    /// hook and group shutdown, and the handshaken sockets that enter the
-    /// readiness sweep.
-    pub(crate) cmds: Sender<Command>,
-    /// Short-lived threads running handshakes, one per connection
-    /// attempt, each tagged with whether it is inbound (reaped as they
-    /// finish; inbound ones capped at [`MAX_INBOUND_HANDSHAKES`]).
-    pub(crate) handshake_threads: Mutex<Vec<(std::thread::JoinHandle<()>, bool)>>,
-}
+/// Where the link counters go: the party's recorder, if any. Handshake
+/// threads take a clone.
+#[derive(Clone)]
+struct Counters(Option<Arc<dyn Recorder>>);
 
-/// Bound on concurrently running inbound-handshake threads; attempts
-/// past the bound are dropped at accept. Each thread lives at most a
-/// few read-timeouts, so the cap is only reached under a connect flood.
-/// Dials do not count against it: there is at most one per peer, and a
-/// flood of this party's listener must not hold back its own redials.
-pub(crate) const MAX_INBOUND_HANDSHAKES: usize = 64;
-
-impl PartyNet {
-    pub(crate) fn count(&self, name: &'static str, delta: u64) {
-        if let Some(rec) = &self.recorder {
+impl Counters {
+    fn add(&self, name: &'static str, delta: u64) {
+        if let Some(rec) = &self.0 {
             rec.counter_add(LINK_SCOPE, name, delta);
         }
     }
 
-    /// Writes one frame to `peer` (see [`PeerLink::write`]) and counts
-    /// it under `counter`.
-    pub(crate) fn send(&self, peer: &PeerLink, frame: &[u8], counter: &'static str) {
-        if peer.write(frame) {
-            self.count("bytes_sent", frame.len() as u64);
-            self.count(counter, 1);
+    /// Counts one frame put on the wire under `counter`.
+    fn sent(&self, frame: &[u8], counter: &'static str) {
+        self.add("bytes_sent", frame.len() as u64);
+        self.add(counter, 1);
+    }
+}
+
+/// Authenticated envelope encodings waiting to be stepped, with their
+/// origin, in arrival order.
+pub(crate) type Ready = VecDeque<(PartyId, Vec<u8>)>;
+
+/// The socket half of a party's loop, owned by the loop alone: the
+/// nonblocking listener, every peer's link and connection, one reused
+/// 64 KiB scratch buffer that every read goes through, and the `ready`
+/// queue the loop steps from.
+///
+/// Sealing never blocks on the network: a frame either enters the
+/// bounded retransmission queue — and goes to the nonblocking socket at
+/// once, into the connection's backlog if the kernel does not take it,
+/// or is replayed at the next resume if there is no connection — or is
+/// shed when that queue hits its bound. A peer that stops acknowledging
+/// may be faulty — whose links are allowed to be lossy — but may also be
+/// a correct peer behind a long partition; shedding to the latter breaks
+/// the reliable-link guarantee until protocol-level recovery, which is
+/// why the byte-based bound
+/// ([`LinkConfig::max_unacked_bytes`](crate::link::LinkConfig::max_unacked_bytes))
+/// defaults large enough to buffer minutes of outage and every shed is
+/// surfaced via the `backpressure_drops` counter rather than dropped
+/// silently. Blocking the loop instead is not an option: one Byzantine
+/// peer could then stall this party's progress with every correct peer.
+pub(crate) struct TcpTransport {
+    me: PartyId,
+    listener: TcpListener,
+    /// `peers[j]` is `None` at `j == me`.
+    peers: Vec<Option<Peer>>,
+    buf: Vec<u8>,
+    /// Envelope encodings the loop steps next, in arrival order: what the
+    /// sweep delivered and what this party sent itself.
+    pub(crate) ready: Ready,
+    counters: Counters,
+    /// Whether the loop publishes the retransmission-queue gauges (the
+    /// metrics plane is on).
+    queue_gauges: bool,
+    /// The loop's command channel, on which handshake threads hand back
+    /// the connections they authenticate.
+    cmds: Sender<Command>,
+    /// Inbound handshake threads, reaped as they finish and capped at
+    /// [`MAX_INBOUND_HANDSHAKES`].
+    inbound: Vec<JoinHandle<()>>,
+}
+
+impl TcpTransport {
+    /// Takes over the party's listener, switched to nonblocking mode,
+    /// with one link per peer (`None` at `me`). Only higher-id peers get
+    /// an address: the lower id dials.
+    pub(crate) fn new(
+        me: PartyId,
+        listener: TcpListener,
+        links: Vec<Option<ReliableLink>>,
+        addrs: &[SocketAddr],
+        recorder: Option<Arc<dyn Recorder>>,
+        queue_gauges: bool,
+        cmds: Sender<Command>,
+    ) -> std::io::Result<Self> {
+        listener.set_nonblocking(true)?;
+        let peers = links
+            .into_iter()
+            .zip(addrs)
+            .enumerate()
+            .map(|(j, (link, &addr))| Some(Peer::new(link?, (me.0 < j).then_some(addr))))
+            .collect();
+        Ok(TcpTransport {
+            me,
+            listener,
+            peers,
+            buf: vec![0u8; 64 * 1024],
+            ready: Ready::new(),
+            counters: Counters(recorder),
+            queue_gauges,
+            cmds,
+            inbound: Vec::new(),
+        })
+    }
+
+    /// Seals `env` for `to` and writes or queues it. Returns the bytes
+    /// put on, or queued for, the wire; 0 when the frame was shed.
+    /// Self-addressed envelopes go straight onto `ready`.
+    pub(crate) fn transmit(&mut self, to: PartyId, env: &Envelope) -> u64 {
+        let bytes = env.to_bytes();
+        if to == self.me {
+            let len = bytes.len() as u64;
+            self.ready.push_back((to, bytes));
+            return len;
+        }
+        let Some(peer) = self.peers.get_mut(to.0).and_then(Option::as_mut) else {
+            return 0;
+        };
+        match peer.link.seal_data(&bytes) {
+            Ok(frame) => {
+                if peer.write(&frame) {
+                    self.counters.sent(&frame, "frames_sent");
+                }
+                frame.len() as u64
+            }
+            Err(LinkError::Oversized) => {
+                // An envelope no receiver could accept; sealing it would
+                // poison the peer's stream on every replay.
+                self.counters.add("oversized_drops", 1);
+                0
+            }
+            Err(_) => {
+                self.counters.add("backpressure_drops", 1);
+                0
+            }
         }
     }
 
-    /// Closes every live connection of this party (fault injection: the
-    /// group keeps running and the links must recover by reconnecting).
-    pub(crate) fn sever_all(&self) {
+    /// Every peer link's state (sequence cursors, retransmission
+    /// backlog), for a debug dump.
+    pub(crate) fn link_snapshots(&self) -> Vec<String> {
+        self.peers
+            .iter()
+            .flatten()
+            .map(|peer| peer.link.snapshot_json())
+            .collect()
+    }
+
+    /// Installs a handshaken socket as `from`'s connection: drops (and so
+    /// closes) the one it replaces, switches the socket to nonblocking
+    /// mode and writes the replay of every unacknowledged frame above the
+    /// peer's watermark `peer_cum`.
+    ///
+    /// `peer_cum` was read when the peer's handshake started, so it may
+    /// be lower than the peer's live watermark: that replays frames the
+    /// peer's link drops as duplicates, and never skips one.
+    pub(crate) fn install(&mut self, from: PartyId, stream: TcpStream, peer_cum: u64) {
+        let Some(peer) = self.peers.get_mut(from.0).and_then(Option::as_mut) else {
+            return;
+        };
+        if stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        let conn = peer.conn.insert(Conn::new(stream));
+        for frame in peer.link.replay_from(peer_cum) {
+            if conn.push(&frame).is_err() {
+                // The fresh socket already died; the next sweep drops it.
+                break;
+            }
+            self.counters.add("retransmits", 1);
+            self.counters.sent(&frame, "frames_sent");
+        }
+        peer.sessions += 1;
+        if peer.sessions > 1 {
+            self.counters.add("reconnects", 1);
+        }
+        self.counters.add("connects", 1);
+    }
+
+    /// Closes every live connection (fault injection: the links must
+    /// recover by reconnecting).
+    pub(crate) fn sever(&mut self) {
+        for peer in self.peers.iter_mut().flatten() {
+            peer.conn = None;
+        }
+    }
+
+    /// One sweep: hands every pending connection to a handshake thread;
+    /// then for every peer pushes its write backlog on or, for a peer this
+    /// party dials that has no connection, starts a dial when its
+    /// [`Redial`] schedule says so, and reads one chunk from its
+    /// connection, running the frames through the peer's reliable link
+    /// and queueing each delivery on `ready`. Returns whether anything
+    /// moved.
+    pub(crate) fn sweep(&mut self) -> bool {
+        let mut progressed = false;
+        // Nothing pending ends the accepts, and so does an error such as
+        // running out of descriptors: the next sweep tries again.
+        while let Ok((stream, _)) = self.listener.accept() {
+            progressed = true;
+            self.accept(stream);
+        }
+        for peer in self.peers.iter_mut().flatten() {
+            let Some(moved) = peer.flush() else {
+                peer.dial_if_due(self.me, &self.counters, &self.cmds);
+                continue;
+            };
+            progressed |= moved;
+            peer.redial.up();
+            match pump(peer, &mut self.buf, &mut self.ready, &self.counters) {
+                Pump::Idle => {}
+                Pump::Progress => progressed = true,
+                Pump::Broken => peer.conn = None,
+            }
+        }
+        progressed
+    }
+
+    /// Hands an accepted socket to a handshake thread, with the key and
+    /// watermark of every lower-id peer, the ones that dial this party;
+    /// drops it when [`MAX_INBOUND_HANDSHAKES`] are still running.
+    fn accept(&mut self, stream: TcpStream) {
+        self.inbound.retain(|h| !h.is_finished());
+        if self.inbound.len() >= MAX_INBOUND_HANDSHAKES {
+            self.counters.add("handshake_rejects", 1);
+            return;
+        }
+        let dialers: Vec<(LinkKey, u64)> = self.peers[..self.me.0]
+            .iter()
+            .flatten()
+            .map(|peer| (peer.link.key().clone(), peer.link.recv_cum()))
+            .collect();
+        let me = self.me;
+        self.inbound.push(spawn_handshake(
+            me,
+            &self.counters,
+            &self.cmds,
+            move |counters| respond(me, stream, &dialers, counters),
+        ));
+    }
+
+    /// With the metrics plane on, sets the retransmission-queue gauges:
+    /// bytes and frames awaiting acknowledgement over every peer, and the
+    /// largest byte count any one link has held.
+    pub(crate) fn record_queue_gauges(&self) {
+        let (true, Some(rec)) = (self.queue_gauges, &self.counters.0) else {
+            return;
+        };
+        let (mut bytes, mut frames, mut hwm) = (0u64, 0u64, 0u64);
         for peer in self.peers.iter().flatten() {
-            peer.sever();
+            bytes += peer.link.unacked_bytes() as u64;
+            frames += peer.link.unacked_len() as u64;
+            hwm = hwm.max(peer.link.stats().unacked_bytes_hwm);
         }
+        rec.gauge_set(LINK_SCOPE, "retransmit_queue_bytes", bytes);
+        rec.gauge_set(LINK_SCOPE, "retransmit_queue_frames", frames);
+        rec.gauge_set(LINK_SCOPE, "retransmit_queue_bytes_hwm", hwm);
     }
-}
 
-/// Installs a handshaken socket as the peer's current connection:
-/// replaces (and closes) any previous socket, switches the socket to
-/// nonblocking mode, writes the replay of unacknowledged frames, and
-/// hands its read side to the party's loop. Once the party is shutting
-/// down it installs nothing.
-fn install_connection(net: &Arc<PartyNet>, peer: &Arc<PeerLink>, stream: TcpStream, peer_cum: u64) {
-    let (Ok(reader_stream), Ok(writer_stream)) = (stream.try_clone(), stream.try_clone()) else {
-        return;
-    };
-    // Clones share the socket's file-status flags, so the write side is
-    // nonblocking too.
-    if stream.set_nonblocking(true).is_err() {
-        return;
+    /// Closes the listener and every connection, and hands back the
+    /// handshake threads still to be joined, dialed and accepted.
+    pub(crate) fn into_handshakes(self) -> Vec<JoinHandle<()>> {
+        let dials = self
+            .peers
+            .into_iter()
+            .flatten()
+            .filter_map(|peer| peer.dial);
+        self.inbound.into_iter().chain(dials).collect()
     }
-    let mut control = lock(&peer.control);
-    // Shutdown sets the flag before it severs under this lock, so a
-    // connection installed after the check is severed there.
-    if net.shutdown.load(Ordering::Acquire) {
-        return;
-    }
-    if let Some(old) = control.replace(stream) {
-        let _ = old.shutdown(Shutdown::Both);
-    }
-    let gen = peer.generation.fetch_add(1, Ordering::Relaxed) + 1;
-    // The replay is written before the write lock is released, so no
-    // frame sealed after it can reach the new socket first.
-    let mut slot = lock(&peer.wstream);
-    let carrier = slot.insert(Carrier::new(gen, writer_stream));
-    let frames = lock(&peer.link).replay_from(peer_cum);
-    for frame in &frames {
-        if carrier.push(frame).is_err() {
-            // The fresh socket already died; the next sweep drops it.
-            break;
-        }
-        net.count("retransmits", 1);
-        net.count("frames_sent", 1);
-        net.count("bytes_sent", frame.len() as u64);
-    }
-    drop(slot);
-    drop(control);
-    let _ = net.cmds.send(Command::Conn(PollConn {
-        peer_idx: peer.peer.0,
-        gen,
-        stream: reader_stream,
-        fb: FrameBuffer::new(),
-    }));
-    if peer.sessions.fetch_add(1, Ordering::Relaxed) > 0 {
-        net.count("reconnects", 1);
-    }
-    net.count("connects", 1);
-}
-
-/// One nonblocking socket in the party's readiness sweep, carrying its
-/// own frame-reassembly state across sweeps.
-pub(crate) struct PollConn {
-    peer_idx: usize,
-    gen: u64,
-    stream: TcpStream,
-    fb: FrameBuffer,
 }
 
 /// What one readiness sweep of a single connection produced.
@@ -326,91 +477,15 @@ enum Pump {
     /// At least one chunk of bytes was consumed.
     Progress,
     /// The connection died (EOF, I/O error, unframeable or
-    /// unauthenticated stream); deregister it.
+    /// unauthenticated stream); drop it.
     Broken,
 }
 
-/// Authenticated envelope encodings waiting to be stepped, with their
-/// origin, in arrival order.
-pub(crate) type Ready = VecDeque<(PartyId, Vec<u8>)>;
-
-/// The socket half of a party's loop: the nonblocking listener, every
-/// registered connection, each peer's [`Redial`] schedule, and one reused
-/// 64 KiB scratch buffer that every read goes through.
-pub(crate) struct Sockets {
-    listener: TcpListener,
-    conns: Vec<PollConn>,
-    buf: Vec<u8>,
-    redials: Vec<Redial>,
-}
-
-impl Sockets {
-    /// Takes over the party's listener, switched to nonblocking mode.
-    pub(crate) fn new(listener: TcpListener, parties: usize) -> std::io::Result<Self> {
-        listener.set_nonblocking(true)?;
-        Ok(Sockets {
-            listener,
-            conns: Vec::new(),
-            buf: vec![0u8; 64 * 1024],
-            redials: (0..parties).map(|_| Redial::new()).collect(),
-        })
-    }
-
-    /// Adds a handshaken connection to the sweep.
-    pub(crate) fn register(&mut self, conn: PollConn) {
-        self.conns.push(conn);
-    }
-
-    /// One sweep: hands every pending connection to a handshake thread;
-    /// pushes on every peer's write backlog and, for a peer this party
-    /// dials that has no connection, starts a dial when its [`Redial`]
-    /// schedule says so; then reads one chunk from every registered
-    /// socket and runs its frames through the peer's reliable link,
-    /// queueing each delivery on `ready`. Returns whether anything moved.
-    pub(crate) fn sweep(&mut self, net: &Arc<PartyNet>, ready: &mut Ready) -> bool {
-        let mut progressed = false;
-        // Nothing pending ends the accepts, and so does an error such as
-        // running out of descriptors: the next sweep tries again.
-        while let Ok((stream, _)) = self.listener.accept() {
-            progressed = true;
-            spawn_handshake(net, Handshake::Accept(stream));
-        }
-        for (peer, redial) in net.peers.iter().zip(&mut self.redials) {
-            let Some(peer) = peer else { continue };
-            let Some(moved) = peer.flush() else {
-                let dialing = peer.dialing.load(Ordering::Acquire);
-                if peer.addr.is_some() && redial.due(Instant::now(), dialing) {
-                    peer.dialing.store(true, Ordering::Relaxed);
-                    spawn_handshake(net, Handshake::Dial(Arc::clone(peer)));
-                }
-                continue;
-            };
-            progressed |= moved;
-            redial.up();
-        }
-        let mut i = 0;
-        while i < self.conns.len() {
-            match pump_conn(net, &mut self.conns[i], &mut self.buf, ready) {
-                Pump::Idle => i += 1,
-                Pump::Progress => {
-                    progressed = true;
-                    i += 1;
-                }
-                Pump::Broken => {
-                    let conn = self.conns.swap_remove(i);
-                    if let Some(peer) = net.peers.get(conn.peer_idx).and_then(|p| p.as_ref()) {
-                        peer.clear_if_gen(conn.gen);
-                    }
-                }
-            }
-        }
-        progressed
-    }
-}
-
-/// Reads one chunk from a registered socket (if ready) and runs every
-/// complete frame through the peer's reliable link.
-fn pump_conn(net: &Arc<PartyNet>, conn: &mut PollConn, buf: &mut [u8], ready: &mut Ready) -> Pump {
+/// Reads one chunk from the peer's connection (if ready) and runs every
+/// complete frame through its reliable link.
+fn pump(peer: &mut Peer, buf: &mut [u8], ready: &mut Ready, counters: &Counters) -> Pump {
+    let Peer { link, conn, .. } = peer;
+    let Some(conn) = conn else { return Pump::Idle };
     let n = match conn.stream.read(buf) {
         Ok(0) => return Pump::Broken,
         Ok(n) => n,
@@ -422,11 +497,7 @@ fn pump_conn(net: &Arc<PartyNet>, conn: &mut PollConn, buf: &mut [u8], ready: &m
         }
         Err(_) => return Pump::Broken,
     };
-    let Some(peer) = net.peers.get(conn.peer_idx).and_then(|p| p.as_ref()) else {
-        return Pump::Broken;
-    };
-    let peer = Arc::clone(peer);
-    net.count("bytes_received", n as u64);
+    counters.add("bytes_received", n as u64);
     conn.fb.extend(&buf[..n]);
     let mut delivered = false;
     loop {
@@ -436,48 +507,41 @@ fn pump_conn(net: &Arc<PartyNet>, conn: &mut PollConn, buf: &mut [u8], ready: &m
             Err(_) => {
                 // Unframeable stream: drop the carrier, the link state
                 // survives and replay recovers.
-                net.count("stream_errors", 1);
+                counters.add("stream_errors", 1);
                 return Pump::Broken;
             }
         };
-        // Queued under the link lock, so `ready` keeps the link's delivery
-        // order even while a superseded socket still drains next to its
-        // replacement. Nothing is stepped under the lock: a step takes
-        // `link` locks to send.
-        match lock(&peer.link).on_frame(frame) {
+        match link.on_frame(frame) {
             Ok(LinkEvent::Deliver(payload)) => {
-                ready.push_back((peer.peer, payload));
+                ready.push_back((link.key().peer(), payload));
                 delivered = true;
-                net.count("frames_delivered", 1);
+                counters.add("frames_delivered", 1);
             }
-            Ok(LinkEvent::Duplicate) => net.count("dup_frames", 1),
+            Ok(LinkEvent::Duplicate) => counters.add("dup_frames", 1),
             Ok(LinkEvent::Acked) => {}
-            // Handshake frames are consumed before the socket is
-            // registered; mid-stream ones are stray replays.
-            Ok(LinkEvent::Handshake(_)) => net.count("stray_handshake_frames", 1),
+            // Handshake frames are consumed before the connection is
+            // installed; mid-stream ones are stray replays.
+            Ok(LinkEvent::Handshake(_)) => counters.add("stray_handshake_frames", 1),
             Err(_) => {
                 // A frame that fails authentication inside an
                 // established TCP stream means corruption or an attack;
                 // the carrier is untrustworthy.
-                net.count("auth_failures", 1);
+                counters.add("auth_failures", 1);
                 return Pump::Broken;
             }
         }
     }
-    if delivered {
-        // A cumulative ack only every `ack_every` deliveries, or sooner
-        // for large frames: it prunes the peer's retransmission queue,
-        // and a resume handshake carries the watermark anyway.
-        let ack = {
-            let mut link = lock(&peer.link);
-            if link.ack_overdue() {
-                link.make_ack()
-            } else {
-                None
-            }
-        };
-        if let Some(ack) = ack {
-            net.send(&peer, &ack, "acks_sent");
+    // A cumulative ack only every `ack_every` deliveries, or sooner for
+    // large frames: it prunes the peer's retransmission queue, and a
+    // resume handshake carries the watermark anyway.
+    let ack = if delivered && link.ack_overdue() {
+        link.make_ack()
+    } else {
+        None
+    };
+    if let Some(ack) = ack {
+        if peer.write(&ack) {
+            counters.sent(&ack, "acks_sent");
         }
     }
     Pump::Progress
@@ -537,120 +601,88 @@ impl Redial {
     }
 }
 
-/// One connection attempt for a handshake thread.
-enum Handshake {
-    /// Dial this higher-id peer and initiate.
-    Dial(Arc<PeerLink>),
-    /// Respond on a socket the sweep accepted.
-    Accept(TcpStream),
-}
+/// An authenticated stream, the peer at its far end and that peer's
+/// delivery watermark.
+type Handshaken = (PartyId, TcpStream, u64);
 
 /// Runs one handshake on a short-lived thread of its own, so neither a
 /// client that connects and then stalls nor a slow peer can block the
 /// party's loop (each handshake read is bounded by
 /// [`HANDSHAKE_READ_TIMEOUT`], but serial stalls would still starve the
-/// caller). Finished threads are reaped here; when
-/// [`MAX_INBOUND_HANDSHAKES`] inbound ones are still running, an
-/// accepted socket is dropped instead of spawning without bound.
-fn spawn_handshake(net: &Arc<PartyNet>, handshake: Handshake) {
-    let inbound = matches!(handshake, Handshake::Accept(_));
-    let mut slots = lock(&net.handshake_threads);
-    slots.retain(|(h, _)| !h.is_finished());
-    if inbound && slots.iter().filter(|(_, inbound)| *inbound).count() >= MAX_INBOUND_HANDSHAKES {
-        net.count("handshake_rejects", 1);
-        return;
-    }
-    let net2 = Arc::clone(net);
-    let handle = std::thread::Builder::new()
-        .name(format!("sintra-hs-{}", net.me.0))
-        .spawn(move || match handshake {
-            Handshake::Dial(peer) => {
-                dial(&net2, &peer);
-                peer.dialing.store(false, Ordering::Release);
+/// loop). A handshake that succeeds hands its connection to the loop as
+/// a [`Command::Conn`]; once the loop has stopped, that send fails and
+/// the connection closes.
+fn spawn_handshake(
+    me: PartyId,
+    counters: &Counters,
+    cmds: &Sender<Command>,
+    handshake: impl FnOnce(&Counters) -> Option<Handshaken> + Send + 'static,
+) -> JoinHandle<()> {
+    let (counters, cmds) = (counters.clone(), cmds.clone());
+    std::thread::Builder::new()
+        .name(format!("sintra-hs-{}", me.0))
+        .spawn(move || {
+            if let Some((peer, stream, peer_cum)) = handshake(&counters) {
+                let _ = cmds.send(Command::Conn {
+                    peer,
+                    stream,
+                    peer_cum,
+                });
             }
-            Handshake::Accept(stream) => handle_inbound(&net2, stream),
         })
-        .or_invariant("spawn handshake thread");
-    slots.push((handle, inbound));
+        .or_invariant("spawn handshake thread")
 }
 
-/// Dials a higher-id peer, authenticates the connection and installs
-/// it. A failure just returns: the sweep finds the peer still without a
-/// connection and redials after its backoff.
-fn dial(net: &Arc<PartyNet>, peer: &Arc<PeerLink>) {
-    let Some(addr) = peer.addr else { return };
-    let attempt = TcpStream::connect_timeout(&addr, Duration::from_secs(1)).and_then(|s| {
-        s.set_read_timeout(Some(HANDSHAKE_READ_TIMEOUT))?;
-        s.set_nodelay(true)?;
-        Ok(s)
-    });
-    let Ok(mut stream) = attempt else { return };
-    let recv_cum = lock(&peer.link).recv_cum();
-    let Ok(peer_cum) = handshake::initiate(&mut stream, &key_of(peer), recv_cum) else {
-        net.count("handshake_failures", 1);
-        return;
-    };
-    if stream.set_read_timeout(None).is_ok() {
-        install_connection(net, peer, stream, peer_cum);
-    }
+/// Dials a higher-id peer and authenticates the connection. A failure
+/// returns `None`: the sweep finds the peer still without a connection
+/// and redials after its backoff.
+fn dial(addr: SocketAddr, key: &LinkKey, recv_cum: u64) -> Option<Handshaken> {
+    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(1)).ok()?;
+    stream.set_read_timeout(Some(HANDSHAKE_READ_TIMEOUT)).ok()?;
+    stream.set_nodelay(true).ok()?;
+    let peer_cum = handshake::initiate(&mut stream, key, recv_cum).ok()?;
+    stream.set_read_timeout(None).ok()?;
+    Some((key.peer(), stream, peer_cum))
 }
 
-/// Authenticates one inbound connection and installs it. Every read is
-/// bounded by [`HANDSHAKE_READ_TIMEOUT`], so the thread cannot outlive a
-/// stalled client by more than the timeout.
-fn handle_inbound(net: &Arc<PartyNet>, mut stream: TcpStream) {
+/// Authenticates one inbound connection from one of `dialers`, the key
+/// and watermark of each lower-id peer, by id. Every read is bounded by
+/// [`HANDSHAKE_READ_TIMEOUT`], so the thread cannot outlive a stalled
+/// client by more than the timeout.
+fn respond(
+    me: PartyId,
+    mut stream: TcpStream,
+    dialers: &[(LinkKey, u64)],
+    counters: &Counters,
+) -> Option<Handshaken> {
     // Some platforms hand out accepted sockets nonblocking, like the
     // listener; the read timeout needs a blocking one.
-    if stream.set_nonblocking(false).is_err()
-        || stream
-            .set_read_timeout(Some(HANDSHAKE_READ_TIMEOUT))
-            .is_err()
-        || stream.set_nodelay(true).is_err()
-    {
-        return;
-    }
-    let hello = match handshake::read_frame(&mut stream) {
-        Ok(frame) => frame,
-        Err(_) => {
-            net.count("handshake_failures", 1);
-            return;
-        }
+    stream.set_nonblocking(false).ok()?;
+    stream.set_read_timeout(Some(HANDSHAKE_READ_TIMEOUT)).ok()?;
+    stream.set_nodelay(true).ok()?;
+    let failed = |name| {
+        counters.add(name, 1);
+        None
+    };
+    let Ok(hello) = handshake::read_frame(&mut stream) else {
+        return failed("handshake_failures");
     };
     // Peek the claimed sender to select the pairwise key; only lower-id
     // peers dial us.
-    let claimed = match frame_sender(&hello) {
-        Some(p) if p.0 < net.me.0 => p,
-        _ => {
-            net.count("handshake_failures", 1);
-            return;
-        }
+    let Some((key, recv_cum)) = frame_sender(&hello)
+        .filter(|p| p.0 < me.0)
+        .and_then(|p| dialers.get(p.0))
+    else {
+        return failed("handshake_failures");
     };
-    let Some(peer) = net.peers.get(claimed.0).and_then(|p| p.as_ref()) else {
-        net.count("handshake_failures", 1);
-        return;
+    let Ok(FrameKind::Hello { nonce }) = key.open(&hello) else {
+        return failed("auth_failures");
     };
-    let nonce = match key_of(peer).open(&hello) {
-        Ok(FrameKind::Hello { nonce }) => nonce,
-        _ => {
-            net.count("auth_failures", 1);
-            return;
-        }
+    let Ok(peer_cum) = handshake::respond(&mut stream, key, nonce, *recv_cum) else {
+        return failed("handshake_failures");
     };
-    let recv_cum = lock(&peer.link).recv_cum();
-    let peer_cum = match handshake::respond(&mut stream, &key_of(peer), nonce, recv_cum) {
-        Ok(cum) => cum,
-        Err(_) => {
-            net.count("handshake_failures", 1);
-            return;
-        }
-    };
-    if stream.set_read_timeout(None).is_ok() {
-        install_connection(net, peer, stream, peer_cum);
-    }
-}
-
-fn key_of(peer: &Arc<PeerLink>) -> LinkKey {
-    lock(&peer.link).key().clone()
+    stream.set_read_timeout(None).ok()?;
+    Some((key.peer(), stream, peer_cum))
 }
 
 /// A tiny xorshift64* PRNG for redial jitter (freshness, not crypto).
@@ -683,9 +715,26 @@ mod tests {
     use crate::link::LinkConfig;
     use sintra_crypto::hmac::HmacKey;
 
-    fn backlog_len(peer: &PeerLink) -> usize {
-        let slot = peer.wstream.lock().unwrap();
-        slot.as_ref()
+    fn link(local: usize, peer: usize) -> ReliableLink {
+        let key = LinkKey::new(
+            HmacKey::new(b"pair 0-1".to_vec()),
+            PartyId(local),
+            PartyId(peer),
+        );
+        ReliableLink::new(key, LinkConfig::default())
+    }
+
+    /// A connected loopback pair: (near, far).
+    fn pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let near = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (far, _) = listener.accept().unwrap();
+        (near, far)
+    }
+
+    fn backlog_len(peer: &Peer) -> usize {
+        peer.conn
+            .as_ref()
             .expect("connection still installed")
             .backlog
             .len()
@@ -706,17 +755,10 @@ mod tests {
             frame[..4].copy_from_slice(&(i as u32).to_be_bytes());
             frame
         };
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let near = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (mut far, _) = listener.accept().unwrap();
+        let (near, mut far) = pair();
         near.set_nonblocking(true).unwrap();
-        let key = LinkKey::new(HmacKey::new(b"stalled".to_vec()), PartyId(0), PartyId(1));
-        let peer = PeerLink::new(
-            PartyId(1),
-            ReliableLink::new(key, LinkConfig::default()),
-            None,
-        );
-        *peer.wstream.lock().unwrap() = Some(Carrier::new(1, near));
+        let mut peer = Peer::new(link(0, 1), None);
+        peer.conn = Some(Conn::new(near));
 
         let mut sent = 0;
         while sent < MIN_FRAMES || backlog_len(&peer) == 0 {
@@ -748,6 +790,56 @@ mod tests {
         }
         reader.join().unwrap();
         assert!(peer.flush().is_some(), "connection dropped");
+    }
+
+    /// A peer holds one connection: installing a second closes the first
+    /// — its far end reads EOF — and what reaches the first afterwards is
+    /// never read, while the second carries the peer's frames.
+    #[test]
+    fn an_install_closes_the_connection_it_replaces() {
+        let (cmds, _rx) = crossbeam::channel::unbounded();
+        // Party 1, whose peer 0 dials it: the sweep starts no dial.
+        let mut transport = TcpTransport::new(
+            PartyId(1),
+            TcpListener::bind("127.0.0.1:0").unwrap(),
+            vec![Some(link(1, 0)), None],
+            &[SocketAddr::from(([127, 0, 0, 1], 0)); 2],
+            None,
+            false,
+            cmds,
+        )
+        .unwrap();
+        let data = link(0, 1).seal_data(b"hello").unwrap();
+        let (first, mut first_far) = pair();
+        let (second, mut second_far) = pair();
+        transport.install(PartyId(0), first, 0);
+        transport.install(PartyId(0), second, 0);
+
+        first_far
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(first_far.read(&mut [0u8; 16]).unwrap(), 0, "EOF");
+        // The write may succeed locally; no byte of it may be delivered.
+        let _ = first_far.write_all(&data);
+        for _ in 0..50 {
+            transport.sweep();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(transport.ready.is_empty(), "the replaced socket was read");
+
+        second_far.write_all(&data).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while transport.ready.is_empty() {
+            assert!(
+                Instant::now() < deadline,
+                "the installed socket was not read"
+            );
+            transport.sweep();
+        }
+        assert_eq!(
+            transport.ready.pop_front(),
+            Some((PartyId(0), b"hello".to_vec()))
+        );
     }
 
     /// The redial schedule, driven with explicit instants: the first dial

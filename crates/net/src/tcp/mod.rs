@@ -14,32 +14,20 @@
 //!
 //! Each party runs one thread, which steps the party and sweeps its
 //! sockets, and a short-lived thread per handshake; there is no thread
-//! per peer. The sweep accepts connections, reads every connection and
-//! redials a torn one, at once and then with jittered exponential
-//! backoff; the handshake exchanges
-//! delivery watermarks and the sender replays every unacknowledged frame
-//! above the peer's watermark, so a severed-and-resumed link loses and
-//! reorders nothing. Protocol logic is untouched by any of this: each
-//! party's loop steps the same `PartyCore` the simulator steps, and
-//! hands its envelopes to a transport whose frames cross real sockets.
-
-use std::sync::{Mutex, MutexGuard};
+//! per peer. The party's loop alone owns its links and connections: a
+//! handshake thread authenticates a connection and hands it to the loop,
+//! which installs it. The sweep accepts connections, reads every
+//! connection and redials a torn one, at once and then with jittered
+//! exponential backoff; the handshake exchanges delivery watermarks and
+//! the sender replays every unacknowledged frame above the peer's
+//! watermark, so a severed-and-resumed link loses and reorders nothing.
+//! Protocol logic is untouched by any of this: each party's loop steps
+//! the same `PartyCore` the simulator steps, and hands its envelopes to
+//! a transport whose frames cross real sockets.
 
 mod conn;
 mod runtime;
 
+pub(crate) use conn::TcpTransport;
 pub use conn::LINK_SCOPE;
-pub(crate) use conn::{PollConn, Sockets};
-pub(crate) use runtime::TcpTransport;
 pub use runtime::{TcpConfig, TcpGroup, TcpHandle};
-
-/// Locks `mutex`. A poisoned lock means a sibling thread already
-/// panicked while holding it, and this thread panics in turn: the party
-/// is down either way.
-#[allow(
-    clippy::unwrap_used,
-    reason = "poisoning is a panic already under way on another thread"
-)]
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap()
-}

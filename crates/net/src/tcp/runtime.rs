@@ -1,28 +1,25 @@
 //! Group assembly and teardown for the TCP runtime.
 
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::unbounded;
+use crossbeam::channel::{unbounded, Sender};
 
 use sintra_core::agreement::CandidateOrder;
 use sintra_core::channel::{AtomicChannelConfig, OptimisticChannelConfig};
-use sintra_core::message::{Envelope, Payload};
+use sintra_core::message::Payload;
 use sintra_core::node::Node;
 use sintra_core::validator::{ArrayValidator, BinaryValidator};
-use sintra_core::wire::Wire;
 use sintra_core::{Outgoing, PartyId, ProtocolId};
 use sintra_crypto::dealer::PartyKeys;
 use sintra_telemetry::{FanoutRecorder, MetricsRegistry, Recorder};
 
-use crate::link::{LinkConfig, LinkError, LinkKey, ReliableLink};
-use crate::metrics::{GaugeSampler, MetricsServer};
+use crate::link::{LinkConfig, LinkKey, ReliableLink};
+use crate::metrics::MetricsServer;
 use crate::observe::ObservabilityConfig;
 use crate::server::{party_loop, Command, Outputs, Server};
-use crate::tcp::conn::{PartyNet, PeerLink, Ready, Sockets};
-use crate::tcp::lock;
+use crate::tcp::TcpTransport;
 use crate::PartyHandle;
 use sintra_core::invariant::OrInvariant;
 
@@ -36,90 +33,25 @@ pub struct TcpConfig {
     pub observability: Option<ObservabilityConfig>,
 }
 
-/// Seals envelopes and writes them to the peer's socket from the party's
-/// loop; self-addressed envelopes go straight onto the loop's `ready`
-/// queue. Never blocks on the network: a frame either enters
-/// the bounded retransmission queue — and goes to the nonblocking socket
-/// at once, into the connection's backlog if the kernel does not take
-/// it, or is replayed at the next resume if there is no connection — or
-/// is shed when that queue hits its bound. A peer that stops
-/// acknowledging may be faulty — whose links are allowed to be lossy —
-/// but may also be a correct peer behind a long partition; shedding to
-/// the latter breaks the reliable-link guarantee until protocol-level
-/// recovery, which is why the byte-based bound
-/// ([`LinkConfig::max_unacked_bytes`]) defaults large enough to buffer
-/// minutes of outage and every shed is surfaced via the
-/// `backpressure_drops` counter rather than dropped silently. Blocking
-/// the server loop instead is not an option: one Byzantine peer could
-/// then stall this party's progress with every correct peer.
-pub(crate) struct TcpTransport {
-    pub(crate) net: Arc<PartyNet>,
-    /// Envelope encodings the loop steps next, in arrival order: what the
-    /// socket sweep delivered and what this party sent itself.
-    pub(crate) ready: Ready,
-}
-
-impl TcpTransport {
-    /// Seals `env` for `to` and writes or queues it. Returns the bytes
-    /// put on, or queued for, the wire; 0 when the frame was shed.
-    pub(crate) fn transmit(&mut self, to: PartyId, env: &Envelope) -> u64 {
-        let bytes = env.to_bytes();
-        if to == self.net.me {
-            let len = bytes.len() as u64;
-            self.ready.push_back((to, bytes));
-            return len;
-        }
-        let Some(peer) = self.net.peers.get(to.0).and_then(|p| p.as_ref()) else {
-            return 0;
-        };
-        // Bound first: the link guard must be gone before the write takes
-        // the connection lock (lock order `wstream` → `link`).
-        let sealed = lock(&peer.link).seal_data(&bytes);
-        match sealed {
-            Ok(frame) => {
-                self.net.send(peer, &frame, "frames_sent");
-                frame.len() as u64
-            }
-            Err(LinkError::Oversized) => {
-                // An envelope no receiver could accept; sealing it would
-                // poison the peer's stream on every replay.
-                self.net.count("oversized_drops", 1);
-                0
-            }
-            Err(_) => {
-                self.net.count("backpressure_drops", 1);
-                0
-            }
-        }
-    }
-
-    /// Every peer link's state (sequence cursors, retransmission
-    /// backlog), for a debug dump.
-    pub(crate) fn link_snapshots(&self) -> Vec<String> {
-        self.net
-            .peers
-            .iter()
-            .flatten()
-            .map(|peer| lock(&peer.link).snapshot_json())
-            .collect()
-    }
-}
-
 /// A handle to one party of a TCP group: the [`PartyHandle`] API plus
 /// TCP-specific controls.
 pub struct TcpHandle {
+    me: PartyId,
     outputs: Outputs,
-    net: Arc<PartyNet>,
+    cmds: Sender<Command>,
 }
 
 impl TcpHandle {
     /// Forcibly closes every live TCP connection of this party without
-    /// stopping it — a fault-injection hook. The loop of each pair's
-    /// lower id finds its link without a connection and redials,
-    /// with backoff if the dial fails; the reliable link replays whatever
-    /// was unacknowledged, so no delivery is lost or reordered.
+    /// stopping it — a fault-injection hook. The party's loop closes
+    /// them in order with this handle's other commands: after everything
+    /// sent before, before everything sent after, and also once the
+    /// party has crashed. The loop of each pair's lower id finds its
+    /// link without a connection and redials, with backoff if the dial
+    /// fails; the reliable link replays whatever was unacknowledged, so
+    /// no delivery is lost or reordered.
     pub fn sever_links(&self) {
-        self.net.sever_all();
+        self.command(Command::Sever);
     }
 
     /// Asks this party's server to dump its live state (instance
@@ -152,13 +84,13 @@ impl TcpHandle {
     }
 
     fn command(&self, command: Command) {
-        let _ = self.net.cmds.send(command);
+        let _ = self.cmds.send(command);
     }
 }
 
 impl PartyHandle for TcpHandle {
     fn id(&self) -> PartyId {
-        self.net.me
+        self.me
     }
     fn create_atomic_channel(&self, pid: ProtocolId, config: AtomicChannelConfig) {
         self.act(move |node, _| node.create_atomic_channel(pid, config));
@@ -247,10 +179,15 @@ impl PartyHandle for TcpHandle {
     }
 }
 
+/// A party's loop thread; it returns the handshake threads still to be
+/// joined.
+type PartyThread = JoinHandle<Vec<JoinHandle<()>>>;
+
 /// A running group of SINTRA servers connected over real TCP sockets.
 pub struct TcpGroup {
-    /// Each party's loop thread and network side, by party id.
-    parties: Vec<(JoinHandle<()>, Arc<PartyNet>)>,
+    /// Each party's loop thread, which hands back the handshake threads
+    /// still to be joined, and its command channel, by party id.
+    parties: Vec<(PartyThread, Sender<Command>)>,
     addrs: Vec<SocketAddr>,
     metrics_servers: Vec<MetricsServer>,
 }
@@ -286,12 +223,12 @@ impl TcpGroup {
         let run_start = std::time::Instant::now();
         // Bind every listener first so the full address table is known
         // before anyone dials.
-        let mut party_sockets = Vec::with_capacity(n);
+        let mut listeners = Vec::with_capacity(n);
         let mut addrs = Vec::with_capacity(n);
         for _ in 0..n {
             let listener = TcpListener::bind("127.0.0.1:0")?;
             addrs.push(listener.local_addr()?);
-            party_sockets.push(Sockets::new(listener, n)?);
+            listeners.push(listener);
         }
 
         let mut handles = Vec::with_capacity(n);
@@ -302,7 +239,7 @@ impl TcpGroup {
             .as_ref()
             .and_then(|obs| obs.metrics.clone());
 
-        for (i, (keys, sockets)) in party_keys.iter().zip(party_sockets).enumerate() {
+        for (i, (keys, listener)) in party_keys.iter().zip(listeners).enumerate() {
             let me = PartyId(i);
 
             // With the metrics plane on, every party counts into its own
@@ -320,82 +257,55 @@ impl TcpGroup {
                 (None, user) => user.clone(),
             };
 
-            // Per-peer link state. Deterministic dial direction: the
-            // lower id dials, so only higher-id peers get an address.
-            let peers: Vec<Option<Arc<PeerLink>>> = (0..n)
+            let links = (0..n)
                 .map(|j| {
                     (j != i).then(|| {
-                        let link = ReliableLink::new(
+                        ReliableLink::new(
                             LinkKey::new(keys.mac_keys[j].clone(), me, PartyId(j)),
                             config.link.clone(),
-                        );
-                        Arc::new(PeerLink::new(PartyId(j), link, (i < j).then_some(addrs[j])))
+                        )
                     })
                 })
                 .collect();
-
             let (cmds, cmd_rx) = unbounded();
-            let net = Arc::new(PartyNet {
+            let transport = TcpTransport::new(
                 me,
-                peers,
-                shutdown: std::sync::atomic::AtomicBool::new(false),
-                recorder: party_recorder.clone(),
-                cmds,
-                handshake_threads: Mutex::new(Vec::new()),
-            });
+                listener,
+                links,
+                &addrs,
+                party_recorder.clone(),
+                registry.is_some(),
+                cmds.clone(),
+            )?;
 
             let (event_tx, event_rx) = unbounded();
             let server = Server::new(
                 Arc::clone(keys),
-                party_recorder.clone(),
+                party_recorder,
                 config.observability.clone(),
                 run_start,
                 crate::observe::spawn_trace_stream(i, config.observability.as_ref()),
                 event_tx,
             );
-            let transport = TcpTransport {
-                net: Arc::clone(&net),
-                ready: Ready::new(),
-            };
             let thread = std::thread::Builder::new()
                 .name(format!("sintra-p{i}"))
-                .spawn(move || party_loop(transport, sockets, cmd_rx, server))
+                .spawn(move || party_loop(transport, cmd_rx, server))
                 .or_invariant("spawn party thread");
             handles.push(TcpHandle {
+                me,
                 outputs: Outputs::new(event_rx),
-                net: Arc::clone(&net),
+                cmds: cmds.clone(),
             });
 
             if let (Some(metrics), Some(registry)) = (&metrics_config, registry) {
-                // Retransmission-queue state lives inside the per-peer
-                // links; sample it at scrape time instead of pushing it
-                // through the recorder on the hot path.
-                let sampler_net = Arc::clone(&net);
-                let sampler: GaugeSampler = Box::new(move || {
-                    let mut queue_bytes = 0u64;
-                    let mut queue_frames = 0u64;
-                    let mut bytes_hwm = 0u64;
-                    for peer in sampler_net.peers.iter().flatten() {
-                        let link = lock(&peer.link);
-                        queue_bytes += link.unacked_bytes() as u64;
-                        queue_frames += link.unacked_len() as u64;
-                        bytes_hwm = bytes_hwm.max(link.stats().unacked_bytes_hwm);
-                    }
-                    vec![
-                        ("link".to_string(), "retransmit_queue_bytes", queue_bytes),
-                        ("link".to_string(), "retransmit_queue_frames", queue_frames),
-                        ("link".to_string(), "retransmit_queue_bytes_hwm", bytes_hwm),
-                    ]
-                });
                 metrics_servers.push(MetricsServer::spawn(
                     i,
                     metrics,
                     registry as Arc<dyn Recorder>,
-                    sampler,
                 )?);
             }
 
-            parties.push((thread, net));
+            parties.push((thread, cmds));
         }
 
         Ok((
@@ -421,28 +331,22 @@ impl TcpGroup {
 
     /// Stops the group: party loops first (their final frames are
     /// written or backlogged by the time each is joined, and their
-    /// listeners closed), then all sockets and the handshake threads.
-    /// Every thread is joined before this returns.
+    /// listeners and connections closed), then the handshake threads they
+    /// hand back. Every thread is joined before this returns.
     pub fn shutdown(self) {
-        for (_, net) in &self.parties {
-            let _ = net.cmds.send(Command::Stop);
+        for (_, cmds) in &self.parties {
+            let _ = cmds.send(Command::Stop);
         }
-        let mut nets = Vec::with_capacity(self.parties.len());
-        for (thread, net) in self.parties {
-            let _ = thread.join();
-            net.shutdown.store(true, Ordering::Release);
-            net.sever_all();
-            nets.push(net);
+        let mut handshakes = Vec::new();
+        for (thread, _) in self.parties {
+            handshakes.extend(thread.join().unwrap_or_default());
         }
         // In-flight handshakes, dialed or accepted, are bounded by the
-        // read timeout; wait them out so no thread outlives the group.
-        // The loops that spawn them are joined already, and no handshake
-        // installs a connection once the flag is set.
-        for net in &nets {
-            let handshakes = std::mem::take(&mut *lock(&net.handshake_threads));
-            for (t, _) in handshakes {
-                let _ = t.join();
-            }
+        // read timeout; wait them out so no thread outlives the group. A
+        // connection one of them authenticates now finds its loop gone
+        // and closes.
+        for handshake in handshakes {
+            let _ = handshake.join();
         }
         // Scrape endpoints go down last, after every counter writer has
         // been joined — a scraper's next request fails cleanly instead

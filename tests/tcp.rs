@@ -313,7 +313,9 @@ fn stalled_inbound_connections_do_not_starve_accepts() {
 /// A crashed server still services its sockets: it reads and acks what
 /// its links deliver, so the live parties' retransmission queues to it
 /// drain. One request per round, 20 rounds among the other three send
-/// each of them far more than a 64-frame queue's worth to it.
+/// each of them far more than a 64-frame queue's worth to it. Halfway
+/// through, its links are severed: the crashed party's loop still
+/// serves that, and its peers reconnect.
 #[test]
 fn crashed_server_still_acks_its_links() {
     with_deadline(180, || {
@@ -334,6 +336,9 @@ fn crashed_server_still_acks_its_links() {
         }
         handles[3].shutdown_server();
         for k in 0..20 {
+            if k == 10 {
+                handles[3].sever_links();
+            }
             let data = format!("c{k}").into_bytes();
             handles[k % 3].send(&pid, data.clone());
             for (i, h) in handles[..3].iter_mut().enumerate() {
@@ -342,10 +347,15 @@ fn crashed_server_still_acks_its_links() {
             }
         }
         group.shutdown();
+        let snapshot = registry.snapshot();
         assert_eq!(
-            registry.snapshot().counter("link", "backpressure_drops"),
+            snapshot.counter("link", "backpressure_drops"),
             0,
             "a link to the crashed server shed frames"
+        );
+        assert!(
+            snapshot.counter("link", "reconnects") > 0,
+            "the crashed server's links were not severed"
         );
     });
 }
