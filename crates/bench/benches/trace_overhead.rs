@@ -1,15 +1,16 @@
 //! Streaming-trace sink overhead: the same atomic-broadcast batch at
 //! n = 4 over loopback TCP with the sink off vs streaming to disk.
 //!
-//! The sink's contract is bounded overhead on the hot path: `record` is
-//! one mutex push per drained event, serialization and I/O happen on the
-//! flusher thread, and overflow drops events rather than blocking the
-//! server loop. This bench measures the end-to-end cost of that
-//! contract: `trace-n4/off` runs with observability disabled entirely,
-//! `trace-n4/streaming` runs the identical workload while every party
-//! spills its full causal trace to rotating `.jsonl` segments. CI's
-//! `trace-smoke` job asserts streaming/off ≤ 1.10 from the committed
-//! `BENCH_trace.json`.
+//! The sink's contract is bounded overhead on the hot path: the party's
+//! loop renders each event as one JSON line into a write buffer it owns
+//! (no lock, no extra thread) and writes the buffer out when it fills,
+//! before the loop parks and when the party stops. This bench measures
+//! the end-to-end cost of that contract: `trace-n4/off` runs with
+//! observability disabled entirely, `trace-n4/streaming` runs the
+//! identical workload while every party spills its full causal trace to
+//! rotating `.jsonl` segments. CI's `trace-smoke` job runs the quick
+//! mode three times and asserts that the median streaming/off ratio is
+//! ≤ 1.10; `BENCH_trace.json` holds a full-mode run.
 //!
 //! Keys are 512-bit Shoup RSA so the loop carries a realistic
 //! verification load; the trace cost must stay in the noise next to it,
@@ -31,7 +32,6 @@ use sintra_crypto::dealer::{deal, DealerConfig, PartyKeys};
 use sintra_crypto::thsig::SigFlavor;
 use sintra_net::tcp::{TcpConfig, TcpGroup, TcpHandle};
 use sintra_net::{ObservabilityConfig, PartyHandle};
-use sintra_telemetry::TraceStreamConfig;
 
 fn keys() -> Vec<Arc<PartyKeys>> {
     let mut rng = StdRng::seed_from_u64(23);
@@ -118,10 +118,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("sintra-trace-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create trace dir");
-    let obs = ObservabilityConfig {
-        trace: Some(TraceStreamConfig::into_dir(&dir)),
-        ..ObservabilityConfig::default()
-    };
+    let obs = ObservabilityConfig::with_trace_dir(&dir);
     bench_variant(c, "trace-n4/streaming", &keys, Some(obs));
     // Report how much actually hit disk — a suspiciously small number
     // here would mean the "streaming" variant measured an idle sink.

@@ -1,25 +1,23 @@
 //! The live metrics plane: a tiny blocking HTTP/1.0 scrape endpoint per
 //! party.
 //!
-//! Each party of an observable group runs one capped thread that accepts
-//! scrape connections (`curl http://<addr>/metrics`), snapshots the
-//! party's [`MetricsRegistry`](sintra_telemetry::MetricsRegistry)
-//! *without pausing any writer* (counters are relaxed atomics) and
-//! answers with the Prometheus-style text exposition rendered by
-//! [`render_exposition`]. No HTTP library is involved: the server reads
-//! one request head, writes one response, and closes; the thread polls
-//! a nonblocking listener until a shutdown flag is set, so teardown
-//! joins it deterministically.
+//! Each party of an observable group binds one scrape listener
+//! (`curl http://<addr>/metrics`) when the group spawns and hands it to
+//! its loop, which accepts from it nonblockingly in every socket sweep.
+//! Each accepted scrape runs on a short-lived thread, under the same cap
+//! as inbound handshakes: it snapshots the party's
+//! [`MetricsRegistry`] *without pausing any writer* (counters are relaxed
+//! atomics), answers with the Prometheus-style text exposition rendered
+//! by [`render_exposition`] and closes. No HTTP library is involved: the
+//! thread reads one request head, bounded by a 2 s read timeout, writes
+//! one response, and ends. The listener closes when the loop stops.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use sintra_core::invariant::OrInvariant;
-use sintra_telemetry::{render_exposition, Recorder};
+use sintra_telemetry::{render_exposition, MetricsRegistry};
 
 /// Scrape endpoint settings for one party.
 #[derive(Debug, Clone)]
@@ -38,83 +36,42 @@ impl Default for MetricsConfig {
     }
 }
 
-/// One party's running scrape endpoint.
-pub(crate) struct MetricsServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+/// One party's scrape endpoint: its nonblocking listener and the
+/// registry every scrape reads.
+pub(crate) struct ScrapeListener {
+    party: usize,
+    listener: TcpListener,
+    registry: Arc<MetricsRegistry>,
 }
 
-impl MetricsServer {
-    /// Binds the endpoint and starts its accept thread. `source` is the
-    /// party's recorder — scrapes read
-    /// [`Recorder::snapshot_metrics`] from it on every request.
-    pub(crate) fn spawn(
+impl ScrapeListener {
+    /// Binds the endpoint; nothing is accepted until the party's loop
+    /// sweeps it.
+    pub(crate) fn bind(
         party: usize,
         config: &MetricsConfig,
-        source: Arc<dyn Recorder>,
-    ) -> std::io::Result<MetricsServer> {
+        registry: Arc<MetricsRegistry>,
+    ) -> std::io::Result<ScrapeListener> {
         let listener = TcpListener::bind(config.addr)?;
-        let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&shutdown);
-        let thread = std::thread::Builder::new()
-            .name(format!("sintra-metrics-{party}"))
-            .spawn(move || scrape_loop(party, listener, source, flag))
-            .or_invariant("spawn metrics thread");
-        Ok(MetricsServer {
-            addr,
-            shutdown,
-            thread: Some(thread),
+        Ok(ScrapeListener {
+            party,
+            listener,
+            registry,
         })
     }
 
     /// The address scrapes should hit.
-    pub(crate) fn addr(&self) -> SocketAddr {
-        self.addr
+    pub(crate) fn addr(&self) -> std::io::Result<SocketAddr> {
+        self.listener.local_addr()
     }
 
-    /// Stops the accept loop and joins its thread; in-flight sockets
-    /// close with the process-visible listener, so a scraper's next
-    /// request fails cleanly instead of hanging.
-    pub(crate) fn stop(mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-/// Poll-accept loop: wake every 5ms to observe the shutdown flag, serve
-/// one request per connection inline (scrapes are rare and tiny — one
-/// thread is the cap).
-fn scrape_loop(
-    party: usize,
-    listener: TcpListener,
-    source: Arc<dyn Recorder>,
-    shutdown: Arc<AtomicBool>,
-) {
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        let (stream, _) = match listener.accept() {
-            Ok(conn) => conn,
-            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
-        };
-        if stream.set_nonblocking(false).is_err() {
-            continue;
-        }
+    /// Takes one pending scrape, if any, as the work that answers it.
+    pub(crate) fn accept(&self) -> Option<impl FnOnce() + Send + 'static> {
+        let (stream, _) = self.listener.accept().ok()?;
+        let (party, registry) = (self.party, Arc::clone(&self.registry));
         // A failing scrape must never take the endpoint down.
-        let _ = serve_one(party, stream, &source);
+        Some(move || drop(serve_one(party, stream, &registry)))
     }
 }
 
@@ -122,8 +79,11 @@ fn scrape_loop(
 fn serve_one(
     party: usize,
     mut stream: TcpStream,
-    source: &Arc<dyn Recorder>,
+    registry: &MetricsRegistry,
 ) -> std::io::Result<()> {
+    // Some platforms hand out accepted sockets nonblocking, like the
+    // listener; the read timeout needs a blocking one.
+    stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     // Read until the blank line ending the request head, bounded so a
     // hostile client cannot grow the buffer without limit.
@@ -139,7 +99,7 @@ fn serve_one(
     let head = String::from_utf8_lossy(&head);
     let request_line = head.lines().next().unwrap_or_default();
     let (status, body) = if request_line.starts_with("GET ") {
-        let snap = source.snapshot_metrics().unwrap_or_default();
+        let snap = registry.snapshot();
         let party_label = party.to_string();
         (
             "200 OK",
@@ -160,11 +120,21 @@ fn serve_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sintra_telemetry::MetricsRegistry;
+    use sintra_telemetry::Recorder;
 
-    fn scrape(addr: SocketAddr, request: &str) -> String {
+    /// Sends `request` to the endpoint, lets it accept and answer on this
+    /// thread, and returns the response.
+    fn scrape(endpoint: &ScrapeListener, request: &str) -> String {
+        let addr = endpoint.addr().expect("bound address");
         let mut stream = TcpStream::connect(addr).expect("connect scrape endpoint");
         stream.write_all(request.as_bytes()).expect("send request");
+        let serve = loop {
+            match endpoint.accept() {
+                Some(serve) => break serve,
+                None => std::thread::sleep(Duration::from_millis(1)),
+            }
+        };
+        serve();
         let mut response = String::new();
         stream.read_to_string(&mut response).expect("read response");
         response
@@ -175,10 +145,9 @@ mod tests {
         let registry = Arc::new(MetricsRegistry::new());
         registry.counter_add("atomic", "msgs_sent", 11);
         registry.gauge_set("link", "retransmit_queue_bytes", 123);
-        let server = MetricsServer::spawn(7, &MetricsConfig::default(), registry.clone())
+        let endpoint = ScrapeListener::bind(7, &MetricsConfig::default(), registry.clone())
             .expect("bind scrape endpoint");
-        let addr = server.addr();
-        let response = scrape(addr, "GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n");
+        let response = scrape(&endpoint, "GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n");
         assert!(response.starts_with("HTTP/1.0 200 OK"), "{response}");
         assert!(response.contains("sintra_msgs_sent_total{party=\"7\",scope=\"atomic\"} 11"));
         assert!(
@@ -188,22 +157,22 @@ mod tests {
         // Writers were never paused: counting continues and the next
         // scrape sees the new value.
         registry.counter_add("atomic", "msgs_sent", 1);
-        let again = scrape(addr, "GET /metrics HTTP/1.0\r\n\r\n");
+        let again = scrape(&endpoint, "GET /metrics HTTP/1.0\r\n\r\n");
         assert!(again.contains("sintra_msgs_sent_total{party=\"7\",scope=\"atomic\"} 12"));
-        server.stop();
+        let addr = endpoint.addr().expect("bound address");
+        drop(endpoint);
         assert!(
             TcpStream::connect(addr).is_err(),
-            "stopped endpoint refuses connections"
+            "a dropped endpoint refuses connections"
         );
     }
 
     #[test]
     fn non_get_requests_are_rejected() {
         let registry = Arc::new(MetricsRegistry::new());
-        let server = MetricsServer::spawn(0, &MetricsConfig::default(), registry)
+        let endpoint = ScrapeListener::bind(0, &MetricsConfig::default(), registry)
             .expect("bind scrape endpoint");
-        let response = scrape(server.addr(), "POST /metrics HTTP/1.0\r\n\r\n");
+        let response = scrape(&endpoint, "POST /metrics HTTP/1.0\r\n\r\n");
         assert!(response.starts_with("HTTP/1.0 405"), "{response}");
-        server.stop();
     }
 }

@@ -14,11 +14,14 @@
 //! [`TcpHandle::request_dump`](crate::tcp::TcpHandle::request_dump) —
 //! the portable stand-in for a SIGUSR1 handler, which a dependency-free
 //! workspace cannot install.
+//!
+//! None of this adds a thread: the ring, the stall detector, the trace
+//! stream and the scrape listener all belong to the party's loop.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
-use sintra_telemetry::{render_dump, TraceEvent, TraceStream, TraceStreamConfig};
+use sintra_telemetry::{render_dump, TraceEvent, TraceStream};
 
 use crate::metrics::MetricsConfig;
 
@@ -35,16 +38,17 @@ pub struct ObservabilityConfig {
     pub quiet: Duration,
     /// Directory dumps are written into.
     pub dump_dir: PathBuf,
-    /// When set, every party runs a live metrics scrape endpoint (its
-    /// own registry, an HTTP/1.0 listener) in addition to the flight
-    /// recorder; `None` keeps the metrics plane off.
+    /// When set, every party serves a live metrics scrape endpoint (its
+    /// own registry, an HTTP/1.0 listener its loop accepts from) in
+    /// addition to the flight recorder; `None` keeps the metrics plane
+    /// off.
     pub metrics: Option<MetricsConfig>,
-    /// When set, every party continuously streams its trace events to
-    /// rotating `sintra-trace-<party>-<seg>.jsonl` files in the
-    /// configured directory (see
-    /// [`TraceStream`](sintra_telemetry::TraceStream)) — so healthy
-    /// runs leave a causal record for `sintra-prof`, not just stalls.
-    pub trace: Option<TraceStreamConfig>,
+    /// When set, every party's loop continuously writes its trace events
+    /// to rotating `sintra-trace-<party>-<seg>.jsonl` files in this
+    /// directory (see [`TraceStream`]) — so healthy runs leave a causal
+    /// record for `sintra-prof`, not just stalls. The tail reaches disk
+    /// whenever the loop parks, and when the party stops.
+    pub trace: Option<PathBuf>,
 }
 
 impl Default for ObservabilityConfig {
@@ -72,7 +76,7 @@ impl ObservabilityConfig {
     /// into `dir` and everything else at defaults.
     pub fn with_trace_dir(dir: impl Into<std::path::PathBuf>) -> Self {
         ObservabilityConfig {
-            trace: Some(TraceStreamConfig::into_dir(dir)),
+            trace: Some(dir.into()),
             ..ObservabilityConfig::default()
         }
     }
@@ -93,16 +97,16 @@ impl ObservabilityConfig {
     }
 }
 
-/// Spawns one party's streaming trace sink when the observability config
+/// Opens one party's streaming trace sink when the observability config
 /// asks for one. A sink that fails to open (unwritable directory) is
 /// reported and skipped rather than propagated — tracing must never
 /// prevent a group from spawning.
-pub(crate) fn spawn_trace_stream(
+pub(crate) fn open_trace_stream(
     party: usize,
     observability: Option<&ObservabilityConfig>,
 ) -> Option<TraceStream> {
-    let config = observability?.trace.clone()?;
-    match TraceStream::spawn(party, config) {
+    let dir = observability?.trace.as_ref()?;
+    match TraceStream::open(party, dir) {
         Ok(stream) => Some(stream),
         Err(err) => {
             eprintln!("sintra: party {party} failed to open trace stream: {err}");

@@ -238,9 +238,9 @@ pub(crate) struct Server {
     recorder: Option<Arc<dyn Recorder>>,
     observability: Option<ObservabilityConfig>,
     flight: Option<FlightRecorder>,
-    /// Streaming trace sink. Dropping the server — at a crash, or when
-    /// the loop returns and so before the runtime can join the party's
-    /// thread — drains the buffered tail to disk.
+    /// Streaming trace sink. The loop flushes it whenever it parks;
+    /// dropping the server — at a crash, or when the loop returns and so
+    /// before the runtime can join the party's thread — flushes the tail.
     trace_stream: Option<TraceStream>,
     /// The group-wide time zero: every party of a group shares one
     /// anchor, so trace stamps from different parties are directly
@@ -312,19 +312,19 @@ impl Server {
 
     /// Hands one stamped trace event to the trace stream, the flight ring
     /// and the recorder.
-    fn emit(&self, ev: TraceEvent) {
-        if let Some(stream) = &self.trace_stream {
-            stream.record(ev.clone());
+    fn emit(&mut self, ev: TraceEvent) {
+        if let Some(stream) = &mut self.trace_stream {
+            stream.record(&ev);
         }
         match &self.recorder {
             Some(rec) if rec.enabled() => {
-                if let Some(flight) = &self.flight {
+                if let Some(flight) = &mut self.flight {
                     flight.record(ev.clone());
                 }
                 rec.trace(ev);
             }
             _ => {
-                if let Some(flight) = &self.flight {
+                if let Some(flight) = &mut self.flight {
                     flight.record(ev);
                 }
             }
@@ -417,14 +417,14 @@ impl Server {
 
     /// Writes the server's live state (instance snapshots, link state,
     /// flight-recorder tail) under `reason`; nothing without observability.
-    fn dump(&self, reason: &str, transport: &TcpTransport) {
+    fn dump(&mut self, reason: &str, transport: &TcpTransport) {
         let Some(obs) = &self.observability else {
             return;
         };
         let (events, dropped) = self
             .flight
-            .as_ref()
-            .map(|flight| flight.drain())
+            .as_mut()
+            .map(FlightRecorder::drain)
             .unwrap_or_default();
         write_dump(
             obs,
@@ -580,6 +580,13 @@ impl Server {
         wait
     }
 
+    /// Before a park: puts the trace stream's buffered lines on disk.
+    fn flush_trace(&mut self) {
+        if let Some(stream) = &mut self.trace_stream {
+            stream.flush();
+        }
+    }
+
     /// After a park that brought nothing: a party quiet for longer than
     /// the detector allows while it has work pending writes one `stall`
     /// dump, until the next input.
@@ -601,12 +608,13 @@ impl Server {
 }
 
 /// Runs one party until group shutdown, on its own thread, and returns
-/// the handshake threads still to be joined. Each turn drains the
-/// command channel, fires due timers, sweeps the sockets (accept, links,
-/// reads), and steps every envelope the sweep delivered and every one
-/// the party sent itself, in arrival order. A turn that moved something
-/// ends by publishing the retransmission-queue gauges; one that moved
-/// nothing parks on the command channel.
+/// the short-lived threads (handshakes, scrapes) still to be joined. Each
+/// turn drains the command channel, fires due timers, sweeps the sockets
+/// (accept, links, reads, scrapes), and steps every envelope the sweep
+/// delivered and every one the party sent itself, in arrival order. A
+/// turn that moved something ends by publishing the retransmission-queue
+/// gauges; one that moved nothing flushes the trace stream and parks on
+/// the command channel.
 pub(crate) fn party_loop(
     mut transport: TcpTransport,
     cmds: Receiver<Command>,
@@ -633,7 +641,7 @@ pub(crate) fn party_loop(
                 // Dropping the server drops the event sender too, so the
                 // application's waits on this party end.
                 Command::Crash => server = None,
-                Command::Stop => return transport.into_handshakes(),
+                Command::Stop => return transport.into_threads(),
                 command => {
                     if let Some(server) = &mut server {
                         server.input(|| cmds.len() + transport.ready.len());
@@ -662,7 +670,10 @@ pub(crate) fn party_loop(
         } else {
             let due = PARK.saturating_sub(moved_at.elapsed());
             let limit = if due.is_zero() { PARK } else { due };
-            let wait = server.as_ref().map_or(limit, |server| server.park(limit));
+            let wait = server.as_mut().map_or(limit, |server| {
+                server.flush_trace();
+                server.park(limit)
+            });
             match (cmds.recv_timeout(wait), &mut server) {
                 (Ok(command), _) => parked = Some(command),
                 (Err(_), Some(server)) => server.check_stall(&transport),

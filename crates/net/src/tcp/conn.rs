@@ -12,7 +12,9 @@
 //! buffer, reassembling frames in place ([`FrameBuffer::next_frame_ref`])
 //! — no thread per connection and no per-frame allocation. A sweep that
 //! finds a higher-id peer with no connection starts a dial, at once or
-//! after a backoff ([`Redial`]).
+//! after a backoff ([`Redial`]). With the metrics plane on, the sweep
+//! also accepts from the party's scrape listener and answers each
+//! scrape on a short-lived thread ([`ScrapeListener`]).
 //!
 //! Every handshake, dialed or accepted, runs on a short-lived thread of
 //! its own. The thread gets by value what it needs — the socket or the
@@ -48,6 +50,7 @@ use crate::link::handshake::{self, fresh_nonce};
 use crate::link::{
     frame_sender, FrameBuffer, FrameKind, LinkError, LinkEvent, LinkKey, ReliableLink,
 };
+use crate::metrics::ScrapeListener;
 use crate::server::Command;
 use sintra_core::invariant::OrInvariant;
 
@@ -66,12 +69,13 @@ const REDIAL_MAX_MS: u64 = 2000;
 /// partitioned group does not redial in lockstep.
 const REDIAL_JITTER_PCT: u64 = 50;
 
-/// Bound on concurrently running inbound-handshake threads; attempts
-/// past the bound are dropped at accept. Each thread lives at most a
-/// few read-timeouts, so the cap is only reached under a connect flood.
-/// Dials do not count against it: there is at most one per peer, and a
-/// flood of this party's listener must not hold back its own redials.
-const MAX_INBOUND_HANDSHAKES: usize = 64;
+/// Bound on concurrently running inbound threads, handshakes and
+/// scrapes together; connections past the bound are dropped at accept.
+/// Each thread lives at most a few read-timeouts, so the cap is only
+/// reached under a connect flood. Dials do not count against it: there
+/// is at most one per peer, and a flood of this party's listeners must
+/// not hold back its own redials.
+const MAX_INBOUND: usize = 64;
 
 /// One authenticated connection: its socket, the reassembly state of
 /// what it has read, and the bytes the kernel has not taken yet. Every
@@ -260,28 +264,28 @@ pub(crate) struct TcpTransport {
     /// sweep delivered and what this party sent itself.
     pub(crate) ready: Ready,
     counters: Counters,
-    /// Whether the loop publishes the retransmission-queue gauges (the
-    /// metrics plane is on).
-    queue_gauges: bool,
+    /// The party's scrape endpoint, when the metrics plane is on; the
+    /// loop then also publishes the retransmission-queue gauges.
+    scrape: Option<ScrapeListener>,
     /// The loop's command channel, on which handshake threads hand back
     /// the connections they authenticate.
     cmds: Sender<Command>,
-    /// Inbound handshake threads, reaped as they finish and capped at
-    /// [`MAX_INBOUND_HANDSHAKES`].
+    /// Inbound handshake and scrape threads, reaped as they finish and
+    /// capped at [`MAX_INBOUND`].
     inbound: Vec<JoinHandle<()>>,
 }
 
 impl TcpTransport {
     /// Takes over the party's listener, switched to nonblocking mode,
-    /// with one link per peer (`None` at `me`). Only higher-id peers get
-    /// an address: the lower id dials.
+    /// and its scrape endpoint, if any, with one link per peer (`None` at
+    /// `me`). Only higher-id peers get an address: the lower id dials.
     pub(crate) fn new(
         me: PartyId,
         listener: TcpListener,
         links: Vec<Option<ReliableLink>>,
         addrs: &[SocketAddr],
         recorder: Option<Arc<dyn Recorder>>,
-        queue_gauges: bool,
+        scrape: Option<ScrapeListener>,
         cmds: Sender<Command>,
     ) -> std::io::Result<Self> {
         listener.set_nonblocking(true)?;
@@ -298,7 +302,7 @@ impl TcpTransport {
             buf: vec![0u8; 64 * 1024],
             ready: Ready::new(),
             counters: Counters(recorder),
-            queue_gauges,
+            scrape,
             cmds,
             inbound: Vec::new(),
         })
@@ -386,13 +390,13 @@ impl TcpTransport {
         }
     }
 
-    /// One sweep: hands every pending connection to a handshake thread;
-    /// then for every peer pushes its write backlog on or, for a peer this
-    /// party dials that has no connection, starts a dial when its
-    /// [`Redial`] schedule says so, and reads one chunk from its
-    /// connection, running the frames through the peer's reliable link
-    /// and queueing each delivery on `ready`. Returns whether anything
-    /// moved.
+    /// One sweep: hands every pending connection to a handshake thread
+    /// and every pending scrape to a scrape thread; then for every peer
+    /// pushes its write backlog on or, for a peer this party dials that
+    /// has no connection, starts a dial when its [`Redial`] schedule says
+    /// so, and reads one chunk from its connection, running the frames
+    /// through the peer's reliable link and queueing each delivery on
+    /// `ready`. Returns whether anything moved.
     pub(crate) fn sweep(&mut self) -> bool {
         let mut progressed = false;
         // Nothing pending ends the accepts, and so does an error such as
@@ -400,6 +404,14 @@ impl TcpTransport {
         while let Ok((stream, _)) = self.listener.accept() {
             progressed = true;
             self.accept(stream);
+        }
+        while let Some(serve) = self.scrape.as_ref().and_then(ScrapeListener::accept) {
+            progressed = true;
+            if self.inbound_full() {
+                self.counters.add("scrape_rejects", 1);
+                continue;
+            }
+            self.inbound.push(spawn_inbound(self.me, serve));
         }
         for peer in self.peers.iter_mut().flatten() {
             let Some(moved) = peer.flush() else {
@@ -417,12 +429,18 @@ impl TcpTransport {
         progressed
     }
 
+    /// Reaps the finished inbound threads; returns whether
+    /// [`MAX_INBOUND`] are still running.
+    fn inbound_full(&mut self) -> bool {
+        self.inbound.retain(|h| !h.is_finished());
+        self.inbound.len() >= MAX_INBOUND
+    }
+
     /// Hands an accepted socket to a handshake thread, with the key and
     /// watermark of every lower-id peer, the ones that dial this party;
-    /// drops it when [`MAX_INBOUND_HANDSHAKES`] are still running.
+    /// drops it when [`MAX_INBOUND`] threads are still running.
     fn accept(&mut self, stream: TcpStream) {
-        self.inbound.retain(|h| !h.is_finished());
-        if self.inbound.len() >= MAX_INBOUND_HANDSHAKES {
+        if self.inbound_full() {
             self.counters.add("handshake_rejects", 1);
             return;
         }
@@ -444,7 +462,7 @@ impl TcpTransport {
     /// bytes and frames awaiting acknowledgement over every peer, and the
     /// largest byte count any one link has held.
     pub(crate) fn record_queue_gauges(&self) {
-        let (true, Some(rec)) = (self.queue_gauges, &self.counters.0) else {
+        let (Some(_), Some(rec)) = (&self.scrape, &self.counters.0) else {
             return;
         };
         let (mut bytes, mut frames, mut hwm) = (0u64, 0u64, 0u64);
@@ -458,9 +476,9 @@ impl TcpTransport {
         rec.gauge_set(LINK_SCOPE, "retransmit_queue_bytes_hwm", hwm);
     }
 
-    /// Closes the listener and every connection, and hands back the
-    /// handshake threads still to be joined, dialed and accepted.
-    pub(crate) fn into_handshakes(self) -> Vec<JoinHandle<()>> {
+    /// Closes the listeners and every connection, and hands back the
+    /// inbound threads and dials still to be joined.
+    pub(crate) fn into_threads(self) -> Vec<JoinHandle<()>> {
         let dials = self
             .peers
             .into_iter()
@@ -619,18 +637,24 @@ fn spawn_handshake(
     handshake: impl FnOnce(&Counters) -> Option<Handshaken> + Send + 'static,
 ) -> JoinHandle<()> {
     let (counters, cmds) = (counters.clone(), cmds.clone());
+    spawn_inbound(me, move || {
+        if let Some((peer, stream, peer_cum)) = handshake(&counters) {
+            let _ = cmds.send(Command::Conn {
+                peer,
+                stream,
+                peer_cum,
+            });
+        }
+    })
+}
+
+/// Runs `work` — a handshake or a scrape — on a short-lived thread,
+/// named `sintra-hs-<party>` either way.
+fn spawn_inbound(me: PartyId, work: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("sintra-hs-{}", me.0))
-        .spawn(move || {
-            if let Some((peer, stream, peer_cum)) = handshake(&counters) {
-                let _ = cmds.send(Command::Conn {
-                    peer,
-                    stream,
-                    peer_cum,
-                });
-            }
-        })
-        .or_invariant("spawn handshake thread")
+        .spawn(work)
+        .or_invariant("spawn inbound thread")
 }
 
 /// Dials a higher-id peer and authenticates the connection. A failure
@@ -805,7 +829,7 @@ mod tests {
             vec![Some(link(1, 0)), None],
             &[SocketAddr::from(([127, 0, 0, 1], 0)); 2],
             None,
-            false,
+            None,
             cmds,
         )
         .unwrap();

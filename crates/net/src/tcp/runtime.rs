@@ -16,7 +16,7 @@ use sintra_crypto::dealer::PartyKeys;
 use sintra_telemetry::{FanoutRecorder, MetricsRegistry, Recorder};
 
 use crate::link::{LinkConfig, LinkKey, ReliableLink};
-use crate::metrics::MetricsServer;
+use crate::metrics::ScrapeListener;
 use crate::observe::ObservabilityConfig;
 use crate::server::{party_loop, Command, Outputs, Server};
 use crate::tcp::TcpTransport;
@@ -179,17 +179,17 @@ impl PartyHandle for TcpHandle {
     }
 }
 
-/// A party's loop thread; it returns the handshake threads still to be
-/// joined.
+/// A party's loop thread; it returns the inbound threads (handshakes,
+/// scrapes) still to be joined.
 type PartyThread = JoinHandle<Vec<JoinHandle<()>>>;
 
 /// A running group of SINTRA servers connected over real TCP sockets.
 pub struct TcpGroup {
-    /// Each party's loop thread, which hands back the handshake threads
+    /// Each party's loop thread, which hands back the inbound threads
     /// still to be joined, and its command channel, by party id.
     parties: Vec<(PartyThread, Sender<Command>)>,
     addrs: Vec<SocketAddr>,
-    metrics_servers: Vec<MetricsServer>,
+    metrics_addrs: Vec<SocketAddr>,
 }
 
 impl TcpGroup {
@@ -233,7 +233,7 @@ impl TcpGroup {
 
         let mut handles = Vec::with_capacity(n);
         let mut parties = Vec::with_capacity(n);
-        let mut metrics_servers = Vec::new();
+        let mut metrics_addrs = Vec::new();
         let metrics_config = config
             .observability
             .as_ref()
@@ -267,6 +267,16 @@ impl TcpGroup {
                     })
                 })
                 .collect();
+            // The scrape listener is bound here, so that its address is
+            // known at once; the party's loop accepts from it.
+            let scrape = match (&metrics_config, registry) {
+                (Some(metrics), Some(registry)) => {
+                    let scrape = ScrapeListener::bind(i, metrics, registry)?;
+                    metrics_addrs.push(scrape.addr()?);
+                    Some(scrape)
+                }
+                _ => None,
+            };
             let (cmds, cmd_rx) = unbounded();
             let transport = TcpTransport::new(
                 me,
@@ -274,7 +284,7 @@ impl TcpGroup {
                 links,
                 &addrs,
                 party_recorder.clone(),
-                registry.is_some(),
+                scrape,
                 cmds.clone(),
             )?;
 
@@ -284,7 +294,7 @@ impl TcpGroup {
                 party_recorder,
                 config.observability.clone(),
                 run_start,
-                crate::observe::spawn_trace_stream(i, config.observability.as_ref()),
+                crate::observe::open_trace_stream(i, config.observability.as_ref()),
                 event_tx,
             );
             let thread = std::thread::Builder::new()
@@ -297,14 +307,6 @@ impl TcpGroup {
                 cmds: cmds.clone(),
             });
 
-            if let (Some(metrics), Some(registry)) = (&metrics_config, registry) {
-                metrics_servers.push(MetricsServer::spawn(
-                    i,
-                    metrics,
-                    registry as Arc<dyn Recorder>,
-                )?);
-            }
-
             parties.push((thread, cmds));
         }
 
@@ -312,7 +314,7 @@ impl TcpGroup {
             TcpGroup {
                 parties,
                 addrs,
-                metrics_servers,
+                metrics_addrs,
             },
             handles,
         ))
@@ -326,33 +328,28 @@ impl TcpGroup {
     /// The live scrape addresses, by party id. Empty unless the group
     /// was spawned with [`ObservabilityConfig::metrics`] set.
     pub fn metrics_addrs(&self) -> Vec<SocketAddr> {
-        self.metrics_servers.iter().map(|s| s.addr()).collect()
+        self.metrics_addrs.clone()
     }
 
     /// Stops the group: party loops first (their final frames are
-    /// written or backlogged by the time each is joined, and their
-    /// listeners and connections closed), then the handshake threads they
-    /// hand back. Every thread is joined before this returns.
+    /// written or backlogged by the time each is joined, their trace
+    /// streams flushed, and their listeners — scrape listeners too — and
+    /// connections closed), then the inbound threads they hand back.
+    /// Every thread is joined before this returns.
     pub fn shutdown(self) {
         for (_, cmds) in &self.parties {
             let _ = cmds.send(Command::Stop);
         }
-        let mut handshakes = Vec::new();
+        let mut inbound = Vec::new();
         for (thread, _) in self.parties {
-            handshakes.extend(thread.join().unwrap_or_default());
+            inbound.extend(thread.join().unwrap_or_default());
         }
-        // In-flight handshakes, dialed or accepted, are bounded by the
-        // read timeout; wait them out so no thread outlives the group. A
-        // connection one of them authenticates now finds its loop gone
+        // In-flight handshakes and scrapes are bounded by the read
+        // timeout; wait them out so no thread outlives the group. A
+        // connection a handshake authenticates now finds its loop gone
         // and closes.
-        for handshake in handshakes {
-            let _ = handshake.join();
-        }
-        // Scrape endpoints go down last, after every counter writer has
-        // been joined — a scraper's next request fails cleanly instead
-        // of reading a half-torn-down group.
-        for server in self.metrics_servers {
-            server.stop();
+        for thread in inbound {
+            let _ = thread.join();
         }
     }
 }
@@ -581,6 +578,85 @@ mod tests {
             assert_eq!(s, &sequences[0], "optimistic total order over sockets");
         }
         group.shutdown();
+    }
+
+    /// The loop flushes its trace stream whenever it parks: once one
+    /// request is delivered everywhere and the group has idled, every
+    /// party's segment already holds each `net:recv` event the parties
+    /// counted, while the group is still up.
+    #[test]
+    fn trace_tail_reaches_disk_when_the_loop_parks() {
+        let dir = std::env::temp_dir().join(format!("sintra-park-flush-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let registry = Arc::new(MetricsRegistry::new());
+        let config = TcpConfig {
+            observability: Some(ObservabilityConfig::with_trace_dir(&dir)),
+            ..TcpConfig::default()
+        };
+        let (group, mut handles) =
+            TcpGroup::spawn_with(keys(4, 1), config, Some(registry.clone())).unwrap();
+        let pid = ProtocolId::new("park-flush");
+        for h in &handles {
+            h.create_atomic_channel(pid.clone(), AtomicChannelConfig::default());
+        }
+        handles[0].send(&pid, b"one".to_vec());
+        for h in handles.iter_mut() {
+            assert_eq!(h.receive(&pid).unwrap().data, b"one");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        // Each party counts a delivered envelope just before it emits the
+        // envelope's `net:recv` event. A tail that waited for shutdown
+        // would stay short of the count for good; a loop that is still
+        // busy gets a little longer.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        loop {
+            let counted = registry.counter("park-flush", "msgs_delivered");
+            let on_disk: Vec<u64> = (0..4)
+                .map(|party| {
+                    let path = dir.join(sintra_telemetry::segment_file_name(party, 0));
+                    let body = std::fs::read_to_string(path).expect("segment exists");
+                    body.lines()
+                        .filter(|line| {
+                            line.contains(r#""protocol":"park-flush"#)
+                                && line.contains(r#""family":"net","phase":"recv""#)
+                        })
+                        .count() as u64
+                })
+                .collect();
+            if on_disk.iter().all(|&n| n > 0) && on_disk.iter().sum::<u64>() >= counted {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{counted} envelopes counted, recv events on disk by party: {on_disk:?}"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        group.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A trace directory that cannot be created — its parent is a regular
+    /// file — costs the trace, not the group: it spawns and orders.
+    #[test]
+    fn an_unwritable_trace_dir_does_not_stop_the_group() {
+        let file = std::env::temp_dir().join(format!("sintra-not-a-dir-{}", std::process::id()));
+        std::fs::write(&file, b"").unwrap();
+        let config = TcpConfig {
+            observability: Some(ObservabilityConfig::with_trace_dir(file.join("traces"))),
+            ..TcpConfig::default()
+        };
+        let (group, mut handles) = TcpGroup::spawn_with(keys(4, 1), config, None).unwrap();
+        let pid = ProtocolId::new("no-trace");
+        for h in &handles {
+            h.create_atomic_channel(pid.clone(), AtomicChannelConfig::default());
+        }
+        handles[2].send(&pid, b"ordered".to_vec());
+        for h in handles.iter_mut() {
+            assert_eq!(h.receive(&pid).unwrap().data, b"ordered");
+        }
+        group.shutdown();
+        let _ = std::fs::remove_file(&file);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 use crate::trace::json_string;
 use crate::TraceEvent;
@@ -115,21 +114,18 @@ impl SnapshotWriter {
     }
 }
 
-struct Ring {
-    events: VecDeque<TraceEvent>,
-    dropped: u64,
-}
-
-/// A bounded ring buffer of recent stamped [`TraceEvent`]s.
+/// A bounded ring buffer of recent stamped [`TraceEvent`]s, owned by the
+/// party's loop.
 ///
-/// Recording is one short uncontended mutex acquisition plus a ring
-/// rotation — cheap enough to leave on for the lifetime of a server.
-/// The buffer never grows past its capacity; the count of overwritten
-/// events is reported alongside a drain so a dump states how much
-/// history was lost.
+/// Recording is one ring rotation — cheap enough to leave on for the
+/// lifetime of a server. The buffer never grows past its capacity; the
+/// count of overwritten events is reported alongside a drain so a dump
+/// states how much history was lost.
+#[derive(Debug)]
 pub struct FlightRecorder {
     capacity: usize,
-    inner: Mutex<Ring>,
+    events: VecDeque<TraceEvent>,
+    dropped: u64,
 }
 
 impl FlightRecorder {
@@ -138,10 +134,8 @@ impl FlightRecorder {
         let capacity = capacity.max(1);
         FlightRecorder {
             capacity,
-            inner: Mutex::new(Ring {
-                events: VecDeque::with_capacity(capacity),
-                dropped: 0,
-            }),
+            events: VecDeque::with_capacity(capacity),
+            dropped: 0,
         }
     }
 
@@ -151,45 +145,29 @@ impl FlightRecorder {
     }
 
     /// Appends one stamped event, evicting the oldest when full.
-    pub fn record(&self, event: TraceEvent) {
-        let mut ring = self.inner.lock().expect("flight ring poisoned");
-        if ring.events.len() == self.capacity {
-            ring.events.pop_front();
-            ring.dropped += 1;
+    pub fn record(&mut self, event: TraceEvent) {
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
+            self.dropped += 1;
         }
-        ring.events.push_back(event);
+        self.events.push_back(event);
     }
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("flight ring poisoned")
-            .events
-            .len()
+        self.events.len()
     }
 
     /// Whether the ring holds no events.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.events.is_empty()
     }
 
     /// Removes and returns the buffered events together with the number
     /// of older events that were overwritten since the last drain.
-    pub fn drain(&self) -> (Vec<TraceEvent>, u64) {
-        let mut ring = self.inner.lock().expect("flight ring poisoned");
-        let events = std::mem::take(&mut ring.events).into();
-        let dropped = std::mem::take(&mut ring.dropped);
-        (events, dropped)
-    }
-}
-
-impl std::fmt::Debug for FlightRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlightRecorder")
-            .field("capacity", &self.capacity)
-            .field("len", &self.len())
-            .finish()
+    pub fn drain(&mut self) -> (Vec<TraceEvent>, u64) {
+        let events = std::mem::take(&mut self.events).into();
+        (events, std::mem::take(&mut self.dropped))
     }
 }
 
@@ -257,7 +235,7 @@ mod tests {
 
     #[test]
     fn ring_keeps_newest_and_counts_evictions() {
-        let fr = FlightRecorder::new(3);
+        let mut fr = FlightRecorder::new(3);
         for i in 0..5 {
             fr.record(TraceEvent::new(0, format!("p{i}"), "rb"));
         }
@@ -272,7 +250,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_is_clamped() {
-        let fr = FlightRecorder::new(0);
+        let mut fr = FlightRecorder::new(0);
         fr.record(TraceEvent::new(0, "x", "rb"));
         assert_eq!(fr.len(), 1);
     }

@@ -20,8 +20,8 @@
 //!   step (phase transitions, round advances, deliveries), stamped with
 //!   virtual time by the simulator or wall-clock micros by the TCP
 //!   runtime.
-//! * [`TraceStream`] — the streaming trace sink: a double-buffered,
-//!   off-thread writer spilling events to rotating per-party `.jsonl`
+//! * [`TraceStream`] — the streaming trace sink: a buffered writer the
+//!   party's loop owns, spilling events to rotating per-party `.jsonl`
 //!   segments (schema [`TRACE_SCHEMA`]), so healthy runs leave a causal
 //!   trace behind, not just stalled ones.
 //! * [`RunReport`] — a per-protocol-instance rollup of a finished run
@@ -48,7 +48,7 @@ pub use json::{parse_json, JsonError, JsonValue};
 pub use recorder::{FanoutRecorder, NoopRecorder, Recorder};
 pub use registry::{MetricsRegistry, MetricsSnapshot};
 pub use report::{ProtocolRow, RunReport, BATCH_SIZE, DELIVERY_LATENCY};
-pub use stream::{segment_file_name, TraceStream, TraceStreamConfig, TRACE_SCHEMA};
+pub use stream::{segment_file_name, TraceStream, TRACE_SCHEMA};
 pub use trace::{json_escape, TraceEvent};
 
 /// Scale factor between floating-point crypto work units and the

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::{MetricsSnapshot, TraceEvent};
+use crate::TraceEvent;
 
 /// Object-safe sink for protocol telemetry.
 ///
@@ -37,15 +37,6 @@ pub trait Recorder: Send + Sync {
     /// Records a structured trace event (already stamped by the
     /// runtime).
     fn trace(&self, event: TraceEvent);
-
-    /// Point-in-time copy of everything this recorder has accumulated,
-    /// when it keeps state that can be snapshotted (a
-    /// [`MetricsRegistry`](crate::MetricsRegistry) does; sinks that
-    /// forward or drop return `None`). This is what a live scrape
-    /// endpoint reads — writers are never paused.
-    fn snapshot_metrics(&self) -> Option<MetricsSnapshot> {
-        None
-    }
 }
 
 /// Recorder that drops everything; [`Recorder::enabled`] is `false`.
@@ -107,12 +98,6 @@ impl Recorder for FanoutRecorder {
         for s in &self.sinks {
             s.trace(event.clone());
         }
-    }
-
-    /// The first sink that can snapshot answers — by convention the
-    /// party's own registry is sink 0.
-    fn snapshot_metrics(&self) -> Option<MetricsSnapshot> {
-        self.sinks.iter().find_map(|s| s.snapshot_metrics())
     }
 }
 

@@ -153,10 +153,6 @@ impl Recorder for MetricsRegistry {
             self.traces.lock().expect("trace lock poisoned").push(event);
         }
     }
-
-    fn snapshot_metrics(&self) -> Option<MetricsSnapshot> {
-        Some(self.snapshot())
-    }
 }
 
 /// Deterministically ordered copy of a [`MetricsRegistry`].
@@ -271,16 +267,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_metrics_exposes_registry_through_recorder_trait() {
-        let r: Arc<dyn Recorder> = Arc::new(MetricsRegistry::new());
-        r.counter_add("atomic", "msgs_sent", 3);
-        let snap = r.snapshot_metrics().expect("registry snapshots");
-        assert_eq!(snap.counter("atomic", "msgs_sent"), 3);
-        assert!(crate::NoopRecorder.snapshot_metrics().is_none());
-    }
-
-    #[test]
-    fn fanout_feeds_every_sink_and_snapshots_the_first() {
+    fn fanout_feeds_every_sink() {
         let own = Arc::new(MetricsRegistry::new());
         let shared = Arc::new(MetricsRegistry::new());
         let fan = crate::FanoutRecorder::new(vec![own.clone(), shared.clone()]);
@@ -292,8 +279,6 @@ mod tests {
         assert_eq!(shared.counter("atomic", "msgs_sent"), 2);
         assert_eq!(shared.gauge("server", "stalled"), 1);
         assert!(shared.histogram("atomic", "delivery_latency_us").is_some());
-        let snap = fan.snapshot_metrics().expect("fanout snapshots sink 0");
-        assert_eq!(snap.counter("atomic", "msgs_sent"), 2);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Structured trace events emitted by protocol state machines.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// One structured record of protocol progress.
 ///
@@ -88,24 +88,32 @@ impl TraceEvent {
     /// Renders the event as one JSON object (hand-rolled; the workspace
     /// has no serde).
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"time_us\":{},\"party\":{},\"protocol\":{},\"family\":{},\"phase\":{},\"round\":{},\"bytes\":{}",
-            self.time_us,
-            self.party,
-            json_string(&self.protocol),
-            json_string(self.family),
-            json_string(self.phase),
-            self.round,
-            self.bytes,
+        let mut out = String::with_capacity(160);
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends the event's JSON object, as [`TraceEvent::to_json`]
+    /// renders it, to `out`.
+    pub fn write_json(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"time_us\":{},\"party\":{},\"protocol\":",
+            self.time_us, self.party
         );
+        escape_into(out, &self.protocol);
+        out.push_str(",\"family\":");
+        escape_into(out, self.family);
+        out.push_str(",\"phase\":");
+        escape_into(out, self.phase);
+        let _ = write!(out, ",\"round\":{},\"bytes\":{}", self.round, self.bytes);
         if let Some((sender, seq)) = self.cause {
-            out.push_str(&format!(",\"cause\":[{sender},{seq}]"));
+            let _ = write!(out, ",\"cause\":[{sender},{seq}]");
         }
         if self.wait_us > 0 {
-            out.push_str(&format!(",\"wait_us\":{}", self.wait_us));
+            let _ = write!(out, ",\"wait_us\":{}", self.wait_us);
         }
         out.push('}');
-        out
     }
 }
 
@@ -135,6 +143,12 @@ pub fn json_escape(s: &str) -> String {
 /// Escapes a string as a JSON string literal.
 pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` as a JSON string literal.
+fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -143,12 +157,13 @@ pub(crate) fn json_string(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -106,7 +106,7 @@ fn stall_drill(dump_dir: &std::path::Path, trace_dir: Option<&std::path::Path>) 
             metrics: Some(MetricsConfig::default()),
             // The streaming sink coexists with the stall-dump plane:
             // the wedge shows up in the dump *and* in the causal trace.
-            trace: trace_dir.map(sintra::telemetry::TraceStreamConfig::into_dir),
+            trace: trace_dir.map(std::path::Path::to_path_buf),
         }),
         ..TcpConfig::default()
     };

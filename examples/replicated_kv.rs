@@ -150,7 +150,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ObservabilityConfig::default()
         };
         if let Some(dir) = &trace_dir {
-            obs.trace = Some(sintra::telemetry::TraceStreamConfig::into_dir(dir));
+            obs.trace = Some(dir.into());
         }
         Some(obs)
     } else {

@@ -25,7 +25,6 @@ use proptest::prelude::*;
 use sintra::protocols::channel::AtomicChannelConfig;
 use sintra::runtime::tcp::{TcpConfig, TcpGroup};
 use sintra::runtime::{ObservabilityConfig, PartyHandle};
-use sintra::telemetry::TraceStreamConfig;
 use sintra::testbed::profile::{causal_resolution, find_trace_files, merge_streams, MergedTrace};
 use sintra::ProtocolId;
 
@@ -57,14 +56,10 @@ fn trace_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Observability with the streaming sink on and a buffer large enough
-/// that a short run can never overflow it.
+/// Observability with the streaming sink on.
 fn traced_observability(dir: &std::path::Path) -> ObservabilityConfig {
     ObservabilityConfig {
-        trace: Some(TraceStreamConfig {
-            buffer_events: 65_536,
-            ..TraceStreamConfig::into_dir(dir)
-        }),
+        trace: Some(dir.to_path_buf()),
         ..ObservabilityConfig::default()
     }
 }
